@@ -55,7 +55,7 @@
 
 use crate::comm::{check_payload_bounds, PayloadBoundsError};
 use crate::durable::crc32;
-use owlpar_rdf::{NodeId, Triple};
+use owlpar_rdf::{is_sorted_run, NodeId, Triple};
 use std::io::{Read, Write};
 
 /// Why a frame could not be written or read.
@@ -252,10 +252,6 @@ pub fn get_varint32(buf: &[u8], pos: usize) -> Result<(u32, usize), TripleBlockE
 /// Cheapest possible encoding of one triple: three 1-byte varints.
 const MIN_BYTES_PER_TRIPLE: u64 = 3;
 
-fn is_strictly_sorted(triples: &[Triple]) -> bool {
-    triples.windows(2).all(|w| w[0] < w[1])
-}
-
 /// Encode a set of triples as a compact block. The input is treated as a
 /// **set**: it is sorted (SPO) and deduplicated if it is not already
 /// strictly ascending, and [`decode_triple_block`] returns the sorted
@@ -263,7 +259,7 @@ fn is_strictly_sorted(triples: &[Triple]) -> bool {
 /// slices of a sorted store) pay no copy.
 pub fn encode_triple_block(triples: &[Triple]) -> Vec<u8> {
     let mut owned;
-    let sorted: &[Triple] = if is_strictly_sorted(triples) {
+    let sorted: &[Triple] = if is_sorted_run(triples) {
         triples
     } else {
         owned = triples.to_vec();

@@ -13,7 +13,8 @@
 //!
 //! The cluster of the paper (one partition per processor core, message
 //! exchange over a shared filesystem) is reproduced as one OS thread per
-//! partition with a private [`owlpar_rdf::TripleStore`]; *all*
+//! partition with a private [`WorkerState`] (its triples held as sorted
+//! runs: a frozen store plus a small overlay); *all*
 //! inter-partition traffic flows through an explicit [`comm`] backend —
 //! crossbeam channels, or real files in a shared directory serialized as
 //! N-Triples, matching the paper's transport. Workers proceed in
@@ -67,6 +68,7 @@ pub mod frame;
 pub mod master;
 pub mod model;
 pub mod plan;
+pub mod state;
 pub mod stats;
 pub mod worker;
 
@@ -91,4 +93,5 @@ pub use plan::{
     analyze_rules_only, analyze_strategy, auto_candidates, select_auto, AutoSelection,
     PlanningBase,
 };
+pub use state::WorkerState;
 pub use stats::{WireBytes, WirePhase, WireRound, WorkerStats};

@@ -14,9 +14,15 @@
 //! `worker`). If the run lost workers, the master either reports a
 //! [`RunError::Workers`] or — for data partitioning under
 //! [`FaultRecovery::AdoptAndReclose`] — adopts the loss: the original
-//! graph still holds every base triple and the survivors' stores are
-//! subsets of the closure, so re-closing serially yields *exactly* the
+//! graph still holds every base triple and every survivor's output is a
+//! subset of the closure, so re-closing serially yields *exactly* the
 //! serial closure (forward closure is monotonic in its inputs).
+//!
+//! Triples travel as SPO-sorted runs throughout: [`prepare_run`] sorts
+//! the KB once and cuts every partition in that order, workers hand back
+//! sorted runs of what they gained (never the base they were given — the
+//! master graph still has it), and aggregation is a k-way merge of those
+//! runs followed by one in-order insert.
 
 use crate::barrier::RoundBarrier;
 use crate::comm::{build_fabric_with_faults, CommMode};
@@ -25,6 +31,7 @@ use crate::config::{
 };
 use crate::error::{RunError, WorkerError};
 use crate::stats::{PhaseBreakdown, WorkerStats};
+use crate::durable::Digest128;
 use crate::worker::{
     run_worker, run_worker_async, AsyncControl, Routing, RunFlags, WorkerCtx,
 };
@@ -34,9 +41,9 @@ use owlpar_lint::{lint_rules, LintOptions, PartitionContext};
 use owlpar_obs as obs;
 use owlpar_partition::metrics::{or_excess, quality, PartitionQuality};
 use owlpar_partition::multilevel::PartitionOptions;
-use owlpar_partition::{partition_data, partition_rules, OwnershipPolicy};
+use owlpar_partition::{partition_data_ordered, partition_rules, OwnershipPolicy};
 use owlpar_rdf::vocab::RDF_TYPE;
-use owlpar_rdf::{Graph, Term, Triple, TripleStore};
+use owlpar_rdf::{merge_runs, Graph, Term, Triple};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -177,9 +184,9 @@ pub struct RunPlan {
     pub strategy: PartitioningStrategy,
     /// The effective rule-base (compiled ontology rules + extras).
     pub all_rules: Vec<Rule>,
-    /// Schema triples, replicated to every worker.
+    /// Schema triples, replicated to every worker (an SPO-sorted run).
     pub schema: Vec<Triple>,
-    /// Per-worker base (instance) partitions.
+    /// Per-worker base (instance) partitions, each an SPO-sorted run.
     pub bases: Vec<Vec<Triple>>,
     /// Per-worker rule subsets.
     pub rules_per_worker: Vec<Vec<Rule>>,
@@ -194,6 +201,31 @@ pub struct RunPlan {
     /// The analyzer's report for the selected plan — `Some` only when
     /// the run was configured with [`PartitioningStrategy::Auto`].
     pub analysis: Option<owlpar_lint::PlanReport>,
+    /// Digest of the KB as handed in: the dictionary size on entry, then
+    /// every id-triple in SPO order — the `input` half of the cluster's
+    /// partition-cache key. Fed from the sort this function does anyway.
+    pub input_digest: [u8; 16],
+}
+
+/// [`RunPlan::input_digest`] from the two sorted, disjoint halves of the
+/// KB: one merge walk, no second sort of the store.
+fn kb_digest(dict_len: usize, schema: &[Triple], instance: &[Triple]) -> [u8; 16] {
+    let mut d = Digest128::new();
+    d.update_u32(dict_len as u32);
+    let (mut i, mut j) = (0, 0);
+    while i < schema.len() || j < instance.len() {
+        let t = if j == instance.len() || (i < schema.len() && schema[i] < instance[j]) {
+            i += 1;
+            schema[i - 1]
+        } else {
+            j += 1;
+            instance[j - 1]
+        };
+        d.update_u32(t.s.0);
+        d.update_u32(t.p.0);
+        d.update_u32(t.o.0);
+    }
+    d.finish()
 }
 
 impl RunPlan {
@@ -234,8 +266,18 @@ pub fn prepare_run(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunPlan, R
     // Compile the ontology (this interns the last few constants, so it
     // must precede freezing the dictionary).
     let t_part = Instant::now();
+    let dict_len = graph.dict.len();
     let hr = HorstReasoner::from_graph(graph, cfg.materialization);
     let rdf_type = graph.dict.id(&Term::iri(RDF_TYPE));
+
+    // The run's one sort of the KB. Everything downstream — the input
+    // digest, the partition cuts, the wire blocks, the workers' frozen
+    // stores — reads these two runs in order.
+    let mut schema = hr.schema_triples.clone();
+    schema.sort_unstable();
+    let mut instance = hr.instance_triples.clone();
+    instance.sort_unstable();
+    let input_digest = kb_digest(dict_len, &schema, &instance);
 
     // Static partition-safety gate: lint the *effective* rule-base
     // (compiled ontology rules plus any user-supplied extras) against the
@@ -309,6 +351,7 @@ pub fn prepare_run(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunPlan, R
         cfg.k,
         &all_rules,
         &hr.instance_triples,
+        &instance,
         &graph.dict,
         rdf_type,
         weights,
@@ -318,7 +361,7 @@ pub fn prepare_run(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunPlan, R
         k: cfg.k,
         strategy,
         all_rules,
-        schema: hr.schema_triples.clone(),
+        schema,
         bases,
         rules_per_worker,
         routing,
@@ -326,6 +369,7 @@ pub fn prepare_run(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunPlan, R
         edge_cut,
         partition_time: t_part.elapsed(),
         analysis,
+        input_digest,
     })
 }
 
@@ -349,13 +393,19 @@ pub(crate) struct PartitionParts {
 
 /// Partition `instance_triples` and `all_rules` for `k` workers under a
 /// **concrete** (non-[`PartitioningStrategy::Auto`]) strategy.
-/// `predicate_counts` weighs the rule-dependency edges when the strategy
-/// asks for it.
+/// Ownership is decided from `instance_triples` in the compiler's order
+/// (vertex numbering follows first appearance; re-ordering it would move
+/// every assignment); the bases are cut by walking `cut_order` — the same
+/// triples, SPO-sorted by [`prepare_run`] so each base is born a sorted
+/// run. `predicate_counts` weighs the rule-dependency edges when the
+/// strategy asks for it.
+#[allow(clippy::too_many_arguments)] // two internal call sites
 pub(crate) fn build_partitions(
     strategy: &PartitioningStrategy,
     k: usize,
     all_rules: &[Rule],
     instance_triples: &[Triple],
+    cut_order: &[Triple],
     dict: &owlpar_rdf::Dictionary,
     rdf_type: Option<owlpar_rdf::NodeId>,
     predicate_counts: Option<&owlpar_rdf::fx::FxHashMap<owlpar_rdf::NodeId, usize>>,
@@ -368,7 +418,8 @@ pub(crate) fn build_partitions(
                 DataPolicy::Domain => OwnershipPolicy::Domain(None),
                 DataPolicy::Streaming => OwnershipPolicy::Streaming,
             };
-            let dp = partition_data(instance_triples, dict, rdf_type, k, &ownership);
+            let dp =
+                partition_data_ordered(instance_triples, cut_order, dict, rdf_type, k, &ownership);
             let q = quality(&dp.parts, rdf_type);
             let owner = Arc::new(dp.owner);
             Ok(PartitionParts {
@@ -391,8 +442,9 @@ pub(crate) fn build_partitions(
                 )));
             }
             let d = k / g;
-            let dp = partition_data(
+            let dp = partition_data_ordered(
                 instance_triples,
+                cut_order,
                 dict,
                 rdf_type,
                 d,
@@ -435,7 +487,7 @@ pub(crate) fn build_partitions(
             let shared_rules = Arc::new(all_rules.to_vec());
             let rp = Arc::new(rp);
             Ok(PartitionParts {
-                bases: (0..k).map(|_| instance_triples.to_vec()).collect(),
+                bases: (0..k).map(|_| cut_order.to_vec()).collect(),
                 rules_per_worker: (0..k)
                     .map(|p| {
                         rp.parts[p].iter().map(|&i| all_rules[i].clone()).collect()
@@ -485,6 +537,7 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
         edge_cut,
         partition_time,
         analysis: _,
+        input_digest: _,
     } = plan;
 
     // Freeze the dictionary and build the fabric.
@@ -499,9 +552,9 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
 
     // Spawn the workers, each inside a panic-containment wrapper.
     let t_par = Instant::now();
-    let schema = &schema;
+    let schema = Arc::new(schema);
     let async_control = Arc::new(AsyncControl::default());
-    type WorkerOutcome = Result<(TripleStore, WorkerStats), WorkerError>;
+    type WorkerOutcome = Result<(Vec<Triple>, WorkerStats), WorkerError>;
     let mut results: Vec<Option<WorkerOutcome>> = (0..cfg.k).map(|_| None).collect();
     let scope_ok = crossbeam::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(cfg.k);
@@ -527,20 +580,18 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
             let materialization = resolve_materialization(cfg.materialization, cfg.k);
             let rounds_mode = cfg.rounds;
             let round_timeout = cfg.round_timeout;
-            let schema = schema.clone();
+            let schema = Arc::clone(&schema);
             handles.push(scope.spawn(move |_| {
                 let contain_barrier = Arc::clone(&barrier);
                 let contain_flags = Arc::clone(&flags);
                 let contain_progress = Arc::clone(&progress);
                 let contain_async = Arc::clone(&async_control);
                 let outcome = std::panic::catch_unwind(AssertUnwindSafe(move || {
-                    let mut store = TripleStore::new();
-                    store.extend(schema);
-                    store.extend(base);
                     let ctx = WorkerCtx {
                         id,
                         k: cfg.k,
-                        store,
+                        schema,
+                        base,
                         reasoner: Reasoner::new(rules, materialization),
                         routing,
                         comm,
@@ -597,8 +648,10 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
     }
     let host_parallel_time = t_par.elapsed();
 
-    // Aggregate: union the surviving partitions back into the master
-    // graph; collect structured errors for the rest.
+    // Aggregate: merge the survivors' runs and insert the result into
+    // the master graph in order, so each new triple is hashed once (and
+    // the base triples, which never left the graph, not again); collect
+    // structured errors for the rest.
     let rec = obs::global();
     let mut lane = rec.track("master");
     let agg_span = lane.begin(obs::Phase::Aggregate, obs::NO_ROUND);
@@ -606,11 +659,12 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
     let mut worker_stats = Vec::with_capacity(cfg.k);
     let mut output_sizes = Vec::with_capacity(cfg.k);
     let mut worker_errors: Vec<WorkerError> = Vec::new();
+    let mut runs: Vec<Vec<Triple>> = Vec::with_capacity(cfg.k);
     for (id, r) in results.into_iter().enumerate() {
         match r {
-            Some(Ok((store, stats))) => {
-                output_sizes.push(store.len());
-                graph.store.union_with(&store);
+            Some(Ok((run, stats))) => {
+                output_sizes.push(stats.output_size);
+                runs.push(run);
                 worker_stats.push(stats);
             }
             Some(Err(e)) => {
@@ -634,12 +688,14 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
         }
     }
 
+    graph.store.extend(merge_runs(&runs));
+
     // Recovery. The master graph still holds every base and schema
-    // triple (union_with only ever adds), and each surviving store is a
-    // subset of the closure, so a serial re-close over the union is
-    // exactly the serial closure. Guaranteed for data partitioning,
-    // where every worker ran the complete rule-base; rule/hybrid losses
-    // are reported instead.
+    // triple (it was never emptied, and aggregation only adds), and each
+    // survivor's run is a subset of the closure, so a serial re-close
+    // over the union is exactly the serial closure. Guaranteed for data
+    // partitioning, where every worker ran the complete rule-base;
+    // rule/hybrid losses are reported instead.
     let mut recovered = false;
     if !worker_errors.is_empty() {
         if !recoverable {

@@ -341,6 +341,7 @@ pub fn analyze_strategy(
         k,
         &base.all_rules,
         &base.instance,
+        &base.instance,
         dict,
         base.rdf_type,
         Some(&base.hist),

@@ -2,7 +2,7 @@
 //!
 //! The Fig. 2 experiment decomposes the parallel run into *reasoning*,
 //! *IO* (inter-process communication), *synchronization* (waiting at the
-//! round barrier) and *aggregation* (the master unioning the outputs).
+//! round barrier) and *aggregation* (the master merging the outputs).
 //! Workers accumulate the first three; the master records the fourth.
 
 use serde::Serialize;
@@ -41,7 +41,8 @@ pub struct WorkerStats {
     pub skipped: usize,
     /// Transient IO failures absorbed by retrying.
     pub io_retries: usize,
-    /// Final size of the worker's local store (base + schema + derived).
+    /// Final size of the worker's full local store (schema + base +
+    /// derived + received) — not of the derived-only run it hands back.
     pub output_size: usize,
 }
 
@@ -63,11 +64,13 @@ pub struct WirePhase {
     /// Triples carried inside those frames.
     pub triples: u64,
     /// What the **v1** wire format would have spent on the same logical
-    /// transfer. For round/final phases this is the conservative floor
+    /// transfer. For the round phase this is the conservative floor
     /// `12 × triples` (v1 frame headers and counts excluded); for the
-    /// setup phase it is the exact v1 `Setup` encoding — raw triples,
-    /// 8-byte ownership pairs, both rule lists in full, re-shipped every
-    /// run because v1 had no partition cache.
+    /// final phase `12 ×` every worker's full local store, which is what
+    /// v1 shipped back (the frames themselves now carry only the
+    /// derived-only runs); for the setup phase it is the exact v1 `Setup`
+    /// encoding — raw triples, 8-byte ownership pairs, both rule lists
+    /// in full, re-shipped every run because v1 had no partition cache.
     pub v1_bytes: u64,
 }
 
@@ -121,7 +124,8 @@ pub struct WireBytes {
     pub setup: WirePhase,
     /// Round exchange: `Triples` in, `Deliver`/`DeliverChunk` out.
     pub rounds: WirePhase,
-    /// Final collection: `FinalChunk`/`Final` frames in.
+    /// Final collection: `FinalChunk`/`Final` frames in (the workers'
+    /// derived-only runs).
     pub finals: WirePhase,
     /// Handshake and control traffic (`Hello`, `Welcome`, `CacheAdvert`,
     /// `RoundDone`, rejects).

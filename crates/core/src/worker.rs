@@ -1,8 +1,9 @@
 //! The per-node loop of Algorithm 3.
 //!
-//! Each worker wraps a serial reasoner over its private store and runs
-//! barrier-synchronized rounds: close the local store, route new
-//! derivations to the partitions that may need them, exchange, repeat.
+//! Each worker wraps a serial reasoner over its private partition (a
+//! [`WorkerState`]: sorted runs end to end) and runs barrier-synchronized
+//! rounds: close the local partition, route new derivations to the
+//! partitions that may need them, exchange, repeat.
 //! Termination: a round in which *no* worker sent anything (detected via
 //! a shared cumulative send counter read between the two round barriers,
 //! so every worker reaches the same verdict in the same round).
@@ -33,12 +34,13 @@ use crate::barrier::RoundBarrier;
 use crate::comm::WorkerComm;
 use crate::cputime::CpuTimer;
 use crate::error::{CommError, WorkerError};
+use crate::state::WorkerState;
 use crate::stats::WorkerStats;
 use owlpar_datalog::{Reasoner, Rule};
 use owlpar_obs::{Metric, Phase};
 use owlpar_partition::RulePartitions;
 use owlpar_rdf::fx::FxHashMap;
-use owlpar_rdf::{NodeId, Triple, TripleStore};
+use owlpar_rdf::{NodeId, Triple};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -184,9 +186,10 @@ pub struct WorkerCtx {
     pub id: usize,
     /// Total number of workers.
     pub k: usize,
-    /// Private store, pre-loaded with the schema and this partition's
-    /// base tuples.
-    pub store: TripleStore,
+    /// Schema triples, an SPO-sorted run shared by every worker.
+    pub schema: Arc<Vec<Triple>>,
+    /// This partition's base tuples, an SPO-sorted run.
+    pub base: Vec<Triple>,
     /// The wrapped serial reasoner (complete rule-base for data
     /// partitioning; this partition's subset for rule partitioning).
     pub reasoner: Reasoner,
@@ -217,14 +220,20 @@ fn abort(flags: &RunFlags, barrier: &RoundBarrier, err: WorkerError) -> WorkerEr
 }
 
 /// Cross the barrier or fail with a structured timeout.
-fn cross_barrier(ctx: &WorkerCtx, round: usize) -> Result<(), WorkerError> {
-    match ctx.barrier.wait(ctx.round_timeout) {
+fn cross_barrier(
+    worker: usize,
+    flags: &RunFlags,
+    barrier: &RoundBarrier,
+    patience: Duration,
+    round: usize,
+) -> Result<(), WorkerError> {
+    match barrier.wait(patience) {
         Ok(()) => Ok(()),
         Err(t) => Err(abort(
-            &ctx.flags,
-            &ctx.barrier,
+            flags,
+            barrier,
             WorkerError::BarrierTimeout {
-                worker: ctx.id,
+                worker,
                 round,
                 waited: t.waited,
             },
@@ -232,9 +241,35 @@ fn cross_barrier(ctx: &WorkerCtx, round: usize) -> Result<(), WorkerError> {
     }
 }
 
-/// Run the worker to quiescence. Returns the final local store and stats,
-/// or a structured error if this worker dropped out of the run.
-pub fn run_worker(mut ctx: WorkerCtx) -> Result<(TripleStore, WorkerStats), WorkerError> {
+/// Freeze the shipped partition and close it (round 0), charging both to
+/// reasoning: a dedicated processor would spend them before its first
+/// exchange.
+fn load_and_close(
+    schema: &[Triple],
+    base: Vec<Triple>,
+    reasoner: Reasoner,
+    lane: &mut owlpar_obs::Track,
+    stats: &mut WorkerStats,
+) -> (WorkerState, Vec<Triple>, Duration) {
+    let t = CpuTimer::start();
+    let span = lane.begin(Phase::Freeze, owlpar_obs::NO_ROUND);
+    let mut state = WorkerState::load(schema, &base, reasoner);
+    lane.end(span);
+    // Round 0 closes the base tuples; later rounds close received deltas.
+    let span = lane.begin(Phase::Join, owlpar_obs::NO_ROUND);
+    let derived = state.close();
+    lane.end(span);
+    let dt = t.elapsed();
+    stats.reason_time += dt;
+    stats.derived += derived.len();
+    (state, derived, dt)
+}
+
+/// Run the worker to quiescence. Returns the sorted run of everything
+/// this worker gained over the partition it was given (see
+/// [`WorkerState::finish`]) and its stats, or a structured error if this
+/// worker dropped out of the run.
+pub fn run_worker(mut ctx: WorkerCtx) -> Result<(Vec<Triple>, WorkerStats), WorkerError> {
     let mut stats = WorkerStats {
         id: ctx.id,
         ..WorkerStats::default()
@@ -246,18 +281,8 @@ pub fn run_worker(mut ctx: WorkerCtx) -> Result<(TripleStore, WorkerStats), Work
     let mut lane = rec.track(&format!("worker {}", ctx.id));
     // CPU charged to the round in progress (reason + io); pushed at each
     // barrier so the master can replay the synchronous schedule.
-    let mut round_cpu = Duration::ZERO;
-
-    // Round 0 closes the base tuples; later rounds close received deltas.
-    let span = lane.begin(Phase::Join, owlpar_obs::NO_ROUND);
-    let t = CpuTimer::start();
-    let base: Vec<Triple> = ctx.store.iter().copied().collect();
-    let mut derived = ctx.reasoner.materialize_delta(&mut ctx.store, base);
-    let dt = t.elapsed();
-    lane.end(span);
-    stats.reason_time += dt;
-    round_cpu += dt;
-    stats.derived += derived.len();
+    let (mut state, mut derived, mut round_cpu) =
+        load_and_close(&ctx.schema, ctx.base, ctx.reasoner, &mut lane, &mut stats);
 
     let mut last_total = 0u64;
     let mut dests: Vec<u32> = Vec::with_capacity(2);
@@ -319,7 +344,7 @@ pub fn run_worker(mut ctx: WorkerCtx) -> Result<(TripleStore, WorkerStats), Work
         stats.round_cpu.push(round_cpu);
         round_cpu = Duration::ZERO;
         let span = lane.begin(Phase::BarrierWait, trace_round);
-        cross_barrier(&ctx, round)?;
+        cross_barrier(ctx.id, &ctx.flags, &ctx.barrier, ctx.round_timeout, round)?;
         lane.end(span);
 
         // receive (charged to the next round)
@@ -347,7 +372,7 @@ pub fn run_worker(mut ctx: WorkerCtx) -> Result<(TripleStore, WorkerStats), Work
         // read the verdict inside the [A, B] window, then barrier B
         let now_total = ctx.total_sent.load(Ordering::SeqCst);
         let span = lane.begin(Phase::BarrierWait, trace_round);
-        cross_barrier(&ctx, round)?;
+        cross_barrier(ctx.id, &ctx.flags, &ctx.barrier, ctx.round_timeout, round)?;
         lane.end(span);
         if ctx.flags.failed() {
             lane.end(round_span);
@@ -363,11 +388,7 @@ pub fn run_worker(mut ctx: WorkerCtx) -> Result<(TripleStore, WorkerStats), Work
         // absorb + incremental closure
         let span = lane.begin(Phase::Join, trace_round);
         let t = CpuTimer::start();
-        let fresh: Vec<Triple> = received
-            .into_iter()
-            .filter(|tr| ctx.store.insert(*tr))
-            .collect();
-        derived = ctx.reasoner.materialize_delta(&mut ctx.store, fresh);
+        derived = state.absorb(received);
         let dt = t.elapsed();
         lane.end(span);
         stats.reason_time += dt;
@@ -386,8 +407,9 @@ pub fn run_worker(mut ctx: WorkerCtx) -> Result<(TripleStore, WorkerStats), Work
 
     stats.skipped = ctx.comm.skipped().len();
     stats.io_retries = ctx.comm.io_retries as usize;
-    stats.output_size = ctx.store.len();
-    Ok((ctx.store, stats))
+    let (run, local_len) = state.finish();
+    stats.output_size = local_len;
+    Ok((run, stats))
 }
 
 /// The asynchronous variant of Algorithm 3 proposed in §VI-B: no round
@@ -401,22 +423,16 @@ pub fn run_worker(mut ctx: WorkerCtx) -> Result<(TripleStore, WorkerStats), Work
 pub fn run_worker_async(
     mut ctx: WorkerCtx,
     control: Arc<AsyncControl>,
-) -> Result<(TripleStore, WorkerStats), WorkerError> {
+) -> Result<(Vec<Triple>, WorkerStats), WorkerError> {
     use std::sync::atomic::Ordering::SeqCst;
     let mut stats = WorkerStats {
         id: ctx.id,
         ..WorkerStats::default()
     };
     let me = ctx.id as u32;
-    let mut burst_cpu = Duration::ZERO;
-
-    let t = CpuTimer::start();
-    let base: Vec<Triple> = ctx.store.iter().copied().collect();
-    let mut derived = ctx.reasoner.materialize_delta(&mut ctx.store, base);
-    let dt = t.elapsed();
-    stats.reason_time += dt;
-    burst_cpu += dt;
-    stats.derived += derived.len();
+    let mut lane = owlpar_obs::global().track(&format!("worker {}", ctx.id));
+    let (mut state, mut derived, mut burst_cpu) =
+        load_and_close(&ctx.schema, ctx.base, ctx.reasoner, &mut lane, &mut stats);
 
     let mut dests: Vec<u32> = Vec::with_capacity(2);
     'outer: loop {
@@ -519,11 +535,7 @@ pub fn run_worker_async(
         let t = CpuTimer::start();
         let n_received = received.len() as u64;
         stats.received += received.len();
-        let fresh: Vec<Triple> = received
-            .into_iter()
-            .filter(|tr| ctx.store.insert(*tr))
-            .collect();
-        derived = ctx.reasoner.materialize_delta(&mut ctx.store, fresh);
+        derived = state.absorb(received);
         control.total_done.fetch_add(n_received, SeqCst);
         let dt = t.elapsed();
         stats.reason_time += dt;
@@ -536,8 +548,9 @@ pub fn run_worker_async(
 
     stats.skipped = ctx.comm.skipped().len();
     stats.io_retries = ctx.comm.io_retries as usize;
-    stats.output_size = ctx.store.len();
-    Ok((ctx.store, stats))
+    let (run, local_len) = state.finish();
+    stats.output_size = local_len;
+    Ok((run, stats))
 }
 
 #[cfg(test)]

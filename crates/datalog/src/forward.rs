@@ -12,7 +12,7 @@
 //! propagate consequences of that batch.
 
 use crate::ast::{Bindings, Rule};
-use owlpar_rdf::{Triple, TripleSource, TripleStore};
+use owlpar_rdf::{FrozenStore, FrozenView, Triple, TripleSource, TripleStore};
 
 /// Compute the closure of `store` under `rules`. Returns the number of
 /// derived (new) triples. Semi-naive: cost proportional to work actually
@@ -74,6 +74,45 @@ fn run_rounds(store: &mut TripleStore, rules: &[Rule], seed: Vec<Triple>) -> Vec
         let mut next_delta = TripleStore::new();
         for t in candidates {
             if store.insert(t) {
+                next_delta.insert(t);
+                all_derived.push(t);
+            }
+        }
+        delta_store = next_delta;
+    }
+    all_derived
+}
+
+/// [`forward_closure_delta`] over `base ∪ overlay`: the bulk of the
+/// store stays frozen and every consequence lands in the small mutable
+/// `overlay`, so absorbing a delta costs O(delta + consequences) however
+/// large `base` is. This is what a distributed worker runs on each
+/// round's deliveries.
+///
+/// Precondition: `overlay` shares no triple with `base`, and every triple
+/// of `delta` is already in one of them.
+pub fn forward_closure_delta_overlay(
+    base: &FrozenStore,
+    overlay: &mut TripleStore,
+    rules: &[Rule],
+    delta: Vec<Triple>,
+) -> Vec<Triple> {
+    let mut all_derived: Vec<Triple> = Vec::new();
+    let mut delta_store: TripleStore = delta.into_iter().collect();
+    while !delta_store.is_empty() {
+        let mut candidates: Vec<Triple> = Vec::new();
+        let view = FrozenView {
+            base,
+            delta: &*overlay,
+        };
+        for rule in rules {
+            apply_rule_delta(&view, &delta_store, rule, &mut candidates);
+        }
+        candidates.sort_unstable();
+        candidates.dedup();
+        let mut next_delta = TripleStore::new();
+        for t in candidates {
+            if !base.contains(&t) && overlay.insert(t) {
                 next_delta.insert(t);
                 all_derived.push(t);
             }
@@ -209,6 +248,35 @@ mod tests {
         assert!(s.contains(&t(0, P, 2)));
         assert!(s.contains(&t(0, P, 3)));
         assert!(s.contains(&t(1, P, 3)));
+    }
+
+    #[test]
+    fn overlay_delta_closure_matches_the_mutable_store() {
+        let rules = [trans_rule(P), subclass_rule()];
+        let mut closed: TripleStore = (0..30).map(|i| t(i, P, i + 1)).collect();
+        closed.insert(t(3, TYPE, STUDENT));
+        forward_closure(&mut closed, &rules);
+        let base = FrozenStore::from_store(&closed);
+
+        let fresh = vec![t(31, P, 32), t(40, P, 0), t(9, TYPE, STUDENT)];
+        let mut want = closed.clone();
+        for &f in &fresh {
+            want.insert(f);
+        }
+        let mut want_derived = forward_closure_delta(&mut want, &rules, fresh.clone());
+
+        let mut overlay = TripleStore::new();
+        for &f in &fresh {
+            overlay.insert(f);
+        }
+        let mut derived = forward_closure_delta_overlay(&base, &mut overlay, &rules, fresh);
+        want_derived.sort_unstable();
+        derived.sort_unstable();
+        assert_eq!(derived, want_derived);
+        assert!(overlay.iter().all(|t| !base.contains(t)), "overlay stays disjoint");
+        let mut union: Vec<Triple> = base.iter().chain(overlay.iter().copied()).collect();
+        union.sort_unstable();
+        assert_eq!(union, want.iter_sorted());
     }
 
     #[test]

@@ -23,12 +23,12 @@
 
 use crate::ast::Rule;
 use crate::forward::{apply_rule_delta, forward_closure_delta};
-use owlpar_obs::{global as obs_global, Phase, Track};
-use owlpar_rdf::{FrozenStore, Triple, TripleStore};
+use owlpar_obs::{global as obs_global, Phase, Recorder, Track};
+use owlpar_rdf::{is_sorted_run, FrozenStore, Triple, TripleStore};
 
 /// Below this delta size a round is evaluated on the calling thread:
 /// spawn + merge overhead dwarfs the join work.
-const MIN_PARALLEL_DELTA: usize = 256;
+pub const MIN_PARALLEL_DELTA: usize = 256;
 
 /// Resolve a configured thread budget: `0` means "all available
 /// parallelism" (clamped to at least 1).
@@ -94,17 +94,56 @@ pub fn parallel_closure_delta(
 /// merge, never a rebuild) — no per-triple hash maintenance anywhere on
 /// the hot path. Returns the final frozen store (the closure) and every
 /// newly derived triple.
+///
+/// The freezes take whatever cores the machine has, on top of `threads`
+/// join shards; a caller that shares the machine uses
+/// [`closure_delta_within`].
 pub fn closure_delta_over(
-    mut base: FrozenStore,
+    base: FrozenStore,
     rules: &[Rule],
     seed: Vec<Triple>,
     threads: usize,
 ) -> (FrozenStore, Vec<Triple>) {
-    let threads = resolve_threads(threads).max(1);
+    frozen_rounds(base, rules, seed, resolve_threads(threads).max(1), false)
+}
+
+/// [`closure_delta_over`] for a caller that owns only `threads` cores —
+/// one of `k` distributed workers closing its partition beside the
+/// others. Joins, shard indexes and the per-round merges together never
+/// run on more than `threads` threads, the caller's included, so a
+/// budget of 1 spawns nothing. `seed` should be an SPO-sorted,
+/// duplicate-free run (a frozen store's own iteration order is one):
+/// shard indexes are then built without sorting the SPO family, and a
+/// seed that is the whole of `base` reuses `base` as its own index.
+pub fn closure_delta_within(
+    base: FrozenStore,
+    rules: &[Rule],
+    seed: Vec<Triple>,
+    threads: usize,
+) -> (FrozenStore, Vec<Triple>) {
+    frozen_rounds(base, rules, seed, threads.max(1), true)
+}
+
+/// The round loop behind both entry points; `budgeted` holds freezes and
+/// shard indexes to `threads` as well ([`closure_delta_within`]).
+fn frozen_rounds(
+    mut base: FrozenStore,
+    rules: &[Rule],
+    seed: Vec<Triple>,
+    threads: usize,
+    budgeted: bool,
+) -> (FrozenStore, Vec<Triple>) {
     // Ambient tracing: one coordinator track plus one stable lane per
     // shard slot, forked into the scoped threads each round (disabled
-    // recorder: every span call is a single branch).
-    let rec = obs_global();
+    // recorder: every span call is a single branch). A budgeted caller
+    // is a distributed worker whose own lane already spans this whole
+    // closure as one `Join` of one of *its* rounds; in-node rounds
+    // recorded beside that would count the same time twice.
+    let rec = if budgeted {
+        Recorder::disabled()
+    } else {
+        obs_global()
+    };
     let mut track = rec.track("closure");
     let shard_tracks: Vec<Track> = (0..threads)
         .map(|i| rec.track(&format!("shard {i}")))
@@ -116,10 +155,23 @@ pub fn closure_delta_over(
         let round_span = track.begin(Phase::Round, round_no);
         // Sorted, deduplicated, *novel* heads from the sharded joins
         // (each shard filters against the frozen base before returning).
-        let new = round_candidates(&base, rules, &delta, threads, &shard_tracks, &mut track, round_no);
+        let new = round_candidates(
+            &base,
+            rules,
+            &delta,
+            threads,
+            budgeted,
+            &shard_tracks,
+            &mut track,
+            round_no,
+        );
         if !new.is_empty() {
             let freeze = track.begin(Phase::Freeze, round_no);
-            base = base.merge_triples(&new);
+            base = if budgeted {
+                base.merge_triples_within(&new, threads)
+            } else {
+                base.merge_triples(&new)
+            };
             track.end(freeze);
             all_derived.extend_from_slice(&new);
         }
@@ -139,11 +191,13 @@ pub fn closure_delta_over(
 /// `contains` probes run in parallel and walk the base coherently
 /// (ascending probes). The coordinator only resolves cross-shard
 /// duplicates.
+#[allow(clippy::too_many_arguments)] // one internal call site
 fn round_candidates(
     view: &FrozenStore,
     rules: &[Rule],
     delta: &[Triple],
     threads: usize,
+    budgeted: bool,
     shard_tracks: &[Track],
     track: &mut Track,
     round_no: u32,
@@ -152,10 +206,22 @@ fn round_candidates(
         // CSR shard: sorting a slice is much cheaper than building hash
         // indexes, and pivot scans are cache-local.
         let join = lane.begin(Phase::Join, round_no);
-        let shard_store = FrozenStore::from_triples(shard.iter().copied());
+        let built;
+        let shard_store = if !budgeted {
+            built = FrozenStore::from_triples(shard.iter().copied());
+            &built
+        } else if shard.len() == view.len() && is_sorted_run(shard) {
+            // Duplicate-free, inside `view` and as long as it: the shard
+            // *is* the view (round 0 of a whole-partition closure).
+            view
+        } else {
+            // The shard threads are the budget; each index builds inline.
+            built = FrozenStore::from_sorted_run(shard, 1);
+            &built
+        };
         let mut out = Vec::new();
         for rule in rules {
-            apply_rule_delta(view, &shard_store, rule, &mut out);
+            apply_rule_delta(view, shard_store, rule, &mut out);
         }
         lane.end(join);
         let dedup = lane.begin(Phase::Dedup, round_no);
@@ -307,6 +373,44 @@ mod tests {
         let expected = 150 * 151 / 2 - 150;
         assert_eq!(derived.len(), expected);
         assert_eq!(closed.iter_sorted(), serial.iter_sorted());
+    }
+
+    #[test]
+    fn budgeted_closure_matches_serial_from_whole_base_and_from_a_delta() {
+        let promote = Rule::new(
+            "promote",
+            atom(v(0), c(NodeId(P)), v(1)),
+            vec![atom(v(0), c(NodeId(Q)), v(1))],
+        )
+        .unwrap();
+        let rules = [promote, trans_rule(P)];
+        let facts: Vec<Triple> = (0..600).map(|i| t(i % 41, Q, (i * 7) % 41)).collect();
+        let mut serial: TripleStore = facts.iter().copied().collect();
+        forward_closure(&mut serial, &rules);
+
+        for threads in [1, 2, 3] {
+            // whole-base seed: round 0 joins the base against itself
+            let base = FrozenStore::from_triples(facts.iter().copied());
+            let seed = base.iter_sorted();
+            let n_base = base.len();
+            let (closed, derived) = closure_delta_within(base, &rules, seed, threads);
+            assert_eq!(closed.iter_sorted(), serial.iter_sorted(), "threads={threads}");
+            assert_eq!(derived.len(), serial.len() - n_base);
+
+            // delta seed over an already-closed base
+            let extra: Vec<Triple> = (0..300).map(|i| t(100 + i, Q, i % 41)).collect();
+            let mut want = serial.clone();
+            let fresh: Vec<Triple> = extra.iter().copied().filter(|&t| want.insert(t)).collect();
+            let mut want_derived = crate::forward::forward_closure_delta(&mut want, &rules, fresh);
+            let grown = closed.merge_triples_within(&extra, threads);
+            let mut seed = extra.clone();
+            seed.sort_unstable();
+            let (closed2, mut derived2) = closure_delta_within(grown, &rules, seed, threads);
+            want_derived.sort_unstable();
+            derived2.sort_unstable();
+            assert_eq!(derived2, want_derived, "threads={threads}");
+            assert_eq!(closed2.iter_sorted(), want.iter_sorted(), "threads={threads}");
+        }
     }
 
     #[test]

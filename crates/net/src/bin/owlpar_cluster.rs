@@ -253,7 +253,7 @@ fn worker(args: &[String]) -> Result<(), CliError> {
     }
     let summary = run_cluster_worker(addr.as_str(), &opts)?;
     println!(
-        "worker {}/{} (epoch {}): {} round(s), {} derived, {} sent, {} in final store",
+        "worker {}/{} (epoch {}): {} round(s), {} derived, {} sent, {} in local store",
         summary.node_id,
         summary.k,
         summary.epoch,

@@ -5,9 +5,10 @@
 //! runtime uses — [`prepare_run`] compiles, lints and partitions — then
 //! ships each worker its partition, rule subsets and routing table over
 //! the versioned bootstrap protocol (`protocol`). Rounds mirror
-//! `run_worker` exactly: a worker closes its local store, routes fresh
-//! derivations, sends them (as `Triples` frames relayed through the
-//! master), announces `RoundDone`, and blocks until the master's
+//! `run_worker` exactly (the same [`WorkerState`] holds the partition):
+//! a worker closes its local partition, routes fresh derivations, sends
+//! them (as `Triples` frames relayed through the master), announces
+//! `RoundDone`, and blocks until the master's
 //! `Deliver` hands it the round verdict plus its inbound triples. The
 //! verdict is the paper's termination test — a round in which nobody
 //! sent anything — computed from the per-round send counts every
@@ -30,8 +31,9 @@
 //! workers and ship every partition refuses to start, because a partial
 //! start could silently compute a partial closure. Mid-run failures are
 //! recoverable: survivors drain at the next verdict (any death forces
-//! `stop`), their stores are unioned (each is a subset of the closure),
-//! and — for data partitioning under
+//! `stop`), their derived-only runs are merged into the master graph
+//! (which still holds every base triple; each run is a subset of the
+//! closure), and — for data partitioning under
 //! [`FaultRecovery::AdoptAndReclose`] — a serial re-close reproduces
 //! exactly the serial closure, monotonicity doing the proof.
 
@@ -50,13 +52,13 @@ use owlpar_core::worker::Routing;
 use owlpar_obs::{wire as obs_wire, Metric, Phase, Recorder, NO_ROUND};
 use owlpar_core::{
     digest128, prepare_run, read_crc_frame, reclose_serial, write_crc_frame, Backoff, CommError,
-    Digest128, FaultKind, ParallelConfig, RunError, RunReport, WorkerError, WorkerStats,
+    FaultKind, ParallelConfig, RunError, RunReport, WorkerError, WorkerState, WorkerStats,
 };
 use owlpar_datalog::{Reasoner, Rule};
 use owlpar_partition::metrics::or_excess;
 use owlpar_partition::RulePartitions;
 use owlpar_rdf::fx::FxHashMap;
-use owlpar_rdf::{Graph, Triple, TripleStore};
+use owlpar_rdf::{merge_runs, Graph, Triple};
 use std::collections::BTreeMap;
 use std::io::ErrorKind;
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
@@ -173,14 +175,18 @@ impl WireLedger {
         Self::add(&self.setup, body_len, triples, v1_cost);
     }
 
-    /// Round/final v1 baseline is the conservative floor `12 × triples`
-    /// (v1 frame headers and counts not charged).
+    /// Round v1 baseline is the conservative floor `12 × triples` (v1
+    /// frame headers and counts not charged).
     fn round_frame(&self, body_len: usize, triples: usize) {
         Self::add(&self.rounds, body_len, triples, triples as u64 * 12);
     }
 
-    fn final_frame(&self, body_len: usize, triples: usize) {
-        Self::add(&self.finals, body_len, triples, triples as u64 * 12);
+    /// v1 shipped every worker's *whole* store back, so the finals'
+    /// baseline is `12 ×` the full local size the worker reports — charged
+    /// once, on the `Final` frame that carries the report
+    /// (`v1_store_len`); the chunks before it pass 0.
+    fn final_frame(&self, body_len: usize, triples: usize, v1_store_len: u64) {
+        Self::add(&self.finals, body_len, triples, v1_store_len * 12);
     }
 
     fn control_frame(&self, body_len: usize) {
@@ -253,7 +259,7 @@ pub struct WorkerSummary {
     pub rounds: usize,
     /// Triples derived locally.
     pub derived: usize,
-    /// Final local store size.
+    /// Final size of the full local store (shipped partition + gained).
     pub store_len: usize,
     /// Triples sent (with multiplicity).
     pub sent: u64,
@@ -298,11 +304,11 @@ enum Event {
         round: usize,
         sent: u64,
     },
-    /// The worker delivered its final counters and store.
+    /// The worker delivered its final counters and derived-only run.
     Final {
         from: usize,
         stats: WireStats,
-        store: Vec<Triple>,
+        run: Vec<Triple>,
     },
     /// The connection is gone (EOF, deadline, CRC damage, bad grammar).
     Dead { from: usize, detail: String },
@@ -315,7 +321,8 @@ enum Event {
 ///
 /// Large deliveries are split here into `DeliverChunk* Deliver` at
 /// `chunk` triples per frame; inbound `FinalChunk` sequences are
-/// reassembled here, so the coordinator only ever sees whole stores.
+/// reassembled here (sequence numbers and ascent across chunk seams
+/// checked), so the coordinator only ever sees whole sorted runs.
 /// Every frame is charged to the shared [`WireLedger`].
 ///
 /// When `trace` is set, inbound `TraceChunk` frames accumulate here and
@@ -375,6 +382,12 @@ fn pump_worker(
     let chunk = chunk.max(1);
     let mut final_acc: Vec<Triple> = Vec::new();
     let mut next_seq = 0u32;
+    // Each block decodes strictly ascending; the run must keep ascending
+    // from one block to the next.
+    let breaks_ascent = |acc: &[Triple], next: &[Triple]| match (acc.last(), next.first()) {
+        (Some(last), Some(first)) => last >= first,
+        _ => false,
+    };
     // Inbound round traffic awaiting a round label (see
     // `WireLedger::per_round`): `(bytes, triples)`.
     let mut pending = (0u64, 0u64);
@@ -452,22 +465,28 @@ fn pump_worker(
                 }
             }
             Ok(WorkerMsg::FinalChunk { seq, batch }) => {
-                ledger.final_frame(body.len(), batch.len());
+                ledger.final_frame(body.len(), batch.len(), 0);
                 if seq != next_seq {
                     return dead(format!(
                         "worker {id} sent final chunk {seq}, expected {next_seq}"
                     ));
                 }
+                if breaks_ascent(&final_acc, &batch) {
+                    return dead(format!("worker {id}'s final chunk {seq} breaks the run's ascent"));
+                }
                 next_seq += 1;
                 final_acc.extend(batch);
             }
-            Ok(WorkerMsg::Final { stats, store }) => {
-                ledger.final_frame(body.len(), store.len());
-                final_acc.extend(store);
+            Ok(WorkerMsg::Final { stats, run }) => {
+                ledger.final_frame(body.len(), run.len(), stats.output_size);
+                if breaks_ascent(&final_acc, &run) {
+                    return dead(format!("worker {id}'s Final breaks the run's ascent"));
+                }
+                final_acc.extend(run);
                 let _ = events.send(Event::Final {
                     from: id,
                     stats,
-                    store: final_acc,
+                    run: final_acc,
                 });
                 return;
             }
@@ -495,30 +514,6 @@ fn pump_worker(
             }
             Err(e) => return dead(format!("undecodable message from worker {id}: {e}")),
         }
-    }
-}
-
-/// The shippable image of a worker's routing table.
-fn wire_routing(r: &Routing) -> WireRouting {
-    match r {
-        Routing::Data { owner } => WireRouting::Data {
-            owner: owner.iter().map(|(&n, &w)| (n, w)).collect(),
-        },
-        Routing::Rule { partitions, .. } => WireRouting::Rule {
-            k: partitions.k as u32,
-            assignment: partitions.assignment.clone(),
-        },
-        Routing::Hybrid {
-            owner,
-            groups,
-            data_shards,
-            ..
-        } => WireRouting::Hybrid {
-            owner: owner.iter().map(|(&n, &w)| (n, w)).collect(),
-            groups_k: groups.k as u32,
-            groups_assignment: groups.assignment.clone(),
-            data_shards: *data_shards,
-        },
     }
 }
 
@@ -616,21 +611,6 @@ fn accept_worker(
     }
 }
 
-/// Digest of the input KB: dictionary size plus every id-triple in
-/// canonical sorted order — the `input` half of the partition-cache
-/// key. Order-canonical so the same KB digests equally run after run
-/// regardless of hash-set iteration order.
-fn input_digest(graph: &Graph) -> [u8; 16] {
-    let mut d = Digest128::new();
-    d.update_u32(graph.dict.len() as u32);
-    for t in graph.store.iter_sorted() {
-        d.update_u32(t.s.0);
-        d.update_u32(t.p.0);
-        d.update_u32(t.o.0);
-    }
-    d.finish()
-}
-
 /// Digest of the partitioning configuration — everything that changes
 /// *which bytes* a worker's partition payload holds, beyond the input
 /// KB itself. The payload digest is the actual correctness check; this
@@ -666,10 +646,10 @@ pub fn run_cluster_master(
     }
     let start_total = Instant::now();
     let before_len = graph.len();
-    // The cache key's input half is the KB as handed to us, digested
-    // before partitioning touches anything.
-    let in_digest = input_digest(graph);
     let plan = prepare_run(graph, cfg)?;
+    // The cache key's input half: the KB as handed to us, digested from
+    // the sorted order `prepare_run` put it in.
+    let in_digest = plan.input_digest;
     let recoverable = plan.recoverable(cfg.recovery);
     let k = plan.k;
     // Telemetry: an enabled recorder in the options turns on worker-side
@@ -718,7 +698,7 @@ pub fn run_cluster_master(
             base: std::mem::take(&mut bases[id]),
             all_rules: plan.all_rules.clone(),
             my_rules: plan.rules_per_worker[id].clone(),
-            routing: wire_routing(&plan.routing[id]),
+            routing: WireRouting::from(&plan.routing[id]),
         };
         let payload_triples = payload.schema.len() + payload.base.len();
         let v1_cost = v1_setup_payload_cost(&payload);
@@ -990,8 +970,8 @@ pub fn run_cluster_master(
         // --- finals --------------------------------------------------
         while (0..k).any(|i| alive[i] && finals[i].is_none()) {
             match events.recv_timeout(cfg.round_timeout) {
-                Ok(Event::Final { from, stats, store }) => {
-                    finals[from] = Some((stats, store));
+                Ok(Event::Final { from, stats, run }) => {
+                    finals[from] = Some((stats, run));
                     delivery_txs[from] = None;
                 }
                 Ok(Event::Dead { from, detail }) => {
@@ -1057,15 +1037,16 @@ pub fn run_cluster_master(
     // --- aggregate + recover -----------------------------------------
     let t_agg = Instant::now();
     let agg_span = relay.begin(Phase::Aggregate, NO_ROUND);
+    // Merge the k sorted runs and insert the result in order: each new
+    // triple is hashed once, the base triples (still in `graph`) never.
     let mut worker_stats = Vec::with_capacity(k);
     let mut output_sizes = Vec::with_capacity(k);
+    let mut runs: Vec<Vec<Triple>> = Vec::with_capacity(k);
     for (id, f) in finals.into_iter().enumerate() {
         match f {
-            Some((stats, store)) => {
-                output_sizes.push(store.len());
-                let mut part = TripleStore::new();
-                part.extend(store);
-                graph.store.union_with(&part);
+            Some((stats, run)) => {
+                output_sizes.push(stats.output_size as usize);
+                runs.push(run);
                 worker_stats.push(stats.into_worker_stats(id));
             }
             None => worker_stats.push(WorkerStats {
@@ -1074,6 +1055,7 @@ pub fn run_cluster_master(
             }),
         }
     }
+    graph.store.extend(merge_runs(&runs));
     let mut recovered = false;
     if !worker_errors.is_empty() {
         if !recoverable {
@@ -1231,8 +1213,9 @@ fn read_master(stream: &mut TcpStream, n_terms: u32, recv: &mut u64) -> Result<M
 }
 
 /// Run one worker process: dial the master, handshake, receive the
-/// partition, execute barrier rounds to the stop verdict, ship the final
-/// store back. Mirrors `owlpar_core::worker::run_worker` step for step —
+/// partition, execute barrier rounds to the stop verdict, ship back the
+/// sorted run of what it gained. Mirrors
+/// `owlpar_core::worker::run_worker` step for step —
 /// the exchanges just travel through the master instead of channels.
 pub fn run_cluster_worker(
     addr: impl ToSocketAddrs,
@@ -1351,9 +1334,6 @@ pub fn run_cluster_worker(
     let all_rules = Arc::new(payload.all_rules);
     let routing = rebuild_routing(payload.routing, k, &all_rules)?;
     let reasoner = Reasoner::new(payload.my_rules, payload.materialization);
-    let mut store = TripleStore::new();
-    store.extend(payload.schema);
-    store.extend(payload.base);
     let mut faults = setup.faults;
     faults.sort_by_key(|&(r, _)| r);
 
@@ -1375,9 +1355,12 @@ pub fn run_cluster_worker(
     let mut lane = rec.track("worker");
 
     let t = CpuTimer::start();
+    let freeze_span = lane.begin(Phase::Freeze, NO_ROUND);
+    let mut state = WorkerState::load(&payload.schema, &payload.base, reasoner);
+    drop((payload.schema, payload.base));
+    lane.end(freeze_span);
     let join_span = lane.begin(Phase::Join, NO_ROUND);
-    let base: Vec<Triple> = store.iter().copied().collect();
-    let mut derived = reasoner.materialize_delta(&mut store, base);
+    let mut derived = state.close();
     lane.end(join_span);
     let dt = t.elapsed();
     stats.reason_micros += dt.as_micros() as u64;
@@ -1523,8 +1506,7 @@ pub fn run_cluster_worker(
         // absorb + incremental closure
         let t = CpuTimer::start();
         let join_span = lane.begin(Phase::Join, round as u32);
-        let fresh: Vec<Triple> = triples.into_iter().filter(|tr| store.insert(*tr)).collect();
-        derived = reasoner.materialize_delta(&mut store, fresh);
+        derived = state.absorb(triples);
         lane.end(join_span);
         let dt = t.elapsed();
         stats.reason_micros += dt.as_micros() as u64;
@@ -1536,7 +1518,8 @@ pub fn run_cluster_worker(
     if round_cpu > Duration::ZERO {
         stats.round_cpu_micros.push(round_cpu.as_micros() as u64);
     }
-    stats.output_size = store.len() as u64;
+    let (full, local_len) = state.finish();
+    stats.output_size = local_len as u64;
 
     let summary = WorkerSummary {
         node_id,
@@ -1544,15 +1527,14 @@ pub fn run_cluster_worker(
         epoch,
         rounds: stats.rounds as usize,
         derived: stats.derived as usize,
-        store_len: store.len(),
+        store_len: local_len,
         sent: stats.sent,
     };
-    // Ship the final store as a bounded chunk stream: FinalChunk* then
-    // the Final terminator carrying the tail (and the counters), so a
-    // store of any size fits under the per-frame cap. Globally sorted
-    // first — each chunk is then a contiguous id range, which is both
-    // deterministic and what the delta codec compresses best.
-    let full = store.iter_sorted();
+    // Ship the run as a bounded chunk stream: FinalChunk* then the Final
+    // terminator carrying the tail (and the counters), so a run of any
+    // size fits under the per-frame cap. It is one ascending sequence —
+    // each chunk a contiguous id range, which is both deterministic and
+    // what the delta codec compresses best.
     let chunk = opts.chunk_triples.max(1);
     let tail_start = full.len().saturating_sub(1) / chunk * chunk;
     for (seq, part) in full[..tail_start].chunks(chunk).enumerate() {
@@ -1581,7 +1563,7 @@ pub fn run_cluster_worker(
         &mut stream,
         &WorkerMsg::Final {
             stats,
-            store: full[tail_start..].to_vec(),
+            run: full[tail_start..].to_vec(),
         },
         &mut wire_sent,
     )?;

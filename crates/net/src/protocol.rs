@@ -25,6 +25,13 @@
 //! (`FinalChunk*`/`DeliverChunk*` ending in the ordinary terminator), so
 //! a result of any size moves without raising the per-frame payload cap.
 //!
+//! **v4** changes what the final stream *means*, not its grammar: a
+//! worker's `FinalChunk* Final` sequence is one SPO-ascending,
+//! duplicate-free run of only the triples it gained over the partition
+//! it was shipped (the master still holds that partition), and
+//! `WireStats::output_size` reports the full local size the run no
+//! longer implies.
+//!
 //! The bootstrap handshake is versioned: `Hello` carries [`WIRE_MAGIC`]
 //! and [`PROTOCOL_VERSION`]; a master that cannot serve that version
 //! answers `Reject` and aborts the run before any partition ships. The
@@ -33,6 +40,7 @@
 //! `Reject` in both directions, never garbage.
 
 use owlpar_core::frame::{get_varint32, put_varint32};
+use owlpar_core::worker::Routing;
 use owlpar_core::{
     decode_triple_block, encode_triple_block, FrameError, RunError, WorkerStats,
 };
@@ -51,8 +59,12 @@ pub const WIRE_MAGIC: u32 = 0x4F57_4C50;
 /// chunked `Final`/`Deliver` streaming.
 /// v3: `trace` flag in `Welcome`, `TraceChunk` telemetry frames
 /// (`owlpar_obs::wire` payloads), `skipped`/`io_retries` in the final
-/// stats record. The `Hello` layout stays frozen.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// stats record.
+/// v4: `FinalChunk*`/`Final` carry the worker's derived-only sorted run
+/// instead of its whole store — same bytes on the wire, different
+/// meaning, so a v3 peer must be refused. The `Hello` layout stays
+/// frozen.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Anything that can go wrong running the cluster.
 #[derive(Debug)]
@@ -186,6 +198,31 @@ pub enum WireRouting {
     },
 }
 
+impl From<&Routing> for WireRouting {
+    fn from(r: &Routing) -> Self {
+        match r {
+            Routing::Data { owner } => WireRouting::Data {
+                owner: owner.iter().map(|(&n, &w)| (n, w)).collect(),
+            },
+            Routing::Rule { partitions, .. } => WireRouting::Rule {
+                k: partitions.k as u32,
+                assignment: partitions.assignment.clone(),
+            },
+            Routing::Hybrid {
+                owner,
+                groups,
+                data_shards,
+                ..
+            } => WireRouting::Hybrid {
+                owner: owner.iter().map(|(&n, &w)| (n, w)).collect(),
+                groups_k: groups.k as u32,
+                groups_assignment: groups.assignment.clone(),
+                data_shards: *data_shards,
+            },
+        }
+    }
+}
+
 /// The cacheable bulk of a worker's bootstrap: everything that depends
 /// only on `(input KB, partitioning config, node id)` and nothing else.
 /// Ships inside [`Setup`] as one canonically-encoded blob
@@ -269,7 +306,8 @@ pub struct WireStats {
     pub io_micros: u64,
     /// Per-round CPU charges, microseconds.
     pub round_cpu_micros: Vec<u64>,
-    /// Final local store size.
+    /// Final size of the worker's full local store (shipped partition +
+    /// everything gained) — not the length of the run it sends back.
     pub output_size: u64,
     /// Bytes this worker wrote to its master connection (frame headers
     /// included) — the worker's own view of its wire footprint.
@@ -341,21 +379,24 @@ pub enum WorkerMsg {
         /// Triples this worker sent this round (termination detector).
         sent: u64,
     },
-    /// One bounded chunk of the final store, streamed before `Final`.
-    /// Chunks arrive in `seq` order starting at 0.
+    /// One bounded chunk of the final run, streamed before `Final`.
+    /// Chunks arrive in `seq` order starting at 0, and the run keeps
+    /// ascending across every chunk seam.
     FinalChunk {
         /// Chunk sequence number.
         seq: u32,
         /// The chunk's triples.
         batch: Vec<Triple>,
     },
-    /// Sent once after a `Stop` verdict: counters + the final store's
-    /// tail (everything not already streamed as `FinalChunk`s).
+    /// Sent once after a `Stop` verdict: counters + the tail of the
+    /// final run (everything not already streamed as `FinalChunk`s). The
+    /// run is the SPO-sorted set of triples this worker derived or
+    /// received — never the schema or base it was shipped.
     Final {
         /// The worker's counters.
         stats: WireStats,
-        /// Tail of its complete local store.
-        store: Vec<Triple>,
+        /// Tail of its derived-only run.
+        run: Vec<Triple>,
     },
     /// One batch of telemetry events (an `owlpar_obs::wire` chunk:
     /// worker clock sample + span/counter events), sent only when the
@@ -1071,10 +1112,10 @@ pub fn encode_worker_msg(m: &WorkerMsg) -> Vec<u8> {
             put_u32(&mut out, *seq);
             put_triples(&mut out, batch);
         }
-        WorkerMsg::Final { stats, store } => {
+        WorkerMsg::Final { stats, run } => {
             out.push(TAG_FINAL);
             put_stats(&mut out, stats);
-            put_triples(&mut out, store);
+            put_triples(&mut out, run);
         }
         WorkerMsg::TraceChunk { payload } => {
             out.push(TAG_TRACE_CHUNK);
@@ -1126,7 +1167,7 @@ pub fn decode_worker_msg(body: &[u8], n_terms: u32) -> Result<WorkerMsg, NetErro
         },
         TAG_FINAL => WorkerMsg::Final {
             stats: get_stats(&mut cur)?,
-            store: get_triples(&mut cur, n_terms)?,
+            run: get_triples(&mut cur, n_terms)?,
         },
         TAG_TRACE_CHUNK => {
             let len = cur.u32()? as usize;
@@ -1390,7 +1431,7 @@ mod tests {
                     skipped: 2,
                     io_retries: 5,
                 },
-                store: vec![t(0, 1, 2)],
+                run: vec![t(0, 1, 2)],
             },
             WorkerMsg::TraceChunk {
                 payload: vec![0x01, 0x02, 0x03],

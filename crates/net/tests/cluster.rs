@@ -5,18 +5,24 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use owlpar_core::config::RoundMode;
+use owlpar_core::master::resolve_materialization;
 use owlpar_core::{
-    read_crc_frame, run_parallel, run_serial, CommMode, FaultKind, FaultPlan, ParallelConfig,
-    PartitioningStrategy, RunReport,
+    digest128, prepare_run, read_crc_frame, run_parallel, run_serial, write_crc_frame, CommMode,
+    FaultKind, FaultPlan, ParallelConfig, PartitioningStrategy, RunReport,
 };
 use owlpar_datagen::{generate_lubm, generate_mdc, LubmConfig, MdcConfig};
+use owlpar_datalog::backward::TableScope;
 use owlpar_datalog::MaterializationStrategy;
-use owlpar_net::protocol::{decode_master_msg, encode_worker_msg, MasterMsg, WorkerMsg};
+use owlpar_net::protocol::{
+    decode_master_msg, decode_worker_msg, encode_master_msg, encode_setup_payload,
+    encode_worker_msg, MasterMsg, Setup, SetupPayload, WireRouting, WireStats, WorkerMsg,
+};
 use owlpar_net::{
     run_cluster_master, run_cluster_worker, MasterOptions, NetError, TcpFabricFactory,
     WorkerOptions, WorkerSummary, PROTOCOL_VERSION, WIRE_MAGIC,
 };
-use owlpar_rdf::Graph;
+use owlpar_rdf::{is_sorted_run, Graph, Triple, TripleStore};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -35,6 +41,41 @@ fn forward_cfg(k: usize, strategy: PartitioningStrategy) -> ParallelConfig {
         ..ParallelConfig::default()
     }
     .forward()
+}
+
+/// The equivalence matrix as labelled configs: every partitioning
+/// strategy (at the cluster size it runs at) × one engine of each kind a
+/// worker can hold its partition for — serial forward (frozen, budget
+/// 1), sharded forward (frozen, budget 2) and backward (thawed hash
+/// store).
+fn matrix() -> Vec<(String, ParallelConfig)> {
+    let strategies = [
+        ("data_graph", 2, PartitioningStrategy::data_graph()),
+        ("hash", 3, PartitioningStrategy::data_hash()),
+        ("rule", 2, PartitioningStrategy::rule()),
+        ("hybrid", 4, PartitioningStrategy::Hybrid { rule_groups: 2 }),
+    ];
+    let engines = [
+        ("semi-naive", MaterializationStrategy::ForwardSemiNaive),
+        ("parallel", MaterializationStrategy::ForwardParallel { threads: 2 }),
+        (
+            "backward",
+            MaterializationStrategy::BackwardPerResource(TableScope::PerQuery),
+        ),
+    ];
+    let mut out = Vec::new();
+    for (sname, k, strategy) in &strategies {
+        for (ename, engine) in engines {
+            let cfg = ParallelConfig {
+                k: *k,
+                strategy: strategy.clone(),
+                materialization: engine,
+                ..ParallelConfig::default()
+            };
+            out.push((format!("{sname}/{ename}"), cfg));
+        }
+    }
+    out
 }
 
 /// Run a whole cluster inside this process: the master on the calling
@@ -137,26 +178,299 @@ fn cluster_processes_match_serial_data_graph() {
     }
 }
 
-/// Rule and hybrid partitioning ship very different routing tables
-/// (consumer sets and group × shard grids); both must rebuild faithfully
-/// on the worker side.
+/// The fingerprint suite over the whole matrix: every strategy × every
+/// engine, through the channel transport (barrier and async rounds), the
+/// in-process TCP mesh and the multi-process star — each must land on
+/// the serial closure, term for term. (Rule and hybrid partitioning ship
+/// very different routing tables — consumer sets and group × shard grids
+/// — and both must rebuild faithfully on the worker side.)
 #[test]
-fn cluster_processes_match_serial_rule_and_hybrid() {
+fn tcp_channel_and_serial_agree_over_strategies_engines_and_round_modes() {
     let g0 = generate_lubm(&LubmConfig::mini(1));
     let (want_fp, want_len) = serial_closure(g0.clone());
-    for (label, cfg) in [
-        ("hash", forward_cfg(2, PartitioningStrategy::data_hash())),
-        ("rule", forward_cfg(2, PartitioningStrategy::rule())),
-        ("hybrid", forward_cfg(4, PartitioningStrategy::Hybrid { rule_groups: 2 })),
-    ] {
+    for (label, cfg) in matrix() {
+        let check = |g: &Graph, how: &str| {
+            assert_eq!(g.len(), want_len, "{label} {how}");
+            assert_eq!(g.term_fingerprint(), want_fp, "{label} {how}");
+        };
+        for rounds in [RoundMode::Barrier, RoundMode::Async] {
+            let mut g = g0.clone();
+            let cfg = ParallelConfig { rounds, ..cfg.clone() };
+            run_parallel(&mut g, &cfg).unwrap_or_else(|e| panic!("{label} {rounds:?}: {e}"));
+            check(&g, &format!("channel {rounds:?}"));
+        }
+        let mut g = g0.clone();
+        let mesh = ParallelConfig {
+            comm: CommMode::Custom(Arc::new(TcpFabricFactory::default())),
+            ..cfg.clone()
+        };
+        run_parallel(&mut g, &mesh).unwrap_or_else(|e| panic!("{label} mesh: {e}"));
+        check(&g, "tcp mesh");
         let (report, g, workers) = run_cluster(&g0, &cfg);
-        let report = report.unwrap_or_else(|e| panic!("{label}: {e}"));
+        let report = report.unwrap_or_else(|e| panic!("{label} cluster: {e}"));
         assert!(!report.recovered, "{label}");
+        check(&g, "cluster");
+        for w in workers {
+            w.unwrap_or_else(|e| panic!("{label} worker: {e}"));
+        }
+    }
+}
+
+/// What one worker of a hand-driven run was shipped and sent back.
+struct HandDriven {
+    /// Schema ∪ base partition, as shipped in `Setup`.
+    shipped: Vec<Triple>,
+    /// The reassembled `FinalChunk* Final` stream, in arrival order.
+    run: Vec<Triple>,
+    /// Triples per final frame, in arrival order (the last is `Final`).
+    frame_triples: Vec<usize>,
+    stats: WireStats,
+}
+
+/// A master written out by hand: it plans with [`prepare_run`] like the
+/// real one, then speaks the protocol frame by frame to real
+/// [`run_cluster_worker`]s and hands every worker's final stream back
+/// undigested, so the tests can look at exactly what crossed the wire.
+/// Returns the master graph with the runs added, and the per-worker
+/// record.
+fn hand_driven_cluster(g0: &Graph, cfg: &ParallelConfig, chunk_triples: usize) -> (Graph, Vec<HandDriven>) {
+    let mut g = g0.clone();
+    let plan = prepare_run(&mut g, cfg).expect("plan");
+    let k = plan.k;
+    let n_terms = g.dict.len() as u32;
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let worker_opts = WorkerOptions {
+        chunk_triples,
+        ..WorkerOptions::default()
+    };
+    let mut records = Vec::new();
+    thread::scope(|s| {
+        let workers: Vec<_> = (0..k)
+            .map(|_| {
+                let opts = worker_opts.clone();
+                s.spawn(move || run_cluster_worker(addr, &opts))
+            })
+            .collect();
+
+        // handshake + setup
+        let mut streams = Vec::new();
+        for id in 0..k {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
+            let hello = decode_worker_msg(&read_crc_frame(&mut stream).unwrap(), u32::MAX).unwrap();
+            assert_eq!(
+                hello,
+                WorkerMsg::Hello {
+                    magic: WIRE_MAGIC,
+                    version: PROTOCOL_VERSION
+                }
+            );
+            let welcome = MasterMsg::Welcome {
+                node_id: id as u32,
+                k: k as u32,
+                epoch: 7,
+                trace: false,
+            };
+            write_crc_frame(&mut stream, &encode_master_msg(&welcome)).unwrap();
+            let advert = decode_worker_msg(&read_crc_frame(&mut stream).unwrap(), u32::MAX).unwrap();
+            assert!(matches!(advert, WorkerMsg::CacheAdvert { .. }));
+            let payload = SetupPayload {
+                n_terms,
+                materialization: resolve_materialization(cfg.materialization, k),
+                schema: plan.schema.clone(),
+                base: plan.bases[id].clone(),
+                all_rules: plan.all_rules.clone(),
+                my_rules: plan.rules_per_worker[id].clone(),
+                routing: WireRouting::from(&plan.routing[id]),
+            };
+            let blob = encode_setup_payload(&payload);
+            let setup = Setup {
+                input_digest: plan.input_digest,
+                config_digest: [0; 16],
+                payload_digest: digest128(&blob),
+                round_timeout_ms: 120_000,
+                faults: Vec::new(),
+                payload: Some(blob),
+            };
+            write_crc_frame(&mut stream, &encode_master_msg(&MasterMsg::Setup(Box::new(setup)))).unwrap();
+            streams.push(stream);
+        }
+
+        // rounds: relay until a round in which nobody sent anything
+        let mut round = 0u32;
+        loop {
+            let mut inboxes: Vec<Vec<Triple>> = vec![Vec::new(); k];
+            let mut round_sent = 0u64;
+            for stream in &mut streams {
+                loop {
+                    match decode_worker_msg(&read_crc_frame(stream).unwrap(), n_terms).unwrap() {
+                        WorkerMsg::Triples { to, batch } => inboxes[to as usize].extend(batch),
+                        WorkerMsg::RoundDone { round: r, sent } => {
+                            assert_eq!(r, round);
+                            round_sent += sent;
+                            break;
+                        }
+                        other => panic!("unexpected frame in round {round}: {other:?}"),
+                    }
+                }
+            }
+            let stop = round_sent == 0;
+            for (stream, inbox) in streams.iter_mut().zip(inboxes) {
+                let deliver = MasterMsg::Deliver {
+                    round,
+                    stop,
+                    triples: inbox,
+                };
+                write_crc_frame(stream, &encode_master_msg(&deliver)).unwrap();
+            }
+            if stop {
+                break;
+            }
+            round += 1;
+        }
+
+        // finals
+        for (id, stream) in streams.iter_mut().enumerate() {
+            let mut run = Vec::new();
+            let mut frame_triples = Vec::new();
+            let mut next_seq = 0;
+            let stats = loop {
+                match decode_worker_msg(&read_crc_frame(stream).unwrap(), n_terms).unwrap() {
+                    WorkerMsg::FinalChunk { seq, batch } => {
+                        assert_eq!(seq, next_seq, "worker {id}");
+                        next_seq += 1;
+                        frame_triples.push(batch.len());
+                        run.extend(batch);
+                    }
+                    WorkerMsg::Final { stats, run: tail } => {
+                        frame_triples.push(tail.len());
+                        run.extend(tail);
+                        break stats;
+                    }
+                    other => panic!("unexpected frame after stop: {other:?}"),
+                }
+            };
+            let mut shipped = plan.schema.clone();
+            shipped.extend_from_slice(&plan.bases[id]);
+            records.push(HandDriven {
+                shipped,
+                run,
+                frame_triples,
+                stats,
+            });
+        }
+        for w in workers {
+            let summary = w.join().unwrap().expect("worker finishes cleanly");
+            let rec = &records[summary.node_id as usize];
+            assert_eq!(summary.store_len as u64, rec.stats.output_size);
+            assert_eq!(summary.epoch, 7);
+        }
+    });
+    for rec in &records {
+        g.store.extend(rec.run.iter().copied());
+    }
+    (g, records)
+}
+
+/// What crosses the wire at the end of a run, frame by frame, for every
+/// strategy × engine: each worker's `FinalChunk* Final` stream is one
+/// strictly SPO-ascending run (across the seams of 5-triple chunks),
+/// shares nothing with the partition that worker was shipped, accounts
+/// exactly for the growth of its store, and the master graph plus the
+/// runs is the serial closure.
+#[test]
+fn final_streams_are_sorted_derived_only_and_complete() {
+    let g0 = generate_lubm(&LubmConfig::mini(1));
+    let (want_fp, want_len) = serial_closure(g0.clone());
+    for (label, cfg) in matrix() {
+        let (g, records) = hand_driven_cluster(&g0, &cfg, 5);
+        assert_eq!(records.len(), cfg.k);
+        let mut chunked = false;
+        for (id, rec) in records.iter().enumerate() {
+            assert!(is_sorted_run(&rec.run), "{label} worker {id}: run not ascending");
+            assert!(rec.frame_triples.iter().all(|&n| n <= 5), "{label}");
+            chunked |= rec.frame_triples.len() > 1;
+            let shipped: TripleStore = rec.shipped.iter().copied().collect();
+            assert_eq!(shipped.len(), rec.shipped.len(), "schema and base are disjoint");
+            assert!(
+                rec.run.iter().all(|t| !shipped.contains(t)),
+                "{label} worker {id}: run re-ships its partition"
+            );
+            assert_eq!(
+                rec.stats.output_size as usize,
+                rec.shipped.len() + rec.run.len(),
+                "{label} worker {id}"
+            );
+        }
+        assert!(chunked, "{label}: 5-triple chunks must split some final stream");
         assert_eq!(g.len(), want_len, "{label}");
         assert_eq!(g.term_fingerprint(), want_fp, "{label}");
-        for w in workers {
-            w.unwrap_or_else(|e| panic!("{label}: {e}"));
+    }
+}
+
+/// A worker with nothing to derive and nothing delivered sends a
+/// zero-triple `Final` (no chunks), reports its store as exactly what it
+/// was shipped, and the run still aggregates to the serial closure.
+#[test]
+fn worker_with_nothing_to_add_sends_an_empty_final() {
+    let mut g0 = Graph::new();
+    g0.insert_iris("http://x/a", "http://x/p", "http://x/b");
+    g0.insert_iris("http://x/c", "http://x/p", "http://x/d");
+    let (want_fp, want_len) = serial_closure(g0.clone());
+    assert_eq!(want_len, g0.len(), "nothing is derivable from this KB");
+    let cfg = forward_cfg(3, PartitioningStrategy::data_hash());
+    let (g, records) = hand_driven_cluster(&g0, &cfg, 5);
+    for rec in &records {
+        assert!(rec.run.is_empty());
+        assert_eq!(rec.frame_triples, [0], "one Final frame, no chunks");
+        assert_eq!(rec.stats.output_size as usize, rec.shipped.len());
+    }
+    assert_eq!((g.term_fingerprint(), g.len()), (want_fp, want_len));
+    // and through the real master
+    let (report, g, _) = run_cluster(&g0, &cfg);
+    let report = report.expect("run");
+    assert_eq!(report.derived, 0);
+    assert_eq!(report.wire.expect("wire").finals.triples, 0);
+    assert_eq!((g.term_fingerprint(), g.len()), (want_fp, want_len));
+}
+
+/// Many rounds: hash ownership scatters MDC's transitive containment
+/// chains over four workers, so closing them takes a relay of deliveries
+/// — every worker absorbs round after round into its overlay, and at
+/// this size the overlays outgrow the fold bound and are merged into the
+/// frozen base mid-run. In-process (barrier and async) and over TCP.
+#[test]
+fn many_round_transitive_chains_absorb_and_fold() {
+    let g0 = generate_mdc(&MdcConfig {
+        fields: 2,
+        wells_per_field: 6,
+        equipment_chain: 40,
+        sensors_per_equipment: 1,
+        measurements_per_sensor: 1,
+        ..MdcConfig::default()
+    });
+    let (want_fp, want_len) = serial_closure(g0.clone());
+    let cfg = forward_cfg(4, PartitioningStrategy::data_hash());
+    for rounds in [RoundMode::Barrier, RoundMode::Async] {
+        let mut g = g0.clone();
+        let cfg = ParallelConfig { rounds, ..cfg.clone() };
+        let report = run_parallel(&mut g, &cfg).expect("in-process run");
+        if rounds == RoundMode::Barrier {
+            assert!(report.max_rounds() >= 4, "only {} rounds", report.max_rounds());
+            let received = report.workers.iter().map(|w| w.received).max().unwrap();
+            // deliveries land in the overlay, which folds past
+            // max(4096, base / 4); bases here are under 14 000 triples
+            assert!(received > 2 * 4096, "at most {received} delivered to a worker: no folds");
         }
+        assert_eq!((g.term_fingerprint(), g.len()), (want_fp, want_len), "{rounds:?}");
+    }
+    let (report, g, workers) = run_cluster(&g0, &cfg);
+    let report = report.expect("cluster run");
+    assert!(report.max_rounds() >= 4);
+    assert_eq!((g.term_fingerprint(), g.len()), (want_fp, want_len));
+    for w in workers {
+        w.expect("worker");
     }
 }
 
@@ -332,70 +646,94 @@ fn chunked_streaming_at_tiny_cap_preserves_closure() {
     );
 }
 
-/// A master that answers `Hello` with `Reject` must surface worker-side
-/// as a typed handshake error carrying the reason — not a decode failure
-/// or a hang.
+/// Version skew, new-worker direction: a v3 master answers this worker's
+/// (v4) `Hello` with a `Reject` naming both versions. That must surface
+/// worker-side as a typed handshake error carrying the reason — not a
+/// decode failure or a hang — and the worker must send nothing more: the
+/// master's next read is the end of the stream.
 #[test]
-fn worker_surfaces_reject_as_typed_handshake_error() {
+fn worker_surfaces_reject_as_typed_handshake_error_and_goes_quiet() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let stub = thread::spawn(move || {
         let (mut stream, _) = listener.accept().unwrap();
-        let _hello = read_crc_frame(&mut stream).unwrap();
-        let reject = owlpar_net::protocol::encode_master_msg(&MasterMsg::Reject {
-            reason: "cluster is full, try the next epoch".to_string(),
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let hello = decode_worker_msg(&read_crc_frame(&mut stream).unwrap(), u32::MAX).unwrap();
+        let WorkerMsg::Hello { magic, version } = hello else {
+            panic!("expected Hello, got {hello:?}");
+        };
+        assert_eq!((magic, version), (WIRE_MAGIC, PROTOCOL_VERSION));
+        // what a v3 master's accept path says to a version it cannot serve
+        let reject = encode_master_msg(&MasterMsg::Reject {
+            reason: format!(
+                "incompatible hello: magic {magic:#010x} version {version}, \
+                 this master speaks {WIRE_MAGIC:#010x} version 3"
+            ),
         });
-        owlpar_core::write_crc_frame(&mut stream, &reject).unwrap();
+        write_crc_frame(&mut stream, &reject).unwrap();
+        // no CacheAdvert, no second Hello: the worker hung up
+        read_crc_frame(&mut stream).is_err()
     });
     let err = run_cluster_worker(addr, &WorkerOptions::default()).unwrap_err();
-    stub.join().unwrap();
+    assert!(stub.join().unwrap(), "the worker kept talking after the Reject");
     match err {
         NetError::Handshake { detail } => {
-            assert!(detail.contains("cluster is full"), "{detail}");
+            assert!(
+                detail.contains(&format!("version {PROTOCOL_VERSION}")) && detail.contains("version 3"),
+                "{detail}"
+            );
         }
         other => panic!("expected a typed handshake error, got {other}"),
     }
 }
 
-/// Version-mismatch regression, old-worker direction: a peer that opens
-/// with the v1 `Hello` (same frozen byte layout, `version: 1`) gets a
-/// typed `Reject` naming both versions, and the master's graph is left
-/// untouched.
+/// Version skew, old-worker direction: a peer that opens with an older
+/// `Hello` (same frozen byte layout; v1, and v3 — the last version whose
+/// `Final` meant "my whole store") gets a typed `Reject` naming both
+/// versions and then nothing: no `Welcome`, no `Setup`, just the end of
+/// the stream. The master's graph is left untouched.
 #[test]
-fn v1_hello_gets_typed_reject_and_graph_is_unchanged() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let g0 = generate_lubm(&LubmConfig::mini(1));
-    let mut g = g0.clone();
-    let cfg = forward_cfg(1, PartitioningStrategy::data_graph());
-    let master = thread::spawn(move || {
-        let r = run_cluster_master(&mut g, &cfg, listener, &MasterOptions::default());
-        (r, g)
-    });
+fn stale_hello_gets_typed_reject_then_silence_and_graph_is_unchanged() {
+    for stale in [1, 3] {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let g0 = generate_lubm(&LubmConfig::mini(1));
+        let mut g = g0.clone();
+        let cfg = forward_cfg(1, PartitioningStrategy::data_graph());
+        let master = thread::spawn(move || {
+            let r = run_cluster_master(&mut g, &cfg, listener, &MasterOptions::default());
+            (r, g)
+        });
 
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let hello = encode_worker_msg(&WorkerMsg::Hello {
-        magic: WIRE_MAGIC,
-        version: 1,
-    });
-    owlpar_core::write_crc_frame(&mut stream, &hello).unwrap();
-    let body = read_crc_frame(&mut stream).unwrap();
-    match decode_master_msg(&body, u32::MAX).unwrap() {
-        MasterMsg::Reject { reason } => {
-            assert!(
-                reason.contains("version 1") && reason.contains(&format!("version {PROTOCOL_VERSION}")),
-                "{reason}"
-            );
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let hello = encode_worker_msg(&WorkerMsg::Hello {
+            magic: WIRE_MAGIC,
+            version: stale,
+        });
+        write_crc_frame(&mut stream, &hello).unwrap();
+        let body = read_crc_frame(&mut stream).unwrap();
+        match decode_master_msg(&body, u32::MAX).unwrap() {
+            MasterMsg::Reject { reason } => {
+                assert!(
+                    reason.contains(&format!("version {stale},"))
+                        && reason.contains(&format!("version {PROTOCOL_VERSION}")),
+                    "{reason}"
+                );
+            }
+            other => panic!("expected Reject, got {other:?}"),
         }
-        other => panic!("expected Reject, got {other:?}"),
+        let (result, g) = master.join().unwrap();
+        assert!(matches!(result, Err(NetError::Handshake { .. })));
+        assert!(
+            read_crc_frame(&mut stream).is_err(),
+            "v{stale}: the master sent something after its Reject"
+        );
+        assert_eq!(g.len(), g0.len(), "no partial partitions applied");
+        assert_eq!(g.term_fingerprint(), g0.term_fingerprint());
     }
-    let (result, g) = master.join().unwrap();
-    assert!(matches!(result, Err(NetError::Handshake { .. })));
-    assert_eq!(g.len(), g0.len(), "no partial partitions applied");
-    assert_eq!(g.term_fingerprint(), g0.term_fingerprint());
 }
 
 /// The rejected run must leave the master's graph untouched (no partial

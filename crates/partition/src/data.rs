@@ -122,7 +122,26 @@ pub fn partition_data(
     k: usize,
     policy: &OwnershipPolicy<'_>,
 ) -> DataPartitions {
+    partition_data_ordered(instance, instance, dict, rdf_type, k, policy)
+}
+
+/// [`partition_data`] with the two roles of the input order separated:
+/// ownership (step 2) is decided from `instance` as given — vertex
+/// numbering follows first appearance, so that order fixes every
+/// assignment — while the parts (step 3) are cut by walking `cut_order`,
+/// the same triples in whatever order the caller wants each part born
+/// in. The distributed masters pass the SPO-sorted KB there, so every
+/// partition is a sorted run from the start.
+pub fn partition_data_ordered(
+    instance: &[Triple],
+    cut_order: &[Triple],
+    dict: &Dictionary,
+    rdf_type: Option<NodeId>,
+    k: usize,
+    policy: &OwnershipPolicy<'_>,
+) -> DataPartitions {
     assert!(k >= 1);
+    debug_assert_eq!(instance.len(), cut_order.len());
     let start = Instant::now();
     let og = build_ownership_graph(instance, rdf_type);
 
@@ -168,7 +187,7 @@ pub fn partition_data(
         partition_time: Duration::ZERO,
         edge_cut,
     };
-    for t in instance {
+    for t in cut_order {
         for d in table.destinations(t).iter() {
             parts[d as usize].push(*t);
         }

@@ -33,6 +33,6 @@ pub mod rdfgraph;
 pub mod rule;
 pub mod streaming;
 
-pub use data::{partition_data, DataPartitions, OwnershipPolicy};
+pub use data::{partition_data, partition_data_ordered, DataPartitions, OwnershipPolicy};
 pub use metrics::{output_replication, PartitionQuality};
 pub use rule::{partition_rules, RulePartitions};

@@ -8,7 +8,8 @@
 //! 2. **Initial partitioning** — greedy graph growing bisects the coarsest
 //!    graph;
 //! 3. **Uncoarsening** — the partition is projected back level by level
-//!    and improved with a boundary Fiduccia–Mattheyses (FM) pass.
+//!    and improved with a Fiduccia–Mattheyses (FM) pass over every
+//!    vertex.
 //!
 //! k-way partitions are produced by recursive bisection with proportional
 //! weight targets, so non-power-of-two k works. The objective matches the
@@ -197,12 +198,17 @@ fn recurse(
     let k_right = k / 2;
     let ratio = k_left as f64 / k as f64;
 
-    let (sub, local_to_global) = induce(graph, vertices);
-    let side = multilevel_bisect(&sub, ratio, opts, rng);
+    // At the root `vertices` is `0..n`: the induced subgraph would be the
+    // graph itself, rebuilt edge by edge.
+    let side = if vertices.len() == graph.n() {
+        multilevel_bisect(graph, ratio, opts, rng)
+    } else {
+        multilevel_bisect(&induce(graph, vertices), ratio, opts, rng)
+    };
 
     let mut left: Vec<usize> = Vec::new();
     let mut right: Vec<usize> = Vec::new();
-    for (local, &global) in local_to_global.iter().enumerate() {
+    for (local, &global) in vertices.iter().enumerate() {
         if side[local] == 0 {
             left.push(global);
         } else {
@@ -213,8 +219,8 @@ fn recurse(
     recurse(graph, &right, k_right, base + k_left as u32, part, opts, rng);
 }
 
-/// Induced subgraph on `vertices`; returns it plus the local→global map.
-fn induce(graph: &CsrGraph, vertices: &[usize]) -> (CsrGraph, Vec<usize>) {
+/// Induced subgraph on `vertices` (local vertex `i` is `vertices[i]`).
+fn induce(graph: &CsrGraph, vertices: &[usize]) -> CsrGraph {
     let mut global_to_local = vec![usize::MAX; graph.n()];
     for (local, &v) in vertices.iter().enumerate() {
         global_to_local[v] = local;
@@ -230,10 +236,7 @@ fn induce(graph: &CsrGraph, vertices: &[usize]) -> (CsrGraph, Vec<usize>) {
             }
         }
     }
-    (
-        CsrGraph::from_edges_vwgt(vertices.len(), &edges, vwgt),
-        vertices.to_vec(),
-    )
+    CsrGraph::from_edges_vwgt(vertices.len(), &edges, vwgt)
 }
 
 /// Multilevel bisection of `graph`: coarsen, bisect, project + refine.
@@ -266,7 +269,6 @@ fn coarsen(graph: &CsrGraph, rng: &mut StdRng) -> (CsrGraph, Vec<usize>) {
     let n = graph.n();
     let mut order: Vec<usize> = (0..n).collect();
     order.shuffle(rng);
-    let mut matched = vec![usize::MAX; n];
     let mut coarse_count = 0usize;
     let mut map = vec![usize::MAX; n];
     for &v in &order {
@@ -285,11 +287,9 @@ fn coarsen(graph: &CsrGraph, rng: &mut StdRng) -> (CsrGraph, Vec<usize>) {
         map[v] = coarse_count;
         if let Some((u, _)) = best {
             map[u as usize] = coarse_count;
-            matched[v] = u as usize;
         }
         coarse_count += 1;
     }
-    let _ = matched;
     let mut vwgt = vec![0u64; coarse_count];
     for v in 0..n {
         vwgt[map[v]] += graph.vwgt[v];
@@ -383,7 +383,9 @@ fn greedy_grow_bisect(graph: &CsrGraph, ratio: f64, rng: &mut StdRng) -> Vec<u32
     side
 }
 
-/// Boundary FM refinement with rollback to the best observed prefix.
+/// FM refinement with rollback to the best observed prefix. The move
+/// heap is seeded with every vertex, interior ones included (their
+/// negative gains sort them behind the boundary).
 /// Respects the balance constraint `weight(side) <= (1+eps) * its target`.
 fn fm_refine(graph: &CsrGraph, side: &mut [u32], ratio: f64, epsilon: f64, _rng: &mut StdRng) {
     let n = graph.n();
@@ -413,10 +415,7 @@ fn fm_refine(graph: &CsrGraph, side: &mut [u32], ratio: f64, epsilon: f64, _rng:
                 }
             }
         }
-        let mut heap: BinaryHeap<(i64, usize)> = (0..n)
-            .filter(|&v| gain[v] > i64::MIN)
-            .map(|v| (gain[v], v))
-            .collect();
+        let mut heap: BinaryHeap<(i64, usize)> = (0..n).map(|v| (gain[v], v)).collect();
         let mut locked = vec![false; n];
         let mut moves: Vec<usize> = Vec::new();
         let mut cum_gain: i64 = 0;

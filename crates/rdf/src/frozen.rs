@@ -38,6 +38,8 @@
 use crate::dictionary::NodeId;
 use crate::store::{TriplePattern, TripleStore};
 use crate::triple::Triple;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Read access to an indexed set of triples: the interface the datalog
@@ -181,6 +183,38 @@ fn merge_sorted(a: &[[NodeId; 3]], b: &[[NodeId; 3]]) -> Vec<[NodeId; 3]> {
     out
 }
 
+/// `true` iff `run` is SPO-sorted and duplicate-free.
+pub fn is_sorted_run(run: &[Triple]) -> bool {
+    run.windows(2).all(|w| w[0] < w[1])
+}
+
+/// K-way merge of SPO-sorted, duplicate-free runs into one such run:
+/// every triple any run holds, once, in ascending order. This is how the
+/// distributed masters aggregate their workers' outputs — a triple
+/// several workers derived is dropped here by one comparison instead of
+/// being hashed once per copy.
+pub fn merge_runs<R: AsRef<[Triple]>>(runs: &[R]) -> Vec<Triple> {
+    let runs: Vec<&[Triple]> = runs.iter().map(AsRef::as_ref).collect();
+    debug_assert!(runs.iter().all(|r| is_sorted_run(r)));
+    let mut heads: BinaryHeap<Reverse<(Triple, usize)>> = runs
+        .iter()
+        .enumerate()
+        .filter_map(|(i, r)| r.first().map(|&t| Reverse((t, i))))
+        .collect();
+    let mut next = vec![1usize; runs.len()];
+    let mut out: Vec<Triple> = Vec::with_capacity(runs.iter().map(|r| r.len()).max().unwrap_or(0));
+    while let Some(Reverse((t, i))) = heads.pop() {
+        if out.last() != Some(&t) {
+            out.push(t);
+        }
+        if let Some(&following) = runs[i].get(next[i]) {
+            next[i] += 1;
+            heads.push(Reverse((following, i)));
+        }
+    }
+    out
+}
+
 impl FrozenStore {
     /// An empty frozen store.
     pub fn new() -> Self {
@@ -215,9 +249,13 @@ impl FrozenStore {
             SortedIndex::from_sorted(rows)
         };
         let [spo_n, pos_n, osp_n] = store.nested_indexes();
-        Self::build_families(store.len(), || build(spo_n), || build(pos_n), || {
-            build(osp_n)
-        })
+        Self::build_families(
+            Self::unbudgeted(),
+            store.len(),
+            || build(spo_n),
+            || build(pos_n),
+            || build(osp_n),
+        )
     }
 
     /// Freeze an arbitrary collection of triples (duplicates tolerated).
@@ -229,9 +267,39 @@ impl FrozenStore {
             rows.dedup();
             SortedIndex::from_sorted(rows)
         };
-        Self::build_families(triples.len(), || build(spo_key), || build(pos_key), || {
-            build(osp_key)
-        })
+        Self::build_families(
+            Self::unbudgeted(),
+            triples.len(),
+            || build(spo_key),
+            || build(pos_key),
+            || build(osp_key),
+        )
+    }
+
+    /// Freeze a run that is already SPO-sorted and duplicate-free (a
+    /// decoded triple block, a partition cut from a sorted KB): the run
+    /// *is* the SPO family, so only POS and OSP get sorted. Uses at most
+    /// `threads` threads, the caller's included — `1` builds everything
+    /// on the calling thread. A run that turns out not to be strictly
+    /// ascending is sorted and deduplicated like
+    /// [`FrozenStore::from_triples`] would.
+    pub fn from_sorted_run(run: &[Triple], threads: usize) -> Self {
+        let ascending = is_sorted_run(run);
+        let build = |key: fn(&Triple) -> [NodeId; 3], presorted: bool| {
+            let mut rows: Vec<[NodeId; 3]> = run.iter().map(key).collect();
+            if !presorted {
+                rows.sort_unstable();
+                rows.dedup();
+            }
+            SortedIndex::from_sorted(rows)
+        };
+        Self::build_families(
+            threads,
+            run.len(),
+            || build(spo_key, ascending),
+            || build(pos_key, false),
+            || build(osp_key, false),
+        )
     }
 
     /// Compaction: fold `delta` into a new frozen store. Each column
@@ -245,6 +313,12 @@ impl FrozenStore {
     /// [`FrozenStore::merge`] for a plain batch of triples (any order,
     /// duplicates tolerated).
     pub fn merge_triples(&self, delta: &[Triple]) -> FrozenStore {
+        self.merge_triples_within(delta, Self::unbudgeted())
+    }
+
+    /// [`FrozenStore::merge_triples`] on at most `threads` threads, the
+    /// caller's included.
+    pub fn merge_triples_within(&self, delta: &[Triple], threads: usize) -> FrozenStore {
         let merge_one = |idx: &SortedIndex, key: fn(&Triple) -> [NodeId; 3]| {
             let mut rows: Vec<[NodeId; 3]> = delta.iter().map(key).collect();
             rows.sort_unstable();
@@ -252,6 +326,7 @@ impl FrozenStore {
             SortedIndex::from_sorted(merge_sorted(&idx.rows, &rows))
         };
         Self::build_families(
+            threads,
             self.len() + delta.len(),
             || merge_one(&self.spo, spo_key),
             || merge_one(&self.pos, pos_key),
@@ -259,10 +334,25 @@ impl FrozenStore {
         )
     }
 
-    /// Build the three column families, on three threads when the row
-    /// count makes the sorts/merges worth a spawn. The families are
-    /// independent, so this is the freeze path's free parallelism.
+    /// The thread count of callers that state no budget: all three
+    /// families at once wherever there is a second core.
+    fn unbudgeted() -> usize {
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        if cores >= 2 {
+            3
+        } else {
+            1
+        }
+    }
+
+    /// Build the three column families on at most `threads` threads (the
+    /// calling one included) when the row count makes the sorts/merges
+    /// worth a spawn. The families are independent, so this is the freeze
+    /// path's free parallelism — but only a caller that owns the cores
+    /// may take it: `k` distributed workers freezing at once each pass
+    /// their own share of the machine.
     fn build_families(
+        threads: usize,
         rows: usize,
         spo: impl FnOnce() -> SortedIndex + Send,
         pos: impl FnOnce() -> SortedIndex + Send,
@@ -270,8 +360,7 @@ impl FrozenStore {
     ) -> FrozenStore {
         /// Below this size, spawn overhead beats the sort work saved.
         const PARALLEL_BUILD_FLOOR: usize = 1 << 14;
-        let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        if rows < PARALLEL_BUILD_FLOOR || cores < 2 {
+        if rows < PARALLEL_BUILD_FLOOR || threads < 2 {
             return FrozenStore {
                 spo: spo(),
                 pos: pos(),
@@ -280,9 +369,15 @@ impl FrozenStore {
         }
         std::thread::scope(|scope| {
             let pos = scope.spawn(pos);
-            let osp = scope.spawn(osp);
-            let spo = spo();
-            match (pos.join(), osp.join()) {
+            // SPO is the cheap family (a presorted run or one merge), so
+            // with a single helper the caller takes OSP as well.
+            let (spo, osp) = if threads == 2 {
+                (spo(), Ok(osp()))
+            } else {
+                let osp = scope.spawn(osp);
+                (spo(), osp.join())
+            };
+            match (pos.join(), osp) {
                 (Ok(pos), Ok(osp)) => FrozenStore { spo, pos, osp },
                 (Err(payload), _) | (_, Err(payload)) => std::panic::resume_unwind(payload),
             }
@@ -571,6 +666,85 @@ mod tests {
         assert_matches_scan(&merged, &expect, pat(Some(9), None, None));
         assert_matches_scan(&merged, &expect, pat(None, Some(1), None));
         assert_matches_scan(&merged, &expect, pat(None, None, None));
+    }
+
+    /// A run big enough to cross the parallel-build floor, so budgets 2
+    /// and 3 really take their helper threads.
+    fn big_run() -> Vec<Triple> {
+        let mut v: Vec<Triple> = (0..40_000u32)
+            .map(|i| t(i % 997, 1000 + i % 13, (i * 7919) % 4001))
+            .collect();
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
+
+    #[test]
+    fn sorted_run_constructor_equals_from_triples_at_every_budget() {
+        for all in [sample(), big_run()] {
+            let want = FrozenStore::from_triples(all.iter().copied());
+            let probes: Vec<Triple> = all.iter().copied().step_by(all.len() / 5 + 1).collect();
+            for threads in [1, 2, 3] {
+                let fs = FrozenStore::from_sorted_run(&all, threads);
+                assert_eq!(fs.iter_sorted(), want.iter_sorted(), "threads={threads}");
+                for probe in &probes {
+                    for mask in 0..8u8 {
+                        let p = TriplePattern::new(
+                            (mask & 4 != 0).then_some(probe.s),
+                            (mask & 2 != 0).then_some(probe.p),
+                            (mask & 1 != 0).then_some(probe.o),
+                        );
+                        let (mut got, mut expect) = (fs.matches(p), want.matches(p));
+                        got.sort_unstable();
+                        expect.sort_unstable();
+                        assert_eq!(got, expect, "threads={threads} pattern {p:?}");
+                        assert_eq!(fs.count_matches(p), expect.len());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sorted_run_constructor_falls_back_on_unsorted_input() {
+        let mut scrambled = sample();
+        scrambled.reverse();
+        scrambled.push(t(0, 1, 2)); // and a duplicate
+        let fs = FrozenStore::from_sorted_run(&scrambled, 1);
+        let want: FrozenStore = sample().into_iter().collect();
+        assert_eq!(fs.iter_sorted(), want.iter_sorted());
+        assert!(fs.contains(&t(7, 9, 7)));
+        assert_matches_scan(&fs, &sample(), pat(None, Some(1), Some(2)));
+        assert_matches_scan(&fs, &sample(), pat(Some(0), None, Some(2)));
+    }
+
+    #[test]
+    fn budgeted_merge_equals_unbudgeted() {
+        let all = big_run();
+        let (delta, rest): (Vec<Triple>, Vec<Triple>) =
+            all.iter().partition(|t| t.o.0 % 10 == 0);
+        let base = FrozenStore::from_sorted_run(&rest, 1);
+        let want = base.merge_triples(&delta).iter_sorted();
+        assert_eq!(want, all);
+        for threads in [1, 2, 3] {
+            assert_eq!(base.merge_triples_within(&delta, threads).iter_sorted(), want);
+        }
+    }
+
+    #[test]
+    fn merge_runs_is_the_sorted_union() {
+        let a = vec![t(0, 1, 2), t(0, 1, 3), t(4, 1, 2)];
+        let b = vec![t(0, 1, 3), t(2, 2, 2), t(9, 9, 9)];
+        let c: Vec<Triple> = Vec::new();
+        let d = vec![t(0, 0, 0), t(9, 9, 9)];
+        let merged = merge_runs(&[&a, &b, &c, &d]);
+        let mut want: Vec<Triple> = a.iter().chain(&b).chain(&d).copied().collect();
+        want.sort_unstable();
+        want.dedup();
+        assert_eq!(merged, want);
+        assert!(is_sorted_run(&merged));
+        assert!(merge_runs::<Vec<Triple>>(&[]).is_empty());
+        assert_eq!(merge_runs(&[&a]), a);
     }
 
     #[test]

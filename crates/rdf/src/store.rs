@@ -247,11 +247,6 @@ impl TripleStore {
         }
         h
     }
-
-    /// Merge all triples of `other` into `self`; returns how many were new.
-    pub fn union_with(&mut self, other: &TripleStore) -> usize {
-        self.extend(other.iter().copied())
-    }
 }
 
 impl FromIterator<Triple> for TripleStore {
@@ -361,10 +356,9 @@ mod tests {
     }
 
     #[test]
-    fn union_with_counts_only_new() {
+    fn extend_counts_only_new() {
         let mut a = sample();
-        let b: TripleStore = [t(0, 1, 2), t(7, 7, 7)].into_iter().collect();
-        assert_eq!(a.union_with(&b), 1);
+        assert_eq!(a.extend([t(0, 1, 2), t(7, 7, 7)]), 1);
         assert_eq!(a.len(), 6);
     }
 
