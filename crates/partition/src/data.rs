@@ -18,7 +18,7 @@
 use crate::domain::{authority_key, domain_owners, KeyFn};
 use crate::hash::hash_owner;
 use crate::multilevel::{partition_kway, PartitionOptions};
-use crate::rdfgraph::build_ownership_graph;
+use crate::rdfgraph::ownership_graph_and_table;
 use owlpar_rdf::fx::FxHashMap;
 use owlpar_rdf::{Dictionary, NodeId, Triple};
 use std::time::{Duration, Instant};
@@ -76,14 +76,7 @@ impl DataPartitions {
     /// subject plus owner of the object when those differ. Non-ownable
     /// endpoints (class objects) impose no constraint.
     pub fn destinations(&self, t: &Triple) -> Destinations {
-        let a = self.owner_of(t.s);
-        let b = self.owner_of(t.o);
-        match (a, b) {
-            (Some(x), Some(y)) if x != y => Destinations::Two(x, y),
-            (Some(x), _) => Destinations::One(x),
-            (None, Some(y)) => Destinations::One(y),
-            (None, None) => Destinations::None,
-        }
+        Destinations::of(self.owner_of(t.s), self.owner_of(t.o))
     }
 }
 
@@ -100,6 +93,16 @@ pub enum Destinations {
 }
 
 impl Destinations {
+    /// Where a triple goes, given the owners of its subject and object.
+    fn of(subject: Option<u32>, object: Option<u32>) -> Destinations {
+        match (subject, object) {
+            (Some(x), Some(y)) if x != y => Destinations::Two(x, y),
+            (Some(x), _) => Destinations::One(x),
+            (None, Some(y)) => Destinations::One(y),
+            (None, None) => Destinations::None,
+        }
+    }
+
     /// Iterate the destinations.
     pub fn iter(&self) -> impl Iterator<Item = u32> {
         let (a, b) = match *self {
@@ -143,7 +146,7 @@ pub fn partition_data_ordered(
     assert!(k >= 1);
     debug_assert_eq!(instance.len(), cut_order.len());
     let start = Instant::now();
-    let og = build_ownership_graph(instance, rdf_type);
+    let (og, node_to_vertex) = ownership_graph_and_table(instance, rdf_type);
 
     let (owners_by_vertex, edge_cut): (Vec<u32>, Option<u64>) = match policy {
         OwnershipPolicy::Graph(opts) => {
@@ -174,28 +177,30 @@ pub fn partition_data_ordered(
         }
     };
 
-    let mut owner: FxHashMap<NodeId, u32> = FxHashMap::default();
-    for (v, &n) in og.vertex_to_node.iter().enumerate() {
-        owner.insert(n, owners_by_vertex[v]);
-    }
-
-    let mut parts: Vec<Vec<Triple>> = vec![Vec::new(); k];
-    let table = DataPartitions {
-        k,
-        owner,
-        parts: Vec::new(),
-        partition_time: Duration::ZERO,
-        edge_cut,
+    // Step 3 reads owners through the graph builder's node → vertex
+    // table; the public partition table is the same content as a map.
+    let owner: FxHashMap<NodeId, u32> = og
+        .vertex_to_node
+        .iter()
+        .copied()
+        .zip(owners_by_vertex.iter().copied())
+        .collect();
+    let lookup = |n: NodeId| {
+        let v = node_to_vertex.get(n.index()).copied()?;
+        owners_by_vertex.get(v as usize).copied() // none at u32::MAX
     };
+    let mut parts: Vec<Vec<Triple>> = vec![Vec::new(); k];
     for t in cut_order {
-        for d in table.destinations(t).iter() {
+        for d in Destinations::of(lookup(t.s), lookup(t.o)).iter() {
             parts[d as usize].push(*t);
         }
     }
     DataPartitions {
+        k,
+        owner,
         parts,
         partition_time: start.elapsed(),
-        ..table
+        edge_cut,
     }
 }
 

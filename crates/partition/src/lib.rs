@@ -7,9 +7,9 @@
 //!   triples over k processors, each running the complete rule-base.
 //!   Ownership of every graph resource is decided by a pluggable policy:
 //!   * [`multilevel`] — a from-scratch METIS-style multilevel k-way
-//!     partitioner (heavy-edge-matching coarsening, greedy graph-growing
-//!     initial bisection, boundary Fiduccia–Mattheyses refinement) that
-//!     minimizes edge-cut with balanced parts;
+//!     partitioner (heavy-edge + two-hop matching coarsening, greedy
+//!     graph-growing initial bisection, boundary Fiduccia–Mattheyses
+//!     refinement) that minimizes edge-cut with balanced parts;
 //!   * [`hash`] — streaming hash ownership (cheap, no edge-cut
 //!     minimization — the paper's negative baseline);
 //!   * [`domain`] — domain-specific grouping (e.g. LUBM's per-university

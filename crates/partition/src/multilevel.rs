@@ -3,13 +3,15 @@
 //!
 //! Classic three-phase scheme (Karypis & Kumar):
 //!
-//! 1. **Coarsening** — heavy-edge matching contracts the graph until it is
-//!    small;
+//! 1. **Coarsening** — heavy-edge matching, then two-hop matching of what
+//!    it left over (leaves of one hub, twins, relatives), contracts the
+//!    graph until it is small. No coarse vertex may outweigh
+//!    1.5 × total / `coarsen_until`, so the coarsest graph can still be
+//!    split evenly;
 //! 2. **Initial partitioning** — greedy graph growing bisects the coarsest
 //!    graph;
 //! 3. **Uncoarsening** — the partition is projected back level by level
-//!    and improved with a Fiduccia–Mattheyses (FM) pass over every
-//!    vertex.
+//!    and improved with boundary Fiduccia–Mattheyses (FM) passes.
 //!
 //! k-way partitions are produced by recursive bisection with proportional
 //! weight targets, so non-power-of-two k works. The objective matches the
@@ -52,6 +54,11 @@ impl CsrGraph {
         self.vwgt.iter().sum()
     }
 
+    /// Number of neighbors of `v`.
+    pub fn degree(&self, v: usize) -> usize {
+        self.xadj[v + 1] - self.xadj[v]
+    }
+
     /// Neighbors of `v` with edge weights.
     pub fn neighbors(&self, v: usize) -> impl Iterator<Item = (u32, u64)> + '_ {
         let r = self.xadj[v]..self.xadj[v + 1];
@@ -69,52 +76,49 @@ impl CsrGraph {
     }
 
     /// [`CsrGraph::from_edges`] with explicit vertex weights.
-    pub fn from_edges_vwgt(
-        n: usize,
-        edges: &[(usize, usize, u64)],
-        vwgt: Vec<u64>,
-    ) -> CsrGraph {
+    ///
+    /// A counting sort by endpoint scatters both directions of every edge
+    /// into its source's row; contracting that multigraph onto itself
+    /// then merges the parallel edges. A row lists its neighbors in the
+    /// order the edge list first mentions them.
+    pub fn from_edges_vwgt(n: usize, edges: &[(usize, usize, u64)], vwgt: Vec<u64>) -> CsrGraph {
         assert_eq!(vwgt.len(), n);
-        // merge parallel edges
-        let mut canon: Vec<(usize, usize, u64)> = edges
-            .iter()
-            .filter(|&&(a, b, _)| a != b)
-            .map(|&(a, b, w)| (a.min(b), a.max(b), w))
-            .collect();
-        canon.sort_unstable_by_key(|&(a, b, _)| (a, b));
-        let mut merged: Vec<(usize, usize, u64)> = Vec::with_capacity(canon.len());
-        for (a, b, w) in canon {
-            match merged.last_mut() {
-                Some(last) if last.0 == a && last.1 == b => last.2 += w,
-                _ => merged.push((a, b, w)),
-            }
-        }
-        let mut deg = vec![0usize; n];
-        for &(a, b, _) in &merged {
-            deg[a] += 1;
-            deg[b] += 1;
-        }
         let mut xadj = vec![0usize; n + 1];
+        for &(a, b, _) in edges {
+            xadj[a + 1] += 1;
+            xadj[b + 1] += 1;
+        }
         for v in 0..n {
-            xadj[v + 1] = xadj[v] + deg[v];
+            xadj[v + 1] += xadj[v];
         }
         let mut adjncy = vec![0u32; xadj[n]];
         let mut adjwgt = vec![0u64; xadj[n]];
         let mut cursor = xadj.clone();
-        for &(a, b, w) in &merged {
-            adjncy[cursor[a]] = b as u32;
-            adjwgt[cursor[a]] = w;
-            cursor[a] += 1;
-            adjncy[cursor[b]] = a as u32;
-            adjwgt[cursor[b]] = w;
-            cursor[b] += 1;
+        for &(a, b, w) in edges {
+            for (from, to) in [(a, b), (b, a)] {
+                adjncy[cursor[from]] = to as u32;
+                adjwgt[cursor[from]] = w;
+                cursor[from] += 1;
+            }
         }
-        CsrGraph {
+        let multigraph = CsrGraph {
             xadj,
             adjncy,
             adjwgt,
             vwgt,
-        }
+        };
+        let alone: Vec<u32> = (0..n as u32).collect();
+        multigraph.contract(&alone).0
+    }
+
+    /// Contract a matching: `mate[v]` is `v`'s partner, or `v` itself when
+    /// it stays alone. Returns the coarse graph and the fine→coarse vertex
+    /// map; coarse vertices are numbered by their smallest fine member.
+    /// Vertex weights add up, edges that end up parallel are merged
+    /// (weights summed), and edges inside a pair — self-loops included —
+    /// disappear.
+    pub fn contract(&self, mate: &[u32]) -> (CsrGraph, Vec<u32>) {
+        contract(self, mate, &mut Vec::new())
     }
 
     /// Edge-cut of a partition assignment.
@@ -172,141 +176,305 @@ pub fn partition_kway(graph: &CsrGraph, k: usize, opts: &PartitionOptions) -> Ve
         return part;
     }
     let vertices: Vec<usize> = (0..graph.n()).collect();
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    recurse(graph, &vertices, k, 0, &mut part, opts, &mut rng);
+    Run::new(opts).recurse(graph, &vertices, k, 0, &mut part);
     part
 }
 
-/// Recursive bisection: split `vertices` of `graph` into k parts labelled
-/// `base..base+k` in `part`.
-fn recurse(
-    graph: &CsrGraph,
-    vertices: &[usize],
-    k: usize,
-    base: u32,
-    part: &mut [u32],
-    opts: &PartitionOptions,
-    rng: &mut StdRng,
-) {
-    if k == 1 {
-        for &v in vertices {
-            part[v] = base;
+/// `(n, m)` of every graph the root bisection of [`partition_kway`] works
+/// on under `opts`: the input first, then each coarser level.
+pub fn coarsening_profile(graph: &CsrGraph, opts: &PartitionOptions) -> Vec<(usize, usize)> {
+    let levels = Run::new(opts).coarsen(graph);
+    std::iter::once(graph)
+        .chain(levels.iter().map(|l| &l.graph))
+        .map(|g| (g.n(), g.m()))
+        .collect()
+}
+
+/// One coarsening step: the contracted graph and the map onto it from the
+/// vertices of the next finer graph.
+struct Level {
+    graph: CsrGraph,
+    map: Vec<u32>,
+}
+
+/// What one [`partition_kway`] call carries from bisection to bisection
+/// and from level to level.
+struct Run<'a> {
+    opts: &'a PartitionOptions,
+    rng: StdRng,
+    /// [`contract`]'s table.
+    marker: Vec<usize>,
+}
+
+impl<'a> Run<'a> {
+    fn new(opts: &'a PartitionOptions) -> Self {
+        Run {
+            opts,
+            rng: StdRng::seed_from_u64(opts.seed),
+            marker: Vec::new(),
         }
-        return;
     }
-    let k_left = k / 2 + k % 2; // ceil
-    let k_right = k / 2;
-    let ratio = k_left as f64 / k as f64;
 
-    // At the root `vertices` is `0..n`: the induced subgraph would be the
-    // graph itself, rebuilt edge by edge.
-    let side = if vertices.len() == graph.n() {
-        multilevel_bisect(graph, ratio, opts, rng)
-    } else {
-        multilevel_bisect(&induce(graph, vertices), ratio, opts, rng)
-    };
+    /// Recursive bisection: split `vertices` of `graph` into k parts
+    /// labelled `base..base+k` in `part`.
+    fn recurse(
+        &mut self,
+        graph: &CsrGraph,
+        vertices: &[usize],
+        k: usize,
+        base: u32,
+        part: &mut [u32],
+    ) {
+        if k == 1 {
+            for &v in vertices {
+                part[v] = base;
+            }
+            return;
+        }
+        let k_left = k / 2 + k % 2; // ceil
+        let k_right = k / 2;
+        let ratio = k_left as f64 / k as f64;
 
-    let mut left: Vec<usize> = Vec::new();
-    let mut right: Vec<usize> = Vec::new();
-    for (local, &global) in vertices.iter().enumerate() {
-        if side[local] == 0 {
-            left.push(global);
+        // At the root `vertices` is `0..n`: the induced subgraph would be
+        // the graph itself, rebuilt edge by edge.
+        let side = if vertices.len() == graph.n() {
+            self.bisect(graph, ratio)
         } else {
-            right.push(global);
+            self.bisect(&induce(graph, vertices), ratio)
+        };
+
+        let mut left: Vec<usize> = Vec::new();
+        let mut right: Vec<usize> = Vec::new();
+        for (local, &global) in vertices.iter().enumerate() {
+            if side[local] == 0 {
+                left.push(global);
+            } else {
+                right.push(global);
+            }
         }
+        self.recurse(graph, &left, k_left, base, part);
+        self.recurse(graph, &right, k_right, base + k_left as u32, part);
     }
-    recurse(graph, &left, k_left, base, part, opts, rng);
-    recurse(graph, &right, k_right, base + k_left as u32, part, opts, rng);
+
+    /// Multilevel bisection of `graph`: coarsen, bisect, project + refine.
+    /// Returns 0/1 per vertex; side 0 targets `ratio` of the total weight.
+    fn bisect(&mut self, graph: &CsrGraph, ratio: f64) -> Vec<u32> {
+        let levels = self.coarsen(graph);
+        let coarsest = levels.last().map_or(graph, |l| &l.graph);
+        let mut side = best_direct_bisect(coarsest, ratio, self.opts, &mut self.rng);
+        for (i, level) in levels.iter().enumerate().rev() {
+            let finer = if i == 0 { graph } else { &levels[i - 1].graph };
+            side = level.map.iter().map(|&c| side[c as usize]).collect();
+            if self.opts.refine {
+                fm_refine(finer, &mut side, ratio, self.opts.epsilon);
+            }
+        }
+        side
+    }
+
+    /// Coarsen until at most `coarsen_until` vertices are left, or a step
+    /// removes less than a twentieth of them (the stalled step is dropped).
+    fn coarsen(&mut self, graph: &CsrGraph) -> Vec<Level> {
+        let cap = weight_cap(graph, self.opts);
+        let mut levels: Vec<Level> = Vec::new();
+        loop {
+            let fine = levels.last().map_or(graph, |l| &l.graph);
+            if fine.n() <= self.opts.coarsen_until {
+                break;
+            }
+            let mate = matching(fine, cap, &mut self.rng);
+            let (coarse, map) = contract(fine, &mate, &mut self.marker);
+            if coarse.n() as f64 > fine.n() as f64 * 0.95 {
+                break;
+            }
+            levels.push(Level { graph: coarse, map });
+        }
+        levels
+    }
 }
 
 /// Induced subgraph on `vertices` (local vertex `i` is `vertices[i]`).
 fn induce(graph: &CsrGraph, vertices: &[usize]) -> CsrGraph {
-    let mut global_to_local = vec![usize::MAX; graph.n()];
+    let mut global_to_local = vec![u32::MAX; graph.n()];
     for (local, &v) in vertices.iter().enumerate() {
-        global_to_local[v] = local;
+        global_to_local[v] = local as u32;
     }
-    let mut edges: Vec<(usize, usize, u64)> = Vec::new();
-    let mut vwgt = Vec::with_capacity(vertices.len());
-    for (local, &v) in vertices.iter().enumerate() {
-        vwgt.push(graph.vwgt[v]);
+    let mut sub = CsrGraph {
+        xadj: Vec::with_capacity(vertices.len() + 1),
+        ..CsrGraph::default()
+    };
+    sub.xadj.push(0);
+    for &v in vertices {
+        sub.vwgt.push(graph.vwgt[v]);
         for (u, w) in graph.neighbors(v) {
-            let lu = global_to_local[u as usize];
-            if lu != usize::MAX && lu > local {
-                edges.push((local, lu, w));
+            let local = global_to_local[u as usize];
+            if local != u32::MAX {
+                sub.adjncy.push(local);
+                sub.adjwgt.push(w);
             }
         }
+        sub.xadj.push(sub.adjncy.len());
     }
-    CsrGraph::from_edges_vwgt(vertices.len(), &edges, vwgt)
+    sub
 }
 
-/// Multilevel bisection of `graph`: coarsen, bisect, project + refine.
-/// Returns 0/1 per vertex; side 0 targets `ratio` of the total weight.
-fn multilevel_bisect(
-    graph: &CsrGraph,
-    ratio: f64,
-    opts: &PartitionOptions,
-    rng: &mut StdRng,
-) -> Vec<u32> {
-    if graph.n() <= opts.coarsen_until {
-        return best_direct_bisect(graph, ratio, opts, rng);
-    }
-    let (coarse, map) = coarsen(graph, rng);
-    // If matching stalled (e.g. star graphs), fall back to direct bisection.
-    if coarse.n() as f64 > graph.n() as f64 * 0.95 {
-        return best_direct_bisect(graph, ratio, opts, rng);
-    }
-    let coarse_side = multilevel_bisect(&coarse, ratio, opts, rng);
-    let mut side: Vec<u32> = (0..graph.n()).map(|v| coarse_side[map[v]]).collect();
-    if opts.refine {
-        fm_refine(graph, &mut side, ratio, opts.epsilon, rng);
-    }
-    side
+/// Heaviest coarse vertex coarsening may create. At `coarsen_until`
+/// vertices the average weighs total / `coarsen_until`; half as much again
+/// leaves greedy growing and FM room to hit the bisection target.
+fn weight_cap(graph: &CsrGraph, opts: &PartitionOptions) -> u64 {
+    (1.5 * graph.total_vwgt() as f64 / opts.coarsen_until.max(1) as f64).ceil() as u64
 }
 
-/// Heavy-edge matching contraction. Returns the coarse graph and the
-/// fine→coarse vertex map.
-fn coarsen(graph: &CsrGraph, rng: &mut StdRng) -> (CsrGraph, Vec<usize>) {
+const UNMATCHED: u32 = u32::MAX;
+
+/// Heavy-edge matching in random order, then — when that leaves more than
+/// a tenth of the vertices alone, as it does on hub-and-leaf graphs where
+/// a hub can take only one of its leaves — two-hop matching of the rest.
+/// No pair may outweigh `cap`. Returns each vertex's partner (itself if
+/// none).
+fn matching(graph: &CsrGraph, cap: u64, rng: &mut StdRng) -> Vec<u32> {
     let n = graph.n();
-    let mut order: Vec<usize> = (0..n).collect();
+    let mut order: Vec<u32> = (0..n as u32).collect();
     order.shuffle(rng);
-    let mut coarse_count = 0usize;
-    let mut map = vec![usize::MAX; n];
+    let mut mate = vec![UNMATCHED; n];
+    let mut matched = 0;
     for &v in &order {
-        if map[v] != usize::MAX {
+        let v = v as usize;
+        if mate[v] != UNMATCHED {
             continue;
         }
-        // pick the heaviest unmatched neighbor
         let mut best: Option<(u32, u64)> = None;
         for (u, w) in graph.neighbors(v) {
-            if map[u as usize] == usize::MAX
+            if mate[u as usize] == UNMATCHED
                 && best.is_none_or(|(_, bw)| w > bw)
+                && graph.vwgt[v] + graph.vwgt[u as usize] <= cap
             {
                 best = Some((u, w));
             }
         }
-        map[v] = coarse_count;
         if let Some((u, _)) = best {
-            map[u as usize] = coarse_count;
+            mate[v] = u;
+            mate[u as usize] = v as u32;
+            matched += 2;
         }
-        coarse_count += 1;
     }
-    let mut vwgt = vec![0u64; coarse_count];
-    for v in 0..n {
-        vwgt[map[v]] += graph.vwgt[v];
+    if (n - matched) * 10 > n {
+        match_two_hop(graph, &mut mate, cap);
     }
-    let mut edges: Vec<(usize, usize, u64)> = Vec::new();
-    for v in 0..n {
-        for (u, w) in graph.neighbors(v) {
-            let (cv, cu) = (map[v], map[u as usize]);
-            if cv < cu {
-                edges.push((cv, cu, w));
+    for (v, m) in mate.iter_mut().enumerate() {
+        if *m == UNMATCHED {
+            *m = v as u32;
+        }
+    }
+    mate
+}
+
+/// Pair unmatched vertices that share a neighbor: leaves of one hub first,
+/// then relatives of degree 2, 3 and finally any, stopping once fewer than
+/// a tenth of the vertices are left alone. `waiting[h]` is an unmatched
+/// vertex adjacent to `h` that found no partner yet; the next one to come
+/// by `h` takes it. Whoever is left keeps waiting into the next round, so
+/// a hub's odd leaf can still go to a better connected relative.
+fn match_two_hop(graph: &CsrGraph, mate: &mut [u32], cap: u64) {
+    let n = graph.n();
+    let hubs = |v: usize| graph.neighbors(v).map(|(h, _)| h as usize);
+    let mut alone: Vec<u32> = (0..n as u32)
+        .filter(|&v| mate[v as usize] == UNMATCHED)
+        .collect();
+    let mut waiting = vec![UNMATCHED; n];
+    for max_degree in [1, 2, 3, usize::MAX] {
+        if alone.len() * 10 <= n {
+            break;
+        }
+        for &v in &alone {
+            let v = v as usize;
+            if mate[v] != UNMATCHED || graph.degree(v) > max_degree {
+                continue;
+            }
+            let free = |w: u32| w != UNMATCHED && mate[w as usize] == UNMATCHED;
+            let partner = hubs(v).map(|h| waiting[h]).find(|&w| {
+                free(w) && w as usize != v && graph.vwgt[v] + graph.vwgt[w as usize] <= cap
+            });
+            if let Some(w) = partner {
+                mate[v] = w;
+                mate[w as usize] = v as u32;
+                continue;
+            }
+            for h in hubs(v) {
+                // too heavy for whoever waits here: the lighter one stays
+                let w = waiting[h];
+                if !free(w) || graph.vwgt[v] < graph.vwgt[w as usize] {
+                    waiting[h] = v as u32;
+                }
             }
         }
+        alone.retain(|&v| mate[v as usize] == UNMATCHED);
     }
-    (
-        CsrGraph::from_edges_vwgt(coarse_count, &edges, vwgt),
-        map,
-    )
+}
+
+/// Sort-free contraction (see [`CsrGraph::contract`]): the coarse CSR is
+/// written row by row, and `marker[c]` remembers where in the current row
+/// coarse neighbor `c` sits, so a parallel edge adds to that slot. An
+/// entry is believed only if it points into the current row at a slot
+/// holding `c`, which is why the table needs no clearing between rows,
+/// levels or graphs.
+fn contract(graph: &CsrGraph, mate: &[u32], marker: &mut Vec<usize>) -> (CsrGraph, Vec<u32>) {
+    let n = graph.n();
+    assert_eq!(mate.len(), n);
+    let mut map = vec![0u32; n];
+    let mut coarse_n = 0u32;
+    for v in 0..n {
+        let m = mate[v] as usize;
+        assert!(m < n && mate[m] as usize == v, "mate is not a matching");
+        if m >= v {
+            map[v] = coarse_n;
+            map[m] = coarse_n;
+            coarse_n += 1;
+        }
+    }
+    if marker.len() < coarse_n as usize {
+        marker.resize(coarse_n as usize, usize::MAX);
+    }
+    let mut coarse = CsrGraph {
+        xadj: Vec::with_capacity(coarse_n as usize + 1),
+        adjncy: Vec::with_capacity(graph.adjncy.len()),
+        adjwgt: Vec::with_capacity(graph.adjncy.len()),
+        vwgt: Vec::with_capacity(coarse_n as usize),
+    };
+    coarse.xadj.push(0);
+    for v in 0..n {
+        let m = mate[v] as usize;
+        if m < v {
+            continue;
+        }
+        let row = coarse.adjncy.len();
+        let pair = [v, m];
+        let members = &pair[..if m == v { 1 } else { 2 }];
+        for &member in members {
+            for (u, w) in graph.neighbors(member) {
+                let c = map[u as usize];
+                if c == map[v] {
+                    continue;
+                }
+                let slot = marker[c as usize];
+                if slot >= row && coarse.adjncy.get(slot) == Some(&c) {
+                    coarse.adjwgt[slot] += w;
+                } else {
+                    marker[c as usize] = coarse.adjncy.len();
+                    coarse.adjncy.push(c);
+                    coarse.adjwgt.push(w);
+                }
+            }
+        }
+        coarse.xadj.push(coarse.adjncy.len());
+        coarse
+            .vwgt
+            .push(members.iter().map(|&x| graph.vwgt[x]).sum());
+    }
+    // every level stays alive until uncoarsening has passed it
+    coarse.adjncy.shrink_to_fit();
+    coarse.adjwgt.shrink_to_fit();
+    (coarse, map)
 }
 
 /// Number of random restarts for the coarsest-level initial bisection
@@ -323,7 +491,7 @@ fn best_direct_bisect(
     let one_try = |rng: &mut StdRng| {
         let mut side = greedy_grow_bisect(graph, ratio, rng);
         if opts.refine {
-            fm_refine(graph, &mut side, ratio, opts.epsilon, rng);
+            fm_refine(graph, &mut side, ratio, opts.epsilon);
         }
         let cut = graph.edge_cut(&side);
         (cut, side)
@@ -383,11 +551,14 @@ fn greedy_grow_bisect(graph: &CsrGraph, ratio: f64, rng: &mut StdRng) -> Vec<u32
     side
 }
 
-/// FM refinement with rollback to the best observed prefix. The move
-/// heap is seeded with every vertex, interior ones included (their
-/// negative gains sort them behind the boundary).
-/// Respects the balance constraint `weight(side) <= (1+eps) * its target`.
-fn fm_refine(graph: &CsrGraph, side: &mut [u32], ratio: f64, epsilon: f64, _rng: &mut StdRng) {
+/// Boundary FM refinement with rollback to the best observed prefix. A
+/// pass seeds the move queues — one per side — with the vertices that have
+/// a neighbor across the cut; interior vertices enter when a move puts one
+/// of their neighbors on the other side. The best head whose move keeps
+/// `weight(side) <= (1+eps) * its target` goes next, so a vertex the
+/// balance holds back waits in its queue until moves the other way have
+/// made room for it.
+fn fm_refine(graph: &CsrGraph, side: &mut [u32], ratio: f64, epsilon: f64) {
     let n = graph.n();
     let total = graph.total_vwgt() as f64;
     let target = [total * ratio, total * (1.0 - ratio)];
@@ -399,44 +570,65 @@ fn fm_refine(graph: &CsrGraph, side: &mut [u32], ratio: f64, epsilon: f64, _rng:
     const MAX_PASSES: usize = 4;
     const STALL_LIMIT: usize = 256;
 
-    for _pass in 0..MAX_PASSES {
-        let mut weights = [0u64; 2];
-        for v in 0..n {
-            weights[side[v] as usize] += graph.vwgt[v];
-        }
-        // gain[v] = external - internal edge weight
-        let mut gain = vec![0i64; n];
-        for v in 0..n {
-            for (u, w) in graph.neighbors(v) {
-                if side[v] == side[u as usize] {
-                    gain[v] -= w as i64;
-                } else {
-                    gain[v] += w as i64;
-                }
+    // One scan of the graph; every move and every rolled-back move then
+    // keeps these exact, so later passes start from them.
+    let mut state = Cut {
+        gain: vec![0; n],
+        external: vec![0; n],
+        weights: [0; 2],
+    };
+    for v in 0..n {
+        state.weights[side[v] as usize] += graph.vwgt[v];
+        for (u, w) in graph.neighbors(v) {
+            if side[v] == side[u as usize] {
+                state.gain[v] -= w as i64;
+            } else {
+                state.gain[v] += w as i64;
+                state.external[v] += w;
             }
         }
-        let mut heap: BinaryHeap<(i64, usize)> = (0..n).map(|v| (gain[v], v)).collect();
-        let mut locked = vec![false; n];
-        let mut moves: Vec<usize> = Vec::new();
+    }
+    let mut locked = vec![false; n];
+    let mut moves: Vec<usize> = Vec::new();
+    for _pass in 0..MAX_PASSES {
+        let mut queues: [BinaryHeap<(i64, usize)>; 2] = Default::default();
+        for v in (0..n).filter(|&v| state.external[v] > 0) {
+            queues[side[v] as usize].push((state.gain[v], v));
+        }
+        locked.fill(false);
+        moves.clear();
         let mut cum_gain: i64 = 0;
         let mut best_gain: i64 = 0;
         let mut best_len: usize = 0;
         let mut stall = 0usize;
 
-        while let Some((g, v)) = heap.pop() {
-            if locked[v] || g != gain[v] {
-                continue; // stale entry
+        loop {
+            let mut heads = [None; 2];
+            for (queue, head) in queues.iter_mut().zip(&mut heads) {
+                while let Some(&(g, v)) = queue.peek() {
+                    if !locked[v] && g == state.gain[v] {
+                        *head = Some((g, v));
+                        break;
+                    }
+                    queue.pop(); // stale entry
+                }
             }
-            let from = side[v] as usize;
-            let to = 1 - from;
-            if weights[to] + graph.vwgt[v] > max_w[to] || weights[from] == graph.vwgt[v] {
-                continue; // would break balance or empty a side
-            }
-            // execute the move
+            let Some(best) = heads.iter().flatten().max() else {
+                break;
+            };
+            // the move must neither break the balance nor empty a side
+            let fits = |&&(_, v): &&(i64, usize)| {
+                let from = side[v] as usize;
+                state.weights[1 - from] + graph.vwgt[v] <= max_w[1 - from]
+                    && state.weights[from] > graph.vwgt[v]
+            };
+            let Some(&(g, v)) = heads.iter().flatten().filter(fits).max() else {
+                queues[side[best.1] as usize].pop(); // neither head can move
+                continue;
+            };
+            queues[side[v] as usize].pop();
             locked[v] = true;
-            side[v] = to as u32;
-            weights[from] -= graph.vwgt[v];
-            weights[to] += graph.vwgt[v];
+            state.flip(graph, side, v);
             cum_gain += g;
             moves.push(v);
             if cum_gain > best_gain {
@@ -449,27 +641,52 @@ fn fm_refine(graph: &CsrGraph, side: &mut [u32], ratio: f64, epsilon: f64, _rng:
                     break;
                 }
             }
-            // update neighbor gains
-            for (u, w) in graph.neighbors(v) {
+            for (u, _) in graph.neighbors(v) {
                 let u = u as usize;
-                if locked[u] {
-                    continue;
+                if !locked[u] && state.external[u] > 0 {
+                    queues[side[u] as usize].push((state.gain[u], u));
                 }
-                // v moved to `to`; recompute u's delta for this edge
-                if side[u] as usize == to {
-                    gain[u] -= 2 * w as i64;
-                } else {
-                    gain[u] += 2 * w as i64;
-                }
-                heap.push((gain[u], u));
             }
         }
         // rollback the non-improving suffix
         for &v in &moves[best_len..] {
-            side[v] = 1 - side[v];
+            state.flip(graph, side, v);
         }
         if best_gain <= 0 {
             return; // pass produced no improvement
+        }
+    }
+}
+
+/// What FM tracks about a bisection, per vertex and per side.
+struct Cut {
+    /// External minus internal edge weight: what moving the vertex saves.
+    gain: Vec<i64>,
+    /// Edge weight to the other side; positive on the boundary.
+    external: Vec<u64>,
+    /// Vertex weight of each side.
+    weights: [u64; 2],
+}
+
+impl Cut {
+    /// Move `v` to the other side. Flipping twice restores everything.
+    fn flip(&mut self, graph: &CsrGraph, side: &mut [u32], v: usize) {
+        let to = 1 - side[v];
+        side[v] = to;
+        self.weights[1 - to as usize] -= graph.vwgt[v];
+        self.weights[to as usize] += graph.vwgt[v];
+        // v's internal edges are now its external ones
+        self.external[v] = (self.external[v] as i64 - self.gain[v]) as u64;
+        self.gain[v] = -self.gain[v];
+        for (u, w) in graph.neighbors(v) {
+            let u = u as usize;
+            if side[u] == to {
+                self.gain[u] -= 2 * w as i64;
+                self.external[u] -= w;
+            } else {
+                self.gain[u] += 2 * w as i64;
+                self.external[u] += w;
+            }
         }
     }
 }
@@ -604,29 +821,40 @@ mod tests {
     #[test]
     fn refinement_improves_or_matches_no_refinement() {
         let g = ring(512);
-        for seed in 0..5 {
-            let with = partition_kway(
-                &g,
-                4,
-                &PartitionOptions {
-                    refine: true,
-                    ..opts(seed)
-                },
-            );
-            let without = partition_kway(
-                &g,
-                4,
-                &PartitionOptions {
-                    refine: false,
-                    ..opts(seed)
-                },
-            );
-            assert!(
-                g.edge_cut(&with) <= g.edge_cut(&without),
-                "seed {seed}: refined {} > unrefined {}",
-                g.edge_cut(&with),
-                g.edge_cut(&without)
-            );
+        let cut = |k, seed, refine| {
+            let opts = PartitionOptions {
+                refine,
+                ..opts(seed)
+            };
+            g.edge_cut(&partition_kway(&g, k, &opts))
+        };
+        for k in [2, 4, 8] {
+            for seed in 0..20 {
+                let (with, without) = (cut(k, seed, true), cut(k, seed, false));
+                assert!(
+                    with <= without,
+                    "k {k} seed {seed}: refined {with} > unrefined {without}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fm_slides_a_middle_segment_to_the_end_of_a_path() {
+        // side 0 grown from a seed in the middle of a path cuts it twice;
+        // getting to one cut takes a run of zero-gain moves in which each
+        // side in turn waits for the other to make room
+        let edges: Vec<(usize, usize, u64)> = (0..99).map(|i| (i, i + 1, 1)).collect();
+        let g = CsrGraph::from_edges(100, &edges);
+        for start in [1, 20, 49] {
+            let mut side: Vec<u32> = (0..100)
+                .map(|v| u32::from(!(start..start + 50).contains(&v)))
+                .collect();
+            assert_eq!(g.edge_cut(&side), 2);
+            fm_refine(&g, &mut side, 0.5, 0.05);
+            assert_eq!(g.edge_cut(&side), 1, "start {start}");
+            let w = g.part_weights(&side, 2);
+            assert!(w.iter().all(|&x| x <= 52), "start {start}: {w:?}");
         }
     }
 
@@ -690,15 +918,103 @@ mod tests {
         assert_eq!(partition_kway(&g1, 1, &opts(1)), vec![0]);
     }
 
+    /// One hub and `leaves` leaves: heavy-edge matching alone pairs the
+    /// hub with one leaf and stalls.
+    fn star(leaves: usize) -> CsrGraph {
+        let edges: Vec<(usize, usize, u64)> = (1..=leaves).map(|i| (0, i, 1)).collect();
+        CsrGraph::from_edges(leaves + 1, &edges)
+    }
+
+    /// A ring of `hubs` hubs, each with `leaves` leaves of its own.
+    fn hubs_and_leaves(hubs: usize, leaves: usize) -> CsrGraph {
+        let mut edges = Vec::new();
+        for h in 0..hubs {
+            edges.push((h, (h + 1) % hubs, 1));
+            for l in 0..leaves {
+                edges.push((h, hubs + h * leaves + l, 1));
+            }
+        }
+        CsrGraph::from_edges(hubs * (1 + leaves), &edges)
+    }
+
     #[test]
-    fn star_graph_does_not_hang() {
-        // pathological for matching: one hub connected to all leaves
-        let edges: Vec<(usize, usize, u64)> = (1..2000).map(|i| (0, i, 1)).collect();
-        let g = CsrGraph::from_edges(2000, &edges);
+    fn star_graph_partitions_into_nonempty_parts() {
+        let g = star(1999);
         let part = partition_kway(&g, 4, &opts(17));
         assert_eq!(part.len(), 2000);
         let w = g.part_weights(&part, 4);
         assert!(w.iter().all(|&x| x > 0));
+    }
+
+    #[test]
+    fn hub_and_leaf_graphs_coarsen_all_the_way() {
+        let o = opts(17);
+        for (name, g) in [("star", star(2000)), ("hubs", hubs_and_leaves(50, 40))] {
+            let profile = coarsening_profile(&g, &o);
+            assert_eq!(profile[0], (g.n(), g.m()), "{name}");
+            let coarsest = profile[profile.len() - 1].0;
+            assert!(coarsest <= o.coarsen_until, "{name}: {profile:?}");
+            // every step pairs nearly everything
+            assert!(profile.len() - 1 <= 6, "{name}: {profile:?}");
+        }
+    }
+
+    #[test]
+    fn no_coarse_vertex_outweighs_the_cap() {
+        let mut vwgt = vec![1u64; 2001];
+        vwgt[7] = 40; // heavier than the cap: must stay alone
+        let weighted_star = CsrGraph { vwgt, ..star(2000) };
+        for g in [weighted_star, hubs_and_leaves(50, 40), ring(1000)] {
+            let o = opts(5);
+            let cap = weight_cap(&g, &o);
+            let heaviest = g.vwgt.iter().copied().max().unwrap();
+            let levels = Run::new(&o).coarsen(&g);
+            assert!(!levels.is_empty());
+            for level in &levels {
+                assert_eq!(level.graph.total_vwgt(), g.total_vwgt());
+                for &w in &level.graph.vwgt {
+                    assert!(w <= cap.max(heaviest), "{w} > cap {cap}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_hop_pairs_leaves_of_one_hub_before_relatives() {
+        // hub 0 with leaves 1..=4; hub 5 with leaves 6, 7; 8 hangs off both
+        let edges = [
+            (0, 1, 1),
+            (0, 2, 1),
+            (0, 3, 1),
+            (0, 4, 1),
+            (5, 6, 1),
+            (5, 7, 1),
+            (0, 8, 1),
+            (5, 8, 1),
+            (0, 5, 1),
+        ];
+        let g = CsrGraph::from_edges(9, &edges);
+        let mut mate = vec![UNMATCHED; 9];
+        (mate[0], mate[5]) = (5, 0); // what heavy-edge matching would do
+        match_two_hop(&g, &mut mate, 100);
+        assert_eq!(mate[1..5], [2, 1, 4, 3]);
+        assert_eq!(mate[6..8], [7, 6]);
+        assert_eq!(mate[8], UNMATCHED, "no partner left for the relative");
+    }
+
+    #[test]
+    fn fm_lets_a_move_expose_interior_vertices() {
+        // a path 0-1-…-9 split 3 | 7 with the heavy edge right at the cut:
+        // 3 must cross, then 4 is exposed and the light edge 4-5 is cut
+        let mut edges: Vec<(usize, usize, u64)> = (0..9).map(|i| (i, i + 1, 2)).collect();
+        edges[3].2 = 9;
+        edges[4].2 = 1;
+        let g = CsrGraph::from_edges(10, &edges);
+        let mut side: Vec<u32> = (0..10).map(|v| u32::from(v > 2)).collect();
+        assert_eq!(g.edge_cut(&side), 2);
+        fm_refine(&g, &mut side, 0.5, 0.05);
+        let expect: Vec<u32> = (0..10).map(|v| u32::from(v > 4)).collect();
+        assert_eq!(side, expect);
     }
 
     #[test]

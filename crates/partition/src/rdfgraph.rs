@@ -12,18 +12,15 @@
 //! destroying the community structure the partitioner exploits.
 
 use crate::multilevel::CsrGraph;
-use owlpar_rdf::fx::FxHashMap;
 use owlpar_rdf::{NodeId, Triple};
 
-/// The ownership graph plus its vertex ↔ node maps.
+/// The ownership graph plus its vertex → node map.
 #[derive(Debug, Clone)]
 pub struct OwnershipGraph {
     /// The undirected graph handed to the partitioner.
     pub graph: CsrGraph,
-    /// Vertex index → RDF node.
+    /// Vertex index → RDF node, in order of first appearance.
     pub vertex_to_node: Vec<NodeId>,
-    /// RDF node → vertex index.
-    pub node_to_vertex: FxHashMap<NodeId, u32>,
 }
 
 impl OwnershipGraph {
@@ -36,32 +33,49 @@ impl OwnershipGraph {
 /// Build the ownership graph over `instance` triples. `rdf_type` (when
 /// present in the dictionary) suppresses class-object vertices.
 pub fn build_ownership_graph(instance: &[Triple], rdf_type: Option<NodeId>) -> OwnershipGraph {
-    let mut node_to_vertex: FxHashMap<NodeId, u32> = FxHashMap::default();
+    ownership_graph_and_table(instance, rdf_type).0
+}
+
+/// [`build_ownership_graph`] plus the table it numbered the vertices
+/// with: indexed by [`NodeId`], covering every subject and object of
+/// `instance`, `u32::MAX` where the node is no vertex. Dictionary ids are
+/// dense, so this is a plain vector rather than a hash map.
+pub(crate) fn ownership_graph_and_table(
+    instance: &[Triple],
+    rdf_type: Option<NodeId>,
+) -> (OwnershipGraph, Vec<u32>) {
+    let nodes = instance
+        .iter()
+        .map(|t| t.s.index().max(t.o.index()) + 1)
+        .max()
+        .unwrap_or(0);
+    let mut node_to_vertex = vec![u32::MAX; nodes];
     let mut vertex_to_node: Vec<NodeId> = Vec::new();
-    let vid = |n: NodeId,
-                   node_to_vertex: &mut FxHashMap<NodeId, u32>,
-                   vertex_to_node: &mut Vec<NodeId>| {
-        *node_to_vertex.entry(n).or_insert_with(|| {
+    let mut vid = |n: NodeId| {
+        let slot = &mut node_to_vertex[n.index()];
+        if *slot == u32::MAX {
+            *slot = vertex_to_node.len() as u32;
             vertex_to_node.push(n);
-            (vertex_to_node.len() - 1) as u32
-        })
+        }
+        *slot as usize
     };
-    let mut edges: Vec<(usize, usize, u64)> = Vec::new();
+    let mut edges: Vec<(usize, usize, u64)> = Vec::with_capacity(instance.len());
     for t in instance {
-        let s = vid(t.s, &mut node_to_vertex, &mut vertex_to_node);
+        let s = vid(t.s);
         if Some(t.p) == rdf_type {
             continue; // subject becomes a vertex; class object does not
         }
-        let o = vid(t.o, &mut node_to_vertex, &mut vertex_to_node);
+        let o = vid(t.o);
         if s != o {
-            edges.push((s as usize, o as usize, 1));
+            edges.push((s, o, 1));
         }
     }
-    OwnershipGraph {
-        graph: CsrGraph::from_edges(vertex_to_node.len(), &edges),
+    let graph = CsrGraph::from_edges(vertex_to_node.len(), &edges);
+    let og = OwnershipGraph {
+        graph,
         vertex_to_node,
-        node_to_vertex,
-    }
+    };
+    (og, node_to_vertex)
 }
 
 #[cfg(test)]
@@ -77,18 +91,15 @@ mod tests {
         let g = build_ownership_graph(&[t(1, 50, 2), t(2, 50, 3)], None);
         assert_eq!(g.n(), 3);
         assert_eq!(g.graph.m(), 2);
-        assert!(g.node_to_vertex.contains_key(&NodeId(1)));
-        assert!(g.node_to_vertex.contains_key(&NodeId(3)));
         // predicates are not vertices
-        assert!(!g.node_to_vertex.contains_key(&NodeId(50)));
+        assert_eq!(g.vertex_to_node, [NodeId(1), NodeId(2), NodeId(3)]);
     }
 
     #[test]
     fn type_objects_are_not_vertices() {
         const TYPE: u32 = 9;
         let g = build_ownership_graph(&[t(1, TYPE, 100), t(1, 50, 2)], Some(NodeId(TYPE)));
-        assert_eq!(g.n(), 2);
-        assert!(!g.node_to_vertex.contains_key(&NodeId(100)));
+        assert_eq!(g.vertex_to_node, [NodeId(1), NodeId(2)]);
     }
 
     #[test]
@@ -107,11 +118,12 @@ mod tests {
     }
 
     #[test]
-    fn vertex_maps_are_inverse() {
-        let g = build_ownership_graph(&[t(1, 50, 2), t(3, 50, 4)], None);
-        for (v, &n) in g.vertex_to_node.iter().enumerate() {
-            assert_eq!(g.node_to_vertex[&n] as usize, v);
-        }
+    fn vertices_are_numbered_by_first_appearance() {
+        let g = build_ownership_graph(&[t(7, 50, 2), t(3, 50, 7), t(2, 50, 9)], None);
+        assert_eq!(g.vertex_to_node, [7, 2, 3, 9].map(NodeId));
+        let neighbors = |v| g.graph.neighbors(v).map(|(u, _)| u).collect::<Vec<_>>();
+        assert_eq!(neighbors(0), [1, 2]);
+        assert_eq!(neighbors(1), [0, 3]);
     }
 
     #[test]

@@ -196,6 +196,7 @@ pub fn serve(kb: ServingKb, run: RunInfo, cfg: &ServeConfig) -> Result<ServerHan
 /// the peer may already be gone — and briefly bounded so a slow client
 /// cannot stall the acceptor.
 fn reject_busy(stream: TcpStream) {
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
     let mut writer = BufWriter::new(stream);
     let _ = wire::write_frame(&mut writer, &Response::Busy.encode());
@@ -242,6 +243,10 @@ fn handle_connection(
     (read_timeout, write_timeout): (Option<Duration>, Option<Duration>),
     lane: &mut Track,
 ) -> Result<(), ServeError> {
+    // A reply larger than the `BufWriter` goes out as two writes (length,
+    // then body); with Nagle on, the second waits for the client's
+    // delayed ACK of the first.
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(read_timeout)?;
     stream.set_write_timeout(write_timeout)?;
     let mut reader = BufReader::new(stream.try_clone()?);

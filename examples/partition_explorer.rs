@@ -7,14 +7,16 @@
 //!
 //! Prints the Table-I metrics (bal / IR / partition time / edge-cut) per
 //! policy, which is how the paper recommends choosing a policy for a new
-//! dataset.
+//! dataset, and the graph partitioner's coarsening profile: how many
+//! levels the root bisection took and how fast the ownership graph shrank.
 
 // Examples favour directness over error plumbing.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use owlpar::horst::HorstReasoner;
 use owlpar::partition::metrics::quality;
-use owlpar::partition::multilevel::PartitionOptions;
+use owlpar::partition::multilevel::{coarsening_profile, PartitionOptions};
+use owlpar::partition::rdfgraph::build_ownership_graph;
 use owlpar::prelude::*;
 use owlpar::rdf::vocab::RDF_TYPE;
 
@@ -61,5 +63,12 @@ fn main() {
             dp.edge_cut
         );
         println!("         triples/partition: {:?}", q.triple_counts);
+    }
+
+    let og = build_ownership_graph(&hr.instance_triples, rdf_type);
+    let profile = coarsening_profile(&og.graph, &PartitionOptions::default());
+    println!("\ncoarsening levels: {}", profile.len() - 1);
+    for (level, (n, m)) in profile.iter().enumerate() {
+        println!("  level {level:>2}: {n:>7} vertices {m:>8} edges");
     }
 }
