@@ -722,7 +722,7 @@ impl WorkerComm {
                                     }
                                     Ok(_) => {
                                         for t in tmp.store.iter() {
-                                            let (s, p, o) = tmp.decode(*t);
+                                            let (s, p, o) = tmp.decode(t);
                                             match (dict.id(&s), dict.id(&p), dict.id(&o)) {
                                                 (Some(s), Some(p), Some(o)) => {
                                                     out.push(Triple::new(s, p, o));

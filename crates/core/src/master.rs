@@ -43,7 +43,8 @@ use owlpar_partition::metrics::{or_excess, quality, PartitionQuality};
 use owlpar_partition::multilevel::PartitionOptions;
 use owlpar_partition::{partition_data_ordered, partition_rules, OwnershipPolicy};
 use owlpar_rdf::vocab::RDF_TYPE;
-use owlpar_rdf::{merge_runs, Graph, Term, Triple};
+use owlpar_rdf::{is_sorted_run, merge_runs, Graph, Term, Triple};
+use std::borrow::Cow;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -207,6 +208,17 @@ pub struct RunPlan {
     pub input_digest: [u8; 16],
 }
 
+/// `triples` as an SPO-sorted run: borrowed when it already is one.
+fn sorted_run(triples: &[Triple]) -> Cow<'_, [Triple]> {
+    if is_sorted_run(triples) {
+        Cow::Borrowed(triples)
+    } else {
+        let mut run = triples.to_vec();
+        run.sort_unstable();
+        Cow::Owned(run)
+    }
+}
+
 /// [`RunPlan::input_digest`] from the two sorted, disjoint halves of the
 /// KB: one merge walk, no second sort of the store.
 fn kb_digest(dict_len: usize, schema: &[Triple], instance: &[Triple]) -> [u8; 16] {
@@ -270,13 +282,13 @@ pub fn prepare_run(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunPlan, R
     let hr = HorstReasoner::from_graph(graph, cfg.materialization);
     let rdf_type = graph.dict.id(&Term::iri(RDF_TYPE));
 
-    // The run's one sort of the KB. Everything downstream — the input
-    // digest, the partition cuts, the wire blocks, the workers' frozen
-    // stores — reads these two runs in order.
-    let mut schema = hr.schema_triples.clone();
-    schema.sort_unstable();
-    let mut instance = hr.instance_triples.clone();
-    instance.sort_unstable();
+    // The run's one sort of the KB — none at all when the store is
+    // compacted (a loaded KB), whose iteration is already SPO order.
+    // Everything downstream — the input digest, the partition cuts, the
+    // wire blocks, the workers' frozen stores — reads these two runs in
+    // order.
+    let schema = sorted_run(&hr.schema_triples).into_owned();
+    let instance = sorted_run(&hr.instance_triples);
     let input_digest = kb_digest(dict_len, &schema, &instance);
 
     // Static partition-safety gate: lint the *effective* rule-base
@@ -648,10 +660,9 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
     }
     let host_parallel_time = t_par.elapsed();
 
-    // Aggregate: merge the survivors' runs and insert the result into
-    // the master graph in order, so each new triple is hashed once (and
-    // the base triples, which never left the graph, not again); collect
-    // structured errors for the rest.
+    // Aggregate: merge the survivors' runs and fold the result into the
+    // master graph's base — no triple is hashed, and the base triples
+    // never left the graph; collect structured errors for the rest.
     let rec = obs::global();
     let mut lane = rec.track("master");
     let agg_span = lane.begin(obs::Phase::Aggregate, obs::NO_ROUND);
@@ -688,7 +699,7 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
         }
     }
 
-    graph.store.extend(merge_runs(&runs));
+    graph.store.merge_run(&merge_runs(&runs));
 
     // Recovery. The master graph still holds every base and schema
     // triple (it was never emptied, and aggregation only adds), and each

@@ -28,6 +28,7 @@ use owlpar_datalog::forward::forward_closure_delta_overlay;
 use owlpar_datalog::parallel::{resolve_threads, MIN_PARALLEL_DELTA};
 use owlpar_datalog::{closure_delta_within, MaterializationStrategy, Reasoner};
 use owlpar_rdf::{merge_runs, FrozenStore, Triple, TripleStore};
+use std::sync::Arc;
 
 /// Fold the overlay into the frozen base once it holds more than this
 /// many triples and more than a quarter of the base (`ServingKb`'s
@@ -41,7 +42,7 @@ enum Local {
     /// Forward engines: frozen bulk + recent arrivals. The overlay never
     /// shares a triple with the base.
     Sorted {
-        base: FrozenStore,
+        base: Arc<FrozenStore>,
         overlay: TripleStore,
     },
     /// Backward engines: one mutable hash store.
@@ -78,7 +79,7 @@ impl WorkerState {
         let shipped = merge_runs(&[schema, base]);
         let local = if frozen {
             Local::Sorted {
-                base: FrozenStore::from_sorted_run(&shipped, threads),
+                base: Arc::new(FrozenStore::from_sorted_run(&shipped, threads)),
                 overlay: TripleStore::new(),
             }
         } else {
@@ -108,7 +109,7 @@ impl WorkerState {
                 derived
             }
             Local::Thawed(store) => {
-                let seed: Vec<Triple> = store.iter().copied().collect();
+                let seed: Vec<Triple> = store.iter().collect();
                 self.reasoner.materialize_delta(store, seed)
             }
         };
@@ -130,7 +131,7 @@ impl WorkerState {
                 if self.threads > 1 && fresh.len() >= MIN_PARALLEL_DELTA {
                     // Big enough to shard: fold it (and the overlay) in
                     // and run the frozen delta closure on the budget.
-                    let mut run: Vec<Triple> = overlay.iter().copied().collect();
+                    let mut run: Vec<Triple> = overlay.iter().collect();
                     run.extend_from_slice(&fresh);
                     *overlay = TripleStore::new();
                     let grown = base.merge_triples_within(&run, self.threads);
@@ -143,8 +144,8 @@ impl WorkerState {
                     let derived =
                         forward_closure_delta_overlay(base, overlay, &self.reasoner.rules, fresh);
                     if overlay.len() > FOLD_FLOOR.max(base.len() / 4) {
-                        let run: Vec<Triple> = overlay.iter().copied().collect();
-                        *base = base.merge_triples_within(&run, self.threads);
+                        let run: Vec<Triple> = overlay.iter().collect();
+                        *base = Arc::new(base.merge_triples_within(&run, self.threads));
                         *overlay = TripleStore::new();
                     }
                     derived

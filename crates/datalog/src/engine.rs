@@ -111,7 +111,7 @@ impl Reasoner {
         } else {
             // conservative: full re-materialization + diff
             let before_set: owlpar_rdf::fx::FxHashSet<Triple> =
-                store.iter().copied().collect();
+                store.iter().collect();
             if jena {
                 engine.materialize_jena(store);
             } else {
@@ -119,7 +119,6 @@ impl Reasoner {
             }
             store
                 .iter()
-                .copied()
                 .filter(|t| !before_set.contains(t))
                 .collect()
         }

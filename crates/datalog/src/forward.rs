@@ -18,7 +18,7 @@ use owlpar_rdf::{FrozenStore, FrozenView, Triple, TripleSource, TripleStore};
 /// derived (new) triples. Semi-naive: cost proportional to work actually
 /// producing new facts.
 pub fn forward_closure(store: &mut TripleStore, rules: &[Rule]) -> usize {
-    let seed: Vec<Triple> = store.iter().copied().collect();
+    let seed: Vec<Triple> = store.iter().collect();
     run_rounds(store, rules, seed).len()
 }
 
@@ -273,8 +273,8 @@ mod tests {
         want_derived.sort_unstable();
         derived.sort_unstable();
         assert_eq!(derived, want_derived);
-        assert!(overlay.iter().all(|t| !base.contains(t)), "overlay stays disjoint");
-        let mut union: Vec<Triple> = base.iter().chain(overlay.iter().copied()).collect();
+        assert!(overlay.iter().all(|t| !base.contains(&t)), "overlay stays disjoint");
+        let mut union: Vec<Triple> = base.iter().chain(overlay.iter()).collect();
         union.sort_unstable();
         assert_eq!(union, want.iter_sorted());
     }

@@ -4,27 +4,32 @@
 //! joining the delta against the store. Those joins are independent per
 //! delta triple, so this module shards the round's delta across a scoped
 //! thread pool: every thread joins its shard against a shared, immutable
-//! [`FrozenStore`] base (plus a small mutable overlay of recent
-//! derivations) into a thread-local candidate buffer, then a single
-//! merge + dedup + insert step on the coordinating thread produces the
-//! next delta. The fixpoint is identical to the serial engine's — only
-//! derivation order differs — because semi-naive evaluation is confluent:
-//! any instantiation with at least one body atom in the delta has a pivot
-//! in exactly the shards holding that atom's triple, and the remaining
-//! atoms are joined against the full base ∪ overlay ∪ delta view.
+//! [`FrozenStore`] base into a thread-local, sorted, novelty-filtered
+//! run, and the coordinating thread merges the runs into the next delta.
+//! The fixpoint is identical to the serial engine's — only derivation
+//! order differs — because semi-naive evaluation is confluent: any
+//! instantiation with at least one body atom in the delta has a pivot in
+//! exactly the shards holding that atom's triple, and the remaining atoms
+//! are joined against the full base.
 //!
-//! The base is maintained LSM-style: rounds insert into the overlay, and
-//! once the overlay outgrows a fraction of the base the two are merged
-//! into a fresh frozen store (a linear merge of sorted runs, not a
-//! rebuild). Reads stay lock-free throughout — threads only ever see the
-//! frozen base and an overlay that is not mutated during a round.
+//! The base is maintained LSM-style: each round's new triples are folded
+//! into a fresh frozen store by a linear merge of sorted runs, never a
+//! rebuild. Reads stay lock-free throughout — threads only ever see a
+//! frozen store that is not mutated during a round.
+//!
+//! A [`TripleStore`] keeps its bulk as exactly such a frozen store, so
+//! closing one is: fold its overlay in (if it has one), run the rounds on
+//! the base, and hand the closed base back
+//! ([`TripleStore::adopt`]) — no triple of the result is inserted into a
+//! per-triple index.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 use crate::ast::Rule;
 use crate::forward::{apply_rule_delta, forward_closure_delta};
-use owlpar_obs::{global as obs_global, Phase, Recorder, Track};
-use owlpar_rdf::{is_sorted_run, FrozenStore, Triple, TripleStore};
+use owlpar_obs::{global as obs_global, Phase, Recorder, Track, NO_ROUND};
+use owlpar_rdf::{is_sorted_run, merge_runs, FrozenStore, Triple, TripleStore};
+use std::sync::Arc;
 
 /// Below this delta size a round is evaluated on the calling thread:
 /// spawn + merge overhead dwarfs the join work.
@@ -48,24 +53,19 @@ pub fn resolve_threads(threads: usize) -> usize {
 pub fn parallel_closure(store: &mut TripleStore, rules: &[Rule], threads: usize) -> usize {
     let threads = resolve_threads(threads);
     if threads <= 1 || store.len() < MIN_PARALLEL_DELTA {
-        let seed: Vec<Triple> = store.iter().copied().collect();
+        let seed: Vec<Triple> = store.iter().collect();
         return forward_closure_delta(store, rules, seed).len();
     }
-    let base = FrozenStore::from_store(store);
     // Seed in SPO order: shard chunks are then sorted runs, so the
-    // per-shard index builds are near-linear (and chunking is
-    // deterministic, independent of hash iteration order).
-    let seed = base.iter_sorted();
-    let (_, derived) = closure_delta_over(base, rules, seed, threads);
-    for &t in &derived {
-        store.insert(t);
-    }
-    derived.len()
+    // per-shard indexes need no SPO sort (and chunking is deterministic,
+    // independent of hash iteration order).
+    let seed = compacted_base(store).iter_sorted();
+    close_base(store, rules, seed, threads).len()
 }
 
 /// `store` is closed under `rules` except that the triples in `delta`
 /// were just inserted. Derives all consequences with up to `threads`
-/// worker threads (0 = auto), inserts them, and returns them (cascades
+/// worker threads (0 = auto), adds them, and returns them (cascades
 /// included). Same contract as
 /// [`forward_closure_delta`](crate::forward::forward_closure_delta).
 pub fn parallel_closure_delta(
@@ -78,11 +78,32 @@ pub fn parallel_closure_delta(
     if threads <= 1 || delta.len() < MIN_PARALLEL_DELTA {
         return forward_closure_delta(store, rules, delta);
     }
-    let base = FrozenStore::from_store(store);
-    let (_, derived) = closure_delta_over(base, rules, delta, threads);
-    for &t in &derived {
-        store.insert(t);
+    compacted_base(store);
+    close_base(store, rules, delta, threads)
+}
+
+/// Fold `store`'s overlay into its base, if it has one, under a
+/// [`Phase::Freeze`] span, and return the base — now the whole store.
+fn compacted_base(store: &mut TripleStore) -> &Arc<FrozenStore> {
+    if store.overlay().next().is_some() {
+        let mut track = obs_global().track("compact");
+        let freeze = track.begin(Phase::Freeze, NO_ROUND);
+        store.compact();
+        track.end(freeze);
     }
+    store.base()
+}
+
+/// Run the frozen rounds from `seed` over a compacted `store`'s base and
+/// give the closed base back to it. Returns the derivations.
+fn close_base(
+    store: &mut TripleStore,
+    rules: &[Rule],
+    seed: Vec<Triple>,
+    threads: usize,
+) -> Vec<Triple> {
+    let (closed, derived) = closure_delta_over(Arc::clone(store.base()), rules, seed, threads);
+    store.adopt(closed);
     derived
 }
 
@@ -92,19 +113,19 @@ pub fn parallel_closure_delta(
 /// shards against the frozen base, then folds the round's new triples
 /// into it with a linear merge of sorted runs (LSM-style: freezing is a
 /// merge, never a rebuild) — no per-triple hash maintenance anywhere on
-/// the hot path. Returns the final frozen store (the closure) and every
-/// newly derived triple.
+/// the hot path. Returns the final frozen store (the closure; `base`
+/// itself when nothing was derived) and every newly derived triple.
 ///
 /// The freezes take whatever cores the machine has, on top of `threads`
 /// join shards; a caller that shares the machine uses
 /// [`closure_delta_within`].
 pub fn closure_delta_over(
-    base: FrozenStore,
+    base: impl Into<Arc<FrozenStore>>,
     rules: &[Rule],
     seed: Vec<Triple>,
     threads: usize,
-) -> (FrozenStore, Vec<Triple>) {
-    frozen_rounds(base, rules, seed, resolve_threads(threads).max(1), false)
+) -> (Arc<FrozenStore>, Vec<Triple>) {
+    frozen_rounds(base.into(), rules, seed, resolve_threads(threads).max(1), None)
 }
 
 /// [`closure_delta_over`] for a caller that owns only `threads` cores —
@@ -116,30 +137,32 @@ pub fn closure_delta_over(
 /// shard indexes are then built without sorting the SPO family, and a
 /// seed that is the whole of `base` reuses `base` as its own index.
 pub fn closure_delta_within(
-    base: FrozenStore,
+    base: impl Into<Arc<FrozenStore>>,
     rules: &[Rule],
     seed: Vec<Triple>,
     threads: usize,
-) -> (FrozenStore, Vec<Triple>) {
-    frozen_rounds(base, rules, seed, threads.max(1), true)
+) -> (Arc<FrozenStore>, Vec<Triple>) {
+    let threads = threads.max(1);
+    frozen_rounds(base.into(), rules, seed, threads, Some(threads))
 }
 
-/// The round loop behind both entry points; `budgeted` holds freezes and
-/// shard indexes to `threads` as well ([`closure_delta_within`]).
+/// The round loop behind both entry points. `freeze_budget` is the
+/// thread cap on the per-round merges — `None` lets them take the
+/// machine — and a caller that states one is a distributed worker whose
+/// own lane already spans this whole closure as one `Join` of one of
+/// *its* rounds, so in-node spans are not recorded beside it (they would
+/// count the same time twice).
 fn frozen_rounds(
-    mut base: FrozenStore,
+    mut base: Arc<FrozenStore>,
     rules: &[Rule],
     seed: Vec<Triple>,
     threads: usize,
-    budgeted: bool,
-) -> (FrozenStore, Vec<Triple>) {
+    freeze_budget: Option<usize>,
+) -> (Arc<FrozenStore>, Vec<Triple>) {
     // Ambient tracing: one coordinator track plus one stable lane per
     // shard slot, forked into the scoped threads each round (disabled
-    // recorder: every span call is a single branch). A budgeted caller
-    // is a distributed worker whose own lane already spans this whole
-    // closure as one `Join` of one of *its* rounds; in-node rounds
-    // recorded beside that would count the same time twice.
-    let rec = if budgeted {
+    // recorder: every span call is a single branch).
+    let rec = if freeze_budget.is_some() {
         Recorder::disabled()
     } else {
         obs_global()
@@ -155,23 +178,13 @@ fn frozen_rounds(
         let round_span = track.begin(Phase::Round, round_no);
         // Sorted, deduplicated, *novel* heads from the sharded joins
         // (each shard filters against the frozen base before returning).
-        let new = round_candidates(
-            &base,
-            rules,
-            &delta,
-            threads,
-            budgeted,
-            &shard_tracks,
-            &mut track,
-            round_no,
-        );
+        let new = round_candidates(&base, rules, &delta, threads, &shard_tracks, &mut track, round_no);
         if !new.is_empty() {
             let freeze = track.begin(Phase::Freeze, round_no);
-            base = if budgeted {
-                base.merge_triples_within(&new, threads)
-            } else {
-                base.merge_triples(&new)
-            };
+            base = Arc::new(match freeze_budget {
+                Some(budget) => base.merge_triples_within(&new, budget),
+                None => base.merge_triples(&new),
+            });
             track.end(freeze);
             all_derived.extend_from_slice(&new);
         }
@@ -190,32 +203,27 @@ fn frozen_rounds(
 /// before handing them to the coordinator, so the per-candidate
 /// `contains` probes run in parallel and walk the base coherently
 /// (ascending probes). The coordinator only resolves cross-shard
-/// duplicates.
-#[allow(clippy::too_many_arguments)] // one internal call site
+/// duplicates, by merging the shards' runs.
 fn round_candidates(
     view: &FrozenStore,
     rules: &[Rule],
     delta: &[Triple],
     threads: usize,
-    budgeted: bool,
     shard_tracks: &[Track],
     track: &mut Track,
     round_no: u32,
 ) -> Vec<Triple> {
     let join_shard = |shard: &[Triple], mut lane: Track| {
-        // CSR shard: sorting a slice is much cheaper than building hash
-        // indexes, and pivot scans are cache-local.
         let join = lane.begin(Phase::Join, round_no);
         let built;
-        let shard_store = if !budgeted {
-            built = FrozenStore::from_triples(shard.iter().copied());
-            &built
-        } else if shard.len() == view.len() && is_sorted_run(shard) {
+        let shard_store = if shard.len() == view.len() && is_sorted_run(shard) {
             // Duplicate-free, inside `view` and as long as it: the shard
-            // *is* the view (round 0 of a whole-partition closure).
+            // *is* the view (round 0 of a whole-store closure on one
+            // thread).
             view
         } else {
             // The shard threads are the budget; each index builds inline.
+            // A chunk of a sorted seed is its own SPO family.
             built = FrozenStore::from_sorted_run(shard, 1);
             &built
         };
@@ -254,17 +262,8 @@ fn round_candidates(
             }
         }
     });
-    let total = locals.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    for mut local in locals {
-        out.append(&mut local);
-    }
-    // Per-shard runs are sorted and duplicate-free; one more sort + dedup
-    // resolves cross-shard duplicates (pdqsort is near-linear on
-    // concatenated sorted runs).
     let dedup = track.begin(Phase::Dedup, round_no);
-    out.sort_unstable();
-    out.dedup();
+    let out = merge_runs(&locals);
     track.end(dedup);
     out
 }

@@ -421,7 +421,7 @@ mod tests {
     fn closure_restricted_to_instance_data_only_mentions_instances() {
         let (mut g, rules) = build();
         let tbox = TBox::extract(&g);
-        let before: Vec<Triple> = g.store.iter().copied().collect();
+        let before: Vec<Triple> = g.store.iter().collect();
         forward_closure(&mut g.store, &rules);
         let new: Vec<Triple> = g
             .store

@@ -9,7 +9,7 @@ use crate::compile::{compile_ontology, CompileOptions};
 use crate::tbox::{TBox, TripleKind};
 use owlpar_datalog::{MaterializationStrategy, Reasoner, Rule};
 use owlpar_lint::{lint_rules, LintOptions, LintReport, PartitionContext};
-use owlpar_rdf::fx::{FxHashMap, FxHashSet};
+use owlpar_rdf::fx::FxHashSet;
 use owlpar_rdf::{Graph, NodeId, Triple, TripleStore};
 
 /// What [`HorstReasoner::materialize_delta`] did with an insert batch.
@@ -64,16 +64,12 @@ impl HorstReasoner {
     ) -> Self {
         let tbox = TBox::extract(graph);
         let rules = compile_ontology(&tbox, &mut graph.dict, opts);
-        let (schema_triples, instance_triples) = tbox.split(graph.store.iter().copied());
+        let (schema_triples, instance_triples) = tbox.split(graph.store.iter());
         // Lint against the data the rule-base will meet: the predicate
         // histogram weights rule-partitioning edges, and the base
         // vocabulary enables dead-rule detection.
-        let mut hist: FxHashMap<NodeId, usize> = FxHashMap::default();
-        let mut base: FxHashSet<NodeId> = FxHashSet::default();
-        for t in graph.store.iter() {
-            *hist.entry(t.p).or_default() += 1;
-            base.insert(t.p);
-        }
+        let hist = graph.store.predicate_counts();
+        let base: FxHashSet<NodeId> = hist.keys().copied().collect();
         let mut lint_opts = LintOptions::for_context(PartitionContext::DataPartitioned);
         lint_opts.predicate_counts = Some(hist);
         lint_opts.base_predicates = Some(base);

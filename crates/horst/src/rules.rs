@@ -164,8 +164,8 @@ mod tests {
         let instance_fp = |g: &Graph| {
             let mut sub = Graph::new();
             for t in g.store.iter() {
-                if tbox.classify(&to_local(g, &g0, *t)) == TripleKind::Instance {
-                    let (s, p, o) = g.decode(*t);
+                if tbox.classify(&to_local(g, &g0, t)) == TripleKind::Instance {
+                    let (s, p, o) = g.decode(t);
                     sub.insert_terms(s, p, o);
                 }
             }

@@ -446,7 +446,7 @@ mod tests {
     fn split_partitions_the_graph() {
         let g = sample_graph();
         let tb = TBox::extract(&g);
-        let (schema, instance) = tb.split(g.store.iter().copied());
+        let (schema, instance) = tb.split(g.store.iter());
         assert_eq!(schema.len() + instance.len(), g.len());
         assert_eq!(instance.len(), 3, "alice's three instance triples");
     }

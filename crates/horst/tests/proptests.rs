@@ -120,7 +120,7 @@ fn instance_closure(mut g: Graph, compiled: bool, tbox: &TBox) -> Vec<TermTriple
     let mut out: Vec<TermTriple> = g
         .store
         .iter()
-        .map(|t| g.decode(*t))
+        .map(|t| g.decode(t))
         .filter(|(s, p, o)| is_instance(s, p, o))
         .collect();
     out.sort();

@@ -1037,8 +1037,8 @@ pub fn run_cluster_master(
     // --- aggregate + recover -----------------------------------------
     let t_agg = Instant::now();
     let agg_span = relay.begin(Phase::Aggregate, NO_ROUND);
-    // Merge the k sorted runs and insert the result in order: each new
-    // triple is hashed once, the base triples (still in `graph`) never.
+    // Merge the k sorted runs and fold the result into the graph's base:
+    // no triple is hashed, and the base triples never left `graph`.
     let mut worker_stats = Vec::with_capacity(k);
     let mut output_sizes = Vec::with_capacity(k);
     let mut runs: Vec<Vec<Triple>> = Vec::with_capacity(k);
@@ -1055,7 +1055,7 @@ pub fn run_cluster_master(
             }),
         }
     }
-    graph.store.extend(merge_runs(&runs));
+    graph.store.merge_run(&merge_runs(&runs));
     let mut recovered = false;
     if !worker_errors.is_empty() {
         if !recoverable {

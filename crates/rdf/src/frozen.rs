@@ -1,10 +1,11 @@
 //! Frozen, read-optimized triple storage for lock-free parallel joins.
 //!
-//! The mutable [`TripleStore`](crate::TripleStore) is built for cheap
-//! inserts: three nested hash maps. That shape is hostile to the parallel
-//! closure engine — hash maps scatter the posting lists across the heap,
-//! and sharing `&TripleStore` from many threads still pays pointer-chasing
-//! on every probe. [`FrozenStore`] is the read path's answer: the triples
+//! Nested hash maps are built for cheap inserts. That shape is hostile to
+//! the parallel closure engine — hash maps scatter the posting lists
+//! across the heap, and sharing them from many threads still pays
+//! pointer-chasing on every probe. [`FrozenStore`] is the read path's
+//! answer, and the layer a [`TripleStore`](crate::TripleStore) keeps its
+//! bulk in: the triples
 //! laid out **three times as sorted flat columns** (SPO, POS, OSP order)
 //! with CSR-style offset indexes over the leading component. Every one of
 //! the eight [`TriplePattern`] shapes resolves to a contiguous slice scan
@@ -36,7 +37,7 @@
 )]
 
 use crate::dictionary::NodeId;
-use crate::store::{TriplePattern, TripleStore};
+use crate::store::{Nested, TriplePattern, TripleStore};
 use crate::triple::Triple;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -221,16 +222,26 @@ impl FrozenStore {
         Self::default()
     }
 
-    /// Freeze the contents of a mutable store.
-    ///
-    /// Exploits the store's nested indexes: each column family is emitted
-    /// key-run by key-run, so only the (much smaller) key sets and the
-    /// per-run posting lists get sorted — never the full triple set.
+    /// The contents of `store` as one frozen store. A compacted store
+    /// already is one: its base columns are copied, not rebuilt (take
+    /// [`TripleStore::frozen`] to share them instead); otherwise this is
+    /// the base merged with the overlay.
     pub fn from_store(store: &TripleStore) -> Self {
-        let build = |nested: &crate::store::Nested| {
+        Arc::unwrap_or_clone(store.frozen())
+    }
+
+    /// `self` ∪ an overlay given as its three nested hash indexes
+    /// (`(spo, pos, osp)`, `triples` entries each, sharing no triple with
+    /// `self`) — the compaction step of [`TripleStore`]. Each family of
+    /// the overlay is emitted key-run by key-run, so only the (much
+    /// smaller) key sets and the per-run posting lists get sorted, never
+    /// the full triple set; the result is merged with `self`'s family in
+    /// one linear pass.
+    pub(crate) fn fold_nested(&self, nested: [&Nested; 3], triples: usize) -> Self {
+        let build = |nested: &Nested, family: &SortedIndex| {
             let mut k0s: Vec<NodeId> = nested.keys().copied().collect();
             k0s.sort_unstable();
-            let mut rows: Vec<[NodeId; 3]> = Vec::with_capacity(store.len());
+            let mut rows: Vec<[NodeId; 3]> = Vec::with_capacity(triples);
             for k0 in k0s {
                 let Some(inner) = nested.get(&k0) else { continue };
                 let mut k1s: Vec<NodeId> = inner.keys().copied().collect();
@@ -246,15 +257,18 @@ impl FrozenStore {
                     rows[start..].sort_unstable();
                 }
             }
+            if !family.rows.is_empty() {
+                rows = merge_sorted(&family.rows, &rows);
+            }
             SortedIndex::from_sorted(rows)
         };
-        let [spo_n, pos_n, osp_n] = store.nested_indexes();
+        let [spo_n, pos_n, osp_n] = nested;
         Self::build_families(
             Self::unbudgeted(),
-            store.len(),
-            || build(spo_n),
-            || build(pos_n),
-            || build(osp_n),
+            self.len() + triples,
+            || build(spo_n, &self.spo),
+            || build(pos_n, &self.pos),
+            || build(osp_n, &self.osp),
         )
     }
 
@@ -306,7 +320,7 @@ impl FrozenStore {
     /// family is a linear merge of two sorted runs — O(n + |delta| log
     /// |delta|), not a full rebuild's O(n log n).
     pub fn merge(&self, delta: &TripleStore) -> FrozenStore {
-        let triples: Vec<Triple> = delta.iter().copied().collect();
+        let triples: Vec<Triple> = delta.iter().collect();
         self.merge_triples(&triples)
     }
 
@@ -410,10 +424,40 @@ impl FrozenStore {
         self.iter().collect()
     }
 
-    /// Thaw back into a mutable store (used by the schema-recompile path
-    /// of the serving layer; O(n)).
-    pub fn to_store(&self) -> TripleStore {
-        self.iter().collect()
+    /// The SPO-sorted union of this store and `run`, an SPO-sorted,
+    /// duplicate-free run: one linear merge.
+    pub(crate) fn sorted_union(&self, run: &[Triple]) -> Vec<Triple> {
+        debug_assert!(is_sorted_run(run));
+        if run.is_empty() {
+            return self.iter_sorted();
+        }
+        let run: Vec<[NodeId; 3]> = run.iter().map(spo_key).collect();
+        merge_sorted(&self.spo.rows, &run)
+            .into_iter()
+            .map(|r| Triple::new(r[0], r[1], r[2]))
+            .collect()
+    }
+
+    /// Distinct subjects, ascending.
+    pub(crate) fn subjects(&self) -> &[NodeId] {
+        &self.spo.keys
+    }
+
+    /// Distinct predicates, ascending.
+    pub(crate) fn predicates(&self) -> &[NodeId] {
+        &self.pos.keys
+    }
+
+    /// Distinct objects, ascending.
+    pub(crate) fn objects(&self) -> &[NodeId] {
+        &self.osp.keys
+    }
+
+    /// `(predicate, triple count)` for every predicate, read off the POS
+    /// offsets.
+    pub(crate) fn predicate_counts(&self) -> impl Iterator<Item = (NodeId, usize)> + '_ {
+        let widths = self.pos.offs.windows(2).map(|w| (w[1] - w[0]) as usize);
+        self.pos.keys.iter().copied().zip(widths)
     }
 
     /// Invoke `f` for every triple matching `pat`. Every pattern shape is
@@ -552,7 +596,7 @@ impl OverlayStore {
 
     /// All triples, sorted SPO.
     pub fn iter_sorted(&self) -> Vec<Triple> {
-        let mut v: Vec<Triple> = self.base.iter().chain(self.delta.iter().copied()).collect();
+        let mut v: Vec<Triple> = self.iter().collect();
         v.sort_unstable();
         v.dedup();
         v
@@ -560,7 +604,7 @@ impl OverlayStore {
 
     /// All triples (base then delta), unordered.
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.base.iter().chain(self.delta.iter().copied())
+        self.base.iter().chain(self.delta.iter())
     }
 
     /// Total triple count (exact: base and delta are disjoint).
@@ -649,7 +693,9 @@ mod tests {
         let ts: TripleStore = all.iter().copied().collect();
         let fs = FrozenStore::from_store(&ts);
         assert_eq!(fs.iter_sorted(), ts.iter_sorted());
-        assert_eq!(fs.to_store().iter_sorted(), ts.iter_sorted());
+        let mut thawed = TripleStore::new();
+        thawed.adopt(fs);
+        assert_eq!(thawed.iter_sorted(), ts.iter_sorted());
     }
 
     #[test]

@@ -120,7 +120,7 @@ impl Graph {
         let mut acc: u64 = 0;
         for t in self.store.iter() {
             // XOR-fold so the fingerprint is order independent.
-            acc ^= bh.hash_one(self.decode(*t));
+            acc ^= bh.hash_one(self.decode(t));
         }
         acc ^ (self.store.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
     }
@@ -152,7 +152,7 @@ mod tests {
     fn decode_roundtrip() {
         let mut g = Graph::new();
         g.insert_terms(Term::iri("http://x/s"), Term::iri("http://x/p"), Term::literal("42"));
-        let t = *g.store.iter().next().unwrap();
+        let t = g.store.iter().next().unwrap();
         let (s, p, o) = g.decode(t);
         assert_eq!(s, Term::iri("http://x/s"));
         assert_eq!(p, Term::iri("http://x/p"));

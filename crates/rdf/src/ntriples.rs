@@ -6,8 +6,10 @@
 //! not a convenience. The subset implemented covers IRIs, blank nodes,
 //! plain/lang-tagged/typed literals and the standard string escapes.
 
+use crate::dictionary::Dictionary;
 use crate::graph::Graph;
 use crate::term::Term;
+use crate::triple::Triple;
 use std::fmt::Write as _;
 
 /// Parse error with 1-based line number.
@@ -35,9 +37,23 @@ fn err(line: usize, message: impl Into<String>) -> NtError {
 }
 
 /// Parse an N-Triples document into (and interning against) `graph`.
-/// Returns the number of triples inserted (duplicates not counted).
+/// Returns the number of distinct triples that were new to the graph.
+///
+/// The document is a bulk load: its triples are sorted, deduplicated and
+/// folded into the store's base in one merge
+/// ([`TripleStore::merge_run`](crate::TripleStore::merge_run)), never
+/// hashed one by one. A syntax error keeps the lines before it, as a
+/// line-by-line load would.
 pub fn parse_ntriples(input: &str, graph: &mut Graph) -> Result<usize, NtError> {
-    let mut added = 0;
+    let mut parsed: Vec<Triple> = Vec::new();
+    let outcome = parse_lines(input, &mut graph.dict, &mut parsed);
+    parsed.sort_unstable();
+    parsed.dedup();
+    let added = graph.store.merge_run(&parsed);
+    outcome.map(|()| added)
+}
+
+fn parse_lines(input: &str, dict: &mut Dictionary, out: &mut Vec<Triple>) -> Result<(), NtError> {
     for (idx, raw) in input.lines().enumerate() {
         let lineno = idx + 1;
         let line = raw.trim();
@@ -68,11 +84,9 @@ pub fn parse_ntriples(input: &str, graph: &mut Graph) -> Result<usize, NtError> 
         if s.is_literal() {
             return Err(err(lineno, "subject must not be a literal"));
         }
-        if graph.insert_terms(s, p, o) {
-            added += 1;
-        }
+        out.push(Triple::new(dict.intern(s), dict.intern(p), dict.intern(o)));
     }
-    Ok(added)
+    Ok(())
 }
 
 /// Serialize a graph as N-Triples, sorted for determinism.
@@ -333,7 +347,7 @@ mod tests {
         let src = r#"<http://x/a> <http://x/p> "line1\nline2 \"quoted\" \\ tab\t" ."#;
         let mut g = Graph::new();
         parse_ntriples(src, &mut g).unwrap();
-        let t = *g.store.iter().next().unwrap();
+        let t = g.store.iter().next().unwrap();
         let (_, _, o) = g.decode(t);
         assert_eq!(o.as_literal(), Some("line1\nline2 \"quoted\" \\ tab\t"));
     }
@@ -363,7 +377,7 @@ mod tests {
         let src = r#"<http://x/a> <http://x/p> "snowman ☃ and \U0001F600" ."#;
         let mut g = Graph::new();
         parse_ntriples(src, &mut g).unwrap();
-        let t = *g.store.iter().next().unwrap();
+        let t = g.store.iter().next().unwrap();
         let (_, _, o) = g.decode(t);
         assert_eq!(o.as_literal(), Some("snowman ☃ and 😀"));
     }

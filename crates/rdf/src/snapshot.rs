@@ -138,7 +138,10 @@ pub fn load(r: &mut impl Read) -> Result<Graph, SnapshotError> {
             return Err(format_err("duplicate term in snapshot dictionary"));
         }
     }
+    // A bulk load, written in SPO order: one merge into the store's base,
+    // no per-triple hashing.
     let triple_count = read_u64(r)?;
+    let mut triples: Vec<Triple> = Vec::new();
     for _ in 0..triple_count {
         let s = read_u32(r)?;
         let p = read_u32(r)?;
@@ -148,10 +151,9 @@ pub fn load(r: &mut impl Read) -> Result<Graph, SnapshotError> {
                 return Err(format_err(format!("triple id {id} out of range")));
             }
         }
-        graph
-            .store
-            .insert(Triple::new(NodeId(s), NodeId(p), NodeId(o)));
+        triples.push(Triple::new(NodeId(s), NodeId(p), NodeId(o)));
     }
+    graph.store.merge_run(&triples);
     Ok(graph)
 }
 

@@ -1,14 +1,32 @@
 //! An indexed, in-memory triple store over dictionary-encoded triples.
 //!
-//! Three nested-map indexes (SPO, POS, OSP) give O(1)-ish access for every
-//! bound/unbound combination of a [`TriplePattern`], which is what the
-//! datalog engine's joins need. Insertion maintains all three indexes and
-//! a membership set used for duplicate suppression during closure
-//! computation.
+//! The store has two layers behind one set of methods:
+//!
+//! * the **base** — an [`Arc<FrozenStore>`]: the bulk of the triples as
+//!   SPO/POS/OSP sorted runs, immutable and shared by reference count
+//!   (cloning a store, freezing it, or publishing it copies a pointer);
+//! * the **overlay** — three nested-map indexes (SPO, POS, OSP) plus a
+//!   membership set, holding only what was inserted since the last
+//!   compaction.
+//!
+//! Invariant: the overlay holds no triple the base holds. Every read
+//! answers `base ∪ overlay` (so match callbacks fire once per distinct
+//! triple and counts are sums), [`TripleStore::insert`] refuses what
+//! either layer has, and [`TripleStore::compact`] folds the overlay into
+//! the base by linear merge. Nothing compacts on its own: a store built
+//! by inserts alone stays a pure hash store, and its iteration order is
+//! the membership set's, as it always was.
+//!
+//! Bulk results never pass through the per-triple indexes: a closure
+//! engine that worked on the base hands the closed [`FrozenStore`] back
+//! with [`TripleStore::adopt`], and a loader or a master folds a sorted
+//! run in with [`TripleStore::merge_run`].
 
 use crate::dictionary::NodeId;
+use crate::frozen::FrozenStore;
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::triple::Triple;
+use std::sync::Arc;
 
 pub(crate) type Nested = FxHashMap<NodeId, FxHashMap<NodeId, Vec<NodeId>>>;
 
@@ -48,9 +66,13 @@ impl TriplePattern {
     }
 }
 
-/// The indexed triple store.
+/// The indexed triple store: a shared frozen base plus a hash-indexed
+/// overlay of recent inserts. See the module docs.
 #[derive(Debug, Default, Clone)]
 pub struct TripleStore {
+    /// The sorted bulk.
+    base: Arc<FrozenStore>,
+    /// Overlay membership; disjoint from `base`.
     all: FxHashSet<Triple>,
     spo: Nested, // s -> p -> [o]
     pos: Nested, // p -> o -> [s]
@@ -65,17 +87,17 @@ impl TripleStore {
 
     /// Number of distinct triples.
     pub fn len(&self) -> usize {
-        self.all.len()
+        self.base.len() + self.all.len()
     }
 
     /// `true` iff the store holds no triples.
     pub fn is_empty(&self) -> bool {
-        self.all.is_empty()
+        self.base.is_empty() && self.all.is_empty()
     }
 
     /// Insert a triple. Returns `true` if it was not already present.
     pub fn insert(&mut self, t: Triple) -> bool {
-        if !self.all.insert(t) {
+        if self.base.contains(&t) || !self.all.insert(t) {
             return false;
         }
         self.spo.entry(t.s).or_default().entry(t.p).or_default().push(t.o);
@@ -92,24 +114,110 @@ impl TripleStore {
     /// Membership test.
     #[inline]
     pub fn contains(&self, t: &Triple) -> bool {
-        self.all.contains(t)
+        self.all.contains(t) || self.base.contains(t)
     }
 
-    /// Iterate over all triples (arbitrary order).
-    pub fn iter(&self) -> impl Iterator<Item = &Triple> {
-        self.all.iter()
+    /// Iterate over all triples: the base in SPO order, then the overlay
+    /// in arbitrary order.
+    pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
+        self.base.iter().chain(self.overlay())
     }
 
     /// All triples, sorted SPO — deterministic order for tests/serialization.
     pub fn iter_sorted(&self) -> Vec<Triple> {
-        let mut v: Vec<Triple> = self.all.iter().copied().collect();
-        v.sort_unstable();
-        v
+        let mut recent: Vec<Triple> = self.overlay().collect();
+        recent.sort_unstable();
+        self.base.sorted_union(&recent)
+    }
+
+    /// The frozen layer.
+    pub fn base(&self) -> &Arc<FrozenStore> {
+        &self.base
+    }
+
+    /// The triples inserted since the last compaction (arbitrary order).
+    pub fn overlay(&self) -> impl Iterator<Item = Triple> + '_ {
+        self.all.iter().copied()
+    }
+
+    /// The whole store as one frozen store: the base itself (shared, not
+    /// copied) when the overlay is empty, otherwise the base merged with
+    /// the overlay.
+    pub fn frozen(&self) -> Arc<FrozenStore> {
+        if self.all.is_empty() {
+            Arc::clone(&self.base)
+        } else {
+            Arc::new(
+                self.base
+                    .fold_nested([&self.spo, &self.pos, &self.osp], self.all.len()),
+            )
+        }
+    }
+
+    /// Fold the overlay into the base: a linear merge of sorted runs per
+    /// column family (the overlay's runs come off its nested indexes, so
+    /// only key sets and posting lists are sorted). No-op on an empty
+    /// overlay.
+    pub fn compact(&mut self) {
+        if !self.all.is_empty() {
+            self.base = self.frozen();
+            self.clear_overlay();
+        }
+    }
+
+    /// Replace the base by `closed`, a superset of it — what a closure
+    /// engine that started from [`TripleStore::base`] hands back. O(1)
+    /// on a compacted store; otherwise the overlay is swept for triples
+    /// `closed` now holds.
+    pub fn adopt(&mut self, closed: impl Into<Arc<FrozenStore>>) {
+        let closed = closed.into();
+        debug_assert!(closed.len() >= self.base.len());
+        self.base = closed;
+        self.sweep_overlay();
+    }
+
+    /// Fold a run into the base without touching the per-triple indexes.
+    /// `run` should be SPO-sorted and duplicate-free (a merged worker
+    /// output, a sorted load); any other order costs a sort. Returns how
+    /// many of its triples were new to the store.
+    pub fn merge_run(&mut self, run: &[Triple]) -> usize {
+        if run.is_empty() {
+            return 0;
+        }
+        let before = self.len();
+        self.base = Arc::new(self.base.merge_triples(run));
+        self.sweep_overlay();
+        self.len() - before
+    }
+
+    /// Restore disjointness after the base grew: drop from the overlay
+    /// whatever the base now holds.
+    fn sweep_overlay(&mut self) {
+        let keep: Vec<Triple> = self
+            .overlay()
+            .filter(|t| !self.base.contains(t))
+            .collect();
+        if keep.len() < self.all.len() {
+            self.clear_overlay();
+            self.extend(keep);
+        }
+    }
+
+    fn clear_overlay(&mut self) {
+        self.all = FxHashSet::default();
+        self.spo = Nested::default();
+        self.pos = Nested::default();
+        self.osp = Nested::default();
     }
 
     /// Invoke `f` for every triple matching `pat`, using the cheapest
-    /// available index. This is the workhorse of the datalog joins.
+    /// available index of each layer. This is the workhorse of the
+    /// datalog joins.
     pub fn for_each_match(&self, pat: TriplePattern, mut f: impl FnMut(Triple)) {
+        self.base.for_each_match(pat, &mut f);
+        if self.all.is_empty() {
+            return;
+        }
         match (pat.s, pat.p, pat.o) {
             (Some(s), Some(p), Some(o)) => {
                 let t = Triple::new(s, p, o);
@@ -181,8 +289,9 @@ impl TripleStore {
     }
 
     /// Number of matches without materializing them. Patterns with at
-    /// least one bound position are answered from posting-list lengths —
-    /// no iteration, no callback.
+    /// least one bound position are answered from index arithmetic on
+    /// the base plus posting-list lengths in the overlay — no iteration,
+    /// no callback; the layers are disjoint, so the sum is exact.
     pub fn count_matches(&self, pat: TriplePattern) -> usize {
         fn row_len(nested: &Nested, k0: NodeId) -> usize {
             nested
@@ -195,7 +304,7 @@ impl TripleStore {
                 .and_then(|m| m.get(&k1))
                 .map_or(0, Vec::len)
         }
-        match (pat.s, pat.p, pat.o) {
+        let recent = match (pat.s, pat.p, pat.o) {
             (Some(s), Some(p), Some(o)) => {
                 usize::from(self.all.contains(&Triple::new(s, p, o)))
             }
@@ -206,42 +315,40 @@ impl TripleStore {
             (None, Some(p), None) => row_len(&self.pos, p),
             (None, None, Some(o)) => row_len(&self.osp, o),
             (None, None, None) => self.all.len(),
-        }
-    }
-
-    /// The three nested indexes in `(spo, pos, osp)` order — the freeze
-    /// path walks them to emit each column family in nearly-sorted runs
-    /// instead of fully re-sorting the triple set.
-    pub(crate) fn nested_indexes(&self) -> [&Nested; 3] {
-        [&self.spo, &self.pos, &self.osp]
+        };
+        self.base.count_matches(pat) + recent
     }
 
     /// Every distinct node appearing in subject or object position.
     /// (Predicates are deliberately excluded: the paper's partitioners own
     /// *resources*, i.e. graph vertices.)
     pub fn nodes(&self) -> FxHashSet<NodeId> {
-        let mut set = FxHashSet::default();
-        for t in &self.all {
-            set.insert(t.s);
-            set.insert(t.o);
-        }
+        let mut set: FxHashSet<NodeId> = self
+            .base
+            .subjects()
+            .iter()
+            .chain(self.base.objects())
+            .copied()
+            .collect();
+        set.extend(self.spo.keys());
+        set.extend(self.osp.keys());
         set
-    }
-
-    /// Every distinct subject.
-    pub fn subjects(&self) -> FxHashSet<NodeId> {
-        self.spo.keys().copied().collect()
     }
 
     /// Every distinct predicate.
     pub fn predicates(&self) -> FxHashSet<NodeId> {
-        self.pos.keys().copied().collect()
+        self.base
+            .predicates()
+            .iter()
+            .chain(self.pos.keys())
+            .copied()
+            .collect()
     }
 
     /// Histogram `predicate -> triple count`; feeds the edge weights of the
     /// rule-dependency partitioner.
     pub fn predicate_counts(&self) -> FxHashMap<NodeId, usize> {
-        let mut h: FxHashMap<NodeId, usize> = FxHashMap::default();
+        let mut h: FxHashMap<NodeId, usize> = self.base.predicate_counts().collect();
         for t in &self.all {
             *h.entry(t.p).or_default() += 1;
         }
@@ -332,7 +439,7 @@ mod tests {
             let mut via_index = s.matches(pat);
             via_index.sort_unstable();
             let mut via_scan: Vec<Triple> =
-                s.iter().copied().filter(|t| pat.matches(t)).collect();
+                s.iter().filter(|t| pat.matches(t)).collect();
             via_scan.sort_unstable();
             assert_eq!(via_index, via_scan, "pattern {pat:?}");
         }

@@ -107,7 +107,7 @@ proptest! {
         let mut shuffled = Graph::new();
         shuffled.intern_iri("http://pad/0");
         let mut decoded: Vec<(Term, Term, Term)> =
-            g.store.iter().map(|t| g.decode(*t)).collect();
+            g.store.iter().map(|t| g.decode(t)).collect();
         decoded.sort();
         decoded.reverse();
         for (s, p, o) in decoded {

@@ -1,0 +1,221 @@
+//! Model-based property suite for the two-layer [`TripleStore`]: random
+//! interleavings of every mutating entry point, checked after each step
+//! against a `BTreeSet<Triple>` — every read, and the invariant that the
+//! overlay shares no triple with the base.
+
+// Tests assert on infallible setup; unwrap/expect failures are test failures.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+use owlpar_rdf::{parse_ntriples, FrozenStore, Graph, NodeId, Triple, TriplePattern, TripleStore};
+use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
+
+type Model = BTreeSet<Triple>;
+
+/// Small id ranges keep collisions — duplicates, re-inserts of what the
+/// base holds, runs overlapping the overlay — frequent.
+fn triple() -> impl Strategy<Value = Triple> {
+    (0u32..12, 0u32..4, 0u32..12)
+        .prop_map(|(s, p, o)| Triple::new(NodeId(s), NodeId(100 + p), NodeId(o)))
+}
+
+/// One step: which entry point, and the triples it is given.
+fn step() -> impl Strategy<Value = (u8, Vec<Triple>)> {
+    (0u8..7, prop::collection::vec(triple(), 0..14))
+}
+
+fn sorted_dedup(mut v: Vec<Triple>) -> Vec<Triple> {
+    v.sort_unstable();
+    v.dedup();
+    v
+}
+
+/// Apply one step to store and model alike, checking what it returns.
+fn apply(store: &mut TripleStore, model: &mut Model, kind: u8, payload: &[Triple]) {
+    let fresh = |model: &Model| {
+        sorted_dedup(payload.to_vec())
+            .iter()
+            .filter(|t| !model.contains(t))
+            .count()
+    };
+    match kind {
+        0 => {
+            for &t in payload {
+                assert_eq!(store.insert(t), model.insert(t), "insert {t:?}");
+            }
+        }
+        1 => {
+            let want = fresh(model);
+            assert_eq!(store.extend(payload.iter().copied()), want, "extend");
+            model.extend(payload);
+        }
+        2 => store.compact(),
+        3 => {
+            // A closed superset of the base, as a closure engine would
+            // hand back — here the base plus the payload, which may name
+            // triples the overlay holds.
+            let closed =
+                FrozenStore::from_triples(store.base().iter().chain(payload.iter().copied()));
+            store.adopt(closed);
+            model.extend(payload);
+        }
+        4 => {
+            let want = fresh(model);
+            assert_eq!(
+                store.merge_run(&sorted_dedup(payload.to_vec())),
+                want,
+                "merge_run"
+            );
+            model.extend(payload);
+        }
+        5 => {
+            // any order, duplicates and all: tolerated at the cost of a sort
+            let want = fresh(model);
+            assert_eq!(store.merge_run(payload), want, "merge_run (unsorted)");
+            model.extend(payload);
+        }
+        _ => {
+            // A clone is a store of its own: swap it in and drop the
+            // original, so later steps run on the copy.
+            *store = store.clone();
+        }
+    }
+}
+
+/// Every read of `store` against `model`; `probes` choose the patterns.
+fn check(store: &TripleStore, model: &Model, probes: &[Triple]) {
+    let want: Vec<Triple> = model.iter().copied().collect();
+    assert_eq!(store.len(), want.len());
+    assert_eq!(store.is_empty(), want.is_empty());
+    assert_eq!(store.iter_sorted(), want);
+    assert_eq!(
+        sorted_of(store.iter()),
+        want,
+        "iter() yields each triple once"
+    );
+    assert_eq!(store.frozen().iter_sorted(), want);
+    assert_eq!(FrozenStore::from_store(store).iter_sorted(), want);
+
+    // the layers are disjoint and together are the store
+    assert!(
+        store.overlay().all(|t| !store.base().contains(&t)),
+        "overlay ∩ base ≠ ∅"
+    );
+    assert_eq!(store.base().len() + store.overlay().count(), want.len());
+
+    for probe in probes.iter().chain(want.first()) {
+        assert_eq!(
+            store.contains(probe),
+            model.contains(probe),
+            "contains {probe:?}"
+        );
+        for mask in 0..8u8 {
+            let pat = TriplePattern::new(
+                (mask & 4 != 0).then_some(probe.s),
+                (mask & 2 != 0).then_some(probe.p),
+                (mask & 1 != 0).then_some(probe.o),
+            );
+            let scan: Vec<Triple> = want.iter().copied().filter(|t| pat.matches(t)).collect();
+            // not deduplicated: a triple reported by both layers would show
+            assert_eq!(sorted_of(store.matches(pat).into_iter()), scan, "{pat:?}");
+            assert_eq!(store.count_matches(pat), scan.len(), "count {pat:?}");
+        }
+    }
+
+    let mut hist: BTreeMap<NodeId, usize> = BTreeMap::new();
+    let mut nodes: BTreeSet<NodeId> = BTreeSet::new();
+    for t in &want {
+        *hist.entry(t.p).or_default() += 1;
+        nodes.extend([t.s, t.o]);
+    }
+    assert_eq!(
+        store
+            .predicate_counts()
+            .into_iter()
+            .collect::<BTreeMap<_, _>>(),
+        hist
+    );
+    assert_eq!(
+        store.predicates().into_iter().collect::<BTreeSet<_>>(),
+        hist.keys().copied().collect()
+    );
+    assert_eq!(store.nodes().into_iter().collect::<BTreeSet<_>>(), nodes);
+}
+
+fn sorted_of(it: impl Iterator<Item = Triple>) -> Vec<Triple> {
+    let mut v: Vec<Triple> = it.collect();
+    v.sort_unstable();
+    v
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn every_interleaving_agrees_with_the_set_model(
+        steps in prop::collection::vec(step(), 1..24),
+        absent in prop::collection::vec(triple(), 1..4),
+    ) {
+        let mut store = TripleStore::new();
+        let mut model = Model::new();
+        // clones taken along the way must not see later steps
+        let mut kept: Vec<(TripleStore, Model)> = Vec::new();
+        for (i, (kind, payload)) in steps.iter().enumerate() {
+            if i % 5 == 2 {
+                kept.push((store.clone(), model.clone()));
+            }
+            apply(&mut store, &mut model, *kind, payload);
+            let probes: Vec<Triple> = payload.iter().chain(&absent).copied().collect();
+            check(&store, &model, &probes);
+        }
+        for (clone, model_then) in &kept {
+            check(clone, model_then, &absent);
+        }
+    }
+
+    /// `parse_ntriples` counts the distinct triples that were new —
+    /// whatever the store's layers held before and however often a line
+    /// repeats.
+    #[test]
+    fn parse_counts_distinct_new_triples(
+        before in prop::collection::vec(triple(), 0..20),
+        compacted in 0usize..20,
+        lines in prop::collection::vec(triple(), 0..30),
+    ) {
+        // NodeId(i) is the i-th interned IRI, so a triple renders as a line
+        // by its ids.
+        let mut g = Graph::new();
+        for i in 0..112u32 {
+            g.intern_iri(format!("http://ex.org/n{i}"));
+        }
+        let iri = |id: NodeId| format!("<http://ex.org/n{}>", id.0);
+        let nt: String = lines
+            .iter()
+            .map(|t| format!("{} {} {} .\n", iri(t.s), iri(t.p), iri(t.o)))
+            .collect();
+        // pre-populated: part of it in the base, the rest in the overlay
+        for (i, &t) in before.iter().enumerate() {
+            g.store.insert(t);
+            if i + 1 == compacted {
+                g.store.compact();
+            }
+        }
+        let mut model: Model = before.iter().copied().collect();
+        let want = sorted_dedup(lines.clone()).iter().filter(|t| !model.contains(t)).count();
+        let added = parse_ntriples(&nt, &mut g).unwrap();
+        prop_assert_eq!(added, want);
+        model.extend(&lines);
+        check(&g.store, &model, &lines);
+    }
+}
+
+#[test]
+fn a_syntax_error_keeps_the_lines_before_it() {
+    let mut g = Graph::new();
+    let nt = "<http://x/a> <http://x/p> <http://x/b> .\n\
+              <http://x/a> <http://x/p> <http://x/b> .\n\
+              <http://x/c> <http://x/p> \"unterminated .\n";
+    let err = parse_ntriples(nt, &mut g).unwrap_err();
+    assert_eq!(err.line, 3);
+    assert_eq!(g.len(), 1);
+}

@@ -9,7 +9,8 @@
 //!
 //! * readers never observe a half-applied update (consistency), and
 //! * readers never wait for closure computation (the write lock is held
-//!   only for the pointer swap, never across reasoning).
+//!   only for the pointer swap — never across reasoning, and never
+//!   across the destructor of the snapshot being replaced).
 //!
 //! This is the textbook read-copy-update shape, built from `std` parts
 //! only.
@@ -64,13 +65,17 @@ impl EpochHandle {
     }
 
     /// Swap in a fully built snapshot. The write lock is held only for
-    /// the pointer assignment.
+    /// the pointer swap: the replaced snapshot is dropped after the lock
+    /// is released, because when this handle held its last reference the
+    /// drop frees a whole dictionary and overlay — milliseconds during
+    /// which every [`EpochHandle::load`] would otherwise block.
     pub fn publish(&self, next: KbSnapshot) {
         let next = Arc::new(next);
-        match self.current.write() {
-            Ok(mut g) => *g = next,
-            Err(poisoned) => *poisoned.into_inner() = next,
-        }
+        let previous = match self.current.write() {
+            Ok(mut g) => std::mem::replace(&mut *g, next),
+            Err(poisoned) => std::mem::replace(&mut *poisoned.into_inner(), next),
+        };
+        drop(previous);
     }
 }
 

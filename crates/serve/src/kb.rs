@@ -68,8 +68,11 @@ struct WriterState {
 }
 
 impl WriterState {
-    fn from_closed(graph: Graph, reasoner: HorstReasoner) -> Self {
-        let base = Arc::new(FrozenStore::from_store(&graph.store));
+    fn from_closed(mut graph: Graph, reasoner: HorstReasoner) -> Self {
+        // The published base *is* the store's own: a KB that arrives
+        // compacted (a parallel run's result) is shared, not rebuilt.
+        graph.store.compact();
+        let base = Arc::clone(graph.store.base());
         WriterState {
             graph,
             reasoner,
@@ -239,7 +242,7 @@ impl ServingKb {
         let batch: Vec<Triple> = scratch
             .store
             .iter()
-            .map(|&t| {
+            .map(|t| {
                 let (s, p, o) = scratch.decode(t);
                 Triple::new(w.graph.intern(s), w.graph.intern(p), w.graph.intern(o))
             })

@@ -319,7 +319,7 @@ fn apply_batch(
     let batch: Vec<Triple> = scratch
         .store
         .iter()
-        .map(|&t| {
+        .map(|t| {
             let (s, p, o) = scratch.decode(t);
             Triple::new(graph.intern(s), graph.intern(p), graph.intern(o))
         })
@@ -479,7 +479,7 @@ mod tests {
             let batch: Vec<Triple> = scratch
                 .store
                 .iter()
-                .map(|&t| {
+                .map(|t| {
                     let (s, p, o) = scratch.decode(t);
                     Triple::new(g.intern(s), g.intern(p), g.intern(o))
                 })
@@ -557,7 +557,7 @@ mod tests {
         let batch: Vec<Triple> = scratch
             .store
             .iter()
-            .map(|&t| {
+            .map(|t| {
                 let (s, p, o) = scratch.decode(t);
                 Triple::new(g.intern(s), g.intern(p), g.intern(o))
             })

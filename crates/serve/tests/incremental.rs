@@ -93,7 +93,7 @@ fn oracle_closure(all_nt: &str) -> Vec<String> {
     let mut g = Graph::new();
     parse_ntriples(all_nt, &mut g).expect("oracle parse");
     run_serial(&mut g, MaterializationStrategy::ForwardSemiNaive);
-    canon(g.store.iter().copied(), &g.dict)
+    canon(g.store.iter(), &g.dict)
 }
 
 fn check_seed(seed: u64, allow_schema: bool) {

@@ -2,7 +2,9 @@
 //! rule mixes and thread counts, `parallel_closure` /
 //! `parallel_closure_delta` must reach exactly the fixpoint the serial
 //! semi-naive engine (`forward_closure`) computes. Derivation order may
-//! differ — sorted stores are compared.
+//! differ — sorted stores are compared. Every case starts from each of the
+//! store's layouts: all of it in the hash overlay, all of it in the sorted
+//! base, and half in each.
 
 // Tests assert on infallible setup; unwrap/expect failures are test failures.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -149,23 +151,40 @@ fn cycle_cascade_facts(rng: &mut Rng) -> Vec<Triple> {
     facts
 }
 
+/// `facts` as a hash-only, a compacted and a half-compacted store.
+fn layouts(facts: &[Triple]) -> [(&'static str, TripleStore); 3] {
+    let hash_only: TripleStore = facts.iter().copied().collect();
+    let mut compacted = hash_only.clone();
+    compacted.compact();
+    let (early, late) = facts.split_at(facts.len() / 2);
+    let mut half: TripleStore = early.iter().copied().collect();
+    half.compact();
+    half.extend(late.iter().copied());
+    [
+        ("hash-only", hash_only),
+        ("compacted", compacted),
+        ("half-compacted", half),
+    ]
+}
+
 fn check_seed(seed: u64, rules: &[Rule], facts: Vec<Triple>) {
     let mut serial: TripleStore = facts.iter().copied().collect();
     let n_serial = forward_closure(&mut serial, rules);
     let oracle = serial.iter_sorted();
 
     for threads in THREADS {
-        let mut par: TripleStore = facts.iter().copied().collect();
-        let n_par = parallel_closure(&mut par, rules, threads);
-        assert_eq!(
-            par.iter_sorted(),
-            oracle,
-            "seed {seed} threads {threads}: parallel fixpoint diverged"
-        );
-        assert_eq!(
-            n_par, n_serial,
-            "seed {seed} threads {threads}: derived counts differ"
-        );
+        for (layout, mut par) in layouts(&facts) {
+            let n_par = parallel_closure(&mut par, rules, threads);
+            assert_eq!(
+                par.iter_sorted(),
+                oracle,
+                "seed {seed} threads {threads} {layout}: parallel fixpoint diverged"
+            );
+            assert_eq!(
+                n_par, n_serial,
+                "seed {seed} threads {threads} {layout}: derived counts differ"
+            );
+        }
     }
 }
 
@@ -195,7 +214,7 @@ fn delta_path_agrees_with_serial_delta_across_seeds() {
         let facts = lubm_style_facts(&mut rng);
         let mut serial: TripleStore = facts.iter().copied().collect();
         forward_closure(&mut serial, &rules);
-        let mut par = serial.clone();
+        let closed = serial.iter_sorted();
 
         // a batch of fresh facts against the closed store
         let batch_raw = lubm_style_facts(&mut rng);
@@ -205,22 +224,69 @@ fn delta_path_agrees_with_serial_delta_across_seeds() {
                 fresh_s.push(f);
             }
         }
-        let mut fresh_p = Vec::new();
-        for &f in &batch_raw {
-            if par.insert(f) {
-                fresh_p.push(f);
-            }
-        }
-        assert_eq!(fresh_s, fresh_p);
-
-        let mut a = forward_closure_delta(&mut serial, &rules, fresh_s);
-        let mut b = parallel_closure_delta(&mut par, &rules, fresh_p, 4);
+        let mut a = forward_closure_delta(&mut serial, &rules, fresh_s.clone());
         a.sort_unstable();
         a.dedup();
-        b.sort_unstable();
-        b.dedup();
-        assert_eq!(a, b, "seed {seed}: delta consequences diverged");
-        assert_eq!(par.iter_sorted(), serial.iter_sorted(), "seed {seed}");
+
+        for (layout, mut par) in layouts(&closed) {
+            let mut fresh_p = Vec::new();
+            for &f in &batch_raw {
+                if par.insert(f) {
+                    fresh_p.push(f);
+                }
+            }
+            assert_eq!(fresh_s, fresh_p, "seed {seed} {layout}");
+            let mut b = parallel_closure_delta(&mut par, &rules, fresh_p, 4);
+            b.sort_unstable();
+            b.dedup();
+            assert_eq!(a, b, "seed {seed} {layout}: delta consequences diverged");
+            assert_eq!(
+                par.iter_sorted(),
+                serial.iter_sorted(),
+                "seed {seed} {layout}"
+            );
+        }
+    }
+}
+
+#[test]
+fn small_stores_take_the_serial_fallback_from_every_layout() {
+    // Under MIN_PARALLEL_DELTA triples the closure (and a delta under it)
+    // runs on the serial engine, whose reads and inserts then go through
+    // both layers of the store.
+    let rules = lubm_style_rules();
+    for seed in 76..=85 {
+        let mut rng = Rng::new(seed);
+        let mut facts = lubm_style_facts(&mut rng);
+        facts.truncate(120);
+        check_seed(seed, &rules, facts.clone());
+
+        let mut serial: TripleStore = facts.iter().copied().collect();
+        forward_closure(&mut serial, &rules);
+        let closed = serial.iter_sorted();
+        let batch = [
+            t(1000, PART_OF, 1001),
+            t(1001, PART_OF, 1002),
+            t(1002, TYPE, 107),
+        ];
+        let fresh: Vec<Triple> = batch
+            .iter()
+            .copied()
+            .filter(|&f| serial.insert(f))
+            .collect();
+        let mut want = forward_closure_delta(&mut serial, &rules, fresh.clone());
+        want.sort_unstable();
+        for (layout, mut par) in layouts(&closed) {
+            par.extend(fresh.iter().copied());
+            let mut got = parallel_closure_delta(&mut par, &rules, fresh.clone(), 4);
+            got.sort_unstable();
+            assert_eq!(got, want, "seed {seed} {layout}");
+            assert_eq!(
+                par.iter_sorted(),
+                serial.iter_sorted(),
+                "seed {seed} {layout}"
+            );
+        }
     }
 }
 
