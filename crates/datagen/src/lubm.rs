@@ -12,7 +12,7 @@
 //! generator does and what the domain-specific partitioner keys on.
 
 use crate::ontology::{univ, univ_bench_tbox};
-use owlpar_rdf::vocab::RDF_TYPE;
+use crate::Builder;
 use owlpar_rdf::{Graph, NodeId, Term};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -59,10 +59,10 @@ impl LubmConfig {
 }
 
 struct Gen<'a> {
-    g: &'a mut Graph,
+    b: &'a mut Builder,
     rng: StdRng,
-    rdf_type: NodeId,
     props: Props,
+    classes: Classes,
 }
 
 struct Props {
@@ -81,9 +81,24 @@ struct Props {
     name: NodeId,
 }
 
+struct Classes {
+    university: NodeId,
+    department: NodeId,
+    research_group: NodeId,
+    full_professor: NodeId,
+    associate_professor: NodeId,
+    assistant_professor: NodeId,
+    lecturer: NodeId,
+    course: NodeId,
+    graduate_course: NodeId,
+    undergraduate_student: NodeId,
+    graduate_student: NodeId,
+    publication: NodeId,
+}
+
 impl<'a> Gen<'a> {
-    fn new(g: &'a mut Graph, seed: u64) -> Self {
-        let rdf_type = g.intern_iri(RDF_TYPE);
+    fn new(b: &'a mut Builder, seed: u64) -> Self {
+        let g = &mut b.g;
         let props = Props {
             sub_org: g.intern_iri(univ("subOrganizationOf")),
             works_for: g.intern_iri(univ("worksFor")),
@@ -99,24 +114,32 @@ impl<'a> Gen<'a> {
             email: g.intern_iri(univ("emailAddress")),
             name: g.intern_iri(univ("name")),
         };
+        // The TBox declared every class, so these take no new ids.
+        let classes = Classes {
+            university: g.intern_iri(univ("University")),
+            department: g.intern_iri(univ("Department")),
+            research_group: g.intern_iri(univ("ResearchGroup")),
+            full_professor: g.intern_iri(univ("FullProfessor")),
+            associate_professor: g.intern_iri(univ("AssociateProfessor")),
+            assistant_professor: g.intern_iri(univ("AssistantProfessor")),
+            lecturer: g.intern_iri(univ("Lecturer")),
+            course: g.intern_iri(univ("Course")),
+            graduate_course: g.intern_iri(univ("GraduateCourse")),
+            undergraduate_student: g.intern_iri(univ("UndergraduateStudent")),
+            graduate_student: g.intern_iri(univ("GraduateStudent")),
+            publication: g.intern_iri(univ("Publication")),
+        };
         Gen {
-            g,
+            b,
             rng: StdRng::seed_from_u64(seed),
-            rdf_type,
             props,
+            classes,
         }
     }
 
     fn range(&mut self, lo: usize, hi: usize, scale: f64) -> usize {
         let n = self.rng.gen_range(lo..=hi);
         ((n as f64 * scale).round() as usize).max(1)
-    }
-
-    fn typed(&mut self, iri: String, class: &str) -> NodeId {
-        let id = self.g.intern_iri(iri);
-        let cls = self.g.intern_iri(univ(class));
-        self.g.insert(id, self.rdf_type, cls);
-        id
     }
 }
 
@@ -134,49 +157,48 @@ pub fn department_iri(u: usize, d: usize) -> String {
 pub fn generate_lubm(cfg: &LubmConfig) -> Graph {
     let mut g = Graph::new();
     univ_bench_tbox(&mut g);
-    generate_lubm_into(&mut g, cfg);
-    g
+    let mut b = Builder::new(g);
+    lubm_instances(&mut b, cfg);
+    b.finish()
 }
 
-/// Generate LUBM instance data into an existing graph (the TBox must have
-/// been inserted by the caller). Shared by the UOBM generator.
-pub fn generate_lubm_into(g: &mut Graph, cfg: &LubmConfig) {
-    let mut gen = Gen::new(g, cfg.seed);
+/// Generate LUBM instance data into a graph under generation (which holds
+/// the TBox). Shared by the UOBM generator.
+pub(crate) fn lubm_instances(b: &mut Builder, cfg: &LubmConfig) {
+    let mut gen = Gen::new(b, cfg.seed);
     let s = cfg.scale;
 
     // Universities exist up front so degreeFrom can point anywhere.
     let universities: Vec<NodeId> = (0..cfg.universities)
-        .map(|u| gen.typed(university_iri(u), "University"))
+        .map(|u| {
+            gen.b.typed(
+                format_args!("{}", university_iri(u)),
+                gen.classes.university,
+            )
+        })
         .collect();
 
     for u in 0..cfg.universities {
         let n_dept = gen.range(15, 25, s);
         for d in 0..n_dept {
-            generate_department(&mut gen, &universities, u, d, s, cfg.universities);
+            generate_department(&mut gen, &universities, u, d, s);
         }
     }
 }
 
-fn generate_department(
-    gen: &mut Gen<'_>,
-    universities: &[NodeId],
-    u: usize,
-    d: usize,
-    s: f64,
-    n_univ: usize,
-) {
+fn generate_department(gen: &mut Gen<'_>, universities: &[NodeId], u: usize, d: usize, s: f64) {
     let base = department_iri(u, d);
-    let dept = gen.typed(base.clone(), "Department");
-    gen.g.insert(dept, gen.props.sub_org, universities[u]);
+    let dept = gen.b.typed(format_args!("{base}"), gen.classes.department);
+    gen.b.add(dept, gen.props.sub_org, universities[u]);
 
     // research groups: dept -> group chains extend the subOrganizationOf
     // transitive workload
     let n_groups = gen.range(10, 20, s);
-    let mut groups = Vec::with_capacity(n_groups);
     for i in 0..n_groups {
-        let grp = gen.typed(format!("{base}/group{i}"), "ResearchGroup");
-        gen.g.insert(grp, gen.props.sub_org, dept);
-        groups.push(grp);
+        let grp = gen
+            .b
+            .typed(format_args!("{base}/group{i}"), gen.classes.research_group);
+        gen.b.add(grp, gen.props.sub_org, dept);
     }
 
     let n_full = gen.range(7, 10, s);
@@ -184,32 +206,31 @@ fn generate_department(
     let n_assist = gen.range(8, 11, s);
     let n_lect = gen.range(5, 7, s);
 
+    let ranks = [
+        (gen.classes.full_professor, "fullprof", n_full),
+        (gen.classes.associate_professor, "assocprof", n_assoc),
+        (gen.classes.assistant_professor, "assistprof", n_assist),
+        (gen.classes.lecturer, "lecturer", n_lect),
+    ];
     let mut faculty: Vec<NodeId> = Vec::new();
-    let mk_faculty = |gen: &mut Gen<'_>, class: &str, tag: &str, count: usize| {
-        let mut out = Vec::with_capacity(count);
+    for (class, tag, count) in ranks {
         for i in 0..count {
-            let f = gen.typed(format!("{base}/{tag}{i}"), class);
-            gen.g.insert(f, gen.props.works_for, dept);
+            let f = gen.b.typed(format_args!("{base}/{tag}{i}"), class);
+            gen.b.add(f, gen.props.works_for, dept);
             // a degree from a random university (cross-university edge)
             let from = universities[gen.rng.gen_range(0..universities.len().max(1))];
-            gen.g.insert(f, gen.props.phd_degree, from);
+            gen.b.add(f, gen.props.phd_degree, from);
             let email = gen
+                .b
                 .g
                 .intern(Term::literal(format!("{tag}{i}@univ{u}.edu")));
-            gen.g.insert(f, gen.props.email, email);
-            out.push(f);
+            gen.b.add(f, gen.props.email, email);
+            faculty.push(f);
         }
-        out
-    };
-    let fulls = mk_faculty(gen, "FullProfessor", "fullprof", n_full);
-    faculty.extend(&fulls);
-    faculty.extend(mk_faculty(gen, "AssociateProfessor", "assocprof", n_assoc));
-    faculty.extend(mk_faculty(gen, "AssistantProfessor", "assistprof", n_assist));
-    faculty.extend(mk_faculty(gen, "Lecturer", "lecturer", n_lect));
-    let _ = n_univ;
+    }
 
     // the chair heads the department (headOf ⊑ worksFor ⊑ memberOf)
-    gen.g.insert(fulls[0], gen.props.head_of, dept);
+    gen.b.add(faculty[0], gen.props.head_of, dept);
 
     // courses: each faculty teaches 1-2, plus graduate courses
     let mut courses = Vec::new();
@@ -217,12 +238,12 @@ fn generate_department(
         let n_c = gen.rng.gen_range(1..=2);
         for c in 0..n_c {
             let class = if gen.rng.gen_bool(0.3) {
-                "GraduateCourse"
+                gen.classes.graduate_course
             } else {
-                "Course"
+                gen.classes.course
             };
-            let crs = gen.typed(format!("{base}/course{i}_{c}"), class);
-            gen.g.insert(f, gen.props.teacher_of, crs);
+            let crs = gen.b.typed(format_args!("{base}/course{i}_{c}"), class);
+            gen.b.add(f, gen.props.teacher_of, crs);
             courses.push(crs);
         }
     }
@@ -232,32 +253,38 @@ fn generate_department(
     let n_grad = gen.range(25, 40, s);
     let mut grads = Vec::with_capacity(n_grad);
     for i in 0..n_ugrad {
-        let st = gen.typed(format!("{base}/ugstudent{i}"), "UndergraduateStudent");
-        gen.g.insert(st, gen.props.member_of, dept);
+        let st = gen.b.typed(
+            format_args!("{base}/ugstudent{i}"),
+            gen.classes.undergraduate_student,
+        );
+        gen.b.add(st, gen.props.member_of, dept);
         for _ in 0..gen.rng.gen_range(2..=4) {
             let crs = courses[gen.rng.gen_range(0..courses.len())];
-            gen.g.insert(st, gen.props.takes_course, crs);
+            gen.b.add(st, gen.props.takes_course, crs);
         }
         if gen.rng.gen_bool(0.2) {
             let adv = faculty[gen.rng.gen_range(0..faculty.len())];
-            gen.g.insert(st, gen.props.advisor, adv);
+            gen.b.add(st, gen.props.advisor, adv);
         }
     }
     for i in 0..n_grad {
-        let st = gen.typed(format!("{base}/gstudent{i}"), "GraduateStudent");
-        gen.g.insert(st, gen.props.member_of, dept);
+        let st = gen.b.typed(
+            format_args!("{base}/gstudent{i}"),
+            gen.classes.graduate_student,
+        );
+        gen.b.add(st, gen.props.member_of, dept);
         for _ in 0..gen.rng.gen_range(1..=3) {
             let crs = courses[gen.rng.gen_range(0..courses.len())];
-            gen.g.insert(st, gen.props.takes_course, crs);
+            gen.b.add(st, gen.props.takes_course, crs);
         }
         let adv = faculty[gen.rng.gen_range(0..faculty.len())];
-        gen.g.insert(st, gen.props.advisor, adv);
+        gen.b.add(st, gen.props.advisor, adv);
         // undergraduate degree from a random (usually other) university
         let from = universities[gen.rng.gen_range(0..universities.len())];
-        gen.g.insert(st, gen.props.ug_degree, from);
+        gen.b.add(st, gen.props.ug_degree, from);
         if gen.rng.gen_bool(0.25) {
             let from = universities[gen.rng.gen_range(0..universities.len())];
-            gen.g.insert(st, gen.props.ms_degree, from);
+            gen.b.add(st, gen.props.ms_degree, from);
         }
         grads.push(st);
     }
@@ -266,24 +293,30 @@ fn generate_department(
     for (i, &f) in faculty.iter().enumerate() {
         let n_pub = gen.range(5, 15, s.max(0.2));
         for p in 0..n_pub {
-            let pb = gen.typed(format!("{base}/pub{i}_{p}"), "Publication");
-            gen.g.insert(pb, gen.props.pub_author, f);
+            let pb = gen
+                .b
+                .typed(format_args!("{base}/pub{i}_{p}"), gen.classes.publication);
+            gen.b.add(pb, gen.props.pub_author, f);
             if !grads.is_empty() && gen.rng.gen_bool(0.5) {
                 let co = grads[gen.rng.gen_range(0..grads.len())];
-                gen.g.insert(pb, gen.props.pub_author, co);
+                gen.b.add(pb, gen.props.pub_author, co);
             }
         }
     }
 
     // a name literal per department keeps literals in the node mix
-    let name = gen.g.intern(Term::literal(format!("Department {d} of University {u}")));
-    gen.g.insert(dept, gen.props.name, name);
+    let name = gen
+        .b
+        .g
+        .intern(Term::literal(format!("Department {d} of University {u}")));
+    gen.b.add(dept, gen.props.name, name);
 }
 
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
+    use owlpar_rdf::vocab::RDF_TYPE;
     use owlpar_rdf::TriplePattern;
 
     fn mini() -> Graph {

@@ -10,7 +10,7 @@
 //! transitive-closure rules much harder than LUBM does.
 
 use crate::ontology::{mdc, mdc_tbox};
-use owlpar_rdf::vocab::RDF_TYPE;
+use crate::Builder;
 use owlpar_rdf::{Graph, NodeId, Term};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -77,70 +77,70 @@ pub fn generate_mdc(cfg: &MdcConfig) -> Graph {
     mdc_tbox(&mut g);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
-    let rdf_type = g.intern_iri(RDF_TYPE);
-    let part_of = g.intern_iri(mdc("partOf"));
-    let feeds = g.intern_iri(mdc("feeds"));
-    let monitors = g.intern_iri(mdc("monitors"));
-    let measurement_of = g.intern_iri(mdc("measurementOf"));
-    let value = g.intern_iri(mdc("hasValue"));
-
-    let typed = |g: &mut Graph, iri: String, class: &str| -> NodeId {
-        let id = g.intern_iri(iri);
-        let cls = g.intern_iri(mdc(class));
-        g.insert(id, rdf_type, cls);
-        id
-    };
+    let mut b = Builder::new(g);
+    let part_of = b.g.intern_iri(mdc("partOf"));
+    let feeds = b.g.intern_iri(mdc("feeds"));
+    let monitors = b.g.intern_iri(mdc("monitors"));
+    let measurement_of = b.g.intern_iri(mdc("measurementOf"));
+    let value = b.g.intern_iri(mdc("hasValue"));
+    // The TBox declared every class, so these take no new ids.
+    let [field_c, well_c, pump, valve, pressure, temperature, measurement] = [
+        "Field",
+        "Well",
+        "Pump",
+        "Valve",
+        "PressureSensor",
+        "TemperatureSensor",
+        "Measurement",
+    ]
+    .map(|class| b.g.intern_iri(mdc(class)));
 
     for f in 0..cfg.fields {
         let base = format!("http://www.field{f}.mdc.org");
-        let field = typed(&mut g, format!("{base}/field"), "Field");
+        let field = b.typed(format_args!("{base}/field"), field_c);
         let mut prev_well: Option<NodeId> = None;
         for w in 0..cfg.wells_per_field {
-            let well = typed(&mut g, format!("{base}/well{w}"), "Well");
-            g.insert(well, part_of, field);
+            let well = b.typed(format_args!("{base}/well{w}"), well_c);
+            b.add(well, part_of, field);
             // pipeline topology: wells feed their neighbor (symmetric via
             // feeds ⊑ connectedTo + connectedTo symmetric)
             if let Some(pw) = prev_well {
-                g.insert(pw, feeds, well);
+                b.add(pw, feeds, well);
             }
             prev_well = Some(well);
 
             // equipment chain: eq0 partOf well, eq1 partOf eq0, ...
             let mut parent = well;
             for e in 0..cfg.equipment_chain {
-                let class = if e % 2 == 0 { "Pump" } else { "Valve" };
-                let eq = typed(&mut g, format!("{base}/well{w}/eq{e}"), class);
-                g.insert(eq, part_of, parent);
+                let class = if e % 2 == 0 { pump } else { valve };
+                let eq = b.typed(format_args!("{base}/well{w}/eq{e}"), class);
+                b.add(eq, part_of, parent);
                 parent = eq;
 
                 for s in 0..cfg.sensors_per_equipment {
                     let sclass = if rng.gen_bool(0.5) {
-                        "PressureSensor"
+                        pressure
                     } else {
-                        "TemperatureSensor"
+                        temperature
                     };
-                    let sensor =
-                        typed(&mut g, format!("{base}/well{w}/eq{e}/sensor{s}"), sclass);
-                    g.insert(sensor, part_of, eq);
-                    g.insert(sensor, monitors, eq);
+                    let sensor = b.typed(format_args!("{base}/well{w}/eq{e}/sensor{s}"), sclass);
+                    b.add(sensor, part_of, eq);
+                    b.add(sensor, monitors, eq);
                     for m in 0..cfg.measurements_per_sensor {
-                        let meas = typed(
-                            &mut g,
-                            format!("{base}/well{w}/eq{e}/sensor{s}/m{m}"),
-                            "Measurement",
+                        let meas = b.typed(
+                            format_args!("{base}/well{w}/eq{e}/sensor{s}/m{m}"),
+                            measurement,
                         );
-                        g.insert(meas, measurement_of, sensor);
-                        let v = g.intern(Term::literal(format!(
-                            "{:.2}",
-                            rng.gen_range(0.0..1000.0)
-                        )));
-                        g.insert(meas, value, v);
+                        b.add(meas, measurement_of, sensor);
+                        let v =
+                            b.g.intern(Term::literal(format!("{:.2}", rng.gen_range(0.0..1000.0))));
+                        b.add(meas, value, v);
                     }
                 }
             }
         }
     }
-    g
+    b.finish()
 }
 
 #[cfg(test)]

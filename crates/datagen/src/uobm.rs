@@ -9,10 +9,10 @@
 //! `hasSameHomeTownWith` edges between random people of different
 //! universities.
 
-use crate::lubm::{generate_lubm_into, LubmConfig};
+use crate::lubm::{lubm_instances, LubmConfig};
 use crate::ontology::{univ, univ_bench_tbox, uobm_extension_tbox};
-use owlpar_rdf::vocab::RDF_TYPE;
-use owlpar_rdf::{Graph, NodeId, Term, TriplePattern};
+use crate::Builder;
+use owlpar_rdf::{Graph, NodeId, Term};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -61,31 +61,39 @@ pub fn generate_uobm(cfg: &UobmConfig) -> Graph {
     let mut g = Graph::new();
     univ_bench_tbox(&mut g);
     uobm_extension_tbox(&mut g);
-    generate_lubm_into(&mut g, &cfg.lubm);
+    let mut b = Builder::new(g);
+    lubm_instances(&mut b, &cfg.lubm);
+    social_links(&mut b, cfg);
+    b.finish()
+}
 
+/// Add the cross-university `isFriendOf` / `hasSameHomeTownWith` edges
+/// between the people generated so far.
+fn social_links(b: &mut Builder, cfg: &UobmConfig) {
     let mut rng = StdRng::seed_from_u64(cfg.lubm.seed ^ 0x0b_0b);
-    let rdf_type = g.intern(Term::iri(RDF_TYPE));
 
-    // Collect people grouped by university (from the IRI authority).
+    // Collect people grouped by university (from the IRI authority), class
+    // by class and within a class in creation order — the pinned text
+    // depends on it. That is the order `matches(?, rdf:type, C)` returned
+    // when people were read back from a store they had been inserted
+    // into one by one; the POS row of a compacted store (subjects
+    // ascending) agrees with it only because ids follow creation.
     let person_classes = ["UndergraduateStudent", "GraduateStudent", "FullProfessor",
         "AssociateProfessor", "AssistantProfessor", "Lecturer"];
     let mut people: Vec<(usize, NodeId)> = Vec::new();
     for cls in person_classes {
-        let Some(cid) = g.dict.id(&Term::iri(univ(cls))) else { continue };
-        for t in g.matches(TriplePattern::new(None, Some(rdf_type), Some(cid))) {
-            let uni = g
-                .term(t.s)
-                .and_then(|term| term.as_iri().map(university_of))
-                .unwrap_or(0);
-            people.push((uni, t.s));
+        let Some(cid) = b.g.dict.id(&Term::iri(univ(cls))) else { continue };
+        for t in b.triples.iter().filter(|t| t.p == b.rdf_type && t.o == cid) {
+            let iri = b.g.term(t.s).and_then(Term::as_iri);
+            people.push((iri.map_or(0, university_of), t.s));
         }
     }
     if people.len() < 2 {
-        return g;
+        return;
     }
 
-    let is_friend = g.intern_iri(univ("isFriendOf"));
-    let hometown = g.intern_iri(univ("hasSameHomeTownWith"));
+    let is_friend = b.g.intern_iri(univ("isFriendOf"));
+    let hometown = b.g.intern_iri(univ("hasSameHomeTownWith"));
 
     // friendships: mostly cross-university
     let n_friend_edges = (people.len() as f64 * cfg.friends_per_person) as usize;
@@ -99,9 +107,8 @@ pub fn generate_uobm(cfg: &UobmConfig) -> Graph {
             }
             partner = people[rng.gen_range(0..people.len())];
         }
-        let (_, b) = partner;
-        if a != b {
-            g.insert(a, is_friend, b);
+        if a != partner.1 {
+            b.add(a, is_friend, partner.1);
         }
     }
 
@@ -112,13 +119,12 @@ pub fn generate_uobm(cfg: &UobmConfig) -> Graph {
         let (_, p) = people[rng.gen_range(0..people.len())];
         if let Some(q) = prev {
             if p != q {
-                g.insert(q, hometown, p);
+                b.add(q, hometown, p);
             }
         }
         // start a new chain every few people so cliques stay bounded
         prev = if i % 6 == 5 { None } else { Some(p) };
     }
-    g
 }
 
 /// Parse the university index out of an entity IRI
@@ -134,6 +140,7 @@ fn university_of(iri: &str) -> usize {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
+    use owlpar_rdf::TriplePattern;
 
     #[test]
     fn university_of_parses() {

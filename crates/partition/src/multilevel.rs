@@ -8,8 +8,8 @@
 //!    graph until it is small. No coarse vertex may outweigh
 //!    1.5 × total / `coarsen_until`, so the coarsest graph can still be
 //!    split evenly;
-//! 2. **Initial partitioning** — greedy graph growing bisects the coarsest
-//!    graph;
+//! 2. **Initial partitioning** — greedy graph growing by cut gain bisects
+//!    the coarsest graph;
 //! 3. **Uncoarsening** — the partition is projected back level by level
 //!    and improved with boundary Fiduccia–Mattheyses (FM) passes.
 //!
@@ -506,10 +506,19 @@ fn best_direct_bisect(
     best.1
 }
 
-/// Greedy graph-growing bisection: BFS-grow side 0 from a random seed,
-/// preferring frontier vertices with the strongest connection to the
-/// region, until side 0 reaches `ratio` of the total weight. Disconnected
-/// graphs are handled by reseeding.
+/// Greedy graph-growing bisection: grow side 0 from a random seed, taking
+/// next the frontier vertex whose move into the region shrinks the cut
+/// most — edge weight into the region minus edge weight out of it — until
+/// side 0 reaches `ratio` of the total weight. Disconnected graphs are
+/// handled by reseeding.
+///
+/// Gain, not connection to the region alone: that leaves most of a
+/// sparse graph's frontier tied, ties go to the highest vertex id, and
+/// under creation-order numbering (a parent before its descendants) that
+/// is the deepest descendant — a hierarchy is grown depth-first into a
+/// stringy region FM cannot repair. Ranked by gain, a leaf or the rest
+/// of a chain goes in before growth crosses a branching vertex, so the
+/// region closes subtrees whatever the numbering.
 fn greedy_grow_bisect(graph: &CsrGraph, ratio: f64, rng: &mut StdRng) -> Vec<u32> {
     let n = graph.n();
     let total: u64 = graph.total_vwgt();
@@ -520,13 +529,16 @@ fn greedy_grow_bisect(graph: &CsrGraph, ratio: f64, rng: &mut StdRng) -> Vec<u32
     }
     let mut grown: u64 = 0;
     let mut in_region = vec![false; n];
-    // (connection weight, vertex); lazy heap, stale entries skipped
-    let mut frontier: BinaryHeap<(u64, usize)> = BinaryHeap::new();
-    let mut conn = vec![0u64; n];
+    // (gain, vertex); lazy heap, stale entries skipped
+    let mut frontier: BinaryHeap<(i64, usize)> = BinaryHeap::new();
+    // edge weight into the region minus edge weight out of it
+    let mut gain: Vec<i64> = (0..n)
+        .map(|v| -(graph.neighbors(v).map(|(_, w)| w).sum::<u64>() as i64))
+        .collect();
 
     while grown < target {
         let v = match frontier.pop() {
-            Some((w, v)) if !in_region[v] && w == conn[v] => v,
+            Some((g, v)) if !in_region[v] && g == gain[v] => v,
             Some(_) => continue,
             None => {
                 // reseed in an untouched component
@@ -543,8 +555,8 @@ fn greedy_grow_bisect(graph: &CsrGraph, ratio: f64, rng: &mut StdRng) -> Vec<u32
         for (u, w) in graph.neighbors(v) {
             let u = u as usize;
             if !in_region[u] {
-                conn[u] += w;
-                frontier.push((conn[u], u));
+                gain[u] += 2 * w as i64;
+                frontier.push((gain[u], u));
             }
         }
     }
@@ -855,6 +867,46 @@ mod tests {
             assert_eq!(g.edge_cut(&side), 1, "start {start}");
             let w = g.part_weights(&side, 2);
             assert!(w.iter().all(|&x| x <= 52), "start {start}: {w:?}");
+        }
+    }
+
+    #[test]
+    fn creation_order_numbering_does_not_cost_cut() {
+        // A field, its three wells in a pipeline, and under each well a
+        // chain of three devices each carrying sensor - reading - value,
+        // numbered the way a generator creates them (a parent before its
+        // descendants, so a deeper vertex has a higher id). Two edges
+        // separate 20 | 20: one well's device subtree (12) and another
+        // well's last two devices (8). Growing by connection weight, ties
+        // to the highest id, cut 4 at every seed.
+        let mut edges: Vec<(usize, usize, u64)> = Vec::new();
+        let mut next = 1;
+        let mut wells = Vec::new();
+        for _ in 0..3 {
+            let well = next;
+            edges.push((well, 0, 1));
+            if let Some(&previous) = wells.last() {
+                edges.push((previous, well, 1));
+            }
+            wells.push(well);
+            next += 1;
+            let mut parent = well;
+            for _ in 0..3 {
+                let device = next;
+                edges.push((device, parent, 1));
+                edges.push((device + 1, device, 2)); // sensor: two triples
+                edges.push((device + 2, device + 1, 1));
+                edges.push((device + 3, device + 2, 1));
+                parent = device;
+                next += 4;
+            }
+        }
+        let g = CsrGraph::from_edges(next, &edges);
+        assert_eq!(g.n(), 40);
+        for seed in 0..16 {
+            let part = partition_kway(&g, 2, &opts(seed));
+            assert_eq!(g.part_weights(&part, 2), [20, 20], "seed {seed}");
+            assert_eq!(g.edge_cut(&part), 2, "seed {seed}");
         }
     }
 

@@ -6,8 +6,7 @@
 //! from 0, which lets the partitioners use plain vectors indexed by id
 //! instead of hash maps.
 
-use crate::fx::FxHashMap;
-use crate::term::Term;
+use crate::term::{Term, TermRef};
 use serde::{Deserialize, Serialize};
 
 /// Dense identifier of an interned term. `NodeId(u32)` keeps encoded
@@ -35,10 +34,20 @@ impl std::fmt::Display for NodeId {
 ///
 /// Interning an already-present term returns its existing id; the mapping
 /// is injective in both directions.
+///
+/// Each term is stored once, in `terms`; the other direction is an index
+/// over that vector — an open-addressing table of ids, not a second map
+/// keyed by a copy of the term. A lookup therefore takes a borrowed term
+/// (`TermRef`) and compares it with the stored text, so a loader builds a
+/// `Term` (allocates) only the first time it sees one.
 #[derive(Debug, Default, Clone)]
 pub struct Dictionary {
     terms: Vec<Term>,
-    ids: FxHashMap<Term, NodeId>,
+    /// Linear-probing index over `terms`, a power of two long and at most
+    /// half full. A slot is 0 (empty) or `tag << 32 | id + 1`, where `tag`
+    /// is the high half of the term's [`TermRef::dict_hash`]; the tag's
+    /// leading bits are the probe start, so growing never re-reads a term.
+    slots: Vec<u64>,
 }
 
 impl Dictionary {
@@ -59,30 +68,37 @@ impl Dictionary {
 
     /// Intern a term, returning its (possibly pre-existing) id.
     ///
-    /// Panics if the dictionary would exceed 2^32 terms — ids are `u32`
+    /// Panics if the dictionary would reach 2^32 terms — ids are `u32`
     /// by design (three-word triples), and no supported dataset comes
     /// within two orders of magnitude of that.
-    #[allow(clippy::expect_used)]
     pub fn intern(&mut self, term: Term) -> NodeId {
-        if let Some(&id) = self.ids.get(&term) {
-            return id;
+        let hash = term.as_ref().dict_hash();
+        match self.find(hash, &term.as_ref()) {
+            Some(id) => id,
+            None => self.push(hash, term),
         }
-        let id = NodeId(
-            u32::try_from(self.terms.len()).expect("dictionary overflow: more than 2^32 terms"),
-        );
-        self.terms.push(term.clone());
-        self.ids.insert(term, id);
-        id
+    }
+
+    /// Intern a borrowed term whose `dict_hash()` is `hash` (the loader
+    /// hashes on its tokenising threads): a term the dictionary already
+    /// holds costs a lookup and no allocation.
+    pub(crate) fn intern_hashed(&mut self, hash: u64, term: &TermRef<'_>) -> NodeId {
+        match self.find(hash, term) {
+            Some(id) => id,
+            None => self.push(hash, term.to_term()),
+        }
     }
 
     /// Convenience: intern an IRI given as a string.
     pub fn intern_iri(&mut self, iri: impl AsRef<str>) -> NodeId {
-        self.intern(Term::iri(iri))
+        let term = TermRef::Iri(iri.as_ref());
+        self.intern_hashed(term.dict_hash(), &term)
     }
 
     /// Look up the id of a term without interning.
     pub fn id(&self, term: &Term) -> Option<NodeId> {
-        self.ids.get(term).copied()
+        let term = term.as_ref();
+        self.find(term.dict_hash(), &term)
     }
 
     /// Look up the term for an id.
@@ -107,6 +123,59 @@ impl Dictionary {
             .iter()
             .map(|t| self.intern(t.clone()))
             .collect()
+    }
+
+    /// Where the probe sequence of a term tagged `tag` starts.
+    fn probe_start(&self, tag: u64) -> usize {
+        // `slots.len()` is 2^bits: the tag's leading `bits` bits.
+        (tag << 32 >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    fn find(&self, hash: u64, term: &TermRef<'_>) -> Option<NodeId> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let tag = hash >> 32;
+        let mask = self.slots.len() - 1;
+        let mut i = self.probe_start(tag);
+        loop {
+            let slot = self.slots[i];
+            if slot == 0 {
+                return None;
+            }
+            let id = (slot as u32 - 1) as usize;
+            if slot >> 32 == tag && *term == self.terms[id] {
+                return Some(NodeId(id as u32));
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Append a term known to be absent.
+    #[allow(clippy::expect_used)]
+    fn push(&mut self, hash: u64, term: Term) -> NodeId {
+        self.terms.push(term);
+        let id_plus_1 = u32::try_from(self.terms.len()).expect("dictionary overflow: 2^32 terms");
+        if self.terms.len() * 2 > self.slots.len() {
+            let old = std::mem::take(&mut self.slots);
+            self.slots = vec![0; (old.len() * 2).max(16)];
+            for slot in old.into_iter().filter(|&slot| slot != 0) {
+                self.place(slot);
+            }
+        }
+        self.place((hash >> 32 << 32) | u64::from(id_plus_1));
+        NodeId(id_plus_1 - 1)
+    }
+
+    /// Put an occupied slot value into the first free slot of its probe
+    /// sequence.
+    fn place(&mut self, slot: u64) {
+        let mask = self.slots.len() - 1;
+        let mut i = self.probe_start(slot >> 32);
+        while self.slots[i] != 0 {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = slot;
     }
 }
 

@@ -337,7 +337,10 @@ impl FrozenStore {
             let mut rows: Vec<[NodeId; 3]> = delta.iter().map(key).collect();
             rows.sort_unstable();
             rows.dedup();
-            SortedIndex::from_sorted(merge_sorted(&idx.rows, &rows))
+            if !idx.rows.is_empty() {
+                rows = merge_sorted(&idx.rows, &rows);
+            }
+            SortedIndex::from_sorted(rows)
         };
         Self::build_families(
             threads,

@@ -84,15 +84,21 @@ impl Graph {
         self.store.matches(pat)
     }
 
-    /// Decode a triple back into terms (panics if ids are foreign to this
-    /// graph's dictionary — a programming error).
+    /// The terms of a triple, borrowed from the dictionary (panics if ids
+    /// are foreign to this graph's dictionary — a programming error).
     #[allow(clippy::expect_used)]
-    pub fn decode(&self, t: Triple) -> (Term, Term, Term) {
+    pub fn decode_ref(&self, t: Triple) -> (&Term, &Term, &Term) {
         (
-            self.dict.term(t.s).expect("unknown subject id").clone(),
-            self.dict.term(t.p).expect("unknown predicate id").clone(),
-            self.dict.term(t.o).expect("unknown object id").clone(),
+            self.dict.term(t.s).expect("unknown subject id"),
+            self.dict.term(t.p).expect("unknown predicate id"),
+            self.dict.term(t.o).expect("unknown object id"),
         )
+    }
+
+    /// [`Graph::decode_ref`] for callers that want owned terms.
+    pub fn decode(&self, t: Triple) -> (Term, Term, Term) {
+        let (s, p, o) = self.decode_ref(t);
+        (s.clone(), p.clone(), o.clone())
     }
 
     /// Import every triple of `other` (different dictionary) into `self`,
@@ -119,8 +125,9 @@ impl Graph {
         let bh = crate::fx::FxBuildHasher::default();
         let mut acc: u64 = 0;
         for t in self.store.iter() {
-            // XOR-fold so the fingerprint is order independent.
-            acc ^= bh.hash_one(self.decode(t));
+            // XOR-fold so the fingerprint is order independent. A tuple
+            // of references hashes as the tuple of owned terms does.
+            acc ^= bh.hash_one(self.decode_ref(t));
         }
         acc ^ (self.store.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
     }

@@ -5,6 +5,7 @@
 //! dictionary-encoded [`crate::NodeId`]s.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -30,7 +31,105 @@ pub enum Term {
     },
 }
 
+/// A term whose text is borrowed: what the loader sees in its input, or a
+/// view of a [`Term`]. The [`Dictionary`](crate::Dictionary) is looked up
+/// by this type, so a term it already holds is never built a second
+/// time. Only a literal that had escapes to undo owns its lexical form.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum TermRef<'a> {
+    /// An IRI reference, without the enclosing `<` `>`.
+    Iri(&'a str),
+    /// A blank node label, without the leading `_:`.
+    Blank(&'a str),
+    /// A literal with optional language tag or datatype IRI.
+    Literal {
+        /// The lexical form (unescaped).
+        lexical: Cow<'a, str>,
+        /// Language tag.
+        lang: Option<&'a str>,
+        /// Datatype IRI, if any.
+        datatype: Option<&'a str>,
+    },
+}
+
+impl TermRef<'_> {
+    /// The owned term: one allocation per string.
+    pub(crate) fn to_term(&self) -> Term {
+        match self {
+            TermRef::Iri(s) => Term::Iri(Arc::from(*s)),
+            TermRef::Blank(l) => Term::Blank(Arc::from(*l)),
+            TermRef::Literal {
+                lexical,
+                lang,
+                datatype,
+            } => Term::Literal {
+                lexical: Arc::from(&**lexical),
+                lang: lang.map(Arc::from),
+                datatype: datatype.map(Arc::from),
+            },
+        }
+    }
+
+    /// The hash the dictionary files this term under. A function of the
+    /// term's kind and text alone, so a loader thread can compute it
+    /// without the dictionary.
+    pub(crate) fn dict_hash(&self) -> u64 {
+        use std::hash::Hasher;
+        let mut h = crate::fx::FxHasher::default();
+        match self {
+            TermRef::Iri(s) => {
+                h.write(s.as_bytes());
+                h.write_u8(0);
+            }
+            TermRef::Blank(l) => {
+                h.write(l.as_bytes());
+                h.write_u8(1);
+            }
+            TermRef::Literal {
+                lexical,
+                lang,
+                datatype,
+            } => {
+                h.write(lexical.as_bytes());
+                h.write_u8(2);
+                if let Some(lang) = lang {
+                    h.write(lang.as_bytes());
+                    h.write_u8(3);
+                }
+                if let Some(dt) = datatype {
+                    h.write(dt.as_bytes());
+                    h.write_u8(4);
+                }
+            }
+        }
+        h.finish()
+    }
+}
+
+impl PartialEq<Term> for TermRef<'_> {
+    fn eq(&self, other: &Term) -> bool {
+        *self == other.as_ref()
+    }
+}
+
 impl Term {
+    /// This term's text, borrowed.
+    pub(crate) fn as_ref(&self) -> TermRef<'_> {
+        match self {
+            Term::Iri(s) => TermRef::Iri(s),
+            Term::Blank(l) => TermRef::Blank(l),
+            Term::Literal {
+                lexical,
+                lang,
+                datatype,
+            } => TermRef::Literal {
+                lexical: Cow::Borrowed(lexical),
+                lang: lang.as_deref(),
+                datatype: datatype.as_deref(),
+            },
+        }
+    }
+
     /// Build an IRI term.
     pub fn iri(s: impl AsRef<str>) -> Self {
         Term::Iri(Arc::from(s.as_ref()))

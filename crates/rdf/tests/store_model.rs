@@ -175,12 +175,14 @@ proptest! {
 
     /// `parse_ntriples` counts the distinct triples that were new —
     /// whatever the store's layers held before and however often a line
-    /// repeats.
+    /// repeats — and a malformed line keeps exactly the lines before it.
     #[test]
     fn parse_counts_distinct_new_triples(
         before in prop::collection::vec(triple(), 0..20),
         compacted in 0usize..20,
         lines in prop::collection::vec(triple(), 0..30),
+        // where a malformed line goes, if inside the document
+        bad in 0usize..60,
     ) {
         // NodeId(i) is the i-th interned IRI, so a triple renders as a line
         // by its ids.
@@ -189,10 +191,17 @@ proptest! {
             g.intern_iri(format!("http://ex.org/n{i}"));
         }
         let iri = |id: NodeId| format!("<http://ex.org/n{}>", id.0);
-        let nt: String = lines
+        let mut text: Vec<String> = lines
             .iter()
             .map(|t| format!("{} {} {} .\n", iri(t.s), iri(t.p), iri(t.o)))
             .collect();
+        let kept = if bad <= lines.len() {
+            text.insert(bad, "<http://ex.org/n0> <http://ex.org/unclosed <http://ex.org/n1> .\n".into());
+            &lines[..bad]
+        } else {
+            &lines[..]
+        };
+        let nt = text.concat();
         // pre-populated: part of it in the base, the rest in the overlay
         for (i, &t) in before.iter().enumerate() {
             g.store.insert(t);
@@ -201,12 +210,92 @@ proptest! {
             }
         }
         let mut model: Model = before.iter().copied().collect();
-        let want = sorted_dedup(lines.clone()).iter().filter(|t| !model.contains(t)).count();
-        let added = parse_ntriples(&nt, &mut g).unwrap();
-        prop_assert_eq!(added, want);
-        model.extend(&lines);
+        let want = sorted_dedup(kept.to_vec()).iter().filter(|t| !model.contains(t)).count();
+        match parse_ntriples(&nt, &mut g) {
+            Ok(added) => {
+                prop_assert!(bad > lines.len());
+                prop_assert_eq!(added, want);
+            }
+            Err(e) => prop_assert_eq!(e.line, bad + 1),
+        }
+        prop_assert_eq!(g.dict.len(), 112, "nothing of the malformed line is interned");
+        model.extend(kept);
         check(&g.store, &model, &lines);
     }
+}
+
+/// A document big enough for the loader to cut it into chunks and
+/// tokenise them on helper threads loads exactly like its lines handed
+/// over one at a time (each a one-chunk document on the calling thread):
+/// same ids, same store, same count — into a graph that already holds
+/// part of it, half compacted.
+#[test]
+fn a_document_over_the_parallel_floor_loads_like_its_lines_one_by_one() {
+    let pad = "x".repeat(90);
+    let node = |n: usize| match n % 5 {
+        0 => format!("_:b{n}"),
+        1 => format!("\"{pad} \\\"{n}\\\" caf\u{e9}\"@en"),
+        _ => format!("<http://ex.org/{pad}/n{n}>"),
+    };
+    let mut lines: Vec<String> = Vec::new();
+    for i in 0..2400usize {
+        let (s, o) = (i * 7 % 610, i * 13 % 457);
+        let s = if s % 5 == 1 { s + 1 } else { s }; // no literal subjects
+        lines.push(format!(
+            "{} <http://ex.org/{pad}/p{}> {} .",
+            node(s),
+            i % 9,
+            node(o)
+        ));
+        if i % 97 == 0 {
+            lines.push(format!("# {pad}"));
+            lines.push(lines[i / 2].clone());
+        }
+    }
+    let doc = lines.join("\n");
+    assert!(doc.len() > 1 << 19, "{} bytes", doc.len());
+
+    let mut start = Graph::new();
+    let head = lines[..40].join("\n");
+    parse_ntriples(&head, &mut start).unwrap();
+    for line in &lines[2000..2010] {
+        let mut scratch = Graph::new();
+        parse_ntriples(line, &mut scratch).unwrap();
+        let (s, p, o) = scratch.decode(scratch.store.iter().next().unwrap());
+        start.insert_terms(s, p, o);
+    }
+    assert!(start.store.overlay().count() > 0 && !start.store.base().is_empty());
+
+    let mut whole = start.clone();
+    let added = parse_ntriples(&doc, &mut whole).unwrap();
+    let mut by_line = start.clone();
+    let mut added_by_line = 0;
+    for line in &lines {
+        added_by_line += parse_ntriples(line, &mut by_line).unwrap();
+    }
+    assert_eq!(added, added_by_line);
+    assert_eq!(whole.store.iter_sorted(), by_line.store.iter_sorted());
+    assert_eq!(
+        whole.dict.iter().collect::<Vec<_>>(),
+        by_line.dict.iter().collect::<Vec<_>>()
+    );
+    assert_eq!(whole.term_fingerprint(), by_line.term_fingerprint());
+
+    // and a malformed line in the middle: same line number, same prefix
+    let mut broken = lines.clone();
+    broken.insert(
+        1500,
+        "<http://ex.org/a> <http://ex.org/unclosed <http://ex.org/b> .".into(),
+    );
+    let mut whole = start.clone();
+    let err = parse_ntriples(&broken.join("\n"), &mut whole).unwrap_err();
+    assert_eq!(err.line, 1501);
+    let mut by_line = start.clone();
+    for line in &broken[..1500] {
+        parse_ntriples(line, &mut by_line).unwrap();
+    }
+    assert_eq!(whole.store.iter_sorted(), by_line.store.iter_sorted());
+    assert_eq!(whole.dict.len(), by_line.dict.len());
 }
 
 #[test]

@@ -300,18 +300,27 @@ fn forward_parallel_strategy_on_generated_lubm() {
     let hr = HorstReasoner::from_graph(&mut serial, MaterializationStrategy::ForwardSemiNaive);
     hr.materialize(&mut serial);
 
-    for threads in [0, 2, 4] {
-        let mut par = g0.clone();
-        let hr = HorstReasoner::from_graph(
-            &mut par,
-            MaterializationStrategy::ForwardParallel { threads },
-        );
-        hr.materialize(&mut par);
-        assert_eq!(
-            par.store.iter_sorted(),
-            serial.store.iter_sorted(),
-            "threads {threads}"
-        );
+    // As generated (compacted, like a loaded KB), and with every triple in
+    // the hash overlay — a layout only inserts produce, so built here.
+    let mut hash_only = g0.clone();
+    hash_only.store = g0.store.iter().collect();
+    assert_eq!(g0.store.overlay().count(), 0);
+    assert_eq!(hash_only.store.overlay().count(), g0.len());
+
+    for (layout, start) in [("compacted", &g0), ("hash-only", &hash_only)] {
+        for threads in [0, 2, 4] {
+            let mut par = start.clone();
+            let hr = HorstReasoner::from_graph(
+                &mut par,
+                MaterializationStrategy::ForwardParallel { threads },
+            );
+            hr.materialize(&mut par);
+            assert_eq!(
+                par.store.iter_sorted(),
+                serial.store.iter_sorted(),
+                "{layout} threads {threads}"
+            );
+        }
     }
 }
 

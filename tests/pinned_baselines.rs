@@ -2,12 +2,24 @@
 //! that are meant to leave them alone must reproduce them bit for bit.
 //!
 //! The assignment hashes and edge-cuts were re-recorded from the finished
-//! tree of the PR that rebuilt the coarsening pipeline (two-hop matching,
-//! marker-table contraction, boundary FM), which moves assignments by
-//! design; the edge-cuts of the partitioner it replaced stay beside them
-//! as the quality reference. The graph-partitioned size statistics were
-//! re-recorded with them (the relations between them are what the test is
-//! for); the hash-partitioned MDC ones are older and did not move.
+//! tree of the PR that made the generators emit sorted runs, for two
+//! reasons. Ownership vertices are numbered by first appearance in the
+//! instance triples, and a generated graph now iterates in SPO order like
+//! a loaded one (it was a hash set's order), so every fixture is a
+//! differently numbered graph. And that numbering — creation order, a
+//! parent before its descendants — exposed a weakness the hash order had
+//! hidden: greedy growing ranked frontier vertices by connection weight,
+//! ties to the highest id, and on MDC's 80-vertex ownership graph
+//! (bisected directly) k = 4 cut 8 at every seed 0..32 where the hash
+//! order cut 4. It now ranks them by cut gain (see `greedy_grow_bisect`),
+//! which cuts 4 at every seed in either order. Over the twelve LUBM rows
+//! the cuts sum to 2 804 (the previous pins: 2 790, on hash-ordered
+//! fixtures; growth by connection weight on these SPO-ordered ones:
+//! 2 864). The edge-cuts of the partitioner before the coarsening
+//! rebuild stay beside them as the quality reference. The
+//! graph-partitioned size statistics were re-recorded with them (the
+//! relations between them are what the test is for); the
+//! hash-partitioned MDC ones are older and did not move.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -39,22 +51,22 @@ fn fnv(part: &[u32]) -> u64 {
 /// ownership vertices) go through several coarsening levels and FM
 /// passes; MDC (80) bisects directly.
 const ASSIGNMENTS: &[(&str, usize, u64, u64, u64, u64)] = &[
-    ("lubm1x0.4", 2, 0x5eed, 0x1b125a28ec336c14, 237, 236),
-    ("lubm1x0.4", 2, 0x7, 0x7993fd9a10f263d4, 238, 239),
-    ("lubm1x0.4", 3, 0x5eed, 0x8f3ee2ae5bd3f867, 317, 374),
-    ("lubm1x0.4", 3, 0x7, 0x98487132eb330176, 328, 345),
-    ("lubm1x0.4", 4, 0x5eed, 0x595424e7726f1386, 418, 482),
-    ("lubm1x0.4", 4, 0x7, 0xd63c041e46a23f06, 424, 497),
-    ("lubm3x0.2", 2, 0x5eed, 0xb0b41e53f63f40a5, 102, 164),
-    ("lubm3x0.2", 2, 0x7, 0xf80e9af5447002d5, 109, 109),
-    ("lubm3x0.2", 3, 0x5eed, 0x717576741d3ff4a6, 149, 192),
-    ("lubm3x0.2", 3, 0x7, 0xd24c565a8bbceb44, 136, 242),
-    ("lubm3x0.2", 4, 0x5eed, 0x14c76e8c2e6b0fa4, 164, 256),
-    ("lubm3x0.2", 4, 0x7, 0x294ccbef79858115, 168, 223),
-    ("mdc", 2, 0x5eed, 0x6a31b3bafe2f5b55, 0, 0),
-    ("mdc", 3, 0x7, 0x9068eb23b70a1225, 3, 4),
-    ("mdc", 4, 0x5eed, 0x3457cde0cae27df5, 4, 6),
-    ("mdc", 4, 0x7, 0x0dcb4980bfe15e95, 4, 4),
+    ("lubm1x0.4", 2, 0x5eed, 0xdfff5d5df01db1f4, 240, 236),
+    ("lubm1x0.4", 2, 0x7, 0x5d04095509c06645, 238, 239),
+    ("lubm1x0.4", 3, 0x5eed, 0x6edb3ece619dfa46, 328, 374),
+    ("lubm1x0.4", 3, 0x7, 0xd84004430fff6e96, 339, 345),
+    ("lubm1x0.4", 4, 0x5eed, 0x426ba33e6c6062c6, 430, 482),
+    ("lubm1x0.4", 4, 0x7, 0x5417efa174171c74, 427, 497),
+    ("lubm3x0.2", 2, 0x5eed, 0x4d0414e621094f95, 97, 164),
+    ("lubm3x0.2", 2, 0x7, 0x68d171e606aa25c4, 105, 109),
+    ("lubm3x0.2", 3, 0x5eed, 0x2d7b41d2a178fbb6, 141, 192),
+    ("lubm3x0.2", 3, 0x7, 0xd5d7f3e9b3fc89f4, 134, 242),
+    ("lubm3x0.2", 4, 0x5eed, 0xd84ca755107cbf85, 160, 256),
+    ("lubm3x0.2", 4, 0x7, 0x7d983c8e77d3cb87, 165, 223),
+    ("mdc", 2, 0x5eed, 0x56a8e343d41f90e5, 0, 0),
+    ("mdc", 3, 0x7, 0xd878cb9ed9ed9595, 3, 4),
+    ("mdc", 4, 0x5eed, 0x17a9764c3912b165, 4, 6),
+    ("mdc", 4, 0x7, 0xcfb508fccb72c365, 4, 4),
 ];
 
 /// The ownership graphs behind [`ASSIGNMENTS`].
@@ -171,7 +183,7 @@ fn size_statistics_stay_defined_over_the_full_local_store() {
     }
     .forward();
     // recorded values: they move with the assignment
-    const SIZES: [usize; 2] = [218, 205];
+    const SIZES: [usize; 2] = [205, 218];
     const OR_BITS: u64 = 0x3fcddaaea5b0e2e8;
 
     let mut g = g0.clone();
@@ -202,7 +214,7 @@ fn size_statistics_stay_defined_over_the_full_local_store() {
     assert_eq!(store_lens, sizes, "output_size == store_len");
     assert_eq!(r.output_replication.to_bits(), OR_BITS);
     // The v1 baseline still prices the finals at what v1 shipped — every
-    // worker's whole store — and setup/round traffic did not move.
+    // worker's whole store.
     let wire = r.wire.unwrap();
     assert_eq!(wire.finals.v1_bytes, 12 * sizes.iter().sum::<usize>() as u64);
     assert_eq!((wire.setup.bytes, wire.setup.triples), (6403, 303));

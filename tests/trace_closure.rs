@@ -15,12 +15,13 @@ use std::time::Instant;
 
 #[test]
 fn recorded_phases_cover_a_parallel_closure() {
-    // Generator-built: every triple starts in the hash overlay, so the
-    // closure opens with a compaction.
+    // Every triple starts in the hash overlay (a layout only inserts
+    // produce, so built here), so the closure opens with a compaction.
     let mut graph = generate_lubm(&LubmConfig {
         universities: 3,
         ..LubmConfig::default()
     });
+    graph.store = graph.store.iter().collect();
     assert!(graph.len() >= 100_000, "KB has {} triples", graph.len());
     let hr = HorstReasoner::from_graph(&mut graph, MaterializationStrategy::ForwardSemiNaive);
 
