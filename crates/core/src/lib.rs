@@ -90,8 +90,8 @@ pub use frame::{
 pub use master::{prepare_run, reclose_serial, run_parallel, run_serial, RunPlan, RunReport};
 pub use model::{fit_cubic, PolyModel};
 pub use plan::{
-    analyze_rules_only, analyze_strategy, auto_candidates, select_auto, AutoSelection,
-    PlanningBase,
+    analyze_rules_only, analyze_run_plan, analyze_strategy, auto_candidates, select_auto,
+    AutoSelection, PlanningBase,
 };
 pub use state::WorkerState;
 pub use stats::{WireBytes, WirePhase, WireRound, WorkerStats};

@@ -27,7 +27,7 @@
 use crate::config::PartitioningStrategy;
 use crate::error::RunError;
 use crate::frame::encode_triple_block;
-use crate::master::{build_partitions, PartitionParts};
+use crate::master::{build_partitions, RunPlan};
 use crate::stats::plan_cost_model;
 use crate::worker::Routing;
 use owlpar_datalog::ast::{Atom, TermPat};
@@ -307,7 +307,6 @@ pub fn analyze_strategy(
     let context = context_of(strategy)?;
     let mut opts = LintOptions::for_context(context);
     opts.predicate_counts = Some(base.hist.clone());
-    let cost = plan_cost_model();
     let label = strategy.label().to_string();
 
     // A deny-level rule-base finding makes the plan unsound regardless
@@ -325,18 +324,12 @@ pub fn analyze_strategy(
             exchange_discount: 1.0,
             setup_bytes: None,
             setup_v1_bytes: None,
-            cost,
+            cost: plan_cost_model(),
         };
         return Ok(analyze_plan(&base.all_rules, &opts, &inputs));
     }
 
-    let PartitionParts {
-        bases,
-        rules_per_worker,
-        routing,
-        quality,
-        edge_cut: _,
-    } = build_partitions(
+    let parts = build_partitions(
         strategy,
         k,
         &base.all_rules,
@@ -346,7 +339,51 @@ pub fn analyze_strategy(
         base.rdf_type,
         Some(&base.hist),
     )?;
+    Ok(score_partition(
+        base,
+        label,
+        &opts,
+        &parts.bases,
+        &parts.rules_per_worker,
+        &parts.routing,
+        parts.quality.as_ref(),
+    ))
+}
 
+/// [`analyze_strategy`] for a run whose partition is already built: score
+/// what `plan` is about to distribute — its own bases, rule subsets and
+/// routing — instead of partitioning the KB a second time. `base` must
+/// be the planning base of the KB and rule-base `plan` was prepared
+/// from.
+pub fn analyze_run_plan(base: &PlanningBase, plan: &RunPlan) -> Result<PlanReport, RunError> {
+    let mut opts = LintOptions::for_context(context_of(&plan.strategy)?);
+    opts.predicate_counts = Some(base.hist.clone());
+    let label = plan.strategy.label().to_string();
+    Ok(score_partition(
+        base,
+        label,
+        &opts,
+        &plan.bases,
+        &plan.rules_per_worker,
+        &plan.routing,
+        plan.quality.as_ref(),
+    ))
+}
+
+/// Shadow one concrete partition — one base, rule subset and routing
+/// table per worker — into [`PlanInputs`] and run the OWL011–OWL016 pass
+/// over it.
+fn score_partition(
+    base: &PlanningBase,
+    label: String,
+    opts: &LintOptions,
+    bases: &[Vec<Triple>],
+    rules_per_worker: &[Vec<Rule>],
+    routing: &[Routing],
+    quality: Option<&PartitionQuality>,
+) -> PlanReport {
+    let k = bases.len();
+    let cost = plan_cost_model();
     let route = match routing.first() {
         // A single worker owns everything: no exchange, whatever the
         // partition quality claims.
@@ -354,7 +391,7 @@ pub fn analyze_strategy(
             cross_fraction: if k == 1 {
                 0.0
             } else {
-                data_cross_fraction(quality.as_ref())
+                data_cross_fraction(quality)
             },
         },
         Some(Routing::Rule { partitions, .. }) => RouteModel::Rule {
@@ -368,7 +405,7 @@ pub fn analyze_strategy(
             cross_fraction: if k == 1 {
                 0.0
             } else {
-                hybrid_cross_fraction(quality.as_ref())
+                hybrid_cross_fraction(quality)
             },
             groups_assignment: groups.assignment.clone(),
             data_shards: *data_shards as usize,
@@ -425,7 +462,7 @@ pub fn analyze_strategy(
         setup_v1_bytes: Some(setup_v1),
         cost,
     };
-    Ok(analyze_plan(&base.all_rules, &opts, &inputs))
+    analyze_plan(&base.all_rules, opts, &inputs)
 }
 
 /// Structure-only analysis for a bare rule-base (no KB at hand): loads
@@ -591,6 +628,36 @@ mod tests {
             assert!(r.total_cost.is_finite());
             assert!(r.setup_bytes > 0);
             assert_eq!(r.workers.len(), 4);
+        }
+    }
+
+    #[test]
+    fn scoring_a_prepared_plan_equals_analyzing_its_strategy() {
+        // What a traced cluster master does: the run's own partition is
+        // scored, not a second one — and the report is the one a fresh
+        // analysis of the same strategy gives.
+        use crate::config::ParallelConfig;
+        for strategy in [
+            PartitioningStrategy::data_graph(),
+            PartitioningStrategy::rule(),
+            PartitioningStrategy::Hybrid { rule_groups: 2 },
+        ] {
+            let mut g = generate_lubm(&LubmConfig::mini(2));
+            let cfg = ParallelConfig {
+                k: 4,
+                strategy: strategy.clone(),
+                ..ParallelConfig::default()
+            };
+            let plan = crate::prepare_run(&mut g, &cfg).expect("plannable");
+            let base = PlanningBase::compile(&mut g, &[]);
+            let own = analyze_run_plan(&base, &plan).expect("scorable");
+            let fresh = analyze_strategy(&base, &g.dict, 4, &strategy).expect("analyzable");
+            assert_eq!(own.strategy, fresh.strategy);
+            assert_eq!(own.setup_bytes, fresh.setup_bytes, "{}", own.strategy);
+            assert_eq!(own.round_bytes, fresh.round_bytes, "{}", own.strategy);
+            assert_eq!(own.max_load_share, fresh.max_load_share, "{}", own.strategy);
+            assert_eq!(own.rounds.expected, fresh.rounds.expected, "{}", own.strategy);
+            assert_eq!(own.total_cost, fresh.total_cost, "{}", own.strategy);
         }
     }
 

@@ -26,7 +26,7 @@
 
 use owlpar_datalog::forward::forward_closure_delta_overlay;
 use owlpar_datalog::parallel::{resolve_threads, MIN_PARALLEL_DELTA};
-use owlpar_datalog::{closure_delta_within, MaterializationStrategy, Reasoner};
+use owlpar_datalog::{closure_delta_within, closure_within, MaterializationStrategy, Reasoner};
 use owlpar_rdf::{merge_runs, FrozenStore, Triple, TripleStore};
 use std::sync::Arc;
 
@@ -98,13 +98,8 @@ impl WorkerState {
     pub fn close(&mut self) -> Vec<Triple> {
         let derived = match &mut self.local {
             Local::Sorted { base, .. } => {
-                let seed = base.iter_sorted();
-                let (closed, derived) = closure_delta_within(
-                    std::mem::take(base),
-                    &self.reasoner.rules,
-                    seed,
-                    self.threads,
-                );
+                let (closed, derived) =
+                    closure_within(std::mem::take(base), &self.reasoner.rules, self.threads);
                 *base = closed;
                 derived
             }

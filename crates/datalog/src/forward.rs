@@ -44,7 +44,7 @@ pub fn naive_closure(store: &mut TripleStore, rules: &[Rule]) -> usize {
     loop {
         let mut new: Vec<Triple> = Vec::new();
         for rule in rules {
-            apply_rule_delta(store, store, rule, &mut new);
+            apply_rule_delta(store, store, rule, &mut |t| new.push(t));
         }
         let mut added = 0;
         for t in new {
@@ -65,7 +65,7 @@ fn run_rounds(store: &mut TripleStore, rules: &[Rule], seed: Vec<Triple>) -> Vec
     while !delta_store.is_empty() {
         let mut candidates: Vec<Triple> = Vec::new();
         for rule in rules {
-            apply_rule_delta(store, &delta_store, rule, &mut candidates);
+            apply_rule_delta(store, &delta_store, rule, &mut |t| candidates.push(t));
         }
         // On transitive-heavy workloads most candidates are duplicates;
         // deduping here saves a 4-index hash probe per duplicate.
@@ -106,7 +106,7 @@ pub fn forward_closure_delta_overlay(
             delta: &*overlay,
         };
         for rule in rules {
-            apply_rule_delta(&view, &delta_store, rule, &mut candidates);
+            apply_rule_delta(&view, &delta_store, rule, &mut |t| candidates.push(t));
         }
         candidates.sort_unstable();
         candidates.dedup();
@@ -124,14 +124,19 @@ pub fn forward_closure_delta_overlay(
 
 /// Fire `rule` requiring at least one body atom to match inside `delta`;
 /// the remaining atoms are joined against the full `store`. Candidate head
-/// instantiations are appended to `out` (duplicates possible; the caller
-/// dedupes via store insertion).
+/// instantiations are handed to `emit` (duplicates possible; the caller
+/// dedupes).
 ///
 /// Generic over the store representation so the same join runs against a
 /// mutable [`TripleStore`], a frozen base, or a frozen-base + overlay view
-/// (the parallel engine shares it across threads).
-pub(crate) fn apply_rule_delta<S, D>(store: &S, delta: &D, rule: &Rule, out: &mut Vec<Triple>)
-where
+/// (the parallel engine shares it across threads), and over the sink so
+/// that engine can drop a duplicate head before it is ever stored.
+pub(crate) fn apply_rule_delta<S, D>(
+    store: &S,
+    delta: &D,
+    rule: &Rule,
+    emit: &mut impl FnMut(Triple),
+) where
     S: TripleSource + ?Sized,
     D: TripleSource + ?Sized,
 {
@@ -148,7 +153,7 @@ where
         remaining.extend((0..rule.body.len()).filter(|&i| i != pivot));
         delta.for_each_match(pat, |t| {
             if let Some(undo) = atom.match_triple_in_place(&t, &mut bindings) {
-                join_remaining(store, rule, &mut remaining, &mut bindings, out);
+                join_remaining(store, rule, &mut remaining, &mut bindings, emit);
                 undo.undo(&mut bindings);
             }
         });
@@ -168,13 +173,13 @@ fn join_remaining<S>(
     rule: &Rule,
     remaining: &mut Vec<usize>,
     bindings: &mut Bindings,
-    out: &mut Vec<Triple>,
+    emit: &mut impl FnMut(Triple),
 ) where
     S: TripleSource + ?Sized,
 {
     if remaining.is_empty() {
         if let Some(t) = rule.head.instantiate(bindings) {
-            out.push(t);
+            emit(t);
         }
         return;
     }
@@ -192,7 +197,7 @@ fn join_remaining<S>(
     let pat = atom.to_pattern(bindings);
     store.for_each_match(pat, |t| {
         if let Some(undo) = atom.match_triple_in_place(&t, bindings) {
-            join_remaining(store, rule, remaining, bindings, out);
+            join_remaining(store, rule, remaining, bindings, emit);
             undo.undo(bindings);
         }
     });

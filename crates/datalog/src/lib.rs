@@ -45,5 +45,7 @@ pub mod parser;
 
 pub use ast::{Atom, Rule, TermPat};
 pub use engine::{MaterializationStrategy, Reasoner};
-pub use parallel::{closure_delta_within, parallel_closure, parallel_closure_delta};
+pub use parallel::{
+    closure_delta_within, closure_within, parallel_closure, parallel_closure_delta,
+};
 pub use parser::{parse_rules, parse_rules_annotated, ParsedRule};

@@ -655,14 +655,13 @@ pub fn run_cluster_master(
     // Telemetry: an enabled recorder in the options turns on worker-side
     // tracing (via the Welcome flag) and gives the master its own
     // "relay" lane. Predicted-vs-measured needs the analyzer's report —
-    // Auto runs already carry one; otherwise a traced run pays for one
-    // analyzer pass here (it re-runs the partitioner, accepted only
-    // when tracing).
+    // Auto runs already carry one; otherwise a traced run has the
+    // analyzer score the partition `plan` already holds.
     let trace = opts.trace.clone().filter(Recorder::is_enabled);
     let analysis = match (&trace, &plan.analysis) {
         (Some(_), None) => {
             let base = owlpar_core::PlanningBase::compile(graph, &cfg.extra_rules);
-            owlpar_core::analyze_strategy(&base, &graph.dict, k, &plan.strategy).ok()
+            owlpar_core::analyze_run_plan(&base, &plan).ok()
         }
         _ => plan.analysis.clone(),
     };

@@ -39,8 +39,6 @@
 use crate::dictionary::NodeId;
 use crate::store::{Nested, TriplePattern, TripleStore};
 use crate::triple::Triple;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Read access to an indexed set of triples: the interface the datalog
@@ -131,9 +129,48 @@ impl SortedIndex {
         &row[a..b]
     }
 
+    /// The zero- or one-row block holding exactly `key`.
+    fn exact(&self, key: [NodeId; 3]) -> &[[NodeId; 3]] {
+        let row = self.row(key[0]);
+        match row.binary_search(&key) {
+            Ok(i) => &row[i..=i],
+            Err(_) => &[],
+        }
+    }
+
     /// Is the exact key tuple present?
     fn contains(&self, key: [NodeId; 3]) -> bool {
-        self.row(key[0]).binary_search(&[key[0], key[1], key[2]]).is_ok()
+        !self.exact(key).is_empty()
+    }
+
+    /// `self` ∪ `other`: one linear merge of the two row runs.
+    fn merge(&self, other: &SortedIndex) -> SortedIndex {
+        if self.rows.is_empty() {
+            other.clone()
+        } else if other.rows.is_empty() {
+            self.clone()
+        } else {
+            SortedIndex::from_sorted(merge_sorted(&self.rows, &other.rows))
+        }
+    }
+}
+
+/// Which column family a block of rows came from, i.e. how a row's key
+/// tuple maps back to `(s, p, o)`.
+#[derive(Clone, Copy)]
+enum Family {
+    Spo,
+    Pos,
+    Osp,
+}
+
+/// Call `f` on every row of `rows`, un-permuted. The family is matched
+/// once, outside the loop.
+fn emit_rows(family: Family, rows: &[[NodeId; 3]], mut f: impl FnMut(Triple)) {
+    match family {
+        Family::Spo => rows.iter().for_each(|r| f(Triple::new(r[0], r[1], r[2]))),
+        Family::Pos => rows.iter().for_each(|r| f(Triple::new(r[2], r[0], r[1]))),
+        Family::Osp => rows.iter().for_each(|r| f(Triple::new(r[1], r[2], r[0]))),
     }
 }
 
@@ -158,19 +195,37 @@ fn osp_key(t: &Triple) -> [NodeId; 3] {
     [t.o, t.s, t.p]
 }
 
-/// Merge two sorted, duplicate-free runs into one.
-fn merge_sorted(a: &[[NodeId; 3]], b: &[[NodeId; 3]]) -> Vec<[NodeId; 3]> {
+/// Length of the prefix of sorted `run` that is `< bound`, found by
+/// doubling steps and then a binary search inside the last step: O(log
+/// of the answer), so a short prefix costs a comparison or two and a
+/// long one is not walked row by row.
+fn prefix_below<T: Ord>(run: &[T], bound: &T) -> usize {
+    let mut hi = 1;
+    while hi < run.len() && run[hi - 1] < *bound {
+        hi *= 2;
+    }
+    let lo = hi / 2;
+    let hi = hi.min(run.len());
+    lo + run[lo..hi].partition_point(|r| r < bound)
+}
+
+/// Merge two sorted, duplicate-free runs into one. Rows move in blocks:
+/// a round's delta lands in a few places of a family (the class rows of
+/// POS and OSP), and everything between them is one copy.
+fn merge_sorted<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
             std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
+                let n = prefix_below(&a[i..], &b[j]);
+                out.extend_from_slice(&a[i..i + n]);
+                i += n;
             }
             std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
+                let n = prefix_below(&b[j..], &a[i]);
+                out.extend_from_slice(&b[j..j + n]);
+                j += n;
             }
             std::cmp::Ordering::Equal => {
                 out.push(a[i]);
@@ -190,30 +245,27 @@ pub fn is_sorted_run(run: &[Triple]) -> bool {
 }
 
 /// K-way merge of SPO-sorted, duplicate-free runs into one such run:
-/// every triple any run holds, once, in ascending order. This is how the
-/// distributed masters aggregate their workers' outputs — a triple
-/// several workers derived is dropped here by one comparison instead of
-/// being hashed once per copy.
+/// every triple any run holds, once, in ascending order — a balanced tree
+/// of two-way linear merges. This is how the distributed masters
+/// aggregate their workers' outputs and the closure engine its shards':
+/// a triple several of them derived is dropped here by one comparison
+/// instead of being hashed once per copy.
 pub fn merge_runs<R: AsRef<[Triple]>>(runs: &[R]) -> Vec<Triple> {
-    let runs: Vec<&[Triple]> = runs.iter().map(AsRef::as_ref).collect();
-    debug_assert!(runs.iter().all(|r| is_sorted_run(r)));
-    let mut heads: BinaryHeap<Reverse<(Triple, usize)>> = runs
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| r.first().map(|&t| Reverse((t, i))))
-        .collect();
-    let mut next = vec![1usize; runs.len()];
-    let mut out: Vec<Triple> = Vec::with_capacity(runs.iter().map(|r| r.len()).max().unwrap_or(0));
-    while let Some(Reverse((t, i))) = heads.pop() {
-        if out.last() != Some(&t) {
-            out.push(t);
+    match runs {
+        [] => Vec::new(),
+        [run] => {
+            debug_assert!(is_sorted_run(run.as_ref()));
+            run.as_ref().to_vec()
         }
-        if let Some(&following) = runs[i].get(next[i]) {
-            next[i] += 1;
-            heads.push(Reverse((following, i)));
+        [a, b] => {
+            debug_assert!(is_sorted_run(a.as_ref()) && is_sorted_run(b.as_ref()));
+            merge_sorted(a.as_ref(), b.as_ref())
+        }
+        _ => {
+            let (left, right) = runs.split_at(runs.len() / 2);
+            merge_sorted(&merge_runs(left), &merge_runs(right))
         }
     }
-    out
 }
 
 impl FrozenStore {
@@ -264,7 +316,7 @@ impl FrozenStore {
         };
         let [spo_n, pos_n, osp_n] = nested;
         Self::build_families(
-            Self::unbudgeted(),
+            0,
             self.len() + triples,
             || build(spo_n, &self.spo),
             || build(pos_n, &self.pos),
@@ -282,7 +334,7 @@ impl FrozenStore {
             SortedIndex::from_sorted(rows)
         };
         Self::build_families(
-            Self::unbudgeted(),
+            0,
             triples.len(),
             || build(spo_key),
             || build(pos_key),
@@ -292,16 +344,26 @@ impl FrozenStore {
 
     /// Freeze a run that is already SPO-sorted and duplicate-free (a
     /// decoded triple block, a partition cut from a sorted KB): the run
-    /// *is* the SPO family, so only POS and OSP get sorted. Uses at most
-    /// `threads` threads, the caller's included — `1` builds everything
-    /// on the calling thread. A run that turns out not to be strictly
+    /// *is* the SPO family, and POS and OSP are sorted on their leading
+    /// components only. Uses at most `threads` threads, the caller's
+    /// included — `1` builds everything on the calling thread, `0` takes
+    /// whatever the machine has. A run that turns out not to be strictly
     /// ascending is sorted and deduplicated like
     /// [`FrozenStore::from_triples`] would.
     pub fn from_sorted_run(run: &[Triple], threads: usize) -> Self {
         let ascending = is_sorted_run(run);
-        let build = |key: fn(&Triple) -> [NodeId; 3], presorted: bool| {
+        // `finish` puts the rows of an ascending run in order by sorting
+        // on the family's leading components alone, stably: the run is
+        // (s, p, o)-ordered, so its POS rows `[p, o, s]` already ascend
+        // in `s` within one `(p, o)` and its OSP rows `[o, s, p]` in
+        // `(s, p)` within one `o`. Shorter comparisons, over input that
+        // is long ascending stretches — a third of a full sort's time on
+        // a closure round's delta.
+        let build = |key: fn(&Triple) -> [NodeId; 3], finish: fn(&mut Vec<[NodeId; 3]>)| {
             let mut rows: Vec<[NodeId; 3]> = run.iter().map(key).collect();
-            if !presorted {
+            if ascending {
+                finish(&mut rows);
+            } else {
                 rows.sort_unstable();
                 rows.dedup();
             }
@@ -310,9 +372,9 @@ impl FrozenStore {
         Self::build_families(
             threads,
             run.len(),
-            || build(spo_key, ascending),
-            || build(pos_key, false),
-            || build(osp_key, false),
+            || build(spo_key, |_| ()),
+            || build(pos_key, |rows| rows.sort_by_key(|r| (r[0], r[1]))),
+            || build(osp_key, |rows| rows.sort_by_key(|r| r[0])),
         )
     }
 
@@ -325,29 +387,34 @@ impl FrozenStore {
     }
 
     /// [`FrozenStore::merge`] for a plain batch of triples (any order,
-    /// duplicates tolerated).
+    /// duplicates tolerated; an SPO-sorted, duplicate-free run saves a
+    /// sort).
     pub fn merge_triples(&self, delta: &[Triple]) -> FrozenStore {
-        self.merge_triples_within(delta, Self::unbudgeted())
+        self.merge_triples_within(delta, 0)
     }
 
     /// [`FrozenStore::merge_triples`] on at most `threads` threads, the
-    /// caller's included.
+    /// caller's included (`0`: whatever the machine has): index the
+    /// batch, then [`merge_frozen`](FrozenStore::merge_frozen).
     pub fn merge_triples_within(&self, delta: &[Triple], threads: usize) -> FrozenStore {
-        let merge_one = |idx: &SortedIndex, key: fn(&Triple) -> [NodeId; 3]| {
-            let mut rows: Vec<[NodeId; 3]> = delta.iter().map(key).collect();
-            rows.sort_unstable();
-            rows.dedup();
-            if !idx.rows.is_empty() {
-                rows = merge_sorted(&idx.rows, &rows);
-            }
-            SortedIndex::from_sorted(rows)
-        };
+        let delta = Self::from_sorted_run(delta, threads);
+        if self.is_empty() {
+            return delta;
+        }
+        self.merge_frozen(&delta, threads)
+    }
+
+    /// `self` ∪ `other` as a new frozen store: both sides are already
+    /// sorted three ways, so each family is one linear merge and nothing
+    /// is sorted. Uses at most `threads` threads, the caller's included
+    /// (`0`: whatever the machine has).
+    pub fn merge_frozen(&self, other: &FrozenStore, threads: usize) -> FrozenStore {
         Self::build_families(
             threads,
-            self.len() + delta.len(),
-            || merge_one(&self.spo, spo_key),
-            || merge_one(&self.pos, pos_key),
-            || merge_one(&self.osp, osp_key),
+            self.len() + other.len(),
+            || self.spo.merge(&other.spo),
+            || self.pos.merge(&other.pos),
+            || self.osp.merge(&other.osp),
         )
     }
 
@@ -363,9 +430,10 @@ impl FrozenStore {
     }
 
     /// Build the three column families on at most `threads` threads (the
-    /// calling one included) when the row count makes the sorts/merges
-    /// worth a spawn. The families are independent, so this is the freeze
-    /// path's free parallelism — but only a caller that owns the cores
+    /// calling one included; `0` is [`unbudgeted`](Self::unbudgeted))
+    /// when the row count makes the sorts/merges worth a spawn. The
+    /// families are independent, so this is the freeze path's free
+    /// parallelism — but only a caller that owns the cores
     /// may take it: `k` distributed workers freezing at once each pass
     /// their own share of the machine.
     fn build_families(
@@ -377,6 +445,11 @@ impl FrozenStore {
     ) -> FrozenStore {
         /// Below this size, spawn overhead beats the sort work saved.
         const PARALLEL_BUILD_FLOOR: usize = 1 << 14;
+        let threads = if threads == 0 {
+            Self::unbudgeted()
+        } else {
+            threads
+        };
         if rows < PARALLEL_BUILD_FLOOR || threads < 2 {
             return FrozenStore {
                 spo: spo(),
@@ -463,66 +536,59 @@ impl FrozenStore {
         self.pos.keys.iter().copied().zip(widths)
     }
 
+    /// The rows matching `pat`: for every pattern shape one contiguous
+    /// block of one family (found with at most one in-row binary search).
+    fn match_rows(&self, pat: TriplePattern) -> (Family, &[[NodeId; 3]]) {
+        match (pat.s, pat.p, pat.o) {
+            (Some(s), Some(p), Some(o)) => (Family::Spo, self.spo.exact([s, p, o])),
+            (Some(s), Some(p), None) => (Family::Spo, self.spo.row2(s, p)),
+            (Some(s), None, None) => (Family::Spo, self.spo.row(s)),
+            (None, Some(p), Some(o)) => (Family::Pos, self.pos.row2(p, o)),
+            (None, Some(p), None) => (Family::Pos, self.pos.row(p)),
+            (Some(s), None, Some(o)) => (Family::Osp, self.osp.row2(o, s)),
+            (None, None, Some(o)) => (Family::Osp, self.osp.row(o)),
+            (None, None, None) => (Family::Spo, &self.spo.rows),
+        }
+    }
+
     /// Invoke `f` for every triple matching `pat`. Every pattern shape is
     /// a contiguous slice scan; no locks, no hashing.
-    pub fn for_each_match(&self, pat: TriplePattern, mut f: impl FnMut(Triple)) {
-        match (pat.s, pat.p, pat.o) {
-            (Some(s), Some(p), Some(o)) => {
-                let t = Triple::new(s, p, o);
-                if self.contains(&t) {
-                    f(t);
-                }
-            }
-            (Some(s), Some(p), None) => {
-                for r in self.spo.row2(s, p) {
-                    f(Triple::new(r[0], r[1], r[2]));
-                }
-            }
-            (Some(s), None, None) => {
-                for r in self.spo.row(s) {
-                    f(Triple::new(r[0], r[1], r[2]));
-                }
-            }
-            (None, Some(p), Some(o)) => {
-                for r in self.pos.row2(p, o) {
-                    f(Triple::new(r[2], r[0], r[1]));
-                }
-            }
-            (None, Some(p), None) => {
-                for r in self.pos.row(p) {
-                    f(Triple::new(r[2], r[0], r[1]));
-                }
-            }
-            (Some(s), None, Some(o)) => {
-                for r in self.osp.row2(o, s) {
-                    f(Triple::new(r[1], r[2], r[0]));
-                }
-            }
-            (None, None, Some(o)) => {
-                for r in self.osp.row(o) {
-                    f(Triple::new(r[1], r[2], r[0]));
-                }
-            }
-            (None, None, None) => {
-                for r in &self.spo.rows {
-                    f(Triple::new(r[0], r[1], r[2]));
-                }
-            }
-        }
+    pub fn for_each_match(&self, pat: TriplePattern, f: impl FnMut(Triple)) {
+        let (family, rows) = self.match_rows(pat);
+        emit_rows(family, rows, f);
+    }
+
+    /// [`for_each_match`](FrozenStore::for_each_match) over share `part`
+    /// of `parts` of `pat`'s matches: the block of matching rows is cut
+    /// into `parts` near-equal consecutive pieces, so over `part` in
+    /// `0..parts` every match is reported exactly once. This is how the
+    /// shards of a closure round divide one shared delta index between
+    /// them, whatever pattern a rule pivots on. `part` must be below
+    /// `parts`.
+    pub fn for_each_match_part(
+        &self,
+        pat: TriplePattern,
+        part: usize,
+        parts: usize,
+        f: impl FnMut(Triple),
+    ) {
+        debug_assert!(part < parts);
+        let (family, rows) = self.match_rows(pat);
+        let cut = |i: usize| rows.len() * i / parts;
+        emit_rows(family, &rows[cut(part)..cut(part + 1)], f);
     }
 
     /// Number of matches — pure index arithmetic, no iteration.
     pub fn count_matches(&self, pat: TriplePattern) -> usize {
-        match (pat.s, pat.p, pat.o) {
-            (Some(s), Some(p), Some(o)) => usize::from(self.contains(&Triple::new(s, p, o))),
-            (Some(s), Some(p), None) => self.spo.row2(s, p).len(),
-            (Some(s), None, None) => self.spo.row(s).len(),
-            (None, Some(p), Some(o)) => self.pos.row2(p, o).len(),
-            (None, Some(p), None) => self.pos.row(p).len(),
-            (Some(s), None, Some(o)) => self.osp.row2(o, s).len(),
-            (None, None, Some(o)) => self.osp.row(o).len(),
-            (None, None, None) => self.len(),
-        }
+        self.match_rows(pat).1.len()
+    }
+
+    /// The largest id in any position of any triple, `None` when empty.
+    pub fn max_id(&self) -> Option<NodeId> {
+        [&self.spo, &self.pos, &self.osp]
+            .into_iter()
+            .filter_map(|family| family.keys.last().copied())
+            .max()
     }
 }
 

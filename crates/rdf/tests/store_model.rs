@@ -6,7 +6,9 @@
 // Tests assert on infallible setup; unwrap/expect failures are test failures.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use owlpar_rdf::{parse_ntriples, FrozenStore, Graph, NodeId, Triple, TriplePattern, TripleStore};
+use owlpar_rdf::{
+    parse_ntriples, FrozenStore, Graph, NodeId, Triple, TriplePattern, TripleSource, TripleStore,
+};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -170,6 +172,57 @@ proptest! {
         }
         for (clone, model_then) in &kept {
             check(clone, model_then, &absent);
+        }
+    }
+
+    /// Two frozen stores merge into what freezing their union from
+    /// scratch gives — every family, so every pattern shape — whatever
+    /// they share and on every thread budget.
+    #[test]
+    fn merge_frozen_is_the_frozen_union(
+        a in prop::collection::vec(triple(), 0..40),
+        b in prop::collection::vec(triple(), 0..40),
+        threads in 0usize..4,
+    ) {
+        let merged = FrozenStore::from_triples(a.iter().copied())
+            .merge_frozen(&FrozenStore::from_triples(b.iter().copied()), threads);
+        let model: Model = a.iter().chain(&b).copied().collect();
+        let mut store = TripleStore::new();
+        store.adopt(merged.clone());
+        check(&store, &model, &a);
+        // and `merge_triples`, which is "index, then merge_frozen"
+        let via_batch = FrozenStore::from_triples(a.iter().copied()).merge_triples_within(&b, threads);
+        prop_assert_eq!(via_batch.iter_sorted(), merged.iter_sorted());
+        prop_assert_eq!(merged.max_id(), model.iter().flat_map(|t| [t.s, t.p, t.o]).max());
+    }
+
+    /// The parts of a pattern's matches partition them: over `part` in
+    /// `0..parts` every match is reported once, for every pattern shape,
+    /// including match sets shorter than `parts`.
+    #[test]
+    fn match_parts_partition_every_pattern_shape(
+        triples in prop::collection::vec(triple(), 0..60),
+        probe in triple(),
+        parts in 1usize..9,
+    ) {
+        let fs = FrozenStore::from_triples(triples.iter().copied());
+        for mask in 0..8u8 {
+            let pat = TriplePattern::new(
+                (mask & 4 != 0).then_some(probe.s),
+                (mask & 2 != 0).then_some(probe.p),
+                (mask & 1 != 0).then_some(probe.o),
+            );
+            let mut got = Vec::new();
+            let mut sizes = Vec::new();
+            for part in 0..parts {
+                let before = got.len();
+                fs.for_each_match_part(pat, part, parts, |t| got.push(t));
+                sizes.push(got.len() - before);
+            }
+            // not deduplicated: a match two parts report would show
+            prop_assert_eq!(sorted_of(got.into_iter()), sorted_of(fs.matches(pat).into_iter()), "{:?}", pat);
+            let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+            prop_assert!(max - min <= 1, "near-equal parts, got {:?}", sizes);
         }
     }
 

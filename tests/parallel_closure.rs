@@ -11,11 +11,18 @@
 
 use owlpar::datalog::ast::build::{atom, c, v};
 use owlpar::datalog::forward::{forward_closure, forward_closure_delta};
-use owlpar::datalog::{parallel_closure, parallel_closure_delta, Rule};
+use owlpar::datalog::{
+    closure_delta_within, closure_within, parallel_closure, parallel_closure_delta, Rule,
+};
 use owlpar::prelude::*;
-use owlpar::rdf::{NodeId, TripleStore};
+use owlpar::rdf::{FrozenStore, NodeId, TripleStore};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// Thread counts for the seams of the shared-index round loop: one shard,
+/// an even split, an odd one, and more shards than most pivot ranges are
+/// long.
+const SEAM_THREADS: [usize; 4] = [1, 2, 3, 8];
 
 /// Deterministic xorshift64* generator (no external deps).
 struct Rng(u64);
@@ -168,11 +175,15 @@ fn layouts(facts: &[Triple]) -> [(&'static str, TripleStore); 3] {
 }
 
 fn check_seed(seed: u64, rules: &[Rule], facts: Vec<Triple>) {
+    check_seed_on(seed, rules, facts, &THREADS);
+}
+
+fn check_seed_on(seed: u64, rules: &[Rule], facts: Vec<Triple>, thread_counts: &[usize]) {
     let mut serial: TripleStore = facts.iter().copied().collect();
     let n_serial = forward_closure(&mut serial, rules);
     let oracle = serial.iter_sorted();
 
-    for threads in THREADS {
+    for &threads in thread_counts {
         for (layout, mut par) in layouts(&facts) {
             let n_par = parallel_closure(&mut par, rules, threads);
             assert_eq!(
@@ -288,6 +299,260 @@ fn small_stores_take_the_serial_fallback_from_every_layout() {
             );
         }
     }
+}
+
+// --- the seams of the shared-index round loop ---------------------------
+//
+// Class-membership heads `(?x type C)` go through per-head subject
+// bitmaps; everything else takes the sort → dedup → filter path. The mix
+// below puts a rule on every seam between the two.
+
+const P: u64 = 7;
+const ISA: u64 = 8;
+const SUB_PROP: u64 = 9;
+const HAS_MEMBER: u64 = 10;
+const CLS_A: u64 = 200;
+const CLS_B: u64 = 201;
+/// Never asserted: only rules put anything in it.
+const CLS_C: u64 = 202;
+const CLS_D: u64 = 203;
+/// Two or three members: a pivot range shorter than the shard count.
+const CLS_RARE: u64 = 204;
+const HUB: u64 = 300;
+/// A head constant above every id the base holds.
+const CLS_BIG: u64 = 1_000_000;
+/// The largest subject id of the base.
+const MAX_ENTITY: u64 = 70_000;
+
+/// Subjects on the edges of a bitmap's words, then a block of plain ones.
+fn seam_entity(rng: &mut Rng) -> u64 {
+    const EDGES: [u64; 8] = [0, 63, 64, 127, 128, 4095, 4096, MAX_ENTITY];
+    match rng.below(4) {
+        0 => EDGES[rng.below(EDGES.len() as u64) as usize],
+        _ => 1000 + rng.below(150),
+    }
+}
+
+fn seam_rules() -> Vec<Rule> {
+    let n = |id: u64| NodeId(id as u32);
+    let class_of = |x: u16, cls: u64| atom(v(x), c(n(TYPE)), c(n(cls)));
+    vec![
+        // three rules share the head (?x type C), absent from the base
+        Rule::new("a<c", class_of(0, CLS_C), vec![class_of(0, CLS_A)]).unwrap(),
+        Rule::new("b<c", class_of(0, CLS_C), vec![class_of(0, CLS_B)]).unwrap(),
+        Rule::new(
+            "domain",
+            class_of(0, CLS_C),
+            vec![atom(v(0), c(n(P)), v(1))],
+        )
+        .unwrap(),
+        // range: the head subject is bound from an object position
+        Rule::new("range", class_of(1, CLS_D), vec![atom(v(0), c(n(P)), v(1))]).unwrap(),
+        // a second round, into a class whose id no base triple reaches
+        Rule::new("c<big", class_of(0, CLS_BIG), vec![class_of(0, CLS_C)]).unwrap(),
+        Rule::new("rare<d", class_of(0, CLS_D), vec![class_of(0, CLS_RARE)]).unwrap(),
+        // a two-atom body with a constant head
+        Rule::new(
+            "both",
+            class_of(0, CLS_A),
+            vec![class_of(0, CLS_D), atom(v(0), c(n(P)), v(1))],
+        )
+        .unwrap(),
+        // general path: constant subject ...
+        Rule::new(
+            "hub",
+            atom(c(n(HUB)), c(n(HAS_MEMBER)), v(0)),
+            vec![class_of(0, CLS_BIG)],
+        )
+        .unwrap(),
+        // ... and variable predicate, which also derives (?x type C)
+        // behind the bitmaps' back through `isa subPropertyOf type`
+        Rule::new(
+            "subprop",
+            atom(v(0), v(3), v(1)),
+            vec![atom(v(0), v(2), v(1)), atom(v(2), c(n(SUB_PROP)), v(3))],
+        )
+        .unwrap(),
+    ]
+}
+
+fn seam_facts(rng: &mut Rng, n: u64) -> Vec<Triple> {
+    let mut facts = vec![t(ISA, SUB_PROP, TYPE)];
+    for _ in 0..2 + rng.below(2) {
+        facts.push(t(seam_entity(rng), TYPE, CLS_RARE));
+    }
+    for _ in 0..n {
+        let e = seam_entity(rng);
+        facts.push(match rng.below(6) {
+            0 => t(e, TYPE, CLS_A),
+            1 => t(e, TYPE, CLS_B),
+            2 => t(e, TYPE, CLS_D),
+            3 => t(e, ISA, if rng.below(2) == 0 { CLS_C } else { CLS_A }),
+            _ => t(e, P, seam_entity(rng)),
+        });
+    }
+    facts
+}
+
+#[test]
+fn constant_head_seams_match_serial() {
+    for seed in 100..=119 {
+        let mut rng = Rng::new(seed);
+        // enough triples for eight shards of the whole-base round
+        let n = 700 + rng.below(500);
+        let facts = seam_facts(&mut rng, n);
+        check_seed_on(seed, &seam_rules(), facts, &SEAM_THREADS);
+    }
+}
+
+#[test]
+fn a_delta_over_a_closed_base_derives_each_consequence_once() {
+    // Known members seed the bitmaps: a batch big enough for the frozen
+    // rounds must come back without them and without repeats — compared
+    // to the serial engine as lists, not sets.
+    let rules = seam_rules();
+    for seed in 120..=129 {
+        let mut rng = Rng::new(seed);
+        let facts = seam_facts(&mut rng, 900);
+        let mut serial: TripleStore = facts.iter().copied().collect();
+        forward_closure(&mut serial, &rules);
+        let closed = serial.iter_sorted();
+
+        let batch = seam_facts(&mut rng, 600);
+        let fresh: Vec<Triple> = batch
+            .iter()
+            .copied()
+            .filter(|&f| serial.insert(f))
+            .collect();
+        assert!(
+            fresh.len() >= 256,
+            "seed {seed}: batch takes the parallel path"
+        );
+        let mut want = forward_closure_delta(&mut serial, &rules, fresh.clone());
+        want.sort_unstable();
+
+        for threads in SEAM_THREADS {
+            for (layout, mut par) in layouts(&closed) {
+                par.extend(fresh.iter().copied());
+                let mut got = parallel_closure_delta(&mut par, &rules, fresh.clone(), threads);
+                got.sort_unstable();
+                assert_eq!(got, want, "seed {seed} threads {threads} {layout}");
+                assert_eq!(
+                    par.iter_sorted(),
+                    serial.iter_sorted(),
+                    "seed {seed} threads {threads} {layout}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn budgeted_entry_points_match_serial_on_the_seam_mix() {
+    let rules = seam_rules();
+    for seed in 130..=137 {
+        let mut rng = Rng::new(seed);
+        let facts = seam_facts(&mut rng, 900);
+        let mut serial: TripleStore = facts.iter().copied().collect();
+        let base_len = serial.len();
+        forward_closure(&mut serial, &rules);
+        // one batch for the frozen rounds, one under the small-delta floor
+        let batches = [seam_facts(&mut rng, 500), seam_facts(&mut rng, 6)];
+
+        for budget in 1..=3 {
+            let base = FrozenStore::from_triples(facts.iter().copied());
+            let (mut closed, derived) = closure_within(base, &rules, budget);
+            assert_eq!(
+                closed.iter_sorted(),
+                serial.iter_sorted(),
+                "seed {seed} budget {budget}"
+            );
+            assert_eq!(
+                derived.len(),
+                serial.len() - base_len,
+                "seed {seed} budget {budget}"
+            );
+
+            let mut oracle = serial.clone();
+            for batch in &batches {
+                let mut fresh: Vec<Triple> = batch
+                    .iter()
+                    .copied()
+                    .filter(|&f| oracle.insert(f))
+                    .collect();
+                let mut want = forward_closure_delta(&mut oracle, &rules, fresh.clone());
+                fresh.sort_unstable();
+                let grown = closed.merge_triples_within(&fresh, budget);
+                let (next, mut got) = closure_delta_within(grown, &rules, fresh, budget);
+                want.sort_unstable();
+                got.sort_unstable();
+                assert_eq!(got, want, "seed {seed} budget {budget}");
+                assert_eq!(
+                    next.iter_sorted(),
+                    oracle.iter_sorted(),
+                    "seed {seed} budget {budget}"
+                );
+                closed = next;
+            }
+        }
+    }
+}
+
+#[test]
+fn a_fixpoint_that_tapers_off_ends_on_the_small_tail() {
+    // Long `partOf` chains under transitivity: path lengths double each
+    // round, so the last rounds add a handful of triples each and fall
+    // under the small-delta floor, where the serial overlay engine takes
+    // over. The result must not show the hand-over.
+    let rules = lubm_style_rules();
+    for (seed, chains) in [(140u64, 3u64), (141, 5), (142, 9)] {
+        let mut facts = Vec::new();
+        for chain in 0..chains {
+            let len = 70 + 13 * chain;
+            for i in 0..len {
+                facts.push(t(
+                    10_000 * (chain + 1) + i,
+                    PART_OF,
+                    10_000 * (chain + 1) + i + 1,
+                ));
+            }
+        }
+        // ballast, so the floor is well above the last rounds' deltas
+        for i in 0..600 {
+            facts.push(t(1000 + i % 90, HEAD_OF, 2000 + i));
+        }
+        check_seed_on(seed, &rules, facts, &SEAM_THREADS);
+    }
+}
+
+#[test]
+fn one_thread_is_one_shard_of_the_same_loop() {
+    // threads = 1 used to thaw into the hash engine: every derived triple
+    // inserted into the overlay, the store left uncompacted.
+    let mut rng = Rng::new(150);
+    let rules = seam_rules();
+    let mut facts = seam_facts(&mut rng, 1500);
+    facts.extend((0..4500).map(|i| t(20_000 + i, P, 30_000 + i % 700)));
+    let mut serial: TripleStore = facts.iter().copied().collect();
+    let n_serial = forward_closure(&mut serial, &rules);
+
+    let mut par: TripleStore = facts.iter().copied().collect();
+    par.compact();
+    assert!(par.len() >= 5000);
+    let n_par = parallel_closure(&mut par, &rules, 1);
+    assert_eq!(n_par, n_serial);
+    assert_eq!(par.overlay().count(), 0, "the closed store is all base");
+    assert_eq!(par.iter_sorted(), serial.iter_sorted());
+
+    // and through the strategy, as a 1-core box resolves `threads: 0`
+    let mut via_strategy: TripleStore = facts.iter().copied().collect();
+    via_strategy.compact();
+    let reasoner = Reasoner::new(
+        rules,
+        MaterializationStrategy::ForwardParallel { threads: 1 },
+    );
+    assert_eq!(reasoner.materialize(&mut via_strategy), n_serial);
+    assert_eq!(via_strategy.overlay().count(), 0);
 }
 
 #[test]

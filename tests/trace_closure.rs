@@ -58,6 +58,40 @@ fn recorded_phases_cover_a_parallel_closure() {
         "phases cover {covered_us} of {wall_us} us"
     );
 
+    // One delta index, one merge: a round that added triples has exactly
+    // one freeze span, and only the last round — which finds the fixpoint
+    // — may have none.
+    let spans_of = |want: Phase| -> Vec<u32> {
+        book.events
+            .iter()
+            .filter_map(|e| match *e {
+                Event::Span { phase, round, .. } if phase == want && round != NO_ROUND => {
+                    Some(round)
+                }
+                _ => None,
+            })
+            .collect()
+    };
+    let mut rounds = spans_of(Phase::Round);
+    rounds.sort_unstable();
+    assert!(rounds.len() >= 2, "rounds {rounds:?}");
+    assert_eq!(rounds, (0..rounds.len() as u32).collect::<Vec<_>>());
+    let freezes = spans_of(Phase::Freeze);
+    for &round in &rounds {
+        let n = freezes.iter().filter(|&&r| r == round).count();
+        if round + 1 < rounds.len() as u32 {
+            assert_eq!(n, 1, "round {round} of {rounds:?} froze {n} times");
+        } else {
+            assert!(n <= 1, "last round froze {n} times");
+        }
+    }
+    // two shards joined and filtered in round 0, beside the coordinator's merge
+    assert_eq!(spans_of(Phase::Join).iter().filter(|&&r| r == 0).count(), 2);
+    assert_eq!(
+        spans_of(Phase::Dedup).iter().filter(|&&r| r == 0).count(),
+        3
+    );
+
     let path =
         std::env::temp_dir().join(format!("owlpar-trace-closure-{}.json", std::process::id()));
     std::fs::write(&path, obs::chrome::to_chrome_json(&book)).unwrap();
