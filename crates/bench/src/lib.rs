@@ -18,39 +18,3 @@ pub mod table;
 
 pub use datasets::{Dataset, DatasetConfig};
 pub use runner::{speedup_series, SpeedupPoint};
-
-/// Render a recorder's per-phase span totals as a JSON object —
-/// `{"join":{"seconds":1.234567,"spans":12},...}` — the `"phases"`
-/// field of the BENCH artifacts. Phases never recorded are omitted; an
-/// untraced run renders `{}`.
-pub fn phases_json(rec: &owlpar_obs::Recorder) -> String {
-    let entries: Vec<String> = rec
-        .phase_totals()
-        .into_iter()
-        .map(|(phase, dur_us, spans)| {
-            format!(
-                "\"{}\":{{\"seconds\":{:.6},\"spans\":{spans}}}",
-                phase.name(),
-                dur_us as f64 / 1e6
-            )
-        })
-        .collect();
-    format!("{{{}}}", entries.join(","))
-}
-
-#[cfg(test)]
-mod tests {
-    use owlpar_obs::{Phase, Recorder};
-
-    #[test]
-    fn phases_json_renders_recorded_phases_only() {
-        assert_eq!(super::phases_json(&Recorder::disabled()), "{}");
-        let rec = Recorder::enabled();
-        let mut lane = rec.track("bench");
-        lane.span_at(Phase::Join, 0, 0, 1_500_000);
-        lane.span_at(Phase::Join, 1, 0, 500_000);
-        lane.flush();
-        let json = super::phases_json(&rec);
-        assert_eq!(json, "{\"join\":{\"seconds\":2.000000,\"spans\":2}}");
-    }
-}

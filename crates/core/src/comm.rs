@@ -322,20 +322,27 @@ pub fn build_fabric_with_faults(
                 })
                 .collect())
         }
-        CommMode::Custom(factory) => Ok(factory
-            .build(k)?
-            .into_iter()
-            .enumerate()
-            .map(|(me, transport)| WorkerComm {
-                me,
-                round: 0,
-                backend: Backend::Custom(transport),
-                faults: fault_for(me),
-                skipped: Vec::new(),
-                bytes_sent: 0,
-                io_retries: 0,
-            })
-            .collect()),
+        CommMode::Custom(factory) => {
+            let endpoints = factory.build(k)?;
+            if endpoints.len() != k {
+                return Err(CommError::Unsupported {
+                    detail: "the transport factory did not build one endpoint per worker",
+                });
+            }
+            Ok(endpoints
+                .into_iter()
+                .enumerate()
+                .map(|(me, transport)| WorkerComm {
+                    me,
+                    round: 0,
+                    backend: Backend::Custom(transport),
+                    faults: fault_for(me),
+                    skipped: Vec::new(),
+                    bytes_sent: 0,
+                    io_retries: 0,
+                })
+                .collect())
+        }
     }
 }
 
@@ -363,22 +370,17 @@ impl WorkerComm {
         &self.skipped
     }
 
-    /// True when the fault plan schedules a panic for this worker in
-    /// `round` (consulted by the worker loop; the round is explicit
-    /// because the async mode numbers bursts itself).
-    pub fn panic_scheduled(&self, round: usize) -> bool {
-        self.faults.panic_scheduled(round)
-    }
-
-    /// Fire the scheduled panic (separated from the check so the worker
-    /// loop can account the round first).
-    pub fn fire_scheduled_panic(&self, round: usize) {
-        self.faults.fire_panic(round, self.me);
-    }
-
-    /// Injected wall-clock delay before this round's sends, if any.
-    pub fn scheduled_delay(&self, round: usize) -> Option<Duration> {
-        self.faults.send_delay(round)
+    /// Fire the worker-level faults the plan pins to the start of
+    /// `round` (the round is explicit because the async mode numbers
+    /// bursts itself): a panic, which the master contains, or a
+    /// wall-clock delay before the round's sends.
+    pub fn fire_round_faults(&self, round: usize) {
+        if self.faults.panic_scheduled(round) {
+            self.faults.fire_panic(round, self.me);
+        }
+        if let Some(d) = self.faults.send_delay(round) {
+            std::thread::sleep(d);
+        }
     }
 
     /// Run `op` with bounded retry + exponential backoff on transient IO
@@ -771,6 +773,23 @@ mod tests {
             d.intern_iri(format!("http://x/n{i}"));
         }
         Arc::new(d)
+    }
+
+    /// A custom fabric is another crate's code: one that builds the wrong
+    /// number of endpoints is refused before any worker is spawned on it.
+    #[test]
+    fn a_custom_fabric_of_the_wrong_size_is_refused() {
+        struct Short;
+        impl TransportFactory for Short {
+            fn label(&self) -> &'static str {
+                "short"
+            }
+            fn build(&self, _k: usize) -> Result<Vec<Box<dyn Transport>>, CommError> {
+                Ok(Vec::new())
+            }
+        }
+        let err = build_fabric(2, &CommMode::Custom(Arc::new(Short)), dict_with(1)).err();
+        assert!(matches!(err, Some(CommError::Unsupported { .. })), "{err:?}");
     }
 
     #[test]

@@ -14,12 +14,16 @@
 //! The cluster of the paper (one partition per processor core, message
 //! exchange over a shared filesystem) is reproduced as one OS thread per
 //! partition with a private [`WorkerState`] (its triples held as sorted
-//! runs: a frozen store plus a small overlay); *all*
+//! runs: one store, a frozen base plus a small overlay); *all*
 //! inter-partition traffic flows through an explicit [`comm`] backend —
 //! crossbeam channels, or real files in a shared directory serialized as
-//! N-Triples, matching the paper's transport. Workers proceed in
-//! barrier-synchronized rounds and terminate when a round moves no triples
-//! anywhere (the paper's quiescence condition).
+//! N-Triples, matching the paper's transport. The loop at each node
+//! exists once ([`worker::run_rounds`]) and is written against
+//! [`worker::RoundLink`], the seam that hides what carries a round's
+//! messages and verdict: barrier-synchronized rounds that terminate when
+//! a round moves no triples anywhere (the paper's quiescence condition),
+//! the asynchronous variant of §VI-B, or — in `owlpar-net` — a TCP
+//! connection to a cluster master.
 //!
 //! The runtime is fault-tolerant end to end: transport operations return
 //! typed [`error`]s instead of panicking, file writes are atomic with
@@ -87,7 +91,7 @@ pub use frame::{
     decode_triple_block, encode_triple_block, read_crc_frame, read_frame, write_crc_frame,
     write_frame, FrameError, TripleBlockError,
 };
-pub use master::{prepare_run, reclose_serial, run_parallel, run_serial, RunPlan, RunReport};
+pub use master::{prepare_run, run_parallel, run_serial, RunPlan, RunReport};
 pub use model::{fit_cubic, PolyModel};
 pub use plan::{
     analyze_rules_only, analyze_run_plan, analyze_strategy, auto_candidates, select_auto,

@@ -9,9 +9,12 @@
 //! Unlike the quote, this master has one more job: **containment and
 //! recovery**. Every worker runs inside a `catch_unwind` wrapper; a
 //! panicking worker is converted into a structured
-//! [`WorkerError::Panicked`], the shared failure flag is raised and the
-//! barrier defected on its behalf, so the survivors drain cleanly (see
-//! `worker`). If the run lost workers, the master either reports a
+//! [`WorkerError::Panicked`], and whichever way a worker leaves the run
+//! the wrapper defects from the barrier on its behalf — after raising
+//! the shared failure flag if it failed — so the survivors drain cleanly
+//! (see `worker`). The tail of a run — aggregate, recover, reconstruct
+//! the schedule, report — is [`finish_run`], shared with the cluster
+//! master. If the run lost workers, the master either reports a
 //! [`RunError::Workers`] or — for data partitioning under
 //! [`FaultRecovery::AdoptAndReclose`] — adopts the loss: the original
 //! graph still holds every base triple and every survivor's output is a
@@ -33,7 +36,7 @@ use crate::error::{RunError, WorkerError};
 use crate::stats::{PhaseBreakdown, WorkerStats};
 use crate::durable::Digest128;
 use crate::worker::{
-    run_worker, run_worker_async, AsyncControl, Routing, RunFlags, WorkerCtx,
+    run_rounds, AsyncControl, AsyncLink, BarrierLink, Routing, RunFlags, WorkerCtx,
 };
 use owlpar_datalog::{MaterializationStrategy, Reasoner, Rule};
 use owlpar_horst::HorstReasoner;
@@ -254,7 +257,7 @@ impl RunPlan {
 /// — the adopt-and-reclose recovery step. Recompiling via [`run_serial`]
 /// would silently drop `cfg.extra_rules`, so the caller passes the
 /// rule-base the lost run actually used.
-pub fn reclose_serial(graph: &mut Graph, cfg: &ParallelConfig, all_rules: &[Rule]) {
+fn reclose_serial(graph: &mut Graph, cfg: &ParallelConfig, all_rules: &[Rule]) {
     if cfg.extra_rules.is_empty() {
         run_serial(graph, cfg.materialization);
     } else {
@@ -535,22 +538,7 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
     }
     let start_total = Instant::now();
     let before_len = graph.len();
-    let plan = prepare_run(graph, cfg)?;
-    let recoverable = plan.recoverable(cfg.recovery);
-    let RunPlan {
-        k: _,
-        strategy: _,
-        all_rules,
-        schema,
-        bases,
-        rules_per_worker,
-        routing,
-        quality: partition_quality,
-        edge_cut,
-        partition_time,
-        analysis: _,
-        input_digest: _,
-    } = plan;
+    let mut plan = prepare_run(graph, cfg)?;
 
     // Freeze the dictionary and build the fabric.
     let dict = Arc::new(graph.dict.clone());
@@ -559,87 +547,92 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
     let barrier = Arc::new(RoundBarrier::new(cfg.k));
     let total_sent = Arc::new(AtomicU64::new(0));
     let flags = Arc::new(RunFlags::new());
-    let progress: Vec<Arc<AtomicUsize>> =
-        (0..cfg.k).map(|_| Arc::new(AtomicUsize::new(0))).collect();
-
-    // Spawn the workers, each inside a panic-containment wrapper.
-    let t_par = Instant::now();
-    let schema = Arc::new(schema);
     let async_control = Arc::new(AsyncControl::default());
-    type WorkerOutcome = Result<(Vec<Triple>, WorkerStats), WorkerError>;
-    let mut results: Vec<Option<WorkerOutcome>> = (0..cfg.k).map(|_| None).collect();
+
+    // Spawn the workers, each inside a containment wrapper.
+    let t_par = Instant::now();
+    let schema = Arc::new(std::mem::take(&mut plan.schema));
+    let materialization = resolve_materialization(cfg.materialization, cfg.k);
+    let parts = std::mem::take(&mut plan.bases)
+        .into_iter()
+        .zip(std::mem::take(&mut plan.rules_per_worker))
+        .zip(std::mem::take(&mut plan.routing))
+        .zip(fabric);
+    let mut results: Vec<Result<(Vec<Triple>, WorkerStats), WorkerError>> =
+        Vec::with_capacity(cfg.k);
     let scope_ok = crossbeam::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(cfg.k);
-        let mut parts_iter = bases.into_iter();
-        let mut rules_iter = rules_per_worker.into_iter();
-        let mut routing_iter = routing.into_iter();
-        let mut fabric_iter = fabric.into_iter();
-        for id in 0..cfg.k {
-            // the iterators have exactly k elements by construction
-            let (Some(base), Some(rules), Some(routing), Some(comm)) = (
-                parts_iter.next(),
-                rules_iter.next(),
-                routing_iter.next(),
-                fabric_iter.next(),
-            ) else {
-                break;
+        // every zipped list has exactly k elements by construction
+        for (id, (((base, rules), routing), comm)) in parts.enumerate() {
+            let ctx = WorkerCtx {
+                id,
+                k: cfg.k,
+                schema: Arc::clone(&schema),
+                base,
+                reasoner: Reasoner::new(rules, materialization),
+                routing,
             };
             let barrier = Arc::clone(&barrier);
             let total_sent = Arc::clone(&total_sent);
             let flags = Arc::clone(&flags);
-            let progress = Arc::clone(&progress[id]);
             let async_control = Arc::clone(&async_control);
-            let materialization = resolve_materialization(cfg.materialization, cfg.k);
-            let rounds_mode = cfg.rounds;
-            let round_timeout = cfg.round_timeout;
-            let schema = Arc::clone(&schema);
             handles.push(scope.spawn(move |_| {
-                let contain_barrier = Arc::clone(&barrier);
-                let contain_flags = Arc::clone(&flags);
-                let contain_progress = Arc::clone(&progress);
-                let contain_async = Arc::clone(&async_control);
-                let outcome = std::panic::catch_unwind(AssertUnwindSafe(move || {
-                    let ctx = WorkerCtx {
-                        id,
-                        k: cfg.k,
-                        schema,
-                        base,
-                        reasoner: Reasoner::new(rules, materialization),
-                        routing,
-                        comm,
-                        barrier,
-                        total_sent,
-                        flags,
-                        round_timeout,
-                        progress,
-                    };
-                    match rounds_mode {
-                        RoundMode::Barrier => run_worker(ctx),
-                        RoundMode::Async => run_worker_async(ctx, async_control),
+                let progress = Arc::new(AtomicUsize::new(0));
+                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    // Ambient tracing lane for this worker (one branch
+                    // per span when the recorder is disabled; flushed on
+                    // drop, including error exits).
+                    let mut lane = obs::global().track(&format!("worker {id}"));
+                    let progress = Arc::clone(&progress);
+                    match cfg.rounds {
+                        RoundMode::Barrier => {
+                            let mut link = BarrierLink {
+                                comm,
+                                barrier: Arc::clone(&barrier),
+                                total_sent,
+                                last_total: 0,
+                                flags: Arc::clone(&flags),
+                                round_timeout: cfg.round_timeout,
+                                progress,
+                            };
+                            run_rounds(ctx, &mut link, &mut lane)
+                        }
+                        RoundMode::Async => {
+                            let mut link = AsyncLink {
+                                comm,
+                                k: cfg.k,
+                                control: Arc::clone(&async_control),
+                                progress,
+                            };
+                            run_rounds(ctx, &mut link, &mut lane)
+                        }
                     }
                 }));
-                match outcome {
-                    Ok(r) => r,
-                    Err(payload) => {
-                        // Containment: raise the flag *before* defecting,
-                        // then release anyone the dead worker would have
-                        // kept waiting (see worker.rs module docs).
-                        contain_flags.fail();
-                        contain_barrier.defect();
-                        contain_async
-                            .exit
-                            .store(true, Ordering::SeqCst);
-                        Err(WorkerError::Panicked {
-                            worker: id,
-                            round: contain_progress.load(Ordering::Relaxed),
-                            message: panic_message(payload.as_ref()),
-                        })
-                    }
+                let result = outcome.unwrap_or_else(|payload| {
+                    Err(WorkerError::Panicked {
+                        worker: id,
+                        round: progress.load(Ordering::Relaxed),
+                        message: panic_message(payload.as_ref()),
+                    })
+                });
+                // Leaving the run — on quiescence, drain, structured
+                // error or contained panic — must shrink the barrier
+                // membership: a peer that raced past the failure flag may
+                // already be waiting on the next barrier, and without
+                // this defection it would stall there until its round
+                // timeout. A failure raises the flag *before* defecting,
+                // then releases anyone the lost worker would have kept
+                // waiting (see worker.rs module docs).
+                if result.is_err() {
+                    flags.fail();
+                    async_control.exit.store(true, Ordering::SeqCst);
                 }
+                barrier.defect();
+                result
             }));
         }
         for (id, h) in handles.into_iter().enumerate() {
-            results[id] = Some(h.join().unwrap_or_else(|_| {
+            results.push(h.join().unwrap_or_else(|_| {
                 Err(WorkerError::Panicked {
                     worker: id,
                     round: 0,
@@ -660,45 +653,73 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
     }
     let host_parallel_time = t_par.elapsed();
 
+    let mut outcomes = Vec::with_capacity(cfg.k);
+    let mut worker_errors = Vec::new();
+    for r in results {
+        match r {
+            Ok(outcome) => outcomes.push(Some(outcome)),
+            Err(e) => {
+                worker_errors.push(e);
+                outcomes.push(None);
+            }
+        }
+    }
+    let mut lane = obs::global().track("master");
+    finish_run(
+        graph,
+        cfg,
+        &plan,
+        &mut lane,
+        outcomes,
+        worker_errors,
+        (start_total, before_len, host_parallel_time),
+        None,
+    )
+}
+
+/// The tail both masters share: aggregate what the workers handed back
+/// into `graph`, recover from lost workers if the plan allows it,
+/// reconstruct the cluster's wall-clock and assemble the report.
+///
+/// `outcomes[id]` is worker `id`'s derived-only run and statistics,
+/// `None` if it was lost (it keeps its slot in the report, with default
+/// counters); `worker_errors` says why, one entry per lost worker.
+/// `clock` is `(run start, graph size at run start, host wall-clock from
+/// worker spawn to last join)`. Spans (`Aggregate`, `Recovery`) go on the
+/// calling master's `lane`.
+#[allow(clippy::too_many_arguments)] // the two masters are the only callers
+pub fn finish_run(
+    graph: &mut Graph,
+    cfg: &ParallelConfig,
+    plan: &RunPlan,
+    lane: &mut obs::Track,
+    outcomes: Vec<Option<(Vec<Triple>, WorkerStats)>>,
+    worker_errors: Vec<WorkerError>,
+    clock: (Instant, usize, Duration),
+    wire: Option<crate::stats::WireBytes>,
+) -> Result<RunReport, RunError> {
+    let (start_total, before_len, host_parallel_time) = clock;
     // Aggregate: merge the survivors' runs and fold the result into the
     // master graph's base — no triple is hashed, and the base triples
-    // never left the graph; collect structured errors for the rest.
-    let rec = obs::global();
-    let mut lane = rec.track("master");
+    // never left the graph.
     let agg_span = lane.begin(obs::Phase::Aggregate, obs::NO_ROUND);
     let t_agg = Instant::now();
-    let mut worker_stats = Vec::with_capacity(cfg.k);
-    let mut output_sizes = Vec::with_capacity(cfg.k);
-    let mut worker_errors: Vec<WorkerError> = Vec::new();
-    let mut runs: Vec<Vec<Triple>> = Vec::with_capacity(cfg.k);
-    for (id, r) in results.into_iter().enumerate() {
-        match r {
-            Some(Ok((run, stats))) => {
+    let mut worker_stats = Vec::with_capacity(outcomes.len());
+    let mut output_sizes = Vec::with_capacity(outcomes.len());
+    let mut runs: Vec<Vec<Triple>> = Vec::with_capacity(outcomes.len());
+    for (id, outcome) in outcomes.into_iter().enumerate() {
+        match outcome {
+            Some((run, stats)) => {
                 output_sizes.push(stats.output_size);
                 runs.push(run);
                 worker_stats.push(stats);
             }
-            Some(Err(e)) => {
-                worker_errors.push(e);
-                worker_stats.push(WorkerStats {
-                    id,
-                    ..WorkerStats::default()
-                });
-            }
-            None => {
-                worker_errors.push(WorkerError::Panicked {
-                    worker: id,
-                    round: 0,
-                    message: "worker was never spawned".to_string(),
-                });
-                worker_stats.push(WorkerStats {
-                    id,
-                    ..WorkerStats::default()
-                });
-            }
+            None => worker_stats.push(WorkerStats {
+                id,
+                ..WorkerStats::default()
+            }),
         }
     }
-
     graph.store.merge_run(&merge_runs(&runs));
 
     // Recovery. The master graph still holds every base and schema
@@ -709,13 +730,13 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
     // rule/hybrid losses are reported instead.
     let mut recovered = false;
     if !worker_errors.is_empty() {
-        if !recoverable {
+        if !plan.recoverable(cfg.recovery) {
             return Err(RunError::Workers {
                 errors: worker_errors,
             });
         }
         let rec_span = lane.begin(obs::Phase::Recovery, obs::NO_ROUND);
-        reclose_serial(graph, cfg, &all_rules);
+        reclose_serial(graph, cfg, &plan.all_rules);
         lane.end(rec_span);
         recovered = true;
     }
@@ -743,21 +764,21 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
 
     let closure_size = graph.len();
     Ok(RunReport {
-        k: cfg.k,
+        k: plan.k,
         breakdown: PhaseBreakdown::from_workers(&worker_stats, aggregation),
         workers: worker_stats,
-        partition_time,
+        partition_time: plan.partition_time,
         parallel_time,
         host_parallel_time,
         total_time: start_total.elapsed(),
         derived: closure_size - before_len,
         closure_size,
         output_replication: or_excess(&output_sizes, closure_size),
-        partition_quality,
-        edge_cut,
+        partition_quality: plan.quality.clone(),
+        edge_cut: plan.edge_cut,
         worker_errors,
         recovered,
-        wire: None,
+        wire,
     })
 }
 

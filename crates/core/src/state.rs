@@ -1,16 +1,16 @@
 //! A worker's local triples, as sorted runs from load to hand-back.
 //!
-//! All three worker loops — [`run_worker`](crate::worker::run_worker),
-//! [`run_worker_async`](crate::worker::run_worker_async) and the cluster
-//! runtime's `run_cluster_worker` — keep their partition in one
-//! [`WorkerState`]. The schema and partition runs a worker is shipped are
-//! already SPO-sorted, so they become the SPO family of a
-//! [`FrozenStore`] as they are; round 0 closes that store with the
-//! frozen-store delta closure; each later round's deliveries go into a
-//! small mutable overlay that is folded into the frozen base by linear
-//! merge once it outgrows `max(4096, base / 4)` (the serving layer's
-//! compaction policy). No per-triple hash index is ever built over the
-//! partition.
+//! The round loop ([`run_rounds`](crate::worker::run_rounds)) keeps its
+//! partition in one [`WorkerState`], whatever carries its messages. The
+//! state is one [`TripleStore`]. The schema and partition runs a worker
+//! is shipped are already SPO-sorted, so they become the SPO family of
+//! the store's frozen base as they are; round 0 closes that base with the
+//! frozen-store delta closure and adopts the result; each later round's
+//! deliveries and their consequences go into the store's hash overlay,
+//! which the store folds into the base by linear merge once it has
+//! outgrown it ([`TripleStore::compact_if_outgrown`] — the serving
+//! layer's policy, because it is the same store). No per-triple hash
+//! index is ever built over the partition.
 //!
 //! What a worker hands back is **only what it was not shipped**: the
 //! master still holds every schema and base triple, so
@@ -21,42 +21,24 @@
 //! Everything stays inside the worker's resolved thread budget:
 //! `ForwardSemiNaive` is one thread — nothing is ever spawned — and
 //! `ForwardParallel { threads }` caps joins, freezes and folds together
-//! at `threads`. The backward engines need a mutable hash store to prove
-//! goals against; they keep one behind the same type.
+//! at `threads`. The backward engines need per-triple indexes to prove
+//! goals against; they keep the same store and never compact it.
 
-use owlpar_datalog::forward::forward_closure_delta_overlay;
+use owlpar_datalog::forward::forward_closure_delta;
 use owlpar_datalog::parallel::{resolve_threads, MIN_PARALLEL_DELTA};
 use owlpar_datalog::{closure_delta_within, closure_within, MaterializationStrategy, Reasoner};
 use owlpar_rdf::{merge_runs, FrozenStore, Triple, TripleStore};
 use std::sync::Arc;
 
-/// Fold the overlay into the frozen base once it holds more than this
-/// many triples and more than a quarter of the base (`ServingKb`'s
-/// policy): absorbing a round stays O(deliveries + consequences) and the
-/// merges amortize to O(1) per triple.
-const FOLD_FLOOR: usize = 4096;
-
-/// The two shapes a partition is held in.
-#[allow(clippy::large_enum_variant)] // one per worker, never moved around
-enum Local {
-    /// Forward engines: frozen bulk + recent arrivals. The overlay never
-    /// shares a triple with the base.
-    Sorted {
-        base: Arc<FrozenStore>,
-        overlay: TripleStore,
-    },
-    /// Backward engines: one mutable hash store.
-    Thawed(TripleStore),
-}
-
 /// One worker's partition, its reasoner, and the record of what it has
 /// gained since it was shipped. See the module docs.
 pub struct WorkerState {
     reasoner: Reasoner,
-    /// Thread budget for joins, freezes and folds (the caller's thread
-    /// included).
-    threads: usize,
-    local: Local,
+    /// Forward engines: the thread budget for joins, freezes and folds
+    /// (the caller's thread included). `None` for the backward engines,
+    /// whose store stays a hash store.
+    budget: Option<usize>,
+    store: TripleStore,
     /// Every triple that arrived or was derived after the load, each
     /// once, in arrival order.
     gained: Vec<Triple>,
@@ -68,27 +50,25 @@ impl WorkerState {
     /// sorted cuts). The engine — and with it the thread budget — is
     /// `reasoner.strategy`, already resolved by the master.
     pub fn load(schema: &[Triple], base: &[Triple], reasoner: Reasoner) -> Self {
-        let (threads, frozen) = match reasoner.strategy {
-            MaterializationStrategy::ForwardSemiNaive => (1, true),
-            MaterializationStrategy::ForwardParallel { threads } => {
-                (resolve_threads(threads), true)
-            }
+        let budget = match reasoner.strategy {
+            MaterializationStrategy::ForwardSemiNaive => Some(1),
+            MaterializationStrategy::ForwardParallel { threads } => Some(resolve_threads(threads)),
             MaterializationStrategy::BackwardPerResource(_)
-            | MaterializationStrategy::BackwardJena(_) => (1, false),
+            | MaterializationStrategy::BackwardJena(_) => None,
         };
         let shipped = merge_runs(&[schema, base]);
-        let local = if frozen {
-            Local::Sorted {
-                base: Arc::new(FrozenStore::from_sorted_run(&shipped, threads)),
-                overlay: TripleStore::new(),
+        let store = match budget {
+            Some(threads) => {
+                let mut store = TripleStore::new();
+                store.adopt(FrozenStore::from_sorted_run(&shipped, threads));
+                store
             }
-        } else {
-            Local::Thawed(shipped.into_iter().collect())
+            None => shipped.into_iter().collect(),
         };
         WorkerState {
             reasoner,
-            threads,
-            local,
+            budget,
+            store,
             gained: Vec::new(),
         }
     }
@@ -96,16 +76,18 @@ impl WorkerState {
     /// Round 0: close the shipped partition. Returns the derivations, for
     /// routing.
     pub fn close(&mut self) -> Vec<Triple> {
-        let derived = match &mut self.local {
-            Local::Sorted { base, .. } => {
-                let (closed, derived) =
-                    closure_within(std::mem::take(base), &self.reasoner.rules, self.threads);
-                *base = closed;
+        let derived = match self.budget {
+            Some(threads) => {
+                // The store gives its base up for the closure, so each
+                // round's merge can free the base it replaces.
+                let base = Arc::clone(std::mem::take(&mut self.store).base());
+                let (closed, derived) = closure_within(base, &self.reasoner.rules, threads);
+                self.store.adopt(closed);
                 derived
             }
-            Local::Thawed(store) => {
-                let seed: Vec<Triple> = store.iter().collect();
-                self.reasoner.materialize_delta(store, seed)
+            None => {
+                let seed: Vec<Triple> = self.store.iter().collect();
+                self.reasoner.materialize_delta(&mut self.store, seed)
             }
         };
         self.gained.extend_from_slice(&derived);
@@ -116,40 +98,33 @@ impl WorkerState {
     /// already-known triples tolerated) and derive its consequences.
     /// Returns the derivations, for routing.
     pub fn absorb(&mut self, mut received: Vec<Triple>) -> Vec<Triple> {
-        let derived = match &mut self.local {
-            Local::Sorted { base, overlay } => {
-                received.sort_unstable();
-                received.dedup();
-                received.retain(|t| !base.contains(t) && !overlay.contains(t));
-                let fresh = received;
-                self.gained.extend_from_slice(&fresh);
-                if self.threads > 1 && fresh.len() >= MIN_PARALLEL_DELTA {
-                    // Big enough to shard: fold it (and the overlay) in
-                    // and run the frozen delta closure on the budget.
-                    let mut run: Vec<Triple> = overlay.iter().collect();
-                    run.extend_from_slice(&fresh);
-                    *overlay = TripleStore::new();
-                    let grown = base.merge_triples_within(&run, self.threads);
-                    let (closed, derived) =
-                        closure_delta_within(grown, &self.reasoner.rules, fresh, self.threads);
-                    *base = closed;
-                    derived
-                } else {
-                    overlay.extend(fresh.iter().copied());
-                    let derived =
-                        forward_closure_delta_overlay(base, overlay, &self.reasoner.rules, fresh);
-                    if overlay.len() > FOLD_FLOOR.max(base.len() / 4) {
-                        let run: Vec<Triple> = overlay.iter().collect();
-                        *base = Arc::new(base.merge_triples_within(&run, self.threads));
-                        *overlay = TripleStore::new();
-                    }
-                    derived
-                }
+        received.sort_unstable();
+        received.dedup();
+        received.retain(|t| !self.store.contains(t));
+        let fresh = received;
+        self.gained.extend_from_slice(&fresh);
+        let rules = &self.reasoner.rules;
+        let derived = match self.budget {
+            Some(threads) if threads > 1 && fresh.len() >= MIN_PARALLEL_DELTA => {
+                // Big enough to shard: fold it (and the overlay) in and
+                // run the frozen delta closure on the budget.
+                let mut run: Vec<Triple> = self.store.overlay().collect();
+                run.extend_from_slice(&fresh);
+                let grown = self.store.base().merge_triples_within(&run, threads);
+                self.store = TripleStore::new();
+                let (closed, derived) = closure_delta_within(grown, rules, fresh, threads);
+                self.store.adopt(closed);
+                derived
             }
-            Local::Thawed(store) => {
-                received.retain(|t| store.insert(*t));
-                self.gained.extend_from_slice(&received);
-                self.reasoner.materialize_delta(store, received)
+            Some(threads) => {
+                self.store.extend(fresh.iter().copied());
+                let derived = forward_closure_delta(&mut self.store, rules, fresh);
+                self.store.compact_if_outgrown(threads);
+                derived
+            }
+            None => {
+                self.store.extend(fresh.iter().copied());
+                self.reasoner.materialize_delta(&mut self.store, fresh)
             }
         };
         self.gained.extend_from_slice(&derived);
@@ -158,16 +133,13 @@ impl WorkerState {
 
     /// Number of distinct triples held: shipped + gained.
     pub fn len(&self) -> usize {
-        match &self.local {
-            Local::Sorted { base, overlay } => base.len() + overlay.len(),
-            Local::Thawed(store) => store.len(),
-        }
+        self.store.len()
     }
 
     /// `true` iff the worker holds nothing (an empty partition of an
     /// empty schema).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.store.is_empty()
     }
 
     /// Hand back the SPO-sorted, duplicate-free run of everything gained
@@ -256,6 +228,14 @@ mod tests {
                 derived.sort_unstable();
                 assert_eq!(derived, want, "{strategy:?}");
                 assert_eq!(state.len(), oracle.len(), "{strategy:?}");
+                // forward engines keep the bulk frozen and the overlay
+                // bounded; backward engines never compact
+                let (base, recent) = (state.store.base(), state.store.overlay_len());
+                match state.budget {
+                    Some(_) => assert!(recent <= 4096.max(base.len() / 4), "{strategy:?}"),
+                    None => assert!(base.is_empty(), "{strategy:?}"),
+                }
+                assert!(state.store.overlay().all(|t| !base.contains(&t)));
             }
             let (run, len) = state.finish();
             assert_eq!(len, oracle.len());

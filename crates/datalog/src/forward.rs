@@ -9,10 +9,13 @@
 //! The delta-aware entry point [`forward_closure_delta`] is what the
 //! parallel reasoner's rounds use: a worker whose store is already closed
 //! receives a batch of foreign triples, inserts them, and only needs to
-//! propagate consequences of that batch.
+//! propagate consequences of that batch. Every consequence lands in the
+//! store's hash overlay, so over a store whose bulk is frozen
+//! ([`TripleStore::adopt`]) a delta costs O(delta + consequences) however
+//! large the base is.
 
 use crate::ast::{Bindings, Rule};
-use owlpar_rdf::{FrozenStore, FrozenView, Triple, TripleSource, TripleStore};
+use owlpar_rdf::{Triple, TripleSource, TripleStore};
 
 /// Compute the closure of `store` under `rules`. Returns the number of
 /// derived (new) triples. Semi-naive: cost proportional to work actually
@@ -83,54 +86,15 @@ fn run_rounds(store: &mut TripleStore, rules: &[Rule], seed: Vec<Triple>) -> Vec
     all_derived
 }
 
-/// [`forward_closure_delta`] over `base ∪ overlay`: the bulk of the
-/// store stays frozen and every consequence lands in the small mutable
-/// `overlay`, so absorbing a delta costs O(delta + consequences) however
-/// large `base` is. This is what a distributed worker runs on each
-/// round's deliveries.
-///
-/// Precondition: `overlay` shares no triple with `base`, and every triple
-/// of `delta` is already in one of them.
-pub fn forward_closure_delta_overlay(
-    base: &FrozenStore,
-    overlay: &mut TripleStore,
-    rules: &[Rule],
-    delta: Vec<Triple>,
-) -> Vec<Triple> {
-    let mut all_derived: Vec<Triple> = Vec::new();
-    let mut delta_store: TripleStore = delta.into_iter().collect();
-    while !delta_store.is_empty() {
-        let mut candidates: Vec<Triple> = Vec::new();
-        let view = FrozenView {
-            base,
-            delta: &*overlay,
-        };
-        for rule in rules {
-            apply_rule_delta(&view, &delta_store, rule, &mut |t| candidates.push(t));
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-        let mut next_delta = TripleStore::new();
-        for t in candidates {
-            if !base.contains(&t) && overlay.insert(t) {
-                next_delta.insert(t);
-                all_derived.push(t);
-            }
-        }
-        delta_store = next_delta;
-    }
-    all_derived
-}
-
 /// Fire `rule` requiring at least one body atom to match inside `delta`;
 /// the remaining atoms are joined against the full `store`. Candidate head
 /// instantiations are handed to `emit` (duplicates possible; the caller
 /// dedupes).
 ///
 /// Generic over the store representation so the same join runs against a
-/// mutable [`TripleStore`], a frozen base, or a frozen-base + overlay view
-/// (the parallel engine shares it across threads), and over the sink so
-/// that engine can drop a duplicate head before it is ever stored.
+/// two-layer [`TripleStore`] or a frozen base (the parallel engine shares
+/// it across threads), and over the sink so that engine can drop a
+/// duplicate head before it is ever stored.
 pub(crate) fn apply_rule_delta<S, D>(
     store: &S,
     delta: &D,
@@ -255,33 +219,38 @@ mod tests {
         assert!(s.contains(&t(1, P, 3)));
     }
 
+    /// A delta over a store whose bulk is frozen derives what it derives
+    /// over a pure hash store, into the overlay alone.
     #[test]
-    fn overlay_delta_closure_matches_the_mutable_store() {
+    fn delta_closure_over_a_frozen_base_matches_the_hash_store() {
         let rules = [trans_rule(P), subclass_rule()];
         let mut closed: TripleStore = (0..30).map(|i| t(i, P, i + 1)).collect();
         closed.insert(t(3, TYPE, STUDENT));
         forward_closure(&mut closed, &rules);
-        let base = FrozenStore::from_store(&closed);
 
         let fresh = vec![t(31, P, 32), t(40, P, 0), t(9, TYPE, STUDENT)];
         let mut want = closed.clone();
-        for &f in &fresh {
-            want.insert(f);
-        }
+        want.extend(fresh.iter().copied());
         let mut want_derived = forward_closure_delta(&mut want, &rules, fresh.clone());
 
-        let mut overlay = TripleStore::new();
-        for &f in &fresh {
-            overlay.insert(f);
-        }
-        let mut derived = forward_closure_delta_overlay(&base, &mut overlay, &rules, fresh);
+        let mut layered = closed.clone();
+        layered.compact();
+        let base = std::sync::Arc::clone(layered.base());
+        layered.extend(fresh.iter().copied());
+        let mut derived = forward_closure_delta(&mut layered, &rules, fresh);
         want_derived.sort_unstable();
         derived.sort_unstable();
         assert_eq!(derived, want_derived);
-        assert!(overlay.iter().all(|t| !base.contains(&t)), "overlay stays disjoint");
-        let mut union: Vec<Triple> = base.iter().chain(overlay.iter()).collect();
-        union.sort_unstable();
-        assert_eq!(union, want.iter_sorted());
+        assert!(
+            std::sync::Arc::ptr_eq(layered.base(), &base),
+            "the base is untouched"
+        );
+        assert!(
+            layered.overlay().all(|t| !base.contains(&t)),
+            "overlay stays disjoint"
+        );
+        assert_eq!(layered.overlay_len(), 3 + derived.len());
+        assert_eq!(layered.iter_sorted(), want.iter_sorted());
     }
 
     #[test]

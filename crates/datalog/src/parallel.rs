@@ -47,7 +47,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 use crate::ast::{Rule, TermPat};
-use crate::forward::{apply_rule_delta, forward_closure_delta, forward_closure_delta_overlay};
+use crate::forward::{apply_rule_delta, forward_closure_delta};
 use owlpar_obs::{global as obs_global, Phase, Recorder, Track, NO_ROUND};
 use owlpar_rdf::fx::FxHashMap;
 use owlpar_rdf::{
@@ -280,22 +280,24 @@ fn frozen_rounds(
 }
 
 /// Finish the fixpoint from a delta under [`small_delta_floor`]: the
-/// serial overlay engine derives every remaining consequence into a hash
-/// overlay over the untouched `base`. Returns what is to be folded into
-/// `base`, as a sorted run — the derivations, with `delta` itself unless
-/// `base` already holds it — and what was derived beyond `delta`.
+/// serial engine derives every remaining consequence into the hash
+/// overlay of a store adopted over the untouched `base`. Returns what is
+/// to be folded into `base`, as a sorted run — the derivations, with
+/// `delta` itself unless `base` already holds it — and what was derived
+/// beyond `delta`.
 fn small_tail(
-    base: &FrozenStore,
+    base: &Arc<FrozenStore>,
     rules: &[Rule],
     delta: Vec<Triple>,
     delta_in_base: bool,
 ) -> (Vec<Triple>, Vec<Triple>) {
-    let mut overlay = TripleStore::new();
+    let mut store = TripleStore::new();
+    store.adopt(Arc::clone(base));
     if !delta_in_base {
-        overlay.extend(delta.iter().copied());
+        store.extend(delta.iter().copied());
     }
-    let derived = forward_closure_delta_overlay(base, &mut overlay, rules, delta);
-    let mut run: Vec<Triple> = overlay.iter().collect();
+    let derived = forward_closure_delta(&mut store, rules, delta);
+    let mut run: Vec<Triple> = store.overlay().collect();
     run.sort_unstable();
     (run, derived)
 }

@@ -4,16 +4,17 @@
 //! The master runs the same pre-spawn half of Algorithm 3 the in-process
 //! runtime uses — [`prepare_run`] compiles, lints and partitions — then
 //! ships each worker its partition, rule subsets and routing table over
-//! the versioned bootstrap protocol (`protocol`). Rounds mirror
-//! `run_worker` exactly (the same [`WorkerState`] holds the partition):
-//! a worker closes its local partition, routes fresh derivations, sends
-//! them (as `Triples` frames relayed through the master), announces
-//! `RoundDone`, and blocks until the master's
-//! `Deliver` hands it the round verdict plus its inbound triples. The
-//! verdict is the paper's termination test — a round in which nobody
-//! sent anything — computed from the per-round send counts every
-//! `RoundDone` carries, so it is reached by every worker in the same
-//! round, just like the in-process cumulative-counter check.
+//! the versioned bootstrap protocol (`protocol`), and ends in the same
+//! tail ([`finish_run`]: aggregate, recover, report). A worker runs the
+//! one round loop there is ([`run_rounds`]) over its master connection
+//! (`ClusterLink`, this runtime's [`RoundLink`]): it closes its local
+//! partition, routes fresh derivations, sends them (as `Triples` frames
+//! relayed through the master), announces `RoundDone`, and blocks until
+//! the master's `Deliver` hands it the round verdict plus its inbound
+//! triples. The verdict is the paper's termination test — a round in
+//! which nobody sent anything — computed from the per-round send counts
+//! every `RoundDone` carries, so it is reached by every worker in the
+//! same round, just like the in-process cumulative-counter check.
 //!
 //! ## Star, not mesh
 //!
@@ -45,20 +46,18 @@ use crate::protocol::{
     WIRE_MAGIC,
 };
 use owlpar_core::config::RoundMode;
-use owlpar_core::cputime::CpuTimer;
-use owlpar_core::master::resolve_materialization;
-use owlpar_core::stats::{simulate_rounds, PhaseBreakdown, WireBytes, WirePhase, WireRound};
-use owlpar_core::worker::Routing;
-use owlpar_obs::{wire as obs_wire, Metric, Phase, Recorder, NO_ROUND};
+use owlpar_core::master::{finish_run, resolve_materialization};
+use owlpar_core::stats::{WireBytes, WirePhase, WireRound};
+use owlpar_core::worker::{run_rounds, RoundLink, Routing, WorkerCtx};
 use owlpar_core::{
-    digest128, prepare_run, read_crc_frame, reclose_serial, write_crc_frame, Backoff, CommError,
-    FaultKind, ParallelConfig, RunError, RunReport, WorkerError, WorkerState, WorkerStats,
+    digest128, prepare_run, read_crc_frame, write_crc_frame, Backoff, CommError, FaultKind,
+    ParallelConfig, RunError, RunReport, WorkerError,
 };
 use owlpar_datalog::{Reasoner, Rule};
-use owlpar_partition::metrics::or_excess;
+use owlpar_obs::{wire as obs_wire, Metric, Phase, Recorder, Track, NO_ROUND};
 use owlpar_partition::RulePartitions;
 use owlpar_rdf::fx::FxHashMap;
-use owlpar_rdf::{merge_runs, Graph, Triple};
+use owlpar_rdf::{Graph, Triple};
 use std::collections::BTreeMap;
 use std::io::ErrorKind;
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
@@ -273,17 +272,6 @@ fn handshake_err(detail: impl Into<String>) -> NetError {
 
 fn send_master(stream: &mut TcpStream, msg: &MasterMsg) -> Result<(), NetError> {
     write_crc_frame(stream, &encode_master_msg(msg)).map_err(NetError::from)
-}
-
-/// Worker-side send with wire-byte accounting (frame envelope included).
-fn send_worker_counted(
-    stream: &mut TcpStream,
-    msg: &WorkerMsg,
-    sent: &mut u64,
-) -> Result<(), NetError> {
-    let body = encode_worker_msg(msg);
-    *sent += body.len() as u64 + FRAME_OVERHEAD;
-    write_crc_frame(stream, &body).map_err(NetError::from)
 }
 
 // ---------------------------------------------------------------------
@@ -646,11 +634,10 @@ pub fn run_cluster_master(
     }
     let start_total = Instant::now();
     let before_len = graph.len();
-    let plan = prepare_run(graph, cfg)?;
+    let mut plan = prepare_run(graph, cfg)?;
     // The cache key's input half: the KB as handed to us, digested from
     // the sorted order `prepare_run` put it in.
     let in_digest = plan.input_digest;
-    let recoverable = plan.recoverable(cfg.recovery);
     let k = plan.k;
     // Telemetry: an enabled recorder in the options turns on worker-side
     // tracing (via the Welcome flag) and gives the master its own
@@ -688,7 +675,7 @@ pub fn run_cluster_master(
         streams.push(stream);
         adverts.push(advert);
     }
-    let mut bases = plan.bases;
+    let mut bases = std::mem::take(&mut plan.bases);
     for (id, stream) in streams.iter_mut().enumerate() {
         let payload = SetupPayload {
             n_terms,
@@ -1033,47 +1020,7 @@ pub fn run_cluster_master(
     });
     let host_parallel_time = t_par.elapsed();
 
-    // --- aggregate + recover -----------------------------------------
-    let t_agg = Instant::now();
-    let agg_span = relay.begin(Phase::Aggregate, NO_ROUND);
-    // Merge the k sorted runs and fold the result into the graph's base:
-    // no triple is hashed, and the base triples never left `graph`.
-    let mut worker_stats = Vec::with_capacity(k);
-    let mut output_sizes = Vec::with_capacity(k);
-    let mut runs: Vec<Vec<Triple>> = Vec::with_capacity(k);
-    for (id, f) in finals.into_iter().enumerate() {
-        match f {
-            Some((stats, run)) => {
-                output_sizes.push(stats.output_size as usize);
-                runs.push(run);
-                worker_stats.push(stats.into_worker_stats(id));
-            }
-            None => worker_stats.push(WorkerStats {
-                id,
-                ..WorkerStats::default()
-            }),
-        }
-    }
-    graph.store.merge_run(&merge_runs(&runs));
-    let mut recovered = false;
-    if !worker_errors.is_empty() {
-        if !recoverable {
-            return Err(NetError::Run(RunError::Workers {
-                errors: worker_errors,
-            }));
-        }
-        let recovery_span = relay.begin(Phase::Recovery, NO_ROUND);
-        reclose_serial(graph, cfg, &plan.all_rules);
-        relay.end(recovery_span);
-        recovered = true;
-    }
-    relay.end(agg_span);
-    let aggregation = t_agg.elapsed();
-
-    let (parallel_time, sim_sync) = simulate_rounds(&worker_stats);
-    for (w, s) in worker_stats.iter_mut().zip(sim_sync) {
-        w.sync_time = s;
-    }
+    // --- aggregate + recover: the in-process master's tail -------------
     // Lay the analyzer's predictions beside the measured trace — the
     // exact keys `owlpar trace summary` reads from the `"plan"` extra.
     if let Some(rec) = &trace {
@@ -1091,24 +1038,22 @@ pub fn run_cluster_master(
         };
         rec.set_extra("plan", plan_json);
     }
-    let closure_size = graph.len();
-    Ok(RunReport {
-        k,
-        breakdown: PhaseBreakdown::from_workers(&worker_stats, aggregation),
-        workers: worker_stats,
-        partition_time: plan.partition_time,
-        parallel_time,
-        host_parallel_time,
-        total_time: start_total.elapsed(),
-        derived: closure_size - before_len,
-        closure_size,
-        output_replication: or_excess(&output_sizes, closure_size),
-        partition_quality: plan.quality,
-        edge_cut: plan.edge_cut,
+    let outcomes = finals
+        .into_iter()
+        .enumerate()
+        .map(|(id, f)| f.map(|(stats, run)| (run, stats.into_worker_stats(id))))
+        .collect();
+    let report = finish_run(
+        graph,
+        cfg,
+        &plan,
+        &mut relay,
+        outcomes,
         worker_errors,
-        recovered,
-        wire: Some(ledger.snapshot()),
-    })
+        (start_total, before_len, host_parallel_time),
+        Some(ledger.snapshot()),
+    )?;
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------
@@ -1204,18 +1149,146 @@ fn rebuild_routing(w: WireRouting, k: u32, all_rules: &Arc<Vec<Rule>>) -> Result
     }
 }
 
-/// Read one master frame and decode it, with wire-byte accounting.
-fn read_master(stream: &mut TcpStream, n_terms: u32, recv: &mut u64) -> Result<MasterMsg, NetError> {
-    let body = read_crc_frame(stream)?;
-    *recv += body.len() as u64 + FRAME_OVERHEAD;
-    decode_master_msg(&body, n_terms)
+/// The worker's end of the master connection, with wire-byte accounting
+/// (frame envelopes included).
+struct MasterConn {
+    stream: TcpStream,
+    sent: u64,
+    recv: u64,
+}
+
+impl MasterConn {
+    fn send(&mut self, msg: &WorkerMsg) -> Result<(), NetError> {
+        let body = encode_worker_msg(msg);
+        self.sent += body.len() as u64 + FRAME_OVERHEAD;
+        write_crc_frame(&mut self.stream, &body).map_err(NetError::from)
+    }
+
+    /// Read one master frame and decode it against `n_terms`.
+    fn read(&mut self, n_terms: u32) -> Result<MasterMsg, NetError> {
+        let body = read_crc_frame(&mut self.stream)?;
+        self.recv += body.len() as u64 + FRAME_OVERHEAD;
+        decode_master_msg(&body, n_terms)
+    }
+}
+
+/// The master connection as the round loop sees it ([`RoundLink`]): a
+/// round's batches leave as `Triples` frames, the send window closes
+/// with `RoundDone`, and the master's `DeliverChunk* Deliver` stream is
+/// barrier, inbox and verdict in one. What the master does between the
+/// two — the star relay — is its side of the protocol and is unchanged.
+struct ClusterLink {
+    conn: MasterConn,
+    /// Dictionary bound inbound triples are checked against.
+    n_terms: u32,
+    /// Most triples per `Triples` / `FinalChunk` frame.
+    chunk: usize,
+    /// The worker-level faults the master planned for this node.
+    faults: Vec<(u32, WireFault)>,
+    /// The worker's local recorder: enabled iff the master asked for
+    /// telemetry, which then rides the connection as `TraceChunk`s.
+    rec: Recorder,
+}
+
+impl ClusterLink {
+    /// Ship the telemetry `lane` has buffered (nothing when untraced).
+    /// The chunk's `clock_us` doubles as the clock-offset handshake: the
+    /// master keeps the minimum-latency estimate over all chunks.
+    fn ship_trace(&mut self, lane: &mut Track) -> Result<(), NetError> {
+        if !self.rec.is_enabled() {
+            return Ok(());
+        }
+        let payload = obs_wire::encode_trace_chunk(self.rec.now_us(), &lane.take_buffered());
+        self.conn.send(&WorkerMsg::TraceChunk { payload })
+    }
+}
+
+impl RoundLink for ClusterLink {
+    type Error = NetError;
+
+    fn begin_round(&mut self, round: usize) -> Result<(), NetError> {
+        for &(r, fault) in &self.faults {
+            if r as usize != round {
+                continue;
+            }
+            let kind = match fault {
+                WireFault::Delay { millis } => {
+                    thread::sleep(Duration::from_millis(millis));
+                    continue;
+                }
+                WireFault::Panic => "panic",
+                WireFault::Disconnect => "disconnect",
+            };
+            let _ = self.conn.stream.shutdown(Shutdown::Both);
+            return Err(NetError::Injected { round, kind });
+        }
+        Ok(())
+    }
+
+    fn send(&mut self, _round: usize, to: usize, batch: &[Triple]) -> Result<bool, NetError> {
+        // Bounded frames regardless of batch size: a huge round splits
+        // into several Triples frames the master unions.
+        for part in batch.chunks(self.chunk) {
+            self.conn.send(&WorkerMsg::Triples {
+                to: to as u32,
+                batch: part.to_vec(),
+            })?;
+        }
+        Ok(true)
+    }
+
+    fn finish_round(
+        &mut self,
+        round: usize,
+        sent: u64,
+        lane: &mut Track,
+    ) -> Result<(Vec<Triple>, bool), NetError> {
+        // One trace chunk per round, before announcing it, keeps frames
+        // small and gives the master a fresh clock sample every round.
+        // Spans still open here (the Round span itself) ride a later
+        // chunk.
+        self.ship_trace(lane)?;
+        self.conn.send(&WorkerMsg::RoundDone {
+            round: round as u32,
+            sent,
+        })?;
+        // The round's inbound stream: any number of DeliverChunk frames
+        // then the Deliver verdict carrying the tail.
+        let wait_span = lane.begin(Phase::BarrierWait, round as u32);
+        let mut inbound: Vec<Triple> = Vec::new();
+        let stop = loop {
+            let (r, batch, verdict) = match self.conn.read(self.n_terms)? {
+                MasterMsg::DeliverChunk { round, batch } => (round, batch, None),
+                MasterMsg::Deliver {
+                    round,
+                    stop,
+                    triples,
+                } => (round, triples, Some(stop)),
+                other => {
+                    return Err(NetError::protocol(format!(
+                        "expected Deliver, got {other:?}"
+                    )))
+                }
+            };
+            if r as usize != round {
+                return Err(NetError::protocol(format!(
+                    "master delivered round {r} during round {round}"
+                )));
+            }
+            inbound.extend(batch);
+            if let Some(stop) = verdict {
+                break stop;
+            }
+        };
+        lane.end(wait_span);
+        Ok((inbound, stop))
+    }
 }
 
 /// Run one worker process: dial the master, handshake, receive the
-/// partition, execute barrier rounds to the stop verdict, ship back the
-/// sorted run of what it gained. Mirrors
-/// `owlpar_core::worker::run_worker` step for step —
-/// the exchanges just travel through the master instead of channels.
+/// partition, run the round loop ([`run_rounds`]) over the master
+/// connection to the stop verdict, ship back the sorted run of what it
+/// gained.
 pub fn run_cluster_worker(
     addr: impl ToSocketAddrs,
     opts: &WorkerOptions,
@@ -1224,7 +1297,7 @@ pub fn run_cluster_worker(
     // partitioning when we start.
     let deadline = Instant::now() + opts.connect_timeout;
     let mut backoff = Backoff::new(Duration::from_millis(5), Duration::from_millis(250));
-    let mut stream = loop {
+    let stream = loop {
         match TcpStream::connect(&addr) {
             Ok(s) => break s,
             Err(e) => {
@@ -1238,19 +1311,18 @@ pub fn run_cluster_worker(
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(opts.connect_timeout))?;
     stream.set_write_timeout(Some(opts.connect_timeout))?;
+    let mut conn = MasterConn {
+        stream,
+        sent: 0,
+        recv: 0,
+    };
 
     // --- handshake ---------------------------------------------------
-    let mut wire_sent = 0u64;
-    let mut wire_recv = 0u64;
-    send_worker_counted(
-        &mut stream,
-        &WorkerMsg::Hello {
-            magic: WIRE_MAGIC,
-            version: PROTOCOL_VERSION,
-        },
-        &mut wire_sent,
-    )?;
-    let (node_id, k, epoch, traced) = match read_master(&mut stream, u32::MAX, &mut wire_recv)? {
+    conn.send(&WorkerMsg::Hello {
+        magic: WIRE_MAGIC,
+        version: PROTOCOL_VERSION,
+    })?;
+    let (node_id, k, epoch, traced) = match conn.read(u32::MAX)? {
         MasterMsg::Welcome {
             node_id,
             k,
@@ -1277,9 +1349,9 @@ pub fn run_cluster_worker(
         None => None,
     };
     let entries = cache.as_ref().map(PartitionCache::scan).unwrap_or_default();
-    send_worker_counted(&mut stream, &WorkerMsg::CacheAdvert { entries }, &mut wire_sent)?;
+    conn.send(&WorkerMsg::CacheAdvert { entries })?;
 
-    let setup = match read_master(&mut stream, u32::MAX, &mut wire_recv)? {
+    let setup = match conn.read(u32::MAX)? {
         MasterMsg::Setup(s) => *s,
         other => {
             return Err(handshake_err(format!(
@@ -1322,24 +1394,23 @@ pub fn run_cluster_worker(
             })?,
     };
     let payload = decode_setup_payload(&blob)?;
-    let n_terms = payload.n_terms;
     let round_timeout = Duration::from_millis(setup.round_timeout_ms.max(1000));
     // The master's Deliver can lag a full coordinator round behind our
     // sends; give reads twice its patience before declaring it gone.
-    stream.set_read_timeout(Some(round_timeout.saturating_mul(2)))?;
-    stream.set_write_timeout(Some(round_timeout))?;
+    conn.stream
+        .set_read_timeout(Some(round_timeout.saturating_mul(2)))?;
+    conn.stream.set_write_timeout(Some(round_timeout))?;
 
-    // --- local state: exactly run_worker's ---------------------------
+    // --- rounds: the one loop, over the master connection --------------
     let all_rules = Arc::new(payload.all_rules);
-    let routing = rebuild_routing(payload.routing, k, &all_rules)?;
-    let reasoner = Reasoner::new(payload.my_rules, payload.materialization);
-    let mut faults = setup.faults;
-    faults.sort_by_key(|&(r, _)| r);
-
-    let mut stats = WireStats::default();
-    let me = node_id;
-    let mut round_cpu = Duration::ZERO;
-
+    let ctx = WorkerCtx {
+        id: node_id as usize,
+        k: k as usize,
+        routing: rebuild_routing(payload.routing, k, &all_rules)?,
+        reasoner: Reasoner::new(payload.my_rules, payload.materialization),
+        schema: Arc::new(payload.schema),
+        base: payload.base,
+    };
     // Telemetry: a LOCAL recorder, never the process global — worker
     // events reach the merged timeline only as `TraceChunk` frames, so
     // a loopback cluster (worker threads sharing one process in tests)
@@ -1352,219 +1423,62 @@ pub fn run_cluster_worker(
         Recorder::disabled()
     };
     let mut lane = rec.track("worker");
-
-    let t = CpuTimer::start();
-    let freeze_span = lane.begin(Phase::Freeze, NO_ROUND);
-    let mut state = WorkerState::load(&payload.schema, &payload.base, reasoner);
-    drop((payload.schema, payload.base));
-    lane.end(freeze_span);
-    let join_span = lane.begin(Phase::Join, NO_ROUND);
-    let mut derived = state.close();
-    lane.end(join_span);
-    let dt = t.elapsed();
-    stats.reason_micros += dt.as_micros() as u64;
-    round_cpu += dt;
-    stats.derived += derived.len() as u64;
-
-    let mut dests: Vec<u32> = Vec::with_capacity(2);
-    let mut round = 0usize;
-    loop {
-        stats.rounds += 1;
-        let round_span = lane.begin(Phase::Round, round as u32);
-
-        // injected faults pinned to the start of this round
-        for &(r, fault) in &faults {
-            if r as usize != round {
-                continue;
-            }
-            match fault {
-                WireFault::Panic => {
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return Err(NetError::Injected {
-                        round,
-                        kind: "panic",
-                    });
-                }
-                WireFault::Disconnect => {
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return Err(NetError::Injected {
-                        round,
-                        kind: "disconnect",
-                    });
-                }
-                WireFault::Delay { millis } => thread::sleep(Duration::from_millis(millis)),
-            }
-        }
-
-        // route + send
-        let t = CpuTimer::start();
-        let exchange_span = lane.begin(Phase::Exchange, round as u32);
-        let mut outbox: Vec<Vec<Triple>> = vec![Vec::new(); k as usize];
-        for tr in &derived {
-            routing.destinations(tr, me, &mut dests);
-            for &d in &dests {
-                outbox[d as usize].push(*tr);
-            }
-        }
-        let chunk = opts.chunk_triples.max(1);
-        let mut sent_now = 0u64;
-        for (to, batch) in outbox.iter().enumerate() {
-            if batch.is_empty() || to as u32 == me {
-                continue;
-            }
-            // Bounded frames regardless of batch size: a huge round
-            // splits into several Triples frames the master unions.
-            for part in batch.chunks(chunk) {
-                send_worker_counted(
-                    &mut stream,
-                    &WorkerMsg::Triples {
-                        to: to as u32,
-                        batch: part.to_vec(),
-                    },
-                    &mut wire_sent,
-                )?;
-            }
-            sent_now += batch.len() as u64;
-        }
-        lane.count(Phase::Exchange, round as u32, Metric::Sent, sent_now);
-        lane.end(exchange_span);
-        // Ship buffered telemetry before announcing the round — one
-        // chunk per round keeps frames small and gives the master a
-        // fresh clock sample every round: the chunk's `clock_us` is the
-        // clock-offset handshake (the master keeps the minimum-latency
-        // estimate). Spans still open here (this Round span itself)
-        // ride a later chunk; the pre-Final flush ships the stragglers.
-        if rec.is_enabled() {
-            let chunk_events = lane.take_buffered();
-            let payload = obs_wire::encode_trace_chunk(rec.now_us(), &chunk_events);
-            send_worker_counted(&mut stream, &WorkerMsg::TraceChunk { payload }, &mut wire_sent)?;
-        }
-        send_worker_counted(
-            &mut stream,
-            &WorkerMsg::RoundDone {
-                round: round as u32,
-                sent: sent_now,
-            },
-            &mut wire_sent,
-        )?;
-        stats.sent += sent_now;
-        let dt = t.elapsed();
-        stats.io_micros += dt.as_micros() as u64;
-        round_cpu += dt;
-
-        // the Deliver is barrier A, the verdict and barrier B in one
-        stats.round_cpu_micros.push(round_cpu.as_micros() as u64);
-        round_cpu = Duration::ZERO;
-        let t = CpuTimer::start();
-        let wait_span = lane.begin(Phase::BarrierWait, round as u32);
-        // The round's inbound stream: any number of DeliverChunk frames
-        // then the Deliver verdict carrying the tail.
-        let mut inbound: Vec<Triple> = Vec::new();
-        let stop = loop {
-            match read_master(&mut stream, n_terms, &mut wire_recv)? {
-                MasterMsg::DeliverChunk { round: r, batch } => {
-                    if r as usize != round {
-                        return Err(NetError::protocol(format!(
-                            "master streamed a chunk of round {r} during round {round}"
-                        )));
-                    }
-                    inbound.extend(batch);
-                }
-                MasterMsg::Deliver {
-                    round: r,
-                    stop,
-                    triples,
-                } => {
-                    if r as usize != round {
-                        return Err(NetError::protocol(format!(
-                            "master delivered round {r} during round {round}"
-                        )));
-                    }
-                    inbound.extend(triples);
-                    break stop;
-                }
-                other => {
-                    return Err(NetError::protocol(format!(
-                        "expected Deliver, got {other:?}"
-                    )))
-                }
-            }
-        };
-        lane.end(wait_span);
-        let triples = inbound;
-        stats.received += triples.len() as u64;
-        lane.count(Phase::Collect, round as u32, Metric::Received, triples.len() as u64);
-        let dt = t.elapsed();
-        stats.io_micros += dt.as_micros() as u64;
-        round_cpu += dt;
-        if stop {
-            lane.end(round_span);
-            break;
-        }
-
-        // absorb + incremental closure
-        let t = CpuTimer::start();
-        let join_span = lane.begin(Phase::Join, round as u32);
-        derived = state.absorb(triples);
-        lane.end(join_span);
-        let dt = t.elapsed();
-        stats.reason_micros += dt.as_micros() as u64;
-        round_cpu += dt;
-        stats.derived += derived.len() as u64;
-        lane.end(round_span);
-        round += 1;
-    }
-    if round_cpu > Duration::ZERO {
-        stats.round_cpu_micros.push(round_cpu.as_micros() as u64);
-    }
-    let (full, local_len) = state.finish();
-    stats.output_size = local_len as u64;
+    let chunk = opts.chunk_triples.max(1);
+    let mut link = ClusterLink {
+        conn,
+        n_terms: payload.n_terms,
+        chunk,
+        faults: setup.faults,
+        rec,
+    };
+    let (full, stats) = run_rounds(ctx, &mut link, &mut lane)?;
 
     let summary = WorkerSummary {
         node_id,
         k,
         epoch,
-        rounds: stats.rounds as usize,
-        derived: stats.derived as usize,
-        store_len: local_len,
-        sent: stats.sent,
+        rounds: stats.rounds,
+        derived: stats.derived,
+        store_len: stats.output_size,
+        sent: stats.sent as u64,
     };
     // Ship the run as a bounded chunk stream: FinalChunk* then the Final
     // terminator carrying the tail (and the counters), so a run of any
     // size fits under the per-frame cap. It is one ascending sequence —
     // each chunk a contiguous id range, which is both deterministic and
     // what the delta codec compresses best.
-    let chunk = opts.chunk_triples.max(1);
     let tail_start = full.len().saturating_sub(1) / chunk * chunk;
     for (seq, part) in full[..tail_start].chunks(chunk).enumerate() {
-        send_worker_counted(
-            &mut stream,
-            &WorkerMsg::FinalChunk {
-                seq: seq as u32,
-                batch: part.to_vec(),
-            },
-            &mut wire_sent,
-        )?;
+        link.conn.send(&WorkerMsg::FinalChunk {
+            seq: seq as u32,
+            batch: part.to_vec(),
+        })?;
     }
     // Flush the telemetry stragglers (final Round span, last barrier
     // wait) just before the Final frame — the handler absorbs the
     // accumulated events when the pump exits.
-    if rec.is_enabled() {
-        let chunk_events = lane.take_buffered();
-        let payload = obs_wire::encode_trace_chunk(rec.now_us(), &chunk_events);
-        send_worker_counted(&mut stream, &WorkerMsg::TraceChunk { payload }, &mut wire_sent)?;
-    }
+    link.ship_trace(&mut lane)?;
     // The counters ride inside the Final frame, so they cannot include
     // it; the master-side ledger is the authoritative total.
-    stats.wire_sent_bytes = wire_sent;
-    stats.wire_recv_bytes = wire_recv;
-    send_worker_counted(
-        &mut stream,
-        &WorkerMsg::Final {
+    let micros = |d: Duration| d.as_micros() as u64;
+    let stats = WireStats {
+        rounds: stats.rounds as u64,
+        derived: stats.derived as u64,
+        sent: stats.sent as u64,
+        received: stats.received as u64,
+        reason_micros: micros(stats.reason_time),
+        io_micros: micros(stats.io_time),
+        round_cpu_micros: stats.round_cpu.iter().copied().map(micros).collect(),
+        output_size: stats.output_size as u64,
+        wire_sent_bytes: link.conn.sent,
+        wire_recv_bytes: link.conn.recv,
+        skipped: stats.skipped as u64,
+        io_retries: stats.io_retries as u64,
+    };
+    link.conn
+        .send(&WorkerMsg::Final {
             stats,
             run: full[tail_start..].to_vec(),
-        },
-        &mut wire_sent,
-    )?;
-    Ok(summary)
+        })
+        .map(|()| summary)
 }

@@ -503,6 +503,55 @@ fn mid_run_disconnect_recovers_to_serial_closure() {
     );
 }
 
+/// The cluster link's fault hook, every kind it ships: a worker that
+/// panics or disconnects at round 1 reports the typed injected error, the
+/// master sees a dead connection and recovers the exact closure; a
+/// delayed worker loses nothing.
+#[test]
+fn round_one_faults_through_the_cluster_link() {
+    let g0 = generate_mdc(&MdcConfig::mini());
+    let (want_fp, want_len) = serial_closure(g0.clone());
+    for (kind, name) in [
+        (FaultKind::Panic, Some("panic")),
+        (FaultKind::Disconnect, Some("disconnect")),
+        (FaultKind::Delay { millis: 30 }, None),
+    ] {
+        let cfg = forward_cfg(4, PartitioningStrategy::data_graph())
+            .with_round_timeout(Duration::from_secs(120))
+            .with_faults(FaultPlan::new().with(1, 1, kind));
+        let (report, g, workers) = run_cluster(&g0, &cfg);
+        let report = report.unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        assert_eq!(g.len(), want_len, "{kind:?}");
+        assert_eq!(g.term_fingerprint(), want_fp, "{kind:?}");
+        assert_eq!(report.workers.len(), 4);
+        let injected = workers
+            .iter()
+            .filter(
+                |w| matches!(w, Err(NetError::Injected { round: 1, kind: k }) if Some(*k) == name),
+            )
+            .count();
+        match name {
+            Some(_) => {
+                assert!(report.recovered, "{kind:?} at round 1 triggers recovery");
+                assert!(
+                    matches!(
+                        report.worker_errors[..],
+                        [owlpar_core::WorkerError::Comm { worker: 1, .. }]
+                    ),
+                    "{kind:?}: {:?}",
+                    report.worker_errors
+                );
+                assert_eq!(injected, 1, "{kind:?}: exactly the faulted worker errors");
+                assert_eq!(workers.iter().filter(|w| w.is_ok()).count(), 3);
+            }
+            None => {
+                assert!(!report.recovered && report.worker_errors.is_empty());
+                assert!(workers.iter().all(Result::is_ok));
+            }
+        }
+    }
+}
+
 /// A worker speaking the wrong protocol version is told why (Reject) and
 /// the master refuses to start — bootstrap is all-or-nothing.
 #[test]

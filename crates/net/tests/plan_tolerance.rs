@@ -21,8 +21,8 @@ use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::thread;
 
-/// The same KB the `cluster_scaling` bench sweeps: LUBM grown to at
-/// least 3000 base triples.
+/// LUBM grown to at least 3000 base triples: small enough for a debug
+/// test, big enough that frame overheads do not drown the predictions.
 fn bench_kb() -> Graph {
     let mut unis = 1;
     let mut g = generate_lubm(&LubmConfig::mini(unis));

@@ -13,20 +13,17 @@
 //! immutable and `Sync`, and concurrent `for_each_match` from any number
 //! of threads is wait-free.
 //!
-//! Mutation is layered on top, LSM-style, instead of in place:
+//! Mutation is layered on top, LSM-style, instead of in place, and the
+//! layering has one home: a [`TripleStore`](crate::TripleStore) is an
+//! `Arc<FrozenStore>` base plus a small hash overlay read as their union
+//! — what a closure round joins against, what a worker absorbs deliveries
+//! into and what the serving layer publishes as a snapshot (a clone
+//! copies the overlay and shares the base). Compaction
+//! ([`FrozenStore::merge`] and friends) folds a delta into the base by a
+//! linear merge of already-sorted runs, not a rebuild.
 //!
-//! * [`FrozenView`] — a borrowed overlay `frozen base ∪ small mutable
-//!   delta` used inside a closure round (the base is shared read-only by
-//!   the worker threads; the delta is the around-the-loop accumulator).
-//! * [`OverlayStore`] — the owned, cheaply-clonable variant
-//!   (`Arc<FrozenStore>` + `Arc<TripleStore>`) that the serving layer
-//!   publishes as a snapshot: publishing no longer clones the whole KB,
-//!   only the small delta.
-//! * [`FrozenStore::merge`] — compaction: folding a delta into the base is
-//!   a linear merge of already-sorted runs, not a rebuild.
-//!
-//! The [`TripleSource`] trait abstracts over all of these (and the mutable
-//! store), so the datalog joins and the query engine run unchanged against
+//! The [`TripleSource`] trait abstracts over both (frozen and two-layer),
+//! so the datalog joins and the query engine run unchanged against
 //! whichever representation holds the data.
 
 // Shared read path of the parallel closure: never panic (same discipline
@@ -42,8 +39,8 @@ use crate::triple::Triple;
 use std::sync::Arc;
 
 /// Read access to an indexed set of triples: the interface the datalog
-/// joins and the query engine actually need. Implemented by the mutable
-/// [`TripleStore`], the immutable [`FrozenStore`], and the overlay types.
+/// joins and the query engine actually need. Implemented by the two-layer
+/// [`TripleStore`] and the immutable [`FrozenStore`].
 pub trait TripleSource {
     /// Invoke `f` for every triple matching `pat`.
     fn for_each_match(&self, pat: TriplePattern, f: impl FnMut(Triple));
@@ -288,8 +285,9 @@ impl FrozenStore {
     /// the overlay is emitted key-run by key-run, so only the (much
     /// smaller) key sets and the per-run posting lists get sorted, never
     /// the full triple set; the result is merged with `self`'s family in
-    /// one linear pass.
-    pub(crate) fn fold_nested(&self, nested: [&Nested; 3], triples: usize) -> Self {
+    /// one linear pass. At most `threads` threads, the caller's included
+    /// (`0`: whatever the machine has).
+    pub(crate) fn fold_nested(&self, nested: [&Nested; 3], triples: usize, threads: usize) -> Self {
         let build = |nested: &Nested, family: &SortedIndex| {
             let mut k0s: Vec<NodeId> = nested.keys().copied().collect();
             k0s.sort_unstable();
@@ -316,7 +314,7 @@ impl FrozenStore {
         };
         let [spo_n, pos_n, osp_n] = nested;
         Self::build_families(
-            0,
+            threads,
             self.len() + triples,
             || build(spo_n, &self.spo),
             || build(pos_n, &self.pos),
@@ -612,101 +610,6 @@ impl FromIterator<Triple> for FrozenStore {
     }
 }
 
-/// A borrowed LSM-style overlay: a frozen base plus a small mutable-side
-/// delta, read as their union. Invariant (maintained by the closure
-/// engine): `delta` holds no triple already in `base`, so match callbacks
-/// fire exactly once per distinct triple.
-#[derive(Debug, Clone, Copy)]
-pub struct FrozenView<'a> {
-    /// The frozen bulk of the data.
-    pub base: &'a FrozenStore,
-    /// Recent insertions not yet compacted into `base`.
-    pub delta: &'a TripleStore,
-}
-
-impl TripleSource for FrozenView<'_> {
-    fn for_each_match(&self, pat: TriplePattern, mut f: impl FnMut(Triple)) {
-        self.base.for_each_match(pat, &mut f);
-        self.delta.for_each_match(pat, f);
-    }
-
-    fn contains(&self, t: &Triple) -> bool {
-        self.base.contains(t) || self.delta.contains(t)
-    }
-
-    fn len(&self) -> usize {
-        self.base.len() + self.delta.len()
-    }
-}
-
-/// The owned, cheaply-clonable overlay the serving layer publishes as a
-/// snapshot: two `Arc`s. Same disjointness invariant as [`FrozenView`].
-#[derive(Debug, Clone)]
-pub struct OverlayStore {
-    /// The frozen bulk of the data.
-    pub base: Arc<FrozenStore>,
-    /// Recent insertions not yet compacted into `base`.
-    pub delta: Arc<TripleStore>,
-}
-
-impl OverlayStore {
-    /// Wrap a fully-frozen store with an empty delta.
-    pub fn frozen(base: Arc<FrozenStore>) -> Self {
-        OverlayStore {
-            base,
-            delta: Arc::new(TripleStore::new()),
-        }
-    }
-
-    /// Build from base and delta parts.
-    pub fn new(base: Arc<FrozenStore>, delta: Arc<TripleStore>) -> Self {
-        OverlayStore { base, delta }
-    }
-
-    /// All triples, sorted SPO.
-    pub fn iter_sorted(&self) -> Vec<Triple> {
-        let mut v: Vec<Triple> = self.iter().collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
-    /// All triples (base then delta), unordered.
-    pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.base.iter().chain(self.delta.iter())
-    }
-
-    /// Total triple count (exact: base and delta are disjoint).
-    pub fn len(&self) -> usize {
-        self.base.len() + self.delta.len()
-    }
-
-    /// Whether both layers are empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Membership across both layers.
-    pub fn contains(&self, t: &Triple) -> bool {
-        self.base.contains(t) || self.delta.contains(t)
-    }
-}
-
-impl TripleSource for OverlayStore {
-    fn for_each_match(&self, pat: TriplePattern, mut f: impl FnMut(Triple)) {
-        self.base.for_each_match(pat, &mut f);
-        self.delta.for_each_match(pat, f);
-    }
-
-    fn contains(&self, t: &Triple) -> bool {
-        self.base.contains(t) || self.delta.contains(t)
-    }
-
-    fn len(&self) -> usize {
-        self.base.len() + self.delta.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -860,32 +763,6 @@ mod tests {
         assert!(is_sorted_run(&merged));
         assert!(merge_runs::<Vec<Triple>>(&[]).is_empty());
         assert_eq!(merge_runs(&[&a]), a);
-    }
-
-    #[test]
-    fn frozen_view_unions_base_and_delta() {
-        let base: FrozenStore = sample().into_iter().collect();
-        let delta: TripleStore = [t(8, 1, 2)].into_iter().collect();
-        let view = FrozenView {
-            base: &base,
-            delta: &delta,
-        };
-        assert_eq!(view.len(), 7);
-        assert!(TripleSource::contains(&view, &t(8, 1, 2)));
-        assert!(TripleSource::contains(&view, &t(0, 1, 2)));
-        let mut m = view.matches(pat(None, Some(1), Some(2)));
-        m.sort_unstable();
-        assert_eq!(m, vec![t(0, 1, 2), t(4, 1, 2), t(8, 1, 2)]);
-    }
-
-    #[test]
-    fn overlay_store_iter_sorted_is_union() {
-        let base = Arc::new(sample().into_iter().collect::<FrozenStore>());
-        let delta: TripleStore = [t(9, 1, 1)].into_iter().collect();
-        let ov = OverlayStore::new(base, Arc::new(delta));
-        let v = ov.iter_sorted();
-        assert_eq!(v.len(), 7);
-        assert!(v.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

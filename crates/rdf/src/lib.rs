@@ -40,9 +40,7 @@ pub mod triple;
 pub mod vocab;
 
 pub use dictionary::{Dictionary, NodeId};
-pub use frozen::{
-    is_sorted_run, merge_runs, FrozenStore, FrozenView, OverlayStore, TripleSource,
-};
+pub use frozen::{is_sorted_run, merge_runs, FrozenStore, TripleSource};
 pub use graph::Graph;
 pub use ntriples::{parse_ntriples, write_ntriples, NtError};
 pub use store::{TriplePattern, TripleStore};

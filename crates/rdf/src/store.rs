@@ -15,7 +15,10 @@
 //! either layer has, and [`TripleStore::compact`] folds the overlay into
 //! the base by linear merge. Nothing compacts on its own: a store built
 //! by inserts alone stays a pure hash store, and its iteration order is
-//! the membership set's, as it always was.
+//! the membership set's, as it always was. An owner that keeps inserting
+//! — a served KB's writer, a distributed worker absorbing deliveries —
+//! calls [`TripleStore::compact_if_outgrown`] after each batch, which is
+//! where the one compaction policy lives.
 //!
 //! Bulk results never pass through the per-triple indexes: a closure
 //! engine that worked on the base hands the closed [`FrozenStore`] back
@@ -140,17 +143,29 @@ impl TripleStore {
         self.all.iter().copied()
     }
 
+    /// How many triples the overlay holds. O(1).
+    pub fn overlay_len(&self) -> usize {
+        self.all.len()
+    }
+
     /// The whole store as one frozen store: the base itself (shared, not
     /// copied) when the overlay is empty, otherwise the base merged with
     /// the overlay.
     pub fn frozen(&self) -> Arc<FrozenStore> {
+        self.folded(0)
+    }
+
+    /// [`TripleStore::frozen`] on at most `threads` threads, the caller's
+    /// included (`0`: whatever the machine has).
+    fn folded(&self, threads: usize) -> Arc<FrozenStore> {
         if self.all.is_empty() {
             Arc::clone(&self.base)
         } else {
-            Arc::new(
-                self.base
-                    .fold_nested([&self.spo, &self.pos, &self.osp], self.all.len()),
-            )
+            Arc::new(self.base.fold_nested(
+                [&self.spo, &self.pos, &self.osp],
+                self.all.len(),
+                threads,
+            ))
         }
     }
 
@@ -159,10 +174,28 @@ impl TripleStore {
     /// only key sets and posting lists are sorted). No-op on an empty
     /// overlay.
     pub fn compact(&mut self) {
+        self.compact_within(0);
+    }
+
+    fn compact_within(&mut self, threads: usize) {
         if !self.all.is_empty() {
-            self.base = self.frozen();
+            self.base = self.folded(threads);
             self.clear_overlay();
         }
+    }
+
+    /// The compaction policy of every store that grows by inserts:
+    /// [`compact`](TripleStore::compact) once the overlay holds more than
+    /// 4096 triples and more than a quarter of the base, on at most
+    /// `threads` threads (`0`: whatever the machine has). Returns whether
+    /// it compacted. Between compactions a batch costs O(batch), a clone
+    /// O(overlay), and the merges amortize to O(1) per triple.
+    pub fn compact_if_outgrown(&mut self, threads: usize) -> bool {
+        let outgrown = self.all.len() > 4096.max(self.base.len() / 4);
+        if outgrown {
+            self.compact_within(threads);
+        }
+        outgrown
     }
 
     /// Replace the base by `closed`, a superset of it — what a closure

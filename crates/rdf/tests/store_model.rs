@@ -1,7 +1,8 @@
 //! Model-based property suite for the two-layer [`TripleStore`]: random
 //! interleavings of every mutating entry point, checked after each step
 //! against a `BTreeSet<Triple>` — every read, and the invariant that the
-//! overlay shares no triple with the base.
+//! overlay shares no triple with the base — plus the fixed cases of a
+//! store with both layers populated and of the compaction policy.
 
 // Tests assert on infallible setup; unwrap/expect failures are test failures.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -11,6 +12,7 @@ use owlpar_rdf::{
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 type Model = BTreeSet<Triple>;
 
@@ -104,6 +106,7 @@ fn check(store: &TripleStore, model: &Model, probes: &[Triple]) {
         "overlay ∩ base ≠ ∅"
     );
     assert_eq!(store.base().len() + store.overlay().count(), want.len());
+    assert_eq!(store.overlay_len(), store.overlay().count());
 
     for probe in probes.iter().chain(want.first()) {
         assert_eq!(
@@ -360,4 +363,84 @@ fn a_syntax_error_keeps_the_lines_before_it() {
     let err = parse_ntriples(nt, &mut g).unwrap_err();
     assert_eq!(err.line, 3);
     assert_eq!(g.len(), 1);
+}
+
+fn t(s: u32, p: u32, o: u32) -> Triple {
+    Triple::new(NodeId(s), NodeId(p), NodeId(o))
+}
+
+/// Both layers populated: every read is their union, each triple
+/// once, whichever layer holds it.
+#[test]
+fn base_and_overlay_read_as_their_union() {
+    let frozen = [
+        t(0, 1, 2),
+        t(0, 1, 3),
+        t(0, 2, 2),
+        t(4, 1, 2),
+        t(4, 2, 0),
+        t(7, 9, 7),
+    ];
+    let mut s = TripleStore::new();
+    s.adopt(FrozenStore::from_triples(frozen));
+    assert!(s.insert(t(8, 1, 2)));
+    assert!(s.insert(t(9, 1, 1)));
+    assert!(!s.insert(t(0, 1, 2)), "the base already holds it");
+    assert_eq!((s.len(), s.base().len(), s.overlay_len()), (8, 6, 2));
+    assert!(s.contains(&t(8, 1, 2)) && s.contains(&t(0, 1, 2)));
+    assert!(
+        s.overlay().all(|t| !s.base().contains(&t)),
+        "overlay ∩ base ≠ ∅"
+    );
+
+    let all = s.iter_sorted();
+    assert_eq!(all.len(), 8);
+    assert!(all.windows(2).all(|w| w[0] < w[1]));
+    let mut m = s.matches(TriplePattern::new(None, Some(NodeId(1)), Some(NodeId(2))));
+    m.sort_unstable();
+    assert_eq!(m, vec![t(0, 1, 2), t(4, 1, 2), t(8, 1, 2)]);
+    // all eight shapes, against a scan; not deduplicated, so a triple
+    // reported by both layers would show
+    let opts = [None, Some(0), Some(1), Some(2), Some(8), Some(9)];
+    for a in opts {
+        for b in opts {
+            for c in opts {
+                let pat = TriplePattern::new(a.map(NodeId), b.map(NodeId), c.map(NodeId));
+                let mut got = s.matches(pat);
+                got.sort_unstable();
+                let scan: Vec<Triple> =
+                    all.iter().copied().filter(|t| pat.matches(t)).collect();
+                assert_eq!(got, scan, "pattern {pat:?}");
+                assert_eq!(s.count_matches(pat), scan.len(), "count {pat:?}");
+            }
+        }
+    }
+    // a clone shares the base and owns its overlay
+    let mut copy = s.clone();
+    assert!(Arc::ptr_eq(copy.base(), s.base()));
+    copy.insert(t(10, 1, 1));
+    assert_eq!((copy.len(), s.len()), (9, 8));
+}
+
+#[test]
+fn compact_if_outgrown_folds_past_the_threshold_only() {
+    let many = |from: u32, n: u32| (from..from + n).map(|i| t(i, 1, i % 7));
+    // a small base: the floor of 4096 decides
+    let mut s: TripleStore = many(0, 100).collect();
+    s.compact();
+    s.extend(many(1000, 4096));
+    assert!(!s.compact_if_outgrown(1), "4096 is not past the floor");
+    assert_eq!(s.overlay_len(), 4096);
+    s.insert(t(9000, 1, 0));
+    assert!(s.compact_if_outgrown(1));
+    assert_eq!((s.overlay_len(), s.base().len(), s.len()), (0, 4197, 4197));
+    // a big base: a quarter of it decides
+    s.extend(many(10_000, 20_000));
+    s.compact();
+    s.extend(many(40_000, 6_049));
+    assert!(!s.compact_if_outgrown(0), "6049 = 24197 / 4");
+    s.insert(t(50_000, 1, 0));
+    assert!(s.compact_if_outgrown(0));
+    assert_eq!((s.overlay_len(), s.len()), (0, 30_247));
+    assert!(!s.compact_if_outgrown(0), "nothing left to fold");
 }

@@ -15,7 +15,7 @@
 //! This is the textbook read-copy-update shape, built from `std` parts
 //! only.
 
-use owlpar_rdf::{Dictionary, OverlayStore};
+use owlpar_rdf::{Dictionary, TripleStore};
 use std::sync::{Arc, RwLock};
 
 /// One immutable published state of the KB.
@@ -24,9 +24,10 @@ pub struct KbSnapshot {
     /// Publication sequence number; starts at 0 for the initial
     /// materialization and increases by 1 per published update.
     pub epoch: u64,
-    /// The closed triple store as of this epoch: a frozen base shared
-    /// across epochs plus a small per-epoch delta, read as their union.
-    pub store: OverlayStore,
+    /// The closed triple store as of this epoch: a clone of the writer's
+    /// store — its frozen base shared across epochs, the overlay of
+    /// recent inserts copied — read as their union.
+    pub store: TripleStore,
     /// The dictionary the store is encoded against. Queries against this
     /// snapshot must be parsed read-only against *this* dictionary
     /// (`owlpar_query::parse_query_frozen`), never a newer one.
@@ -83,7 +84,7 @@ impl EpochHandle {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
-    use owlpar_rdf::{FrozenStore, Graph, Triple};
+    use owlpar_rdf::{Graph, Triple};
 
     fn snap(epoch: u64, ntriples: u32) -> KbSnapshot {
         let mut g = Graph::new();
@@ -95,7 +96,7 @@ mod tests {
         }
         KbSnapshot {
             epoch,
-            store: OverlayStore::frozen(Arc::new(FrozenStore::from_store(&g.store))),
+            store: g.store,
             dict: Arc::new(g.dict),
         }
     }

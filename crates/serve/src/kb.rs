@@ -9,9 +9,19 @@
 //! draining queries from the previous snapshot the whole time; they only
 //! see the new epoch once it is complete.
 //!
+//! The writer's store is the only copy of the KB: a frozen base plus the
+//! hash overlay of what was inserted since the last compaction. A
+//! snapshot's store is a clone of it — the base shared by reference
+//! count, the overlay copied — so publication costs O(overlay), and the
+//! store's own policy ([`TripleStore::compact_if_outgrown`]) keeps the
+//! overlay small relative to the base. A compaction doubles as the
+//! checkpoint trigger of the durability layer.
+//!
 //! A batch containing schema triples invalidates the compiled rule-base;
 //! the writer then recompiles and re-closes from scratch (correct, just
 //! not O(delta)) before publishing.
+//!
+//! [`TripleStore::compact_if_outgrown`]: owlpar_rdf::TripleStore::compact_if_outgrown
 
 use crate::epoch::{EpochHandle, KbSnapshot};
 use crate::error::ServeError;
@@ -20,15 +30,9 @@ use owlpar_core::{run_parallel, ParallelConfig, RunReport};
 use owlpar_datalog::MaterializationStrategy;
 use owlpar_obs::{Phase, Track, NO_ROUND};
 use owlpar_horst::{DeltaOutcome, HorstReasoner};
-use owlpar_rdf::{parse_ntriples, FrozenStore, Graph, OverlayStore, Triple, TripleStore};
+use owlpar_rdf::{parse_ntriples, Graph, Triple};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
-
-/// Keep the writer's mutable overlay small relative to the frozen base:
-/// past this bound it is merged into a fresh frozen base (linear merge of
-/// sorted runs), so per-insert snapshot publication stays O(overlay), not
-/// O(store).
-const COMPACT_FLOOR: usize = 4096;
 
 /// What an insert did, as reported to the client.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,14 +49,10 @@ pub struct InsertOutcome {
 }
 
 struct WriterState {
+    /// The KB: dictionary plus the closed store, whose frozen base every
+    /// published snapshot shares.
     graph: Graph,
     reasoner: HorstReasoner,
-    /// Frozen bulk of `graph.store`, shared (by `Arc`) with every
-    /// published snapshot — the cheap part of publication.
-    base: Arc<FrozenStore>,
-    /// `graph.store` minus `base`: the recent, not-yet-compacted inserts.
-    /// Cloned (it is small) into each published snapshot.
-    overlay: TripleStore,
     /// Optional durability layer: WAL + checkpoints. `None` = the
     /// pre-durability, purely in-memory behavior.
     durability: Option<Durability>,
@@ -69,44 +69,26 @@ struct WriterState {
 
 impl WriterState {
     fn from_closed(mut graph: Graph, reasoner: HorstReasoner) -> Self {
-        // The published base *is* the store's own: a KB that arrives
-        // compacted (a parallel run's result) is shared, not rebuilt.
+        // A KB that arrives compacted (a parallel run's result) is
+        // shared as it is; one built by inserts is frozen once, here.
         graph.store.compact();
-        let base = Arc::clone(graph.store.base());
         WriterState {
             graph,
             reasoner,
-            base,
-            overlay: TripleStore::new(),
             durability: None,
             durability_error: None,
             lane: owlpar_obs::global().track("kb-writer"),
         }
     }
 
-    /// Rebuild the frozen base from the authoritative store (schema
-    /// change: the overlay bookkeeping is no longer a strict delta).
-    fn refreeze(&mut self) {
-        self.base = Arc::new(FrozenStore::from_store(&self.graph.store));
-        self.overlay = TripleStore::new();
-    }
-
-    /// Fold an oversized overlay into the frozen base. Returns whether
-    /// a merge happened — the merge-compaction point doubles as a
-    /// checkpoint trigger for the durability layer.
-    fn maybe_compact(&mut self) -> bool {
-        if self.overlay.len() > COMPACT_FLOOR.max(self.base.len() / 4) {
-            self.base = Arc::new(self.base.merge(&self.overlay));
-            self.overlay = TripleStore::new();
-            return true;
+    /// The next snapshot of the current state. O(overlay + dictionary):
+    /// the frozen base is shared.
+    fn snapshot(&self, epoch: u64) -> KbSnapshot {
+        KbSnapshot {
+            epoch,
+            store: self.graph.store.clone(),
+            dict: Arc::new(self.graph.dict.clone()),
         }
-        false
-    }
-
-    /// The published view of the current state: shared frozen base plus a
-    /// clone of the small overlay. O(overlay) — the point of the design.
-    fn published_store(&self) -> OverlayStore {
-        OverlayStore::new(Arc::clone(&self.base), Arc::new(self.overlay.clone()))
     }
 }
 
@@ -136,13 +118,8 @@ impl ServingKb {
     /// Serve a graph that is *already closed* under `reasoner`'s rules.
     pub fn from_closed(graph: Graph, reasoner: HorstReasoner) -> Self {
         let writer = WriterState::from_closed(graph, reasoner);
-        let snapshot = KbSnapshot {
-            epoch: 0,
-            store: writer.published_store(),
-            dict: Arc::new(writer.graph.dict.clone()),
-        };
         ServingKb {
-            epochs: EpochHandle::new(snapshot),
+            epochs: EpochHandle::new(writer.snapshot(0)),
             writer: Mutex::new(writer),
             debug_publish_delay: Duration::ZERO,
         }
@@ -262,28 +239,13 @@ impl ServingKb {
         }
 
         let before = w.graph.store.len();
-        // Batch triples that are actually new (the delta path will insert
-        // exactly these): they join the overlay alongside the derivations.
-        let fresh: Vec<Triple> = batch
-            .iter()
-            .copied()
-            .filter(|t| !w.graph.store.contains(t))
-            .collect();
-        let compacted;
         let (derived, schema_changed) =
             match w.reasoner.materialize_delta(&mut w.graph.store, &batch) {
-                DeltaOutcome::Incremental { derived } => {
-                    for t in fresh.iter().chain(derived.iter()) {
-                        w.overlay.insert(*t);
-                    }
-                    compacted = w.maybe_compact();
-                    (derived.len(), false)
-                }
+                DeltaOutcome::Incremental { derived } => (derived.len(), false),
                 DeltaOutcome::SchemaChanged => {
                     // The compiled rule-base is stale: insert the batch,
-                    // recompile against the new schema, re-close fully,
-                    // and refreeze the base (the overlay bookkeeping no
-                    // longer describes a strict delta).
+                    // recompile against the new schema and re-close
+                    // fully.
                     for &t in &batch {
                         w.graph.store.insert(t);
                     }
@@ -293,14 +255,19 @@ impl ServingKb {
                         MaterializationStrategy::ForwardSemiNaive,
                     );
                     w.reasoner.materialize(&mut w.graph);
-                    w.refreeze();
-                    compacted = true; // full refreeze ≙ compaction point
                     (w.graph.store.len() - mid, true)
                 }
             };
+        // A full re-close is a compaction point whatever its size.
+        let compacted = if schema_changed {
+            w.graph.store.compact();
+            true
+        } else {
+            w.graph.store.compact_if_outgrown(0)
+        };
         let added = w.graph.store.len() - before - derived;
 
-        // Checkpoint at the merge-compaction point or when the WAL has
+        // Checkpoint at the compaction point or when the WAL has
         // outgrown its bound. The batch is already logged, so a
         // checkpoint failure does not retract the acknowledgement — it
         // poisons the layer, and the *next* insert is refused.
@@ -320,12 +287,7 @@ impl ServingKb {
         w.lane.flush();
 
         // Build the complete next snapshot before touching the handle.
-        // Publication cost is O(overlay): the frozen base is shared.
-        let next = KbSnapshot {
-            epoch: self.epochs.epoch() + 1,
-            store: w.published_store(),
-            dict: Arc::new(w.graph.dict.clone()),
-        };
+        let next = w.snapshot(self.epochs.epoch() + 1);
         if !self.debug_publish_delay.is_zero() {
             std::thread::sleep(self.debug_publish_delay);
         }
@@ -415,6 +377,47 @@ mod tests {
             .unwrap();
         assert!(!out2.schema_changed);
         assert_eq!(out2.derived, 2, "dan:Person and dan:Agent");
+    }
+
+    /// The writer holds one copy of the KB: what it publishes shares its
+    /// store's frozen base, across a compaction too, and its overlay is
+    /// what the last compaction left plus what was inserted since.
+    #[test]
+    fn the_writers_store_is_the_only_copy() {
+        let (g, hr) = base();
+        let kb = ServingKb::from_closed(g, hr);
+        let shares_base = |kb: &ServingKb| {
+            let snapshot = kb.snapshot();
+            let w = kb.lock_writer();
+            assert_eq!(snapshot.store.len(), w.graph.store.len());
+            assert_eq!(snapshot.store.overlay_len(), w.graph.store.overlay_len());
+            Arc::ptr_eq(snapshot.store.base(), w.graph.store.base())
+        };
+        assert!(shares_base(&kb));
+        assert_eq!(kb.snapshot().store.overlay_len(), 0, "born compacted");
+        for (round, members) in [2100, 2000].into_iter().enumerate() {
+            let batch: String = (0..members)
+                .map(|i| {
+                    format!(
+                        "<http://x/s{round}_{i}> \
+                         <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://x/Student> .\n"
+                    )
+                })
+                .collect();
+            let before = kb.snapshot();
+            kb.insert_ntriples(&batch).unwrap();
+            assert!(shares_base(&kb));
+            let after = kb.snapshot();
+            if round == 0 {
+                // 4200 triples: past the floor, folded into a new base
+                assert_eq!(after.store.overlay_len(), 0);
+                assert!(!Arc::ptr_eq(after.store.base(), before.store.base()));
+            } else {
+                // 4000 triples: within the floor, left in the overlay
+                assert_eq!(after.store.overlay_len(), 4000);
+                assert!(Arc::ptr_eq(after.store.base(), before.store.base()));
+            }
+        }
     }
 
     #[test]

@@ -304,6 +304,59 @@ fn async_mode_worker_panic_terminates() {
     });
 }
 
+/// One fault hook for both in-process links: a panic or a delay pinned
+/// to (round 1, worker 1) fires at the start of that worker's second
+/// round — barrier round or asynchronous burst alike — and ends in the
+/// same typed error and the same recovered closure, or in no error at
+/// all.
+#[test]
+fn round_one_faults_fire_the_same_way_under_both_round_modes() {
+    with_timeout(|| {
+        let g0 = generate_mdc(&MdcConfig::mini());
+        let (want_fp, want_len) = serial_closure(g0.clone());
+        for rounds in [RoundMode::Barrier, RoundMode::Async] {
+            for kind in [FaultKind::Panic, FaultKind::Delay { millis: 30 }] {
+                let cfg = ParallelConfig {
+                    rounds,
+                    ..base_cfg(4)
+                }
+                .with_faults(FaultPlan::new().with(1, 1, kind));
+                let mut g = g0.clone();
+                let report = run_parallel(&mut g, &cfg)
+                    .unwrap_or_else(|e| panic!("{rounds:?}/{kind:?}: {e}"));
+                assert_eq!(g.len(), want_len, "{rounds:?}/{kind:?}");
+                assert_eq!(g.term_fingerprint(), want_fp, "{rounds:?}/{kind:?}");
+                assert_eq!(report.workers.len(), 4);
+                if matches!(kind, FaultKind::Panic) {
+                    assert!(report.recovered, "{rounds:?}: the panic fires at round 1");
+                    assert!(
+                        matches!(
+                            report.worker_errors[..],
+                            [WorkerError::Panicked {
+                                worker: 1,
+                                round: 1,
+                                ..
+                            }]
+                        ),
+                        "{rounds:?}: {:?}",
+                        report.worker_errors
+                    );
+                    assert_eq!(
+                        report.workers[1].rounds, 0,
+                        "the lost worker's slot is blank"
+                    );
+                } else {
+                    assert!(!report.recovered && report.worker_errors.is_empty());
+                    assert!(
+                        report.workers[1].rounds >= 2,
+                        "{rounds:?}: round 1 was entered"
+                    );
+                }
+            }
+        }
+    });
+}
+
 /// Determinism of the harness itself: the same seeded plan produces the
 /// same outcome twice (same closure, same skip/retry profile).
 #[test]
