@@ -1,5 +1,5 @@
 //! Shared infrastructure for the experiment binaries (one per table or
-//! figure of the paper) and the Criterion micro-benchmarks.
+//! figure of the paper).
 //!
 //! Every binary accepts `--scale <f>` (entity-count multiplier),
 //! `--universities <n>`, and prints a self-describing table to stdout; the

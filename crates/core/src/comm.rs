@@ -9,9 +9,10 @@
 //! * [`CommMode::Channel`] — crossbeam channels, the "MPI-like" zero-copy
 //!   transport;
 //! * [`CommMode::SharedFile`] — actual files in a shared directory, one
-//!   per (round, sender, receiver), serialized as N-Triples text (like
-//!   the paper's Jena implementation) or as the compact binary batch
-//!   format.
+//!   per (round, sender, receiver): one CRC frame
+//!   ([`crate::frame::write_crc_frame`]) whose body is N-Triples text
+//!   (like the paper's Jena implementation) or a triple block
+//!   ([`owlpar_rdf::triple`]).
 //!
 //! Both are round-synchronous: every `send` happens before the round
 //! barrier, every `collect` after it, so `collect` sees exactly the
@@ -28,7 +29,10 @@
 //!   surfaces as [`CommError::Io`];
 //! * corrupted, truncated, non-UTF-8 or otherwise undecodable messages
 //!   are **skipped with a report** ([`SkippedMessage`]) instead of
-//!   poisoning the round — one bad file must not take down the fabric;
+//!   poisoning the round — one bad file must not take down the fabric.
+//!   A message is all-or-nothing: its CRC frame either checks out whole
+//!   or none of its triples are delivered, so a damaged message can
+//!   never deliver a silent prefix;
 //! * auto-created shared directories are removed when the last endpoint
 //!   of the fabric drops;
 //! * a seeded [`FaultPlan`] can inject IO errors, corruption, delays and
@@ -37,9 +41,11 @@
 use crate::backoff::Backoff;
 use crate::error::{CommError, SkippedMessage};
 use crate::fault::{FaultPlan, FaultState};
+use crate::frame::{read_crc_frame, write_crc_frame};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use owlpar_rdf::triple::{decode_batch, encode_batch};
-use owlpar_rdf::{parse_ntriples, Dictionary, Graph, Triple};
+use owlpar_rdf::{
+    decode_triple_block, encode_triple_block, parse_ntriples, Dictionary, Graph, Triple,
+};
 use std::io::ErrorKind;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -124,7 +130,7 @@ pub enum WireFormat {
     /// N-Triples text — what a Jena-based implementation writes.
     #[default]
     NTriples,
-    /// Little-endian 12-byte id triples.
+    /// One triple block (dictionary ids, delta/varint encoded).
     Binary,
 }
 
@@ -503,8 +509,8 @@ impl WorkerComm {
                 dir, dict, format, ..
             } => {
                 let path = dir.join(format!("r{}_f{}_t{}.msg", round, me, to));
-                let mut bytes = match format {
-                    WireFormat::Binary => encode_batch(batch),
+                let body = match format {
+                    WireFormat::Binary => encode_triple_block(batch),
                     WireFormat::NTriples => {
                         let mut text = String::new();
                         for t in batch {
@@ -531,6 +537,23 @@ impl WorkerComm {
                         text.into_bytes()
                     }
                 };
+                if body.is_empty() {
+                    // Every triple of the batch was skipped during
+                    // serialization; a healthy peer never writes an
+                    // empty message (the frame codec rejects them).
+                    return Ok(());
+                }
+                let mut bytes = Vec::with_capacity(8 + body.len());
+                // Only an oversized body can fail to frame: a typed error
+                // here, instead of a message every receiver would skip.
+                write_crc_frame(&mut bytes, &body).map_err(|e| CommError::Io {
+                    round,
+                    worker: me,
+                    path: Some(path.clone()),
+                    kind: ErrorKind::InvalidInput,
+                    detail: format!("framing message to {to}: {e}"),
+                    attempts: 1,
+                })?;
                 if let Some(truncate_only) = self.faults.mangle(round, to) {
                     let half = bytes.len() / 2;
                     bytes.truncate(half.max(1));
@@ -539,12 +562,6 @@ impl WorkerComm {
                             *b ^= 0xa5;
                         }
                     }
-                }
-                if bytes.is_empty() {
-                    // Every triple of the batch was skipped during
-                    // serialization; a healthy peer never writes a
-                    // zero-length message (collect rejects them).
-                    return Ok(());
                 }
                 self.bytes_sent += bytes.len() as u64;
                 Self::retry_io(
@@ -633,23 +650,26 @@ impl WorkerComm {
                         continue; // foreign file: not ours, not this round
                     }
                     let path = entry.path();
+                    let mut skip = |reason: String| {
+                        self.skipped.push(SkippedMessage {
+                            round,
+                            worker: me,
+                            origin: name.clone(),
+                            reason,
+                        });
+                    };
                     // Bounds-check the file length before reading: the
                     // same check the serving wire codec applies to its
                     // length prefix. A zero-length or oversized message
                     // is skipped with a report, not read into memory.
                     if let Ok(meta) = entry.metadata() {
                         if let Err(bounds) = check_payload_bounds(meta.len()) {
-                            self.skipped.push(SkippedMessage {
-                                round,
-                                worker: me,
-                                origin: name.clone(),
-                                reason: bounds.to_string(),
-                            });
+                            skip(bounds.to_string());
                             let _ = std::fs::remove_file(&path);
                             continue;
                         }
                     }
-                    let bytes = match Self::retry_io(
+                    let read = Self::retry_io(
                         &mut self.faults,
                         &mut self.io_retries,
                         round,
@@ -657,71 +677,59 @@ impl WorkerComm {
                         false,
                         Some(&path),
                         || std::fs::read(&path),
-                    ) {
+                    );
+                    // Read or not, the message is consumed.
+                    let _ = std::fs::remove_file(&path);
+                    let bytes = match read {
                         Ok(b) => b,
                         Err(CommError::Io { kind, detail, .. }) => {
                             // One unreadable message file must not poison
                             // the round: skip it with a report.
-                            self.skipped.push(SkippedMessage {
-                                round,
-                                worker: me,
-                                origin: name.clone(),
-                                reason: format!("unreadable after retries: {detail} ({kind:?})"),
-                            });
-                            let _ = std::fs::remove_file(&path);
+                            skip(format!("unreadable after retries: {detail} ({kind:?})"));
                             continue;
                         }
                         Err(e) => return Err(e),
                     };
+                    // One frame, all of it: a torn, damaged or padded
+                    // message delivers nothing.
+                    let mut rest = &bytes[..];
+                    let body = match read_crc_frame(&mut rest) {
+                        Ok(body) if rest.is_empty() => body,
+                        Ok(_) => {
+                            skip(format!("{} trailing byte(s) after the frame", rest.len()));
+                            continue;
+                        }
+                        Err(e) => {
+                            skip(format!("damaged message: {e}"));
+                            continue;
+                        }
+                    };
                     match format {
-                        WireFormat::Binary => {
-                            if bytes.len() % 12 != 0 {
-                                self.skipped.push(SkippedMessage {
-                                    round,
-                                    worker: me,
-                                    origin: name.clone(),
-                                    reason: format!(
-                                        "truncated binary payload ({} bytes)",
-                                        bytes.len()
-                                    ),
-                                });
-                            }
-                            let n_terms = dict.len() as u32;
-                            for t in decode_batch(&bytes) {
-                                if t.s.0 < n_terms && t.p.0 < n_terms && t.o.0 < n_terms {
-                                    out.push(t);
-                                } else {
-                                    self.skipped.push(SkippedMessage {
-                                        round,
-                                        worker: me,
-                                        origin: name.clone(),
-                                        reason: format!(
+                        WireFormat::Binary => match decode_triple_block(&body) {
+                            Ok((triples, used)) if used == body.len() => {
+                                let n_terms = dict.len() as u32;
+                                for t in triples {
+                                    if t.s.0 < n_terms && t.p.0 < n_terms && t.o.0 < n_terms {
+                                        out.push(t);
+                                    } else {
+                                        skip(format!(
                                             "decoded triple {t} has ids outside the dictionary"
-                                        ),
-                                    });
+                                        ));
+                                    }
                                 }
                             }
-                        }
-                        WireFormat::NTriples => match String::from_utf8(bytes) {
-                            Err(_) => {
-                                self.skipped.push(SkippedMessage {
-                                    round,
-                                    worker: me,
-                                    origin: name.clone(),
-                                    reason: "payload is not valid UTF-8".into(),
-                                });
-                            }
+                            Ok((_, used)) => skip(format!(
+                                "{} trailing byte(s) after the triple block",
+                                body.len() - used
+                            )),
+                            Err(e) => skip(format!("undecodable binary payload: {e}")),
+                        },
+                        WireFormat::NTriples => match String::from_utf8(body) {
+                            Err(_) => skip("payload is not valid UTF-8".into()),
                             Ok(text) => {
                                 let mut tmp = Graph::new();
                                 match parse_ntriples(&text, &mut tmp) {
-                                    Err(e) => {
-                                        self.skipped.push(SkippedMessage {
-                                            round,
-                                            worker: me,
-                                            origin: name.clone(),
-                                            reason: format!("malformed N-Triples: {e}"),
-                                        });
-                                    }
+                                    Err(e) => skip(format!("malformed N-Triples: {e}")),
                                     Ok(_) => {
                                         for t in tmp.store.iter() {
                                             let (s, p, o) = tmp.decode(t);
@@ -729,16 +737,9 @@ impl WorkerComm {
                                                 (Some(s), Some(p), Some(o)) => {
                                                     out.push(Triple::new(s, p, o));
                                                 }
-                                                _ => {
-                                                    self.skipped.push(SkippedMessage {
-                                                        round,
-                                                        worker: me,
-                                                        origin: name.clone(),
-                                                        reason: format!(
-                                                            "term of ({s} {p} {o}) not in the frozen dictionary"
-                                                        ),
-                                                    });
-                                                }
+                                                _ => skip(format!(
+                                                    "term of ({s} {p} {o}) not in the frozen dictionary"
+                                                )),
                                             }
                                         }
                                     }
@@ -746,7 +747,6 @@ impl WorkerComm {
                             }
                         },
                     }
-                    let _ = std::fs::remove_file(&path);
                 }
                 out
             }
@@ -827,6 +827,13 @@ mod tests {
 
     fn file_mode(format: WireFormat) -> CommMode {
         CommMode::SharedFile { dir: None, format }
+    }
+
+    /// A message file as a healthy sender writes it: one CRC frame.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_crc_frame(&mut bytes, body).unwrap();
+        bytes
     }
 
     #[test]
@@ -943,20 +950,24 @@ mod tests {
         let mut w1 = fabric.pop().unwrap();
         let mut w0 = fabric.pop().unwrap();
         w0.send(1, &[t(0, 1, 2)]).unwrap();
-        // mid-round garbage addressed to worker 1: invalid UTF-8 bytes
-        std::fs::write(dir.join("r0_f9_t1.msg"), [0xff, 0xfe, 0x00, 0x80]).unwrap();
+        // mid-round garbage addressed to worker 1, framed intact: invalid
+        // UTF-8 bytes
+        std::fs::write(dir.join("r0_f9_t1.msg"), framed(&[0xff, 0xfe, 0x00, 0x80])).unwrap();
         // and a syntactically broken N-Triples file
-        std::fs::write(dir.join("r0_f8_t1.msg"), "<no closing bracket .\n").unwrap();
+        std::fs::write(dir.join("r0_f8_t1.msg"), framed(b"<no closing bracket .\n")).unwrap();
+        // and bytes that are not a frame at all
+        std::fs::write(dir.join("r0_f7_t1.msg"), "<a> <b> <c> .\n").unwrap();
         // and a foreign file that matches no message pattern at all
         std::fs::write(dir.join("README.txt"), "not a message").unwrap();
         let got = w1.collect().unwrap();
         assert_eq!(got, vec![t(0, 1, 2)], "good message still delivered");
-        assert_eq!(w1.skipped().len(), 2, "both garbage files reported");
+        assert_eq!(w1.skipped().len(), 3, "every garbage file reported");
         assert!(w1.skipped().iter().any(|s| s.reason.contains("UTF-8")));
         assert!(w1
             .skipped()
             .iter()
             .any(|s| s.reason.contains("malformed N-Triples")));
+        assert!(w1.skipped().iter().any(|s| s.reason.contains("damaged")));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -974,7 +985,7 @@ mod tests {
         // never seen
         std::fs::write(
             dir.join("r0_f0_t1.msg"),
-            "<http://alien/a> <http://alien/b> <http://alien/c> .\n",
+            framed(b"<http://alien/a> <http://alien/b> <http://alien/c> .\n"),
         )
         .unwrap();
         let got = w1.collect().unwrap();
@@ -984,24 +995,27 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A truncated message delivers nothing and is reported once. When
+    /// binary messages were bare 12-byte triples, halving a 2-triple
+    /// batch cut at a triple boundary and delivered the first triple with
+    /// no report at all — a silent partial message. A message is one CRC
+    /// frame now, all or nothing, like a frame on the TCP mesh.
     #[test]
-    fn truncated_binary_skipped_with_report_keeps_whole_triples() {
-        let dir = explicit_dir();
-        std::fs::create_dir_all(&dir).unwrap();
-        let mode = CommMode::SharedFile {
-            dir: Some(dir.clone()),
-            format: WireFormat::Binary,
-        };
-        let mut fabric = build_fabric(2, &mode, dict_with(10)).unwrap();
+    fn truncated_binary_message_is_skipped_whole_with_report() {
+        let plan = FaultPlan::new().with(0, 0, FaultKind::Truncate { to: 1 });
+        let mut fabric = build_fabric_with_faults(
+            2,
+            &file_mode(WireFormat::Binary),
+            dict_with(10),
+            Some(&plan),
+        )
+        .unwrap();
         let mut w1 = fabric.pop().unwrap();
-        let mut bytes = encode_batch(&[t(0, 1, 2), t(3, 4, 5)]);
-        bytes.truncate(18); // cut the second triple in half
-        std::fs::write(dir.join("r0_f0_t1.msg"), bytes).unwrap();
-        let got = w1.collect().unwrap();
-        assert_eq!(got, vec![t(0, 1, 2)], "intact prefix still delivered");
+        let mut w0 = fabric.pop().unwrap();
+        w0.send(1, &[t(0, 1, 2), t(3, 4, 5)]).unwrap();
+        assert!(w1.collect().unwrap().is_empty(), "no prefix delivered");
         assert_eq!(w1.skipped().len(), 1);
-        assert!(w1.skipped()[0].reason.contains("truncated"));
-        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(w1.skipped()[0].reason.contains("damaged"));
     }
 
     #[test]
@@ -1014,8 +1028,8 @@ mod tests {
         };
         let mut fabric = build_fabric(2, &mode, dict_with(4)).unwrap();
         let mut w1 = fabric.pop().unwrap();
-        let bytes = encode_batch(&[t(0, 1, 2), t(9999, 1, 2)]);
-        std::fs::write(dir.join("r0_f0_t1.msg"), bytes).unwrap();
+        let block = encode_triple_block(&[t(0, 1, 2), t(9999, 1, 2)]);
+        std::fs::write(dir.join("r0_f0_t1.msg"), framed(&block)).unwrap();
         let got = w1.collect().unwrap();
         assert_eq!(got, vec![t(0, 1, 2)]);
         assert_eq!(w1.skipped().len(), 1);

@@ -14,8 +14,8 @@
 //! * repeated sweeps until a sweep derives nothing new (the sweep loop
 //!   restores completeness that per-query tabling scopes give up).
 //!
-//! The [`TableScope`] knob (per-query / per-sweep / none) is the ablation
-//! axis for `bench_tabling_ablation`.
+//! The [`TableScope`] knob (per-query / per-sweep / none) is the tabling
+//! ablation axis.
 
 use crate::ast::{Atom, Bindings, Rule, TermPat};
 use owlpar_rdf::fx::{FxHashMap, FxHashSet};

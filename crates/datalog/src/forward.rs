@@ -3,8 +3,8 @@
 //! [`forward_closure`] runs **semi-naive** evaluation: after the first
 //! round, a rule only fires if at least one body atom matches a triple
 //! derived in the previous round (the *delta*). [`naive_closure`] re-derives
-//! everything every round and exists purely as the ablation baseline for
-//! `bench_forward_ablation`.
+//! everything every round and exists purely as the baseline semi-naive
+//! evaluation is checked against.
 //!
 //! The delta-aware entry point [`forward_closure_delta`] is what the
 //! parallel reasoner's rounds use: a worker whose store is already closed

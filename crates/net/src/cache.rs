@@ -22,15 +22,19 @@
 //! [`atomic_write`] so a crashed worker never leaves a torn entry:
 //!
 //! ```text
-//! magic u32 | version u32 | input [16] | config [16] | node u32 |
-//! payload_digest [16] | payload_len u32 | payload_crc u32 | payload
+//! entry := magic u32 | version u32 | input [16] | config [16] | node u32 |
+//!          payload_digest [16] | crc_frame(payload)
 //! ```
+//!
+//! The tail is one CRC frame of [`owlpar_core::frame`]
+//! (`payload_len u32 | payload_crc u32 | payload`).
 //!
 //! Files that fail any check are ignored by [`PartitionCache::scan`]
 //! and deleted lazily by [`PartitionCache::load`].
 
 use crate::protocol::{CacheEntry, MAX_CACHE_ADVERT};
-use owlpar_core::{atomic_write, crc32, digest128, hex128, TMP_SUFFIX};
+use owlpar_core::frame::{read_crc_frame, write_crc_frame};
+use owlpar_core::{atomic_write, digest128, hex128, TMP_SUFFIX};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -42,9 +46,9 @@ const CACHE_MAGIC: u32 = 0x4F57_4350;
 /// 2's `SetupPayload` grammar).
 const CACHE_VERSION: u32 = 2;
 
-/// Fixed header ahead of the payload: magic, version, key, digest,
-/// length, CRC.
-const HEADER_LEN: usize = 4 + 4 + 16 + 16 + 4 + 16 + 4 + 4;
+/// Fixed header ahead of the payload's CRC frame: magic, version, key,
+/// digest.
+const HEADER_LEN: usize = 4 + 4 + 16 + 16 + 4 + 16;
 
 /// File extension for cache entries.
 const EXT: &str = "owlpart";
@@ -67,25 +71,18 @@ fn entry_name(input: &[u8; 16], config: &[u8; 16], node: u32) -> String {
     format!("part-{}-{}-{node}.{EXT}", hex128(input), hex128(config))
 }
 
-fn read_exact_at(buf: &[u8], at: usize, n: usize) -> Option<&[u8]> {
-    buf.get(at..at.checked_add(n)?)
-}
-
 fn digest_at(buf: &[u8], at: usize) -> Option<[u8; 16]> {
-    let mut d = [0u8; 16];
-    d.copy_from_slice(read_exact_at(buf, at, 16)?);
-    Some(d)
+    buf.get(at..at + 16)?.try_into().ok()
 }
 
 fn u32_at(buf: &[u8], at: usize) -> Option<u32> {
-    let b = read_exact_at(buf, at, 4)?;
-    Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    Some(u32::from_le_bytes(buf.get(at..at + 4)?.try_into().ok()?))
 }
 
 /// Parse a cache file's bytes into `(entry, payload)`. `None` on any
 /// header mismatch, length mismatch, CRC failure or digest failure —
 /// a bad file is a miss, never an error.
-fn parse_entry(bytes: &[u8]) -> Option<(CacheEntry, &[u8])> {
+fn parse_entry(bytes: &[u8]) -> Option<(CacheEntry, Vec<u8>)> {
     if u32_at(bytes, 0)? != CACHE_MAGIC || u32_at(bytes, 4)? != CACHE_VERSION {
         return None;
     }
@@ -93,13 +90,9 @@ fn parse_entry(bytes: &[u8]) -> Option<(CacheEntry, &[u8])> {
     let config = digest_at(bytes, 24)?;
     let node = u32_at(bytes, 40)?;
     let payload_digest = digest_at(bytes, 44)?;
-    let len = u32_at(bytes, 60)? as usize;
-    let crc = u32_at(bytes, 64)?;
-    let payload = read_exact_at(bytes, HEADER_LEN, len)?;
-    if bytes.len() != HEADER_LEN + len || crc32(payload) != crc {
-        return None;
-    }
-    if digest128(payload) != payload_digest {
+    let mut rest = bytes.get(HEADER_LEN..)?;
+    let payload = read_crc_frame(&mut rest).ok()?;
+    if !rest.is_empty() || digest128(&payload) != payload_digest {
         return None;
     }
     Some((
@@ -180,7 +173,7 @@ impl PartitionCache {
         let path = self.path_for(input, config, node);
         let bytes = std::fs::read(&path).ok()?;
         match parse_entry(&bytes) {
-            Some((entry, payload)) if entry.payload == *expect => Some(payload.to_vec()),
+            Some((entry, payload)) if entry.payload == *expect => Some(payload),
             _ => {
                 // Stale or damaged: evict so the next run re-ships.
                 let _ = std::fs::remove_file(&path);
@@ -198,16 +191,15 @@ impl PartitionCache {
         node: u32,
         payload: &[u8],
     ) -> io::Result<()> {
-        let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
+        let mut bytes = Vec::with_capacity(HEADER_LEN + 8 + payload.len());
         bytes.extend_from_slice(&CACHE_MAGIC.to_le_bytes());
         bytes.extend_from_slice(&CACHE_VERSION.to_le_bytes());
         bytes.extend_from_slice(input);
         bytes.extend_from_slice(config);
         bytes.extend_from_slice(&node.to_le_bytes());
         bytes.extend_from_slice(&digest128(payload));
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&crc32(payload).to_le_bytes());
-        bytes.extend_from_slice(payload);
+        write_crc_frame(&mut bytes, payload)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let path = self.path_for(input, config, node);
         atomic_write(&path, &bytes)?;
         self.evict_stale(node, &path);
@@ -294,6 +286,26 @@ mod tests {
 
         let got = cache.load(&input, &config, 3, &digest128(&payload)).unwrap();
         assert_eq!(got, payload);
+        let _ = std::fs::remove_dir_all(&cache.dir);
+    }
+
+    /// A version-2 cache entry, pinned byte for byte: an entry any
+    /// earlier build wrote must still load.
+    const GOLDEN_ENTRY: &[u8] = b"PCWO\x02\0\0\0]\xa4t\xb2\x8f4\x18\xc8\xcc,\xd9\x1c=\xef\xce\x81XN\x8dY\xc5\xe5&\xbfq&D\x12\xdd\x96F#\x03\0\0\0n\0\x81 \xde#\x8b\xf5k-\xa4}\xb0\xca\xbb\x0c\x1a\0\0\0\xef\xc5\xe7\x8ethe shipped partition blob";
+
+    #[test]
+    fn entry_matches_golden_bytes() {
+        let cache = tmp_cache("golden");
+        let (input, config) = (digest128(b"kb"), digest128(b"cfg"));
+        let payload = b"the shipped partition blob";
+        cache.store(&input, &config, 3, payload).unwrap();
+        let path = cache.path_for(&input, &config, 3);
+        assert_eq!(std::fs::read(&path).unwrap(), GOLDEN_ENTRY);
+        std::fs::write(&path, GOLDEN_ENTRY).unwrap();
+        assert_eq!(
+            cache.load(&input, &config, 3, &digest128(payload)).unwrap(),
+            payload
+        );
         let _ = std::fs::remove_dir_all(&cache.dir);
     }
 

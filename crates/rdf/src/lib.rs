@@ -3,8 +3,10 @@
 //! This crate provides the data-representation layer that the paper's
 //! implementation obtained from Jena: an RDF term model, a dictionary
 //! (string interner) that maps terms to dense integer ids, an indexed
-//! in-memory triple store with pattern matching, and N-Triples
-//! parsing/serialization used by the shared-file communication backend.
+//! in-memory triple store with pattern matching, N-Triples
+//! parsing/serialization, and the one binary encoding of a triple set
+//! (the *triple block*, [`triple`]) that snapshots, shared-file messages
+//! and the cluster wire all carry.
 //!
 //! Everything downstream (the datalog engine, the partitioners, the
 //! parallel reasoner) operates on dictionary-encoded [`Triple`]s — three
@@ -35,7 +37,6 @@ pub mod ntriples;
 pub mod snapshot;
 pub mod store;
 pub mod term;
-pub mod turtle;
 pub mod triple;
 pub mod vocab;
 
@@ -45,4 +46,4 @@ pub use graph::Graph;
 pub use ntriples::{parse_ntriples, write_ntriples, NtError};
 pub use store::{TriplePattern, TripleStore};
 pub use term::Term;
-pub use triple::Triple;
+pub use triple::{decode_triple_block, encode_triple_block, Triple, TripleBlockError};

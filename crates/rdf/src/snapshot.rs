@@ -1,27 +1,33 @@
 //! Binary knowledge-base snapshots.
 //!
 //! A materialized KB exists to be loaded again and queried; this module
-//! gives the repository a real persistence story: a compact binary format
-//! holding the dictionary followed by the 12-byte encoded triples.
-//! Loading restores exact ids, so snapshots taken before/after
-//! materialization stay comparable.
+//! gives the repository a real persistence story: a compact binary image
+//! holding the dictionary followed by the triples as one triple block
+//! ([`crate::triple`], the codec the cluster wire and the shared-file
+//! messages carry too). Loading restores exact ids, so snapshots taken
+//! before/after materialization stay comparable.
 //!
-//! Layout (all integers little-endian):
+//! Layout (integers little-endian):
 //!
 //! ```text
-//! magic "OWLPAR1\n" | u32 term_count | terms... | u64 triple_count | triples...
-//! term := tag u8 (0 iri, 1 blank, 2 literal, 3 lang literal, 4 typed literal)
-//!         + (u32 len + utf8)×(1 or 2 strings)
-//! triple := 3 × u32 (s, p, o)
+//! snapshot := magic "OWLPAR2\n" | term_count:u32 | term{term_count} | block
+//! term     := tag:u8 (0 iri, 1 blank, 2 literal, 3 lang literal, 4 typed literal)
+//!             + (len:u32 + utf8)×(1 or 2 strings)
+//! block    := the SPO-sorted triples as one triple block
 //! ```
+//!
+//! An image is built and parsed in one piece: [`save`] writes it with one
+//! call, [`load`] reads the whole input and parses it as a slice, every
+//! id in the block is checked against `term_count`, and bytes after the
+//! block are an error. A snapshot of the previous format (version digit
+//! 1, 12 bytes per triple) is refused by its magic, not misread.
 
 use crate::graph::Graph;
 use crate::term::Term;
-use crate::triple::Triple;
-use crate::NodeId;
+use crate::triple::{decode_triple_block, encode_triple_block};
 use std::io::{self, Read, Write};
 
-const MAGIC: &[u8; 8] = b"OWLPAR1\n";
+const MAGIC: &[u8; 8] = b"OWLPAR2\n";
 
 /// Snapshot load error.
 #[derive(Debug)]
@@ -54,162 +60,149 @@ fn format_err(m: impl Into<String>) -> SnapshotError {
 }
 
 /// Write `graph` as a snapshot.
-pub fn save(graph: &Graph, w: &mut impl Write) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    w.write_all(&(graph.dict.len() as u32).to_le_bytes())?;
-    for (_, term) in graph.dict.iter() {
-        match term {
-            Term::Iri(s) => {
-                w.write_all(&[0])?;
-                write_str(w, s)?;
-            }
-            Term::Blank(s) => {
-                w.write_all(&[1])?;
-                write_str(w, s)?;
-            }
-            Term::Literal {
-                lexical,
-                lang: None,
-                datatype: None,
-            } => {
-                w.write_all(&[2])?;
-                write_str(w, lexical)?;
-            }
-            Term::Literal {
-                lexical,
-                lang: Some(lang),
-                ..
-            } => {
-                w.write_all(&[3])?;
-                write_str(w, lexical)?;
-                write_str(w, lang)?;
-            }
-            Term::Literal {
-                lexical,
-                datatype: Some(dt),
-                ..
-            } => {
-                w.write_all(&[4])?;
-                write_str(w, lexical)?;
-                write_str(w, dt)?;
-            }
-        }
-    }
-    let triples = graph.store.iter_sorted();
-    w.write_all(&(triples.len() as u64).to_le_bytes())?;
-    for t in triples {
-        w.write_all(&t.s.0.to_le_bytes())?;
-        w.write_all(&t.p.0.to_le_bytes())?;
-        w.write_all(&t.o.0.to_le_bytes())?;
-    }
+pub fn save(graph: &Graph, w: &mut impl Write) -> Result<(), SnapshotError> {
+    w.write_all(&save_to_vec(graph)?)?;
     Ok(())
 }
 
 /// Read a snapshot back into a fresh graph.
 pub fn load(r: &mut impl Read) -> Result<Graph, SnapshotError> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(format_err("bad magic (not an owlpar snapshot)"));
-    }
-    let term_count = read_u32(r)? as usize;
-    let mut graph = Graph::new();
-    for i in 0..term_count {
-        let mut tag = [0u8; 1];
-        r.read_exact(&mut tag)?;
-        let term = match tag[0] {
-            0 => Term::iri(read_str(r)?),
-            1 => Term::blank(read_str(r)?),
-            2 => Term::literal(read_str(r)?),
-            3 => {
-                let lex = read_str(r)?;
-                let lang = read_str(r)?;
-                Term::lang_literal(lex, lang)
-            }
-            4 => {
-                let lex = read_str(r)?;
-                let dt = read_str(r)?;
-                Term::typed_literal(lex, dt)
-            }
-            t => return Err(format_err(format!("unknown term tag {t}"))),
-        };
-        let id = graph.intern(term);
-        if id.index() != i {
-            return Err(format_err("duplicate term in snapshot dictionary"));
-        }
-    }
-    // A bulk load, written in SPO order: one merge into the store's base,
-    // no per-triple hashing.
-    let triple_count = read_u64(r)?;
-    let mut triples: Vec<Triple> = Vec::new();
-    for _ in 0..triple_count {
-        let s = read_u32(r)?;
-        let p = read_u32(r)?;
-        let o = read_u32(r)?;
-        for id in [s, p, o] {
-            if id as usize >= term_count {
-                return Err(format_err(format!("triple id {id} out of range")));
-            }
-        }
-        triples.push(Triple::new(NodeId(s), NodeId(p), NodeId(o)));
-    }
-    graph.store.merge_run(&triples);
-    Ok(graph)
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    load_from_slice(&bytes)
 }
 
-/// Serialize `graph` into an in-memory snapshot image — the payload the
-/// serve-layer checkpoint format wraps with a checksum.
+/// Serialize `graph` into an in-memory snapshot image — what [`save`]
+/// writes and the serve-layer checkpoint frames.
 pub fn save_to_vec(graph: &Graph) -> Result<Vec<u8>, SnapshotError> {
-    let mut buf = Vec::new();
-    save(graph, &mut buf)?;
-    Ok(buf)
+    let term_count = u32::try_from(graph.dict.len())
+        .map_err(|_| format_err("more terms than a u32 can count"))?;
+    let triples = graph.store.iter_sorted();
+    if u32::try_from(triples.len()).is_err() {
+        return Err(format_err("more triples than a u32 can count"));
+    }
+    let block = encode_triple_block(&triples);
+    let mut out = Vec::with_capacity(MAGIC.len() + 4 + graph.dict.len() * 32 + block.len());
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&term_count.to_le_bytes());
+    for (_, term) in graph.dict.iter() {
+        let (tag, text, second) = match term {
+            Term::Iri(s) => (0, s, None),
+            Term::Blank(s) => (1, s, None),
+            Term::Literal {
+                lexical,
+                lang: Some(lang),
+                ..
+            } => (3, lexical, Some(lang)),
+            Term::Literal {
+                lexical,
+                datatype: Some(dt),
+                ..
+            } => (4, lexical, Some(dt)),
+            Term::Literal { lexical, .. } => (2, lexical, None),
+        };
+        out.push(tag);
+        put_str(&mut out, text);
+        if let Some(s) = second {
+            put_str(&mut out, s);
+        }
+    }
+    out.extend_from_slice(&block);
+    Ok(out)
 }
 
 /// Load a snapshot from an in-memory image, rejecting trailing bytes
 /// (a length mismatch means the container that carried the image lied).
 pub fn load_from_slice(bytes: &[u8]) -> Result<Graph, SnapshotError> {
-    let mut r = bytes;
-    let g = load(&mut r)?;
-    if !r.is_empty() {
+    let mut r = Cursor { bytes, pos: 0 };
+    if r.take(MAGIC.len())? != MAGIC {
+        return Err(format_err("bad magic (not an OWLPAR2 snapshot)"));
+    }
+    let term_count = r.u32()? as usize;
+    let mut graph = Graph::new();
+    for i in 0..term_count {
+        let term = match r.take(1)?[0] {
+            0 => Term::iri(r.str()?),
+            1 => Term::blank(r.str()?),
+            2 => Term::literal(r.str()?),
+            3 => {
+                let lex = r.str()?;
+                Term::lang_literal(lex, r.str()?)
+            }
+            4 => {
+                let lex = r.str()?;
+                Term::typed_literal(lex, r.str()?)
+            }
+            t => return Err(format_err(format!("unknown term tag {t}"))),
+        };
+        if graph.intern(term).index() != i {
+            return Err(format_err("duplicate term in snapshot dictionary"));
+        }
+    }
+    let rest = &bytes[r.pos..];
+    let (triples, used) = decode_triple_block(rest)
+        .map_err(|e| format_err(format!("triple section at byte {}: {e}", r.pos)))?;
+    if used != rest.len() {
         return Err(format_err(format!(
             "{} trailing byte(s) after snapshot",
-            r.len()
+            rest.len() - used
         )));
     }
-    Ok(g)
-}
-
-fn write_str(w: &mut impl Write, s: &str) -> io::Result<()> {
-    w.write_all(&(s.len() as u32).to_le_bytes())?;
-    w.write_all(s.as_bytes())
-}
-
-fn read_u32(r: &mut impl Read) -> Result<u32, SnapshotError> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut impl Read) -> Result<u64, SnapshotError> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_str(r: &mut impl Read) -> Result<String, SnapshotError> {
-    let len = read_u32(r)? as usize;
-    if len > 64 * 1024 * 1024 {
-        return Err(format_err("unreasonable string length"));
+    if let Some(t) = triples
+        .iter()
+        .find(|t| t.as_array().iter().any(|id| id.index() >= term_count))
+    {
+        return Err(format_err(format!(
+            "triple {t} has an id out of range of {term_count} terms"
+        )));
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf).map_err(|_| format_err("invalid UTF-8 in snapshot string"))
+    // A bulk load of an SPO-sorted run: one merge into the store's base,
+    // no per-triple hashing.
+    graph.store.merge_run(&triples);
+    Ok(graph)
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Bounds-checked reader over an image: running out of bytes is a
+/// [`SnapshotError::Format`] naming the offset, never a panic.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&end| end <= self.bytes.len())
+            .ok_or_else(|| format_err(format!("truncated at byte {}", self.bytes.len())))?;
+        let s = &self.bytes[self.pos..end];
+        self.pos = end;
+        Ok(s)
+    }
+
+    fn u32(&mut self) -> Result<u32, SnapshotError> {
+        let b = self.take(4)?;
+        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    }
+
+    fn str(&mut self) -> Result<&'a str, SnapshotError> {
+        let len = self.u32()? as usize;
+        std::str::from_utf8(self.take(len)?)
+            .map_err(|_| format_err("invalid UTF-8 in snapshot string"))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
+    use crate::{NodeId, Triple};
 
     fn sample() -> Graph {
         let mut g = Graph::new();
@@ -268,33 +261,47 @@ mod tests {
             load(&mut buf.as_slice()),
             Err(SnapshotError::Format(_))
         ));
+        // A snapshot of the previous format is refused by its magic.
+        buf[..8].copy_from_slice(MAGIC);
+        buf[6] = b'1'; // the previous format's version digit
+        assert!(matches!(
+            load_from_slice(&buf),
+            Err(SnapshotError::Format(m)) if m.contains("magic")
+        ));
     }
 
     #[test]
-    fn truncation_rejected() {
-        let mut buf = Vec::new();
-        save(&sample(), &mut buf).unwrap();
-        for cut in [4, buf.len() / 2, buf.len() - 3] {
+    fn truncation_at_every_offset_is_a_typed_error() {
+        let img = save_to_vec(&sample()).unwrap();
+        for cut in 0..img.len() {
             assert!(
-                load(&mut &buf[..cut]).is_err(),
-                "truncation at {cut} must fail"
+                matches!(load_from_slice(&img[..cut]), Err(SnapshotError::Format(_))),
+                "truncation at {cut} must fail typed"
             );
         }
+    }
+
+    /// Replace the triple section of `g`'s image with `triples`' block.
+    fn with_block(g: &Graph, triples: &[Triple]) -> Vec<u8> {
+        let mut img = save_to_vec(g).unwrap();
+        let own = encode_triple_block(&g.store.iter_sorted()).len();
+        img.truncate(img.len() - own);
+        img.extend_from_slice(&encode_triple_block(triples));
+        img
     }
 
     #[test]
     fn out_of_range_triple_id_rejected() {
         let mut g = Graph::new();
         g.insert_iris("http://x/a", "http://x/p", "http://x/b");
-        let mut buf = Vec::new();
-        save(&g, &mut buf).unwrap();
-        // corrupt the last triple's object id to a huge value
-        let n = buf.len();
-        buf[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            load(&mut buf.as_slice()),
-            Err(SnapshotError::Format(m)) if m.contains("out of range")
-        ));
+        let t = |s, p, o| Triple::new(NodeId(s), NodeId(p), NodeId(o));
+        assert!(load_from_slice(&with_block(&g, &[t(0, 1, 2)])).is_ok());
+        for bad in [t(0, 1, 3), t(3, 1, 2), t(0, u32::MAX, 2)] {
+            assert!(matches!(
+                load_from_slice(&with_block(&g, &[t(0, 1, 2), bad])),
+                Err(SnapshotError::Format(m)) if m.contains("out of range")
+            ));
+        }
     }
 
     #[test]
@@ -309,6 +316,7 @@ mod tests {
             load_from_slice(&padded),
             Err(SnapshotError::Format(m)) if m.contains("trailing")
         ));
+        assert!(load(&mut padded.as_slice()).is_err(), "load reads it all");
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Property tests for the RDF substrate: the store against a naive model,
-//! N-Triples and snapshot round-trips over arbitrary graphs.
+//! N-Triples, snapshot and triple-block round-trips over arbitrary input.
 
 // Tests assert on infallible setup; unwrap/expect failures are test failures.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use owlpar_rdf::snapshot;
-use owlpar_rdf::{parse_ntriples, write_ntriples, Graph, NodeId, Term, Triple, TriplePattern, TripleStore};
+use owlpar_rdf::{
+    decode_triple_block, encode_triple_block, parse_ntriples, write_ntriples, Graph, NodeId, Term,
+    Triple, TripleBlockError, TriplePattern, TripleStore,
+};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -88,7 +91,8 @@ proptest! {
         prop_assert_eq!(back.term_fingerprint(), g.term_fingerprint());
     }
 
-    /// snapshot save → load is the identity (including ids).
+    /// snapshot save → load is the identity (including ids), and the
+    /// image is canonical: saving what was loaded gives the same bytes.
     #[test]
     fn snapshot_roundtrip(g in graph_strategy()) {
         let mut buf = Vec::new();
@@ -97,6 +101,7 @@ proptest! {
         prop_assert_eq!(back.len(), g.len());
         prop_assert_eq!(back.dict.len(), g.dict.len());
         prop_assert_eq!(back.term_fingerprint(), g.term_fingerprint());
+        prop_assert_eq!(snapshot::save_to_vec(&back).expect("save again"), buf);
     }
 
     /// Fingerprints are invariant under dictionary reordering and
@@ -121,14 +126,26 @@ proptest! {
         }
     }
 
-    /// Triple batch encode/decode round-trips.
+    /// A triple block decodes to the set it encodes — sorted, without
+    /// duplicates, over the whole id range — consuming exactly its own
+    /// bytes, and every strict prefix of it is a typed truncation.
     #[test]
-    fn triple_batch_roundtrip(ids in prop::collection::vec((any::<u32>(), any::<u32>(), any::<u32>()), 0..64)) {
+    fn triple_block_roundtrip(ids in prop::collection::vec((any::<u32>(), any::<u32>(), any::<u32>()), 0..64)) {
         let batch: Vec<Triple> = ids
             .iter()
             .map(|&(s, p, o)| Triple::new(NodeId(s), NodeId(p), NodeId(o)))
             .collect();
-        let bytes = owlpar_rdf::triple::encode_batch(&batch);
-        prop_assert_eq!(owlpar_rdf::triple::decode_batch(&bytes), batch);
+        let block = encode_triple_block(&batch);
+        let mut set = batch.clone();
+        set.sort_unstable();
+        set.dedup();
+        prop_assert_eq!(decode_triple_block(&block), Ok((set, block.len())));
+        for cut in 0..block.len() {
+            let truncated = matches!(
+                decode_triple_block(&block[..cut]),
+                Err(TripleBlockError::Truncated { .. })
+            );
+            prop_assert!(truncated, "cut at {}", cut);
+        }
     }
 }

@@ -1,15 +1,20 @@
 //! Atomic, checksummed checkpoints of the serving KB.
 //!
-//! A checkpoint is the full closed graph — dictionary plus triple
-//! columns, serialized with the existing binary snapshot format
-//! ([`owlpar_rdf::snapshot`]) — wrapped in a small checksummed
-//! container and written with the crash-safe temp+rename+fsync
-//! discipline ([`owlpar_core::atomic_write_synced`]):
+//! A checkpoint is the full closed graph — dictionary plus triple block,
+//! the binary snapshot image of [`owlpar_rdf::snapshot`] — cut into CRC
+//! frames ([`owlpar_core::frame`]) behind a magic and its sequence
+//! number, and written with the crash-safe temp+rename+fsync discipline
+//! ([`owlpar_core::atomic_write_synced`]):
 //!
 //! ```text
-//! checkpoint := magic "OWLCKPT1" | seq:u64 | body_len:u64
-//!             | crc:u32 (of body) | body (snapshot image)
+//! checkpoint := magic "OWLCKPT2" | seq:u64 | crc_frame(chunk)+
+//! chunk      := the next ≤ MAX_PAYLOAD_BYTES of the snapshot image
 //! ```
+//!
+//! Chunking keeps every frame inside the shared payload bound, so a KB
+//! whose image outgrows one frame still checkpoints. A checkpoint of the
+//! previous, unframed format (version digit 1) is refused by its magic,
+//! never misread, and recovery falls back as for any invalid checkpoint.
 //!
 //! A crash mid-write leaves only `*.tmp` staging debris (ignored by the
 //! scan); a crash after the rename leaves a complete, verifiable file.
@@ -20,12 +25,13 @@
 //! (see [`crate::recovery`]).
 
 use crate::error::ServeError;
-use owlpar_core::{atomic_write_synced, crc32};
+use owlpar_core::frame::{read_crc_frame, write_crc_frame, FrameError};
+use owlpar_core::{atomic_write_synced, MAX_PAYLOAD_BYTES};
 use owlpar_rdf::{snapshot, Graph};
 use std::path::{Path, PathBuf};
 
-const CKPT_MAGIC: &[u8; 8] = b"OWLCKPT1";
-const CKPT_HEADER: usize = 8 + 8 + 8 + 4;
+const CKPT_MAGIC: &[u8; 8] = b"OWLCKPT2";
+const CKPT_HEADER: usize = 8 + 8;
 
 /// Name of checkpoint `seq`.
 pub fn checkpoint_name(seq: u64) -> String {
@@ -42,14 +48,22 @@ pub fn parse_checkpoint_name(name: &str) -> Option<u64> {
 
 /// Serialize `graph` into the checkpoint container for `seq`.
 pub fn encode(seq: u64, graph: &Graph) -> Result<Vec<u8>, ServeError> {
-    let body = snapshot::save_to_vec(graph)
+    let image = snapshot::save_to_vec(graph)
         .map_err(|e| ServeError::Durability(format!("serializing checkpoint: {e}")))?;
-    let mut out = Vec::with_capacity(CKPT_HEADER + body.len());
+    frame_image(seq, &image, MAX_PAYLOAD_BYTES as usize)
+}
+
+/// The container for `seq` around `image`, one CRC frame per `chunk`
+/// bytes of it.
+fn frame_image(seq: u64, image: &[u8], chunk: usize) -> Result<Vec<u8>, ServeError> {
+    let frames = image.len().div_ceil(chunk);
+    let mut out = Vec::with_capacity(CKPT_HEADER + 8 * frames + image.len());
     out.extend_from_slice(CKPT_MAGIC);
     out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
+    for piece in image.chunks(chunk) {
+        write_crc_frame(&mut out, piece)
+            .map_err(|e| ServeError::Durability(format!("framing checkpoint {seq}: {e}")))?;
+    }
     Ok(out)
 }
 
@@ -63,40 +77,30 @@ pub fn write(dir: &Path, seq: u64, graph: &Graph) -> Result<PathBuf, ServeError>
     Ok(path)
 }
 
-/// Read and fully verify one checkpoint file: magic, sequence
-/// consistency, length, CRC, and snapshot decode.
+/// Read and fully verify one checkpoint file: magic, every frame's
+/// length and CRC, and the snapshot decode of what they carry.
 pub fn read(path: &Path) -> Result<(u64, Graph), ServeError> {
+    let bad = |what: String| ServeError::Durability(format!("{}: {what}", path.display()));
     let bytes = std::fs::read(path)
         .map_err(|e| ServeError::Durability(format!("reading checkpoint: {e}")))?;
-    if bytes.len() < CKPT_HEADER || &bytes[..8] != CKPT_MAGIC {
-        return Err(ServeError::Durability(format!(
-            "{}: not a checkpoint (bad magic or truncated header)",
-            path.display()
-        )));
+    let Some((header, mut rest)) = bytes.split_at_checked(CKPT_HEADER) else {
+        return Err(bad("not a checkpoint (truncated header)".into()));
+    };
+    if &header[..8] != CKPT_MAGIC {
+        return Err(bad("not an OWLCKPT2 checkpoint (bad magic)".into()));
     }
     let seq = u64::from_le_bytes([
-        bytes[8], bytes[9], bytes[10], bytes[11], bytes[12], bytes[13], bytes[14], bytes[15],
+        header[8], header[9], header[10], header[11], header[12], header[13], header[14],
+        header[15],
     ]);
-    let body_len = u64::from_le_bytes([
-        bytes[16], bytes[17], bytes[18], bytes[19], bytes[20], bytes[21], bytes[22], bytes[23],
-    ]) as usize;
-    let crc = u32::from_le_bytes([bytes[24], bytes[25], bytes[26], bytes[27]]);
-    let body = &bytes[CKPT_HEADER..];
-    if body.len() != body_len {
-        return Err(ServeError::Durability(format!(
-            "{}: body is {} bytes, header claims {body_len}",
-            path.display(),
-            body.len()
-        )));
+    let damaged = |e: FrameError| bad(e.to_string());
+    let mut image = read_crc_frame(&mut rest).map_err(damaged)?;
+    while !rest.is_empty() {
+        image.extend_from_slice(&read_crc_frame(&mut rest).map_err(damaged)?);
     }
-    if crc32(body) != crc {
-        return Err(ServeError::Durability(format!(
-            "{}: checksum mismatch",
-            path.display()
-        )));
-    }
-    let graph = snapshot::load_from_slice(body)
-        .map_err(|e| ServeError::Durability(format!("{}: {e}", path.display())))?;
+    // A cut on a frame boundary leaves whole frames and a short image,
+    // which the snapshot decoder refuses as truncated.
+    let graph = snapshot::load_from_slice(&image).map_err(|e| bad(e.to_string()))?;
     Ok((seq, graph))
 }
 
@@ -181,9 +185,15 @@ mod tests {
         bytes[n - 1] ^= 0xFF;
         std::fs::write(&p2, &bytes).unwrap();
         assert!(matches!(read(&p2), Err(ServeError::Durability(_))));
+        // A newer one of the previous format is refused by its magic.
+        let p3 = write(&dir, 3, &g2).unwrap();
+        let mut bytes = std::fs::read(&p3).unwrap();
+        bytes[7] = b'1'; // the previous format's version digit
+        std::fs::write(&p3, &bytes).unwrap();
+        assert!(matches!(read(&p3), Err(ServeError::Durability(m)) if m.contains("magic")));
         let (seq, graph, skipped) = latest_valid(&dir).unwrap().unwrap();
         assert_eq!(seq, 1, "falls back to the previous checkpoint");
-        assert_eq!(skipped, 1);
+        assert_eq!(skipped, 2);
         assert_eq!(graph.term_fingerprint(), g1.term_fingerprint());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -196,6 +206,28 @@ mod tests {
         for cut in 0..full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
             assert!(read(&path).is_err(), "truncation at {cut} must fail cleanly");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn image_split_over_many_frames_roundtrips_and_every_cut_fails_typed() {
+        let dir = tmp_dir("chunks");
+        let g = sample();
+        let image = snapshot::save_to_vec(&g).unwrap();
+        let bytes = frame_image(5, &image, 16).unwrap();
+        assert!(image.len() > 2 * 16, "test premise: three frames or more");
+        let path = dir.join(checkpoint_name(5));
+        std::fs::write(&path, &bytes).unwrap();
+        let (seq, back) = read(&path).unwrap();
+        assert_eq!(seq, 5);
+        assert_eq!(back.term_fingerprint(), g.term_fingerprint());
+        for cut in 0..bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            assert!(
+                matches!(read(&path), Err(ServeError::Durability(_))),
+                "cut at {cut} must fail typed"
+            );
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -2,7 +2,8 @@
 //! the load generator, and the end-to-end tests.
 
 use crate::error::ServeError;
-use crate::wire::{self, Request, Response};
+use crate::wire::{Request, Response};
+use owlpar_core::frame::{read_frame, write_frame};
 use std::io::{BufReader, BufWriter};
 use std::net::{TcpStream, ToSocketAddrs};
 
@@ -49,8 +50,8 @@ impl Client {
     }
 
     fn round_trip(&mut self, req: &Request) -> Result<Response, ServeError> {
-        wire::write_frame(&mut self.writer, &req.encode())?;
-        let body = wire::read_frame(&mut self.reader)?;
+        write_frame(&mut self.writer, &req.encode())?;
+        let body = read_frame(&mut self.reader)?;
         match Response::decode(&body)? {
             Response::Error(m) => Err(ServeError::Remote(m)),
             Response::Busy => Err(ServeError::Busy),

@@ -23,7 +23,8 @@
 use crate::error::ServeError;
 use crate::kb::ServingKb;
 use crate::stats::{RunInfo, ServerStats};
-use crate::wire::{self, Request, Response};
+use crate::wire::{Request, Response};
+use owlpar_core::frame::{read_frame, write_frame};
 use owlpar_core::RunReport;
 use owlpar_obs::{Phase, Track, NO_ROUND};
 use owlpar_query::exec::render_row;
@@ -199,7 +200,7 @@ fn reject_busy(stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
     let mut writer = BufWriter::new(stream);
-    let _ = wire::write_frame(&mut writer, &Response::Busy.encode());
+    let _ = write_frame(&mut writer, &Response::Busy.encode());
 }
 
 fn worker_loop(
@@ -252,7 +253,7 @@ fn handle_connection(
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     loop {
-        let body = match wire::read_frame(&mut reader) {
+        let body = match read_frame(&mut reader).map_err(ServeError::from) {
             Ok(b) => b,
             Err(ServeError::Io(e)) if e.kind() == ErrorKind::UnexpectedEof => {
                 return Ok(()); // peer closed between requests
@@ -262,14 +263,14 @@ fn handle_connection(
                 // write shares the deadline) and free the worker.
                 inner.stats.idle_disconnects.fetch_add(1, Ordering::Relaxed);
                 let bye = Response::Error(ServeError::IdleTimeout.to_string());
-                let _ = wire::write_frame(&mut writer, &bye.encode());
+                let _ = write_frame(&mut writer, &bye.encode());
                 return Err(ServeError::IdleTimeout);
             }
             Err(e) => {
                 // Bad frame: report it if the socket still works, then
                 // drop the connection — framing is unrecoverable.
                 inner.stats.errors.fetch_add(1, Ordering::Relaxed);
-                let _ = wire::write_frame(&mut writer, &Response::Error(e.to_string()).encode());
+                let _ = write_frame(&mut writer, &Response::Error(e.to_string()).encode());
                 return Err(e);
             }
         };
@@ -284,7 +285,7 @@ fn handle_connection(
         // scrape arriving next sees them in the phase totals.
         lane.flush();
         let closing = matches!(response, Response::ShuttingDown);
-        match wire::write_frame(&mut writer, &response.encode()) {
+        match write_frame(&mut writer, &response.encode()).map_err(ServeError::from) {
             Ok(()) => {}
             Err(ServeError::Io(e)) if is_timeout(&e) => {
                 // Slow consumer blew the write deadline: drop it.

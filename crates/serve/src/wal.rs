@@ -13,26 +13,27 @@
 //!
 //! ```text
 //! segment := magic "OWLWAL1\n" | seq:u64 | record*
-//! record  := len:u32 | crc:u32 | payload bytes{len}
+//! record  := crc_frame(payload)   (= len:u32 | crc32:u32 | payload{len})
 //! ```
 //!
-//! All integers little-endian; `crc` is the shared CRC-32
-//! ([`owlpar_core::crc32`]) of the payload; `len` is validated through
-//! the same [`owlpar_core::check_payload_bounds`] as every other
-//! length-prefixed stream in the system.
+//! All integers little-endian. A record is exactly one CRC frame of
+//! [`owlpar_core::frame`], written by `write_crc_frame` and read back by
+//! `read_crc_frame`, so its length passes the same
+//! [`owlpar_core::check_payload_bounds`] as every other length-prefixed
+//! stream in the system and its checksum is the shared CRC-32.
 //!
 //! The append path is write-ahead in the strict sense: a batch is
 //! appended **and fsynced** before it is applied to the in-memory
 //! store, so an acknowledged insert is always on disk. A crash between
 //! the write and the fsync can leave a *torn* final record; replay
-//! tolerates exactly that — it stops at the first record whose length
-//! field is truncated or whose CRC does not match, reports the tear,
-//! and recovery truncates the segment back to its valid prefix before
-//! appending again.
+//! tolerates exactly that — it stops at the first record that is not a
+//! whole, valid frame (short, out of bounds, or failing its CRC), reports
+//! the tear, and recovery truncates the segment back to its valid prefix
+//! before appending again.
 
 use crate::error::ServeError;
-use owlpar_core::{check_payload_bounds, crc32};
-use std::io::{Read, Write};
+use owlpar_core::frame::{read_crc_frame, write_crc_frame};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 const WAL_MAGIC: &[u8; 8] = b"OWLWAL1\n";
@@ -142,18 +143,13 @@ impl WalWriter {
         &self.path
     }
 
-    /// Stage one record **without** fsyncing: write `len|crc|payload`.
-    /// Callers must follow with [`WalWriter::sync`] before
+    /// Stage one record **without** fsyncing: its CRC frame, in one
+    /// `write(2)`. Callers must follow with [`WalWriter::sync`] before
     /// acknowledging the batch. Split so the crash-injection point
     /// *between* write and fsync is a real program point, not a
     /// simulation fiction.
     pub fn append_record(&mut self, payload: &[u8]) -> Result<(), ServeError> {
-        check_payload_bounds(payload.len() as u64)
-            .map_err(|e| ServeError::Durability(format!("WAL record: {e}")))?;
-        let mut rec = Vec::with_capacity(8 + payload.len());
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&crc32(payload).to_le_bytes());
-        rec.extend_from_slice(payload);
+        let rec = frame_record(payload)?;
         self.file
             .write_all(&rec)
             .map_err(|e| io_err("appending WAL record", &e))?;
@@ -166,10 +162,7 @@ impl WalWriter {
     /// that died mid-append. Used by the fault-injection tests; the
     /// record is *not* counted as appended.
     pub fn append_torn_record(&mut self, payload: &[u8]) -> Result<(), ServeError> {
-        let mut rec = Vec::with_capacity(8 + payload.len());
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&crc32(payload).to_le_bytes());
-        rec.extend_from_slice(payload);
+        let mut rec = frame_record(payload)?;
         rec.truncate((rec.len() / 2).max(1));
         self.file
             .write_all(&rec)
@@ -185,6 +178,14 @@ impl WalWriter {
             .sync_data()
             .map_err(|e| io_err("fsyncing WAL", &e))
     }
+}
+
+/// One record's bytes: the CRC frame of `payload`.
+fn frame_record(payload: &[u8]) -> Result<Vec<u8>, ServeError> {
+    let mut rec = Vec::with_capacity(8 + payload.len());
+    write_crc_frame(&mut rec, payload)
+        .map_err(|e| ServeError::Durability(format!("WAL record: {e}")))?;
+    Ok(rec)
 }
 
 /// What replaying one segment found.
@@ -204,10 +205,13 @@ pub struct SegmentReplay {
 /// record (truncate-at-first-bad-CRC semantics). A completely missing
 /// or header-corrupt file is an error; a torn *tail* is not.
 pub fn replay_segment(path: &Path) -> Result<SegmentReplay, ServeError> {
-    let mut f = std::fs::File::open(path).map_err(|e| io_err("opening WAL segment", &e))?;
-    let mut header = [0u8; HEADER_LEN as usize];
-    f.read_exact(&mut header)
-        .map_err(|e| io_err("reading WAL header", &e))?;
+    let bytes = std::fs::read(path).map_err(|e| io_err("reading WAL segment", &e))?;
+    let Some((header, mut rest)) = bytes.split_at_checked(HEADER_LEN as usize) else {
+        return Err(ServeError::Durability(format!(
+            "{}: truncated WAL header",
+            path.display()
+        )));
+    };
     if &header[..8] != WAL_MAGIC {
         return Err(ServeError::Durability(format!(
             "{}: bad WAL magic",
@@ -220,54 +224,23 @@ pub fn replay_segment(path: &Path) -> Result<SegmentReplay, ServeError> {
     ]);
     let mut records = Vec::new();
     let mut valid_len = HEADER_LEN;
-    let torn;
-    loop {
-        let mut prefix = [0u8; 8];
-        match f.read_exact(&mut prefix) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                // Either a clean end (0 extra bytes) or a tear inside
-                // the length/crc prefix; both stop the scan. Whether it
-                // was a tear matters for reporting: compare the file's
-                // real length with the valid prefix.
-                let file_len = f
-                    .metadata()
-                    .map_err(|e| io_err("statting WAL segment", &e))?
-                    .len();
-                torn = file_len != valid_len;
-                break;
+    // A short read, a nonsense length and a bad CRC all end the scan the
+    // same way: whatever follows the last whole frame is a tear.
+    while !rest.is_empty() {
+        let before = rest.len();
+        match read_crc_frame(&mut rest) {
+            Ok(payload) => {
+                valid_len += (before - rest.len()) as u64;
+                records.push(payload);
             }
-            Err(e) => return Err(io_err("reading WAL record prefix", &e)),
+            Err(_) => break,
         }
-        let len = u64::from(u32::from_le_bytes([prefix[0], prefix[1], prefix[2], prefix[3]]));
-        let crc = u32::from_le_bytes([prefix[4], prefix[5], prefix[6], prefix[7]]);
-        if check_payload_bounds(len).is_err() {
-            // A nonsense length is indistinguishable from a tear that
-            // happened to leave garbage; same remedy.
-            torn = true;
-            break;
-        }
-        let mut payload = vec![0u8; len as usize];
-        match f.read_exact(&mut payload) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                torn = true;
-                break;
-            }
-            Err(e) => return Err(io_err("reading WAL record payload", &e)),
-        }
-        if crc32(&payload) != crc {
-            torn = true;
-            break;
-        }
-        valid_len += 8 + len;
-        records.push(payload);
     }
     Ok(SegmentReplay {
         seq,
         records,
         valid_len,
-        torn,
+        torn: valid_len != bytes.len() as u64,
     })
 }
 
@@ -390,6 +363,30 @@ mod tests {
         let r = replay_segment(&path).unwrap();
         assert!(r.torn);
         assert_eq!(r.records.len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A two-record `OWLWAL1` segment, pinned byte for byte: a segment
+    /// any earlier build wrote must replay unchanged.
+    const GOLDEN_SEGMENT: &[u8] = b"OWLWAL1\n\x07\0\0\0\0\0\0\0\x0e\0\0\0C\xd6\xcev<a> <p> <b> .\n\x0e\0\0\0\xa8\x96\xd2\x99<c> <p> <d> .\n";
+
+    #[test]
+    fn two_record_segment_matches_golden_bytes() {
+        let dir = tmp_dir("golden");
+        let mut w = WalWriter::create(&dir, 7).unwrap();
+        w.append_record(b"<a> <p> <b> .\n").unwrap();
+        w.append_record(b"<c> <p> <d> .\n").unwrap();
+        w.sync().unwrap();
+        let path = dir.join(segment_name(7));
+        assert_eq!(std::fs::read(&path).unwrap(), GOLDEN_SEGMENT);
+        std::fs::write(&path, GOLDEN_SEGMENT).unwrap();
+        let r = replay_segment(&path).unwrap();
+        assert_eq!((r.seq, r.torn), (7, false));
+        assert_eq!(
+            r.records,
+            vec![b"<a> <p> <b> .\n".to_vec(), b"<c> <p> <d> .\n".to_vec()]
+        );
+        assert_eq!(r.valid_len, GOLDEN_SEGMENT.len() as u64);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,11 +1,14 @@
 //! The length-prefixed wire protocol.
 //!
-//! Every message is one *frame*: a little-endian `u32` byte length
-//! followed by that many body bytes. The length is validated through
-//! [`owlpar_core::check_payload_bounds`] — the *same* check the
-//! shared-file transport applies to its message files — before any
+//! Every message is one plain *frame* of [`owlpar_core::frame`]
+//! (`write_frame` / `read_frame`, called directly by the client and the
+//! server): a little-endian `u32` byte length followed by that many body
+//! bytes. The length is validated through
+//! [`owlpar_core::check_payload_bounds`] — the *same* check every other
+//! length-prefixed stream and file in the system applies — before any
 //! allocation happens, so a zero-length or absurd length is a typed
-//! error, never an OOM or a busy-loop.
+//! error ([`ServeError::Frame`] once converted), never an OOM or a
+//! busy-loop.
 //!
 //! Body grammar (first byte tags the variant):
 //!
@@ -28,19 +31,6 @@
 //! [`ServeError::Protocol`] on truncation.
 
 use crate::error::ServeError;
-use std::io::{Read, Write};
-
-/// Write one frame. Delegates to the shared `owlpar_core::frame` codec
-/// — the single bounds-checked, never-panicking implementation both the
-/// serving layer and the cluster transport (`owlpar-net`) use.
-pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), ServeError> {
-    Ok(owlpar_core::frame::write_frame(w, body)?)
-}
-
-/// Read one frame, validating the claimed length before allocating.
-pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ServeError> {
-    Ok(owlpar_core::frame::read_frame(r)?)
-}
 
 /// A client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -361,6 +351,7 @@ impl<'a> Cursor<'a> {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
+    use owlpar_core::frame::{read_frame, write_frame};
     use owlpar_core::MAX_PAYLOAD_BYTES;
 
     #[test]
@@ -407,12 +398,12 @@ mod tests {
     fn zero_length_frame_rejected_on_both_sides() {
         let mut sink = Vec::new();
         assert!(matches!(
-            write_frame(&mut sink, &[]),
+            write_frame(&mut sink, &[]).map_err(ServeError::from),
             Err(ServeError::Frame(_))
         ));
         let wire = 0u32.to_le_bytes();
         assert!(matches!(
-            read_frame(&mut &wire[..]),
+            read_frame(&mut &wire[..]).map_err(ServeError::from),
             Err(ServeError::Frame(_))
         ));
     }
@@ -422,19 +413,9 @@ mod tests {
         let mut wire = Vec::new();
         wire.extend_from_slice(&(u32::MAX).to_le_bytes());
         wire.push(0xff); // body much shorter than claimed
-        let err = read_frame(&mut &wire[..]).unwrap_err();
+        let err = ServeError::from(read_frame(&mut &wire[..]).unwrap_err());
         assert!(matches!(err, ServeError::Frame(_)), "{err}");
         assert!(u64::from(u32::MAX) > MAX_PAYLOAD_BYTES, "test premise");
-    }
-
-    #[test]
-    fn frame_roundtrip_over_a_buffer() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"hello").unwrap();
-        write_frame(&mut wire, b"world!").unwrap();
-        let mut r = &wire[..];
-        assert_eq!(read_frame(&mut r).unwrap(), b"hello");
-        assert_eq!(read_frame(&mut r).unwrap(), b"world!");
     }
 
     /// Fuzz-style: no random byte soup may panic the decoders; they must

@@ -253,29 +253,35 @@ fn recovery_disabled_reports_structured_error() {
 }
 
 /// Corrupted payloads are skipped with a report; the run completes and
-/// surfaces the skip counts instead of crashing on a decode error.
+/// surfaces the skip counts instead of crashing on a decode error — in
+/// both message encodings, since both travel as one CRC frame.
 #[test]
 fn corruption_is_skipped_and_reported() {
     with_timeout(|| {
         let g0 = generate_lubm(&LubmConfig::mini(2));
-        let plan = FaultPlan::new()
-            .with(0, 0, FaultKind::Corrupt { to: 1 })
-            .with(0, 2, FaultKind::Truncate { to: 1 });
-        let cfg = ParallelConfig {
-            comm: CommMode::SharedFile {
-                dir: None,
-                format: WireFormat::NTriples,
-            },
-            ..base_cfg(3)
+        for format in [WireFormat::NTriples, WireFormat::Binary] {
+            let plan = FaultPlan::new()
+                .with(0, 0, FaultKind::Corrupt { to: 1 })
+                .with(0, 2, FaultKind::Truncate { to: 1 });
+            let cfg = ParallelConfig {
+                comm: CommMode::SharedFile { dir: None, format },
+                ..base_cfg(3)
+            }
+            .with_faults(plan);
+            let mut g = g0.clone();
+            let report = run_parallel(&mut g, &cfg).expect("corruption does not kill the run");
+            assert!(
+                report.worker_errors.is_empty(),
+                "{format:?}: no worker died"
+            );
+            // One report per mangled message: neither may deliver a
+            // silent prefix.
+            assert_eq!(
+                report.total_skipped(),
+                2,
+                "{format:?}: dropped messages must be reported, not silent"
+            );
         }
-        .with_faults(plan);
-        let mut g = g0.clone();
-        let report = run_parallel(&mut g, &cfg).expect("corruption does not kill the run");
-        assert!(report.worker_errors.is_empty(), "no worker died");
-        assert!(
-            report.total_skipped() > 0,
-            "dropped messages must be reported, not silent"
-        );
     });
 }
 
