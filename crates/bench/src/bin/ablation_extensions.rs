@@ -18,6 +18,7 @@ use owlpar_bench::runner::{point_from_report, record_jsonl};
 use owlpar_bench::table;
 use owlpar_core::config::RoundMode;
 use owlpar_core::{run_parallel, run_serial, ParallelConfig, PartitioningStrategy};
+use owlpar_obs::json::obj;
 
 fn main() {
     let (cfg, rest) = DatasetConfig::from_args(std::env::args().skip(1));
@@ -95,10 +96,12 @@ fn main() {
                 p.rounds.to_string(),
                 table::f3(p.or_excess),
             ]);
-            json.push(serde_json::json!({
-                "k": k, "variant": name, "point": p,
-                "max_sync_s": max_sync.as_secs_f64(),
-            }));
+            json.push(obj([
+                ("k", k.into()),
+                ("variant", name.into()),
+                ("point", p.to_json()),
+                ("max_sync_s", max_sync.as_secs_f64().into()),
+            ]));
         }
     }
     println!(

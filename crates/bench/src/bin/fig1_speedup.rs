@@ -17,6 +17,7 @@ use owlpar_bench::datasets::{Dataset, DatasetConfig};
 use owlpar_bench::runner::{record_jsonl, speedup_series};
 use owlpar_bench::table;
 use owlpar_core::ParallelConfig;
+use owlpar_obs::json::obj;
 
 fn main() {
     let (cfg, rest) = DatasetConfig::from_args(std::env::args().skip(1));
@@ -49,10 +50,10 @@ fn main() {
             table::render(&["k", "serial(s)", "parallel(s)", "speedup", "rounds", "IR"], &rows)
         );
         for p in points {
-            all_rows.push(serde_json::json!({
-                "dataset": dataset.name(),
-                "point": p,
-            }));
+            all_rows.push(obj([
+                ("dataset", dataset.name().into()),
+                ("point", p.to_json()),
+            ]));
         }
     }
     let path = record_jsonl("fig1_speedup", &all_rows);

@@ -17,6 +17,7 @@ use owlpar_bench::datasets::{Dataset, DatasetConfig};
 use owlpar_bench::runner::record_jsonl;
 use owlpar_bench::table;
 use owlpar_core::{run_parallel, CommMode, ParallelConfig, WireFormat};
+use owlpar_obs::json::obj;
 
 fn main() {
     let (cfg, rest) = DatasetConfig::from_args(std::env::args().skip(1));
@@ -64,14 +65,14 @@ fn main() {
             table::f3(b.aggregation.as_secs_f64()),
             report.max_rounds().to_string(),
         ]);
-        json.push(serde_json::json!({
-            "k": k,
-            "reason_s": b.reason.as_secs_f64(),
-            "io_s": b.io.as_secs_f64(),
-            "sync_s": b.sync.as_secs_f64(),
-            "aggregation_s": b.aggregation.as_secs_f64(),
-            "rounds": report.max_rounds(),
-        }));
+        json.push(obj([
+            ("k", k.into()),
+            ("reason_s", b.reason.as_secs_f64().into()),
+            ("io_s", b.io.as_secs_f64().into()),
+            ("sync_s", b.sync.as_secs_f64().into()),
+            ("aggregation_s", b.aggregation.as_secs_f64().into()),
+            ("rounds", report.max_rounds().into()),
+        ]));
     }
     println!(
         "{}",

@@ -20,6 +20,7 @@ use owlpar_bench::table;
 use owlpar_core::{fit_cubic, run_serial, ParallelConfig};
 use owlpar_datalog::backward::TableScope;
 use owlpar_datalog::MaterializationStrategy;
+use owlpar_obs::json::obj;
 
 fn main() {
     let (cfg, rest) = DatasetConfig::from_args(std::env::args().skip(1));
@@ -94,12 +95,12 @@ fn main() {
     let json: Vec<_> = points
         .iter()
         .map(|p| {
-            serde_json::json!({
-                "k": p.k,
-                "measured": p.speedup,
-                "reasoning_only": p.reason_speedup,
-                "theoretical_max": theoretical(p.k as f64),
-            })
+            obj([
+                ("k", p.k.into()),
+                ("measured", p.speedup.into()),
+                ("reasoning_only", p.reason_speedup.into()),
+                ("theoretical_max", theoretical(p.k as f64).into()),
+            ])
         })
         .collect();
     let path = record_jsonl("fig3_theoretical", &json);

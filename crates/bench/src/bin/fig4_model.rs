@@ -17,6 +17,7 @@ use owlpar_bench::table;
 use owlpar_core::{fit_cubic, run_serial};
 use owlpar_datalog::backward::TableScope;
 use owlpar_datalog::MaterializationStrategy;
+use owlpar_obs::json::obj;
 
 fn main() {
     let (cfg, _) = DatasetConfig::from_args(std::env::args().skip(1));
@@ -64,12 +65,14 @@ fn main() {
         model.coeffs[0], model.coeffs[1], model.coeffs[2], model.coeffs[3], model.r_squared
     );
     for &(u, n, t) in &rows {
-        json.push(serde_json::json!({
-            "universities": u, "triples": n, "measured_s": t,
-            "predicted_s": model.predict(n),
-        }));
+        json.push(obj([
+            ("universities", u.into()),
+            ("triples", n.into()),
+            ("measured_s", t.into()),
+            ("predicted_s", model.predict(n).into()),
+        ]));
     }
-    json.push(serde_json::json!({ "model": model }));
+    json.push(obj([("model", model.to_json())]));
     let path = record_jsonl("fig4_model", &json);
     println!("rows recorded to {}", path.display());
 }

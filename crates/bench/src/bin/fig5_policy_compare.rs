@@ -17,6 +17,7 @@ use owlpar_bench::datasets::{Dataset, DatasetConfig};
 use owlpar_bench::runner::{record_jsonl, speedup_series};
 use owlpar_bench::table;
 use owlpar_core::{ParallelConfig, PartitioningStrategy};
+use owlpar_obs::json::obj;
 
 fn main() {
     let (cfg, rest) = DatasetConfig::from_args(std::env::args().skip(1));
@@ -64,7 +65,7 @@ fn main() {
             table::render(&["k", "speedup", "IR", "OR", "rounds"], &rows)
         );
         for p in points {
-            json.push(serde_json::json!({"policy": name, "point": p}));
+            json.push(obj([("policy", name.into()), ("point", p.to_json())]));
         }
     }
     let path = record_jsonl("fig5_policy_compare", &json);

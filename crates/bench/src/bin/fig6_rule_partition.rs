@@ -20,6 +20,7 @@ use owlpar_bench::table;
 use owlpar_core::{ParallelConfig, PartitioningStrategy};
 use owlpar_datalog::backward::TableScope;
 use owlpar_datalog::MaterializationStrategy;
+use owlpar_obs::json::obj;
 
 fn main() {
     let (cfg, rest) = DatasetConfig::from_args(std::env::args().skip(1));
@@ -62,9 +63,11 @@ fn main() {
             table::render(&["k", "speedup", "OR", "rounds"], &rows)
         );
         for p in points {
-            json.push(serde_json::json!({
-                "dataset": dataset.name(), "weighted": weighted, "point": p,
-            }));
+            json.push(obj([
+                ("dataset", dataset.name().into()),
+                ("weighted", weighted.into()),
+                ("point", p.to_json()),
+            ]));
         }
     }
     let path = record_jsonl("fig6_rule_partition", &json);

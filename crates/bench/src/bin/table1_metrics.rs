@@ -17,6 +17,7 @@ use owlpar_bench::datasets::{Dataset, DatasetConfig};
 use owlpar_bench::runner::record_jsonl;
 use owlpar_bench::table;
 use owlpar_core::{run_parallel, ParallelConfig, PartitioningStrategy};
+use owlpar_obs::json::obj;
 
 fn main() {
     let (cfg, rest) = DatasetConfig::from_args(std::env::args().skip(1));
@@ -63,14 +64,18 @@ fn main() {
                 table::f3(q.ir_excess()),
                 format!("{:.3}", report.partition_time.as_secs_f64()),
             ]);
-            json.push(serde_json::json!({
-                "k": k, "algorithm": name,
-                "bal": q.bal,
-                "or_excess": report.output_replication,
-                "ir_excess": q.ir_excess(),
-                "partition_time_s": report.partition_time.as_secs_f64(),
-                "edge_cut": report.edge_cut,
-            }));
+            json.push(obj([
+                ("k", k.into()),
+                ("algorithm", name.into()),
+                ("bal", q.bal.into()),
+                ("or_excess", report.output_replication.into()),
+                ("ir_excess", q.ir_excess().into()),
+                (
+                    "partition_time_s",
+                    report.partition_time.as_secs_f64().into(),
+                ),
+                ("edge_cut", report.edge_cut.into()),
+            ]));
         }
     }
     println!(

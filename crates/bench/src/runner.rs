@@ -1,13 +1,13 @@
 //! Speedup measurement shared by the figure binaries.
 
 use owlpar_core::{run_parallel, run_serial, ParallelConfig, RunReport};
+use owlpar_obs::json::{obj, Value};
 use owlpar_rdf::Graph;
-use serde::Serialize;
 use std::path::PathBuf;
 use std::time::Duration;
 
 /// One (k, speedup) measurement.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SpeedupPoint {
     /// Worker count.
     pub k: usize,
@@ -28,6 +28,23 @@ pub struct SpeedupPoint {
     pub ir_excess: Option<f64>,
     /// Output-replication excess.
     pub or_excess: f64,
+}
+
+impl SpeedupPoint {
+    /// The point as a JSON object, one key per field.
+    pub fn to_json(&self) -> Value {
+        obj([
+            ("k", self.k.into()),
+            ("serial_secs", self.serial_secs.into()),
+            ("parallel_secs", self.parallel_secs.into()),
+            ("slowest_reason_secs", self.slowest_reason_secs.into()),
+            ("speedup", self.speedup.into()),
+            ("reason_speedup", self.reason_speedup.into()),
+            ("rounds", self.rounds.into()),
+            ("ir_excess", self.ir_excess.into()),
+            ("or_excess", self.or_excess.into()),
+        ])
+    }
 }
 
 fn secs(d: Duration) -> f64 {
@@ -72,13 +89,13 @@ pub fn point_from_report(report: &RunReport, serial_time: Duration) -> SpeedupPo
 
 /// Append JSON lines to `target/experiments/<name>.jsonl` so experiment
 /// outputs survive as artifacts.
-pub fn record_jsonl<T: Serialize>(name: &str, rows: &[T]) -> PathBuf {
+pub fn record_jsonl(name: &str, rows: &[Value]) -> PathBuf {
     let dir = PathBuf::from("target/experiments");
     let _ = std::fs::create_dir_all(&dir);
     let path = dir.join(format!("{name}.jsonl"));
     let mut text = String::new();
     for r in rows {
-        text.push_str(&serde_json::to_string(r).expect("serializable row"));
+        text.push_str(&r.to_string());
         text.push('\n');
     }
     let _ = std::fs::write(&path, text);
@@ -103,7 +120,7 @@ mod tests {
 
     #[test]
     fn record_jsonl_writes_rows() {
-        let pts = vec![serde_json::json!({"a": 1}), serde_json::json!({"a": 2})];
+        let pts = vec![obj([("a", 1u64.into())]), obj([("a", 2u64.into())])];
         let path = record_jsonl("unit_test_rows", &pts);
         let text = std::fs::read_to_string(path).unwrap();
         assert_eq!(text.lines().count(), 2);

@@ -8,10 +8,10 @@
 //! replication, so
 //! `max_speedup(n, k) = t(n) / t(n/k)`.
 
-use serde::Serialize;
+use owlpar_obs::json::{obj, Value};
 
 /// A fitted polynomial `t(x) = c₀ + c₁x + c₂x² + …`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PolyModel {
     /// Coefficients, lowest order first.
     pub coeffs: Vec<f64>,
@@ -20,6 +20,14 @@ pub struct PolyModel {
 }
 
 impl PolyModel {
+    /// `{"coeffs": [...], "r_squared": ...}` — the Fig. 4 model row.
+    pub fn to_json(&self) -> Value {
+        obj([
+            ("coeffs", self.coeffs.clone().into()),
+            ("r_squared", self.r_squared.into()),
+        ])
+    }
+
     /// Evaluate the model at `x`.
     pub fn predict(&self, x: f64) -> f64 {
         self.coeffs

@@ -5,7 +5,7 @@
 //! round barrier) and *aggregation* (the master merging the outputs).
 //! Workers accumulate the first three; the master records the fourth.
 
-use serde::Serialize;
+use owlpar_obs::json::{obj, Value};
 use std::time::Duration;
 
 /// Timing and volume counters for one worker.
@@ -16,7 +16,7 @@ use std::time::Duration;
 /// `sync_time` is *simulated*: per round, the gap between this worker's
 /// CPU use and the slowest worker's (the barrier wait on a real cluster);
 /// the master fills it in after the run.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkerStats {
     /// Worker index.
     pub id: usize,
@@ -55,7 +55,7 @@ impl WorkerStats {
 
 /// Byte/frame/triple counters for one phase of a distributed run's wire
 /// traffic (setup shipping, round exchange, final collection).
-#[derive(Debug, Clone, Copy, Default, Serialize, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WirePhase {
     /// Bytes that crossed the wire (frame headers included).
     pub bytes: u64,
@@ -63,46 +63,10 @@ pub struct WirePhase {
     pub frames: u64,
     /// Triples carried inside those frames.
     pub triples: u64,
-    /// What the **v1** wire format would have spent on the same logical
-    /// transfer. For the round phase this is the conservative floor
-    /// `12 × triples` (v1 frame headers and counts excluded); for the
-    /// final phase `12 ×` every worker's full local store, which is what
-    /// v1 shipped back (the frames themselves now carry only the
-    /// derived-only runs); for the setup phase it is the exact v1 `Setup`
-    /// encoding — raw triples, 8-byte ownership pairs, both rule lists
-    /// in full, re-shipped every run because v1 had no partition cache.
-    pub v1_bytes: u64,
-}
-
-impl WirePhase {
-    /// Record one frame of `bytes` carrying `triples` triples, that v1
-    /// would have moved as `v1_bytes`.
-    pub fn add(&mut self, bytes: u64, triples: u64, v1_bytes: u64) {
-        self.bytes += bytes;
-        self.frames += 1;
-        self.triples += triples;
-        self.v1_bytes += v1_bytes;
-    }
-
-    /// What the same triples would have cost at the raw 12-byte-per-triple
-    /// record encoding, triples alone (no headers, no rules, no tables).
-    pub fn raw_triple_bytes(&self) -> u64 {
-        self.triples * 12
-    }
-
-    /// v1-equivalent over actual bytes; > 1.0 means the compact
-    /// encoding is winning. 0 when nothing was sent.
-    pub fn compression_ratio(&self) -> f64 {
-        if self.bytes == 0 {
-            0.0
-        } else {
-            self.v1_bytes as f64 / self.bytes as f64
-        }
-    }
 }
 
 /// One round's slice of the relay traffic, as observed at the master.
-#[derive(Debug, Clone, Copy, Default, Serialize, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireRound {
     /// Round number (0-based, same numbering as `RoundDone`).
     pub round: u32,
@@ -118,7 +82,7 @@ pub struct WireRound {
 /// observed at the master (the star topology's single vantage point: it
 /// touches every frame once). Filled by the `owlpar-net` cluster master;
 /// `None` on in-process runs.
-#[derive(Debug, Clone, Default, Serialize, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WireBytes {
     /// Bootstrap shipping: `Setup` frames (partition + rules + routing).
     pub setup: WirePhase,
@@ -148,96 +112,54 @@ impl WireBytes {
         self.setup.bytes + self.rounds.bytes + self.finals.bytes + self.control_bytes
     }
 
-    /// Raw-equivalent bytes for every triple moved, all phases.
-    pub fn total_raw_triple_bytes(&self) -> u64 {
-        self.setup.raw_triple_bytes()
-            + self.rounds.raw_triple_bytes()
-            + self.finals.raw_triple_bytes()
-    }
-
-    /// Every byte the v1 format would have spent on this run's
-    /// `Setup`/`Triples`/`Deliver`/`Final` traffic (control traffic
-    /// costs the same in both and is counted on both sides).
-    pub fn total_v1_bytes(&self) -> u64 {
-        self.setup.v1_bytes + self.rounds.v1_bytes + self.finals.v1_bytes + self.control_bytes
-    }
-
-    /// Whole-run compression ratio (v1-equivalent / actual, data phases
-    /// and control overhead included on both sides).
-    pub fn compression_ratio(&self) -> f64 {
-        let total = self.total_bytes();
-        if total == 0 {
-            0.0
-        } else {
-            self.total_v1_bytes() as f64 / total as f64
-        }
-    }
-
     /// One-line human summary for CLI output.
     pub fn summary(&self) -> String {
         format!(
             "wire: {} B total ({} setup, {} rounds, {} final, {} control), \
-             {} triple(s) moved, {:.2}x vs v1 wire, cache {} hit(s) / {} miss(es)",
+             {} triple(s) moved, cache {} hit(s) / {} miss(es)",
             self.total_bytes(),
             self.setup.bytes,
             self.rounds.bytes,
             self.finals.bytes,
             self.control_bytes,
             self.setup.triples + self.rounds.triples + self.finals.triples,
-            self.compression_ratio(),
             self.cache_hits,
             self.cache_misses,
         )
     }
 
-    /// Flat JSON object (stable key order, no serde dependency in
-    /// binaries that hand-assemble their reports). `per_round` entries
-    /// are emitted **sorted by round number** regardless of the order
-    /// the concurrent handler threads pushed them in.
-    pub fn to_json(&self) -> String {
+    /// Flat JSON object. `per_round` entries are emitted **sorted by
+    /// round number** regardless of the order the concurrent handler
+    /// threads pushed them in.
+    pub fn to_json(&self) -> Value {
         let mut per_round = self.per_round.clone();
         per_round.sort_unstable_by_key(|r| r.round);
-        let per_round_json: Vec<String> = per_round
+        let per_round: Vec<Value> = per_round
             .iter()
             .map(|r| {
-                format!(
-                    "{{\"round\":{},\"bytes\":{},\"triples\":{}}}",
-                    r.round, r.bytes, r.triples
-                )
+                obj([
+                    ("round", u64::from(r.round).into()),
+                    ("bytes", r.bytes.into()),
+                    ("triples", r.triples.into()),
+                ])
             })
             .collect();
-        format!(
-            "{{\"setup_bytes\":{},\"setup_frames\":{},\"setup_triples\":{},\
-             \"setup_v1_bytes\":{},\
-             \"rounds_bytes\":{},\"rounds_frames\":{},\"rounds_triples\":{},\
-             \"rounds_v1_bytes\":{},\
-             \"final_bytes\":{},\"final_frames\":{},\"final_triples\":{},\
-             \"final_v1_bytes\":{},\
-             \"control_bytes\":{},\"total_bytes\":{},\"raw_triple_bytes\":{},\
-             \"v1_total_bytes\":{},\
-             \"compression_ratio\":{:.4},\"cache_hits\":{},\"cache_misses\":{},\
-             \"per_round\":[{}]}}",
-            self.setup.bytes,
-            self.setup.frames,
-            self.setup.triples,
-            self.setup.v1_bytes,
-            self.rounds.bytes,
-            self.rounds.frames,
-            self.rounds.triples,
-            self.rounds.v1_bytes,
-            self.finals.bytes,
-            self.finals.frames,
-            self.finals.triples,
-            self.finals.v1_bytes,
-            self.control_bytes,
-            self.total_bytes(),
-            self.total_raw_triple_bytes(),
-            self.total_v1_bytes(),
-            self.compression_ratio(),
-            self.cache_hits,
-            self.cache_misses,
-            per_round_json.join(","),
-        )
+        obj([
+            ("setup_bytes", self.setup.bytes.into()),
+            ("setup_frames", self.setup.frames.into()),
+            ("setup_triples", self.setup.triples.into()),
+            ("rounds_bytes", self.rounds.bytes.into()),
+            ("rounds_frames", self.rounds.frames.into()),
+            ("rounds_triples", self.rounds.triples.into()),
+            ("final_bytes", self.finals.bytes.into()),
+            ("final_frames", self.finals.frames.into()),
+            ("final_triples", self.finals.triples.into()),
+            ("control_bytes", self.control_bytes.into()),
+            ("total_bytes", self.total_bytes().into()),
+            ("cache_hits", self.cache_hits.into()),
+            ("cache_misses", self.cache_misses.into()),
+            ("per_round", per_round.into()),
+        ])
     }
 }
 
@@ -246,16 +168,13 @@ impl WireBytes {
 /// commensurable:
 ///
 /// * `frame_overhead` — the `len u32 | crc u32` framing every frame pays;
-/// * `v1_triple_bytes` — [`WirePhase::raw_triple_bytes`]'s 12 B/triple
-///   v1 floor;
-/// * `round_triple_bytes` — measured v2 delta/varint cost of one triple
+/// * `round_triple_bytes` — measured delta/varint cost of one triple
 ///   in a round batch (sorted blocks amortize to ~3.5 B on the bench KB);
 /// * `deliver_frame_bytes` — fixed cost of an empty `Deliver` verdict
 ///   frame, paid per worker per round.
 pub fn plan_cost_model() -> owlpar_lint::WireCostModel {
     owlpar_lint::WireCostModel {
         frame_overhead: 8,
-        v1_triple_bytes: 12.0,
         round_triple_bytes: 3.5,
         deliver_frame_bytes: 18.0,
     }
@@ -285,7 +204,7 @@ pub fn simulate_rounds(workers: &[WorkerStats]) -> (Duration, Vec<Duration>) {
 
 /// Maximum per-phase durations across workers — the Fig. 2 convention
 /// ("the figure shows the maximum values over the partitions").
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PhaseBreakdown {
     /// Max reasoning time over workers.
     pub reason: Duration,
@@ -380,18 +299,21 @@ mod tests {
             ],
             ..WireBytes::default()
         };
-        let json = wire.to_json();
-        let expect = "\"per_round\":[{\"round\":0,\"bytes\":10,\"triples\":1},\
-                      {\"round\":1,\"bytes\":20,\"triples\":2},\
-                      {\"round\":2,\"bytes\":30,\"triples\":3}]"
+        let json = wire.to_json().to_string();
+        let expect = "\"per_round\":[{\"bytes\":10,\"round\":0,\"triples\":1},\
+                      {\"bytes\":20,\"round\":1,\"triples\":2},\
+                      {\"bytes\":30,\"round\":2,\"triples\":3}]"
             .replace(char::is_whitespace, "");
         assert!(
-            json.replace(char::is_whitespace, "").contains(&expect),
+            json.contains(&expect),
             "per_round not emitted in round order: {json}"
         );
         // An empty per_round still emits the (empty) key, keeping the
         // object schema stable for downstream parsers.
-        assert!(WireBytes::default().to_json().contains("\"per_round\":[]"));
+        assert!(WireBytes::default()
+            .to_json()
+            .to_string()
+            .contains("\"per_round\":[]"));
     }
 
     #[test]

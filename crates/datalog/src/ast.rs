@@ -5,11 +5,10 @@
 //! evaluation (a plain `Vec<Option<NodeId>>`, no hashing on the hot path).
 
 use owlpar_rdf::{NodeId, Triple, TriplePattern};
-use serde::{Deserialize, Serialize};
 
 /// A position in an atom: either a variable (dense index within the rule)
 /// or a constant node id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TermPat {
     /// Variable with rule-local index.
     Var(u16),
@@ -36,7 +35,7 @@ impl TermPat {
 }
 
 /// A triple atom `(s p o)` over [`TermPat`]s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Atom {
     /// Subject pattern.
     pub s: TermPat,
@@ -208,7 +207,7 @@ impl Atom {
 }
 
 /// A datalog rule: one head atom, conjunctive body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rule {
     /// Rule label for diagnostics and reporting.
     pub name: String,

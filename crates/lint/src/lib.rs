@@ -442,7 +442,7 @@ impl LintReport {
     }
 
     /// JSON rendering (stable shape; see DESIGN.md §10).
-    pub fn to_json(&self) -> serde_json::Value {
+    pub fn to_json(&self) -> owlpar_obs::json::Value {
         render::to_json(self)
     }
 

@@ -14,8 +14,8 @@
 //!
 //! Everything is estimated in **triples**, then converted to wire bytes
 //! with [`WireCostModel`] (mirroring the `WireLedger` conventions of
-//! `owlpar-core`'s `stats` module: 12 B/triple v1 floor, 8 B frame
-//! overhead, measured v2 delta/varint round encoding).
+//! `owlpar-core`'s `stats` module: 8 B frame overhead, measured
+//! delta/varint round encoding).
 //!
 //! * a rule's *production estimate* `w_r` is the caller's per-rule
 //!   firing estimate when given (`PlanInputs::productions`, typically
@@ -42,8 +42,8 @@ use crate::{
 use owlpar_datalog::analysis::{sccs, weighted_dependency_graph};
 use owlpar_datalog::ast::TermPat;
 use owlpar_datalog::Rule;
+use owlpar_obs::json::{obj, Value};
 use owlpar_rdf::fx::FxHashMap;
-use serde_json::{json, Value};
 use std::fmt::Write as _;
 
 /// Byte-cost constants mirroring the cluster wire format (see
@@ -53,9 +53,7 @@ use std::fmt::Write as _;
 pub struct WireCostModel {
     /// Length-prefix + CRC framing per frame (`len u32 | crc u32`).
     pub frame_overhead: u64,
-    /// v1 baseline: raw 12-byte triple records.
-    pub v1_triple_bytes: f64,
-    /// Measured v2 delta/varint bytes per triple in a round batch
+    /// Measured delta/varint bytes per triple in a round batch
     /// (sorted triple blocks; ~3.4 B on the bench KB).
     pub round_triple_bytes: f64,
     /// Fixed cost of one `Deliver` verdict frame (header + framing),
@@ -67,7 +65,6 @@ impl Default for WireCostModel {
     fn default() -> Self {
         WireCostModel {
             frame_overhead: 8,
-            v1_triple_bytes: 12.0,
             round_triple_bytes: 3.5,
             deliver_frame_bytes: 18.0,
         }
@@ -133,8 +130,6 @@ pub struct PlanInputs {
     /// Caller's estimate of total encoded+framed `Setup` bytes across
     /// all workers (`None` when no KB is at hand).
     pub setup_bytes: Option<u64>,
-    /// v1 baseline for the same payloads.
-    pub setup_v1_bytes: Option<u64>,
     /// Byte-cost constants.
     pub cost: WireCostModel,
 }
@@ -178,10 +173,8 @@ pub struct RuleTraffic {
     pub remote_dests: f64,
     /// Estimated cross-partition triples (one wire leg).
     pub exchange_triples: f64,
-    /// v2 wire bytes for that exchange (star relay: both legs).
+    /// Wire bytes for that exchange (star relay: both legs).
     pub exchange_bytes: f64,
-    /// v1 baseline bytes for the same exchange.
-    pub exchange_v1_bytes: f64,
 }
 
 /// The plan-analysis verdict: predicted loads, traffic, round bounds
@@ -212,13 +205,9 @@ pub struct PlanReport {
     pub exchange_triples: f64,
     /// Predicted `Setup` phase wire bytes (0 when unknown).
     pub setup_bytes: u64,
-    /// v1 baseline for the setup phase.
-    pub setup_v1_bytes: u64,
     /// Predicted round-phase wire bytes (star relay, both legs, plus
     /// per-round `Deliver` overhead).
     pub round_bytes: f64,
-    /// v1 baseline for the round phase.
-    pub round_v1_bytes: f64,
     /// Round-count bounds.
     pub rounds: RoundBound,
     /// Scalar cost in triple-equivalents — what `--strategy auto`
@@ -256,76 +245,69 @@ impl PlanReport {
     /// Stable JSON rendering; diagnostics use the **same schema** as
     /// `LintReport::to_json` (see `render::diagnostic_json`).
     pub fn to_json(&self) -> Value {
-        let total_cost = if self.total_cost.is_finite() {
-            Some(self.total_cost)
-        } else {
-            None
-        };
-        let rounds = json!({
-            "min": (self.rounds.min as u64),
-            "expected": (self.rounds.expected as u64),
-            "bounded": (self.rounds.bounded.map(|b| b as u64)),
-        });
-        let plan = json!({
-            "strategy": (self.strategy.clone()),
-            "context": (self.context.label()),
-            "k": (self.k as u64),
-            "feasible": (self.feasible),
-            "total_base": (self.total_base),
-            "schema_triples": (self.schema_triples),
-            "max_load_share": (self.max_load_share),
-            "exchange_triples": (self.exchange_triples),
-            "setup_bytes": (self.setup_bytes),
-            "setup_v1_bytes": (self.setup_v1_bytes),
-            "round_bytes": (self.round_bytes),
-            "round_v1_bytes": (self.round_v1_bytes),
-            "rounds": rounds,
-            "total_cost": total_cost,
-        });
+        let rounds = obj([
+            ("min", self.rounds.min.into()),
+            ("expected", self.rounds.expected.into()),
+            ("bounded", self.rounds.bounded.into()),
+        ]);
+        let plan = obj([
+            ("strategy", self.strategy.as_str().into()),
+            ("context", self.context.label().into()),
+            ("k", self.k.into()),
+            ("feasible", self.feasible.into()),
+            ("total_base", self.total_base.into()),
+            ("schema_triples", self.schema_triples.into()),
+            ("max_load_share", self.max_load_share.into()),
+            ("exchange_triples", self.exchange_triples.into()),
+            ("setup_bytes", self.setup_bytes.into()),
+            ("round_bytes", self.round_bytes.into()),
+            ("rounds", rounds),
+            // An infeasible plan's infinite cost is written as `null`.
+            ("total_cost", self.total_cost.into()),
+        ]);
         let workers: Vec<Value> = self
             .workers
             .iter()
             .map(|w| {
-                json!({
-                    "worker": (w.worker as u64),
-                    "base": (w.base as u64),
-                    "rules": (w.rules as u64),
-                    "load": (w.load),
-                    "share": (w.share),
-                })
+                obj([
+                    ("worker", w.worker.into()),
+                    ("base", w.base.into()),
+                    ("rules", w.rules.into()),
+                    ("load", w.load.into()),
+                    ("share", w.share.into()),
+                ])
             })
             .collect();
         let rules: Vec<Value> = self
             .rules
             .iter()
             .map(|r| {
-                json!({
-                    "name": (r.name.clone()),
-                    "weight": (r.weight),
-                    "remote_dests": (r.remote_dests),
-                    "exchange_triples": (r.exchange_triples),
-                    "exchange_bytes": (r.exchange_bytes),
-                    "exchange_v1_bytes": (r.exchange_v1_bytes),
-                })
+                obj([
+                    ("name", r.name.as_str().into()),
+                    ("weight", r.weight.into()),
+                    ("remote_dests", r.remote_dests.into()),
+                    ("exchange_triples", r.exchange_triples.into()),
+                    ("exchange_bytes", r.exchange_bytes.into()),
+                ])
             })
             .collect();
-        let summary = json!({
-            "deny": (self.deny_count() as u64),
-            "warn": (self.warn_count() as u64),
-            "ok": (!self.has_deny()),
-        });
+        let summary = obj([
+            ("deny", self.deny_count().into()),
+            ("warn", self.warn_count().into()),
+            ("ok", (!self.has_deny()).into()),
+        ]);
         let diagnostics: Vec<Value> = self
             .diagnostics
             .iter()
             .map(|d| crate::render::diagnostic_json(d, self.context.label()))
             .collect();
-        json!({
-            "plan": plan,
-            "workers": (Value::Array(workers)),
-            "rules": (Value::Array(rules)),
-            "summary": summary,
-            "diagnostics": (Value::Array(diagnostics)),
-        })
+        obj([
+            ("plan", plan),
+            ("workers", workers.into()),
+            ("rules", rules.into()),
+            ("summary", summary),
+            ("diagnostics", diagnostics.into()),
+        ])
     }
 
     /// Human rendering, one plan per call (see [`render_comparison`]
@@ -352,12 +334,8 @@ impl PlanReport {
         );
         let _ = writeln!(
             out,
-            "  wire: setup ~{} B (v1 {} B)  rounds ~{:.0} B (v1 {:.0} B)  cost {:.0}",
-            self.setup_bytes,
-            self.setup_v1_bytes,
-            self.round_bytes,
-            self.round_v1_bytes,
-            self.total_cost,
+            "  wire: setup ~{} B  rounds ~{:.0} B  cost {:.0}",
+            self.setup_bytes, self.round_bytes, self.total_cost,
         );
         for d in &self.diagnostics {
             let at = d
@@ -502,9 +480,7 @@ pub fn analyze_plan(rules: &[Rule], opts: &LintOptions, inputs: &PlanInputs) -> 
             max_load_share: 0.0,
             exchange_triples: 0.0,
             setup_bytes: inputs.setup_bytes.unwrap_or(0),
-            setup_v1_bytes: inputs.setup_v1_bytes.unwrap_or(0),
             round_bytes: 0.0,
-            round_v1_bytes: 0.0,
             rounds: RoundBound {
                 min: 1,
                 expected: 1,
@@ -622,7 +598,6 @@ pub fn analyze_plan(rules: &[Rule], opts: &LintOptions, inputs: &PlanInputs) -> 
             exchange_triples: exchange,
             // Star relay: each exchanged triple crosses the wire twice.
             exchange_bytes: 2.0 * exchange * inputs.cost.round_triple_bytes,
-            exchange_v1_bytes: 2.0 * exchange * inputs.cost.v1_triple_bytes,
         });
     }
 
@@ -648,7 +623,6 @@ pub fn analyze_plan(rules: &[Rule], opts: &LintOptions, inputs: &PlanInputs) -> 
     // --- wire totals -------------------------------------------------
     let round_bytes = 2.0 * total_exchange * inputs.cost.round_triple_bytes
         + (rounds.expected * k) as f64 * inputs.cost.deliver_frame_bytes;
-    let round_v1_bytes = 2.0 * total_exchange * inputs.cost.v1_triple_bytes;
     let shipped = total_shipped_base as f64 + (k * inputs.schema_triples) as f64;
     let total_cost = max_load + 2.0 * total_exchange + shipped;
 
@@ -800,9 +774,7 @@ pub fn analyze_plan(rules: &[Rule], opts: &LintOptions, inputs: &PlanInputs) -> 
         max_load_share,
         exchange_triples: total_exchange,
         setup_bytes: inputs.setup_bytes.unwrap_or(0),
-        setup_v1_bytes: inputs.setup_v1_bytes.unwrap_or(0),
         round_bytes,
-        round_v1_bytes,
         rounds,
         total_cost,
         diagnostics,
@@ -904,7 +876,6 @@ mod tests {
             productions: None,
             exchange_discount: 1.0,
             setup_bytes: None,
-            setup_v1_bytes: None,
             cost: WireCostModel::default(),
         }
     }

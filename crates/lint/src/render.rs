@@ -1,7 +1,7 @@
 //! Human-readable and JSON renderers for [`LintReport`].
 
 use crate::{Diagnostic, LintReport};
-use serde_json::{json, Value};
+use owlpar_obs::json::{obj, Value};
 use std::fmt::Write as _;
 
 /// The **one** JSON shape a diagnostic ever takes — shared by
@@ -9,18 +9,18 @@ use std::fmt::Write as _;
 /// parses both with a single schema
 /// (`code/title/severity/context/rule/rule_index/message/violation/witness/suppressed`).
 pub(crate) fn diagnostic_json(d: &Diagnostic, context: &str) -> Value {
-    json!({
-        "code": d.code.id(),
-        "title": d.code.title(),
-        "severity": d.severity.label(),
-        "context": context,
-        "rule": d.rule,
-        "rule_index": (d.rule_index.map(|i| i as u64)),
-        "message": d.message,
-        "violation": (d.violation.as_ref().map(|v| v.label())),
-        "witness": d.witness,
-        "suppressed": d.suppressed,
-    })
+    obj([
+        ("code", d.code.id().into()),
+        ("title", d.code.title().into()),
+        ("severity", d.severity.label().into()),
+        ("context", context.into()),
+        ("rule", d.rule.as_deref().into()),
+        ("rule_index", d.rule_index.into()),
+        ("message", d.message.as_str().into()),
+        ("violation", d.violation.as_ref().map(|v| v.label()).into()),
+        ("witness", d.witness.as_deref().into()),
+        ("suppressed", d.suppressed.into()),
+    ])
 }
 
 pub(crate) fn render_human(report: &LintReport) -> String {
@@ -89,13 +89,13 @@ pub(crate) fn to_json(report: &LintReport) -> Value {
         .rules
         .iter()
         .map(|r| {
-            json!({
-                "name": r.name,
-                "join_class": r.join_class,
-                "witness": r.witness,
-                "weight": r.weight,
-                "scc": r.scc,
-            })
+            obj([
+                ("name", r.name.as_str().into()),
+                ("join_class", r.join_class.as_str().into()),
+                ("witness", r.witness.as_deref().into()),
+                ("weight", r.weight.into()),
+                ("scc", r.scc.into()),
+            ])
         })
         .collect();
     let diagnostics: Vec<Value> = report
@@ -103,15 +103,18 @@ pub(crate) fn to_json(report: &LintReport) -> Value {
         .iter()
         .map(|d| diagnostic_json(d, report.context.label()))
         .collect();
-    json!({
-        "context": (report.context.label()),
-        "summary": (json!({
-            "rules": (report.rules.len() as u64),
-            "deny": (report.deny_count() as u64),
-            "warn": (report.warn_count() as u64),
-            "ok": (!report.has_deny()),
-        })),
-        "rules": (Value::Array(rules)),
-        "diagnostics": (Value::Array(diagnostics)),
-    })
+    obj([
+        ("context", report.context.label().into()),
+        (
+            "summary",
+            obj([
+                ("rules", report.rules.len().into()),
+                ("deny", report.deny_count().into()),
+                ("warn", report.warn_count().into()),
+                ("ok", (!report.has_deny()).into()),
+            ]),
+        ),
+        ("rules", rules.into()),
+        ("diagnostics", diagnostics.into()),
+    ])
 }

@@ -198,7 +198,7 @@ fn master(args: &[String]) -> Result<(), CliError> {
     if let Some(wire) = &report.wire {
         println!("master: {}", wire.summary());
         if let Some(path) = flag_value(args, "--wire-stats") {
-            std::fs::write(&path, wire.to_json())
+            std::fs::write(&path, wire.to_json().to_string())
                 .map_err(|e| format!("writing {path}: {e}"))?;
         }
     }

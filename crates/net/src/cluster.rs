@@ -41,7 +41,7 @@
 use crate::cache::PartitionCache;
 use crate::protocol::{
     decode_master_msg, decode_setup_payload, decode_worker_msg, encode_master_msg,
-    encode_setup_payload, encode_worker_msg, v1_setup_payload_cost, CacheEntry, MasterMsg,
+    encode_setup_payload, encode_worker_msg, CacheEntry, MasterMsg,
     NetError, Setup, SetupPayload, WireFault, WireRouting, WireStats, WorkerMsg, PROTOCOL_VERSION,
     WIRE_MAGIC,
 };
@@ -54,6 +54,7 @@ use owlpar_core::{
     ParallelConfig, RunError, RunReport, WorkerError,
 };
 use owlpar_datalog::{Reasoner, Rule};
+use owlpar_obs::json::obj;
 use owlpar_obs::{wire as obs_wire, Metric, Phase, Recorder, Track, NO_ROUND};
 use owlpar_partition::RulePartitions;
 use owlpar_rdf::fx::FxHashMap;
@@ -143,9 +144,9 @@ impl Default for WorkerOptions {
 /// exactly once.
 #[derive(Debug, Default)]
 struct WireLedger {
-    setup: [AtomicU64; 4],
-    rounds: [AtomicU64; 4],
-    finals: [AtomicU64; 4],
+    setup: PhaseCounters,
+    rounds: PhaseCounters,
+    finals: PhaseCounters,
     control_bytes: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
@@ -159,35 +160,30 @@ struct WireLedger {
     per_round: Mutex<BTreeMap<u32, (u64, u64)>>,
 }
 
+/// One phase's `[bytes, frames, triples]`.
+#[derive(Debug, Default)]
+struct PhaseCounters([AtomicU64; 3]);
+
+impl PhaseCounters {
+    /// Charge one frame of `body_len` bytes carrying `triples` triples.
+    fn add(&self, body_len: usize, triples: usize) {
+        let [bytes, frames, n] = &self.0;
+        bytes.fetch_add(body_len as u64 + FRAME_OVERHEAD, Ordering::Relaxed);
+        frames.fetch_add(1, Ordering::Relaxed);
+        n.fetch_add(triples as u64, Ordering::Relaxed);
+    }
+
+    fn load(&self) -> WirePhase {
+        let [bytes, frames, triples] = self.0.each_ref().map(|c| c.load(Ordering::Relaxed));
+        WirePhase {
+            bytes,
+            frames,
+            triples,
+        }
+    }
+}
+
 impl WireLedger {
-    fn add(phase: &[AtomicU64; 4], body_len: usize, triples: usize, v1_bytes: u64) {
-        phase[0].fetch_add(body_len as u64 + FRAME_OVERHEAD, Ordering::Relaxed);
-        phase[1].fetch_add(1, Ordering::Relaxed);
-        phase[2].fetch_add(triples as u64, Ordering::Relaxed);
-        phase[3].fetch_add(v1_bytes, Ordering::Relaxed);
-    }
-
-    /// `v1_cost` is the exact v1 `Setup` byte count for this worker's
-    /// payload ([`v1_setup_payload_cost`]) — charged whether or not this
-    /// run actually shipped it, because v1 (cache-less) always would.
-    fn setup_frame(&self, body_len: usize, triples: usize, v1_cost: u64) {
-        Self::add(&self.setup, body_len, triples, v1_cost);
-    }
-
-    /// Round v1 baseline is the conservative floor `12 × triples` (v1
-    /// frame headers and counts not charged).
-    fn round_frame(&self, body_len: usize, triples: usize) {
-        Self::add(&self.rounds, body_len, triples, triples as u64 * 12);
-    }
-
-    /// v1 shipped every worker's *whole* store back, so the finals'
-    /// baseline is `12 ×` the full local size the worker reports — charged
-    /// once, on the `Final` frame that carries the report
-    /// (`v1_store_len`); the chunks before it pass 0.
-    fn final_frame(&self, body_len: usize, triples: usize, v1_store_len: u64) {
-        Self::add(&self.finals, body_len, triples, v1_store_len * 12);
-    }
-
     fn control_frame(&self, body_len: usize) {
         self.control_bytes
             .fetch_add(body_len as u64 + FRAME_OVERHEAD, Ordering::Relaxed);
@@ -214,12 +210,6 @@ impl WireLedger {
     }
 
     fn snapshot(&self) -> WireBytes {
-        let phase = |p: &[AtomicU64; 4]| WirePhase {
-            bytes: p[0].load(Ordering::Relaxed),
-            frames: p[1].load(Ordering::Relaxed),
-            triples: p[2].load(Ordering::Relaxed),
-            v1_bytes: p[3].load(Ordering::Relaxed),
-        };
         let per_round = self
             .per_round
             .lock()
@@ -234,9 +224,9 @@ impl WireLedger {
             })
             .unwrap_or_default();
         WireBytes {
-            setup: phase(&self.setup),
-            rounds: phase(&self.rounds),
-            finals: phase(&self.finals),
+            setup: self.setup.load(),
+            rounds: self.rounds.load(),
+            finals: self.finals.load(),
             control_bytes: self.control_bytes.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
@@ -386,7 +376,7 @@ fn pump_worker(
         };
         match decode_worker_msg(&body, n_terms) {
             Ok(WorkerMsg::Triples { to, batch }) => {
-                ledger.round_frame(body.len(), batch.len());
+                ledger.rounds.add(body.len(), batch.len());
                 pending.0 += body.len() as u64 + FRAME_OVERHEAD;
                 pending.1 += batch.len() as u64;
                 let routed = Event::Routed {
@@ -431,7 +421,7 @@ fn pump_worker(
                         batch: triples[offset..offset + chunk].to_vec(),
                     };
                     let part_body = encode_master_msg(&part);
-                    ledger.round_frame(part_body.len(), chunk);
+                    ledger.rounds.add(part_body.len(), chunk);
                     ledger.round_traffic(round, part_body.len() as u64 + FRAME_OVERHEAD, chunk as u64);
                     if let Err(e) = write_crc_frame(&mut stream, &part_body) {
                         return dead(format!("delivering round chunk to worker {id}: {e}"));
@@ -446,14 +436,14 @@ fn pump_worker(
                     triples,
                 };
                 let verdict_body = encode_master_msg(&verdict);
-                ledger.round_frame(verdict_body.len(), tail);
+                ledger.rounds.add(verdict_body.len(), tail);
                 ledger.round_traffic(round, verdict_body.len() as u64 + FRAME_OVERHEAD, tail as u64);
                 if let Err(e) = write_crc_frame(&mut stream, &verdict_body) {
                     return dead(format!("delivering round to worker {id}: {e}"));
                 }
             }
             Ok(WorkerMsg::FinalChunk { seq, batch }) => {
-                ledger.final_frame(body.len(), batch.len(), 0);
+                ledger.finals.add(body.len(), batch.len());
                 if seq != next_seq {
                     return dead(format!(
                         "worker {id} sent final chunk {seq}, expected {next_seq}"
@@ -466,7 +456,7 @@ fn pump_worker(
                 final_acc.extend(batch);
             }
             Ok(WorkerMsg::Final { stats, run }) => {
-                ledger.final_frame(body.len(), run.len(), stats.output_size);
+                ledger.finals.add(body.len(), run.len());
                 if breaks_ascent(&final_acc, &run) {
                     return dead(format!("worker {id}'s Final breaks the run's ascent"));
                 }
@@ -687,7 +677,6 @@ pub fn run_cluster_master(
             routing: WireRouting::from(&plan.routing[id]),
         };
         let payload_triples = payload.schema.len() + payload.base.len();
-        let v1_cost = v1_setup_payload_cost(&payload);
         let blob = encode_setup_payload(&payload);
         let payload_digest = digest128(&blob);
         // Digest-only ship iff the worker advertised this exact blob —
@@ -710,7 +699,7 @@ pub fn run_cluster_master(
             payload: (!hit).then_some(blob),
         };
         let body = encode_master_msg(&MasterMsg::Setup(Box::new(setup)));
-        ledger.setup_frame(body.len(), if hit { 0 } else { payload_triples }, v1_cost);
+        ledger.setup.add(body.len(), if hit { 0 } else { payload_triples });
         write_crc_frame(stream, &body)?;
         // From here on the per-read patience is the round timeout: a
         // worker that produces nothing for that long is declared dead.
@@ -780,7 +769,7 @@ pub fn run_cluster_master(
             // analyzer's `skew_ratio` predicts.
             let round_t0 = Instant::now();
             let mut done_at_ms: Vec<f64> = Vec::with_capacity(k);
-            let relay_bytes_before = ledger.rounds[0].load(Ordering::Relaxed);
+            let relay_bytes_before = ledger.rounds.load().bytes;
             let wait_span = relay.begin(Phase::BarrierWait, round as u32);
             while (0..k).any(|i| alive[i] && !done[i]) {
                 match events.recv_timeout(cfg.round_timeout) {
@@ -923,9 +912,7 @@ pub fn run_cluster_master(
             // Triples plus outbound Deliver(Chunk)s charged since the
             // loop top. (Deliveries of round N−1 written after that
             // snapshot smear into round N — a bounded, documented blur.)
-            let relay_bytes = ledger.rounds[0]
-                .load(Ordering::Relaxed)
-                .saturating_sub(relay_bytes_before);
+            let relay_bytes = ledger.rounds.load().bytes.saturating_sub(relay_bytes_before);
             relay.count(Phase::Exchange, round as u32, Metric::Bytes, relay_bytes);
             if trace.is_some() && !done_at_ms.is_empty() {
                 let max = done_at_ms.iter().copied().fold(f64::MIN, f64::max);
@@ -1025,16 +1012,14 @@ pub fn run_cluster_master(
     // exact keys `owlpar trace summary` reads from the `"plan"` extra.
     if let Some(rec) = &trace {
         let plan_json = match &analysis {
-            Some(a) => format!(
-                "{{\"strategy\":{:?},\"setup_bytes\":{},\"round_bytes\":{:.1},\
-                 \"predicted_rounds\":{},\"skew_ratio\":{:.4}}}",
-                a.strategy,
-                a.setup_bytes,
-                a.round_bytes,
-                a.rounds.expected,
-                a.max_load_share * k as f64,
-            ),
-            None => format!("{{\"strategy\":{:?}}}", plan.strategy.label()),
+            Some(a) => obj([
+                ("strategy", a.strategy.as_str().into()),
+                ("setup_bytes", a.setup_bytes.into()),
+                ("round_bytes", a.round_bytes.into()),
+                ("predicted_rounds", a.rounds.expected.into()),
+                ("skew_ratio", (a.max_load_share * k as f64).into()),
+            ]),
+            None => obj([("strategy", plan.strategy.label().into())]),
         };
         rec.set_extra("plan", plan_json);
     }

@@ -1023,37 +1023,6 @@ pub fn encode_setup_payload(p: &SetupPayload) -> Vec<u8> {
     out
 }
 
-/// Exact byte count the **v1** wire format would have needed to ship
-/// this payload: raw 12-byte triple records with a `u32` count, 8-byte
-/// ownership pairs, fixed 5-byte atom terms, `u32` string lengths, and
-/// both rule lists in full (v1 had no rule references and no partition
-/// cache, so every run pays this price again). This is the honest
-/// baseline the wire accounting reports compression against.
-pub fn v1_setup_payload_cost(p: &SetupPayload) -> u64 {
-    let atom = 3 * (1 + 4) as u64;
-    let rule = |r: &Rule| 4 + r.name.len() as u64 + atom + 2 + atom * r.body.len() as u64;
-    let rules = |rs: &[Rule]| 4 + rs.iter().map(rule).sum::<u64>();
-    let owner = |pairs: usize| 4 + 8 * pairs as u64;
-    let assignment = |len: usize| 4 + 4 * len as u64;
-    let routing = match &p.routing {
-        WireRouting::Data { owner: o } => 1 + owner(o.len()),
-        WireRouting::Rule { assignment: a, .. } => 1 + 4 + assignment(a.len()),
-        WireRouting::Hybrid {
-            owner: o,
-            groups_assignment: a,
-            ..
-        } => 1 + 4 + owner(o.len()) + 4 + assignment(a.len()),
-    };
-    let mut mat = Vec::new();
-    put_materialization(&mut mat, &p.materialization);
-    4 + mat.len() as u64
-        + (4 + 12 * p.schema.len() as u64)
-        + (4 + 12 * p.base.len() as u64)
-        + rules(&p.all_rules)
-        + rules(&p.my_rules)
-        + routing
-}
-
 /// Decode (and fully validate) a [`SetupPayload`] blob — whether it
 /// arrived on the wire or was loaded from the on-disk cache, it passes
 /// through exactly this checking.

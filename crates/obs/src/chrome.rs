@@ -6,27 +6,34 @@
 //! naming each process and thread lane. Extra top-level keys (the plan
 //! predictions, run metadata) ride along — the Chrome viewer ignores
 //! keys it does not know, and `owlpar trace summary` reads them back.
+//!
+//! A trace runs to megabytes, so events stream straight into one
+//! `String` instead of going through a [`Value`](crate::json::Value)
+//! tree; names pass through the same [`escape_into`] the writer uses.
 
+use crate::json::escape_into;
 use crate::{Event, TraceBook, NO_ROUND};
 use std::fmt::Write as _;
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// Start the next event: a separating comma after the first, then a
+/// newline so the file stays line-per-event.
+fn next_event(out: &mut String, first: &mut bool) {
+    if !*first {
+        out.push(',');
     }
-    out
+    *first = false;
+    out.push('\n');
+}
+
+/// A metadata event naming process `pid` (or its thread `tid`).
+fn push_name(out: &mut String, first: &mut bool, kind: &str, pid: u32, tid: u32, name: &str) {
+    next_event(out, first);
+    let _ = write!(
+        out,
+        "{{\"name\":\"{kind}\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":\""
+    );
+    escape_into(out, name);
+    out.push_str("\"}}");
 }
 
 /// Render a drained [`TraceBook`] as a Chrome trace JSON document.
@@ -34,48 +41,21 @@ pub fn to_chrome_json(book: &TraceBook) -> String {
     let mut out = String::with_capacity(book.events.len() * 96 + 1024);
     out.push_str("{\"traceEvents\":[");
     let mut first = true;
-    let push = |out: &mut String, first: &mut bool, ev: String| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push('\n');
-        out.push_str(&ev);
-    };
 
     // Metadata: name each process and thread lane.
     let mut pids: Vec<u32> = book.tracks.iter().map(|t| t.pid).collect();
     pids.sort_unstable();
     pids.dedup();
     for pid in pids {
-        let pname = if pid == 0 { "master" } else { "worker" };
         let name = if pid == 0 {
-            pname.to_string()
+            "master".to_string()
         } else {
-            format!("{pname} {}", pid - 1)
+            format!("worker {}", pid - 1)
         };
-        push(
-            &mut out,
-            &mut first,
-            format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape(&name)
-            ),
-        );
+        push_name(&mut out, &mut first, "process_name", pid, 0, &name);
     }
     for t in &book.tracks {
-        push(
-            &mut out,
-            &mut first,
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{},\"tid\":{},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                t.pid,
-                t.id,
-                escape(&t.name)
-            ),
-        );
+        push_name(&mut out, &mut first, "thread_name", t.pid, t.id, &t.name);
     }
 
     let pid_of = |track: u32| {
@@ -85,6 +65,7 @@ pub fn to_chrome_json(book: &TraceBook) -> String {
             .map_or(0, |t| t.pid)
     };
     for e in &book.events {
+        next_event(&mut out, &mut first);
         match *e {
             Event::Span {
                 track,
@@ -93,21 +74,17 @@ pub fn to_chrome_json(book: &TraceBook) -> String {
                 start_us,
                 dur_us,
             } => {
-                let args = if round == NO_ROUND {
-                    String::new()
-                } else {
-                    format!(",\"args\":{{\"round\":{round}}}")
-                };
-                push(
-                    &mut out,
-                    &mut first,
-                    format!(
-                        "{{\"name\":\"{}\",\"cat\":\"owlpar\",\"ph\":\"X\",\
-                         \"pid\":{},\"tid\":{track},\"ts\":{start_us},\"dur\":{dur_us}{args}}}",
-                        phase.name(),
-                        pid_of(track),
-                    ),
+                let _ = write!(
+                    out,
+                    "{{\"name\":\"{}\",\"cat\":\"owlpar\",\"ph\":\"X\",\
+                     \"pid\":{},\"tid\":{track},\"ts\":{start_us},\"dur\":{dur_us}",
+                    phase.name(),
+                    pid_of(track),
                 );
+                if round != NO_ROUND {
+                    let _ = write!(out, ",\"args\":{{\"round\":{round}}}");
+                }
+                out.push('}');
             }
             Event::Count {
                 track,
@@ -117,30 +94,28 @@ pub fn to_chrome_json(book: &TraceBook) -> String {
                 metric,
                 value,
             } => {
-                let round_arg = if round == NO_ROUND {
-                    String::new()
-                } else {
-                    format!(",\"round\":{round}")
-                };
-                push(
-                    &mut out,
-                    &mut first,
-                    format!(
-                        "{{\"name\":\"{}.{}\",\"cat\":\"owlpar\",\"ph\":\"C\",\
-                         \"pid\":{},\"tid\":{track},\"ts\":{at_us},\
-                         \"args\":{{\"{}\":{value}{round_arg}}}}}",
-                        phase.name(),
-                        metric.name(),
-                        pid_of(track),
-                        metric.name(),
-                    ),
+                let _ = write!(
+                    out,
+                    "{{\"name\":\"{}.{}\",\"cat\":\"owlpar\",\"ph\":\"C\",\
+                     \"pid\":{},\"tid\":{track},\"ts\":{at_us},\
+                     \"args\":{{\"{}\":{value}",
+                    phase.name(),
+                    metric.name(),
+                    pid_of(track),
+                    metric.name(),
                 );
+                if round != NO_ROUND {
+                    let _ = write!(out, ",\"round\":{round}");
+                }
+                out.push_str("}}");
             }
         }
     }
     out.push_str("\n],\"displayTimeUnit\":\"ms\"");
-    for (key, raw) in &book.extra_json {
-        let _ = write!(out, ",\"{}\":{raw}", escape(key));
+    for (key, value) in &book.extra_json {
+        out.push_str(",\"");
+        escape_into(&mut out, key);
+        let _ = write!(out, "\":{value}");
     }
     out.push_str("}\n");
     out
@@ -150,18 +125,19 @@ pub fn to_chrome_json(book: &TraceBook) -> String {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
+    use crate::json::{obj, parse, Value};
     use crate::{Metric, Phase, Recorder};
 
     #[test]
     fn export_contains_spans_counters_and_lane_names() {
         let rec = Recorder::enabled();
-        let mut t = rec.track("worker 0");
+        let mut t = rec.track("worker \"0\"\\");
         t.span_at(Phase::Join, 2, 100, 50);
         t.count(Phase::Exchange, 2, Metric::Bytes, 777);
         t.flush();
         let mut book = rec.drain();
         book.extra_json
-            .push(("plan".to_string(), "{\"k\":4}".to_string()));
+            .push(("plan".to_string(), obj([("k", 4u64.into())])));
         let json = to_chrome_json(&book);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"name\":\"join\""));
@@ -171,10 +147,14 @@ mod tests {
         assert!(json.contains("\"name\":\"exchange.bytes\""));
         assert!(json.contains("\"ph\":\"C\""));
         assert!(json.contains("\"thread_name\""));
-        assert!(json.contains("worker 0"));
         assert!(json.contains("\"plan\":{\"k\":4}"));
-        // The mini parser must accept its own exporter's output.
-        let v = crate::json::parse(&json).unwrap();
-        assert!(v.get("traceEvents").and_then(|e| e.as_array()).is_some());
+        // The mini parser must accept its own exporter's output, lane
+        // names escaped.
+        let v = parse(&json).unwrap();
+        let events = v.get("traceEvents").and_then(|e| e.as_array()).unwrap();
+        let lane = Value::from("worker \"0\"\\");
+        assert!(events
+            .iter()
+            .any(|e| e.get("args").and_then(|a| a.get("name")) == Some(&lane)));
     }
 }

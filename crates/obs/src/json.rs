@@ -1,13 +1,15 @@
-//! A minimal JSON reader for `owlpar trace summary`.
+//! The workspace's one JSON reader and writer.
 //!
 //! The obs crate is dependency-free by design (it sits underneath every
-//! other crate, including the engines), so reading back a trace file
-//! cannot lean on serde. This is a small, strict-enough recursive
-//! parser for the documents this workspace itself writes: objects,
-//! arrays, strings with the standard escapes, numbers (kept as f64 and,
-//! when integral, u64), booleans and null.
+//! other crate, including the engines), and every report the workspace
+//! emits — lint, plan, serve STATS, wire stats, traces, figure rows — is
+//! built as a [`Value`] and written by its compact `Display`. The reader
+//! is a small, strict-enough recursive parser for those same documents:
+//! objects, arrays, strings with the standard escapes, numbers (kept as
+//! f64 and, when integral, u64), booleans and null.
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,7 +25,7 @@ pub enum Value {
     Str(String),
     /// An array.
     Arr(Vec<Value>),
-    /// An object (key order not preserved).
+    /// An object; keys are kept, and written, in sorted order.
     Obj(BTreeMap<String, Value>),
 }
 
@@ -67,6 +69,143 @@ impl Value {
         match self {
             Value::Num(f, _) => Some(*f),
             _ => None,
+        }
+    }
+
+    /// The boolean, when this is `true` or `false`.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+}
+
+/// An object from `(key, value)` pairs: `obj([("k", 4u64.into())])`.
+pub fn obj<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Str(s.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Value {
+        Value::Str(s)
+    }
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Value {
+        Value::Bool(b)
+    }
+}
+
+impl From<u64> for Value {
+    fn from(n: u64) -> Value {
+        Value::Num(n as f64, Some(n))
+    }
+}
+
+impl From<usize> for Value {
+    fn from(n: usize) -> Value {
+        Value::from(n as u64)
+    }
+}
+
+impl From<f64> for Value {
+    fn from(f: f64) -> Value {
+        Value::Num(f, None)
+    }
+}
+
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Value {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
+impl<T: Into<Value>> From<Vec<T>> for Value {
+    fn from(items: Vec<T>) -> Value {
+        Value::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// Compact JSON: no whitespace, object keys in sorted order, exact
+/// integers as integers, non-finite floats as `null`.
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        write_value(&mut out, self);
+        f.write_str(&out)
+    }
+}
+
+fn write_value(out: &mut String, v: &Value) {
+    match v {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Num(_, Some(n)) => {
+            let _ = write!(out, "{n}");
+        }
+        Value::Num(f, None) if f.is_finite() => {
+            let _ = write!(out, "{f}");
+        }
+        Value::Num(_, None) => out.push_str("null"),
+        Value::Str(s) => write_str(out, s),
+        Value::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_value(out, item);
+            }
+            out.push(']');
+        }
+        Value::Obj(map) => {
+            out.push('{');
+            for (i, (k, item)) in map.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_str(out, k);
+                out.push(':');
+                write_value(out, item);
+            }
+            out.push('}');
+        }
+    }
+}
+
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
+}
+
+/// Append `s` to `out` with JSON string escaping (quotes, backslashes,
+/// control characters), without the surrounding quotes.
+pub fn escape_into(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
         }
     }
 }
@@ -285,5 +424,71 @@ mod tests {
     fn unicode_escapes_and_utf8_pass_through() {
         let v = parse("\"caf\u{e9} \\u00e9\"").unwrap();
         assert_eq!(v.as_str(), Some("café é"));
+    }
+
+    #[test]
+    fn written_documents_parse_back_to_the_same_value() {
+        let v = obj([
+            ("quote", "say \"hi\"".into()),
+            ("backslash", "a\\b".into()),
+            ("newline", "line\nnext\r\ttab".into()),
+            ("control", "\u{1}\u{1f}".into()),
+            ("text", "café → λ 🦀".into()),
+            ("max", u64::MAX.into()),
+            ("zero", 0usize.into()),
+            ("frac", 0.125f64.into()),
+            ("neg", (-2.5f64).into()),
+            ("flag", true.into()),
+            ("none", None::<u64>.into()),
+            ("some", Some("x").into()),
+            ("empty_arr", Value::Arr(Vec::new())),
+            ("empty_obj", Value::Obj(BTreeMap::new())),
+            (
+                "nested",
+                vec![
+                    Value::Arr(vec![Value::Arr(Vec::new())]),
+                    obj([("inner", Value::Obj(BTreeMap::new()))]),
+                ]
+                .into(),
+            ),
+        ]);
+        let text = v.to_string();
+        assert_eq!(parse(&text).unwrap(), v, "{text}");
+        assert_eq!(v.get("flag").and_then(Value::as_bool), Some(true));
+    }
+
+    #[test]
+    fn writer_is_compact_with_sorted_keys() {
+        let v = obj([
+            ("severity", "deny".into()),
+            ("code", "OWL001".into()),
+            ("list", vec![1u64, 2].into()),
+        ]);
+        assert_eq!(
+            v.to_string(),
+            r#"{"code":"OWL001","list":[1,2],"severity":"deny"}"#
+        );
+        assert_eq!(Value::from(1.5f64).to_string(), "1.5");
+        assert_eq!(Value::from(2.0f64).to_string(), "2");
+    }
+
+    #[test]
+    fn non_finite_floats_are_written_as_null() {
+        for f in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Value::from(f).to_string(), "null");
+        }
+        let v = obj([("ratio", f64::NAN.into())]);
+        assert_eq!(v.to_string(), r#"{"ratio":null}"#);
+    }
+
+    #[test]
+    fn json_escaping() {
+        let escaped = |s: &str| {
+            let mut out = String::new();
+            escape_into(&mut out, s);
+            out
+        };
+        assert_eq!(escaped("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escaped("\u{1}"), "\\u0001");
     }
 }

@@ -276,9 +276,9 @@ pub struct TraceBook {
     pub events: Vec<Event>,
     /// Track registry.
     pub tracks: Vec<TrackMeta>,
-    /// Extra top-level JSON fields for the Chrome export — each entry is
-    /// `(key, raw-JSON value)`. Used to embed the plan predictions.
-    pub extra_json: Vec<(String, String)>,
+    /// Extra top-level JSON fields for the Chrome export, as
+    /// `(key, value)`. Used to embed the plan predictions.
+    pub extra_json: Vec<(String, json::Value)>,
 }
 
 #[derive(Debug)]
@@ -287,7 +287,7 @@ struct Inner {
     events: Mutex<Vec<Event>>,
     tracks: Mutex<Vec<TrackMeta>>,
     next_track: AtomicU32,
-    extra: Mutex<Vec<(String, String)>>,
+    extra: Mutex<Vec<(String, json::Value)>>,
 }
 
 /// The tracing handle. Cloning shares the underlying log; the default
@@ -404,12 +404,10 @@ impl Recorder {
     /// Attach (or replace) an extra top-level JSON field every future
     /// [`Recorder::drain`] carries into its [`TraceBook::extra_json`] —
     /// how the cluster master embeds the plan analyzer's predictions
-    /// next to the measured timeline. `raw_json` must already be valid
-    /// JSON. No-op when disabled.
-    pub fn set_extra(&self, key: &str, raw_json: impl Into<String>) {
+    /// next to the measured timeline. No-op when disabled.
+    pub fn set_extra(&self, key: &str, value: json::Value) {
         let Some(inner) = &self.inner else { return };
         if let Ok(mut extra) = inner.extra.lock() {
-            let value = raw_json.into();
             match extra.iter_mut().find(|(k, _)| k == key) {
                 Some(slot) => slot.1 = value,
                 None => extra.push((key.to_string(), value)),
@@ -632,23 +630,24 @@ mod tests {
 
     #[test]
     fn set_extra_rides_every_drain_and_replaces_by_key() {
+        use json::{obj, Value};
         let rec = Recorder::enabled();
-        rec.set_extra("plan", "{\"strategy\":\"auto\"}");
-        rec.set_extra("plan", "{\"strategy\":\"data/hash\"}");
-        rec.set_extra("note", "1");
+        rec.set_extra("plan", obj([("strategy", "auto".into())]));
+        rec.set_extra("plan", obj([("strategy", "data/hash".into())]));
+        rec.set_extra("note", 1u64.into());
         let book = rec.drain();
         assert_eq!(
             book.extra_json,
             vec![
-                ("plan".to_string(), "{\"strategy\":\"data/hash\"}".to_string()),
-                ("note".to_string(), "1".to_string()),
+                ("plan".to_string(), obj([("strategy", "data/hash".into())])),
+                ("note".to_string(), Value::from(1u64)),
             ]
         );
         // Extras persist across drains.
         assert_eq!(rec.drain().extra_json.len(), 2);
         // Disabled recorders ignore extras entirely.
         let off = Recorder::disabled();
-        off.set_extra("plan", "{}");
+        off.set_extra("plan", obj([]));
         assert!(off.drain().extra_json.is_empty());
     }
 

@@ -412,12 +412,10 @@ mod tests {
             t.flush();
         }
         let mut book = rec.drain();
-        book.extra_json.push((
-            "plan".to_string(),
-            "{\"strategy\":\"data\",\"setup_bytes\":123,\"round_bytes\":2000.0,\
-             \"predicted_rounds\":2,\"skew_ratio\":1.2}"
-                .to_string(),
-        ));
+        let plan = "{\"strategy\":\"data\",\"setup_bytes\":123,\"round_bytes\":2000.0,\
+                    \"predicted_rounds\":2,\"skew_ratio\":1.2}";
+        book.extra_json
+            .push(("plan".to_string(), parse(plan).unwrap()));
         book
     }
 

@@ -15,7 +15,7 @@ use owlpar_rdf::{NodeId, Triple};
 use rayon::prelude::*;
 
 /// Quality of a data partitioning, before any reasoning runs.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct PartitionQuality {
     /// Distinct resource nodes present per partition (replicas counted in
     /// every partition they appear in).

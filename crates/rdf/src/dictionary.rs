@@ -7,13 +7,10 @@
 //! instead of hash maps.
 
 use crate::term::{Term, TermRef};
-use serde::{Deserialize, Serialize};
 
 /// Dense identifier of an interned term. `NodeId(u32)` keeps encoded
 /// triples at 12 bytes, well under the 128-byte memcpy threshold.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

@@ -199,7 +199,7 @@ fn tokenise(chunk: &str) -> Tokens<'_> {
     out
 }
 
-/// Serialize a graph as N-Triples, sorted for determinism.
+/// Write a graph as N-Triples, sorted for determinism.
 pub fn write_ntriples(graph: &Graph) -> String {
     /// Triples written before the rest of the output is reserved: enough
     /// that a schema's few long lines at the front do not set the rate.

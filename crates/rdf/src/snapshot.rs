@@ -72,7 +72,7 @@ pub fn load(r: &mut impl Read) -> Result<Graph, SnapshotError> {
     load_from_slice(&bytes)
 }
 
-/// Serialize `graph` into an in-memory snapshot image — what [`save`]
+/// Encode `graph` into an in-memory snapshot image — what [`save`]
 /// writes and the serve-layer checkpoint frames.
 pub fn save_to_vec(graph: &Graph) -> Result<Vec<u8>, SnapshotError> {
     let term_count = u32::try_from(graph.dict.len())

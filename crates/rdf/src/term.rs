@@ -4,7 +4,6 @@
 //! serialization, data generation, reporting). The reasoning core works on
 //! dictionary-encoded [`crate::NodeId`]s.
 
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
@@ -14,7 +13,7 @@ use std::sync::Arc;
 /// Strings are held behind `Arc<str>` so that cloning a term (which happens
 /// when a term is both stored in the dictionary and handed back to callers)
 /// never copies the text.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Term {
     /// An IRI reference, stored without the enclosing `<` `>`.
     Iri(Arc<str>),

@@ -28,14 +28,11 @@
 
 use crate::dictionary::NodeId;
 use crate::frozen::is_sorted_run;
-use serde::{Deserialize, Serialize};
 
 /// A dictionary-encoded RDF triple: subject, predicate, object ids.
 ///
 /// 12 bytes, `Copy`, hashable — the unit of work everywhere in the system.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Triple {
     /// Subject id.
     pub s: NodeId,

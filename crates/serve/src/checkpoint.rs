@@ -46,7 +46,7 @@ pub fn parse_checkpoint_name(name: &str) -> Option<u64> {
         .ok()
 }
 
-/// Serialize `graph` into the checkpoint container for `seq`.
+/// Encode `graph` into the checkpoint container for `seq`.
 pub fn encode(seq: u64, graph: &Graph) -> Result<Vec<u8>, ServeError> {
     let image = snapshot::save_to_vec(graph)
         .map_err(|e| ServeError::Durability(format!("serializing checkpoint: {e}")))?;

@@ -1,10 +1,11 @@
 //! Server-side instrumentation: request counters and latency
-//! histograms, exported as hand-rolled JSON (the wire protocol is
-//! dependency-free, so no serde here). The STATS response also embeds a
-//! Prometheus text dump ([`ServerStats::prometheus`]) so one scrape
-//! shows where server time goes (query / insert / checkpoint /
-//! wal-fsync phase spans) next to the request counters.
+//! histograms, exported as an `owlpar_obs::json` document. The STATS
+//! response also embeds a Prometheus text dump
+//! ([`ServerStats::prometheus`]) so one scrape shows where server time
+//! goes (query / insert / checkpoint / wal-fsync phase spans) next to
+//! the request counters.
 
+use owlpar_obs::json::{obj, Value};
 use owlpar_obs::Recorder;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -180,56 +181,35 @@ impl ServerStats {
         durability: Option<&str>,
         prom: &str,
     ) -> String {
-        let durability = match durability {
-            None => "null".to_string(),
-            Some(s) => format!("\"{}\"", escape_json(s)),
-        };
-        format!(
-            "{{\"epoch\":{epoch},\"triples\":{triples},\"terms\":{terms},\
-             \"queries\":{},\"inserts\":{},\"errors\":{},\
-             \"busy_rejections\":{},\"idle_disconnects\":{},\
-             \"durability\":{durability},\
-             \"query_p50_us\":{},\"query_p99_us\":{},\
-             \"insert_p50_us\":{},\"insert_p99_us\":{},\
-             \"prom\":\"{}\",\
-             \"run\":{{\"workers\":{},\"rounds\":{},\"derived\":{},\
-             \"skipped\":{},\"summary\":\"{}\"}}}}",
-            self.queries.load(Ordering::Relaxed),
-            self.inserts.load(Ordering::Relaxed),
-            self.errors.load(Ordering::Relaxed),
-            self.busy_rejections.load(Ordering::Relaxed),
-            self.idle_disconnects.load(Ordering::Relaxed),
-            self.query_latency.quantile_us(0.50),
-            self.query_latency.quantile_us(0.99),
-            self.insert_latency.quantile_us(0.50),
-            self.insert_latency.quantile_us(0.99),
-            escape_json(prom),
-            run.workers,
-            run.rounds,
-            run.derived,
-            run.skipped,
-            escape_json(&run.summary),
-        )
+        let count = |c: &AtomicU64| Value::from(c.load(Ordering::Relaxed));
+        obj([
+            ("epoch", epoch.into()),
+            ("triples", triples.into()),
+            ("terms", terms.into()),
+            ("queries", count(&self.queries)),
+            ("inserts", count(&self.inserts)),
+            ("errors", count(&self.errors)),
+            ("busy_rejections", count(&self.busy_rejections)),
+            ("idle_disconnects", count(&self.idle_disconnects)),
+            ("durability", durability.into()),
+            ("query_p50_us", self.query_latency.quantile_us(0.50).into()),
+            ("query_p99_us", self.query_latency.quantile_us(0.99).into()),
+            ("insert_p50_us", self.insert_latency.quantile_us(0.50).into()),
+            ("insert_p99_us", self.insert_latency.quantile_us(0.99).into()),
+            ("prom", prom.into()),
+            (
+                "run",
+                obj([
+                    ("workers", run.workers.into()),
+                    ("rounds", run.rounds.into()),
+                    ("derived", run.derived.into()),
+                    ("skipped", run.skipped.into()),
+                    ("summary", run.summary.as_str().into()),
+                ]),
+            ),
+        ])
+        .to_string()
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -266,12 +246,6 @@ mod tests {
         h.record(Duration::from_secs(1 << 40));
         assert_eq!(h.count(), 2);
         assert!(h.quantile_us(0.1) >= 1);
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
     }
 
     #[test]

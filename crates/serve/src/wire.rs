@@ -54,7 +54,7 @@ const OP_PING: u8 = 4;
 const OP_SHUTDOWN: u8 = 5;
 
 impl Request {
-    /// Serialize to a frame body.
+    /// Encode to a frame body.
     pub fn encode(&self) -> Vec<u8> {
         match self {
             Request::Query(q) => tagged(OP_QUERY, q.as_bytes()),
@@ -138,7 +138,7 @@ const PAY_BYE: u8 = 5;
 const PAY_BUSY: u8 = 6;
 
 impl Response {
-    /// Serialize to a frame body.
+    /// Encode to a frame body.
     pub fn encode(&self) -> Vec<u8> {
         match self {
             Response::Rows {

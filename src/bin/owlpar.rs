@@ -28,6 +28,7 @@ use owlpar::horst::HorstReasoner;
 use owlpar::lint::{
     lint_parsed, lint_rules, render_comparison, LintOptions, PartitionContext, PlanReport,
 };
+use owlpar::obs::json::{obj, Value};
 use owlpar::partition::metrics::quality;
 use owlpar::partition::multilevel::PartitionOptions;
 use owlpar::prelude::*;
@@ -361,13 +362,12 @@ fn plan_cmd(args: &[String]) -> Result<(), CliError> {
         .min_by(|a, b| a.1.total_cost.total_cmp(&b.1.total_cost))
         .map(|(i, _)| i);
     if json {
-        let strategies: Vec<serde_json::Value> =
-            reports.iter().map(PlanReport::to_json).collect();
-        let doc = serde_json::json!({
-            "k": (k as u64),
-            "chosen": (chosen.map(|i| reports[i].strategy.clone())),
-            "strategies": strategies,
-        });
+        let strategies: Vec<Value> = reports.iter().map(PlanReport::to_json).collect();
+        let doc = obj([
+            ("k", k.into()),
+            ("chosen", chosen.map(|i| reports[i].strategy.as_str()).into()),
+            ("strategies", strategies.into()),
+        ]);
         println!("{doc}");
     } else {
         println!("{}", render_comparison(&reports, chosen));

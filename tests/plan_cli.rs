@@ -4,7 +4,7 @@
 //! under **one** shared schema.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use serde_json::Value;
+use owlpar::obs::json::{self, Value};
 use std::collections::BTreeSet;
 use std::process::Command;
 
@@ -37,16 +37,26 @@ fn diagnostic_keys() -> BTreeSet<String> {
 }
 
 fn keys_of(diag: &Value) -> BTreeSet<String> {
-    diag.as_object()
-        .expect("diagnostic is an object")
-        .iter()
-        .map(|(k, _)| k.clone())
-        .collect()
+    match diag {
+        Value::Obj(fields) => fields.keys().cloned().collect(),
+        _ => panic!("diagnostic is not an object: {diag}"),
+    }
 }
 
 fn json_stdout(out: std::process::Output) -> Value {
     let stdout = String::from_utf8(out.stdout).unwrap();
-    serde_json::from_str(&stdout).unwrap_or_else(|e| panic!("bad JSON ({e}): {stdout}"))
+    json::parse(&stdout).unwrap_or_else(|e| panic!("bad JSON ({e}): {stdout}"))
+}
+
+/// `doc[k0][k1]…`: the value at a path of object keys.
+fn at<'a>(doc: &'a Value, path: &[&str]) -> &'a Value {
+    path.iter().fold(doc, |v, k| {
+        v.get(k).unwrap_or_else(|| panic!("no key {k} in {v}"))
+    })
+}
+
+fn array<'a>(doc: &'a Value, path: &[&str]) -> &'a [Value] {
+    at(doc, path).as_array().unwrap()
 }
 
 #[test]
@@ -57,7 +67,7 @@ fn lint_json_and_plan_json_share_one_diagnostic_schema() {
         .output()
         .expect("owlpar runs");
     let lint_doc = json_stdout(lint);
-    let lint_diags = lint_doc["diagnostics"].as_array().unwrap();
+    let lint_diags = array(&lint_doc, &["diagnostics"]);
     assert!(!lint_diags.is_empty(), "lint found nothing to report");
 
     // Plan diagnostics for the same fixture under rule partitioning at a
@@ -76,11 +86,9 @@ fn lint_json_and_plan_json_share_one_diagnostic_schema() {
         .expect("owlpar runs");
     assert_eq!(plan.status.code(), Some(3), "skewed plan must be refused");
     let plan_doc = json_stdout(plan);
-    let plan_diags: Vec<&Value> = plan_doc["strategies"]
-        .as_array()
-        .unwrap()
+    let plan_diags: Vec<&Value> = array(&plan_doc, &["strategies"])
         .iter()
-        .flat_map(|s| s["diagnostics"].as_array().unwrap())
+        .flat_map(|s| array(s, &["diagnostics"]))
         .collect();
     assert!(!plan_diags.is_empty(), "plan found nothing to report");
 
@@ -114,21 +122,21 @@ fn plan_auto_selects_the_argmin_cost_deny_free_strategy() {
         .expect("owlpar runs");
     assert_eq!(out.status.code(), Some(0), "auto plan must succeed");
     let doc = json_stdout(out);
-    let chosen = doc["chosen"].as_str().expect("a strategy was chosen");
+    let chosen = at(&doc, &["chosen"])
+        .as_str()
+        .expect("a strategy was chosen");
 
     // The chosen strategy is the cheapest among the deny-free candidates.
-    let best = doc["strategies"]
-        .as_array()
-        .unwrap()
+    let best = array(&doc, &["strategies"])
         .iter()
-        .filter(|s| s["summary"]["ok"].as_bool().unwrap())
+        .filter(|s| at(s, &["summary", "ok"]).as_bool().unwrap())
         .min_by(|a, b| {
-            let ca = a["plan"]["total_cost"].as_f64().unwrap();
-            let cb = b["plan"]["total_cost"].as_f64().unwrap();
+            let ca = at(a, &["plan", "total_cost"]).as_f64().unwrap();
+            let cb = at(b, &["plan", "total_cost"]).as_f64().unwrap();
             ca.total_cmp(&cb)
         })
         .expect("at least one deny-free candidate");
-    assert_eq!(best["plan"]["strategy"].as_str().unwrap(), chosen);
+    assert_eq!(at(best, &["plan", "strategy"]).as_str().unwrap(), chosen);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -148,12 +156,14 @@ fn plan_auto_refuses_pathological_rulebase_with_exit_3() {
         .expect("owlpar runs");
     assert_eq!(out.status.code(), Some(3), "no deny-free candidate exists");
     let doc = json_stdout(out);
-    assert!(doc["chosen"].is_null(), "nothing must be chosen: {doc}");
-    let any_deny = doc["strategies"]
-        .as_array()
-        .unwrap()
+    assert_eq!(
+        at(&doc, &["chosen"]),
+        &Value::Null,
+        "nothing must be chosen: {doc}"
+    );
+    let any_deny = array(&doc, &["strategies"])
         .iter()
-        .flat_map(|s| s["diagnostics"].as_array().unwrap())
-        .any(|d| d["severity"] == "deny");
+        .flat_map(|s| array(s, &["diagnostics"]))
+        .any(|d| at(d, &["severity"]).as_str() == Some("deny"));
     assert!(any_deny, "refusal must carry a deny diagnostic: {doc}");
 }
