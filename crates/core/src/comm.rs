@@ -275,17 +275,9 @@ pub fn build_fabric_with_faults(
             Ok(receivers
                 .into_iter()
                 .enumerate()
-                .map(|(me, receiver)| WorkerComm {
-                    me,
-                    round: 0,
-                    backend: Backend::Channel {
-                        senders: senders.clone(),
-                        receiver,
-                    },
-                    faults: fault_for(me),
-                    skipped: Vec::new(),
-                    bytes_sent: 0,
-                    io_retries: 0,
+                .map(|(me, receiver)| {
+                    let senders = senders.clone();
+                    WorkerComm::new(me, Backend::Channel { senders, receiver }, fault_for(me))
                 })
                 .collect())
         }
@@ -312,19 +304,14 @@ pub fn build_fabric_with_faults(
                 attempts: 1,
             })?;
             Ok((0..k)
-                .map(|me| WorkerComm {
-                    me,
-                    round: 0,
-                    backend: Backend::File {
+                .map(|me| {
+                    let backend = Backend::File {
                         dir: dir.clone(),
                         dict: Arc::clone(&dict),
                         format: *format,
                         _cleanup: cleanup.clone(),
-                    },
-                    faults: fault_for(me),
-                    skipped: Vec::new(),
-                    bytes_sent: 0,
-                    io_retries: 0,
+                    };
+                    WorkerComm::new(me, backend, fault_for(me))
                 })
                 .collect())
         }
@@ -338,14 +325,8 @@ pub fn build_fabric_with_faults(
             Ok(endpoints
                 .into_iter()
                 .enumerate()
-                .map(|(me, transport)| WorkerComm {
-                    me,
-                    round: 0,
-                    backend: Backend::Custom(transport),
-                    faults: fault_for(me),
-                    skipped: Vec::new(),
-                    bytes_sent: 0,
-                    io_retries: 0,
+                .map(|(me, transport)| {
+                    WorkerComm::new(me, Backend::Custom(transport), fault_for(me))
                 })
                 .collect())
         }
@@ -361,14 +342,27 @@ pub(crate) fn unique_nonce() -> u64 {
 }
 
 impl WorkerComm {
+    fn new(me: usize, backend: Backend, faults: FaultState) -> Self {
+        WorkerComm {
+            me,
+            round: 0,
+            backend,
+            faults,
+            skipped: Vec::new(),
+            bytes_sent: 0,
+            io_retries: 0,
+        }
+    }
+
+    /// Worker `me`'s endpoint over one [`Transport`] built outside a
+    /// fabric (a cluster worker's mesh endpoint), with no faults armed.
+    pub fn custom(me: usize, transport: Box<dyn Transport>) -> Self {
+        WorkerComm::new(me, Backend::Custom(transport), FaultState::default())
+    }
+
     /// This worker's index.
     pub fn me(&self) -> usize {
         self.me
-    }
-
-    /// Rounds completed so far (= the index of the round in progress).
-    pub fn round(&self) -> usize {
-        self.round
     }
 
     /// Messages skipped with a report so far (corrupted/undecodable).

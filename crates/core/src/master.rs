@@ -36,7 +36,7 @@ use crate::error::{RunError, WorkerError};
 use crate::stats::{PhaseBreakdown, WorkerStats};
 use crate::durable::Digest128;
 use crate::worker::{
-    run_rounds, AsyncControl, AsyncLink, BarrierLink, Routing, RunFlags, WorkerCtx,
+    run_rounds, AsyncControl, AsyncLink, BarrierLink, BarrierVote, Routing, RunFlags, WorkerCtx,
 };
 use owlpar_datalog::{MaterializationStrategy, Reasoner, Rule};
 use owlpar_horst::HorstReasoner;
@@ -588,12 +588,14 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
                         RoundMode::Barrier => {
                             let mut link = BarrierLink {
                                 comm,
-                                barrier: Arc::clone(&barrier),
-                                total_sent,
-                                last_total: 0,
-                                flags: Arc::clone(&flags),
-                                round_timeout: cfg.round_timeout,
-                                progress,
+                                vote: BarrierVote {
+                                    barrier: Arc::clone(&barrier),
+                                    total_sent,
+                                    last_total: 0,
+                                    flags: Arc::clone(&flags),
+                                    round_timeout: cfg.round_timeout,
+                                    progress,
+                                },
                             };
                             run_rounds(ctx, &mut link, &mut lane)
                         }

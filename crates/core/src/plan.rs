@@ -28,12 +28,11 @@ use crate::config::PartitioningStrategy;
 use crate::error::RunError;
 use crate::frame::encode_triple_block;
 use crate::master::{build_partitions, RunPlan};
-use crate::stats::plan_cost_model;
 use crate::worker::Routing;
 use owlpar_datalog::ast::{Atom, TermPat};
 use owlpar_datalog::Rule;
 use owlpar_lint::{
-    analyze_plan, LintOptions, PartitionContext, PlanInputs, PlanReport, RouteModel,
+    analyze_plan, LintOptions, PartitionContext, PlanInputs, PlanReport, RouteModel, WireCostModel,
 };
 use owlpar_partition::metrics::PartitionQuality;
 use owlpar_partition::multilevel::PartitionOptions;
@@ -293,7 +292,7 @@ pub fn analyze_strategy(
             productions: Some(base.productions.clone()),
             exchange_discount: 1.0,
             setup_bytes: None,
-            cost: plan_cost_model(),
+            cost: WireCostModel::default(),
         };
         return Ok(analyze_plan(&base.all_rules, &opts, &inputs));
     }
@@ -352,7 +351,7 @@ fn score_partition(
     quality: Option<&PartitionQuality>,
 ) -> PlanReport {
     let k = bases.len();
-    let cost = plan_cost_model();
+    let cost = WireCostModel::default();
     let route = match routing.first() {
         // A single worker owns everything: no exchange, whatever the
         // partition quality claims.
@@ -469,7 +468,7 @@ pub fn analyze_rules_only(
         productions: None,
         exchange_discount: 1.0,
         setup_bytes: None,
-        cost: plan_cost_model(),
+        cost: WireCostModel::default(),
     };
     Ok(analyze_plan(rules, &opts, &inputs))
 }

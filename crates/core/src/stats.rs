@@ -65,49 +65,57 @@ pub struct WirePhase {
     pub triples: u64,
 }
 
-/// One round's slice of the relay traffic, as observed at the master.
+impl std::ops::AddAssign for WirePhase {
+    fn add_assign(&mut self, other: WirePhase) {
+        self.bytes += other.bytes;
+        self.frames += other.frames;
+        self.triples += other.triples;
+    }
+}
+
+/// One round's slice of the round traffic: what every worker's mesh
+/// endpoint wrote in that round.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireRound {
     /// Round number (0-based, same numbering as `RoundDone`).
     pub round: u32,
-    /// Exchange bytes relayed for this round, both directions, frame
-    /// envelopes included.
+    /// Exchange bytes written in this round, frame envelopes and
+    /// end-of-round markers included.
     pub bytes: u64,
-    /// Triples relayed for this round (counted once inbound, once on
-    /// delivery — like the aggregate `rounds` phase).
+    /// Triples sent in this round (each once: one hop, sender to
+    /// receiver).
     pub triples: u64,
 }
 
-/// Wire-traffic accounting for a whole cluster run, split by phase, as
-/// observed at the master (the star topology's single vantage point: it
-/// touches every frame once). Filled by the `owlpar-net` cluster master;
-/// `None` on in-process runs.
+/// Wire-traffic accounting for a whole cluster run, split by phase.
+/// Setup, final and control traffic is what crossed the master's
+/// connections; round traffic crosses the workers' mesh and is the sum
+/// of what their endpoints wrote. Filled by the `owlpar-net` cluster
+/// master; `None` on in-process runs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WireBytes {
     /// Bootstrap shipping: `Setup` frames (partition + rules + routing).
     pub setup: WirePhase,
-    /// Round exchange: `Triples` in, `Deliver`/`DeliverChunk` out.
+    /// Round exchange: mesh triple frames and end-of-round markers.
     pub rounds: WirePhase,
     /// Final collection: `FinalChunk`/`Final` frames in (the workers'
     /// derived-only runs).
     pub finals: WirePhase,
     /// Handshake and control traffic (`Hello`, `Welcome`, `CacheAdvert`,
-    /// `RoundDone`, rejects).
+    /// `RoundDone`, `Verdict`, `TraceChunk`, rejects).
     pub control_bytes: u64,
     /// Workers whose `Setup` shipped as a digest only (partition served
     /// from their local cache).
     pub cache_hits: u64,
     /// Workers whose `Setup` carried the full partition payload.
     pub cache_misses: u64,
-    /// Per-round relay traffic. Handler threads account rounds
-    /// concurrently, so the insertion order is arbitrary —
-    /// [`WireBytes::to_json`] (and every consumer that cares) must sort
-    /// by round, never trust the vector's order.
+    /// Per-round mesh traffic. [`WireBytes::to_json`] sorts by round,
+    /// so a producer need not push them in order.
     pub per_round: Vec<WireRound>,
 }
 
 impl WireBytes {
-    /// Every byte the master put on or took off the wire.
+    /// Every byte the run put on the wire.
     pub fn total_bytes(&self) -> u64 {
         self.setup.bytes + self.rounds.bytes + self.finals.bytes + self.control_bytes
     }
@@ -160,23 +168,6 @@ impl WireBytes {
             ("cache_misses", self.cache_misses.into()),
             ("per_round", per_round.into()),
         ])
-    }
-}
-
-/// The byte-cost constants the static plan analyzer uses, tied to this
-/// module's `WireLedger` conventions so predicted and measured bytes are
-/// commensurable:
-///
-/// * `frame_overhead` — the `len u32 | crc u32` framing every frame pays;
-/// * `round_triple_bytes` — measured delta/varint cost of one triple
-///   in a round batch (sorted blocks amortize to ~3.5 B on the bench KB);
-/// * `deliver_frame_bytes` — fixed cost of an empty `Deliver` verdict
-///   frame, paid per worker per round.
-pub fn plan_cost_model() -> owlpar_lint::WireCostModel {
-    owlpar_lint::WireCostModel {
-        frame_overhead: 8,
-        round_triple_bytes: 3.5,
-        deliver_frame_bytes: 18.0,
     }
 }
 

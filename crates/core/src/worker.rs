@@ -8,17 +8,17 @@
 //! vocabulary, and is written against [`RoundLink`], the seam that hides
 //! what carries the messages and who detects termination:
 //!
-//! * [`BarrierLink`] — a [`WorkerComm`] endpoint between two crossings
-//!   of the shared [`RoundBarrier`]. Termination: a round in which *no*
-//!   worker sent anything, detected via a shared cumulative send counter
-//!   read between the two crossings, so every worker reaches the same
-//!   verdict in the same round.
+//! * [`BarrierLink`] — a [`WorkerComm`] endpoint plus a [`RoundVote`]
+//!   that closes each round. Termination: a round in which *no* worker
+//!   sent anything, so every worker reaches the same verdict in the same
+//!   round. Two votes: [`BarrierVote`] reads a shared cumulative send
+//!   counter between two crossings of the shared [`RoundBarrier`]
+//!   (in-process); the cluster runtime's vote (`owlpar-net`) reports the
+//!   round's send count to the master after the mesh collect and waits
+//!   for its verdict. Either way the triples travel peer to peer.
 //! * [`AsyncLink`] — the §VI-B variant over the same endpoint: no
 //!   barrier, a worker absorbs whatever has arrived. Termination: every
 //!   worker idle ∧ every sent triple processed ([`AsyncControl`]).
-//! * the cluster runtime's link (`owlpar-net`) — frames to and from the
-//!   master over one TCP connection; the master's `Deliver` is barrier,
-//!   verdict and inbox in one.
 //!
 //! # Fault containment
 //!
@@ -375,12 +375,79 @@ fn send_on(comm: &mut WorkerComm, to: usize, batch: &[Triple]) -> Result<bool, W
     }
 }
 
-/// Barrier-synchronized rounds over a [`WorkerComm`]: barrier A closes
-/// the send window, the collect drains the round's messages, the verdict
-/// is read inside the `[A, B]` window, barrier B releases the round.
-pub(crate) struct BarrierLink {
+/// Drain round `round`'s inbound triples from `comm` under a `Collect`
+/// span — the one collect every [`RoundVote`] performs.
+pub fn collect_round(
+    comm: &mut WorkerComm,
+    round: usize,
+    lane: &mut Track,
+) -> Result<Vec<Triple>, WorkerError> {
+    let span = lane.begin(Phase::Collect, span_round(round));
+    let received = comm.collect().map_err(comm_failed(comm.me()));
+    lane.end(span);
+    received
+}
+
+/// How a [`BarrierLink`] decides that a round is over and whether the run
+/// is: the termination state behind the peer-to-peer exchange.
+pub trait RoundVote {
+    /// How this vote reports a failure (a failed collect arrives as a
+    /// [`WorkerError`]).
+    type Error: From<WorkerError>;
+
+    /// Round `round` begins: fire whatever faults are pinned to it.
+    fn begin_round(&mut self, round: usize, comm: &WorkerComm) -> Result<(), Self::Error>;
+
+    /// Close round `round` (`sent` triples left this worker in it):
+    /// collect its inbound triples with [`collect_round`] and reach the
+    /// verdict — `true` stops the loop.
+    fn close_round(
+        &mut self,
+        round: usize,
+        sent: u64,
+        comm: &mut WorkerComm,
+        lane: &mut Track,
+    ) -> Result<(Vec<Triple>, bool), Self::Error>;
+}
+
+/// Barrier-synchronized rounds over a [`WorkerComm`]: batches go straight
+/// to their peers, and the [`RoundVote`] closes the round.
+pub struct BarrierLink<V> {
     /// Communication endpoint.
     pub comm: WorkerComm,
+    /// Termination detection.
+    pub vote: V,
+}
+
+impl<V: RoundVote> RoundLink for BarrierLink<V> {
+    type Error = V::Error;
+
+    fn begin_round(&mut self, round: usize) -> Result<(), V::Error> {
+        self.vote.begin_round(round, &self.comm)
+    }
+
+    fn send(&mut self, _round: usize, to: usize, batch: &[Triple]) -> Result<bool, V::Error> {
+        Ok(send_on(&mut self.comm, to, batch)?)
+    }
+
+    fn finish_round(
+        &mut self,
+        round: usize,
+        sent: u64,
+        lane: &mut Track,
+    ) -> Result<(Vec<Triple>, bool), V::Error> {
+        self.vote.close_round(round, sent, &mut self.comm, lane)
+    }
+
+    fn transport_trouble(&self) -> (usize, usize) {
+        (self.comm.skipped().len(), self.comm.io_retries as usize)
+    }
+}
+
+/// The in-process vote: barrier A closes the send window, the collect
+/// drains the round's messages, the verdict is read inside the `[A, B]`
+/// window, barrier B releases the round.
+pub(crate) struct BarrierVote {
     /// Round barrier shared by all workers (timeout- and
     /// defection-aware).
     pub barrier: Arc<RoundBarrier>,
@@ -397,55 +464,46 @@ pub(crate) struct BarrierLink {
     pub progress: Arc<AtomicUsize>,
 }
 
-impl BarrierLink {
+impl BarrierVote {
     /// Cross the barrier or fail with a structured timeout.
-    fn cross(&self, round: usize, lane: &mut Track) -> Result<(), WorkerError> {
+    fn cross(&self, worker: usize, round: usize, lane: &mut Track) -> Result<(), WorkerError> {
         let span = lane.begin(Phase::BarrierWait, span_round(round));
         let crossed = self.barrier.wait(self.round_timeout);
         lane.end(span);
         crossed.map_err(|t| WorkerError::BarrierTimeout {
-            worker: self.comm.me(),
+            worker,
             round,
             waited: t.waited,
         })
     }
 }
 
-impl RoundLink for BarrierLink {
+impl RoundVote for BarrierVote {
     type Error = WorkerError;
 
-    fn begin_round(&mut self, round: usize) -> Result<(), WorkerError> {
+    fn begin_round(&mut self, round: usize, comm: &WorkerComm) -> Result<(), WorkerError> {
         self.progress.store(round, Ordering::Relaxed);
-        self.comm.fire_round_faults(round);
+        comm.fire_round_faults(round);
         Ok(())
     }
 
-    fn send(&mut self, _round: usize, to: usize, batch: &[Triple]) -> Result<bool, WorkerError> {
-        send_on(&mut self.comm, to, batch)
-    }
-
-    fn finish_round(
+    fn close_round(
         &mut self,
         round: usize,
         sent: u64,
+        comm: &mut WorkerComm,
         lane: &mut Track,
     ) -> Result<(Vec<Triple>, bool), WorkerError> {
         self.total_sent.fetch_add(sent, Ordering::SeqCst);
-        self.cross(round, lane)?;
-        let span = lane.begin(Phase::Collect, span_round(round));
-        let received = self.comm.collect().map_err(comm_failed(self.comm.me()))?;
-        lane.end(span);
+        self.cross(comm.me(), round, lane)?;
+        let received = collect_round(comm, round, lane)?;
         let now_total = self.total_sent.load(Ordering::SeqCst);
-        self.cross(round, lane)?;
+        self.cross(comm.me(), round, lane)?;
         // A lost worker drains every survivor in the same round (see the
         // module docs); otherwise stop when nobody moved a triple.
         let stop = self.flags.failed() || now_total == self.last_total;
         self.last_total = now_total;
         Ok((received, stop))
-    }
-
-    fn transport_trouble(&self) -> (usize, usize) {
-        (self.comm.skipped().len(), self.comm.io_retries as usize)
     }
 }
 

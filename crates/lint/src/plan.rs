@@ -13,9 +13,8 @@
 //! ## Cost model
 //!
 //! Everything is estimated in **triples**, then converted to wire bytes
-//! with [`WireCostModel`] (mirroring the `WireLedger` conventions of
-//! `owlpar-core`'s `stats` module: 8 B frame overhead, measured
-//! delta/varint round encoding).
+//! with [`WireCostModel`] (mirroring the cluster's wire accounting:
+//! 8 B frame overhead, measured delta/varint round encoding).
 //!
 //! * a rule's *production estimate* `w_r` is the caller's per-rule
 //!   firing estimate when given (`PlanInputs::productions`, typically
@@ -32,9 +31,10 @@
 //!   the weighted dependency graph), excluding `r`'s own;
 //! * *hybrid routing* multiplies consumer groups by the expected owner
 //!   shards per triple;
-//! * the star topology relays every exchanged triple through the
-//!   master, so round bytes charge each triple **twice**, plus one
-//!   `Deliver` frame per worker per round.
+//! * workers exchange peer to peer over one TCP mesh, so round bytes
+//!   charge each exchanged triple **once** (one hop), plus the
+//!   end-of-round marker every worker sends every peer: `k·(k−1)`
+//!   marker frames per round.
 
 use crate::{
     checks, Diagnostic, LintCode, LintOptions, LintReport, PartitionContext, Severity,
@@ -46,9 +46,8 @@ use owlpar_obs::json::{obj, Value};
 use owlpar_rdf::fx::FxHashMap;
 use std::fmt::Write as _;
 
-/// Byte-cost constants mirroring the cluster wire format (see
-/// `owlpar_core::stats::plan_cost_model`, which constructs this from the
-/// `WireLedger` conventions).
+/// Byte-cost constants mirroring the cluster wire format; the default is
+/// what the cluster runtime writes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireCostModel {
     /// Length-prefix + CRC framing per frame (`len u32 | crc u32`).
@@ -56,9 +55,9 @@ pub struct WireCostModel {
     /// Measured delta/varint bytes per triple in a round batch
     /// (sorted triple blocks; ~3.4 B on the bench KB).
     pub round_triple_bytes: f64,
-    /// Fixed cost of one `Deliver` verdict frame (header + framing),
-    /// paid per worker per round even when the batch is empty.
-    pub deliver_frame_bytes: f64,
+    /// Fixed cost of one end-of-round marker frame (`tag | round` plus
+    /// framing), paid per ordered worker pair per round.
+    pub marker_frame_bytes: f64,
 }
 
 impl Default for WireCostModel {
@@ -66,7 +65,7 @@ impl Default for WireCostModel {
         WireCostModel {
             frame_overhead: 8,
             round_triple_bytes: 3.5,
-            deliver_frame_bytes: 18.0,
+            marker_frame_bytes: 13.0,
         }
     }
 }
@@ -173,7 +172,7 @@ pub struct RuleTraffic {
     pub remote_dests: f64,
     /// Estimated cross-partition triples (one wire leg).
     pub exchange_triples: f64,
-    /// Wire bytes for that exchange (star relay: both legs).
+    /// Wire bytes for that exchange (one hop, sender to receiver).
     pub exchange_bytes: f64,
 }
 
@@ -205,8 +204,8 @@ pub struct PlanReport {
     pub exchange_triples: f64,
     /// Predicted `Setup` phase wire bytes (0 when unknown).
     pub setup_bytes: u64,
-    /// Predicted round-phase wire bytes (star relay, both legs, plus
-    /// per-round `Deliver` overhead).
+    /// Predicted round-phase wire bytes (one hop per exchanged triple,
+    /// plus the per-round end-of-round markers).
     pub round_bytes: f64,
     /// Round-count bounds.
     pub rounds: RoundBound,
@@ -596,8 +595,7 @@ pub fn analyze_plan(rules: &[Rule], opts: &LintOptions, inputs: &PlanInputs) -> 
             weight: weights[r],
             remote_dests: remote,
             exchange_triples: exchange,
-            // Star relay: each exchanged triple crosses the wire twice.
-            exchange_bytes: 2.0 * exchange * inputs.cost.round_triple_bytes,
+            exchange_bytes: exchange * inputs.cost.round_triple_bytes,
         });
     }
 
@@ -621,8 +619,9 @@ pub fn analyze_plan(rules: &[Rule], opts: &LintOptions, inputs: &PlanInputs) -> 
     };
 
     // --- wire totals -------------------------------------------------
-    let round_bytes = 2.0 * total_exchange * inputs.cost.round_triple_bytes
-        + (rounds.expected * k) as f64 * inputs.cost.deliver_frame_bytes;
+    let markers = rounds.expected * k * k.saturating_sub(1);
+    let round_bytes = total_exchange * inputs.cost.round_triple_bytes
+        + markers as f64 * inputs.cost.marker_frame_bytes;
     let shipped = total_shipped_base as f64 + (k * inputs.schema_triples) as f64;
     let total_cost = max_load + 2.0 * total_exchange + shipped;
 

@@ -19,7 +19,7 @@
 //! and config ships 16-byte digests instead of partitions (with
 //! `--spawn-local` the flag is forwarded to every spawned worker).
 //! `--wire-stats` writes the master's per-phase wire accounting as JSON.
-//! `--trace-out` records the whole run — master relay lane plus every
+//! `--trace-out` records the whole run — the master lane plus every
 //! worker's spans, shipped back as telemetry frames and clock-offset
 //! merged — and writes a Chrome-trace JSON file (load it in
 //! `chrome://tracing` / Perfetto, or feed it to `owlpar trace summary`).

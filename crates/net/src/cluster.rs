@@ -1,54 +1,52 @@
-//! The multi-process star runtime: one master process, `k` worker
-//! processes, all exchange through the master over TCP.
+//! The multi-process runtime: one master process, `k` worker processes.
 //!
 //! The master runs the same pre-spawn half of Algorithm 3 the in-process
 //! runtime uses — [`prepare_run`] compiles, lints and partitions — then
-//! ships each worker its partition, rule subsets and routing table over
-//! the versioned bootstrap protocol (`protocol`), and ends in the same
-//! tail ([`finish_run`]: aggregate, recover, report). A worker runs the
-//! one round loop there is ([`run_rounds`]) over its master connection
-//! (`ClusterLink`, this runtime's [`RoundLink`]): it closes its local
-//! partition, routes fresh derivations, sends them (as `Triples` frames
-//! relayed through the master), announces `RoundDone`, and blocks until
-//! the master's `Deliver` hands it the round verdict plus its inbound
-//! triples. The verdict is the paper's termination test — a round in
-//! which nobody sent anything — computed from the per-round send counts
-//! every `RoundDone` carries, so it is reached by every worker in the
-//! same round, just like the in-process cumulative-counter check.
-//!
-//! ## Star, not mesh
-//!
-//! Relaying rounds through the master costs each triple two hops but
-//! buys the failure model: the master observes every worker through one
-//! connection with a deadline, so a dead, hung or defecting worker is
-//! detected at the next read and the run flows into the same
-//! adopt-and-reclose recovery the in-process master uses ([`RunPlan`]'s
-//! recoverability rule is shared). The peer-to-peer TCP path without a
-//! coordinator is the in-process mesh (`transport`).
+//! ships each worker its partition, rule subsets, routing table and the
+//! mesh peer table over the versioned bootstrap protocol (`protocol`),
+//! and ends in the same tail ([`finish_run`]: aggregate, recover,
+//! report). A worker joins the TCP mesh (`transport`) and runs the one
+//! round loop there is ([`run_rounds`]) over the in-process
+//! [`BarrierLink`]: batches go straight to their peers, and a vote closes
+//! the round instead of a barrier — collect the round off the mesh,
+//! announce `RoundDone` with the round's send count, block on the
+//! master's `Verdict`. The verdict is the paper's termination test — a
+//! round in which nobody sent anything — so every worker reaches it in
+//! the same round, like the in-process cumulative-counter check.
 //!
 //! ## Failure discipline
 //!
-//! Bootstrap failures are fatal — a cluster that cannot assemble its `k`
-//! workers and ship every partition refuses to start, because a partial
-//! start could silently compute a partial closure. Mid-run failures are
-//! recoverable: survivors drain at the next verdict (any death forces
-//! `stop`), their derived-only runs are merged into the master graph
-//! (which still holds every base triple; each run is a subset of the
-//! closure), and — for data partitioning under
-//! [`FaultRecovery::AdoptAndReclose`] — a serial re-close reproduces
-//! exactly the serial closure, monotonicity doing the proof.
+//! The master relays no data, but it keeps the failure model: it watches
+//! every worker through one connection with a deadline, so a dead, hung
+//! or defecting worker is detected at the next read. Bootstrap failures
+//! are fatal — a cluster that cannot assemble its `k` workers and ship
+//! every partition refuses to start, because a partial start could
+//! silently compute a partial closure. A worker that cannot join the
+//! mesh within its connect timeout returns a typed error and is lost in
+//! round 0. Mid-run, any death forces `stop` at the next verdict (a mesh
+//! peer at EOF is cleanly dead, so survivors' collects end without it);
+//! survivors' derived-only runs are merged into the master graph (which
+//! still holds every base triple; each run is a subset of the closure),
+//! and — for data partitioning under `AdoptAndReclose` — a serial
+//! re-close reproduces exactly the serial closure, monotonicity doing
+//! the proof. A worker that stalls past the round timeout holds up its
+//! peers' collects too, so the deadline finds every worker short of
+//! `RoundDone` and the round is lost whole; the re-close is still exact.
 
 use crate::cache::PartitionCache;
 use crate::protocol::{
     decode_master_msg, decode_setup_payload, decode_worker_msg, encode_master_msg,
-    encode_setup_payload, encode_worker_msg, CacheEntry, MasterMsg,
-    NetError, Setup, SetupPayload, WireFault, WireRouting, WireStats, WorkerMsg, PROTOCOL_VERSION,
-    WIRE_MAGIC,
+    encode_setup_payload, encode_worker_msg, mesh_peers, CacheEntry, MasterMsg, NetError, Setup,
+    SetupPayload, WireFault, WireRouting, WireStats, WorkerMsg, PROTOCOL_VERSION, WIRE_MAGIC,
 };
+use crate::transport::{
+    accept_before, join_mesh, MeshTally, DEFAULT_CHUNK_TRIPLES, FRAME_OVERHEAD,
+};
+use owlpar_core::comm::WorkerComm;
 use owlpar_core::config::RoundMode;
 use owlpar_core::master::{finish_run, resolve_materialization};
 use owlpar_core::stats::{WireBytes, WirePhase, WireRound};
-use owlpar_core::worker::{run_rounds, RoundLink, Routing, WorkerCtx};
+use owlpar_core::worker::{collect_round, run_rounds, BarrierLink, RoundVote, Routing, WorkerCtx};
 use owlpar_core::{
     digest128, prepare_run, read_crc_frame, write_crc_frame, Backoff, CommError, FaultKind,
     ParallelConfig, RunError, RunReport, WorkerError,
@@ -59,25 +57,13 @@ use owlpar_obs::{wire as obs_wire, Metric, Phase, Recorder, Track, NO_ROUND};
 use owlpar_partition::RulePartitions;
 use owlpar_rdf::fx::FxHashMap;
 use owlpar_rdf::{Graph, Triple};
-use std::collections::BTreeMap;
 use std::io::ErrorKind;
-use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// Frame envelope cost of the shared codec (`len u32 | crc u32`).
-const FRAME_OVERHEAD: u64 = 8;
-
-/// Default chunk bound for streamed transfers (`Triples`, `FinalChunk`,
-/// `DeliverChunk`), in triples. One chunk encodes well under the 64 MB
-/// per-frame payload cap even at the raw-equivalent 12 bytes/triple;
-/// transfers of any size stream as chunk sequences, so the cap no
-/// longer limits result size. Tests lower it to force multi-chunk
-/// streams on tiny KBs.
-pub const DEFAULT_CHUNK_TRIPLES: usize = 1 << 20;
 
 /// Master-side knobs (everything else comes from [`ParallelConfig`]).
 #[derive(Debug, Clone)]
@@ -88,12 +74,10 @@ pub struct MasterOptions {
     /// How long the master waits for all `k` workers to dial in and
     /// complete their handshake before refusing to start.
     pub accept_timeout: Duration,
-    /// Most triples per streamed chunk frame (`DeliverChunk` splitting).
-    pub chunk_triples: usize,
     /// Telemetry sink. `Some(enabled recorder)` turns the `trace` flag
     /// on in every `Welcome`, making workers record phase spans and ship
     /// them back as `TraceChunk` frames; the master merges them into
-    /// this recorder (clock-offset corrected) alongside its own relay
+    /// this recorder (clock-offset corrected) alongside its own `master`
     /// lane. `None` (default) keeps the run telemetry-free — workers
     /// are told not to record and ship nothing.
     pub trace: Option<Recorder>,
@@ -104,7 +88,6 @@ impl Default for MasterOptions {
         MasterOptions {
             epoch: 0,
             accept_timeout: Duration::from_secs(60),
-            chunk_triples: DEFAULT_CHUNK_TRIPLES,
             trace: None,
         }
     }
@@ -114,13 +97,14 @@ impl Default for MasterOptions {
 #[derive(Debug, Clone)]
 pub struct WorkerOptions {
     /// How long the worker keeps dialing (with capped exponential
-    /// backoff) before giving up; also the handshake read patience.
+    /// backoff) before giving up; also the handshake read patience and
+    /// the deadline for joining the mesh.
     pub connect_timeout: Duration,
     /// Where to persist shipped partitions for digest-keyed reuse
     /// across runs; `None` disables the cache (every run ships full).
     pub cache_dir: Option<PathBuf>,
-    /// Most triples per streamed chunk frame (`Triples`/`FinalChunk`
-    /// splitting).
+    /// Most triples per streamed chunk frame (mesh triple frames and
+    /// `FinalChunk` splitting).
     pub chunk_triples: usize,
 }
 
@@ -139,25 +123,16 @@ impl Default for WorkerOptions {
 // ---------------------------------------------------------------------
 
 /// Master-side wire accounting, updated concurrently by the
-/// per-connection handler threads. The star topology makes the master
-/// the authoritative vantage point: every frame of the run crosses it
-/// exactly once.
+/// per-connection handler threads: every frame on a master connection.
+/// Round traffic does not cross the master; each worker tallies what its
+/// mesh endpoint wrote and ships it in its `Final`.
 #[derive(Debug, Default)]
 struct WireLedger {
     setup: PhaseCounters,
-    rounds: PhaseCounters,
     finals: PhaseCounters,
     control_bytes: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
-    /// Round-phase traffic broken out per round number:
-    /// `round → (bytes, triples)`. Inbound `Triples` frames carry no
-    /// round number, so each handler buffers them and flushes the
-    /// accumulator when the worker's `RoundDone(r)` labels the batch;
-    /// outbound `DeliverChunk`/`Deliver` are charged to their explicit
-    /// round. A `BTreeMap` under a mutex — a handful of handler threads
-    /// touching it once per frame burst, never on the triple hot path.
-    per_round: Mutex<BTreeMap<u32, (u64, u64)>>,
 }
 
 /// One phase's `[bytes, frames, triples]`.
@@ -189,18 +164,6 @@ impl WireLedger {
             .fetch_add(body_len as u64 + FRAME_OVERHEAD, Ordering::Relaxed);
     }
 
-    /// Charge `bytes`/`triples` of round-phase traffic to round `round`.
-    fn round_traffic(&self, round: u32, bytes: u64, triples: u64) {
-        if bytes == 0 && triples == 0 {
-            return;
-        }
-        if let Ok(mut per_round) = self.per_round.lock() {
-            let slot = per_round.entry(round).or_insert((0, 0));
-            slot.0 += bytes;
-            slot.1 += triples;
-        }
-    }
-
     fn cache_outcome(&self, hit: bool) {
         if hit {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -209,28 +172,38 @@ impl WireLedger {
         }
     }
 
-    fn snapshot(&self) -> WireBytes {
-        let per_round = self
-            .per_round
-            .lock()
-            .map(|m| {
-                m.iter()
-                    .map(|(&round, &(bytes, triples))| WireRound {
-                        round,
-                        bytes,
-                        triples,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
+    /// The run's wire report. Round traffic is the sum of what the
+    /// workers' mesh endpoints wrote, read off their final `stats`; a
+    /// worker lost before its `Final` leaves its share out.
+    fn snapshot(&self, stats: &[&WireStats]) -> WireBytes {
+        let mut per_round: Vec<WirePhase> = Vec::new();
+        for s in stats {
+            if per_round.len() < s.round_wire.len() {
+                per_round.resize(s.round_wire.len(), WirePhase::default());
+            }
+            for (sum, &w) in per_round.iter_mut().zip(&s.round_wire) {
+                *sum += w;
+            }
+        }
+        let mut rounds = WirePhase::default();
+        for &w in &per_round {
+            rounds += w;
+        }
         WireBytes {
             setup: self.setup.load(),
-            rounds: self.rounds.load(),
+            rounds,
             finals: self.finals.load(),
             control_bytes: self.control_bytes.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            per_round,
+            per_round: (0..)
+                .zip(&per_round)
+                .map(|(round, w)| WireRound {
+                    round,
+                    bytes: w.bytes,
+                    triples: w.triples,
+                })
+                .collect(),
         }
     }
 }
@@ -260,23 +233,13 @@ fn handshake_err(detail: impl Into<String>) -> NetError {
     }
 }
 
-fn send_master(stream: &mut TcpStream, msg: &MasterMsg) -> Result<(), NetError> {
-    write_crc_frame(stream, &encode_master_msg(msg)).map_err(NetError::from)
-}
-
 // ---------------------------------------------------------------------
 // master
 // ---------------------------------------------------------------------
 
 /// What a connection-handler thread distills worker frames into.
 enum Event {
-    /// The worker routed a batch to worker `to`.
-    Routed {
-        from: usize,
-        to: usize,
-        batch: Vec<Triple>,
-    },
-    /// The worker finished a round's sends.
+    /// The worker finished a round: collected, `sent` triples out.
     Done {
         from: usize,
         round: usize,
@@ -292,36 +255,29 @@ enum Event {
     Dead { from: usize, detail: String },
 }
 
-/// Per-connection pump: frames in → events out, `Deliver`s written back
-/// when the coordinator releases the round. Exits on `Final`, on any
-/// connection error, or when the coordinator drops the delivery sender
-/// (the worker was declared dead).
+/// Per-connection pump: frames in → events out. Exits on `Final` or on
+/// any connection error — including the shutdown the coordinator sends
+/// when it declares the worker dead.
 ///
-/// Large deliveries are split here into `DeliverChunk* Deliver` at
-/// `chunk` triples per frame; inbound `FinalChunk` sequences are
-/// reassembled here (sequence numbers and ascent across chunk seams
-/// checked), so the coordinator only ever sees whole sorted runs.
-/// Every frame is charged to the shared [`WireLedger`].
+/// Inbound `FinalChunk` sequences are reassembled here (sequence
+/// numbers and ascent across chunk seams checked), so the coordinator
+/// only ever sees whole sorted runs. Every frame is charged to the
+/// shared [`WireLedger`].
 ///
 /// When `trace` is set, inbound `TraceChunk` frames accumulate here and
 /// are absorbed into the recorder (as `worker {id}`, pid `id + 1`) when
 /// the pump exits — on `Final` and on death alike, so a crashed
 /// worker's spans up to its last chunk still reach the merged timeline.
-#[allow(clippy::too_many_arguments)] // internal pump; the master wires it up once
 fn handle_worker(
     id: usize,
     stream: TcpStream,
     n_terms: u32,
-    chunk: usize,
     ledger: &WireLedger,
     events: &mpsc::Sender<Event>,
-    delivery: &mpsc::Receiver<MasterMsg>,
     trace: Option<&Recorder>,
 ) {
     let mut acc = TraceAcc::default();
-    pump_worker(
-        id, stream, n_terms, chunk, ledger, events, delivery, trace, &mut acc,
-    );
+    pump_worker(id, stream, n_terms, ledger, events, trace, &mut acc);
     if let (Some(rec), false) = (trace, acc.events.is_empty()) {
         rec.absorb(
             &acc.events,
@@ -342,22 +298,18 @@ struct TraceAcc {
     offset_us: Option<i64>,
 }
 
-#[allow(clippy::too_many_arguments)] // split from handle_worker, same wiring
 fn pump_worker(
     id: usize,
     mut stream: TcpStream,
     n_terms: u32,
-    chunk: usize,
     ledger: &WireLedger,
     events: &mpsc::Sender<Event>,
-    delivery: &mpsc::Receiver<MasterMsg>,
     trace: Option<&Recorder>,
     acc: &mut TraceAcc,
 ) {
     let dead = |detail: String| {
         let _ = events.send(Event::Dead { from: id, detail });
     };
-    let chunk = chunk.max(1);
     let mut final_acc: Vec<Triple> = Vec::new();
     let mut next_seq = 0u32;
     // Each block decodes strictly ascending; the run must keep ascending
@@ -366,32 +318,14 @@ fn pump_worker(
         (Some(last), Some(first)) => last >= first,
         _ => false,
     };
-    // Inbound round traffic awaiting a round label (see
-    // `WireLedger::per_round`): `(bytes, triples)`.
-    let mut pending = (0u64, 0u64);
     loop {
         let body = match read_crc_frame(&mut stream) {
             Ok(b) => b,
             Err(e) => return dead(format!("reading from worker {id}: {e}")),
         };
         match decode_worker_msg(&body, n_terms) {
-            Ok(WorkerMsg::Triples { to, batch }) => {
-                ledger.rounds.add(body.len(), batch.len());
-                pending.0 += body.len() as u64 + FRAME_OVERHEAD;
-                pending.1 += batch.len() as u64;
-                let routed = Event::Routed {
-                    from: id,
-                    to: to as usize,
-                    batch,
-                };
-                if events.send(routed).is_err() {
-                    return;
-                }
-            }
             Ok(WorkerMsg::RoundDone { round, sent }) => {
                 ledger.control_frame(body.len());
-                ledger.round_traffic(round, pending.0, pending.1);
-                pending = (0, 0);
                 let done = Event::Done {
                     from: id,
                     round: round as usize,
@@ -399,47 +333,6 @@ fn pump_worker(
                 };
                 if events.send(done).is_err() {
                     return;
-                }
-                // Block until the coordinator releases the round for this
-                // worker; a closed channel means we were declared dead.
-                let Ok(msg) = delivery.recv() else { return };
-                let MasterMsg::Deliver {
-                    round,
-                    stop,
-                    mut triples,
-                } = msg
-                else {
-                    return dead(format!("coordinator queued a non-Deliver for worker {id}"));
-                };
-                // Stream the bulk as bounded chunks; the verdict frame
-                // carries the tail, so the worker needs no chunk count
-                // up front and any inbox size fits under the frame cap.
-                let mut offset = 0usize;
-                while triples.len() - offset > chunk {
-                    let part = MasterMsg::DeliverChunk {
-                        round,
-                        batch: triples[offset..offset + chunk].to_vec(),
-                    };
-                    let part_body = encode_master_msg(&part);
-                    ledger.rounds.add(part_body.len(), chunk);
-                    ledger.round_traffic(round, part_body.len() as u64 + FRAME_OVERHEAD, chunk as u64);
-                    if let Err(e) = write_crc_frame(&mut stream, &part_body) {
-                        return dead(format!("delivering round chunk to worker {id}: {e}"));
-                    }
-                    offset += chunk;
-                }
-                triples.drain(..offset);
-                let tail = triples.len();
-                let verdict = MasterMsg::Deliver {
-                    round,
-                    stop,
-                    triples,
-                };
-                let verdict_body = encode_master_msg(&verdict);
-                ledger.rounds.add(verdict_body.len(), tail);
-                ledger.round_traffic(round, verdict_body.len() as u64 + FRAME_OVERHEAD, tail as u64);
-                if let Err(e) = write_crc_frame(&mut stream, &verdict_body) {
-                    return dead(format!("delivering round to worker {id}: {e}"));
                 }
             }
             Ok(WorkerMsg::FinalChunk { seq, batch }) => {
@@ -516,7 +409,9 @@ fn wire_faults(cfg: &ParallelConfig, id: usize) -> Vec<(u32, WireFault)> {
 
 /// Accept one worker and run the versioned handshake
 /// (`Hello → Welcome → CacheAdvert`). Returns the stream, ready for
-/// `Setup`, plus the cache entries the worker advertised.
+/// `Setup`, the cache entries the worker advertised, and its mesh
+/// address: the worker's address as this connection sees it, at the
+/// port it advertised.
 fn accept_worker(
     listener: &TcpListener,
     deadline: Instant,
@@ -524,26 +419,14 @@ fn accept_worker(
     k: u32,
     opts: &MasterOptions,
     ledger: &WireLedger,
-) -> Result<(TcpStream, Vec<CacheEntry>), NetError> {
-    // Poll the nonblocking listener with the shared backoff so a slow
-    // cluster assembly neither busy-spins nor oversleeps the deadline.
-    let mut backoff = Backoff::new(Duration::from_millis(1), Duration::from_millis(50));
-    let mut stream = loop {
-        match listener.accept() {
-            Ok((s, _)) => break s,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
-                    return Err(handshake_err(format!(
-                        "worker {node_id}/{k} never connected within {:?}",
-                        opts.accept_timeout
-                    )));
-                }
-                backoff.sleep();
-            }
-            Err(e) => return Err(NetError::Io(e)),
-        }
-    };
-    stream.set_nonblocking(false)?;
+) -> Result<(TcpStream, Vec<CacheEntry>, SocketAddr), NetError> {
+    let mut stream = accept_before(listener, deadline).map_err(|e| match e.kind() {
+        ErrorKind::TimedOut => handshake_err(format!(
+            "worker {node_id}/{k} never connected within {:?}",
+            opts.accept_timeout
+        )),
+        _ => NetError::Io(e),
+    })?;
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(opts.accept_timeout))?;
     stream.set_write_timeout(Some(opts.accept_timeout))?;
@@ -569,7 +452,10 @@ fn accept_worker(
             let advert = read_crc_frame(&mut stream)?;
             ledger.control_frame(advert.len());
             match decode_worker_msg(&advert, u32::MAX)? {
-                WorkerMsg::CacheAdvert { entries } => Ok((stream, entries)),
+                WorkerMsg::CacheAdvert { mesh_port, entries } => {
+                    let mesh = SocketAddr::new(stream.peer_addr()?.ip(), mesh_port);
+                    Ok((stream, entries, mesh))
+                }
                 other => Err(handshake_err(format!(
                     "expected CacheAdvert after Welcome, got {other:?}"
                 ))),
@@ -580,7 +466,10 @@ fn accept_worker(
                 "incompatible hello: magic {magic:#010x} version {version}, \
                  this master speaks {WIRE_MAGIC:#010x} version {PROTOCOL_VERSION}"
             );
-            let _ = send_master(&mut stream, &MasterMsg::Reject { reason: reason.clone() });
+            let reject = MasterMsg::Reject {
+                reason: reason.clone(),
+            };
+            let _ = write_crc_frame(&mut stream, &encode_master_msg(&reject));
             Err(handshake_err(reason))
         }
         other => Err(handshake_err(format!(
@@ -607,9 +496,82 @@ fn config_digest(
     digest128(fp.as_bytes())
 }
 
+/// The coordinator's view of its workers during the rounds: who is
+/// still in the run, the write half of each live connection (verdicts
+/// leave through it), and why the others left.
+struct Roster {
+    alive: Vec<bool>,
+    conns: Vec<Option<TcpStream>>,
+    errors: Vec<WorkerError>,
+}
+
+impl Roster {
+    /// Declare worker `id` lost for `err` (once), and shut its
+    /// connection: its pump exits, and a worker that is only slow fails
+    /// its next read and leaves the mesh.
+    fn kill(&mut self, id: usize, err: WorkerError) {
+        if self.alive[id] {
+            self.alive[id] = false;
+            if let Some(conn) = self.conns[id].take() {
+                let _ = conn.shutdown(Shutdown::Both);
+            }
+            self.errors.push(err);
+        }
+    }
+
+    fn live(&self) -> Vec<usize> {
+        (0..self.alive.len()).filter(|&id| self.alive[id]).collect()
+    }
+
+    /// Nothing from anyone for a whole round timeout: declare every live
+    /// worker still `pending` lost.
+    fn time_out(&mut self, round: usize, waited: Duration, pending: impl Fn(usize) -> bool) {
+        for worker in self.live() {
+            if pending(worker) {
+                self.kill(
+                    worker,
+                    WorkerError::BarrierTimeout {
+                        worker,
+                        round,
+                        waited,
+                    },
+                );
+            }
+        }
+    }
+}
+
+/// Worker `id` broke the round protocol in `round`.
+fn protocol_loss(id: usize, round: usize, detail: impl Into<String>) -> WorkerError {
+    WorkerError::Comm {
+        worker: id,
+        source: CommError::Protocol {
+            round,
+            worker: id,
+            peer: id,
+            detail: detail.into(),
+        },
+    }
+}
+
+/// Worker `id`'s connection died in `round`.
+fn connection_loss(id: usize, round: usize, detail: String) -> WorkerError {
+    WorkerError::Comm {
+        worker: id,
+        source: CommError::Io {
+            round,
+            worker: id,
+            path: None,
+            kind: ErrorKind::ConnectionAborted,
+            detail,
+            attempts: 1,
+        },
+    }
+}
+
 /// Run a cluster master over `listener`: assemble `cfg.k` workers, ship
-/// partitions, coordinate rounds to quiescence, aggregate the closure
-/// into `graph`. The report is shaped exactly like
+/// partitions and the mesh peer table, vote rounds to quiescence,
+/// aggregate the closure into `graph`. The report is shaped exactly like
 /// [`run_parallel`](owlpar_core::run_parallel)'s.
 pub fn run_cluster_master(
     graph: &mut Graph,
@@ -631,7 +593,7 @@ pub fn run_cluster_master(
     let k = plan.k;
     // Telemetry: an enabled recorder in the options turns on worker-side
     // tracing (via the Welcome flag) and gives the master its own
-    // "relay" lane. Predicted-vs-measured needs the analyzer's report —
+    // "master" lane. Predicted-vs-measured needs the analyzer's report —
     // Auto runs already carry one; otherwise a traced run has the
     // analyzer score the partition `plan` already holds.
     let trace = opts.trace.clone().filter(Recorder::is_enabled);
@@ -647,23 +609,24 @@ pub fn run_cluster_master(
         .map(|a| a.round_bytes / a.rounds.expected.max(1) as f64);
     let pred_skew = analysis.as_ref().map(|a| a.max_load_share * k as f64);
     let trace_rec = trace.clone().unwrap_or_default();
-    let mut relay = trace_rec.track("relay");
+    let mut lane = trace_rec.track("master");
     let n_terms = graph.dict.len() as u32;
     let materialization = resolve_materialization(cfg.materialization, k);
     let cfg_digest = config_digest(cfg, k, materialization);
-    let ledger = Arc::new(WireLedger::default());
+    let ledger = WireLedger::default();
 
     // --- bootstrap: all-or-nothing -----------------------------------
-    let setup_span = relay.begin(Phase::Setup, NO_ROUND);
-    listener.set_nonblocking(true)?;
+    let setup_span = lane.begin(Phase::Setup, NO_ROUND);
     let deadline = Instant::now() + opts.accept_timeout;
     let mut streams = Vec::with_capacity(k);
     let mut adverts = Vec::with_capacity(k);
+    let mut peers = Vec::with_capacity(k);
     for id in 0..k {
-        let (stream, advert) =
+        let (stream, advert, mesh) =
             accept_worker(&listener, deadline, id as u32, k as u32, opts, &ledger)?;
         streams.push(stream);
         adverts.push(advert);
+        peers.push((id as u32, mesh));
     }
     let mut bases = std::mem::take(&mut plan.bases);
     for (id, stream) in streams.iter_mut().enumerate() {
@@ -696,6 +659,7 @@ pub fn run_cluster_master(
             payload_digest,
             round_timeout_ms: cfg.round_timeout.as_millis() as u64,
             faults: wire_faults(cfg, id),
+            peers: peers.clone(),
             payload: (!hit).then_some(blob),
         };
         let body = encode_master_msg(&MasterMsg::Setup(Box::new(setup)));
@@ -706,35 +670,26 @@ pub fn run_cluster_master(
         stream.set_read_timeout(Some(cfg.round_timeout.saturating_mul(2)))?;
         stream.set_write_timeout(Some(cfg.round_timeout))?;
     }
-    relay.end(setup_span);
+    lane.end(setup_span);
 
-    // --- rounds ------------------------------------------------------
+    // --- rounds: the vote ----------------------------------------------
     let t_par = Instant::now();
     let (events_tx, events) = mpsc::channel::<Event>();
-    let mut delivery_txs: Vec<Option<mpsc::Sender<MasterMsg>>> = Vec::with_capacity(k);
-    let mut worker_errors: Vec<WorkerError> = Vec::new();
+    let mut roster = Roster {
+        alive: vec![true; k],
+        conns: Vec::with_capacity(k),
+        errors: Vec::new(),
+    };
     let mut finals: Vec<Option<(WireStats, Vec<Triple>)>> = (0..k).map(|_| None).collect();
 
     thread::scope(|scope| {
         for (id, stream) in streams.into_iter().enumerate() {
-            let (tx, rx) = mpsc::channel::<MasterMsg>();
-            delivery_txs.push(Some(tx));
+            roster.conns.push(stream.try_clone().ok());
             let handler_tx = events_tx.clone();
-            let handler_ledger = Arc::clone(&ledger);
-            let handler_trace = trace.clone();
-            let chunk = opts.chunk_triples;
+            let (ledger, trace) = (&ledger, trace.as_ref());
             let builder = thread::Builder::new().name(format!("cluster-worker-{id}"));
             let spawned = builder.spawn_scoped(scope, move || {
-                handle_worker(
-                    id,
-                    stream,
-                    n_terms,
-                    chunk,
-                    &handler_ledger,
-                    &handler_tx,
-                    &rx,
-                    handler_trace.as_ref(),
-                );
+                handle_worker(id, stream, n_terms, ledger, &handler_tx, trace);
             });
             if spawned.is_err() {
                 let _ = events_tx.send(Event::Dead {
@@ -745,175 +700,71 @@ pub fn run_cluster_master(
         }
         drop(events_tx);
 
-        let mut alive = vec![true; k];
-        let mut inboxes: Vec<Vec<Triple>> = (0..k).map(|_| Vec::new()).collect();
-        let kill = |id: usize,
-                        err: WorkerError,
-                        alive: &mut Vec<bool>,
-                        delivery_txs: &mut Vec<Option<mpsc::Sender<MasterMsg>>>,
-                        worker_errors: &mut Vec<WorkerError>| {
-            if alive[id] {
-                alive[id] = false;
-                delivery_txs[id] = None; // unblocks the handler
-                worker_errors.push(err);
-            }
-        };
-
         let mut round = 0usize;
         loop {
             let mut done = vec![false; k];
             let mut round_sent = 0u64;
             // Live skew: when each worker's RoundDone lands, measured
-            // from the master's release of the previous round. The gap
-            // between first and last arrival is the straggler tax the
-            // analyzer's `skew_ratio` predicts.
+            // from the previous verdict. The gap between first and last
+            // arrival is the straggler tax the analyzer's `skew_ratio`
+            // predicts.
             let round_t0 = Instant::now();
             let mut done_at_ms: Vec<f64> = Vec::with_capacity(k);
-            let relay_bytes_before = ledger.rounds.load().bytes;
-            let wait_span = relay.begin(Phase::BarrierWait, round as u32);
-            while (0..k).any(|i| alive[i] && !done[i]) {
+            let wait_span = lane.begin(Phase::BarrierWait, round as u32);
+            while (0..k).any(|i| roster.alive[i] && !done[i]) {
                 match events.recv_timeout(cfg.round_timeout) {
-                    Ok(Event::Routed { from, to, batch }) => {
-                        if to < k {
-                            inboxes[to].extend(batch);
-                        } else {
-                            kill(
-                                from,
-                                WorkerError::Comm {
-                                    worker: from,
-                                    source: CommError::Protocol {
-                                        round,
-                                        worker: from,
-                                        peer: from,
-                                        detail: format!("routed a batch to worker {to} of {k}"),
-                                    },
-                                },
-                                &mut alive,
-                                &mut delivery_txs,
-                                &mut worker_errors,
-                            );
-                        }
+                    Ok(Event::Done {
+                        from,
+                        round: r,
+                        sent,
+                    }) if r == round => {
+                        done[from] = true;
+                        round_sent += sent;
+                        done_at_ms.push(round_t0.elapsed().as_secs_f64() * 1e3);
                     }
-                    Ok(Event::Done { from, round: r, sent }) => {
-                        if r == round {
-                            done[from] = true;
-                            round_sent += sent;
-                            done_at_ms.push(round_t0.elapsed().as_secs_f64() * 1e3);
-                        } else {
-                            kill(
-                                from,
-                                WorkerError::Comm {
-                                    worker: from,
-                                    source: CommError::Protocol {
-                                        round,
-                                        worker: from,
-                                        peer: from,
-                                        detail: format!("announced round {r} during round {round}"),
-                                    },
-                                },
-                                &mut alive,
-                                &mut delivery_txs,
-                                &mut worker_errors,
-                            );
-                        }
+                    Ok(Event::Done { from, round: r, .. }) => {
+                        let detail = format!("announced round {r} during round {round}");
+                        roster.kill(from, protocol_loss(from, round, detail));
                     }
                     Ok(Event::Dead { from, detail }) => {
-                        kill(
-                            from,
-                            WorkerError::Comm {
-                                worker: from,
-                                source: CommError::Io {
-                                    round,
-                                    worker: from,
-                                    path: None,
-                                    kind: ErrorKind::ConnectionAborted,
-                                    detail,
-                                    attempts: 1,
-                                },
-                            },
-                            &mut alive,
-                            &mut delivery_txs,
-                            &mut worker_errors,
-                        );
+                        roster.kill(from, connection_loss(from, round, detail));
                     }
-                    Ok(Event::Final { from, .. }) => {
-                        kill(
-                            from,
-                            WorkerError::Comm {
-                                worker: from,
-                                source: CommError::Protocol {
-                                    round,
-                                    worker: from,
-                                    peer: from,
-                                    detail: "sent Final before the stop verdict".to_string(),
-                                },
-                            },
-                            &mut alive,
-                            &mut delivery_txs,
-                            &mut worker_errors,
-                        );
-                    }
-                    Err(_) => {
-                        // Nothing from anyone for a whole round timeout:
-                        // declare every straggler dead.
-                        for id in 0..k {
-                            if alive[id] && !done[id] {
-                                kill(
-                                    id,
-                                    WorkerError::BarrierTimeout {
-                                        worker: id,
-                                        round,
-                                        waited: cfg.round_timeout,
-                                    },
-                                    &mut alive,
-                                    &mut delivery_txs,
-                                    &mut worker_errors,
-                                );
-                            }
-                        }
-                    }
+                    Ok(Event::Final { from, .. }) => roster.kill(
+                        from,
+                        protocol_loss(from, round, "sent Final before the stop verdict"),
+                    ),
+                    Err(_) => roster.time_out(round, cfg.round_timeout, |id| !done[id]),
                 }
             }
-
-            relay.end(wait_span);
+            lane.end(wait_span);
 
             // The verdict: quiescence, or any loss so far drains the
             // survivors — same rule as the in-process RunFlags check.
-            let stop = round_sent == 0 || !worker_errors.is_empty();
-            for id in 0..k {
-                if !alive[id] || !done[id] {
-                    continue;
-                }
-                let deliver = MasterMsg::Deliver {
-                    round: round as u32,
-                    stop,
-                    triples: std::mem::take(&mut inboxes[id]),
-                };
-                if let Some(tx) = &delivery_txs[id] {
-                    if tx.send(deliver).is_err() {
-                        kill(
-                            id,
-                            WorkerError::Comm {
-                                worker: id,
-                                source: CommError::Disconnected {
-                                    round,
-                                    from: id,
-                                    to: id,
-                                },
-                            },
-                            &mut alive,
-                            &mut delivery_txs,
-                            &mut worker_errors,
-                        );
-                    }
+            let stop = round_sent == 0 || !roster.errors.is_empty();
+            let verdict = encode_master_msg(&MasterMsg::Verdict {
+                round: round as u32,
+                stop,
+            });
+            for id in roster.live() {
+                ledger.control_frame(verdict.len());
+                let written = roster.conns[id]
+                    .as_mut()
+                    .is_some_and(|conn| write_crc_frame(conn, &verdict).is_ok());
+                if !written {
+                    let gone = CommError::Disconnected {
+                        round,
+                        from: id,
+                        to: id,
+                    };
+                    roster.kill(
+                        id,
+                        WorkerError::Comm {
+                            worker: id,
+                            source: gone,
+                        },
+                    );
                 }
             }
-            // Relay traffic this round, measured at the master: inbound
-            // Triples plus outbound Deliver(Chunk)s charged since the
-            // loop top. (Deliveries of round N−1 written after that
-            // snapshot smear into round N — a bounded, documented blur.)
-            let relay_bytes = ledger.rounds.load().bytes.saturating_sub(relay_bytes_before);
-            relay.count(Phase::Exchange, round as u32, Metric::Bytes, relay_bytes);
             if trace.is_some() && !done_at_ms.is_empty() {
                 let max = done_at_ms.iter().copied().fold(f64::MIN, f64::max);
                 let min = done_at_ms.iter().copied().fold(f64::MAX, f64::min);
@@ -928,82 +779,34 @@ pub fn run_cluster_master(
                 eprintln!(
                     "[owlpar-cluster] RoundSummary round={round} workers={} \
                      sent={round_sent} max_ms={max:.1} min_ms={min:.1} \
-                     skew_ms={:.1} skew_ratio={skew_ratio:.2} \
-                     relay_bytes={relay_bytes}{pred}",
+                     skew_ms={:.1} skew_ratio={skew_ratio:.2}{pred}",
                     done_at_ms.len(),
                     max - min,
                 );
             }
-            if stop || !alive.iter().any(|&a| a) {
+            if stop || roster.live().is_empty() {
                 break;
             }
             round += 1;
         }
 
         // --- finals --------------------------------------------------
-        while (0..k).any(|i| alive[i] && finals[i].is_none()) {
+        while (0..k).any(|i| roster.alive[i] && finals[i].is_none()) {
             match events.recv_timeout(cfg.round_timeout) {
                 Ok(Event::Final { from, stats, run }) => {
                     finals[from] = Some((stats, run));
-                    delivery_txs[from] = None;
+                    roster.conns[from] = None;
                 }
                 Ok(Event::Dead { from, detail }) => {
-                    kill(
-                        from,
-                        WorkerError::Comm {
-                            worker: from,
-                            source: CommError::Io {
-                                round,
-                                worker: from,
-                                path: None,
-                                kind: ErrorKind::ConnectionAborted,
-                                detail,
-                                attempts: 1,
-                            },
-                        },
-                        &mut alive,
-                        &mut delivery_txs,
-                        &mut worker_errors,
-                    );
+                    roster.kill(from, connection_loss(from, round, detail));
                 }
-                Ok(Event::Routed { .. }) => {} // late, harmless: run is over
-                Ok(Event::Done { from, .. }) => {
-                    kill(
-                        from,
-                        WorkerError::Comm {
-                            worker: from,
-                            source: CommError::Protocol {
-                                round,
-                                worker: from,
-                                peer: from,
-                                detail: "announced a round after the stop verdict".to_string(),
-                            },
-                        },
-                        &mut alive,
-                        &mut delivery_txs,
-                        &mut worker_errors,
-                    );
-                }
-                Err(_) => {
-                    for id in 0..k {
-                        if alive[id] && finals[id].is_none() {
-                            kill(
-                                id,
-                                WorkerError::BarrierTimeout {
-                                    worker: id,
-                                    round,
-                                    waited: cfg.round_timeout,
-                                },
-                                &mut alive,
-                                &mut delivery_txs,
-                                &mut worker_errors,
-                            );
-                        }
-                    }
-                }
+                Ok(Event::Done { from, .. }) => roster.kill(
+                    from,
+                    protocol_loss(from, round, "announced a round after the stop verdict"),
+                ),
+                Err(_) => roster.time_out(round, cfg.round_timeout, |id| finals[id].is_none()),
             }
         }
-        delivery_txs.clear(); // release any handler still blocked
     });
     let host_parallel_time = t_par.elapsed();
 
@@ -1023,6 +826,8 @@ pub fn run_cluster_master(
         };
         rec.set_extra("plan", plan_json);
     }
+    let stats: Vec<&WireStats> = finals.iter().flatten().map(|(s, _)| s).collect();
+    let wire = ledger.snapshot(&stats);
     let outcomes = finals
         .into_iter()
         .enumerate()
@@ -1032,11 +837,11 @@ pub fn run_cluster_master(
         graph,
         cfg,
         &plan,
-        &mut relay,
+        &mut lane,
         outcomes,
-        worker_errors,
+        roster.errors,
         (start_total, before_len, host_parallel_time),
-        Some(ledger.snapshot()),
+        Some(wire),
     )?;
     Ok(report)
 }
@@ -1149,33 +954,32 @@ impl MasterConn {
         write_crc_frame(&mut self.stream, &body).map_err(NetError::from)
     }
 
-    /// Read one master frame and decode it against `n_terms`.
-    fn read(&mut self, n_terms: u32) -> Result<MasterMsg, NetError> {
+    /// Read and decode one master frame.
+    fn read(&mut self) -> Result<MasterMsg, NetError> {
         let body = read_crc_frame(&mut self.stream)?;
         self.recv += body.len() as u64 + FRAME_OVERHEAD;
-        decode_master_msg(&body, n_terms)
+        decode_master_msg(&body)
     }
 }
 
-/// The master connection as the round loop sees it ([`RoundLink`]): a
-/// round's batches leave as `Triples` frames, the send window closes
-/// with `RoundDone`, and the master's `DeliverChunk* Deliver` stream is
-/// barrier, inbox and verdict in one. What the master does between the
-/// two — the star relay — is its side of the protocol and is unchanged.
-struct ClusterLink {
+/// The cluster's [`RoundVote`]: the master connection. A round closes
+/// when this worker's mesh collect has every live peer's end-of-round
+/// marker; then `RoundDone` reports the round's send count and the
+/// master's `Verdict` — sent once every live worker has reported —
+/// decides whether the run goes on. No peer can send round `r + 1`
+/// frames before every worker has collected round `r`.
+struct MasterVote {
     conn: MasterConn,
-    /// Dictionary bound inbound triples are checked against.
-    n_terms: u32,
-    /// Most triples per `Triples` / `FinalChunk` frame.
-    chunk: usize,
     /// The worker-level faults the master planned for this node.
     faults: Vec<(u32, WireFault)>,
     /// The worker's local recorder: enabled iff the master asked for
     /// telemetry, which then rides the connection as `TraceChunk`s.
     rec: Recorder,
+    /// What this worker's mesh endpoint wrote, per round.
+    tally: MeshTally,
 }
 
-impl ClusterLink {
+impl MasterVote {
     /// Ship the telemetry `lane` has buffered (nothing when untraced).
     /// The chunk's `clock_us` doubles as the clock-offset handshake: the
     /// master keeps the minimum-latency estimate over all chunks.
@@ -1188,10 +992,10 @@ impl ClusterLink {
     }
 }
 
-impl RoundLink for ClusterLink {
+impl RoundVote for MasterVote {
     type Error = NetError;
 
-    fn begin_round(&mut self, round: usize) -> Result<(), NetError> {
+    fn begin_round(&mut self, round: usize, _comm: &WorkerComm) -> Result<(), NetError> {
         for &(r, fault) in &self.faults {
             if r as usize != round {
                 continue;
@@ -1210,70 +1014,47 @@ impl RoundLink for ClusterLink {
         Ok(())
     }
 
-    fn send(&mut self, _round: usize, to: usize, batch: &[Triple]) -> Result<bool, NetError> {
-        // Bounded frames regardless of batch size: a huge round splits
-        // into several Triples frames the master unions.
-        for part in batch.chunks(self.chunk) {
-            self.conn.send(&WorkerMsg::Triples {
-                to: to as u32,
-                batch: part.to_vec(),
-            })?;
-        }
-        Ok(true)
-    }
-
-    fn finish_round(
+    fn close_round(
         &mut self,
         round: usize,
         sent: u64,
+        comm: &mut WorkerComm,
         lane: &mut Track,
     ) -> Result<(Vec<Triple>, bool), NetError> {
+        let received = collect_round(comm, round, lane)?;
+        let trace_round = round as u32;
+        let wrote = self
+            .tally
+            .lock()
+            .map_or(0, |r| r.get(round).map_or(0, |w| w.bytes));
+        lane.count(Phase::Exchange, trace_round, Metric::Bytes, wrote);
         // One trace chunk per round, before announcing it, keeps frames
         // small and gives the master a fresh clock sample every round.
         // Spans still open here (the Round span itself) ride a later
         // chunk.
         self.ship_trace(lane)?;
         self.conn.send(&WorkerMsg::RoundDone {
-            round: round as u32,
+            round: trace_round,
             sent,
         })?;
-        // The round's inbound stream: any number of DeliverChunk frames
-        // then the Deliver verdict carrying the tail.
-        let wait_span = lane.begin(Phase::BarrierWait, round as u32);
-        let mut inbound: Vec<Triple> = Vec::new();
-        let stop = loop {
-            let (r, batch, verdict) = match self.conn.read(self.n_terms)? {
-                MasterMsg::DeliverChunk { round, batch } => (round, batch, None),
-                MasterMsg::Deliver {
-                    round,
-                    stop,
-                    triples,
-                } => (round, triples, Some(stop)),
-                other => {
-                    return Err(NetError::protocol(format!(
-                        "expected Deliver, got {other:?}"
-                    )))
-                }
-            };
-            if r as usize != round {
+        let wait_span = lane.begin(Phase::BarrierWait, trace_round);
+        let stop = match self.conn.read()? {
+            MasterMsg::Verdict { round: r, stop } if r == trace_round => stop,
+            other => {
                 return Err(NetError::protocol(format!(
-                    "master delivered round {r} during round {round}"
-                )));
-            }
-            inbound.extend(batch);
-            if let Some(stop) = verdict {
-                break stop;
+                    "expected the round-{round} Verdict, got {other:?}"
+                )))
             }
         };
         lane.end(wait_span);
-        Ok((inbound, stop))
+        Ok((received, stop))
     }
 }
 
-/// Run one worker process: dial the master, handshake, receive the
-/// partition, run the round loop ([`run_rounds`]) over the master
-/// connection to the stop verdict, ship back the sorted run of what it
-/// gained.
+/// Run one worker process: bind a mesh listener, dial the master,
+/// handshake, receive the partition and the peer table, join the mesh,
+/// run the round loop ([`run_rounds`]) to the stop verdict, ship back the
+/// sorted run of what it gained.
 pub fn run_cluster_worker(
     addr: impl ToSocketAddrs,
     opts: &WorkerOptions,
@@ -1296,6 +1077,10 @@ pub fn run_cluster_worker(
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(opts.connect_timeout))?;
     stream.set_write_timeout(Some(opts.connect_timeout))?;
+    // The mesh listener, on the address this host reaches the master
+    // from — the one the master will see and hand to our peers.
+    let mesh_listener = TcpListener::bind(SocketAddr::new(stream.local_addr()?.ip(), 0))?;
+    let mesh_port = mesh_listener.local_addr()?.port();
     let mut conn = MasterConn {
         stream,
         sent: 0,
@@ -1307,7 +1092,7 @@ pub fn run_cluster_worker(
         magic: WIRE_MAGIC,
         version: PROTOCOL_VERSION,
     })?;
-    let (node_id, k, epoch, traced) = match conn.read(u32::MAX)? {
+    let (node_id, k, epoch, traced) = match conn.read()? {
         MasterMsg::Welcome {
             node_id,
             k,
@@ -1327,16 +1112,16 @@ pub fn run_cluster_worker(
         )));
     }
 
-    // Advertise whatever shipped partitions we hold (an empty advert
-    // when uncached — the master always reads one).
+    // Advertise the mesh port and whatever shipped partitions we hold
+    // (no entries when uncached — the master always reads one).
     let cache = match &opts.cache_dir {
         Some(dir) => Some(PartitionCache::open(dir)?),
         None => None,
     };
     let entries = cache.as_ref().map(PartitionCache::scan).unwrap_or_default();
-    conn.send(&WorkerMsg::CacheAdvert { entries })?;
+    conn.send(&WorkerMsg::CacheAdvert { mesh_port, entries })?;
 
-    let setup = match conn.read(u32::MAX)? {
+    let setup = match conn.read()? {
         MasterMsg::Setup(s) => *s,
         other => {
             return Err(handshake_err(format!(
@@ -1344,6 +1129,7 @@ pub fn run_cluster_worker(
             )))
         }
     };
+    let peers = mesh_peers(&setup.peers, k)?;
     // Resolve the payload blob: shipped on the wire (verify, then
     // persist for next time) or elided because the master matched our
     // advert (load and re-verify from disk). Either way the bytes are
@@ -1380,16 +1166,25 @@ pub fn run_cluster_worker(
     };
     let payload = decode_setup_payload(&blob)?;
     let round_timeout = Duration::from_millis(setup.round_timeout_ms.max(1000));
-    // The master's Deliver can lag a full coordinator round behind our
-    // sends; give reads twice its patience before declaring it gone.
-    conn.stream
-        .set_read_timeout(Some(round_timeout.saturating_mul(2)))?;
+    // The master's Verdict waits for the slowest worker's collect; give
+    // reads (and mesh collects) twice its patience before declaring a
+    // peer gone.
+    let patience = round_timeout.saturating_mul(2);
+    conn.stream.set_read_timeout(Some(patience))?;
     conn.stream.set_write_timeout(Some(round_timeout))?;
 
-    // --- rounds: the one loop, over the master connection --------------
+    // --- the mesh ------------------------------------------------------
+    let me = node_id as usize;
+    let chunk = opts.chunk_triples.max(1);
+    let mesh_deadline = Instant::now() + opts.connect_timeout;
+    let endpoint = join_mesh(me, &mesh_listener, &peers, mesh_deadline, patience, chunk)
+        .map_err(|source| WorkerError::Comm { worker: me, source })?;
+    drop(mesh_listener);
+
+    // --- rounds: the one loop, peer to peer, voted at the master --------
     let all_rules = Arc::new(payload.all_rules);
     let ctx = WorkerCtx {
-        id: node_id as usize,
+        id: me,
         k: k as usize,
         routing: rebuild_routing(payload.routing, k, &all_rules)?,
         reasoner: Reasoner::new(payload.my_rules, payload.materialization),
@@ -1408,15 +1203,19 @@ pub fn run_cluster_worker(
         Recorder::disabled()
     };
     let mut lane = rec.track("worker");
-    let chunk = opts.chunk_triples.max(1);
-    let mut link = ClusterLink {
-        conn,
-        n_terms: payload.n_terms,
-        chunk,
-        faults: setup.faults,
-        rec,
+    let tally = Arc::clone(&endpoint.tally);
+    let mut link = BarrierLink {
+        comm: WorkerComm::custom(me, Box::new(endpoint)),
+        vote: MasterVote {
+            conn,
+            faults: setup.faults,
+            rec,
+            tally,
+        },
     };
     let (full, stats) = run_rounds(ctx, &mut link, &mut lane)?;
+    let BarrierLink { comm, mut vote } = link;
+    drop(comm); // leave the mesh
 
     let summary = WorkerSummary {
         node_id,
@@ -1434,15 +1233,15 @@ pub fn run_cluster_worker(
     // what the delta codec compresses best.
     let tail_start = full.len().saturating_sub(1) / chunk * chunk;
     for (seq, part) in full[..tail_start].chunks(chunk).enumerate() {
-        link.conn.send(&WorkerMsg::FinalChunk {
+        vote.conn.send(&WorkerMsg::FinalChunk {
             seq: seq as u32,
             batch: part.to_vec(),
         })?;
     }
-    // Flush the telemetry stragglers (final Round span, last barrier
+    // Flush the telemetry stragglers (final Round span, last verdict
     // wait) just before the Final frame — the handler absorbs the
     // accumulated events when the pump exits.
-    link.ship_trace(&mut lane)?;
+    vote.ship_trace(&mut lane)?;
     // The counters ride inside the Final frame, so they cannot include
     // it; the master-side ledger is the authoritative total.
     let micros = |d: Duration| d.as_micros() as u64;
@@ -1454,13 +1253,14 @@ pub fn run_cluster_worker(
         reason_micros: micros(stats.reason_time),
         io_micros: micros(stats.io_time),
         round_cpu_micros: stats.round_cpu.iter().copied().map(micros).collect(),
+        round_wire: vote.tally.lock().map(|r| r.clone()).unwrap_or_default(),
         output_size: stats.output_size as u64,
-        wire_sent_bytes: link.conn.sent,
-        wire_recv_bytes: link.conn.recv,
+        wire_sent_bytes: vote.conn.sent,
+        wire_recv_bytes: vote.conn.recv,
         skipped: stats.skipped as u64,
         io_retries: stats.io_retries as u64,
     };
-    link.conn
+    vote.conn
         .send(&WorkerMsg::Final {
             stats,
             run: full[tail_start..].to_vec(),

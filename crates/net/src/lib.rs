@@ -5,17 +5,20 @@
 //! in-process (threads + channels or shared-directory files); this crate
 //! takes the remaining step to *actual* distribution, in two layers:
 //!
-//! * [`transport`] — a loopback TCP mesh implementing the core's
-//!   [`Transport`](owlpar_core::Transport) plug-in point, so
-//!   `run_parallel` can push every inter-partition triple through real
-//!   sockets ([`CommMode::Custom`](owlpar_core::CommMode)) while keeping
-//!   its threads, barriers and fault containment;
-//! * [`cluster`] — a multi-process star runtime: a master process
-//!   partitions the KB with the same [`prepare_run`](owlpar_core::prepare_run)
-//!   the in-process runtime uses, ships each worker process its partition,
-//!   rule-base and routing table over a versioned bootstrap protocol, then
-//!   coordinates barrier rounds with per-connection deadlines. A worker
-//!   that dies mid-run (EOF, deadline, injected
+//! * [`transport`] — the TCP mesh, one connection per worker pair,
+//!   implementing the core's [`Transport`](owlpar_core::Transport)
+//!   plug-in point: `run_parallel` can push every inter-partition triple
+//!   through real loopback sockets ([`CommMode::Custom`](owlpar_core::CommMode))
+//!   while keeping its threads, barriers and fault containment, and the
+//!   cluster's workers exchange over the same mesh;
+//! * [`cluster`] — a multi-process runtime: a master process partitions
+//!   the KB with the same [`prepare_run`](owlpar_core::prepare_run) the
+//!   in-process runtime uses, ships each worker process its partition,
+//!   rule-base, routing table and the mesh peer table over a versioned
+//!   bootstrap protocol, then only votes: workers trade triples peer to
+//!   peer, and the master turns their per-round send counts into a stop
+//!   verdict, with a deadline on every connection. A worker that dies
+//!   mid-run (EOF, deadline, injected
 //!   [`FaultKind::Disconnect`](owlpar_core::FaultKind)) flows into the
 //!   same adopt-and-reclose recovery the in-process master uses.
 //!
@@ -35,7 +38,6 @@ pub mod transport;
 pub use cache::PartitionCache;
 pub use cluster::{
     run_cluster_master, run_cluster_worker, MasterOptions, WorkerOptions, WorkerSummary,
-    DEFAULT_CHUNK_TRIPLES,
 };
 pub use protocol::{NetError, PROTOCOL_VERSION, WIRE_MAGIC};
-pub use transport::TcpFabricFactory;
+pub use transport::{TcpFabricFactory, DEFAULT_CHUNK_TRIPLES};

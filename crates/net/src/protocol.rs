@@ -11,9 +11,15 @@
 //! (the stream cannot be resynchronized), not a skippable message.
 //!
 //! ```text
-//! worker → master:  Hello CacheAdvert | Triples* RoundDone | FinalChunk* Final
-//! master → worker:  Welcome | Reject | Setup | DeliverChunk* Deliver
+//! worker → master:  Hello CacheAdvert | (TraceChunk? RoundDone)* | FinalChunk* Final
+//! master → worker:  Welcome | Reject | Setup | Verdict*
 //! ```
+//!
+//! **v5**: round triples travel worker to worker over the TCP mesh
+//! (`transport`); on the master connection a round is only the vote,
+//! `RoundDone` then `Verdict`. The mesh port rides the `CacheAdvert`,
+//! and the peer table the `Setup` header — never the cached payload,
+//! because addresses change per run.
 //!
 //! **Wire format v2** (see `DESIGN.md §13`): triple payloads travel as
 //! sort-order delta/varint blocks ([`owlpar_core::frame::encode_triple_block`])
@@ -21,9 +27,9 @@
 //! encoded; the bulky parts of `Setup` are wrapped into a canonical
 //! [`SetupPayload`] blob so a worker that already holds the identical
 //! blob in its on-disk cache can be sent the 16-byte digest instead; and
-//! large `Final`/`Deliver` transfers stream as bounded chunk sequences
-//! (`FinalChunk*`/`DeliverChunk*` ending in the ordinary terminator), so
-//! a result of any size moves without raising the per-frame payload cap.
+//! a large `Final` streams as a bounded chunk sequence (`FinalChunk*`
+//! ending in the ordinary terminator), so a result of any size moves
+//! without raising the per-frame payload cap.
 //!
 //! **v4** changes what the final stream *means*, not its grammar: a
 //! worker's `FinalChunk* Final` sequence is one SPO-ascending,
@@ -40,13 +46,15 @@
 //! `Reject` in both directions, never garbage.
 
 use owlpar_core::frame::{get_varint32, put_varint32};
+use owlpar_core::stats::WirePhase;
 use owlpar_core::worker::Routing;
 use owlpar_core::{
-    decode_triple_block, encode_triple_block, FrameError, RunError, WorkerStats,
+    decode_triple_block, encode_triple_block, FrameError, RunError, WorkerError, WorkerStats,
 };
 use owlpar_datalog::backward::TableScope;
 use owlpar_datalog::{Atom, MaterializationStrategy, Rule, TermPat};
 use owlpar_rdf::{NodeId, Triple};
+use std::net::{IpAddr, Ipv6Addr, SocketAddr};
 use std::time::Duration;
 
 /// `"OWLP"` — first field of every `Hello`.
@@ -64,7 +72,9 @@ pub const WIRE_MAGIC: u32 = 0x4F57_4C50;
 /// instead of its whole store — same bytes on the wire, different
 /// meaning, so a v3 peer must be refused. The `Hello` layout stays
 /// frozen.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// v5: no relay — rounds on the master connection are `RoundDone` and
+/// `Verdict`; the triples cross the workers' mesh.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Anything that can go wrong running the cluster.
 #[derive(Debug)]
@@ -89,6 +99,9 @@ pub enum NetError {
     /// The run itself failed with a structured core error (lint gate,
     /// bad config, unrecovered worker losses).
     Run(RunError),
+    /// This worker's mesh endpoint failed: it could not join the mesh,
+    /// a peer's stream was damaged, or a collect timed out.
+    Worker(WorkerError),
     /// An injected fault ([`owlpar_core::FaultKind::Disconnect`] /
     /// `Panic`) killed this worker on schedule — the expected outcome of
     /// a chaos run, kept distinct from organic failures.
@@ -108,6 +121,7 @@ impl std::fmt::Display for NetError {
             NetError::Protocol { detail } => write!(f, "protocol violation: {detail}"),
             NetError::Handshake { detail } => write!(f, "handshake failed: {detail}"),
             NetError::Run(e) => write!(f, "run failed: {e}"),
+            NetError::Worker(e) => write!(f, "mesh failed: {e}"),
             NetError::Injected { round, kind } => {
                 write!(f, "injected {kind} fault fired at round {round}")
             }
@@ -121,6 +135,7 @@ impl std::error::Error for NetError {
             NetError::Io(e) => Some(e),
             NetError::Frame(e) => Some(e),
             NetError::Run(e) => Some(e),
+            NetError::Worker(e) => Some(e),
             _ => None,
         }
     }
@@ -141,6 +156,12 @@ impl From<FrameError> for NetError {
 impl From<RunError> for NetError {
     fn from(e: RunError) -> Self {
         NetError::Run(e)
+    }
+}
+
+impl From<WorkerError> for NetError {
+    fn from(e: WorkerError) -> Self {
+        NetError::Worker(e)
     }
 }
 
@@ -270,6 +291,10 @@ pub struct Setup {
     /// Injected faults for this worker, as `(round, fault)` pairs.
     /// Per-run, so deliberately *outside* the cached payload.
     pub faults: Vec<(u32, WireFault)>,
+    /// The mesh peer table: `(worker id, mesh listener address)` for
+    /// every worker of the run, this one included. Per-run, like
+    /// `faults`; checked against the cluster size by [`mesh_peers`].
+    pub peers: Vec<(u32, SocketAddr)>,
     /// The encoded [`SetupPayload`], or `None` on a cache hit.
     pub payload: Option<Vec<u8>>,
 }
@@ -309,6 +334,9 @@ pub struct WireStats {
     /// Final size of the worker's full local store (shipped partition +
     /// everything gained) — not the length of the run it sends back.
     pub output_size: u64,
+    /// What this worker's mesh endpoint wrote in each round (index =
+    /// round): bytes (frame headers included), frames, triples.
+    pub round_wire: Vec<WirePhase>,
     /// Bytes this worker wrote to its master connection (frame headers
     /// included) — the worker's own view of its wire footprint.
     pub wire_sent_bytes: u64,
@@ -355,24 +383,19 @@ pub enum WorkerMsg {
         /// Must be [`PROTOCOL_VERSION`].
         version: u32,
     },
-    /// Sent once right after `Welcome`: the shipped-partition cache
-    /// entries this worker holds for the master to match against.
-    /// An empty advert is valid (no cache, or nothing relevant).
+    /// Sent once right after `Welcome`: the port of this worker's mesh
+    /// listener (on the address it reached the master from) and the
+    /// shipped-partition cache entries it holds for the master to match
+    /// against. An empty entry list is valid (no cache, or nothing
+    /// relevant).
     CacheAdvert {
+        /// Mesh listener port.
+        mesh_port: u16,
         /// Entries, at most [`MAX_CACHE_ADVERT`].
         entries: Vec<CacheEntry>,
     },
-    /// Fresh derivations routed to worker `to`, part of the current
-    /// round (every `Triples` precedes its round's `RoundDone` on the
-    /// stream, so the round number is implicit). Large batches split
-    /// into several `Triples` frames; the master unions them.
-    Triples {
-        /// Destination worker.
-        to: u32,
-        /// The routed triples.
-        batch: Vec<Triple>,
-    },
-    /// This worker finished the round's local work and sends.
+    /// This worker finished the round: its sends are out and its mesh
+    /// collect has every live peer's end-of-round marker.
     RoundDone {
         /// The round just finished.
         round: u32,
@@ -388,7 +411,7 @@ pub enum WorkerMsg {
         /// The chunk's triples.
         batch: Vec<Triple>,
     },
-    /// Sent once after a `Stop` verdict: counters + the tail of the
+    /// Sent once after a stopping `Verdict`: counters + the tail of the
     /// final run (everything not already streamed as `FinalChunk`s). The
     /// run is the SPO-sorted set of triples this worker derived or
     /// received — never the schema or base it was shipped.
@@ -434,24 +457,13 @@ pub enum MasterMsg {
     },
     /// The worker's partition of the run plan.
     Setup(Box<Setup>),
-    /// One bounded chunk of a round's inbound triples, streamed before
-    /// the round's `Deliver` verdict.
-    DeliverChunk {
-        /// The round the chunk belongs to.
-        round: u32,
-        /// The chunk's triples.
-        batch: Vec<Triple>,
-    },
-    /// Round verdict + the tail of this worker's inbound triples for
-    /// the round (everything not already streamed as `DeliverChunk`s).
-    Deliver {
+    /// The answer to every live worker's `RoundDone` for `round`.
+    Verdict {
         /// The round this verdict closes.
         round: u32,
         /// True when the run is over (quiescence or a lost worker):
         /// absorb nothing, send `Final`.
         stop: bool,
-        /// Tail of the triples routed to this worker this round.
-        triples: Vec<Triple>,
     },
 }
 
@@ -463,14 +475,12 @@ const TAG_HELLO: u8 = 1;
 const TAG_WELCOME: u8 = 2;
 const TAG_REJECT: u8 = 3;
 const TAG_SETUP: u8 = 4;
-const TAG_TRIPLES: u8 = 5;
 const TAG_ROUND_DONE: u8 = 6;
-const TAG_DELIVER: u8 = 7;
 const TAG_FINAL: u8 = 8;
 const TAG_CACHE_ADVERT: u8 = 9;
 const TAG_FINAL_CHUNK: u8 = 10;
-const TAG_DELIVER_CHUNK: u8 = 11;
 const TAG_TRACE_CHUNK: u8 = 12;
+const TAG_VERDICT: u8 = 13;
 
 /// Largest encoded trace chunk the decoder accepts. Generous — a chunk
 /// holds one round's spans for one worker, a few dozen events.
@@ -578,6 +588,54 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// `(worker id, address)` peer table: `count varint`, then per entry
+/// `id varint | ip [u8; 16] | port u16`, an IPv4 address as its
+/// IPv4-mapped IPv6 form — 19 bytes per worker, whatever its address.
+fn put_peers(out: &mut Vec<u8>, peers: &[(u32, SocketAddr)]) {
+    put_varint32(out, peers.len() as u32);
+    for (id, addr) in peers {
+        let ip = match addr.ip() {
+            IpAddr::V4(ip) => ip.to_ipv6_mapped(),
+            IpAddr::V6(ip) => ip,
+        };
+        put_varint32(out, *id);
+        out.extend_from_slice(&ip.octets());
+        out.extend_from_slice(&addr.port().to_le_bytes());
+    }
+}
+
+fn get_peers(cur: &mut Cursor<'_>) -> Result<Vec<(u32, SocketAddr)>, NetError> {
+    // No allocation up front: a count larger than the body runs out of
+    // bytes (a typed truncation error) before the table grows past it.
+    (0..cur.varint()?)
+        .map(|_| {
+            let id = cur.varint()?;
+            let mut ip = [0u8; 16];
+            ip.copy_from_slice(cur.take(16)?);
+            let port = cur.take(2)?;
+            let port = u16::from_le_bytes([port[0], port[1]]);
+            Ok((id, SocketAddr::new(Ipv6Addr::from(ip).to_canonical(), port)))
+        })
+        .collect()
+}
+
+/// Check a shipped peer table against the cluster size `k` and index it
+/// by worker id: exactly one entry for every id below `k`.
+pub fn mesh_peers(table: &[(u32, SocketAddr)], k: u32) -> Result<Vec<SocketAddr>, NetError> {
+    let bad = |what: String| NetError::protocol(format!("peer table {what} for a cluster of {k}"));
+    if table.len() != k as usize {
+        return Err(bad(format!("of {} entries", table.len())));
+    }
+    let mut addrs = vec![None; table.len()];
+    for &(id, addr) in table {
+        match addrs.get_mut(id as usize) {
+            Some(slot @ None) => *slot = Some(addr),
+            _ => return Err(bad(format!("names worker {id} twice or out of range"))),
+        }
+    }
+    Ok(addrs.into_iter().flatten().collect())
 }
 
 fn put_string(out: &mut Vec<u8>, s: &str) {
@@ -969,6 +1027,12 @@ fn put_stats(out: &mut Vec<u8>, s: &WireStats) {
     for &us in &s.round_cpu_micros {
         put_u64(out, us);
     }
+    put_u32(out, s.round_wire.len() as u32);
+    for w in &s.round_wire {
+        put_u64(out, w.bytes);
+        put_u64(out, w.frames);
+        put_u64(out, w.triples);
+    }
     put_u64(out, s.output_size);
     put_u64(out, s.wire_sent_bytes);
     put_u64(out, s.wire_recv_bytes);
@@ -991,6 +1055,20 @@ fn get_stats(cur: &mut Cursor<'_>) -> Result<WireStats, NetError> {
     for _ in 0..n {
         round_cpu_micros.push(cur.u64()?);
     }
+    let n = cur.u32()? as usize;
+    if n > 1 << 20 {
+        return Err(NetError::protocol(format!(
+            "round_wire list of {n} entries"
+        )));
+    }
+    let mut round_wire = Vec::with_capacity(n);
+    for _ in 0..n {
+        round_wire.push(WirePhase {
+            bytes: cur.u64()?,
+            frames: cur.u64()?,
+            triples: cur.u64()?,
+        });
+    }
     Ok(WireStats {
         rounds,
         derived,
@@ -999,6 +1077,7 @@ fn get_stats(cur: &mut Cursor<'_>) -> Result<WireStats, NetError> {
         reason_micros,
         io_micros,
         round_cpu_micros,
+        round_wire,
         output_size: cur.u64()?,
         wire_sent_bytes: cur.u64()?,
         wire_recv_bytes: cur.u64()?,
@@ -1056,8 +1135,9 @@ pub fn encode_worker_msg(m: &WorkerMsg) -> Vec<u8> {
             put_u32(&mut out, *magic);
             put_u32(&mut out, *version);
         }
-        WorkerMsg::CacheAdvert { entries } => {
+        WorkerMsg::CacheAdvert { mesh_port, entries } => {
             out.push(TAG_CACHE_ADVERT);
+            out.extend_from_slice(&mesh_port.to_le_bytes());
             put_u32(&mut out, entries.len() as u32);
             for e in entries {
                 out.extend_from_slice(&e.input);
@@ -1065,11 +1145,6 @@ pub fn encode_worker_msg(m: &WorkerMsg) -> Vec<u8> {
                 put_u32(&mut out, e.node);
                 out.extend_from_slice(&e.payload);
             }
-        }
-        WorkerMsg::Triples { to, batch } => {
-            out.push(TAG_TRIPLES);
-            put_u32(&mut out, *to);
-            put_triples(&mut out, batch);
         }
         WorkerMsg::RoundDone { round, sent } => {
             out.push(TAG_ROUND_DONE);
@@ -1105,6 +1180,8 @@ pub fn decode_worker_msg(body: &[u8], n_terms: u32) -> Result<WorkerMsg, NetErro
             version: cur.u32()?,
         },
         TAG_CACHE_ADVERT => {
+            let port = cur.take(2)?;
+            let mesh_port = u16::from_le_bytes([port[0], port[1]]);
             let count = cur.u32()? as usize;
             if count > MAX_CACHE_ADVERT {
                 return Err(NetError::protocol(format!(
@@ -1120,12 +1197,8 @@ pub fn decode_worker_msg(body: &[u8], n_terms: u32) -> Result<WorkerMsg, NetErro
                     payload: cur.digest()?,
                 });
             }
-            WorkerMsg::CacheAdvert { entries }
+            WorkerMsg::CacheAdvert { mesh_port, entries }
         }
-        TAG_TRIPLES => WorkerMsg::Triples {
-            to: cur.u32()?,
-            batch: get_triples(&mut cur, n_terms)?,
-        },
         TAG_ROUND_DONE => WorkerMsg::RoundDone {
             round: cur.u32()?,
             sent: cur.u64()?,
@@ -1199,6 +1272,7 @@ pub fn encode_master_msg(m: &MasterMsg) -> Vec<u8> {
                     }
                 }
             }
+            put_peers(&mut out, &s.peers);
             match &s.payload {
                 Some(blob) => {
                     out.push(1);
@@ -1208,31 +1282,19 @@ pub fn encode_master_msg(m: &MasterMsg) -> Vec<u8> {
                 None => out.push(0),
             }
         }
-        MasterMsg::DeliverChunk { round, batch } => {
-            out.push(TAG_DELIVER_CHUNK);
-            put_u32(&mut out, *round);
-            put_triples(&mut out, batch);
-        }
-        MasterMsg::Deliver {
-            round,
-            stop,
-            triples,
-        } => {
-            out.push(TAG_DELIVER);
+        MasterMsg::Verdict { round, stop } => {
+            out.push(TAG_VERDICT);
             put_u32(&mut out, *round);
             out.push(u8::from(*stop));
-            put_triples(&mut out, triples);
         }
     }
     out
 }
 
-/// Decode a master→worker message body. `n_terms` bounds triple ids in
-/// `Deliver`/`DeliverChunk`; a `Setup` payload carries (and is
-/// validated against) its own. During the handshake — before any
-/// `Setup` — pass the value from the `Setup` once known, or `u32::MAX`
-/// to accept any id (the handshake messages carry no triples).
-pub fn decode_master_msg(body: &[u8], n_terms: u32) -> Result<MasterMsg, NetError> {
+/// Decode a master→worker message body. None carries triples: a
+/// `Setup` payload is decoded (and validated against its own dictionary
+/// size) by [`decode_setup_payload`].
+pub fn decode_master_msg(body: &[u8]) -> Result<MasterMsg, NetError> {
     let mut cur = Cursor::new(body);
     let msg = match cur.u8()? {
         TAG_WELCOME => MasterMsg::Welcome {
@@ -1268,6 +1330,7 @@ pub fn decode_master_msg(body: &[u8], n_terms: u32) -> Result<MasterMsg, NetErro
                 };
                 faults.push((round, fault));
             }
+            let peers = get_peers(&mut cur)?;
             let payload = match cur.u8()? {
                 0 => None,
                 1 => {
@@ -1286,17 +1349,13 @@ pub fn decode_master_msg(body: &[u8], n_terms: u32) -> Result<MasterMsg, NetErro
                 payload_digest,
                 round_timeout_ms,
                 faults,
+                peers,
                 payload,
             }))
         }
-        TAG_DELIVER_CHUNK => MasterMsg::DeliverChunk {
-            round: cur.u32()?,
-            batch: get_triples(&mut cur, n_terms)?,
-        },
-        TAG_DELIVER => MasterMsg::Deliver {
+        TAG_VERDICT => MasterMsg::Verdict {
             round: cur.u32()?,
             stop: cur.u8()? != 0,
-            triples: get_triples(&mut cur, n_terms)?,
         },
         other => return Err(NetError::protocol(format!("unknown master message tag {other}"))),
     };
@@ -1356,8 +1415,17 @@ mod tests {
             payload_digest: digest,
             round_timeout_ms: 30_000,
             faults: vec![(1, WireFault::Disconnect), (2, WireFault::Delay { millis: 5 })],
+            peers: peers(),
             payload: blob,
         }
+    }
+
+    /// A two-worker peer table, one address of each IP family.
+    fn peers() -> Vec<(u32, SocketAddr)> {
+        vec![
+            (1, "[::1]:7001".parse().unwrap()),
+            (0, "10.0.0.7:65535".parse().unwrap()),
+        ]
     }
 
     #[test]
@@ -1368,6 +1436,7 @@ mod tests {
                 version: PROTOCOL_VERSION,
             },
             WorkerMsg::CacheAdvert {
+                mesh_port: 40_123,
                 entries: vec![CacheEntry {
                     input: digest128(b"in"),
                     config: digest128(b"cfg"),
@@ -1375,10 +1444,9 @@ mod tests {
                     payload: digest128(b"blob"),
                 }],
             },
-            WorkerMsg::CacheAdvert { entries: vec![] },
-            WorkerMsg::Triples {
-                to: 3,
-                batch: vec![t(1, 2, 3), t(4, 5, 6)],
+            WorkerMsg::CacheAdvert {
+                mesh_port: 0,
+                entries: vec![],
             },
             WorkerMsg::RoundDone { round: 7, sent: 99 },
             WorkerMsg::FinalChunk {
@@ -1394,6 +1462,14 @@ mod tests {
                     reason_micros: 1234,
                     io_micros: 56,
                     round_cpu_micros: vec![10, 20, 30],
+                    round_wire: vec![
+                        WirePhase {
+                            bytes: 90,
+                            frames: 3,
+                            triples: 12,
+                        },
+                        WirePhase::default(),
+                    ],
                     output_size: 500,
                     wire_sent_bytes: 4096,
                     wire_recv_bytes: 8192,
@@ -1488,37 +1564,48 @@ mod tests {
         for wire_payload in [Some(blob.clone()), None] {
             let setup = setup_with(wire_payload.clone(), digest);
             let body = encode_master_msg(&MasterMsg::Setup(Box::new(setup.clone())));
-            let MasterMsg::Setup(got) = decode_master_msg(&body, u32::MAX).unwrap() else {
+            let MasterMsg::Setup(got) = decode_master_msg(&body).unwrap() else {
                 panic!("wrong variant");
             };
             assert_eq!(got.input_digest, setup.input_digest);
             assert_eq!(got.config_digest, setup.config_digest);
             assert_eq!(got.payload_digest, digest);
             assert_eq!(got.faults, setup.faults);
+            assert_eq!(got.peers, setup.peers);
             assert_eq!(got.payload, wire_payload);
         }
 
-        let body = encode_master_msg(&MasterMsg::Deliver {
-            round: 3,
-            stop: true,
-            triples: vec![t(1, 2, 3)],
-        });
-        let MasterMsg::Deliver { round, stop, triples } =
-            decode_master_msg(&body, 10).unwrap()
-        else {
-            panic!("wrong variant");
-        };
-        assert_eq!((round, stop, triples), (3, true, vec![t(1, 2, 3)]));
+        for stop in [false, true] {
+            let body = encode_master_msg(&MasterMsg::Verdict { round: 3, stop });
+            let MasterMsg::Verdict { round, stop: got } = decode_master_msg(&body).unwrap() else {
+                panic!("wrong variant");
+            };
+            assert_eq!((round, got), (3, stop));
+        }
+    }
 
-        let body = encode_master_msg(&MasterMsg::DeliverChunk {
-            round: 5,
-            batch: vec![t(1, 2, 3), t(1, 2, 4)],
-        });
-        let MasterMsg::DeliverChunk { round, batch } = decode_master_msg(&body, 10).unwrap()
-        else {
-            panic!("wrong variant");
-        };
-        assert_eq!((round, batch), (5, vec![t(1, 2, 3), t(1, 2, 4)]));
+    /// The peer table names every worker of the cluster exactly once; a
+    /// table of the wrong length, or naming a worker outside the
+    /// cluster, is a typed protocol error.
+    #[test]
+    fn peer_tables_are_checked_against_the_cluster_size() {
+        let table = peers();
+        let addrs = mesh_peers(&table, 2).unwrap();
+        assert_eq!(addrs, vec![table[1].1, table[0].1], "indexed by worker id");
+        for (bad, k, why) in [
+            (table.clone(), 3, "entries for a cluster of 3"),
+            (table[..1].to_vec(), 2, "entries for a cluster of 2"),
+            (
+                vec![table[0], (2, table[1].1)],
+                2,
+                "worker 2 twice or out of range",
+            ),
+            (vec![table[0], table[0]], 2, "twice"),
+        ] {
+            let err = mesh_peers(&bad, k).unwrap_err();
+            assert!(matches!(err, NetError::Protocol { .. }), "{err}");
+            assert!(err.to_string().contains(why), "{err}");
+        }
     }
 
     #[test]
@@ -1591,8 +1678,8 @@ mod tests {
 
     #[test]
     fn out_of_dictionary_ids_are_protocol_violations() {
-        let body = encode_worker_msg(&WorkerMsg::Triples {
-            to: 0,
+        let body = encode_worker_msg(&WorkerMsg::FinalChunk {
+            seq: 0,
             batch: vec![t(1, 2, 999)],
         });
         let err = decode_worker_msg(&body, 10).unwrap_err();
@@ -1618,12 +1705,20 @@ mod tests {
             Some(blob.clone()),
             digest128(&blob),
         ))));
-        for cut in 0..body.len() {
-            let err = decode_master_msg(&body[..cut], u32::MAX).unwrap_err();
-            assert!(
-                matches!(err, NetError::Protocol { .. }),
-                "cut at {cut} must be a protocol error, got {err}"
-            );
+        // The Setup header carries the peer table (both address
+        // families); the Verdict closes every round.
+        let verdict = encode_master_msg(&MasterMsg::Verdict {
+            round: 9,
+            stop: true,
+        });
+        for body in [body, verdict] {
+            for cut in 0..body.len() {
+                let err = decode_master_msg(&body[..cut]).unwrap_err();
+                assert!(
+                    matches!(err, NetError::Protocol { .. }),
+                    "cut at {cut} must be a protocol error, got {err}"
+                );
+            }
         }
         // The payload blob decoder is equally truncation-proof (the
         // cache load path feeds it bytes that never crossed the wire).
@@ -1650,7 +1745,7 @@ mod tests {
     #[test]
     fn unknown_tags_are_rejected() {
         assert!(decode_worker_msg(&[0xfe], 10).is_err());
-        assert!(decode_master_msg(&[0xfe], 10).is_err());
+        assert!(decode_master_msg(&[0xfe]).is_err());
         assert!(decode_worker_msg(&[], 10).is_err(), "empty body");
     }
 
@@ -1658,13 +1753,13 @@ mod tests {
     fn oversized_string_is_rejected_before_allocation() {
         let mut body = vec![TAG_REJECT];
         put_u32(&mut body, u32::MAX); // claims a 4 GiB reason
-        let err = decode_master_msg(&body, 10).unwrap_err();
+        let err = decode_master_msg(&body).unwrap_err();
         assert!(err.to_string().contains("exceeds"));
     }
 
     #[test]
     fn oversized_cache_advert_is_rejected() {
-        let mut body = vec![TAG_CACHE_ADVERT];
+        let mut body = vec![TAG_CACHE_ADVERT, 0, 0]; // tag, mesh port 0
         put_u32(&mut body, (MAX_CACHE_ADVERT + 1) as u32);
         let err = decode_worker_msg(&body, 10).unwrap_err();
         assert!(err.to_string().contains("bound"), "got: {err}");
@@ -1681,26 +1776,33 @@ mod tests {
         assert!(get_routing(&mut cur, 10, 2).is_err());
     }
 
-    /// The v1 `Hello` body (`tag | magic | version`) must keep decoding
-    /// under v2 — a version mismatch has to surface as a typed `Reject`,
-    /// which requires both sides to parse each other's opener.
+    /// The `Hello` body (`tag | magic | version`) of every earlier
+    /// version keeps decoding — a version mismatch has to surface as a
+    /// typed `Reject`, which requires both sides to parse each other's
+    /// opener. v4 is the last relaying version.
     #[test]
-    fn v1_hello_layout_still_decodes() {
-        let mut body = vec![TAG_HELLO];
-        put_u32(&mut body, WIRE_MAGIC);
-        put_u32(&mut body, 1); // a v1 peer's version field
-        let WorkerMsg::Hello { magic, version } = decode_worker_msg(&body, 0).unwrap() else {
-            panic!("wrong variant");
-        };
-        assert_eq!((magic, version), (WIRE_MAGIC, 1));
+    fn older_hello_layouts_still_decode() {
+        for old in [1, 4] {
+            let mut body = vec![TAG_HELLO];
+            put_u32(&mut body, WIRE_MAGIC);
+            put_u32(&mut body, old);
+            let WorkerMsg::Hello { magic, version } = decode_worker_msg(&body, 0).unwrap() else {
+                panic!("wrong variant");
+            };
+            assert_eq!((magic, version), (WIRE_MAGIC, old));
+            assert_eq!(
+                body,
+                encode_worker_msg(&WorkerMsg::Hello { magic, version })
+            );
+        }
     }
 
     /// Compact triple blocks actually shrink a dense batch on the wire.
     #[test]
-    fn triples_message_is_compact_for_dense_batches() {
+    fn triple_frames_are_compact_for_dense_batches() {
         let batch: Vec<Triple> = (0..2000u32).map(|i| t(i / 50, 3, 10 + i % 50)).collect();
-        let body = encode_worker_msg(&WorkerMsg::Triples {
-            to: 0,
+        let body = encode_worker_msg(&WorkerMsg::FinalChunk {
+            seq: 0,
             batch: batch.clone(),
         });
         assert!(
@@ -1710,7 +1812,7 @@ mod tests {
             body.len(),
             batch.len() * 12
         );
-        let WorkerMsg::Triples { batch: got, .. } = decode_worker_msg(&body, 4000).unwrap()
+        let WorkerMsg::FinalChunk { batch: got, .. } = decode_worker_msg(&body, 4000).unwrap()
         else {
             panic!("wrong variant");
         };

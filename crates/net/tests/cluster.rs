@@ -1,7 +1,7 @@
 //! End-to-end tests for the TCP cluster runtime: closure equivalence
 //! (TCP mesh ≡ channel transport ≡ serial) across generators and cluster
-//! sizes, the bootstrap handshake's rejection paths, and mid-run
-//! worker-loss recovery over real sockets.
+//! sizes, the bootstrap handshake's rejection paths, a mesh that cannot
+//! form, and mid-run worker-loss recovery over real sockets.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -9,7 +9,7 @@ use owlpar_core::config::RoundMode;
 use owlpar_core::master::resolve_materialization;
 use owlpar_core::{
     digest128, prepare_run, read_crc_frame, run_parallel, run_serial, write_crc_frame, CommMode,
-    FaultKind, FaultPlan, ParallelConfig, PartitioningStrategy, RunReport,
+    FaultKind, FaultPlan, ParallelConfig, PartitioningStrategy, RunPlan, RunReport,
 };
 use owlpar_datagen::{generate_lubm, generate_mdc, LubmConfig, MdcConfig};
 use owlpar_datalog::backward::TableScope;
@@ -24,10 +24,10 @@ use owlpar_net::{
 };
 use owlpar_rdf::{is_sorted_run, Graph, Triple, TripleStore};
 use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn serial_closure(mut g: Graph) -> (u64, usize) {
     run_serial(&mut g, MaterializationStrategy::ForwardSemiNaive);
@@ -227,12 +227,87 @@ struct HandDriven {
     stats: WireStats,
 }
 
+/// Accept `plan.k` workers and speak the bootstrap to each by hand:
+/// `Hello → Welcome → CacheAdvert`, then — once every mesh port is in —
+/// a `Setup` with the worker's partition and the peer table, built from
+/// each connection's address and advertised port and passed through
+/// `edit_peers(id, table)` on its way to worker `id`.
+fn hand_bootstrap(
+    listener: &TcpListener,
+    g: &Graph,
+    cfg: &ParallelConfig,
+    plan: &RunPlan,
+    edit_peers: impl Fn(usize, &mut [(u32, SocketAddr)]),
+) -> Vec<TcpStream> {
+    let k = plan.k;
+    let mut streams = Vec::new();
+    let mut peers = Vec::new();
+    for id in 0..k {
+        let (mut stream, _) = listener.accept().unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(120)))
+            .unwrap();
+        let hello = decode_worker_msg(&read_crc_frame(&mut stream).unwrap(), u32::MAX).unwrap();
+        assert_eq!(
+            hello,
+            WorkerMsg::Hello {
+                magic: WIRE_MAGIC,
+                version: PROTOCOL_VERSION
+            }
+        );
+        let welcome = MasterMsg::Welcome {
+            node_id: id as u32,
+            k: k as u32,
+            epoch: 7,
+            trace: false,
+        };
+        write_crc_frame(&mut stream, &encode_master_msg(&welcome)).unwrap();
+        let advert = decode_worker_msg(&read_crc_frame(&mut stream).unwrap(), u32::MAX).unwrap();
+        let WorkerMsg::CacheAdvert { mesh_port, .. } = advert else {
+            panic!("expected CacheAdvert, got {advert:?}");
+        };
+        let ip = stream.peer_addr().unwrap().ip();
+        peers.push((id as u32, SocketAddr::new(ip, mesh_port)));
+        streams.push(stream);
+    }
+    for (id, stream) in streams.iter_mut().enumerate() {
+        let payload = SetupPayload {
+            n_terms: g.dict.len() as u32,
+            materialization: resolve_materialization(cfg.materialization, k),
+            schema: plan.schema.clone(),
+            base: plan.bases[id].clone(),
+            all_rules: plan.all_rules.clone(),
+            my_rules: plan.rules_per_worker[id].clone(),
+            routing: WireRouting::from(&plan.routing[id]),
+        };
+        let blob = encode_setup_payload(&payload);
+        let mut table = peers.clone();
+        edit_peers(id, &mut table);
+        let setup = Setup {
+            input_digest: plan.input_digest,
+            config_digest: [0; 16],
+            payload_digest: digest128(&blob),
+            round_timeout_ms: 120_000,
+            faults: Vec::new(),
+            peers: table,
+            payload: Some(blob),
+        };
+        write_crc_frame(
+            stream,
+            &encode_master_msg(&MasterMsg::Setup(Box::new(setup))),
+        )
+        .unwrap();
+    }
+    streams
+}
+
 /// A master written out by hand: it plans with [`prepare_run`] like the
 /// real one, then speaks the protocol frame by frame to real
-/// [`run_cluster_worker`]s and hands every worker's final stream back
-/// undigested, so the tests can look at exactly what crossed the wire.
-/// Returns the master graph with the runs added, and the per-worker
-/// record.
+/// [`run_cluster_worker`]s — answering each round's `RoundDone`s with a
+/// `Verdict` while the triples move over the workers' mesh — and hands
+/// every worker's final stream back undigested, so the tests can look at
+/// exactly what crossed the wire. Returns the master graph with the runs
+/// added, and the per-worker record.
 fn hand_driven_cluster(g0: &Graph, cfg: &ParallelConfig, chunk_triples: usize) -> (Graph, Vec<HandDriven>) {
     let mut g = g0.clone();
     let plan = prepare_run(&mut g, cfg).expect("plan");
@@ -252,77 +327,25 @@ fn hand_driven_cluster(g0: &Graph, cfg: &ParallelConfig, chunk_triples: usize) -
                 s.spawn(move || run_cluster_worker(addr, &opts))
             })
             .collect();
+        let mut streams = hand_bootstrap(&listener, &g, cfg, &plan, |_, _| {});
 
-        // handshake + setup
-        let mut streams = Vec::new();
-        for id in 0..k {
-            let (mut stream, _) = listener.accept().unwrap();
-            stream.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
-            let hello = decode_worker_msg(&read_crc_frame(&mut stream).unwrap(), u32::MAX).unwrap();
-            assert_eq!(
-                hello,
-                WorkerMsg::Hello {
-                    magic: WIRE_MAGIC,
-                    version: PROTOCOL_VERSION
-                }
-            );
-            let welcome = MasterMsg::Welcome {
-                node_id: id as u32,
-                k: k as u32,
-                epoch: 7,
-                trace: false,
-            };
-            write_crc_frame(&mut stream, &encode_master_msg(&welcome)).unwrap();
-            let advert = decode_worker_msg(&read_crc_frame(&mut stream).unwrap(), u32::MAX).unwrap();
-            assert!(matches!(advert, WorkerMsg::CacheAdvert { .. }));
-            let payload = SetupPayload {
-                n_terms,
-                materialization: resolve_materialization(cfg.materialization, k),
-                schema: plan.schema.clone(),
-                base: plan.bases[id].clone(),
-                all_rules: plan.all_rules.clone(),
-                my_rules: plan.rules_per_worker[id].clone(),
-                routing: WireRouting::from(&plan.routing[id]),
-            };
-            let blob = encode_setup_payload(&payload);
-            let setup = Setup {
-                input_digest: plan.input_digest,
-                config_digest: [0; 16],
-                payload_digest: digest128(&blob),
-                round_timeout_ms: 120_000,
-                faults: Vec::new(),
-                payload: Some(blob),
-            };
-            write_crc_frame(&mut stream, &encode_master_msg(&MasterMsg::Setup(Box::new(setup)))).unwrap();
-            streams.push(stream);
-        }
-
-        // rounds: relay until a round in which nobody sent anything
+        // rounds: vote until a round in which nobody sent anything
         let mut round = 0u32;
         loop {
-            let mut inboxes: Vec<Vec<Triple>> = vec![Vec::new(); k];
             let mut round_sent = 0u64;
             for stream in &mut streams {
-                loop {
-                    match decode_worker_msg(&read_crc_frame(stream).unwrap(), n_terms).unwrap() {
-                        WorkerMsg::Triples { to, batch } => inboxes[to as usize].extend(batch),
-                        WorkerMsg::RoundDone { round: r, sent } => {
-                            assert_eq!(r, round);
-                            round_sent += sent;
-                            break;
-                        }
-                        other => panic!("unexpected frame in round {round}: {other:?}"),
+                match decode_worker_msg(&read_crc_frame(stream).unwrap(), n_terms).unwrap() {
+                    WorkerMsg::RoundDone { round: r, sent } => {
+                        assert_eq!(r, round);
+                        round_sent += sent;
                     }
+                    other => panic!("unexpected frame in round {round}: {other:?}"),
                 }
             }
             let stop = round_sent == 0;
-            for (stream, inbox) in streams.iter_mut().zip(inboxes) {
-                let deliver = MasterMsg::Deliver {
-                    round,
-                    stop,
-                    triples: inbox,
-                };
-                write_crc_frame(stream, &encode_master_msg(&deliver)).unwrap();
+            for stream in &mut streams {
+                let verdict = MasterMsg::Verdict { round, stop };
+                write_crc_frame(stream, &encode_master_msg(&verdict)).unwrap();
             }
             if stop {
                 break;
@@ -435,9 +458,57 @@ fn worker_with_nothing_to_add_sends_an_empty_final() {
     assert_eq!((g.term_fingerprint(), g.len()), (want_fp, want_len));
 }
 
+/// A worker told a closed port for its peer cannot join the mesh, and
+/// neither can the peer waiting for it: both end in a typed mesh error
+/// within their connect timeout instead of hanging in round 0.
+#[test]
+fn a_peer_at_a_closed_port_fails_both_ends_within_the_connect_timeout() {
+    let g0 = generate_lubm(&LubmConfig::mini(1));
+    let cfg = forward_cfg(2, PartitioningStrategy::data_graph());
+    let mut g = g0.clone();
+    let plan = prepare_run(&mut g, &cfg).expect("plan");
+    let closed = TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let patience = Duration::from_secs(2);
+    let opts = WorkerOptions {
+        connect_timeout: patience,
+        ..WorkerOptions::default()
+    };
+    thread::scope(|s| {
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let opts = opts.clone();
+                s.spawn(move || {
+                    let t0 = Instant::now();
+                    (run_cluster_worker(addr, &opts), t0.elapsed())
+                })
+            })
+            .collect();
+        // worker 1 is told worker 0 listens at the closed port
+        let _streams = hand_bootstrap(&listener, &g, &cfg, &plan, |id, table| {
+            if id == 1 {
+                table
+                    .iter_mut()
+                    .filter(|(w, _)| *w == 0)
+                    .for_each(|e| e.1 = closed);
+            }
+        });
+        for w in workers {
+            let (result, took) = w.join().unwrap();
+            let err = result.expect_err("a worker joined a mesh that cannot form");
+            assert!(matches!(err, NetError::Worker(_)), "{err}");
+            assert!(took < patience * 3, "gave up after {took:?}");
+        }
+    });
+}
+
 /// Many rounds: hash ownership scatters MDC's transitive containment
-/// chains over four workers, so closing them takes a relay of deliveries
-/// — every worker absorbs round after round into its overlay, and at
+/// chains over four workers, so closing them takes round after round of
+/// exchange — every worker absorbs them into its overlay, and at
 /// this size the overlays outgrow the fold bound and are merged into the
 /// frozen base mid-run. In-process (barrier and async) and over TCP.
 #[test]
@@ -574,7 +645,7 @@ fn handshake_version_mismatch_is_rejected() {
     });
     owlpar_core::write_crc_frame(&mut stream, &hello).unwrap();
     let body = read_crc_frame(&mut stream).unwrap();
-    match decode_master_msg(&body, u32::MAX).unwrap() {
+    match decode_master_msg(&body).unwrap() {
         MasterMsg::Reject { reason } => {
             assert!(reason.contains("version"), "{reason}");
         }
@@ -619,10 +690,12 @@ fn torn_handshake_frame_is_rejected() {
 /// worker its full `SetupPayload` (all misses); a second run against the
 /// same cache directory ships digests only (all hits), spending less
 /// than 1% of the cold run's setup bytes — and both closures equal the
-/// serial oracle exactly.
+/// serial oracle exactly. (A digest-only `Setup` still carries the
+/// per-run header — digests, faults, the mesh peer table — so the KB
+/// must be big enough for that header to be under 1%: mini(40).)
 #[test]
 fn second_run_ships_digest_only_setups() {
-    let g0 = generate_lubm(&LubmConfig::mini(22));
+    let g0 = generate_lubm(&LubmConfig::mini(40));
     let (want_fp, want_len) = serial_closure(g0.clone());
     let cache_dir = std::env::temp_dir().join(format!(
         "owlpar-cluster-test-cache-{}",
@@ -660,19 +733,18 @@ fn second_run_ships_digest_only_setups() {
 }
 
 /// With the chunk cap lowered to a test-size 16 triples, `Final` stores
-/// and round deliveries stream as many bounded frames instead of one
-/// huge frame each — the mechanism that lifts the 64 MB payload cap —
-/// and the closure is byte-identical to serial.
+/// and round batches stream as many bounded frames instead of one huge
+/// frame each — the mechanism that lifts the 64 MB payload cap — and the
+/// closure is byte-identical to serial.
 #[test]
 fn chunked_streaming_at_tiny_cap_preserves_closure() {
-    let g0 = generate_lubm(&LubmConfig::mini(2));
+    // LUBM mini(6), not mini(2): mini(2)'s round batches hold at most 13
+    // triples, so a 16-triple cap would have no round frame to split.
+    let g0 = generate_lubm(&LubmConfig::mini(6));
     let (want_fp, want_len) = serial_closure(g0.clone());
     let k = 2;
     let cfg = forward_cfg(k, PartitioningStrategy::data_graph());
-    let master_opts = MasterOptions {
-        chunk_triples: 16,
-        ..MasterOptions::default()
-    };
+    let master_opts = MasterOptions::default();
     let worker_opts = WorkerOptions {
         chunk_triples: 16,
         ..WorkerOptions::default()
@@ -693,10 +765,23 @@ fn chunked_streaming_at_tiny_cap_preserves_closure() {
         wire.finals.triples,
         wire.finals.frames
     );
+    // Round frames split too: at most 16 triples per triple frame, so
+    // there are more frames than the unsplit run's batches and markers.
+    let (unsplit, _, _) = run_cluster(&g0, &cfg);
+    let unsplit = unsplit.expect("unchunked run").wire.expect("wire stats");
+    assert_eq!(wire.rounds.triples, unsplit.rounds.triples);
+    assert!(
+        wire.rounds.frames > unsplit.rounds.frames,
+        "{} round triples at a 16-triple cap took {} frame(s), {} uncapped",
+        wire.rounds.triples,
+        wire.rounds.frames,
+        unsplit.rounds.frames
+    );
 }
 
-/// Version skew, new-worker direction: a v3 master answers this worker's
-/// (v4) `Hello` with a `Reject` naming both versions. That must surface
+/// Version skew, new-worker direction: a v4 master (the last one that
+/// relayed rounds) answers this worker's `Hello` with a `Reject` naming
+/// both versions. That must surface
 /// worker-side as a typed handshake error carrying the reason — not a
 /// decode failure or a hang — and the worker must send nothing more: the
 /// master's next read is the end of the stream.
@@ -712,11 +797,11 @@ fn worker_surfaces_reject_as_typed_handshake_error_and_goes_quiet() {
             panic!("expected Hello, got {hello:?}");
         };
         assert_eq!((magic, version), (WIRE_MAGIC, PROTOCOL_VERSION));
-        // what a v3 master's accept path says to a version it cannot serve
+        // what a v4 master's accept path says to a version it cannot serve
         let reject = encode_master_msg(&MasterMsg::Reject {
             reason: format!(
                 "incompatible hello: magic {magic:#010x} version {version}, \
-                 this master speaks {WIRE_MAGIC:#010x} version 3"
+                 this master speaks {WIRE_MAGIC:#010x} version 4"
             ),
         });
         write_crc_frame(&mut stream, &reject).unwrap();
@@ -728,7 +813,8 @@ fn worker_surfaces_reject_as_typed_handshake_error_and_goes_quiet() {
     match err {
         NetError::Handshake { detail } => {
             assert!(
-                detail.contains(&format!("version {PROTOCOL_VERSION}")) && detail.contains("version 3"),
+                detail.contains(&format!("version {PROTOCOL_VERSION}"))
+                    && detail.contains("version 4"),
                 "{detail}"
             );
         }
@@ -737,13 +823,14 @@ fn worker_surfaces_reject_as_typed_handshake_error_and_goes_quiet() {
 }
 
 /// Version skew, old-worker direction: a peer that opens with an older
-/// `Hello` (same frozen byte layout; v1, and v3 — the last version whose
-/// `Final` meant "my whole store") gets a typed `Reject` naming both
+/// `Hello` (same frozen byte layout; v1, v3 — the last version whose
+/// `Final` meant "my whole store" — and v4, the last that sent its
+/// triples through the master) gets a typed `Reject` naming both
 /// versions and then nothing: no `Welcome`, no `Setup`, just the end of
 /// the stream. The master's graph is left untouched.
 #[test]
 fn stale_hello_gets_typed_reject_then_silence_and_graph_is_unchanged() {
-    for stale in [1, 3] {
+    for stale in [1, 3, 4] {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let g0 = generate_lubm(&LubmConfig::mini(1));
@@ -764,7 +851,7 @@ fn stale_hello_gets_typed_reject_then_silence_and_graph_is_unchanged() {
         });
         write_crc_frame(&mut stream, &hello).unwrap();
         let body = read_crc_frame(&mut stream).unwrap();
-        match decode_master_msg(&body, u32::MAX).unwrap() {
+        match decode_master_msg(&body).unwrap() {
             MasterMsg::Reject { reason } => {
                 assert!(
                     reason.contains(&format!("version {stale},"))

@@ -193,5 +193,15 @@ fn every_link_reaches_the_serial_closure_and_tells_it_in_the_same_spans() {
         }
         report
     });
-    check("cluster", &g, &serial, &report, &rec.drain(), true);
+    let book = rec.drain();
+    check("cluster", &g, &serial, &report, &book, true);
+    // Round traffic is what the workers' mesh endpoints wrote: their
+    // lanes' per-round byte counters add up to the wire report's.
+    let lane_bytes: u64 = report
+        .workers
+        .iter()
+        .map(|w| counted(&book, lane_of(&book, w.id, true), Metric::Bytes))
+        .sum();
+    let wire = report.wire.expect("cluster runs report wire stats");
+    assert_eq!(lane_bytes, wire.rounds.bytes, "cluster: Σ Exchange/Bytes");
 }

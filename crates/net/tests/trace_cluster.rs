@@ -1,8 +1,8 @@
 //! Cluster telemetry merge, end to end over loopback TCP: a traced
 //! 2-worker run must produce one merged lane per worker (spans shipped
 //! as `TraceChunk` frames, clock-offset corrected) plus the master's
-//! relay lane, without perturbing the closure. Also pins the per-round
-//! wire ledger the same runs feed into `WireBytes::per_round`.
+//! lane, without perturbing the closure. Also pins the per-round wire
+//! ledger the same runs feed into `WireBytes::per_round`.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -61,27 +61,29 @@ fn traced_loopback_cluster_merges_worker_spans() {
 
     let book = rec.drain();
 
-    // The master's relay lane (pid 0) plus one merged lane per worker
-    // process (pid = node_id + 1).
-    let relay: &TrackMeta = book
+    // The master's lane (pid 0) plus one merged lane per worker process
+    // (pid = node_id + 1).
+    let master: &TrackMeta = book
         .tracks
         .iter()
-        .find(|t| t.name == "relay")
-        .expect("relay lane");
-    assert_eq!(relay.pid, 0);
-    assert!(span_count(&book.events, relay.id, Phase::Setup) >= 1);
-    assert!(span_count(&book.events, relay.id, Phase::BarrierWait) >= 1);
-    assert!(span_count(&book.events, relay.id, Phase::Aggregate) >= 1);
-    // Relay exchange traffic is a per-round byte counter on the master.
-    let relay_byte_counts = book
-        .events
-        .iter()
-        .filter(|e| {
-            matches!(e, Event::Count { track, phase: Phase::Exchange, metric: Metric::Bytes, .. }
-                     if *track == relay.id)
-        })
-        .count();
-    assert!(relay_byte_counts >= 1, "no relay Exchange/Bytes counters");
+        .find(|t| t.name == "master")
+        .expect("master lane");
+    assert_eq!(master.pid, 0);
+    assert!(span_count(&book.events, master.id, Phase::Setup) >= 1);
+    assert!(span_count(&book.events, master.id, Phase::BarrierWait) >= 1);
+    assert!(span_count(&book.events, master.id, Phase::Aggregate) >= 1);
+    // Round traffic is a per-round byte counter on each worker's lane —
+    // what its mesh endpoint wrote — and none on the master's.
+    let byte_counts = |track: u32| {
+        book.events
+            .iter()
+            .filter(|e| {
+                matches!(e, Event::Count { track: t, phase: Phase::Exchange, metric: Metric::Bytes, .. }
+                         if *t == track)
+            })
+            .count()
+    };
+    assert_eq!(byte_counts(master.id), 0, "the master moves no round bytes");
 
     for w in &summaries {
         let lane = book
@@ -109,6 +111,12 @@ fn traced_loopback_cluster_merges_worker_spans() {
         assert_eq!(span_count(&book.events, lane.id, Phase::Exchange), w.rounds);
         // The initial close plus one join per non-final round.
         assert_eq!(span_count(&book.events, lane.id, Phase::Join), w.rounds);
+        assert_eq!(
+            byte_counts(lane.id),
+            w.rounds,
+            "worker {} Exchange/Bytes",
+            w.node_id
+        );
     }
 
     // Predictions ride the book for `owlpar trace summary`.

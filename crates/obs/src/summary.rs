@@ -42,8 +42,9 @@ pub struct RoundStat {
     pub max_us: u64,
     /// Fastest worker's round wall time, µs.
     pub min_us: u64,
-    /// Bytes the relay moved this round (sum of `exchange.bytes`
-    /// counter samples tagged with the round), when recorded.
+    /// Bytes put on the wire this round: the sum of the `exchange.bytes`
+    /// counter samples tagged with the round over every lane (a cluster
+    /// worker records what its mesh endpoint wrote), when recorded.
     pub bytes: Option<u64>,
 }
 
@@ -401,11 +402,11 @@ mod tests {
         let rec = Recorder::enabled();
         let mut m = rec.track("master");
         m.span_at(Phase::Setup, NO_ROUND, 0, 500);
-        m.count(Phase::Exchange, 0, Metric::Bytes, 1000);
         m.flush();
         drop(m);
         for (w, (dur0, dur1)) in [(0u32, (900u64, 400u64)), (1, (700, 600))] {
             let mut t = rec.track_in(&format!("worker {w}"), w + 1);
+            t.count(Phase::Exchange, 0, Metric::Bytes, 400 + 200 * u64::from(w));
             t.span_at(Phase::Round, 0, 600, dur0);
             t.span_at(Phase::Join, 0, 600, dur0 / 2);
             t.span_at(Phase::Round, 1, 1600, dur1);

@@ -112,7 +112,7 @@ fn load(
             // send nobody wants: the caller left on a syntax error.
             let chunks = &chunks;
             let depth = (RUN_AHEAD / helpers).max(1);
-            let inboxes: Vec<mpsc::Receiver<Tokens<'_>>> = (0..helpers)
+            let tokenised: Vec<mpsc::Receiver<Tokens<'_>>> = (0..helpers)
                 .map(|h| {
                     let (tx, rx) = mpsc::sync_channel(depth);
                     scope.spawn(move || {
@@ -128,7 +128,7 @@ fn load(
             for i in 0..chunks.len() {
                 // A helper hangs up early only by panicking; the scope
                 // re-raises that on the way out.
-                let Ok(tokens) = inboxes[i % helpers].recv() else {
+                let Ok(tokens) = tokenised[i % helpers].recv() else {
                     break;
                 };
                 intern(tokens)?;
