@@ -1,10 +1,6 @@
-//! Ablation of the two paper-proposed improvements we implemented:
-//!
-//! * **Async rounds** (§VI-B): "making a partition not wait till all
-//!   other partitions finish ... will reduce the synchronization time" —
-//!   measured as barrier vs async simulated times on the same workload.
-//! * **Hybrid partitioning** (§VII future work): rules × data split vs
-//!   pure data and pure rule splits at equal worker counts.
+//! Ablation of the paper-proposed improvement we implemented:
+//! **hybrid partitioning** (§VII future work), a rules × data split vs
+//! pure data and pure rule splits at equal worker counts.
 //!
 //! ```text
 //! cargo run --release -p owlpar-bench --bin ablation_extensions [-- --scale 0.15 --ks 4,8]
@@ -16,7 +12,6 @@
 use owlpar_bench::datasets::{Dataset, DatasetConfig};
 use owlpar_bench::runner::{point_from_report, record_jsonl};
 use owlpar_bench::table;
-use owlpar_core::config::RoundMode;
 use owlpar_core::{run_parallel, run_serial, ParallelConfig, PartitioningStrategy};
 use owlpar_obs::json::obj;
 
@@ -46,14 +41,6 @@ fn main() {
                 "data/barrier",
                 ParallelConfig {
                     k,
-                    ..base.clone()
-                },
-            ),
-            (
-                "data/async",
-                ParallelConfig {
-                    k,
-                    rounds: RoundMode::Async,
                     ..base.clone()
                 },
             ),

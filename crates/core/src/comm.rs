@@ -66,14 +66,6 @@ pub trait Transport: Send {
     /// Drain every message addressed to this endpoint in `round`.
     fn collect(&mut self, round: usize) -> Result<Vec<Triple>, CommError>;
 
-    /// Non-blocking drain for the asynchronous mode. Round-structured
-    /// transports reject this ([`CommError::Unsupported`]).
-    fn try_collect(&mut self) -> Result<Vec<Triple>, CommError> {
-        Err(CommError::Unsupported {
-            detail: "asynchronous draining is not supported by this transport",
-        })
-    }
-
     /// Messages skipped-with-report since the last call (drained into the
     /// endpoint's report list after each collect).
     fn take_skipped(&mut self) -> Vec<SkippedMessage> {
@@ -371,9 +363,8 @@ impl WorkerComm {
     }
 
     /// Fire the worker-level faults the plan pins to the start of
-    /// `round` (the round is explicit because the async mode numbers
-    /// bursts itself): a panic, which the master contains, or a
-    /// wall-clock delay before the round's sends.
+    /// `round`: a panic, which the master contains, or a wall-clock
+    /// delay before the round's sends.
     pub fn fire_round_faults(&self, round: usize) {
         if self.faults.panic_scheduled(round) {
             self.faults.fire_panic(round, self.me);
@@ -571,28 +562,6 @@ impl WorkerComm {
                     || crate::durable::atomic_write(&path, &bytes),
                 )
             }
-        }
-    }
-
-    /// Non-blocking drain for the asynchronous mode (paper §VI-B: "by
-    /// making a partition not wait till all other partitions finish, but
-    /// rather start immediately using all the currently received tuples").
-    /// Channel transport only — the file transport is inherently
-    /// round-structured, and asking it to drain asynchronously is a
-    /// configuration error ([`CommError::Unsupported`]).
-    pub fn try_collect(&mut self) -> Result<Vec<Triple>, CommError> {
-        match &mut self.backend {
-            Backend::Channel { receiver, .. } => {
-                let mut out = Vec::new();
-                while let Ok(batch) = receiver.try_recv() {
-                    out.extend(batch);
-                }
-                Ok(out)
-            }
-            Backend::File { .. } => Err(CommError::Unsupported {
-                detail: "asynchronous draining requires the channel transport",
-            }),
-            Backend::Custom(transport) => transport.try_collect(),
         }
     }
 
@@ -1148,14 +1117,5 @@ mod tests {
         let got = w1.collect().unwrap();
         assert!(got.is_empty(), "corrupted payload must not decode");
         assert_eq!(w1.skipped().len(), 1);
-    }
-
-    #[test]
-    fn async_drain_on_file_transport_is_typed_error() {
-        let mut fabric = build_fabric(2, &file_mode(WireFormat::Binary), dict_with(4)).unwrap();
-        assert!(matches!(
-            fabric[0].try_collect(),
-            Err(CommError::Unsupported { .. })
-        ));
     }
 }

@@ -50,8 +50,6 @@ pub enum DataPolicy {
     },
     /// Domain-specific (IRI-authority) grouping.
     Domain,
-    /// Linear Deterministic Greedy streaming partitioning.
-    Streaming,
 }
 
 impl PartitioningStrategy {
@@ -68,11 +66,6 @@ impl PartitioningStrategy {
     /// Data partitioning with the domain-specific policy.
     pub fn data_domain() -> Self {
         PartitioningStrategy::Data(DataPolicy::Domain)
-    }
-
-    /// Data partitioning with LDG streaming ownership.
-    pub fn data_streaming() -> Self {
-        PartitioningStrategy::Data(DataPolicy::Streaming)
     }
 
     /// Unweighted rule partitioning.
@@ -95,18 +88,6 @@ impl PartitioningStrategy {
             PartitioningStrategy::Auto => "auto",
         }
     }
-}
-
-/// Round synchronization discipline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoundMode {
-    /// Barrier-synchronized rounds — the paper's implementation.
-    #[default]
-    Barrier,
-    /// Asynchronous: a worker "not wait\[s\] till all other partitions
-    /// finish, but rather start\[s\] immediately using all the currently
-    /// received tuples" (§VI-B). Channel transport only.
-    Async,
 }
 
 /// What the master does when the pre-spawn lint gate finds a rule that is
@@ -149,8 +130,6 @@ pub struct ParallelConfig {
     pub materialization: MaterializationStrategy,
     /// Inter-partition transport.
     pub comm: CommMode,
-    /// Barrier rounds (paper) or the async §VI-B variant.
-    pub rounds: RoundMode,
     /// Injected faults for robustness testing (`None` = run clean).
     pub fault: Option<Arc<FaultPlan>>,
     /// Patience at the round barrier and for a round's collect; a worker
@@ -174,7 +153,6 @@ impl Default for ParallelConfig {
             strategy: PartitioningStrategy::data_graph(),
             materialization: MaterializationStrategy::BackwardJena(TableScope::PerQuery),
             comm: CommMode::Channel,
-            rounds: RoundMode::Barrier,
             fault: None,
             round_timeout: Duration::from_secs(30),
             recovery: FaultRecovery::default(),

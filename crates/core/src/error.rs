@@ -59,8 +59,8 @@ pub enum CommError {
         /// How long it waited.
         waited: Duration,
     },
-    /// The operation is not supported by the selected transport
-    /// (e.g. asynchronous draining over the shared-file transport).
+    /// The selected transport cannot serve the run (e.g. a custom fabric
+    /// that built the wrong number of endpoints).
     Unsupported {
         /// What was attempted.
         detail: &'static str,
@@ -201,7 +201,7 @@ impl std::error::Error for WorkerError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// The configuration is invalid (k = 0, indivisible hybrid split,
-    /// async rounds over the file transport, unparsable fault plan, ...).
+    /// unparsable fault plan, ...).
     Config {
         /// What is wrong.
         detail: String,

@@ -18,12 +18,12 @@
 //! inter-partition traffic flows through an explicit [`comm`] backend —
 //! crossbeam channels, or real files in a shared directory serialized as
 //! N-Triples, matching the paper's transport. The loop at each node
-//! exists once ([`worker::run_rounds`]) and is written against
-//! [`worker::RoundLink`], the seam that hides what carries a round's
-//! messages and verdict: barrier-synchronized rounds that terminate when
-//! a round moves no triples anywhere (the paper's quiescence condition),
-//! the asynchronous variant of §VI-B, or — in `owlpar-net` — a TCP
-//! connection to a cluster master.
+//! exists once ([`worker::run_rounds`]): barrier-synchronized rounds that
+//! terminate when a round moves no triples anywhere (the paper's
+//! quiescence condition). It runs over two seams — a [`Transport`]
+//! behind the endpoint carries a round's messages, a
+//! [`worker::RoundVote`] reaches its verdict — which is how
+//! `owlpar-net` plugs in its TCP mesh and a vote at the cluster master.
 //!
 //! The runtime is fault-tolerant end to end: transport operations return
 //! typed [`error`]s instead of panicking, file writes are atomic with

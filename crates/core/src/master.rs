@@ -28,16 +28,14 @@
 //! runs followed by one in-order insert.
 
 use crate::barrier::RoundBarrier;
-use crate::comm::{build_fabric_with_faults, CommMode};
+use crate::comm::build_fabric_with_faults;
 use crate::config::{
-    DataPolicy, FaultRecovery, ParallelConfig, PartitioningStrategy, RoundMode, UnsafeRulePolicy,
+    DataPolicy, FaultRecovery, ParallelConfig, PartitioningStrategy, UnsafeRulePolicy,
 };
 use crate::error::{RunError, WorkerError};
 use crate::stats::{PhaseBreakdown, WorkerStats};
 use crate::durable::Digest128;
-use crate::worker::{
-    run_rounds, AsyncControl, AsyncLink, BarrierLink, BarrierVote, Routing, RunFlags, WorkerCtx,
-};
+use crate::worker::{run_rounds, BarrierVote, Routing, RunFlags, WorkerCtx};
 use owlpar_datalog::{MaterializationStrategy, Reasoner, Rule};
 use owlpar_horst::HorstReasoner;
 use owlpar_lint::{lint_rules, LintOptions, PartitionContext};
@@ -431,7 +429,6 @@ pub(crate) fn build_partitions(
                 DataPolicy::Graph(o) => OwnershipPolicy::Graph(*o),
                 DataPolicy::Hash { seed } => OwnershipPolicy::Hash { seed: *seed },
                 DataPolicy::Domain => OwnershipPolicy::Domain(None),
-                DataPolicy::Streaming => OwnershipPolicy::Streaming,
             };
             let dp =
                 partition_data_ordered(instance_triples, cut_order, dict, rdf_type, k, &ownership);
@@ -531,11 +528,6 @@ pub(crate) fn build_partitions(
 /// [`RunError::Workers`] when workers were lost and recovery was
 /// unavailable (non-data strategy) or disabled ([`FaultRecovery::Fail`]).
 pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport, RunError> {
-    if matches!(cfg.rounds, RoundMode::Async) && !matches!(cfg.comm, CommMode::Channel) {
-        return Err(RunError::config(
-            "asynchronous rounds require the channel transport",
-        ));
-    }
     let start_total = Instant::now();
     let before_len = graph.len();
     let mut plan = prepare_run(graph, cfg)?;
@@ -547,7 +539,6 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
     let barrier = Arc::new(RoundBarrier::new(cfg.k));
     let total_sent = Arc::new(AtomicU64::new(0));
     let flags = Arc::new(RunFlags::new());
-    let async_control = Arc::new(AsyncControl::default());
 
     // Spawn the workers, each inside a containment wrapper.
     let t_par = Instant::now();
@@ -575,7 +566,6 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
             let barrier = Arc::clone(&barrier);
             let total_sent = Arc::clone(&total_sent);
             let flags = Arc::clone(&flags);
-            let async_control = Arc::clone(&async_control);
             handles.push(scope.spawn(move |_| {
                 let progress = Arc::new(AtomicUsize::new(0));
                 let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -583,32 +573,18 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
                     // per span when the recorder is disabled; flushed on
                     // drop, including error exits).
                     let mut lane = obs::global().track(&format!("worker {id}"));
-                    let progress = Arc::clone(&progress);
-                    match cfg.rounds {
-                        RoundMode::Barrier => {
-                            let mut link = BarrierLink {
-                                comm,
-                                vote: BarrierVote {
-                                    barrier: Arc::clone(&barrier),
-                                    total_sent,
-                                    last_total: 0,
-                                    flags: Arc::clone(&flags),
-                                    round_timeout: cfg.round_timeout,
-                                    progress,
-                                },
-                            };
-                            run_rounds(ctx, &mut link, &mut lane)
-                        }
-                        RoundMode::Async => {
-                            let mut link = AsyncLink {
-                                comm,
-                                k: cfg.k,
-                                control: Arc::clone(&async_control),
-                                progress,
-                            };
-                            run_rounds(ctx, &mut link, &mut lane)
-                        }
-                    }
+                    // Owned in here: the endpoint closes as the worker
+                    // leaves, before the flag and the defection below.
+                    let mut comm = comm;
+                    let mut vote = BarrierVote {
+                        barrier: Arc::clone(&barrier),
+                        total_sent,
+                        last_total: 0,
+                        flags: Arc::clone(&flags),
+                        round_timeout: cfg.round_timeout,
+                        progress: Arc::clone(&progress),
+                    };
+                    run_rounds(ctx, &mut comm, &mut vote, &mut lane)
                 }));
                 let result = outcome.unwrap_or_else(|payload| {
                     Err(WorkerError::Panicked {
@@ -627,7 +603,6 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
                 // waiting (see worker.rs module docs).
                 if result.is_err() {
                     flags.fail();
-                    async_control.exit.store(true, Ordering::SeqCst);
                 }
                 barrier.defect();
                 result
@@ -745,21 +720,9 @@ pub fn finish_run(
     let aggregation = t_agg.elapsed();
     lane.end(agg_span);
 
-    // Reconstruct the cluster's wall-clock. Barrier mode: replay the
-    // synchronous schedule (per-round maxima + barrier slack). Async mode:
-    // no barriers, so the makespan is the busiest worker's CPU and sync
-    // is zero — exactly the gain §VI-B predicts.
-    let (parallel_time, sim_sync) = match cfg.rounds {
-        RoundMode::Barrier => crate::stats::simulate_rounds(&worker_stats),
-        RoundMode::Async => {
-            let makespan = worker_stats
-                .iter()
-                .map(|w| w.reason_time + w.io_time)
-                .max()
-                .unwrap_or_default();
-            (makespan, vec![Duration::ZERO; worker_stats.len()])
-        }
-    };
+    // Reconstruct the cluster's wall-clock: replay the synchronous
+    // schedule (per-round maxima + barrier slack).
+    let (parallel_time, sim_sync) = crate::stats::simulate_rounds(&worker_stats);
     for (w, s) in worker_stats.iter_mut().zip(sim_sync) {
         w.sync_time = s;
     }
@@ -987,57 +950,6 @@ mod tests {
         let mut g = generate_lubm(&LubmConfig::mini(1));
         let err = run_parallel(&mut g, &ParallelConfig::default().with_k(0)).unwrap_err();
         assert!(matches!(err, RunError::Config { .. }));
-    }
-
-    #[test]
-    fn async_over_files_is_config_error() {
-        let mut g = generate_lubm(&LubmConfig::mini(1));
-        let err = run_parallel(
-            &mut g,
-            &ParallelConfig {
-                rounds: RoundMode::Async,
-                comm: CommMode::SharedFile {
-                    dir: None,
-                    format: WireFormat::Binary,
-                },
-                ..ParallelConfig::default()
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, RunError::Config { .. }));
-    }
-
-    #[test]
-    fn async_mode_matches_serial_closure() {
-        use crate::config::RoundMode;
-        let g0 = generate_lubm(&LubmConfig::mini(2));
-        for k in [1, 2, 4] {
-            let cfg = ParallelConfig {
-                k,
-                rounds: RoundMode::Async,
-                ..ParallelConfig::default()
-            }
-            .forward();
-            assert_parallel_matches_serial(&g0, &cfg);
-        }
-    }
-
-    #[test]
-    fn async_mode_reports_zero_sync() {
-        use crate::config::RoundMode;
-        let mut g = generate_mdc(&MdcConfig::mini());
-        let report = run_parallel(
-            &mut g,
-            &ParallelConfig {
-                k: 3,
-                rounds: RoundMode::Async,
-                ..ParallelConfig::default()
-            }
-            .forward(),
-        )
-        .expect("run succeeds");
-        assert!(report.workers.iter().all(|w| w.sync_time == Duration::ZERO));
-        assert!(report.parallel_time > Duration::ZERO);
     }
 
     #[test]

@@ -5,25 +5,23 @@
 //! local partition, route new derivations to the partitions that may
 //! need them, exchange, repeat. [`run_rounds`] is that loop — the only
 //! one: it owns the statistics, the CPU accounting and the span
-//! vocabulary, and is written against [`RoundLink`], the seam that hides
-//! what carries the messages and who detects termination:
-//!
-//! * [`BarrierLink`] — a [`WorkerComm`] endpoint plus a [`RoundVote`]
-//!   that closes each round. Termination: a round in which *no* worker
-//!   sent anything, so every worker reaches the same verdict in the same
-//!   round. Two votes: [`BarrierVote`] reads a shared cumulative send
-//!   counter between two crossings of the shared [`RoundBarrier`]
-//!   (in-process); the cluster runtime's vote (`owlpar-net`) reports the
-//!   round's send count to the master after the mesh collect and waits
-//!   for its verdict. Either way the triples travel peer to peer.
-//! * [`AsyncLink`] — the §VI-B variant over the same endpoint: no
-//!   barrier, a worker absorbs whatever has arrived. Termination: every
-//!   worker idle ∧ every sent triple processed ([`AsyncControl`]).
+//! vocabulary, and runs over two seams. The triples travel peer to peer
+//! through a [`WorkerComm`] endpoint (channels, shared files, or any
+//! [`Transport`](crate::comm::Transport) behind [`WorkerComm::custom`],
+//! such as `owlpar-net`'s TCP mesh); a [`RoundVote`] closes each round
+//! and decides whether the run goes on. Termination is the paper's: a
+//! round in which *no* worker sent anything, so every worker reaches the
+//! same verdict in the same round. Two votes: [`BarrierVote`] reads a
+//! shared cumulative send counter between two crossings of the shared
+//! [`RoundBarrier`] (in-process); the cluster runtime's vote
+//! (`owlpar-net`) reports the round's send count to the master after the
+//! mesh collect and waits for its verdict.
 //!
 //! # Fault containment
 //!
-//! The loop returns `Result` instead of panicking, and a link reports a
-//! failure — persistent IO error, barrier timeout — as its error type.
+//! The loop returns `Result` instead of panicking: a failure — a
+//! persistent IO error, a barrier timeout — comes back as the vote's
+//! error type.
 //! Leaving the run is the in-process master's job (`master::run_parallel`
 //! wraps every worker): whatever the outcome it defects from the
 //! [`RoundBarrier`] on the worker's behalf, and on an error or a
@@ -44,7 +42,6 @@
 //! peer's next barrier releases against the shrunken membership and its
 //! own flag check ends its loop.
 
-use crate::backoff::Backoff;
 use crate::barrier::RoundBarrier;
 use crate::comm::WorkerComm;
 use crate::cputime::CpuTimer;
@@ -168,23 +165,6 @@ impl RunFlags {
     }
 }
 
-/// Shared state for distributed termination detection in the
-/// asynchronous mode: exit when every worker is idle and every sent
-/// triple has been processed.
-#[derive(Default)]
-pub struct AsyncControl {
-    /// Cumulative triples sent (incremented *before* the send).
-    pub total_sent: AtomicU64,
-    /// Cumulative received triples fully processed.
-    pub total_done: AtomicU64,
-    /// Workers currently idle (inbox empty, nothing to derive).
-    pub idle: AtomicUsize,
-    /// Latched once global quiescence is observed (or a worker is lost —
-    /// the async mode has no barrier, so the exit flag doubles as its
-    /// failure broadcast).
-    pub exit: AtomicBool,
-}
-
 /// What a worker is given: its identity, its partition and how to route.
 pub struct WorkerCtx {
     /// Worker index (== partition id).
@@ -202,61 +182,22 @@ pub struct WorkerCtx {
     pub routing: Routing,
 }
 
-/// What differs between the runtimes that run Algorithm 3: how a round's
-/// batches leave, how the round is declared over, and how its inbound
-/// triples and the stop verdict arrive. Everything else is
-/// [`run_rounds`].
-pub trait RoundLink {
-    /// How this link reports a failed exchange.
-    type Error;
-
-    /// Round `round` begins: fire whatever faults are pinned to it.
-    fn begin_round(&mut self, round: usize) -> Result<(), Self::Error>;
-
-    /// Send a non-empty `batch` to worker `to`. `Ok(false)`: the peer is
-    /// already gone and the batch was dropped — its own error decides
-    /// the run, and recovery re-closes from the surviving stores.
-    fn send(&mut self, round: usize, to: usize, batch: &[Triple]) -> Result<bool, Self::Error>;
-
-    /// Close the round's send window (`sent` triples left this worker in
-    /// it), wait for the verdict and hand over the triples addressed to
-    /// this worker. `true` stops the loop: global quiescence, or a lost
-    /// worker. The link records its own waiting on `lane`.
-    fn finish_round(
-        &mut self,
-        round: usize,
-        sent: u64,
-        lane: &mut Track,
-    ) -> Result<(Vec<Triple>, bool), Self::Error>;
-
-    /// The `received` triples of the last [`finish_round`] have been
-    /// absorbed and their consequences are about to be sent (links that
-    /// count in-flight triples need to know).
-    ///
-    /// [`finish_round`]: RoundLink::finish_round
-    fn absorbed(&mut self, _received: usize) {}
-
-    /// `(messages skipped with a report, transient IO failures absorbed
-    /// by retrying)` so far.
-    fn transport_trouble(&self) -> (usize, usize) {
-        (0, 0)
-    }
-}
-
-/// Run the worker to quiescence over `link`, recording on `lane`.
-/// Returns the sorted run of everything this worker gained over the
-/// partition it was given (see [`WorkerState::finish`]) and its stats,
-/// or the link's error if this worker dropped out of the run.
+/// Run the worker to quiescence, exchanging over `comm` and closing each
+/// round with `vote`, recording on `lane`. Returns the sorted run of
+/// everything this worker gained over the partition it was given (see
+/// [`WorkerState::finish`]) and its stats, or the vote's error if this
+/// worker dropped out of the run.
 ///
 /// `reason_time` and `io_time` are thread CPU time. Each round's charge
 /// (`round_cpu`) is closed when its sends are out, so the master can
 /// replay the synchronous schedule; what a round receives is charged to
 /// the next one.
-pub fn run_rounds<L: RoundLink>(
+pub fn run_rounds<V: RoundVote>(
     ctx: WorkerCtx,
-    link: &mut L,
+    comm: &mut WorkerComm,
+    vote: &mut V,
     lane: &mut Track,
-) -> Result<(Vec<Triple>, WorkerStats), L::Error> {
+) -> Result<(Vec<Triple>, WorkerStats), V::Error> {
     let WorkerCtx {
         id,
         k,
@@ -291,7 +232,7 @@ pub fn run_rounds<L: RoundLink>(
         stats.rounds += 1;
         let trace_round = span_round(round);
         let round_span = lane.begin(Phase::Round, trace_round);
-        link.begin_round(round)?;
+        vote.begin_round(round, comm)?;
 
         // route + send
         let span = lane.begin(Phase::Exchange, trace_round);
@@ -305,8 +246,13 @@ pub fn run_rounds<L: RoundLink>(
         }
         let mut sent_now = 0u64;
         for (to, batch) in outbox.iter().enumerate() {
-            if !batch.is_empty() && link.send(round, to, batch)? {
-                sent_now += batch.len() as u64;
+            match comm.send(to, batch) {
+                Ok(()) => sent_now += batch.len() as u64,
+                // The peer is already gone and the batch is dropped: its
+                // own error decides the run, and recovery re-closes from
+                // the surviving stores.
+                Err(CommError::Disconnected { .. }) => {}
+                Err(source) => return Err(comm_failed(id)(source).into()),
             }
         }
         stats.sent += sent_now as usize;
@@ -318,7 +264,7 @@ pub fn run_rounds<L: RoundLink>(
 
         // the send window closes; what arrives is the next round's work
         let t = CpuTimer::start();
-        let (received, stop) = link.finish_round(round, sent_now, lane)?;
+        let (received, stop) = vote.close_round(round, sent_now, comm, lane)?;
         stats.received += received.len();
         lane.count(
             Phase::Collect,
@@ -336,9 +282,7 @@ pub fn run_rounds<L: RoundLink>(
         // absorb + incremental closure
         let span = lane.begin(Phase::Join, trace_round);
         let t = CpuTimer::start();
-        let n_received = received.len();
         derived = state.absorb(received);
-        link.absorbed(n_received);
         let dt = t.elapsed();
         lane.end(span);
         stats.reason_time += dt;
@@ -350,7 +294,8 @@ pub fn run_rounds<L: RoundLink>(
         stats.round_cpu.push(round_cpu); // the last round's receive
     }
 
-    (stats.skipped, stats.io_retries) = link.transport_trouble();
+    stats.skipped = comm.skipped().len();
+    stats.io_retries = comm.io_retries as usize;
     let (run, local_len) = state.finish();
     stats.output_size = local_len;
     Ok((run, stats))
@@ -366,15 +311,6 @@ fn comm_failed(worker: usize) -> impl FnOnce(CommError) -> WorkerError {
     move |source| WorkerError::Comm { worker, source }
 }
 
-/// Send on an in-process endpoint; a hung-up peer is `Ok(false)`.
-fn send_on(comm: &mut WorkerComm, to: usize, batch: &[Triple]) -> Result<bool, WorkerError> {
-    match comm.send(to, batch) {
-        Ok(()) => Ok(true),
-        Err(CommError::Disconnected { .. }) => Ok(false),
-        Err(source) => Err(comm_failed(comm.me())(source)),
-    }
-}
-
 /// Drain round `round`'s inbound triples from `comm` under a `Collect`
 /// span — the one collect every [`RoundVote`] performs.
 pub fn collect_round(
@@ -388,7 +324,7 @@ pub fn collect_round(
     received
 }
 
-/// How a [`BarrierLink`] decides that a round is over and whether the run
+/// How [`run_rounds`] decides that a round is over and whether the run
 /// is: the termination state behind the peer-to-peer exchange.
 pub trait RoundVote {
     /// How this vote reports a failure (a failed collect arrives as a
@@ -408,40 +344,6 @@ pub trait RoundVote {
         comm: &mut WorkerComm,
         lane: &mut Track,
     ) -> Result<(Vec<Triple>, bool), Self::Error>;
-}
-
-/// Barrier-synchronized rounds over a [`WorkerComm`]: batches go straight
-/// to their peers, and the [`RoundVote`] closes the round.
-pub struct BarrierLink<V> {
-    /// Communication endpoint.
-    pub comm: WorkerComm,
-    /// Termination detection.
-    pub vote: V,
-}
-
-impl<V: RoundVote> RoundLink for BarrierLink<V> {
-    type Error = V::Error;
-
-    fn begin_round(&mut self, round: usize) -> Result<(), V::Error> {
-        self.vote.begin_round(round, &self.comm)
-    }
-
-    fn send(&mut self, _round: usize, to: usize, batch: &[Triple]) -> Result<bool, V::Error> {
-        Ok(send_on(&mut self.comm, to, batch)?)
-    }
-
-    fn finish_round(
-        &mut self,
-        round: usize,
-        sent: u64,
-        lane: &mut Track,
-    ) -> Result<(Vec<Triple>, bool), V::Error> {
-        self.vote.close_round(round, sent, &mut self.comm, lane)
-    }
-
-    fn transport_trouble(&self) -> (usize, usize) {
-        (self.comm.skipped().len(), self.comm.io_retries as usize)
-    }
 }
 
 /// The in-process vote: barrier A closes the send window, the collect
@@ -504,108 +406,6 @@ impl RoundVote for BarrierVote {
         let stop = self.flags.failed() || now_total == self.last_total;
         self.last_total = now_total;
         Ok((received, stop))
-    }
-}
-
-/// The asynchronous variant of Algorithm 3 proposed in §VI-B: no round
-/// barrier — a worker consumes whatever has arrived and keeps deriving;
-/// one burst is one "round". Requires the channel transport.
-///
-/// With no barrier to defect from, a lost worker is broadcast through
-/// [`AsyncControl::exit`] instead (by the master, on its behalf), so no
-/// survivor waits forever for a quiescence that can no longer be
-/// reached.
-pub(crate) struct AsyncLink {
-    /// Communication endpoint.
-    pub comm: WorkerComm,
-    /// Total number of workers.
-    pub k: usize,
-    /// The run's idle / in-flight counters.
-    pub control: Arc<AsyncControl>,
-    /// Last burst this worker entered (see [`BarrierLink::progress`]).
-    pub progress: Arc<AtomicUsize>,
-}
-
-impl AsyncLink {
-    fn try_collect(&mut self) -> Result<Vec<Triple>, WorkerError> {
-        self.comm.try_collect().map_err(comm_failed(self.comm.me()))
-    }
-}
-
-impl RoundLink for AsyncLink {
-    type Error = WorkerError;
-
-    fn begin_round(&mut self, round: usize) -> Result<(), WorkerError> {
-        self.progress.store(round, Ordering::Relaxed);
-        self.comm.fire_round_faults(round);
-        Ok(())
-    }
-
-    fn send(&mut self, _round: usize, to: usize, batch: &[Triple]) -> Result<bool, WorkerError> {
-        let n = batch.len() as u64;
-        self.control.total_sent.fetch_add(n, Ordering::SeqCst);
-        let delivered = send_on(&mut self.comm, to, batch)?;
-        if !delivered {
-            // dead peer; account its share as done so the in-flight
-            // counter can still reach quiescence
-            self.control.total_done.fetch_add(n, Ordering::SeqCst);
-        }
-        Ok(delivered)
-    }
-
-    fn finish_round(
-        &mut self,
-        round: usize,
-        _sent: u64,
-        lane: &mut Track,
-    ) -> Result<(Vec<Triple>, bool), WorkerError> {
-        use Ordering::SeqCst;
-        // grab whatever has arrived; if nothing, go idle and watch for
-        // quiescence
-        let received = self.try_collect()?;
-        if !received.is_empty() {
-            return Ok((received, false));
-        }
-        let control = Arc::clone(&self.control);
-        let span = lane.begin(Phase::BarrierWait, span_round(round));
-        control.idle.fetch_add(1, SeqCst);
-        // Poll asleep, not spinning: the wait is charged as CPU time to
-        // nobody, and a host with fewer cores than workers keeps them for
-        // the workers that still derive.
-        let mut backoff = Backoff::new(Duration::from_micros(10), Duration::from_micros(500));
-        let outcome = loop {
-            if control.exit.load(SeqCst) {
-                break Ok((Vec::new(), true));
-            }
-            match self.try_collect() {
-                Ok(received) if received.is_empty() => {}
-                Ok(received) => {
-                    control.idle.fetch_sub(1, SeqCst);
-                    break Ok((received, false));
-                }
-                Err(e) => break Err(e),
-            }
-            // all idle and nothing in flight ⇒ latch the exit flag
-            if control.idle.load(SeqCst) == self.k
-                && control.total_sent.load(SeqCst) == control.total_done.load(SeqCst)
-            {
-                control.exit.store(true, SeqCst);
-                break Ok((Vec::new(), true));
-            }
-            backoff.sleep();
-        };
-        lane.end(span);
-        outcome
-    }
-
-    fn absorbed(&mut self, received: usize) {
-        self.control
-            .total_done
-            .fetch_add(received as u64, Ordering::SeqCst);
-    }
-
-    fn transport_trouble(&self) -> (usize, usize) {
-        (self.comm.skipped().len(), self.comm.io_retries as usize)
     }
 }
 

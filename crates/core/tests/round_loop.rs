@@ -1,17 +1,21 @@
-//! The round loop alone: [`run_rounds`] driven through a scripted
-//! [`RoundLink`] — canned inbound batches, no threads, no fabric — from
-//! outside the crate, the way another runtime (the cluster link in
-//! `owlpar-net`) plugs into the seam.
+//! The round loop alone: [`run_rounds`] driven over its two seams — a
+//! scripted [`Transport`] behind [`WorkerComm::custom`] with canned
+//! inbound batches, and a scripted [`RoundVote`] — with no threads and no
+//! fabric, from outside the crate, the way another runtime (the cluster
+//! in `owlpar-net`) plugs into them.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use owlpar_core::worker::{run_rounds, RoundLink, Routing, WorkerCtx};
+use owlpar_core::comm::WorkerComm;
+use owlpar_core::worker::{collect_round, run_rounds, RoundVote, Routing, WorkerCtx};
+use owlpar_core::{CommError, SkippedMessage, Transport, WorkerError};
 use owlpar_datalog::ast::build::*;
 use owlpar_datalog::{Reasoner, Rule};
 use owlpar_obs::{Metric, Phase, Track};
 use owlpar_rdf::fx::FxHashMap;
 use owlpar_rdf::{NodeId, Triple};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn t(s: u32, p: u32, o: u32) -> Triple {
@@ -20,57 +24,96 @@ fn t(s: u32, p: u32, o: u32) -> Triple {
 
 const P: u32 = 500;
 
-/// A link with no fabric behind it: it hands out canned inbound
-/// batches, stops when they run out, and writes down what it saw.
+/// What the transport was handed: `(round, to, batch)`.
+type SentLog = Arc<Mutex<Vec<(usize, usize, Vec<Triple>)>>>;
+
+/// A fabric with no peers behind it: each collect hands out the next
+/// canned batch, every send is written down, batches to a `gone` peer
+/// bounce as a hang-up, and the first collect reports `skips` damaged
+/// messages.
 #[derive(Default)]
-struct Scripted {
-    inbound: std::collections::VecDeque<Vec<Triple>>,
-    /// Peers whose batches are dropped (`send` answers `Ok(false)`).
+struct ScriptedTransport {
+    inbound: VecDeque<Vec<Triple>>,
     gone: Vec<usize>,
-    fail_at: Option<usize>,
-    begun: Vec<usize>,
-    sent: Vec<(usize, usize, Vec<Triple>)>,
-    finished: Vec<(usize, u64)>,
-    absorbed: Vec<usize>,
+    skips: usize,
+    sent: SentLog,
 }
 
-impl RoundLink for Scripted {
-    type Error = String;
+impl Transport for ScriptedTransport {
+    fn send(&mut self, round: usize, to: usize, batch: &[Triple]) -> Result<u64, CommError> {
+        assert!(!batch.is_empty(), "empty batches never reach the transport");
+        self.sent.lock().unwrap().push((round, to, batch.to_vec()));
+        if self.gone.contains(&to) {
+            return Err(CommError::Disconnected { round, from: 0, to });
+        }
+        Ok(12 * batch.len() as u64)
+    }
 
-    fn begin_round(&mut self, round: usize) -> Result<(), String> {
+    fn collect(&mut self, _round: usize) -> Result<Vec<Triple>, CommError> {
+        Ok(self.inbound.pop_front().unwrap_or_default())
+    }
+
+    fn take_skipped(&mut self) -> Vec<SkippedMessage> {
+        (0..std::mem::take(&mut self.skips))
+            .map(|i| SkippedMessage {
+                round: 0,
+                worker: 0,
+                origin: format!("scripted {i}"),
+                reason: "damaged on purpose".to_string(),
+            })
+            .collect()
+    }
+}
+
+/// A vote with no peers to ask: it collects each round off the endpoint,
+/// stops after `last_round`, fails where it is told to, and writes down
+/// what it saw.
+#[derive(Default)]
+struct ScriptedVote {
+    last_round: usize,
+    fail_at: Option<usize>,
+    begun: Vec<usize>,
+    finished: Vec<(usize, u64)>,
+}
+
+/// The scripted vote's error: a message.
+#[derive(Debug)]
+struct Failed(String);
+
+impl From<WorkerError> for Failed {
+    fn from(e: WorkerError) -> Self {
+        Failed(e.to_string())
+    }
+}
+
+impl RoundVote for ScriptedVote {
+    type Error = Failed;
+
+    fn begin_round(&mut self, round: usize, _comm: &WorkerComm) -> Result<(), Failed> {
         self.begun.push(round);
         match self.fail_at {
-            Some(r) if r == round => Err(format!("scripted failure at round {round}")),
+            Some(r) if r == round => Err(Failed(format!("scripted failure at round {round}"))),
             _ => Ok(()),
         }
     }
 
-    fn send(&mut self, round: usize, to: usize, batch: &[Triple]) -> Result<bool, String> {
-        assert!(!batch.is_empty(), "empty batches never reach the link");
-        self.sent.push((round, to, batch.to_vec()));
-        Ok(!self.gone.contains(&to))
-    }
-
-    fn finish_round(
+    fn close_round(
         &mut self,
         round: usize,
         sent: u64,
-        _lane: &mut Track,
-    ) -> Result<(Vec<Triple>, bool), String> {
+        comm: &mut WorkerComm,
+        lane: &mut Track,
+    ) -> Result<(Vec<Triple>, bool), Failed> {
         self.finished.push((round, sent));
-        Ok(match self.inbound.pop_front() {
-            Some(batch) => (batch, false),
-            None => (Vec::new(), true),
-        })
+        let received = collect_round(comm, round, lane)?;
+        Ok((received, round == self.last_round))
     }
+}
 
-    fn absorbed(&mut self, received: usize) {
-        self.absorbed.push(received);
-    }
-
-    fn transport_trouble(&self) -> (usize, usize) {
-        (7, 9)
-    }
+/// Worker 0's endpoint over `transport`; returns the log of its sends.
+fn endpoint(transport: ScriptedTransport) -> (WorkerComm, SentLog) {
+    let sent = Arc::clone(&transport.sent);
+    (WorkerComm::custom(0, Box::new(transport)), sent)
 }
 
 /// Worker 0 of 3 over a transitive predicate: nodes 0 and 1 are its
@@ -102,11 +145,11 @@ fn chain_ctx() -> WorkerCtx {
 }
 
 /// The loop alone, no threads and no fabric: what it sends, counts
-/// and hands back over a scripted link is the serial delta closure
-/// of everything it was shipped and delivered.
+/// and hands back over a scripted transport and vote is the serial
+/// delta closure of everything it was shipped and delivered.
 #[test]
-fn run_rounds_over_a_scripted_link_is_the_serial_delta_closure() {
-    let mut link = Scripted {
+fn run_rounds_over_a_scripted_transport_and_vote_is_the_serial_delta_closure() {
+    let (mut comm, sent) = endpoint(ScriptedTransport {
         inbound: [
             // round 0: one new link of the chain, one triple it has
             vec![t(2, P, 3), t(0, P, 1)],
@@ -116,19 +159,26 @@ fn run_rounds_over_a_scripted_link_is_the_serial_delta_closure() {
             vec![t(3, P, 4)],
         ]
         .into(),
-        ..Scripted::default()
+        skips: 7,
+        ..ScriptedTransport::default()
+    });
+    // as if nine transient IO failures had been retried through
+    comm.io_retries = 9;
+    let mut vote = ScriptedVote {
+        last_round: 3,
+        ..ScriptedVote::default()
     };
     let rec = owlpar_obs::Recorder::enabled();
     let mut lane = rec.track("worker 0");
     let ctx = chain_ctx();
     let (schema, base) = (ctx.schema.to_vec(), ctx.base.clone());
-    let (run, stats) = run_rounds(ctx, &mut link, &mut lane).unwrap();
+    let (run, stats) = run_rounds(ctx, &mut comm, &mut vote, &mut lane).unwrap();
     drop(lane);
 
     // round 0 routes the closure of the base, each later round what
     // the previous delivery derived, to the owner of the far end
-    assert_eq!(link.begun, vec![0, 1, 2, 3]);
-    let mut sent = link.sent.clone();
+    assert_eq!(vote.begun, vec![0, 1, 2, 3]);
+    let mut sent = sent.lock().unwrap().clone();
     sent.iter_mut()
         .for_each(|(_, _, batch)| batch.sort_unstable());
     assert_eq!(
@@ -141,12 +191,7 @@ fn run_rounds_over_a_scripted_link_is_the_serial_delta_closure() {
             (3, 2, vec![t(0, P, 4), t(1, P, 4), t(2, P, 4)]),
         ]
     );
-    assert_eq!(link.finished, vec![(0, 1), (1, 2), (2, 0), (3, 4)]);
-    assert_eq!(
-        link.absorbed,
-        vec![2, 0, 1],
-        "one acknowledgement per absorb"
-    );
+    assert_eq!(vote.finished, vec![(0, 1), (1, 2), (2, 0), (3, 4)]);
 
     assert_eq!(stats.id, 0);
     assert_eq!(stats.rounds, 4);
@@ -178,7 +223,7 @@ fn run_rounds_over_a_scripted_link_is_the_serial_delta_closure() {
     assert_eq!(run, want);
     assert_eq!(stats.output_size, oracle.len());
 
-    // one span vocabulary, whatever the link
+    // one span vocabulary, whatever the transport and the vote
     let book = rec.drain();
     let count = |phase: Phase| {
         book.events
@@ -189,6 +234,7 @@ fn run_rounds_over_a_scripted_link_is_the_serial_delta_closure() {
     assert_eq!(count(Phase::Freeze), 1);
     assert_eq!(count(Phase::Round), 4);
     assert_eq!(count(Phase::Exchange), 4);
+    assert_eq!(count(Phase::Collect), 4);
     assert_eq!(count(Phase::Join), 4, "the close, then one per absorb");
     let total = |metric: Metric| -> u64 {
         book.events
@@ -206,27 +252,38 @@ fn run_rounds_over_a_scripted_link_is_the_serial_delta_closure() {
 }
 
 #[test]
-fn a_dropped_batch_is_not_counted_and_a_link_error_ends_the_loop() {
+fn a_dropped_batch_is_not_counted_and_a_vote_error_ends_the_loop() {
     // worker 1 is gone: its batches are offered, dropped, not counted
-    let mut link = Scripted {
+    let (mut comm, sent) = endpoint(ScriptedTransport {
         inbound: [vec![t(2, P, 3)]].into(),
         gone: vec![1],
-        ..Scripted::default()
+        ..ScriptedTransport::default()
+    });
+    let mut vote = ScriptedVote {
+        last_round: 1,
+        ..ScriptedVote::default()
     };
     let mut lane = owlpar_obs::Recorder::disabled().track("w");
-    let (_, stats) = run_rounds(chain_ctx(), &mut link, &mut lane).unwrap();
-    assert_eq!(link.sent.len(), 2);
+    let (_, stats) = run_rounds(chain_ctx(), &mut comm, &mut vote, &mut lane).unwrap();
+    assert_eq!(sent.lock().unwrap().len(), 2);
     assert_eq!(stats.sent, 0);
-    assert_eq!(link.finished, vec![(0, 0), (1, 0)]);
+    assert_eq!(vote.finished, vec![(0, 0), (1, 0)]);
 
-    // the link's error is the loop's, at the round it was raised
-    let mut link = Scripted {
+    // the vote's error is the loop's, at the round it was raised
+    let (mut comm, _) = endpoint(ScriptedTransport {
         inbound: [vec![t(2, P, 3)], vec![]].into(),
+        ..ScriptedTransport::default()
+    });
+    let mut vote = ScriptedVote {
+        last_round: 2,
         fail_at: Some(1),
-        ..Scripted::default()
+        ..ScriptedVote::default()
     };
-    let err = run_rounds(chain_ctx(), &mut link, &mut lane).err();
-    assert_eq!(err.as_deref(), Some("scripted failure at round 1"));
-    assert_eq!(link.begun, vec![0, 1]);
-    assert_eq!(link.finished.len(), 1);
+    let err = run_rounds(chain_ctx(), &mut comm, &mut vote, &mut lane).err();
+    assert_eq!(
+        err.map(|Failed(e)| e).as_deref(),
+        Some("scripted failure at round 1")
+    );
+    assert_eq!(vote.begun, vec![0, 1]);
+    assert_eq!(vote.finished.len(), 1);
 }

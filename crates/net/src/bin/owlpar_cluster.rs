@@ -28,7 +28,6 @@
 //! handshake, protocol or worker failure without recovery — or an
 //! injected fault, on the worker side).
 
-use owlpar_core::config::RoundMode;
 use owlpar_core::{run_serial, FaultPlan, ParallelConfig, PartitioningStrategy};
 use owlpar_net::{run_cluster_master, run_cluster_worker, MasterOptions, NetError, WorkerOptions};
 use owlpar_rdf::{parse_ntriples, write_ntriples, Graph};
@@ -128,7 +127,6 @@ fn master(args: &[String]) -> Result<(), CliError> {
     let mut cfg = ParallelConfig {
         k,
         strategy,
-        rounds: RoundMode::Barrier,
         ..ParallelConfig::default()
     }
     .forward();

@@ -6,9 +6,9 @@
 //! mesh peer table over the versioned bootstrap protocol (`protocol`),
 //! and ends in the same tail ([`finish_run`]: aggregate, recover,
 //! report). A worker joins the TCP mesh (`transport`) and runs the one
-//! round loop there is ([`run_rounds`]) over the in-process
-//! [`BarrierLink`]: batches go straight to their peers, and a vote closes
-//! the round instead of a barrier — collect the round off the mesh,
+//! round loop there is ([`run_rounds`]) over a mesh [`WorkerComm`]:
+//! batches go straight to their peers, and a vote closes the round
+//! instead of a barrier — collect the round off the mesh,
 //! announce `RoundDone` with the round's send count, block on the
 //! master's `Verdict`. The verdict is the paper's termination test — a
 //! round in which nobody sent anything — so every worker reaches it in
@@ -43,13 +43,12 @@ use crate::transport::{
     accept_before, join_mesh, MeshTally, DEFAULT_CHUNK_TRIPLES, FRAME_OVERHEAD,
 };
 use owlpar_core::comm::WorkerComm;
-use owlpar_core::config::RoundMode;
 use owlpar_core::master::{finish_run, resolve_materialization};
 use owlpar_core::stats::{WireBytes, WirePhase, WireRound};
-use owlpar_core::worker::{collect_round, run_rounds, BarrierLink, RoundVote, Routing, WorkerCtx};
+use owlpar_core::worker::{collect_round, run_rounds, RoundVote, Routing, WorkerCtx};
 use owlpar_core::{
     digest128, prepare_run, read_crc_frame, write_crc_frame, Backoff, CommError, FaultKind,
-    ParallelConfig, RunError, RunReport, WorkerError,
+    ParallelConfig, RunReport, WorkerError,
 };
 use owlpar_datalog::{Reasoner, Rule};
 use owlpar_obs::json::obj;
@@ -579,11 +578,6 @@ pub fn run_cluster_master(
     listener: TcpListener,
     opts: &MasterOptions,
 ) -> Result<RunReport, NetError> {
-    if matches!(cfg.rounds, RoundMode::Async) {
-        return Err(NetError::Run(RunError::config(
-            "the cluster runtime supports barrier rounds only",
-        )));
-    }
     let start_total = Instant::now();
     let before_len = graph.len();
     let mut plan = prepare_run(graph, cfg)?;
@@ -1204,17 +1198,14 @@ pub fn run_cluster_worker(
     };
     let mut lane = rec.track("worker");
     let tally = Arc::clone(&endpoint.tally);
-    let mut link = BarrierLink {
-        comm: WorkerComm::custom(me, Box::new(endpoint)),
-        vote: MasterVote {
-            conn,
-            faults: setup.faults,
-            rec,
-            tally,
-        },
+    let mut comm = WorkerComm::custom(me, Box::new(endpoint));
+    let mut vote = MasterVote {
+        conn,
+        faults: setup.faults,
+        rec,
+        tally,
     };
-    let (full, stats) = run_rounds(ctx, &mut link, &mut lane)?;
-    let BarrierLink { comm, mut vote } = link;
+    let (full, stats) = run_rounds(ctx, &mut comm, &mut vote, &mut lane)?;
     drop(comm); // leave the mesh
 
     let summary = WorkerSummary {

@@ -5,7 +5,6 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use owlpar_core::config::RoundMode;
 use owlpar_core::master::resolve_materialization;
 use owlpar_core::{
     digest128, prepare_run, read_crc_frame, run_parallel, run_serial, write_crc_frame, CommMode,
@@ -179,13 +178,13 @@ fn cluster_processes_match_serial_data_graph() {
 }
 
 /// The fingerprint suite over the whole matrix: every strategy × every
-/// engine, through the channel transport (barrier and async rounds), the
-/// in-process TCP mesh and the multi-process star — each must land on
-/// the serial closure, term for term. (Rule and hybrid partitioning ship
-/// very different routing tables — consumer sets and group × shard grids
-/// — and both must rebuild faithfully on the worker side.)
+/// engine, through the channel transport, the in-process TCP mesh and
+/// the multi-process cluster — each must land on the serial closure,
+/// term for term. (Rule and hybrid partitioning ship very different
+/// routing tables — consumer sets and group × shard grids — and both
+/// must rebuild faithfully on the worker side.)
 #[test]
-fn tcp_channel_and_serial_agree_over_strategies_engines_and_round_modes() {
+fn tcp_channel_and_serial_agree_over_strategies_and_engines() {
     let g0 = generate_lubm(&LubmConfig::mini(1));
     let (want_fp, want_len) = serial_closure(g0.clone());
     for (label, cfg) in matrix() {
@@ -193,12 +192,9 @@ fn tcp_channel_and_serial_agree_over_strategies_engines_and_round_modes() {
             assert_eq!(g.len(), want_len, "{label} {how}");
             assert_eq!(g.term_fingerprint(), want_fp, "{label} {how}");
         };
-        for rounds in [RoundMode::Barrier, RoundMode::Async] {
-            let mut g = g0.clone();
-            let cfg = ParallelConfig { rounds, ..cfg.clone() };
-            run_parallel(&mut g, &cfg).unwrap_or_else(|e| panic!("{label} {rounds:?}: {e}"));
-            check(&g, &format!("channel {rounds:?}"));
-        }
+        let mut g = g0.clone();
+        run_parallel(&mut g, &cfg).unwrap_or_else(|e| panic!("{label} channel: {e}"));
+        check(&g, "channel");
         let mut g = g0.clone();
         let mesh = ParallelConfig {
             comm: CommMode::Custom(Arc::new(TcpFabricFactory::default())),
@@ -510,7 +506,7 @@ fn a_peer_at_a_closed_port_fails_both_ends_within_the_connect_timeout() {
 /// chains over four workers, so closing them takes round after round of
 /// exchange — every worker absorbs them into its overlay, and at
 /// this size the overlays outgrow the fold bound and are merged into the
-/// frozen base mid-run. In-process (barrier and async) and over TCP.
+/// frozen base mid-run. In-process and over TCP.
 #[test]
 fn many_round_transitive_chains_absorb_and_fold() {
     let g0 = generate_mdc(&MdcConfig {
@@ -523,19 +519,14 @@ fn many_round_transitive_chains_absorb_and_fold() {
     });
     let (want_fp, want_len) = serial_closure(g0.clone());
     let cfg = forward_cfg(4, PartitioningStrategy::data_hash());
-    for rounds in [RoundMode::Barrier, RoundMode::Async] {
-        let mut g = g0.clone();
-        let cfg = ParallelConfig { rounds, ..cfg.clone() };
-        let report = run_parallel(&mut g, &cfg).expect("in-process run");
-        if rounds == RoundMode::Barrier {
-            assert!(report.max_rounds() >= 4, "only {} rounds", report.max_rounds());
-            let received = report.workers.iter().map(|w| w.received).max().unwrap();
-            // deliveries land in the overlay, which folds past
-            // max(4096, base / 4); bases here are under 14 000 triples
-            assert!(received > 2 * 4096, "at most {received} delivered to a worker: no folds");
-        }
-        assert_eq!((g.term_fingerprint(), g.len()), (want_fp, want_len), "{rounds:?}");
-    }
+    let mut g = g0.clone();
+    let report = run_parallel(&mut g, &cfg).expect("in-process run");
+    assert!(report.max_rounds() >= 4, "only {} rounds", report.max_rounds());
+    let received = report.workers.iter().map(|w| w.received).max().unwrap();
+    // deliveries land in the overlay, which folds past
+    // max(4096, base / 4); bases here are under 14 000 triples
+    assert!(received > 2 * 4096, "at most {received} delivered to a worker: no folds");
+    assert_eq!((g.term_fingerprint(), g.len()), (want_fp, want_len));
     let (report, g, workers) = run_cluster(&g0, &cfg);
     let report = report.expect("cluster run");
     assert!(report.max_rounds() >= 4);

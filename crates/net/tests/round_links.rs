@@ -1,15 +1,14 @@
-//! One round loop under every link: barrier rounds over the channel, the
-//! shared-file and the TCP-mesh fabrics, asynchronous bursts over the
-//! channel, and the cluster runtime over loopback TCP all reach the
-//! serial closure, and every worker's lane tells the same story in the
-//! same words — one `Round`, one `Exchange` and one `Join` span per round
-//! it reports, and `Sent` / `Received` counters that add up to its
-//! statistics. One `#[test]`: the in-process runs record on the ambient
-//! recorder, which is process-global.
+//! One round loop under every fabric and vote: barrier rounds over the
+//! channel, the shared-file and the TCP-mesh fabrics, and the cluster
+//! runtime over loopback TCP all reach the serial closure, and every
+//! worker's lane tells the same story in the same words — one `Round`,
+//! one `Exchange` and one `Join` span per round it reports, and `Sent` /
+//! `Received` counters that add up to its statistics. One `#[test]`: the
+//! in-process runs record on the ambient recorder, which is
+//! process-global.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use owlpar_core::config::RoundMode;
 use owlpar_core::{
     run_parallel, run_serial, CommMode, ParallelConfig, PartitioningStrategy, RunReport, WireFormat,
 };
@@ -126,42 +125,30 @@ fn every_link_reaches_the_serial_closure_and_tells_it_in_the_same_spans() {
     let g0 = generate_mdc(&MdcConfig::mini());
     let mut serial = g0.clone();
     run_serial(&mut serial, MaterializationStrategy::ForwardSemiNaive);
-    let cfg = |rounds: RoundMode, comm: CommMode| {
+    let cfg = |comm: CommMode| {
         ParallelConfig {
             k: K,
             strategy: PartitioningStrategy::data_graph(),
-            rounds,
             comm,
             ..ParallelConfig::default()
         }
         .forward()
     };
 
-    // every legal pairing of round mode and in-process fabric (asynchronous
-    // draining exists on the channel fabric only)
+    // every in-process fabric
     let in_process = [
-        (
-            "barrier/channel",
-            cfg(RoundMode::Barrier, CommMode::Channel),
-        ),
+        ("barrier/channel", cfg(CommMode::Channel)),
         (
             "barrier/shared-file",
-            cfg(
-                RoundMode::Barrier,
-                CommMode::SharedFile {
-                    dir: None,
-                    format: WireFormat::Binary,
-                },
-            ),
+            cfg(CommMode::SharedFile {
+                dir: None,
+                format: WireFormat::Binary,
+            }),
         ),
         (
             "barrier/tcp-mesh",
-            cfg(
-                RoundMode::Barrier,
-                CommMode::Custom(Arc::new(TcpFabricFactory::default())),
-            ),
+            cfg(CommMode::Custom(Arc::new(TcpFabricFactory::default()))),
         ),
-        ("async/channel", cfg(RoundMode::Async, CommMode::Channel)),
     ];
     for (label, cfg) in &in_process {
         owlpar_obs::install_global(Recorder::enabled());
@@ -179,7 +166,7 @@ fn every_link_reaches_the_serial_closure_and_tells_it_in_the_same_spans() {
         trace: Some(rec.clone()),
         ..MasterOptions::default()
     };
-    let cluster_cfg = cfg(RoundMode::Barrier, CommMode::Channel);
+    let cluster_cfg = cfg(CommMode::Channel);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let mut g = g0.clone();

@@ -94,6 +94,13 @@ struct Lane {
     tid: u64,
 }
 
+/// A `ts` / `dur` field in whole µs. Chrome traces may carry fractional
+/// microseconds (owlbench's do), so the number is rounded, not refused;
+/// a missing one reads as 0, and the cast saturates a negative one to 0.
+fn micros(v: Option<&Value>) -> u64 {
+    v.and_then(Value::as_f64).map_or(0, |us| us.round() as u64)
+}
+
 /// Compute summary statistics over a parsed Chrome trace document.
 pub fn summarize(doc: &Value) -> Result<TraceStats, String> {
     let events = doc
@@ -133,8 +140,8 @@ pub fn summarize(doc: &Value) -> Result<TraceStats, String> {
                 let Some(phase) = Phase::from_name(name) else {
                     continue;
                 };
-                let ts = e.get("ts").and_then(Value::as_u64).unwrap_or(0);
-                let dur = e.get("dur").and_then(Value::as_u64).unwrap_or(0);
+                let ts = micros(e.get("ts"));
+                let dur = micros(e.get("dur"));
                 let round = e
                     .get("args")
                     .and_then(|a| a.get("round"))
@@ -448,6 +455,31 @@ mod tests {
         assert!(table.contains("barrier") || table.contains("round"), "{table}");
         assert!(table.contains("predicted skew ratio 1.20x"), "{table}");
         assert!(table.contains("skew"), "{table}");
+    }
+
+    /// owlbench writes `ts` and `dur` with fractional microseconds. Read
+    /// as integers only, every span started at 0 and lasted 0, and the
+    /// wall of a 200 µs run came out as 0.
+    #[test]
+    fn fractional_timestamps_keep_the_true_wall() {
+        let doc = parse(
+            "{\"traceEvents\":[\
+             {\"ph\":\"X\",\"name\":\"partition\",\"pid\":0,\"tid\":0,\
+              \"ts\":2650878.315,\"dur\":100.5},\
+             {\"ph\":\"X\",\"name\":\"round\",\"pid\":1,\"tid\":0,\
+              \"ts\":2650978.9,\"dur\":100.2,\"args\":{\"round\":0}}]}",
+        )
+        .unwrap();
+        let stats = summarize(&doc).unwrap();
+        // spans [2650878, 2650979) and [2650979, 2651079)
+        assert_eq!(stats.wall_us, 201);
+        let partition = stats
+            .phases
+            .iter()
+            .find(|p| p.phase == Phase::Partition)
+            .unwrap();
+        assert_eq!(partition.total_us, 101);
+        assert_eq!(stats.rounds[0].max_us, 100);
     }
 
     #[test]

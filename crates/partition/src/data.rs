@@ -34,9 +34,6 @@ pub enum OwnershipPolicy<'a> {
     },
     /// Domain-specific grouping; `None` uses [`authority_key`].
     Domain(Option<KeyFn<'a>>),
-    /// Linear Deterministic Greedy streaming (one pass, edge-cut aware —
-    /// the middle ground between hash and graph partitioning).
-    Streaming,
 }
 
 impl std::fmt::Debug for OwnershipPolicy<'_> {
@@ -45,7 +42,6 @@ impl std::fmt::Debug for OwnershipPolicy<'_> {
             OwnershipPolicy::Graph(o) => write!(f, "Graph({o:?})"),
             OwnershipPolicy::Hash { seed } => write!(f, "Hash{{seed:{seed}}}"),
             OwnershipPolicy::Domain(_) => write!(f, "Domain"),
-            OwnershipPolicy::Streaming => write!(f, "Streaming"),
         }
     }
 }
@@ -165,16 +161,6 @@ pub fn partition_data_ordered(
             domain_owners(&og.vertex_to_node, dict, k, key.unwrap_or(&authority_key)),
             None,
         ),
-        OwnershipPolicy::Streaming => {
-            let table = crate::streaming::ldg_owners(instance, rdf_type, k);
-            (
-                og.vertex_to_node
-                    .iter()
-                    .map(|n| table.get(n).copied().unwrap_or(0))
-                    .collect(),
-                None,
-            )
-        }
     };
 
     // Step 3 reads owners through the graph builder's node → vertex
@@ -240,11 +226,7 @@ mod tests {
     fn every_triple_lands_on_owner_of_both_endpoints() {
         let triples = clustered();
         let d = Dictionary::new();
-        for policy in [
-            graph_policy(),
-            OwnershipPolicy::Hash { seed: 2 },
-            OwnershipPolicy::Streaming,
-        ] {
+        for policy in [graph_policy(), OwnershipPolicy::Hash { seed: 2 }] {
             let dp = partition_data(&triples, &d, None, 3, &policy);
             for tr in &triples {
                 for endpoint in [tr.s, tr.o] {
@@ -332,19 +314,6 @@ mod tests {
         }
         let sizes: Vec<usize> = dp.parts.iter().map(Vec::len).collect();
         assert_eq!(sizes, vec![18, 18]);
-    }
-
-    #[test]
-    fn streaming_policy_keeps_clusters_mostly_intact() {
-        let triples = clustered();
-        let d = Dictionary::new();
-        let dp = partition_data(&triples, &d, None, 2, &OwnershipPolicy::Streaming);
-        // at most a couple of the 9 triples should be replicated
-        let replicated = triples
-            .iter()
-            .filter(|tr| matches!(dp.destinations(tr), Destinations::Two(_, _)))
-            .count();
-        assert!(replicated <= 3, "LDG replicated {replicated}/9");
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub mod metrics;
 pub mod multilevel;
 pub mod rdfgraph;
 pub mod rule;
-pub mod streaming;
 
 pub use data::{partition_data, partition_data_ordered, DataPartitions, OwnershipPolicy};
 pub use metrics::{output_replication, PartitionQuality};

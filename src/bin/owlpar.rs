@@ -2,7 +2,7 @@
 //! query, partition-inspect and snapshot OWL knowledge bases.
 //!
 //! ```text
-//! owlpar materialize <in.nt> <out.nt> [--k 4] [--strategy graph|hash|domain|rule|hybrid|auto] [--async]
+//! owlpar materialize <in.nt> <out.nt> [--k 4] [--strategy graph|hash|domain|rule|hybrid|auto]
 //!                    [--fault-plan 'io@1.0:2,panic@1.2,...'] [--trace-out FILE]
 //! owlpar query <kb.nt> '<SPARQL>'
 //! owlpar lint <rules-file> [--context data|rule|replicated] [--json]
@@ -19,7 +19,6 @@
 //! failed (a `RunError` — lost workers without recovery, bad config) or
 //! the linted rule-base has deny-level findings.
 
-use owlpar::core::config::RoundMode;
 use owlpar::core::{
     analyze_rules_only, analyze_strategy, auto_candidates, FaultPlan, PlanningBase, RunError,
 };
@@ -152,15 +151,9 @@ fn materialize(args: &[String]) -> Result<(), CliError> {
         Some("auto") => PartitioningStrategy::Auto,
         Some(other) => return Err(format!("unknown strategy '{other}'").into()),
     };
-    let rounds = if args.iter().any(|a| a == "--async") {
-        RoundMode::Async
-    } else {
-        RoundMode::Barrier
-    };
     let mut cfg = ParallelConfig {
         k,
         strategy,
-        rounds,
         ..ParallelConfig::default()
     }
     .forward();

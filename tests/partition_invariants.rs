@@ -34,7 +34,6 @@ fn policies() -> Vec<(&'static str, OwnershipPolicy<'static>)> {
         ),
         ("hash", OwnershipPolicy::Hash { seed: 3 }),
         ("domain", OwnershipPolicy::Domain(None)),
-        ("streaming", OwnershipPolicy::Streaming),
     ]
 }
 
