@@ -5,6 +5,7 @@ use crate::fault::FaultPlan;
 use owlpar_datalog::backward::TableScope;
 use owlpar_datalog::{MaterializationStrategy, Rule};
 use owlpar_partition::multilevel::PartitionOptions;
+use owlpar_partition::OwnershipPolicy;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -14,19 +15,12 @@ use std::time::Duration;
 pub enum PartitioningStrategy {
     /// Algorithm 1 — split the instance triples; every worker runs the
     /// complete rule-base.
-    Data(DataPolicy),
+    Data(OwnershipPolicy),
     /// Algorithm 2 — split the rule-base; every worker holds the complete
     /// data.
     Rule {
         /// Weigh dependency edges with the dataset's predicate histogram.
         weighted: bool,
-    },
-    /// Hybrid (the paper's stated future work, after Shao/Bell/Hull):
-    /// rules split into `rule_groups` groups, data split into
-    /// `k / rule_groups` shards; requires `rule_groups` to divide `k`.
-    Hybrid {
-        /// Number of rule groups (`g`); data shards = `k / g`.
-        rule_groups: usize,
     },
     /// Let the static plan analyzer pick: score the candidate strategies
     /// (`owlpar_core::plan::auto_candidates`) with the OWL011–OWL016
@@ -37,35 +31,20 @@ pub enum PartitioningStrategy {
     Auto,
 }
 
-/// Ownership policy for the data-partitioning approach (mirrors
-/// `owlpar_partition::OwnershipPolicy`, minus the non-`Send` key closure).
-#[derive(Debug, Clone)]
-pub enum DataPolicy {
-    /// Multilevel min-cut graph partitioning (METIS role).
-    Graph(PartitionOptions),
-    /// Streaming hash ownership.
-    Hash {
-        /// Hash seed.
-        seed: u64,
-    },
-    /// Domain-specific (IRI-authority) grouping.
-    Domain,
-}
-
 impl PartitioningStrategy {
     /// Data partitioning with the graph policy and default options.
     pub fn data_graph() -> Self {
-        PartitioningStrategy::Data(DataPolicy::Graph(PartitionOptions::default()))
+        PartitioningStrategy::Data(OwnershipPolicy::Graph(PartitionOptions::default()))
     }
 
     /// Data partitioning with hash ownership.
     pub fn data_hash() -> Self {
-        PartitioningStrategy::Data(DataPolicy::Hash { seed: 0xa5a5 })
+        PartitioningStrategy::Data(OwnershipPolicy::Hash { seed: 0xa5a5 })
     }
 
     /// Data partitioning with the domain-specific policy.
     pub fn data_domain() -> Self {
-        PartitioningStrategy::Data(DataPolicy::Domain)
+        PartitioningStrategy::Data(OwnershipPolicy::Domain)
     }
 
     /// Unweighted rule partitioning.
@@ -78,13 +57,28 @@ impl PartitioningStrategy {
         PartitioningStrategy::Auto
     }
 
-    /// Short family label (`data` / `rule` / `hybrid` / `auto`) — the
-    /// name the CLIs and plan reports use.
+    /// The strategy a user names on a command line:
+    /// `graph|hash|domain|rule|auto`. `rule` is the histogram-weighted
+    /// rule partitioning, the candidate `auto` scores and runs.
+    pub fn from_name(name: &str) -> Result<Self, String> {
+        match name {
+            "graph" => Ok(PartitioningStrategy::data_graph()),
+            "hash" => Ok(PartitioningStrategy::data_hash()),
+            "domain" => Ok(PartitioningStrategy::data_domain()),
+            "rule" => Ok(PartitioningStrategy::Rule { weighted: true }),
+            "auto" => Ok(PartitioningStrategy::Auto),
+            other => Err(format!(
+                "unknown strategy '{other}' (graph|hash|domain|rule|auto)"
+            )),
+        }
+    }
+
+    /// Short family label (`data` / `rule` / `auto`) — the name plan
+    /// reports use.
     pub fn label(&self) -> &'static str {
         match self {
             PartitioningStrategy::Data(_) => "data",
             PartitioningStrategy::Rule { .. } => "rule",
-            PartitioningStrategy::Hybrid { .. } => "hybrid",
             PartitioningStrategy::Auto => "auto",
         }
     }
@@ -227,7 +221,10 @@ mod tests {
     fn defaults_are_sane() {
         let c = ParallelConfig::default();
         assert_eq!(c.k, 2);
-        assert!(matches!(c.strategy, PartitioningStrategy::Data(DataPolicy::Graph(_))));
+        assert!(matches!(
+            c.strategy,
+            PartitioningStrategy::Data(OwnershipPolicy::Graph(_))
+        ));
         assert!(matches!(
             c.materialization,
             MaterializationStrategy::BackwardJena(_)

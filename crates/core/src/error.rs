@@ -200,8 +200,8 @@ impl std::error::Error for WorkerError {}
 /// Why a parallel run produced no closure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
-    /// The configuration is invalid (k = 0, indivisible hybrid split,
-    /// unparsable fault plan, ...).
+    /// The configuration is invalid (k = 0, an unresolved auto
+    /// strategy, unparsable fault plan, ...).
     Config {
         /// What is wrong.
         detail: String,

@@ -29,9 +29,7 @@
 
 use crate::barrier::RoundBarrier;
 use crate::comm::build_fabric_with_faults;
-use crate::config::{
-    DataPolicy, FaultRecovery, ParallelConfig, PartitioningStrategy, UnsafeRulePolicy,
-};
+use crate::config::{FaultRecovery, ParallelConfig, PartitioningStrategy, UnsafeRulePolicy};
 use crate::error::{RunError, WorkerError};
 use crate::stats::{PhaseBreakdown, WorkerStats};
 use crate::durable::Digest128;
@@ -42,7 +40,7 @@ use owlpar_lint::{lint_rules, LintOptions, PartitionContext};
 use owlpar_obs as obs;
 use owlpar_partition::metrics::{or_excess, quality, PartitionQuality};
 use owlpar_partition::multilevel::PartitionOptions;
-use owlpar_partition::{partition_data_ordered, partition_rules, OwnershipPolicy};
+use owlpar_partition::{partition_data_ordered, partition_rules};
 use owlpar_rdf::vocab::RDF_TYPE;
 use owlpar_rdf::{is_sorted_run, merge_runs, Graph, Term, Triple};
 use std::borrow::Cow;
@@ -317,14 +315,7 @@ pub fn prepare_run(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunPlan, R
         analysis = Some(selection.report);
     }
 
-    let context = match &strategy {
-        PartitioningStrategy::Data(_) | PartitioningStrategy::Hybrid { .. } => {
-            PartitionContext::DataPartitioned
-        }
-        PartitioningStrategy::Rule { .. } => PartitionContext::RulePartitioned,
-        // Resolved to a concrete strategy above.
-        PartitioningStrategy::Auto => unreachable!("auto strategy resolved before linting"),
-    };
+    let context = crate::plan::context_of(&strategy)?;
     let lint = lint_rules(&all_rules, &LintOptions::for_context(context));
     if lint.has_deny() {
         match cfg.unsafe_rules {
@@ -425,13 +416,8 @@ pub(crate) fn build_partitions(
 ) -> Result<PartitionParts, RunError> {
     match strategy {
         PartitioningStrategy::Data(policy) => {
-            let ownership = match policy {
-                DataPolicy::Graph(o) => OwnershipPolicy::Graph(*o),
-                DataPolicy::Hash { seed } => OwnershipPolicy::Hash { seed: *seed },
-                DataPolicy::Domain => OwnershipPolicy::Domain(None),
-            };
             let dp =
-                partition_data_ordered(instance_triples, cut_order, dict, rdf_type, k, &ownership);
+                partition_data_ordered(instance_triples, cut_order, dict, rdf_type, k, policy);
             let q = quality(&dp.parts, rdf_type);
             let owner = Arc::new(dp.owner);
             Ok(PartitionParts {
@@ -442,54 +428,6 @@ pub(crate) fn build_partitions(
                     .collect(),
                 bases: dp.parts,
                 rules_per_worker: (0..k).map(|_| all_rules.to_vec()).collect(),
-                quality: Some(q),
-                edge_cut: dp.edge_cut,
-            })
-        }
-        PartitioningStrategy::Hybrid { rule_groups } => {
-            let g = *rule_groups;
-            if g < 1 || !k.is_multiple_of(g) {
-                return Err(RunError::config(format!(
-                    "rule_groups ({g}) must divide k ({k})"
-                )));
-            }
-            let d = k / g;
-            let dp = partition_data_ordered(
-                instance_triples,
-                cut_order,
-                dict,
-                rdf_type,
-                d,
-                &OwnershipPolicy::Graph(PartitionOptions::default()),
-            );
-            let q = quality(&dp.parts, rdf_type);
-            let rp = Arc::new(partition_rules(
-                all_rules,
-                g,
-                None,
-                &PartitionOptions::default(),
-            ));
-            let owner = Arc::new(dp.owner);
-            let shared_rules = Arc::new(all_rules.to_vec());
-            Ok(PartitionParts {
-                // worker w = group (w / d) × shard (w % d)
-                bases: (0..k).map(|w| dp.parts[w % d].clone()).collect(),
-                rules_per_worker: (0..k)
-                    .map(|w| {
-                        rp.parts[w / d]
-                            .iter()
-                            .map(|&i| all_rules[i].clone())
-                            .collect()
-                    })
-                    .collect(),
-                routing: (0..k)
-                    .map(|_| Routing::Hybrid {
-                        owner: Arc::clone(&owner),
-                        groups: Arc::clone(&rp),
-                        all_rules: Arc::clone(&shared_rules),
-                        data_shards: d as u32,
-                    })
-                    .collect(),
                 quality: Some(q),
                 edge_cut: dp.edge_cut,
             })
@@ -704,7 +642,7 @@ pub fn finish_run(
     // survivor's run is a subset of the closure, so a serial re-close
     // over the union is exactly the serial closure. Guaranteed for data
     // partitioning, where every worker ran the complete rule-base;
-    // rule/hybrid losses are reported instead.
+    // rule-partitioning losses are reported instead.
     let mut recovered = false;
     if !worker_errors.is_empty() {
         if !plan.recoverable(cfg.recovery) {
@@ -898,51 +836,6 @@ mod tests {
         assert!(report.output_replication >= 0.0);
         assert!(report.worker_errors.is_empty());
         assert!(!report.recovered);
-    }
-
-    #[test]
-    fn hybrid_partitioning_matches_serial() {
-        let g0 = generate_lubm(&LubmConfig::mini(2));
-        for (k, groups) in [(4, 2), (6, 3), (2, 1), (3, 3)] {
-            let cfg = ParallelConfig {
-                k,
-                strategy: PartitioningStrategy::Hybrid {
-                    rule_groups: groups,
-                },
-                ..ParallelConfig::default()
-            }
-            .forward();
-            assert_parallel_matches_serial(&g0, &cfg);
-        }
-    }
-
-    #[test]
-    fn hybrid_on_transitive_heavy_mdc() {
-        let g0 = generate_mdc(&MdcConfig::mini());
-        let cfg = ParallelConfig {
-            k: 4,
-            strategy: PartitioningStrategy::Hybrid { rule_groups: 2 },
-            ..ParallelConfig::default()
-        }
-        .forward();
-        assert_parallel_matches_serial(&g0, &cfg);
-    }
-
-    #[test]
-    fn hybrid_rejects_indivisible_k() {
-        let mut g = generate_lubm(&LubmConfig::mini(1));
-        let err = run_parallel(
-            &mut g,
-            &ParallelConfig {
-                k: 5,
-                strategy: PartitioningStrategy::Hybrid { rule_groups: 2 },
-                ..ParallelConfig::default()
-            }
-            .forward(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, RunError::Config { .. }));
-        assert!(err.to_string().contains("must divide"));
     }
 
     #[test]

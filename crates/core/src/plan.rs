@@ -65,7 +65,7 @@ const DATA_LOCALITY_DISCOUNT: f64 = 0.25;
 /// firings, but the runtime only ships *new* remote triples — repeat
 /// derivations and triples the receiver already holds never touch the
 /// wire. Calibrated against the bench KB's measured round traffic at
-/// k ∈ {2, 4} for all three strategies (see `owlpar-net`'s
+/// k ∈ {2, 4} for both strategies (see `owlpar-net`'s
 /// plan-tolerance test); raw charges overshoot ~2–3×.
 const EXCHANGE_DEDUP_DISCOUNT: f64 = 0.6;
 
@@ -194,26 +194,20 @@ impl PlanningBase {
     }
 }
 
-/// The strategies `--strategy auto` scores: min-cut data partitioning,
-/// weighted rule partitioning, and — when `k` splits evenly — a 2-group
-/// hybrid.
-pub fn auto_candidates(k: usize) -> Vec<PartitioningStrategy> {
-    let mut v = vec![
+/// The strategies `--strategy auto` scores, the paper's two: min-cut
+/// data partitioning and weighted rule partitioning. The same for every
+/// `k`.
+pub fn auto_candidates(_k: usize) -> Vec<PartitioningStrategy> {
+    vec![
         PartitioningStrategy::data_graph(),
         PartitioningStrategy::Rule { weighted: true },
-    ];
-    if k >= 4 && k.is_multiple_of(2) {
-        v.push(PartitioningStrategy::Hybrid { rule_groups: 2 });
-    }
-    v
+    ]
 }
 
 /// Deployment context a strategy lints under.
-fn context_of(strategy: &PartitioningStrategy) -> Result<PartitionContext, RunError> {
+pub(crate) fn context_of(strategy: &PartitioningStrategy) -> Result<PartitionContext, RunError> {
     match strategy {
-        PartitioningStrategy::Data(_) | PartitioningStrategy::Hybrid { .. } => {
-            Ok(PartitionContext::DataPartitioned)
-        }
+        PartitioningStrategy::Data(_) => Ok(PartitionContext::DataPartitioned),
         PartitioningStrategy::Rule { .. } => Ok(PartitionContext::RulePartitioned),
         PartitioningStrategy::Auto => Err(RunError::config(
             "cannot analyze the auto strategy itself; analyze its candidates",
@@ -221,23 +215,12 @@ fn context_of(strategy: &PartitioningStrategy) -> Result<PartitionContext, RunEr
     }
 }
 
-/// Boundary fraction for the pure data strategy: locality-discounted —
+/// Boundary fraction for the data strategy: locality-discounted —
 /// the deriving worker owns the body triples, so it usually owns the
 /// derived endpoints too.
 fn data_cross_fraction(quality: Option<&PartitionQuality>) -> f64 {
     quality
         .map(|q| q.ir_excess() * DATA_LOCALITY_DISCOUNT)
-        .unwrap_or(DEFAULT_CROSS_FRACTION)
-        .clamp(MIN_CROSS_FRACTION, 1.0)
-}
-
-/// Boundary fraction for the hybrid scheme's shard dimension:
-/// **undiscounted** — rule-group specialization decouples where a
-/// triple is derived from which shard owns its endpoints, so the raw
-/// replication excess tracks measured shard traffic.
-fn hybrid_cross_fraction(quality: Option<&PartitionQuality>) -> f64 {
-    quality
-        .map(|q| q.ir_excess())
         .unwrap_or(DEFAULT_CROSS_FRACTION)
         .clamp(MIN_CROSS_FRACTION, 1.0)
 }
@@ -365,24 +348,10 @@ fn score_partition(
         Some(Routing::Rule { partitions, .. }) => RouteModel::Rule {
             assignment: partitions.assignment.clone(),
         },
-        Some(Routing::Hybrid {
-            groups,
-            data_shards,
-            ..
-        }) => RouteModel::Hybrid {
-            cross_fraction: if k == 1 {
-                0.0
-            } else {
-                hybrid_cross_fraction(quality)
-            },
-            groups_assignment: groups.assignment.clone(),
-            data_shards: *data_shards as usize,
-        },
     };
     let routing_entries = match routing.first() {
         Some(Routing::Data { owner }) => owner.len(),
         Some(Routing::Rule { partitions, .. }) => partitions.assignment.len(),
-        Some(Routing::Hybrid { owner, groups, .. }) => owner.len() + groups.assignment.len(),
         None => 0,
     } as u64;
 
@@ -436,20 +405,6 @@ pub fn analyze_rules_only(
             let rp = partition_rules(rules, k, None, &PartitionOptions::default());
             RouteModel::Rule {
                 assignment: rp.assignment,
-            }
-        }
-        PartitioningStrategy::Hybrid { rule_groups } => {
-            let g = *rule_groups;
-            if g < 1 || !k.is_multiple_of(g) {
-                return Err(RunError::config(format!(
-                    "rule_groups ({g}) must divide k ({k})"
-                )));
-            }
-            let rp = partition_rules(rules, g, None, &PartitionOptions::default());
-            RouteModel::Hybrid {
-                cross_fraction: DEFAULT_CROSS_FRACTION,
-                groups_assignment: rp.assignment,
-                data_shards: k / g,
             }
         }
         PartitioningStrategy::Auto => {
@@ -590,7 +545,6 @@ mod tests {
         for strategy in [
             PartitioningStrategy::data_graph(),
             PartitioningStrategy::rule(),
-            PartitioningStrategy::Hybrid { rule_groups: 2 },
         ] {
             let mut g = generate_lubm(&LubmConfig::mini(2));
             let cfg = ParallelConfig {
@@ -609,6 +563,26 @@ mod tests {
             assert_eq!(own.rounds.expected, fresh.rounds.expected, "{}", own.strategy);
             assert_eq!(own.total_cost, fresh.total_cost, "{}", own.strategy);
         }
+    }
+
+    #[test]
+    fn auto_scores_the_paper_two_and_the_cli_rule_is_its_rule() {
+        for k in [1, 2, 3, 4, 8] {
+            let names: Vec<String> = auto_candidates(k)
+                .iter()
+                .map(|s| format!("{s:?}"))
+                .collect();
+            let want = [
+                format!("{:?}", PartitioningStrategy::data_graph()),
+                format!("{:?}", PartitioningStrategy::Rule { weighted: true }),
+            ];
+            assert_eq!(names, want, "k={k}");
+        }
+        // `--strategy rule` runs the rule plan `auto` scores, and
+        // `--strategy graph` the data plan.
+        let cli = |name| format!("{:?}", PartitioningStrategy::from_name(name).unwrap());
+        assert_eq!(cli("rule"), format!("{:?}", auto_candidates(4)[1]));
+        assert_eq!(cli("graph"), format!("{:?}", auto_candidates(4)[0]));
     }
 
     #[test]

@@ -74,20 +74,6 @@ pub enum Routing {
         /// The complete rule-base (for body matching).
         all_rules: Arc<Vec<Rule>>,
     },
-    /// Hybrid partitioning (the paper's §VII future work, after Shao et
-    /// al.): rules split into groups, data split into shards; worker
-    /// `g·d + j` holds rule group `g` over data shard `j`. A derived
-    /// triple goes to every interested rule group × both owner shards.
-    Hybrid {
-        /// Data-ownership table (shard ids `0..d`).
-        owner: Arc<FxHashMap<NodeId, u32>>,
-        /// Rule grouping (group ids `0..g`).
-        groups: Arc<RulePartitions>,
-        /// The complete rule-base.
-        all_rules: Arc<Vec<Rule>>,
-        /// Number of data shards (`d`).
-        data_shards: u32,
-    },
 }
 
 impl Routing {
@@ -116,23 +102,6 @@ impl Routing {
                 all_rules,
             } => {
                 out.extend(partitions.consumers(all_rules, t, me));
-            }
-            Routing::Hybrid {
-                owner,
-                groups,
-                all_rules,
-                data_shards,
-            } => {
-                let a = owner.get(&t.s).copied();
-                let b = owner.get(&t.o).copied();
-                for g in groups.interested_groups(all_rules, t) {
-                    for shard in [a, b].into_iter().flatten() {
-                        let widx = g * data_shards + shard;
-                        if widx != me && !out.contains(&widx) {
-                            out.push(widx);
-                        }
-                    }
-                }
             }
         }
     }

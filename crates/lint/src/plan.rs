@@ -29,8 +29,6 @@
 //! * *rule routing* is exact statically: a triple produced by rule `r`
 //!   ships to every partition holding a consumer of `r`'s head (from
 //!   the weighted dependency graph), excluding `r`'s own;
-//! * *hybrid routing* multiplies consumer groups by the expected owner
-//!   shards per triple;
 //! * workers exchange peer to peer over one TCP mesh, so round bytes
 //!   charge each exchanged triple **once** (one hop), plus the
 //!   end-of-round marker every worker sends every peer: `k·(k−1)`
@@ -87,22 +85,13 @@ pub enum RouteModel {
         /// Partition id per rule index.
         assignment: Vec<u32>,
     },
-    /// Hybrid: consumer rule-groups × expected owner shards.
-    Hybrid {
-        /// Boundary estimate for the shard dimension.
-        cross_fraction: f64,
-        /// Rule-group id per rule index.
-        groups_assignment: Vec<u32>,
-        /// Data shards per group (`k / groups`).
-        data_shards: usize,
-    },
 }
 
 /// Everything the analyzer needs about a concrete plan, beyond the
 /// rules themselves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanInputs {
-    /// Strategy label (`data` / `rule` / `hybrid`) for the report.
+    /// Strategy label (`data` / `rule`) for the report.
     pub strategy: String,
     /// Worker count.
     pub k: usize,
@@ -181,7 +170,7 @@ pub struct RuleTraffic {
 /// findings that make the plan infeasible outright).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanReport {
-    /// Strategy label (`data` / `rule` / `hybrid`).
+    /// Strategy label (`data` / `rule`).
     pub strategy: String,
     /// Deployment context the rule-base was linted under.
     pub context: PartitionContext,
@@ -521,25 +510,6 @@ pub fn analyze_plan(rules: &[Rule], opts: &LintOptions, inputs: &PlanInputs) -> 
                 rule_counts[p] += 1;
             }
         }
-        RouteModel::Hybrid {
-            groups_assignment,
-            data_shards,
-            ..
-        } => {
-            let d = (*data_shards).max(1);
-            let mut group_weight = vec![0.0f64; k.div_ceil(d)];
-            let mut group_rules = vec![0usize; k.div_ceil(d)];
-            for (r, &g) in groups_assignment.iter().enumerate() {
-                let g = (g as usize).min(group_weight.len() - 1);
-                group_weight[g] += weights.get(r).copied().unwrap_or(1) as f64;
-                group_rules[g] += 1;
-            }
-            for w in 0..k {
-                let g = w / d;
-                loads[w] = group_weight.get(g).copied().unwrap_or(0.0) * share_of(w);
-                rule_counts[w] = group_rules.get(g).copied().unwrap_or(0);
-            }
-        }
     }
     let total_load: f64 = loads.iter().sum();
     let max_load = loads.iter().copied().fold(0.0f64, f64::max);
@@ -568,24 +538,6 @@ pub fn analyze_plan(rules: &[Rule], opts: &LintOptions, inputs: &PlanInputs) -> 
                 parts.sort_unstable();
                 parts.dedup();
                 parts.len() as f64
-            }
-            RouteModel::Hybrid {
-                cross_fraction,
-                groups_assignment,
-                ..
-            } => {
-                let me = groups_assignment.get(r).copied().unwrap_or(0);
-                let mut groups: Vec<u32> = dep.edges[r]
-                    .iter()
-                    .filter_map(|&(j, _)| groups_assignment.get(j).copied())
-                    .collect();
-                groups.sort_unstable();
-                groups.dedup();
-                let own = if groups.contains(&me) { 1.0 } else { 0.0 };
-                let shard_mult = 1.0
-                    + cross_fraction.clamp(0.0, 1.0)
-                        * instance_endpoints(rule).saturating_sub(1) as f64;
-                (groups.len() as f64 * shard_mult - own).max(0.0)
             }
         };
         let exchange = w * remote * inputs.exchange_discount.clamp(f64::EPSILON, 1.0);

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! owlpar-cluster master <in.nt> [--k 4] [--listen 127.0.0.1:0] [--spawn-local]
-//!                       [--strategy graph|hash|domain|rule|hybrid|auto]
+//!                       [--strategy graph|hash|domain|rule|auto]
 //!                       [--fault-plan 'disconnect@1.1,...'] [--round-timeout 30]
 //!                       [--epoch 0] [--out FILE] [--check-serial]
 //!                       [--cache-dir DIR] [--wire-stats FILE] [--trace-out FILE]
@@ -113,17 +113,9 @@ fn master(args: &[String]) -> Result<(), CliError> {
     };
     let k: usize = flag_value(args, "--k")
         .map_or(Ok(4), |v| v.parse().map_err(|_| "--k".to_string()))?;
-    let strategy = match flag_value(args, "--strategy").as_deref() {
-        None | Some("graph") => PartitioningStrategy::data_graph(),
-        Some("hash") => PartitioningStrategy::data_hash(),
-        Some("domain") => PartitioningStrategy::data_domain(),
-        Some("rule") => PartitioningStrategy::rule(),
-        Some("hybrid") => PartitioningStrategy::Hybrid {
-            rule_groups: if k.is_multiple_of(2) { 2 } else { 1 },
-        },
-        Some("auto") => PartitioningStrategy::Auto,
-        Some(other) => return Err(format!("unknown strategy '{other}'").into()),
-    };
+    let strategy = PartitioningStrategy::from_name(
+        flag_value(args, "--strategy").as_deref().unwrap_or("graph"),
+    )?;
     let mut cfg = ParallelConfig {
         k,
         strategy,

@@ -856,16 +856,6 @@ fn parts_from_assignment(k: usize, assignment: &[u32]) -> Vec<Vec<usize>> {
 /// Rebuild the in-process routing table from its wire image, validating
 /// every destination it could ever produce against the cluster size.
 fn rebuild_routing(w: WireRouting, k: u32, all_rules: &Arc<Vec<Rule>>) -> Result<Routing, NetError> {
-    let check_rules_len = |len: usize| {
-        if len == all_rules.len() {
-            Ok(())
-        } else {
-            Err(NetError::protocol(format!(
-                "rule assignment covers {len} rule(s), rule-base has {}",
-                all_rules.len()
-            )))
-        }
-    };
     match w {
         WireRouting::Data { owner } => {
             let mut map = FxHashMap::default();
@@ -887,7 +877,13 @@ fn rebuild_routing(w: WireRouting, k: u32, all_rules: &Arc<Vec<Rule>>) -> Result
                     "rule routing built for {parts} partitions, cluster has {k}"
                 )));
             }
-            check_rules_len(assignment.len())?;
+            if assignment.len() != all_rules.len() {
+                return Err(NetError::protocol(format!(
+                    "rule assignment covers {} rule(s), rule-base has {}",
+                    assignment.len(),
+                    all_rules.len()
+                )));
+            }
             let rebuilt = RulePartitions {
                 k: parts as usize,
                 parts: parts_from_assignment(parts as usize, &assignment),
@@ -898,36 +894,6 @@ fn rebuild_routing(w: WireRouting, k: u32, all_rules: &Arc<Vec<Rule>>) -> Result
             Ok(Routing::Rule {
                 partitions: Arc::new(rebuilt),
                 all_rules: Arc::clone(all_rules),
-            })
-        }
-        WireRouting::Hybrid {
-            owner,
-            groups_k,
-            groups_assignment,
-            data_shards,
-        } => {
-            if groups_k.checked_mul(data_shards) != Some(k) {
-                return Err(NetError::protocol(format!(
-                    "hybrid routing {groups_k} group(s) × {data_shards} shard(s) ≠ cluster size {k}"
-                )));
-            }
-            check_rules_len(groups_assignment.len())?;
-            let mut map = FxHashMap::default();
-            for (node, shard) in owner {
-                map.insert(node, shard); // shard < data_shards checked at decode
-            }
-            let rebuilt = RulePartitions {
-                k: groups_k as usize,
-                parts: parts_from_assignment(groups_k as usize, &groups_assignment),
-                assignment: groups_assignment,
-                edge_cut: 0,
-                partition_time: Duration::ZERO,
-            };
-            Ok(Routing::Hybrid {
-                owner: Arc::new(map),
-                groups: Arc::new(rebuilt),
-                all_rules: Arc::clone(all_rules),
-                data_shards,
             })
         }
     }
@@ -1257,4 +1223,38 @@ pub fn run_cluster_worker(
             run: full[tail_start..].to_vec(),
         })
         .map(|()| summary)
+}
+
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+    use super::*;
+    use owlpar_core::PartitioningStrategy;
+
+    /// The partition cache is keyed by [`config_digest`], which formats
+    /// the strategy with `{:?}`. These are the keys caches already on
+    /// disk were written under: a changed rendering of a strategy would
+    /// turn every one of their entries into a miss.
+    #[test]
+    fn golden_config_digests_survive_the_strategy_types() {
+        for (name, want) in [
+            ("graph", "d03c9e25bf0193f0bad3a48e4c7821c9"),
+            ("hash", "19306e8d73b89b933e7f3bf83e5eca7b"),
+            ("domain", "83cc89e739859beeb00d5608bece24d4"),
+            ("rule", "4081b7d9087e8ff946b684d480c66fc3"),
+        ] {
+            let strategy = PartitioningStrategy::from_name(name).unwrap_or_else(|e| panic!("{e}"));
+            let cfg = ParallelConfig {
+                k: 4,
+                strategy,
+                ..ParallelConfig::default()
+            }
+            .forward();
+            let got: String = config_digest(&cfg, 4, cfg.materialization)
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            assert_eq!(got, want, "{name}");
+        }
+    }
 }

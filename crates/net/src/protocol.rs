@@ -206,17 +206,6 @@ pub enum WireRouting {
         /// Partition id per rule index (into the shipped `all_rules`).
         assignment: Vec<u32>,
     },
-    /// Hybrid: ownership over shards × rule grouping.
-    Hybrid {
-        /// `(node, owning shard)` pairs (shard ids `0..data_shards`).
-        owner: Vec<(NodeId, u32)>,
-        /// Number of rule groups.
-        groups_k: u32,
-        /// Group id per rule index.
-        groups_assignment: Vec<u32>,
-        /// Number of data shards.
-        data_shards: u32,
-    },
 }
 
 impl From<&Routing> for WireRouting {
@@ -228,17 +217,6 @@ impl From<&Routing> for WireRouting {
             Routing::Rule { partitions, .. } => WireRouting::Rule {
                 k: partitions.k as u32,
                 assignment: partitions.assignment.clone(),
-            },
-            Routing::Hybrid {
-                owner,
-                groups,
-                data_shards,
-                ..
-            } => WireRouting::Hybrid {
-                owner: owner.iter().map(|(&n, &w)| (n, w)).collect(),
-                groups_k: groups.k as u32,
-                groups_assignment: groups.assignment.clone(),
-                data_shards: *data_shards,
             },
         }
     }
@@ -971,18 +949,6 @@ fn put_routing(out: &mut Vec<u8>, r: &WireRouting) {
             put_u32(out, *k);
             put_assignment(out, assignment);
         }
-        WireRouting::Hybrid {
-            owner,
-            groups_k,
-            groups_assignment,
-            data_shards,
-        } => {
-            out.push(2);
-            put_u32(out, *data_shards);
-            put_owner(out, owner);
-            put_u32(out, *groups_k);
-            put_assignment(out, groups_assignment);
-        }
     }
 }
 
@@ -996,20 +962,6 @@ fn get_routing(cur: &mut Cursor<'_>, n_terms: u32, k: u32) -> Result<WireRouting
             Ok(WireRouting::Rule {
                 k: parts,
                 assignment: get_assignment(cur, parts)?,
-            })
-        }
-        2 => {
-            let data_shards = cur.u32()?;
-            if data_shards == 0 {
-                return Err(NetError::protocol("hybrid routing with zero data shards"));
-            }
-            let owner = get_owner(cur, n_terms, data_shards)?;
-            let groups_k = cur.u32()?;
-            Ok(WireRouting::Hybrid {
-                owner,
-                groups_k,
-                groups_assignment: get_assignment(cur, groups_k)?,
-                data_shards,
             })
         }
         other => Err(NetError::protocol(format!("unknown routing tag {other}"))),
@@ -1609,25 +1561,16 @@ mod tests {
     }
 
     #[test]
-    fn rule_and_hybrid_routing_roundtrip() {
-        for routing in [
-            WireRouting::Rule {
-                k: 3,
-                assignment: vec![0, 2, 1],
-            },
-            WireRouting::Hybrid {
-                owner: vec![(NodeId(1), 0)],
-                groups_k: 2,
-                groups_assignment: vec![0, 1],
-                data_shards: 2,
-            },
-        ] {
-            let mut out = Vec::new();
-            put_routing(&mut out, &routing);
-            let mut cur = Cursor::new(&out);
-            assert_eq!(get_routing(&mut cur, 10, u32::MAX).unwrap(), routing);
-            cur.done().unwrap();
-        }
+    fn rule_routing_roundtrip() {
+        let routing = WireRouting::Rule {
+            k: 3,
+            assignment: vec![0, 2, 1],
+        };
+        let mut out = Vec::new();
+        put_routing(&mut out, &routing);
+        let mut cur = Cursor::new(&out);
+        assert_eq!(get_routing(&mut cur, 10, u32::MAX).unwrap(), routing);
+        cur.done().unwrap();
     }
 
     #[test]
@@ -1747,6 +1690,20 @@ mod tests {
         assert!(decode_worker_msg(&[0xfe], 10).is_err());
         assert!(decode_master_msg(&[0xfe]).is_err());
         assert!(decode_worker_msg(&[], 10).is_err(), "empty body");
+        // Routing tag 2 is the rules × data grid an earlier version-5
+        // master wrote (`shards | owner table | groups | assignment`). A
+        // worker refuses it by its tag, whole or cut short, without
+        // reading any of the body.
+        let mut grid = vec![2u8];
+        put_u32(&mut grid, 2);
+        put_owner(&mut grid, &[(NodeId(1), 0)]);
+        put_u32(&mut grid, 2);
+        put_assignment(&mut grid, &[0, 1]);
+        for cut in 1..=grid.len() {
+            let err = get_routing(&mut Cursor::new(&grid[..cut]), 10, 4).unwrap_err();
+            assert!(matches!(err, NetError::Protocol { .. }), "cut {cut}: {err}");
+            assert!(err.to_string().contains("unknown routing tag 2"), "{err}");
+        }
     }
 
     #[test]

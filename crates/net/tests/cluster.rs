@@ -52,7 +52,6 @@ fn matrix() -> Vec<(String, ParallelConfig)> {
         ("data_graph", 2, PartitioningStrategy::data_graph()),
         ("hash", 3, PartitioningStrategy::data_hash()),
         ("rule", 2, PartitioningStrategy::rule()),
-        ("hybrid", 4, PartitioningStrategy::Hybrid { rule_groups: 2 }),
     ];
     let engines = [
         ("semi-naive", MaterializationStrategy::ForwardSemiNaive),
@@ -180,8 +179,8 @@ fn cluster_processes_match_serial_data_graph() {
 /// The fingerprint suite over the whole matrix: every strategy × every
 /// engine, through the channel transport, the in-process TCP mesh and
 /// the multi-process cluster — each must land on the serial closure,
-/// term for term. (Rule and hybrid partitioning ship very different
-/// routing tables — consumer sets and group × shard grids — and both
+/// term for term. (Data and rule partitioning ship very different
+/// routing tables — an ownership map and a rule assignment — and both
 /// must rebuild faithfully on the worker side.)
 #[test]
 fn tcp_channel_and_serial_agree_over_strategies_and_engines() {

@@ -15,7 +15,7 @@
 //! the dataset can be present in at most two processors"), which is what
 //! guarantees every single-join rule can fire locally.
 
-use crate::domain::{authority_key, domain_owners, KeyFn};
+use crate::domain::{authority_key, domain_owners};
 use crate::hash::hash_owner;
 use crate::multilevel::{partition_kway, PartitionOptions};
 use crate::rdfgraph::ownership_graph_and_table;
@@ -24,7 +24,8 @@ use owlpar_rdf::{Dictionary, NodeId, Triple};
 use std::time::{Duration, Instant};
 
 /// The ownership policy of Algorithm 1 step 2.
-pub enum OwnershipPolicy<'a> {
+#[derive(Debug, Clone, Copy)]
+pub enum OwnershipPolicy {
     /// Multilevel min-edge-cut graph partitioning (METIS role).
     Graph(PartitionOptions),
     /// Streaming hash ownership.
@@ -32,18 +33,8 @@ pub enum OwnershipPolicy<'a> {
         /// Hash-function seed.
         seed: u64,
     },
-    /// Domain-specific grouping; `None` uses [`authority_key`].
-    Domain(Option<KeyFn<'a>>),
-}
-
-impl std::fmt::Debug for OwnershipPolicy<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OwnershipPolicy::Graph(o) => write!(f, "Graph({o:?})"),
-            OwnershipPolicy::Hash { seed } => write!(f, "Hash{{seed:{seed}}}"),
-            OwnershipPolicy::Domain(_) => write!(f, "Domain"),
-        }
-    }
+    /// Domain-specific grouping by IRI authority ([`authority_key`]).
+    Domain,
 }
 
 /// Result of Algorithm 1.
@@ -119,7 +110,7 @@ pub fn partition_data(
     dict: &Dictionary,
     rdf_type: Option<NodeId>,
     k: usize,
-    policy: &OwnershipPolicy<'_>,
+    policy: &OwnershipPolicy,
 ) -> DataPartitions {
     partition_data_ordered(instance, instance, dict, rdf_type, k, policy)
 }
@@ -137,7 +128,7 @@ pub fn partition_data_ordered(
     dict: &Dictionary,
     rdf_type: Option<NodeId>,
     k: usize,
-    policy: &OwnershipPolicy<'_>,
+    policy: &OwnershipPolicy,
 ) -> DataPartitions {
     assert!(k >= 1);
     debug_assert_eq!(instance.len(), cut_order.len());
@@ -157,8 +148,8 @@ pub fn partition_data_ordered(
                 .collect(),
             None,
         ),
-        OwnershipPolicy::Domain(key) => (
-            domain_owners(&og.vertex_to_node, dict, k, key.unwrap_or(&authority_key)),
+        OwnershipPolicy::Domain => (
+            domain_owners(&og.vertex_to_node, dict, k, &authority_key),
             None,
         ),
     };
@@ -215,7 +206,7 @@ mod tests {
         v
     }
 
-    fn graph_policy() -> OwnershipPolicy<'static> {
+    fn graph_policy() -> OwnershipPolicy {
         OwnershipPolicy::Graph(PartitionOptions {
             seed: 1,
             ..PartitionOptions::default()
@@ -307,7 +298,7 @@ mod tests {
                 prev = cur;
             }
         }
-        let dp = partition_data(&triples, &g.dict, None, 2, &OwnershipPolicy::Domain(None));
+        let dp = partition_data(&triples, &g.dict, None, 2, &OwnershipPolicy::Domain);
         // no triple crosses partitions: all universities are intact
         for tr in &triples {
             assert!(matches!(dp.destinations(tr), Destinations::One(_)));

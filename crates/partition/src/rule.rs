@@ -51,30 +51,14 @@ impl RulePartitions {
     /// newly generated [tuple] with all the rules of other partitions to
     /// determine if it can trigger any of them."
     pub fn consumers(&self, rules: &[Rule], t: &Triple, from: u32) -> Vec<u32> {
-        self.interested(rules, t, Some(from))
-    }
-
-    /// All partitions with a rule whose body might consume `t` (the
-    /// hybrid scheme needs the origin included, because the same rule
-    /// group exists on several data shards).
-    pub fn interested_groups(&self, rules: &[Rule], t: &Triple) -> Vec<u32> {
-        self.interested(rules, t, None)
-    }
-
-    fn interested(&self, rules: &[Rule], t: &Triple, exclude: Option<u32>) -> Vec<u32> {
-        let mut out = Vec::new();
-        for p in 0..self.k as u32 {
-            if exclude == Some(p) {
-                continue;
-            }
-            let interested = self.parts[p as usize].iter().any(|&ri| {
-                rules[ri].body.iter().any(|atom| atom.could_match(t))
-            });
-            if interested {
-                out.push(p);
-            }
-        }
-        out
+        (0..self.k as u32)
+            .filter(|&p| {
+                p != from
+                    && self.parts[p as usize]
+                        .iter()
+                        .any(|&ri| rules[ri].body.iter().any(|atom| atom.could_match(t)))
+            })
+            .collect()
     }
 }
 

@@ -285,6 +285,10 @@ fn handle_connection(
         // scrape arriving next sees them in the phase totals.
         lane.flush();
         let closing = matches!(response, Response::ShuttingDown);
+        // Read before answering: once the client has this response it
+        // may raise shutdown itself, and its next request must then get
+        // a typed reply, not a closed socket.
+        let draining = inner.shutdown.load(Ordering::SeqCst);
         match write_frame(&mut writer, &response.encode()).map_err(ServeError::from) {
             Ok(()) => {}
             Err(ServeError::Io(e)) if is_timeout(&e) => {
@@ -298,7 +302,7 @@ fn handle_connection(
             initiate_shutdown(inner);
             return Ok(());
         }
-        if inner.shutdown.load(Ordering::SeqCst) {
+        if draining {
             // Shutdown raised while serving: finish this response, then
             // close so the pool can drain.
             return Ok(());

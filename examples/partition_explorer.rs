@@ -48,11 +48,11 @@ fn main() {
     );
     let rdf_type = graph.dict.id(&Term::iri(RDF_TYPE));
 
-    for (name, policy) in [
-        ("graph", OwnershipPolicy::Graph(PartitionOptions::default())),
-        ("domain", OwnershipPolicy::Domain(None)),
-        ("hash", OwnershipPolicy::Hash { seed: 1 }),
-    ] {
+    // The policies `--strategy graph|domain|hash` run, with their options.
+    for name in ["graph", "domain", "hash"] {
+        let Ok(PartitioningStrategy::Data(policy)) = PartitioningStrategy::from_name(name) else {
+            unreachable!("{name} names a data policy")
+        };
         let dp = partition_data(&hr.instance_triples, &graph.dict, rdf_type, k, &policy);
         let q = quality(&dp.parts, rdf_type);
         println!(

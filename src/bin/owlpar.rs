@@ -2,12 +2,12 @@
 //! query, partition-inspect and snapshot OWL knowledge bases.
 //!
 //! ```text
-//! owlpar materialize <in.nt> <out.nt> [--k 4] [--strategy graph|hash|domain|rule|hybrid|auto]
+//! owlpar materialize <in.nt> <out.nt> [--k 4] [--strategy graph|hash|domain|rule|auto]
 //!                    [--fault-plan 'io@1.0:2,panic@1.2,...'] [--trace-out FILE]
 //! owlpar query <kb.nt> '<SPARQL>'
 //! owlpar lint <rules-file> [--context data|rule|replicated] [--json]
 //! owlpar lint --compiled [<in.nt>] [--json]
-//! owlpar plan <kb.nt|rules-file> [--strategy data|rule|hybrid|auto] [--k 4] [--json]
+//! owlpar plan <kb.nt|rules-file> [--strategy graph|hash|domain|rule|auto] [--k 4] [--json]
 //! owlpar partition <in.nt> [--k 4]
 //! owlpar snapshot <in.nt> <out.owlpar>
 //! owlpar restore <in.owlpar> <out.nt>
@@ -29,7 +29,6 @@ use owlpar::lint::{
 };
 use owlpar::obs::json::{obj, Value};
 use owlpar::partition::metrics::quality;
-use owlpar::partition::multilevel::PartitionOptions;
 use owlpar::prelude::*;
 use owlpar::query::exec::render_row;
 use owlpar::rdf::snapshot;
@@ -140,17 +139,9 @@ fn materialize(args: &[String]) -> Result<(), CliError> {
     };
     let k: usize = flag_value(args, "--k")
         .map_or(Ok(2), |v| v.parse().map_err(|_| "--k".to_string()))?;
-    let strategy = match flag_value(args, "--strategy").as_deref() {
-        None | Some("graph") => PartitioningStrategy::data_graph(),
-        Some("hash") => PartitioningStrategy::data_hash(),
-        Some("domain") => PartitioningStrategy::data_domain(),
-        Some("rule") => PartitioningStrategy::rule(),
-        Some("hybrid") => PartitioningStrategy::Hybrid {
-            rule_groups: if k.is_multiple_of(2) { 2 } else { 1 },
-        },
-        Some("auto") => PartitioningStrategy::Auto,
-        Some(other) => return Err(format!("unknown strategy '{other}'").into()),
-    };
+    let strategy = PartitioningStrategy::from_name(
+        flag_value(args, "--strategy").as_deref().unwrap_or("graph"),
+    )?;
     let mut cfg = ParallelConfig {
         k,
         strategy,
@@ -293,17 +284,11 @@ fn plan_cmd(args: &[String]) -> Result<(), CliError> {
     if k == 0 {
         return Err("--k must be >= 1".into());
     }
-    let strategy_flag = flag_value(args, "--strategy");
-    let candidates = match strategy_flag.as_deref() {
-        None | Some("auto") => auto_candidates(k),
-        Some("data") => vec![PartitioningStrategy::data_graph()],
-        Some("rule") => vec![PartitioningStrategy::Rule { weighted: true }],
-        Some("hybrid") => vec![PartitioningStrategy::Hybrid {
-            rule_groups: if k.is_multiple_of(2) { 2 } else { 1 },
-        }],
-        Some(other) => {
-            return Err(format!("unknown strategy '{other}' (data|rule|hybrid|auto)").into())
-        }
+    let candidates = match PartitioningStrategy::from_name(
+        flag_value(args, "--strategy").as_deref().unwrap_or("auto"),
+    )? {
+        PartitioningStrategy::Auto => auto_candidates(k),
+        one => vec![one],
     };
     // Positional arguments: everything that is neither a flag nor the
     // value of a flag that takes one.
@@ -455,11 +440,11 @@ fn partition_info(args: &[String]) -> Result<(), String> {
         hr.instance_triples.len(),
         hr.rules().len()
     );
-    for (name, policy) in [
-        ("graph", OwnershipPolicy::Graph(PartitionOptions::default())),
-        ("domain", OwnershipPolicy::Domain(None)),
-        ("hash", OwnershipPolicy::Hash { seed: 1 }),
-    ] {
+    // The policies `--strategy graph|domain|hash` run, with their options.
+    for name in ["graph", "domain", "hash"] {
+        let PartitioningStrategy::Data(policy) = PartitioningStrategy::from_name(name)? else {
+            unreachable!("{name} names a data policy")
+        };
         let dp = partition_data(&hr.instance_triples, &g.dict, rdf_type, k, &policy);
         let q = quality(&dp.parts, rdf_type);
         println!(

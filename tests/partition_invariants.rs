@@ -23,7 +23,7 @@ fn triples_strategy(
     )
 }
 
-fn policies() -> Vec<(&'static str, OwnershipPolicy<'static>)> {
+fn policies() -> Vec<(&'static str, OwnershipPolicy)> {
     vec![
         (
             "graph",
@@ -33,7 +33,7 @@ fn policies() -> Vec<(&'static str, OwnershipPolicy<'static>)> {
             }),
         ),
         ("hash", OwnershipPolicy::Hash { seed: 3 }),
-        ("domain", OwnershipPolicy::Domain(None)),
+        ("domain", OwnershipPolicy::Domain),
     ]
 }
 

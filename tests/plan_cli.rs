@@ -1,11 +1,15 @@
 //! End-to-end tests of the `owlpar plan` CLI: auto strategy selection
-//! on a real KB, the deny-level refusal path (exit 3), and the contract
-//! that `owlpar lint --json` and `owlpar plan --json` emit diagnostics
-//! under **one** shared schema.
+//! on a real KB, the deny-level refusal path (exit 3), the one set of
+//! `--strategy` names, and the contract that `owlpar lint --json` and
+//! `owlpar plan --json` emit diagnostics under **one** shared schema.
+//! Also `owlpar partition`, whose rows must be the partitions a run
+//! builds.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use owlpar::obs::json::{self, Value};
+use owlpar::prelude::*;
 use std::collections::BTreeSet;
+use std::path::PathBuf;
 use std::process::Command;
 
 fn owlpar_bin() -> Command {
@@ -14,6 +18,26 @@ fn owlpar_bin() -> Command {
 
 fn fixture(name: &str) -> String {
     format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// A LUBM of `universities` written through the CLI itself, as a user
+/// would, into a directory of its own (`tag` keeps tests apart).
+fn lubm_kb(tag: &str, universities: &str) -> (PathBuf, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("owlpar-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let kb = dir.join("lubm.nt");
+    let gen = owlpar_bin()
+        .args([
+            "gen",
+            "lubm",
+            kb.to_str().unwrap(),
+            "--universities",
+            universities,
+        ])
+        .output()
+        .expect("owlpar runs");
+    assert!(gen.status.success(), "gen failed");
+    (dir, kb)
 }
 
 /// The one diagnostic shape both subcommands promise
@@ -106,16 +130,7 @@ fn lint_json_and_plan_json_share_one_diagnostic_schema() {
 
 #[test]
 fn plan_auto_selects_the_argmin_cost_deny_free_strategy() {
-    // Build a small KB through the CLI itself, as a user would.
-    let dir = std::env::temp_dir().join(format!("owlpar-plan-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let kb = dir.join("lubm.nt");
-    let gen = owlpar_bin()
-        .args(["gen", "lubm", kb.to_str().unwrap(), "--universities", "1"])
-        .output()
-        .expect("owlpar runs");
-    assert!(gen.status.success(), "gen failed");
-
+    let (dir, kb) = lubm_kb("plan-cli", "1");
     let out = owlpar_bin()
         .args(["plan", kb.to_str().unwrap(), "--strategy", "auto", "--k", "4", "--json"])
         .output()
@@ -166,4 +181,73 @@ fn plan_auto_refuses_pathological_rulebase_with_exit_3() {
         .flat_map(|s| array(s, &["diagnostics"]))
         .any(|d| at(d, &["severity"]).as_str() == Some("deny"));
     assert!(any_deny, "refusal must carry a deny diagnostic: {doc}");
+}
+
+#[test]
+fn every_strategy_name_is_scored_and_no_other_is_accepted() {
+    // Two universities: the domain policy puts a single one on a single
+    // worker, which the analyzer rightly denies (OWL011).
+    let (dir, kb) = lubm_kb("plan-names", "2");
+    let kb = kb.to_str().unwrap();
+    for name in ["graph", "hash", "domain", "rule", "auto"] {
+        let out = owlpar_bin()
+            .args(["plan", kb, "--strategy", name, "--k", "2", "--json"])
+            .output()
+            .expect("owlpar runs");
+        assert_eq!(out.status.code(), Some(0), "{name}: {out:?}");
+        let doc = json_stdout(out);
+        assert!(
+            !array(&doc, &["strategies"]).is_empty(),
+            "{name} scored nothing"
+        );
+    }
+    for name in ["hybrid", "data"] {
+        let out = owlpar_bin()
+            .args(["plan", kb, "--strategy", name, "--k", "2"])
+            .output()
+            .expect("owlpar runs");
+        assert_eq!(out.status.code(), Some(1), "{name} is a usage error");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains(&format!("unknown strategy '{name}'"))
+                && stderr.contains("graph|hash|domain|rule|auto"),
+            "{stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `owlpar partition`'s hash row is the partition `--strategy hash`
+/// builds: same seed, so the same input replication a run reports.
+#[test]
+fn partition_hash_row_is_the_partition_a_hash_run_builds() {
+    let (dir, kb) = lubm_kb("partition-hash", "1");
+    let out = owlpar_bin()
+        .args(["partition", kb.to_str().unwrap(), "--k", "4"])
+        .output()
+        .expect("owlpar runs");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let row = stdout
+        .lines()
+        .find(|l| l.trim_start().starts_with("hash:"))
+        .unwrap_or_else(|| panic!("no hash row in {stdout}"));
+    let ir = row
+        .split("IR ")
+        .nth(1)
+        .and_then(|r| r.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no IR in {row}"));
+
+    let mut g = Graph::new();
+    parse_ntriples(&std::fs::read_to_string(&kb).unwrap(), &mut g).unwrap();
+    let cfg = ParallelConfig {
+        k: 4,
+        strategy: PartitioningStrategy::data_hash(),
+        ..ParallelConfig::default()
+    }
+    .forward();
+    let report = run_parallel(&mut g, &cfg).expect("hash run succeeds");
+    let q = report.partition_quality.expect("data runs report quality");
+    assert_eq!(ir, format!("{:.3}", q.ir_excess()), "{row}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -30,7 +30,6 @@ fn query_answers_independent_of_partitioning() {
         close_with(&g0, PartitioningStrategy::data_graph(), 3),
         close_with(&g0, PartitioningStrategy::data_hash(), 4),
         close_with(&g0, PartitioningStrategy::rule(), 2),
-        close_with(&g0, PartitioningStrategy::Hybrid { rule_groups: 2 }, 4),
     ];
     for (name, _, src) in queries() {
         let counts: Vec<usize> = closed
