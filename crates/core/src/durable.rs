@@ -88,86 +88,6 @@ pub fn atomic_write_synced(path: &Path, bytes: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-/// Murmur3's 64-bit finalizer — a fast full-avalanche bijection.
-const fn fmix64(mut h: u64) -> u64 {
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-    h ^ (h >> 33)
-}
-
-/// A streaming 128-bit content digest: two independently-seeded FNV-1a
-/// 64-bit lanes, each finished through [`fmix64`]. **Not**
-/// collision-resistant against an adversary — it exists to key and
-/// verify *caches of our own data* (the cluster's shipped-partition
-/// cache), where the threat model is staleness and disk corruption, not
-/// forgery. For that purpose an accidental 128-bit collision is
-/// negligible.
-#[derive(Debug, Clone)]
-pub struct Digest128 {
-    a: u64,
-    b: u64,
-}
-
-impl Default for Digest128 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Digest128 {
-    /// Fresh digest state.
-    pub fn new() -> Self {
-        Digest128 {
-            // Lane A: the standard FNV-1a offset basis; lane B: the same
-            // basis whitened through fmix64 so the lanes decorrelate.
-            a: 0xCBF2_9CE4_8422_2325,
-            b: fmix64(0xCBF2_9CE4_8422_2325),
-        }
-    }
-
-    /// Absorb bytes.
-    pub fn update(&mut self, bytes: &[u8]) {
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        for &byte in bytes {
-            self.a = (self.a ^ u64::from(byte)).wrapping_mul(PRIME);
-            self.b = (self.b ^ u64::from(!byte)).wrapping_mul(PRIME);
-        }
-    }
-
-    /// Absorb a little-endian `u32` (convenience for id streams).
-    pub fn update_u32(&mut self, v: u32) {
-        self.update(&v.to_le_bytes());
-    }
-
-    /// Finish into 16 bytes (lane A then lane B, little-endian).
-    pub fn finish(&self) -> [u8; 16] {
-        let mut out = [0u8; 16];
-        out[..8].copy_from_slice(&fmix64(self.a).to_le_bytes());
-        out[8..].copy_from_slice(&fmix64(self.b).to_le_bytes());
-        out
-    }
-}
-
-/// One-shot [`Digest128`] over a byte slice.
-pub fn digest128(bytes: &[u8]) -> [u8; 16] {
-    let mut d = Digest128::new();
-    d.update(bytes);
-    d.finish()
-}
-
-/// Render a 128-bit digest as 32 lowercase hex characters (cache file
-/// names, log lines).
-pub fn hex128(digest: &[u8; 16]) -> String {
-    let mut s = String::with_capacity(32);
-    for b in digest {
-        use std::fmt::Write as _;
-        let _ = write!(s, "{b:02x}");
-    }
-    s
-}
-
 /// Flush a directory's entry table to stable storage (no-op where the
 /// platform does not support opening directories).
 pub fn sync_dir(dir: &Path) -> io::Result<()> {
@@ -205,25 +125,6 @@ mod tests {
                 assert_ne!(crc32(&mutated), good, "flip at {byte}.{bit} undetected");
             }
         }
-    }
-
-    #[test]
-    fn digest128_is_deterministic_and_sensitive() {
-        let base = digest128(b"partition payload bytes");
-        assert_eq!(base, digest128(b"partition payload bytes"));
-        assert_ne!(base, digest128(b"partition payload byteS"));
-        assert_ne!(base, digest128(b"partition payload bytes "));
-        assert_ne!(digest128(b""), digest128(b"\0"));
-        // Streaming chunks == one-shot.
-        let mut d = Digest128::new();
-        d.update(b"partition ");
-        d.update(b"payload bytes");
-        assert_eq!(d.finish(), base);
-        // The two lanes differ (they would collapse the digest to 64
-        // bits if they ever agreed on all inputs).
-        assert_ne!(base[..8], base[8..]);
-        assert_eq!(hex128(&base).len(), 32);
-        assert!(hex128(&base).chars().all(|c| c.is_ascii_hexdigit()));
     }
 
     #[test]

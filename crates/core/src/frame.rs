@@ -29,7 +29,6 @@
 //! message    := crc_frame(triple block | N-Triples text)   (crate::comm)
 //! wal        := "OWLWAL1\n" seq:u64 crc_frame(N-Triples batch)*
 //! checkpoint := "OWLCKPT2" seq:u64 crc_frame(snapshot image chunk)+
-//! cache      := magic:u32 version:u32 key[36] digest[16] crc_frame(Setup payload)
 //! ```
 //!
 //! A frame that carries a triple set carries one triple block, the codec

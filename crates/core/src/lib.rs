@@ -62,6 +62,7 @@
 
 pub mod backoff;
 pub mod barrier;
+pub mod cli;
 pub mod comm;
 pub mod config;
 pub mod cputime;
@@ -82,9 +83,7 @@ pub use comm::{
     MAX_PAYLOAD_BYTES,
 };
 pub use config::{FaultRecovery, ParallelConfig, PartitioningStrategy};
-pub use durable::{
-    atomic_write, atomic_write_synced, crc32, digest128, hex128, sync_dir, Digest128, TMP_SUFFIX,
-};
+pub use durable::{atomic_write, atomic_write_synced, crc32, sync_dir, TMP_SUFFIX};
 pub use error::{CommError, RunError, SkippedMessage, WorkerError};
 pub use fault::{CrashPlan, CrashPoint, CrashState, FaultKind, FaultPlan};
 pub use frame::{

@@ -32,7 +32,6 @@ use crate::comm::build_fabric_with_faults;
 use crate::config::{FaultRecovery, ParallelConfig, PartitioningStrategy, UnsafeRulePolicy};
 use crate::error::{RunError, WorkerError};
 use crate::stats::{PhaseBreakdown, WorkerStats};
-use crate::durable::Digest128;
 use crate::worker::{run_rounds, BarrierVote, Routing, RunFlags, WorkerCtx};
 use owlpar_datalog::{MaterializationStrategy, Reasoner, Rule};
 use owlpar_horst::HorstReasoner;
@@ -201,10 +200,6 @@ pub struct RunPlan {
     /// The analyzer's report for the selected plan — `Some` only when
     /// the run was configured with [`PartitioningStrategy::Auto`].
     pub analysis: Option<owlpar_lint::PlanReport>,
-    /// Digest of the KB as handed in: the dictionary size on entry, then
-    /// every id-triple in SPO order — the `input` half of the cluster's
-    /// partition-cache key. Fed from the sort this function does anyway.
-    pub input_digest: [u8; 16],
 }
 
 /// `triples` as an SPO-sorted run: borrowed when it already is one.
@@ -216,27 +211,6 @@ fn sorted_run(triples: &[Triple]) -> Cow<'_, [Triple]> {
         run.sort_unstable();
         Cow::Owned(run)
     }
-}
-
-/// [`RunPlan::input_digest`] from the two sorted, disjoint halves of the
-/// KB: one merge walk, no second sort of the store.
-fn kb_digest(dict_len: usize, schema: &[Triple], instance: &[Triple]) -> [u8; 16] {
-    let mut d = Digest128::new();
-    d.update_u32(dict_len as u32);
-    let (mut i, mut j) = (0, 0);
-    while i < schema.len() || j < instance.len() {
-        let t = if j == instance.len() || (i < schema.len() && schema[i] < instance[j]) {
-            i += 1;
-            schema[i - 1]
-        } else {
-            j += 1;
-            instance[j - 1]
-        };
-        d.update_u32(t.s.0);
-        d.update_u32(t.p.0);
-        d.update_u32(t.o.0);
-    }
-    d.finish()
 }
 
 impl RunPlan {
@@ -277,18 +251,15 @@ pub fn prepare_run(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunPlan, R
     // Compile the ontology (this interns the last few constants, so it
     // must precede freezing the dictionary).
     let t_part = Instant::now();
-    let dict_len = graph.dict.len();
     let hr = HorstReasoner::from_graph(graph, cfg.materialization);
     let rdf_type = graph.dict.id(&Term::iri(RDF_TYPE));
 
     // The run's one sort of the KB — none at all when the store is
     // compacted (a loaded KB), whose iteration is already SPO order.
-    // Everything downstream — the input digest, the partition cuts, the
-    // wire blocks, the workers' frozen stores — reads these two runs in
-    // order.
+    // Everything downstream — the partition cuts, the wire blocks, the
+    // workers' frozen stores — reads these two runs in order.
     let schema = sorted_run(&hr.schema_triples).into_owned();
     let instance = sorted_run(&hr.instance_triples);
-    let input_digest = kb_digest(dict_len, &schema, &instance);
 
     // Static partition-safety gate: lint the *effective* rule-base
     // (compiled ontology rules plus any user-supplied extras) against the
@@ -373,7 +344,6 @@ pub fn prepare_run(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunPlan, R
         edge_cut,
         partition_time: t_part.elapsed(),
         analysis,
-        input_digest,
     })
 }
 

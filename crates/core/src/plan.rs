@@ -227,8 +227,8 @@ fn data_cross_fraction(quality: Option<&PartitionQuality>) -> f64 {
 
 /// `Setup` frame size estimate for one worker, mirroring the
 /// cluster wire format's components: exact delta/varint triple blocks
-/// for schema + base, compact rules, the routing table, digests and
-/// framing.
+/// for schema + base, compact rules, the routing table, the fixed
+/// header and framing.
 fn setup_frame_bytes(
     schema_block: u64,
     base_block: u64,
@@ -241,9 +241,9 @@ fn setup_frame_bytes(
         .iter()
         .map(|r| 3 + r.name.len() as u64 + 9 * (1 + r.body.len() as u64))
         .sum();
-    // 3 digests (48 B) + timeouts/counters ≈ 64 B of fixed header.
+    // Timeouts/counters ≈ 16 B of fixed header.
     schema_block + base_block + rules + my_rules as u64 * 2 + routing_entries * 3
-        + 64
+        + 16
         + frame_overhead
 }
 

@@ -101,14 +101,9 @@ pub struct WireBytes {
     /// Final collection: `FinalChunk`/`Final` frames in (the workers'
     /// derived-only runs).
     pub finals: WirePhase,
-    /// Handshake and control traffic (`Hello`, `Welcome`, `CacheAdvert`,
+    /// Handshake and control traffic (`Hello`, `Welcome`, `Ready`,
     /// `RoundDone`, `Verdict`, `TraceChunk`, rejects).
     pub control_bytes: u64,
-    /// Workers whose `Setup` shipped as a digest only (partition served
-    /// from their local cache).
-    pub cache_hits: u64,
-    /// Workers whose `Setup` carried the full partition payload.
-    pub cache_misses: u64,
     /// Per-round mesh traffic. [`WireBytes::to_json`] sorts by round,
     /// so a producer need not push them in order.
     pub per_round: Vec<WireRound>,
@@ -124,15 +119,13 @@ impl WireBytes {
     pub fn summary(&self) -> String {
         format!(
             "wire: {} B total ({} setup, {} rounds, {} final, {} control), \
-             {} triple(s) moved, cache {} hit(s) / {} miss(es)",
+             {} triple(s) moved",
             self.total_bytes(),
             self.setup.bytes,
             self.rounds.bytes,
             self.finals.bytes,
             self.control_bytes,
             self.setup.triples + self.rounds.triples + self.finals.triples,
-            self.cache_hits,
-            self.cache_misses,
         )
     }
 
@@ -164,8 +157,6 @@ impl WireBytes {
             ("final_triples", self.finals.triples.into()),
             ("control_bytes", self.control_bytes.into()),
             ("total_bytes", self.total_bytes().into()),
-            ("cache_hits", self.cache_hits.into()),
-            ("cache_misses", self.cache_misses.into()),
             ("per_round", per_round.into()),
         ])
     }

@@ -6,28 +6,28 @@
 //!                       [--strategy graph|hash|domain|rule|auto]
 //!                       [--fault-plan 'disconnect@1.1,...'] [--round-timeout 30]
 //!                       [--epoch 0] [--out FILE] [--check-serial]
-//!                       [--cache-dir DIR] [--wire-stats FILE] [--trace-out FILE]
-//! owlpar-cluster worker <master-addr> [--connect-timeout 30] [--cache-dir DIR]
+//!                       [--wire-stats FILE] [--trace-out FILE]
+//! owlpar-cluster worker <master-addr> [--connect-timeout 30]
 //! ```
 //!
 //! `--spawn-local` forks `k` worker processes of this same binary against
 //! the bound address — the one-command way to run a whole cluster on one
 //! host. `--check-serial` recomputes the closure serially afterwards and
 //! verifies the cluster result is identical (by term fingerprint).
-//! `--cache-dir` lets workers persist shipped partitions keyed by
-//! `(input digest, config digest, node)`; a repeat run over the same KB
-//! and config ships 16-byte digests instead of partitions (with
-//! `--spawn-local` the flag is forwarded to every spawned worker).
 //! `--wire-stats` writes the master's per-phase wire accounting as JSON.
 //! `--trace-out` records the whole run — the master lane plus every
 //! worker's spans, shipped back as telemetry frames and clock-offset
 //! merged — and writes a Chrome-trace JSON file (load it in
 //! `chrome://tracing` / Perfetto, or feed it to `owlpar trace summary`).
 //!
+//! Any flag the usage line does not name, or a flag missing its value,
+//! is a usage error.
+//!
 //! Exit codes: 0 success, 1 usage/IO error, 3 the run itself failed (a
 //! handshake, protocol or worker failure without recovery — or an
 //! injected fault, on the worker side).
 
+use owlpar_core::cli::{flag_value, positionals};
 use owlpar_core::{run_serial, FaultPlan, ParallelConfig, PartitioningStrategy};
 use owlpar_net::{run_cluster_master, run_cluster_worker, MasterOptions, NetError, WorkerOptions};
 use owlpar_rdf::{parse_ntriples, write_ntriples, Graph};
@@ -82,12 +82,6 @@ fn main() -> ExitCode {
     }
 }
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn run(args: Vec<String>) -> Result<(), CliError> {
     let cmd = args.first().cloned().unwrap_or_default();
     let rest = &args[args.len().min(1)..];
@@ -108,7 +102,18 @@ fn load_graph(path: &str) -> Result<Graph, String> {
 }
 
 fn master(args: &[String]) -> Result<(), CliError> {
-    let [input, ..] = args else {
+    let valued = [
+        "--k",
+        "--listen",
+        "--strategy",
+        "--fault-plan",
+        "--round-timeout",
+        "--epoch",
+        "--out",
+        "--wire-stats",
+        "--trace-out",
+    ];
+    let [input, ..] = positionals(args, &valued, &["--spawn-local", "--check-serial"])?[..] else {
         return Err("master needs <in.nt>".into());
     };
     let k: usize = flag_value(args, "--k")
@@ -154,17 +159,13 @@ fn master(args: &[String]) -> Result<(), CliError> {
         .map_err(|e| format!("resolving bound address: {e}"))?;
     println!("master: listening on {addr}, waiting for {k} worker(s)");
 
-    let cache_dir = flag_value(args, "--cache-dir");
     let mut children: Vec<Child> = Vec::new();
     if args.iter().any(|a| a == "--spawn-local") {
         let exe = std::env::current_exe().map_err(|e| format!("locating this binary: {e}"))?;
         for i in 0..k {
-            let mut cmd = Command::new(&exe);
-            cmd.arg("worker").arg(addr.to_string());
-            if let Some(dir) = &cache_dir {
-                cmd.arg("--cache-dir").arg(dir);
-            }
-            let child = cmd
+            let child = Command::new(&exe)
+                .arg("worker")
+                .arg(addr.to_string())
                 .spawn()
                 .map_err(|e| format!("spawning local worker {i}: {e}"))?;
             children.push(child);
@@ -230,7 +231,7 @@ fn master(args: &[String]) -> Result<(), CliError> {
 }
 
 fn worker(args: &[String]) -> Result<(), CliError> {
-    let [addr, ..] = args else {
+    let [addr, ..] = positionals(args, &["--connect-timeout"], &[])?[..] else {
         return Err("worker needs <master-addr>".into());
     };
     let mut opts = WorkerOptions::default();
@@ -238,10 +239,7 @@ fn worker(args: &[String]) -> Result<(), CliError> {
         let secs: u64 = secs.parse().map_err(|_| "--connect-timeout".to_string())?;
         opts.connect_timeout = Duration::from_secs(secs);
     }
-    if let Some(dir) = flag_value(args, "--cache-dir") {
-        opts.cache_dir = Some(dir.into());
-    }
-    let summary = run_cluster_worker(addr.as_str(), &opts)?;
+    let summary = run_cluster_worker(addr, &opts)?;
     println!(
         "worker {}/{} (epoch {}): {} round(s), {} derived, {} sent, {} in local store",
         summary.node_id,

@@ -33,11 +33,10 @@
 //! peers' collects too, so the deadline finds every worker short of
 //! `RoundDone` and the round is lost whole; the re-close is still exact.
 
-use crate::cache::PartitionCache;
 use crate::protocol::{
-    decode_master_msg, decode_setup_payload, decode_worker_msg, encode_master_msg,
-    encode_setup_payload, encode_worker_msg, mesh_peers, CacheEntry, MasterMsg, NetError, Setup,
-    SetupPayload, WireFault, WireRouting, WireStats, WorkerMsg, PROTOCOL_VERSION, WIRE_MAGIC,
+    decode_master_msg, decode_worker_msg, encode_master_msg, encode_worker_msg, mesh_peers,
+    MasterMsg, NetError, Setup, WireFault, WireRouting, WireStats, WorkerMsg, PROTOCOL_VERSION,
+    WIRE_MAGIC,
 };
 use crate::transport::{
     accept_before, join_mesh, MeshTally, DEFAULT_CHUNK_TRIPLES, FRAME_OVERHEAD,
@@ -47,7 +46,7 @@ use owlpar_core::master::{finish_run, resolve_materialization};
 use owlpar_core::stats::{WireBytes, WirePhase, WireRound};
 use owlpar_core::worker::{collect_round, run_rounds, RoundVote, Routing, WorkerCtx};
 use owlpar_core::{
-    digest128, prepare_run, read_crc_frame, write_crc_frame, Backoff, CommError, FaultKind,
+    prepare_run, read_crc_frame, write_crc_frame, Backoff, CommError, FaultKind,
     ParallelConfig, RunReport, WorkerError,
 };
 use owlpar_datalog::{Reasoner, Rule};
@@ -58,7 +57,6 @@ use owlpar_rdf::fx::FxHashMap;
 use owlpar_rdf::{Graph, Triple};
 use std::io::ErrorKind;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -99,9 +97,6 @@ pub struct WorkerOptions {
     /// backoff) before giving up; also the handshake read patience and
     /// the deadline for joining the mesh.
     pub connect_timeout: Duration,
-    /// Where to persist shipped partitions for digest-keyed reuse
-    /// across runs; `None` disables the cache (every run ships full).
-    pub cache_dir: Option<PathBuf>,
     /// Most triples per streamed chunk frame (mesh triple frames and
     /// `FinalChunk` splitting).
     pub chunk_triples: usize,
@@ -111,7 +106,6 @@ impl Default for WorkerOptions {
     fn default() -> Self {
         WorkerOptions {
             connect_timeout: Duration::from_secs(30),
-            cache_dir: None,
             chunk_triples: DEFAULT_CHUNK_TRIPLES,
         }
     }
@@ -130,8 +124,6 @@ struct WireLedger {
     setup: PhaseCounters,
     finals: PhaseCounters,
     control_bytes: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
 }
 
 /// One phase's `[bytes, frames, triples]`.
@@ -163,14 +155,6 @@ impl WireLedger {
             .fetch_add(body_len as u64 + FRAME_OVERHEAD, Ordering::Relaxed);
     }
 
-    fn cache_outcome(&self, hit: bool) {
-        if hit {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// The run's wire report. Round traffic is the sum of what the
     /// workers' mesh endpoints wrote, read off their final `stats`; a
     /// worker lost before its `Final` leaves its share out.
@@ -193,8 +177,6 @@ impl WireLedger {
             rounds,
             finals: self.finals.load(),
             control_bytes: self.control_bytes.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
             per_round: (0..)
                 .zip(&per_round)
                 .map(|(round, w)| WireRound {
@@ -379,7 +361,7 @@ fn pump_worker(
                     }
                 }
             }
-            Ok(WorkerMsg::Hello { .. } | WorkerMsg::CacheAdvert { .. }) => {
+            Ok(WorkerMsg::Hello { .. } | WorkerMsg::Ready { .. }) => {
                 return dead(format!("worker {id} repeated the handshake mid-run"))
             }
             Err(e) => return dead(format!("undecodable message from worker {id}: {e}")),
@@ -407,10 +389,9 @@ fn wire_faults(cfg: &ParallelConfig, id: usize) -> Vec<(u32, WireFault)> {
 }
 
 /// Accept one worker and run the versioned handshake
-/// (`Hello → Welcome → CacheAdvert`). Returns the stream, ready for
-/// `Setup`, the cache entries the worker advertised, and its mesh
-/// address: the worker's address as this connection sees it, at the
-/// port it advertised.
+/// (`Hello → Welcome → Ready`). Returns the stream, ready for `Setup`,
+/// and the worker's mesh address: its address as this connection sees
+/// it, at the port it sent in `Ready`.
 fn accept_worker(
     listener: &TcpListener,
     deadline: Instant,
@@ -418,7 +399,7 @@ fn accept_worker(
     k: u32,
     opts: &MasterOptions,
     ledger: &WireLedger,
-) -> Result<(TcpStream, Vec<CacheEntry>, SocketAddr), NetError> {
+) -> Result<(TcpStream, SocketAddr), NetError> {
     let mut stream = accept_before(listener, deadline).map_err(|e| match e.kind() {
         ErrorKind::TimedOut => handshake_err(format!(
             "worker {node_id}/{k} never connected within {:?}",
@@ -446,17 +427,15 @@ fn accept_worker(
             });
             ledger.control_frame(welcome.len());
             write_crc_frame(&mut stream, &welcome)?;
-            // The advert follows immediately — an empty one when the
-            // worker has no cache.
-            let advert = read_crc_frame(&mut stream)?;
-            ledger.control_frame(advert.len());
-            match decode_worker_msg(&advert, u32::MAX)? {
-                WorkerMsg::CacheAdvert { mesh_port, entries } => {
+            let ready = read_crc_frame(&mut stream)?;
+            ledger.control_frame(ready.len());
+            match decode_worker_msg(&ready, u32::MAX)? {
+                WorkerMsg::Ready { mesh_port } => {
                     let mesh = SocketAddr::new(stream.peer_addr()?.ip(), mesh_port);
-                    Ok((stream, entries, mesh))
+                    Ok((stream, mesh))
                 }
                 other => Err(handshake_err(format!(
-                    "expected CacheAdvert after Welcome, got {other:?}"
+                    "expected Ready after Welcome, got {other:?}"
                 ))),
             }
         }
@@ -475,24 +454,6 @@ fn accept_worker(
             "expected Hello from connecting worker, got {other:?}"
         ))),
     }
-}
-
-/// Digest of the partitioning configuration — everything that changes
-/// *which bytes* a worker's partition payload holds, beyond the input
-/// KB itself. The payload digest is the actual correctness check; this
-/// merely keys the cache so config changes don't thrash one entry.
-fn config_digest(
-    cfg: &ParallelConfig,
-    k: usize,
-    materialization: owlpar_datalog::MaterializationStrategy,
-) -> [u8; 16] {
-    let fp = format!(
-        "k={k}|strategy={:?}|materialization={materialization:?}|extra_rules={}|unsafe_rules={:?}",
-        cfg.strategy,
-        cfg.extra_rules.len(),
-        cfg.unsafe_rules,
-    );
-    digest128(fp.as_bytes())
 }
 
 /// The coordinator's view of its workers during the rounds: who is
@@ -581,9 +542,6 @@ pub fn run_cluster_master(
     let start_total = Instant::now();
     let before_len = graph.len();
     let mut plan = prepare_run(graph, cfg)?;
-    // The cache key's input half: the KB as handed to us, digested from
-    // the sorted order `prepare_run` put it in.
-    let in_digest = plan.input_digest;
     let k = plan.k;
     // Telemetry: an enabled recorder in the options turns on worker-side
     // tracing (via the Welcome flag) and gives the master its own
@@ -606,25 +564,25 @@ pub fn run_cluster_master(
     let mut lane = trace_rec.track("master");
     let n_terms = graph.dict.len() as u32;
     let materialization = resolve_materialization(cfg.materialization, k);
-    let cfg_digest = config_digest(cfg, k, materialization);
     let ledger = WireLedger::default();
 
     // --- bootstrap: all-or-nothing -----------------------------------
     let setup_span = lane.begin(Phase::Setup, NO_ROUND);
     let deadline = Instant::now() + opts.accept_timeout;
     let mut streams = Vec::with_capacity(k);
-    let mut adverts = Vec::with_capacity(k);
     let mut peers = Vec::with_capacity(k);
     for id in 0..k {
-        let (stream, advert, mesh) =
+        let (stream, mesh) =
             accept_worker(&listener, deadline, id as u32, k as u32, opts, &ledger)?;
         streams.push(stream);
-        adverts.push(advert);
         peers.push((id as u32, mesh));
     }
     let mut bases = std::mem::take(&mut plan.bases);
     for (id, stream) in streams.iter_mut().enumerate() {
-        let payload = SetupPayload {
+        let setup = Setup {
+            round_timeout_ms: cfg.round_timeout.as_millis() as u64,
+            faults: wire_faults(cfg, id),
+            peers: peers.clone(),
             n_terms,
             materialization,
             schema: plan.schema.clone(),
@@ -633,31 +591,9 @@ pub fn run_cluster_master(
             my_rules: plan.rules_per_worker[id].clone(),
             routing: WireRouting::from(&plan.routing[id]),
         };
-        let payload_triples = payload.schema.len() + payload.base.len();
-        let blob = encode_setup_payload(&payload);
-        let payload_digest = digest128(&blob);
-        // Digest-only ship iff the worker advertised this exact blob —
-        // exact meaning the payload digest matches too, so a stale or
-        // nondeterministically different partition degrades to a full
-        // ship, never to a wrong one.
-        let hit = adverts[id].iter().any(|e| {
-            e.input == in_digest
-                && e.config == cfg_digest
-                && e.node == id as u32
-                && e.payload == payload_digest
-        });
-        ledger.cache_outcome(hit);
-        let setup = Setup {
-            input_digest: in_digest,
-            config_digest: cfg_digest,
-            payload_digest,
-            round_timeout_ms: cfg.round_timeout.as_millis() as u64,
-            faults: wire_faults(cfg, id),
-            peers: peers.clone(),
-            payload: (!hit).then_some(blob),
-        };
+        let triples = setup.schema.len() + setup.base.len();
         let body = encode_master_msg(&MasterMsg::Setup(Box::new(setup)));
-        ledger.setup.add(body.len(), if hit { 0 } else { payload_triples });
+        ledger.setup.add(body.len(), triples);
         write_crc_frame(stream, &body)?;
         // From here on the per-read patience is the round timeout: a
         // worker that produces nothing for that long is declared dead.
@@ -1072,14 +1008,7 @@ pub fn run_cluster_worker(
         )));
     }
 
-    // Advertise the mesh port and whatever shipped partitions we hold
-    // (no entries when uncached — the master always reads one).
-    let cache = match &opts.cache_dir {
-        Some(dir) => Some(PartitionCache::open(dir)?),
-        None => None,
-    };
-    let entries = cache.as_ref().map(PartitionCache::scan).unwrap_or_default();
-    conn.send(&WorkerMsg::CacheAdvert { mesh_port, entries })?;
+    conn.send(&WorkerMsg::Ready { mesh_port })?;
 
     let setup = match conn.read()? {
         MasterMsg::Setup(s) => *s,
@@ -1090,41 +1019,6 @@ pub fn run_cluster_worker(
         }
     };
     let peers = mesh_peers(&setup.peers, k)?;
-    // Resolve the payload blob: shipped on the wire (verify, then
-    // persist for next time) or elided because the master matched our
-    // advert (load and re-verify from disk). Either way the bytes are
-    // checked against the header's digest before they are decoded.
-    let blob = match setup.payload {
-        Some(blob) => {
-            if digest128(&blob) != setup.payload_digest {
-                return Err(NetError::protocol(
-                    "setup payload does not match its declared digest",
-                ));
-            }
-            if let Some(c) = &cache {
-                // A cache write failure costs the next run a re-ship,
-                // not this run its result.
-                let _ = c.store(&setup.input_digest, &setup.config_digest, node_id, &blob);
-            }
-            blob
-        }
-        None => cache
-            .as_ref()
-            .and_then(|c| {
-                c.load(
-                    &setup.input_digest,
-                    &setup.config_digest,
-                    node_id,
-                    &setup.payload_digest,
-                )
-            })
-            .ok_or_else(|| {
-                handshake_err(
-                    "master elided the setup payload but no matching cache entry exists",
-                )
-            })?,
-    };
-    let payload = decode_setup_payload(&blob)?;
     let round_timeout = Duration::from_millis(setup.round_timeout_ms.max(1000));
     // The master's Verdict waits for the slowest worker's collect; give
     // reads (and mesh collects) twice its patience before declaring a
@@ -1142,14 +1036,14 @@ pub fn run_cluster_worker(
     drop(mesh_listener);
 
     // --- rounds: the one loop, peer to peer, voted at the master --------
-    let all_rules = Arc::new(payload.all_rules);
+    let all_rules = Arc::new(setup.all_rules);
     let ctx = WorkerCtx {
         id: me,
         k: k as usize,
-        routing: rebuild_routing(payload.routing, k, &all_rules)?,
-        reasoner: Reasoner::new(payload.my_rules, payload.materialization),
-        schema: Arc::new(payload.schema),
-        base: payload.base,
+        routing: rebuild_routing(setup.routing, k, &all_rules)?,
+        reasoner: Reasoner::new(setup.my_rules, setup.materialization),
+        schema: Arc::new(setup.schema),
+        base: setup.base,
     };
     // Telemetry: a LOCAL recorder, never the process global — worker
     // events reach the merged timeline only as `TraceChunk` frames, so
@@ -1223,38 +1117,4 @@ pub fn run_cluster_worker(
             run: full[tail_start..].to_vec(),
         })
         .map(|()| summary)
-}
-
-#[cfg(test)]
-mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-    use super::*;
-    use owlpar_core::PartitioningStrategy;
-
-    /// The partition cache is keyed by [`config_digest`], which formats
-    /// the strategy with `{:?}`. These are the keys caches already on
-    /// disk were written under: a changed rendering of a strategy would
-    /// turn every one of their entries into a miss.
-    #[test]
-    fn golden_config_digests_survive_the_strategy_types() {
-        for (name, want) in [
-            ("graph", "d03c9e25bf0193f0bad3a48e4c7821c9"),
-            ("hash", "19306e8d73b89b933e7f3bf83e5eca7b"),
-            ("domain", "83cc89e739859beeb00d5608bece24d4"),
-            ("rule", "4081b7d9087e8ff946b684d480c66fc3"),
-        ] {
-            let strategy = PartitioningStrategy::from_name(name).unwrap_or_else(|e| panic!("{e}"));
-            let cfg = ParallelConfig {
-                k: 4,
-                strategy,
-                ..ParallelConfig::default()
-            }
-            .forward();
-            let got: String = config_digest(&cfg, 4, cfg.materialization)
-                .iter()
-                .map(|b| format!("{b:02x}"))
-                .collect();
-            assert_eq!(got, want, "{name}");
-        }
-    }
 }

@@ -30,12 +30,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod cluster;
 pub mod protocol;
 pub mod transport;
 
-pub use cache::PartitionCache;
 pub use cluster::{
     run_cluster_master, run_cluster_worker, MasterOptions, WorkerOptions, WorkerSummary,
 };

@@ -11,25 +11,25 @@
 //! (the stream cannot be resynchronized), not a skippable message.
 //!
 //! ```text
-//! worker → master:  Hello CacheAdvert | (TraceChunk? RoundDone)* | FinalChunk* Final
+//! worker → master:  Hello Ready | (TraceChunk? RoundDone)* | FinalChunk* Final
 //! master → worker:  Welcome | Reject | Setup | Verdict*
 //! ```
 //!
 //! **v5**: round triples travel worker to worker over the TCP mesh
 //! (`transport`); on the master connection a round is only the vote,
-//! `RoundDone` then `Verdict`. The mesh port rides the `CacheAdvert`,
-//! and the peer table the `Setup` header — never the cached payload,
-//! because addresses change per run.
+//! `RoundDone` then `Verdict`.
+//!
+//! **v6**: every run ships every partition. `Setup` carries the
+//! worker's partition inline, with no digests and no way to leave it
+//! out, and the message after `Welcome` is `Ready`, which carries only
+//! the worker's mesh port.
 //!
 //! **Wire format v2** (see `DESIGN.md §13`): triple payloads travel as
 //! sort-order delta/varint blocks ([`owlpar_core::frame::encode_triple_block`])
 //! instead of raw 12-byte records; ownership tables are delta/varint
-//! encoded; the bulky parts of `Setup` are wrapped into a canonical
-//! [`SetupPayload`] blob so a worker that already holds the identical
-//! blob in its on-disk cache can be sent the 16-byte digest instead; and
-//! a large `Final` streams as a bounded chunk sequence (`FinalChunk*`
-//! ending in the ordinary terminator), so a result of any size moves
-//! without raising the per-frame payload cap.
+//! encoded; and a large `Final` streams as a bounded chunk sequence
+//! (`FinalChunk*` ending in the ordinary terminator), so a result of any
+//! size moves without raising the per-frame payload cap.
 //!
 //! **v4** changes what the final stream *means*, not its grammar: a
 //! worker's `FinalChunk* Final` sequence is one SPO-ascending,
@@ -74,7 +74,9 @@ pub const WIRE_MAGIC: u32 = 0x4F57_4C50;
 /// frozen.
 /// v5: no relay — rounds on the master connection are `RoundDone` and
 /// `Verdict`; the triples cross the workers' mesh.
-pub const PROTOCOL_VERSION: u32 = 5;
+/// v6: no partition cache — `Setup` always carries the partition, with
+/// no digests, and `Ready { mesh_port }` replaces the cache advert.
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Anything that can go wrong running the cluster.
 #[derive(Debug)]
@@ -222,14 +224,19 @@ impl From<&Routing> for WireRouting {
     }
 }
 
-/// The cacheable bulk of a worker's bootstrap: everything that depends
-/// only on `(input KB, partitioning config, node id)` and nothing else.
-/// Ships inside [`Setup`] as one canonically-encoded blob
-/// ([`encode_setup_payload`]) so that its digest is stable across runs
-/// and a worker holding the identical blob on disk can skip the
-/// transfer entirely.
+/// Everything a worker needs before round 0 — the cluster image of the
+/// master's [`owlpar_core::RunPlan`] slice for one worker, shipped whole
+/// on every run.
 #[derive(Debug, Clone)]
-pub struct SetupPayload {
+pub struct Setup {
+    /// Per-message read patience during rounds, in milliseconds.
+    pub round_timeout_ms: u64,
+    /// Injected faults for this worker, as `(round, fault)` pairs.
+    pub faults: Vec<(u32, WireFault)>,
+    /// The mesh peer table: `(worker id, mesh listener address)` for
+    /// every worker of the run, this one included; checked against the
+    /// cluster size by [`mesh_peers`].
+    pub peers: Vec<(u32, SocketAddr)>,
     /// Size of the master's frozen dictionary; every triple id in every
     /// later frame must be below it.
     pub n_terms: u32,
@@ -247,49 +254,6 @@ pub struct SetupPayload {
     pub my_rules: Vec<Rule>,
     /// How this worker routes fresh derivations.
     pub routing: WireRouting,
-}
-
-/// Everything a worker needs before round 0 — the cluster image of the
-/// master's [`owlpar_core::RunPlan`] slice for one worker. The bulky,
-/// run-independent part travels as an optional [`SetupPayload`] blob:
-/// `payload: None` means "you advertised a cache entry whose digests
-/// match — load the blob from your cache"; the `payload_digest` lets the
-/// worker verify whatever it loads (or received) byte-for-byte.
-#[derive(Debug, Clone)]
-pub struct Setup {
-    /// Digest of the input KB (dictionary size + sorted id-triples).
-    pub input_digest: [u8; 16],
-    /// Digest of the partitioning configuration (k, strategy, engine).
-    pub config_digest: [u8; 16],
-    /// Digest of the canonical [`SetupPayload`] encoding this worker
-    /// must end up holding, shipped or cached.
-    pub payload_digest: [u8; 16],
-    /// Per-message read patience during rounds, in milliseconds.
-    pub round_timeout_ms: u64,
-    /// Injected faults for this worker, as `(round, fault)` pairs.
-    /// Per-run, so deliberately *outside* the cached payload.
-    pub faults: Vec<(u32, WireFault)>,
-    /// The mesh peer table: `(worker id, mesh listener address)` for
-    /// every worker of the run, this one included. Per-run, like
-    /// `faults`; checked against the cluster size by [`mesh_peers`].
-    pub peers: Vec<(u32, SocketAddr)>,
-    /// The encoded [`SetupPayload`], or `None` on a cache hit.
-    pub payload: Option<Vec<u8>>,
-}
-
-/// One shipped-partition cache entry a worker advertises after the
-/// handshake: "I already hold the payload for `(input, config, node)`
-/// and its bytes digest to `payload`."
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheEntry {
-    /// Input-KB digest the cached payload was built from.
-    pub input: [u8; 16],
-    /// Partitioning-config digest it was built under.
-    pub config: [u8; 16],
-    /// Node id (partition index) the payload belongs to.
-    pub node: u32,
-    /// Digest of the cached payload bytes themselves.
-    pub payload: [u8; 16],
 }
 
 /// Per-worker counters in shippable form; micros instead of `Duration`.
@@ -362,15 +326,10 @@ pub enum WorkerMsg {
         version: u32,
     },
     /// Sent once right after `Welcome`: the port of this worker's mesh
-    /// listener (on the address it reached the master from) and the
-    /// shipped-partition cache entries it holds for the master to match
-    /// against. An empty entry list is valid (no cache, or nothing
-    /// relevant).
-    CacheAdvert {
+    /// listener, on the address it reached the master from.
+    Ready {
         /// Mesh listener port.
         mesh_port: u16,
-        /// Entries, at most [`MAX_CACHE_ADVERT`].
-        entries: Vec<CacheEntry>,
     },
     /// This worker finished the round: its sends are out and its mesh
     /// collect has every live peer's end-of-round marker.
@@ -455,10 +414,10 @@ const TAG_REJECT: u8 = 3;
 const TAG_SETUP: u8 = 4;
 const TAG_ROUND_DONE: u8 = 6;
 const TAG_FINAL: u8 = 8;
-const TAG_CACHE_ADVERT: u8 = 9;
 const TAG_FINAL_CHUNK: u8 = 10;
 const TAG_TRACE_CHUNK: u8 = 12;
 const TAG_VERDICT: u8 = 13;
+const TAG_READY: u8 = 14;
 
 /// Largest encoded trace chunk the decoder accepts. Generous — a chunk
 /// holds one round's spans for one worker, a few dozen events.
@@ -468,10 +427,6 @@ const MAX_TRACE_CHUNK: usize = 4 * 1024 * 1024;
 const MAX_STRING: usize = 64 * 1024;
 /// Most rules a setup may carry (far above any real rule-base).
 const MAX_RULES: usize = 64 * 1024;
-/// Most cache entries one `CacheAdvert` may carry. A worker only ever
-/// has entries for partitions it was once shipped, so anything beyond
-/// this is garbage, not a big cache.
-pub const MAX_CACHE_ADVERT: usize = 4096;
 
 /// Bounds-checked little-endian reader over a message body.
 struct Cursor<'a> {
@@ -523,14 +478,6 @@ impl<'a> Cursor<'a> {
         })?;
         self.pos = next;
         Ok(v)
-    }
-
-    /// A 128-bit digest field.
-    fn digest(&mut self) -> Result<[u8; 16], NetError> {
-        let b = self.take(16)?;
-        let mut d = [0u8; 16];
-        d.copy_from_slice(b);
-        Ok(d)
     }
 
     fn string(&mut self) -> Result<String, NetError> {
@@ -1038,46 +985,6 @@ fn get_stats(cur: &mut Cursor<'_>) -> Result<WireStats, NetError> {
     })
 }
 
-/// Encode a [`SetupPayload`] into its canonical blob: deterministic
-/// byte-for-byte given the same logical content (triple blocks are
-/// sorted, ownership tables are sorted), so equal payloads digest
-/// equally across runs — the property the partition cache keys on.
-pub fn encode_setup_payload(p: &SetupPayload) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u32(&mut out, p.n_terms);
-    put_materialization(&mut out, &p.materialization);
-    put_triples(&mut out, &p.schema);
-    put_triples(&mut out, &p.base);
-    put_rules(&mut out, &p.all_rules);
-    put_rule_refs(&mut out, &p.all_rules, &p.my_rules);
-    put_routing(&mut out, &p.routing);
-    out
-}
-
-/// Decode (and fully validate) a [`SetupPayload`] blob — whether it
-/// arrived on the wire or was loaded from the on-disk cache, it passes
-/// through exactly this checking.
-pub fn decode_setup_payload(bytes: &[u8]) -> Result<SetupPayload, NetError> {
-    let mut cur = Cursor::new(bytes);
-    let n_terms = cur.u32()?;
-    let materialization = get_materialization(&mut cur)?;
-    let schema = get_triples(&mut cur, n_terms)?;
-    let base = get_triples(&mut cur, n_terms)?;
-    let all_rules = get_rules(&mut cur, n_terms)?;
-    let my_rules = get_rule_refs(&mut cur, &all_rules, n_terms)?;
-    let routing = get_routing(&mut cur, n_terms, u32::MAX)?;
-    cur.done()?;
-    Ok(SetupPayload {
-        n_terms,
-        materialization,
-        schema,
-        base,
-        all_rules,
-        my_rules,
-        routing,
-    })
-}
-
 /// Encode a worker→master message body.
 pub fn encode_worker_msg(m: &WorkerMsg) -> Vec<u8> {
     let mut out = Vec::new();
@@ -1087,16 +994,9 @@ pub fn encode_worker_msg(m: &WorkerMsg) -> Vec<u8> {
             put_u32(&mut out, *magic);
             put_u32(&mut out, *version);
         }
-        WorkerMsg::CacheAdvert { mesh_port, entries } => {
-            out.push(TAG_CACHE_ADVERT);
+        WorkerMsg::Ready { mesh_port } => {
+            out.push(TAG_READY);
             out.extend_from_slice(&mesh_port.to_le_bytes());
-            put_u32(&mut out, entries.len() as u32);
-            for e in entries {
-                out.extend_from_slice(&e.input);
-                out.extend_from_slice(&e.config);
-                put_u32(&mut out, e.node);
-                out.extend_from_slice(&e.payload);
-            }
         }
         WorkerMsg::RoundDone { round, sent } => {
             out.push(TAG_ROUND_DONE);
@@ -1131,25 +1031,11 @@ pub fn decode_worker_msg(body: &[u8], n_terms: u32) -> Result<WorkerMsg, NetErro
             magic: cur.u32()?,
             version: cur.u32()?,
         },
-        TAG_CACHE_ADVERT => {
+        TAG_READY => {
             let port = cur.take(2)?;
-            let mesh_port = u16::from_le_bytes([port[0], port[1]]);
-            let count = cur.u32()? as usize;
-            if count > MAX_CACHE_ADVERT {
-                return Err(NetError::protocol(format!(
-                    "cache advert of {count} entries exceeds the {MAX_CACHE_ADVERT} bound"
-                )));
+            WorkerMsg::Ready {
+                mesh_port: u16::from_le_bytes([port[0], port[1]]),
             }
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                entries.push(CacheEntry {
-                    input: cur.digest()?,
-                    config: cur.digest()?,
-                    node: cur.u32()?,
-                    payload: cur.digest()?,
-                });
-            }
-            WorkerMsg::CacheAdvert { mesh_port, entries }
         }
         TAG_ROUND_DONE => WorkerMsg::RoundDone {
             round: cur.u32()?,
@@ -1202,9 +1088,6 @@ pub fn encode_master_msg(m: &MasterMsg) -> Vec<u8> {
         }
         MasterMsg::Setup(s) => {
             out.push(TAG_SETUP);
-            out.extend_from_slice(&s.input_digest);
-            out.extend_from_slice(&s.config_digest);
-            out.extend_from_slice(&s.payload_digest);
             put_u64(&mut out, s.round_timeout_ms);
             put_u32(&mut out, s.faults.len() as u32);
             for (round, fault) in &s.faults {
@@ -1225,14 +1108,15 @@ pub fn encode_master_msg(m: &MasterMsg) -> Vec<u8> {
                 }
             }
             put_peers(&mut out, &s.peers);
-            match &s.payload {
-                Some(blob) => {
-                    out.push(1);
-                    put_u32(&mut out, blob.len() as u32);
-                    out.extend_from_slice(blob);
-                }
-                None => out.push(0),
-            }
+            // Triple blocks and the owner table are written sorted, so
+            // equal setups encode to equal bytes.
+            put_u32(&mut out, s.n_terms);
+            put_materialization(&mut out, &s.materialization);
+            put_triples(&mut out, &s.schema);
+            put_triples(&mut out, &s.base);
+            put_rules(&mut out, &s.all_rules);
+            put_rule_refs(&mut out, &s.all_rules, &s.my_rules);
+            put_routing(&mut out, &s.routing);
         }
         MasterMsg::Verdict { round, stop } => {
             out.push(TAG_VERDICT);
@@ -1243,9 +1127,8 @@ pub fn encode_master_msg(m: &MasterMsg) -> Vec<u8> {
     out
 }
 
-/// Decode a master→worker message body. None carries triples: a
-/// `Setup` payload is decoded (and validated against its own dictionary
-/// size) by [`decode_setup_payload`].
+/// Decode a master→worker message body. Only `Setup` carries triples,
+/// and they are validated against the dictionary size it declares.
 pub fn decode_master_msg(body: &[u8]) -> Result<MasterMsg, NetError> {
     let mut cur = Cursor::new(body);
     let msg = match cur.u8()? {
@@ -1259,9 +1142,6 @@ pub fn decode_master_msg(body: &[u8]) -> Result<MasterMsg, NetError> {
             reason: cur.string()?,
         },
         TAG_SETUP => {
-            let input_digest = cur.digest()?;
-            let config_digest = cur.digest()?;
-            let payload_digest = cur.digest()?;
             let round_timeout_ms = cur.u64()?;
             let n_faults = cur.u32()? as usize;
             if n_faults > 1 << 16 {
@@ -1283,26 +1163,24 @@ pub fn decode_master_msg(body: &[u8]) -> Result<MasterMsg, NetError> {
                 faults.push((round, fault));
             }
             let peers = get_peers(&mut cur)?;
-            let payload = match cur.u8()? {
-                0 => None,
-                1 => {
-                    let len = cur.u32()? as usize;
-                    Some(cur.take(len)?.to_vec())
-                }
-                other => {
-                    return Err(NetError::protocol(format!(
-                        "unknown setup payload marker {other}"
-                    )))
-                }
-            };
+            let n_terms = cur.u32()?;
+            let materialization = get_materialization(&mut cur)?;
+            let schema = get_triples(&mut cur, n_terms)?;
+            let base = get_triples(&mut cur, n_terms)?;
+            let all_rules = get_rules(&mut cur, n_terms)?;
+            let my_rules = get_rule_refs(&mut cur, &all_rules, n_terms)?;
+            let routing = get_routing(&mut cur, n_terms, u32::MAX)?;
             MasterMsg::Setup(Box::new(Setup {
-                input_digest,
-                config_digest,
-                payload_digest,
                 round_timeout_ms,
                 faults,
                 peers,
-                payload,
+                n_terms,
+                materialization,
+                schema,
+                base,
+                all_rules,
+                my_rules,
+                routing,
             }))
         }
         TAG_VERDICT => MasterMsg::Verdict {
@@ -1319,7 +1197,6 @@ pub fn decode_master_msg(body: &[u8]) -> Result<MasterMsg, NetError> {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
-    use owlpar_core::digest128;
     use owlpar_datalog::ast::build::{atom, c, v};
 
     fn t(s: u32, p: u32, o: u32) -> Triple {
@@ -1346,8 +1223,11 @@ mod tests {
         ]
     }
 
-    fn payload() -> SetupPayload {
-        SetupPayload {
+    fn setup() -> Setup {
+        Setup {
+            round_timeout_ms: 30_000,
+            faults: vec![(1, WireFault::Disconnect), (2, WireFault::Delay { millis: 5 })],
+            peers: peers(),
             n_terms: 10,
             materialization: MaterializationStrategy::ForwardSemiNaive,
             schema: vec![t(0, 1, 2)],
@@ -1360,15 +1240,14 @@ mod tests {
         }
     }
 
-    fn setup_with(blob: Option<Vec<u8>>, digest: [u8; 16]) -> Setup {
-        Setup {
-            input_digest: digest128(b"input"),
-            config_digest: digest128(b"config"),
-            payload_digest: digest,
-            round_timeout_ms: 30_000,
-            faults: vec![(1, WireFault::Disconnect), (2, WireFault::Delay { millis: 5 })],
-            peers: peers(),
-            payload: blob,
+    fn encode_setup(s: &Setup) -> Vec<u8> {
+        encode_master_msg(&MasterMsg::Setup(Box::new(s.clone())))
+    }
+
+    fn decode_setup(body: &[u8]) -> Setup {
+        match decode_master_msg(body).unwrap() {
+            MasterMsg::Setup(s) => *s,
+            other => panic!("expected Setup, got {other:?}"),
         }
     }
 
@@ -1387,19 +1266,8 @@ mod tests {
                 magic: WIRE_MAGIC,
                 version: PROTOCOL_VERSION,
             },
-            WorkerMsg::CacheAdvert {
-                mesh_port: 40_123,
-                entries: vec![CacheEntry {
-                    input: digest128(b"in"),
-                    config: digest128(b"cfg"),
-                    node: 3,
-                    payload: digest128(b"blob"),
-                }],
-            },
-            WorkerMsg::CacheAdvert {
-                mesh_port: 0,
-                entries: vec![],
-            },
+            WorkerMsg::Ready { mesh_port: 40_123 },
+            WorkerMsg::Ready { mesh_port: 0 },
             WorkerMsg::RoundDone { round: 7, sent: 99 },
             WorkerMsg::FinalChunk {
                 seq: 2,
@@ -1441,40 +1309,24 @@ mod tests {
     }
 
     #[test]
-    fn setup_payload_roundtrips_through_canonical_blob() {
-        let p = payload();
-        let blob = encode_setup_payload(&p);
-        let got = decode_setup_payload(&blob).unwrap();
-        assert_eq!(got.n_terms, p.n_terms);
-        assert_eq!(got.schema, p.schema);
-        assert_eq!(got.base, p.base);
-        assert_eq!(got.all_rules, p.all_rules);
-        assert_eq!(got.my_rules, p.my_rules);
-        assert_eq!(got.routing, p.routing);
-        // Canonical: re-encoding the decode reproduces the bytes, so
-        // the digest is stable across ship → decode → re-encode.
-        assert_eq!(encode_setup_payload(&got), blob);
-    }
-
-    #[test]
-    fn setup_blob_encoding_is_order_independent() {
-        let mut shuffled = payload();
+    fn setup_encoding_is_order_independent() {
+        let mut shuffled = setup();
         shuffled.base.reverse();
         if let WireRouting::Data { owner } = &mut shuffled.routing {
             owner.reverse();
         }
-        assert_eq!(encode_setup_payload(&payload()), encode_setup_payload(&shuffled));
+        assert_eq!(encode_setup(&setup()), encode_setup(&shuffled));
     }
 
     #[test]
     fn my_rules_ship_as_references_not_copies() {
         // With `my == all` (data partitioning), the second rule list
         // must cost ~1 varint per rule, not a full re-encoding.
-        let mut p = payload();
+        let mut p = setup();
         p.my_rules = p.all_rules.clone();
-        let with_refs = encode_setup_payload(&p).len();
+        let with_refs = encode_setup(&p).len();
         p.my_rules = vec![];
-        let without = encode_setup_payload(&p).len();
+        let without = encode_setup(&p).len();
         assert!(
             with_refs <= without + 2 * rules().len() + 1,
             "{} rules cost {} extra bytes",
@@ -1485,7 +1337,7 @@ mod tests {
 
     #[test]
     fn my_rule_outside_the_base_is_inlined_and_roundtrips() {
-        let mut p = payload();
+        let mut p = setup();
         p.my_rules = vec![Rule::new(
             "local-only",
             atom(v(0), c(NodeId(5)), v(1)),
@@ -1493,10 +1345,10 @@ mod tests {
         )
         .unwrap()];
         assert!(!p.all_rules.contains(&p.my_rules[0]));
-        let blob = encode_setup_payload(&p);
-        let got = decode_setup_payload(&blob).unwrap();
+        let body = encode_setup(&p);
+        let got = decode_setup(&body);
         assert_eq!(got.my_rules, p.my_rules);
-        assert_eq!(encode_setup_payload(&got), blob);
+        assert_eq!(encode_setup(&got), body);
     }
 
     #[test]
@@ -1511,21 +1363,20 @@ mod tests {
 
     #[test]
     fn master_messages_roundtrip() {
-        let blob = encode_setup_payload(&payload());
-        let digest = digest128(&blob);
-        for wire_payload in [Some(blob.clone()), None] {
-            let setup = setup_with(wire_payload.clone(), digest);
-            let body = encode_master_msg(&MasterMsg::Setup(Box::new(setup.clone())));
-            let MasterMsg::Setup(got) = decode_master_msg(&body).unwrap() else {
-                panic!("wrong variant");
-            };
-            assert_eq!(got.input_digest, setup.input_digest);
-            assert_eq!(got.config_digest, setup.config_digest);
-            assert_eq!(got.payload_digest, digest);
-            assert_eq!(got.faults, setup.faults);
-            assert_eq!(got.peers, setup.peers);
-            assert_eq!(got.payload, wire_payload);
-        }
+        let p = setup();
+        let body = encode_setup(&p);
+        let got = decode_setup(&body);
+        assert_eq!(got.round_timeout_ms, p.round_timeout_ms);
+        assert_eq!(got.faults, p.faults);
+        assert_eq!(got.peers, p.peers);
+        assert_eq!(got.n_terms, p.n_terms);
+        assert_eq!(got.schema, p.schema);
+        assert_eq!(got.base, p.base);
+        assert_eq!(got.all_rules, p.all_rules);
+        assert_eq!(got.my_rules, p.my_rules);
+        assert_eq!(got.routing, p.routing);
+        // Canonical: re-encoding the decode reproduces the bytes.
+        assert_eq!(encode_setup(&got), body);
 
         for stop in [false, true] {
             let body = encode_master_msg(&MasterMsg::Verdict { round: 3, stop });
@@ -1632,24 +1483,18 @@ mod tests {
 
     #[test]
     fn truncation_at_every_cut_is_rejected_not_panicking() {
-        let blob = encode_setup_payload(&SetupPayload {
-            n_terms: 10,
+        let body = encode_setup(&Setup {
             materialization: MaterializationStrategy::ForwardParallel { threads: 2 },
-            schema: vec![t(0, 1, 2)],
             base: vec![t(3, 4, 5)],
-            all_rules: rules(),
             my_rules: rules(),
             routing: WireRouting::Rule {
                 k: 2,
                 assignment: vec![0, 1],
             },
+            ..setup()
         });
-        let body = encode_master_msg(&MasterMsg::Setup(Box::new(setup_with(
-            Some(blob.clone()),
-            digest128(&blob),
-        ))));
-        // The Setup header carries the peer table (both address
-        // families); the Verdict closes every round.
+        // The Setup carries the peer table (both address families) and
+        // the partition; the Verdict closes every round.
         let verdict = encode_master_msg(&MasterMsg::Verdict {
             round: 9,
             stop: true,
@@ -1663,15 +1508,6 @@ mod tests {
                 );
             }
         }
-        // The payload blob decoder is equally truncation-proof (the
-        // cache load path feeds it bytes that never crossed the wire).
-        for cut in 0..blob.len() {
-            let err = decode_setup_payload(&blob[..cut]).unwrap_err();
-            assert!(
-                matches!(err, NetError::Protocol { .. }),
-                "payload cut at {cut} must be a protocol error, got {err}"
-            );
-        }
     }
 
     #[test]
@@ -1680,9 +1516,9 @@ mod tests {
         body.push(0xaa);
         let err = decode_worker_msg(&body, 10).unwrap_err();
         assert!(err.to_string().contains("trailing"));
-        let mut blob = encode_setup_payload(&payload());
-        blob.push(0xaa);
-        assert!(decode_setup_payload(&blob).unwrap_err().to_string().contains("trailing"));
+        let mut body = encode_setup(&setup());
+        body.push(0xaa);
+        assert!(decode_master_msg(&body).unwrap_err().to_string().contains("trailing"));
     }
 
     #[test]
@@ -1715,14 +1551,6 @@ mod tests {
     }
 
     #[test]
-    fn oversized_cache_advert_is_rejected() {
-        let mut body = vec![TAG_CACHE_ADVERT, 0, 0]; // tag, mesh port 0
-        put_u32(&mut body, (MAX_CACHE_ADVERT + 1) as u32);
-        let err = decode_worker_msg(&body, 10).unwrap_err();
-        assert!(err.to_string().contains("bound"), "got: {err}");
-    }
-
-    #[test]
     fn ownership_bounds_are_validated() {
         // worker id out of range
         let mut out = vec![0u8]; // Data routing tag
@@ -1736,10 +1564,11 @@ mod tests {
     /// The `Hello` body (`tag | magic | version`) of every earlier
     /// version keeps decoding — a version mismatch has to surface as a
     /// typed `Reject`, which requires both sides to parse each other's
-    /// opener. v4 is the last relaying version.
+    /// opener. v4 is the last relaying version, v5 the last with a
+    /// partition cache.
     #[test]
     fn older_hello_layouts_still_decode() {
-        for old in [1, 4] {
+        for old in [1, 4, 5] {
             let mut body = vec![TAG_HELLO];
             put_u32(&mut body, WIRE_MAGIC);
             put_u32(&mut body, old);

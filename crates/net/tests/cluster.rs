@@ -1,29 +1,31 @@
 //! End-to-end tests for the TCP cluster runtime: closure equivalence
 //! (TCP mesh ≡ channel transport ≡ serial) across generators and cluster
-//! sizes, the bootstrap handshake's rejection paths, a mesh that cannot
-//! form, and mid-run worker-loss recovery over real sockets.
+//! sizes, deterministic `Setup` bytes, the bootstrap handshake's
+//! rejection paths, a damaged `Setup`, a mesh that cannot form, and
+//! mid-run worker-loss recovery over real sockets.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use owlpar_core::master::resolve_materialization;
 use owlpar_core::{
-    digest128, prepare_run, read_crc_frame, run_parallel, run_serial, write_crc_frame, CommMode,
-    FaultKind, FaultPlan, ParallelConfig, PartitioningStrategy, RunPlan, RunReport,
+    encode_triple_block, prepare_run, read_crc_frame, run_parallel, run_serial, write_crc_frame,
+    CommMode, FaultKind, FaultPlan, FrameError, ParallelConfig, PartitioningStrategy, RunPlan,
+    RunReport,
 };
 use owlpar_datagen::{generate_lubm, generate_mdc, LubmConfig, MdcConfig};
 use owlpar_datalog::backward::TableScope;
 use owlpar_datalog::MaterializationStrategy;
 use owlpar_net::protocol::{
-    decode_master_msg, decode_worker_msg, encode_master_msg, encode_setup_payload,
-    encode_worker_msg, MasterMsg, Setup, SetupPayload, WireRouting, WireStats, WorkerMsg,
+    decode_master_msg, decode_worker_msg, encode_master_msg, encode_worker_msg, MasterMsg, Setup,
+    WireRouting, WireStats, WorkerMsg,
 };
 use owlpar_net::{
     run_cluster_master, run_cluster_worker, MasterOptions, NetError, TcpFabricFactory,
     WorkerOptions, WorkerSummary, PROTOCOL_VERSION, WIRE_MAGIC,
 };
 use owlpar_rdf::{is_sorted_run, Graph, Triple, TripleStore};
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{ErrorKind, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -222,8 +224,57 @@ struct HandDriven {
     stats: WireStats,
 }
 
+/// Worker `id`'s `Setup` for `plan`, as the master builds it.
+fn setup_for(
+    g: &Graph,
+    cfg: &ParallelConfig,
+    plan: &RunPlan,
+    id: usize,
+    peers: Vec<(u32, SocketAddr)>,
+) -> Setup {
+    Setup {
+        round_timeout_ms: 120_000,
+        faults: Vec::new(),
+        peers,
+        n_terms: g.dict.len() as u32,
+        materialization: resolve_materialization(cfg.materialization, plan.k),
+        schema: plan.schema.clone(),
+        base: plan.bases[id].clone(),
+        all_rules: plan.all_rules.clone(),
+        my_rules: plan.rules_per_worker[id].clone(),
+        routing: WireRouting::from(&plan.routing[id]),
+    }
+}
+
+/// Read a worker's `Hello`, answer `Welcome` naming it `node_id` of `k`,
+/// and return the mesh port its `Ready` carries.
+fn hand_handshake(stream: &mut TcpStream, node_id: u32, k: u32) -> u16 {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    let hello = decode_worker_msg(&read_crc_frame(stream).unwrap(), u32::MAX).unwrap();
+    assert_eq!(
+        hello,
+        WorkerMsg::Hello {
+            magic: WIRE_MAGIC,
+            version: PROTOCOL_VERSION
+        }
+    );
+    let welcome = MasterMsg::Welcome {
+        node_id,
+        k,
+        epoch: 7,
+        trace: false,
+    };
+    write_crc_frame(stream, &encode_master_msg(&welcome)).unwrap();
+    match decode_worker_msg(&read_crc_frame(stream).unwrap(), u32::MAX).unwrap() {
+        WorkerMsg::Ready { mesh_port } => mesh_port,
+        other => panic!("expected Ready, got {other:?}"),
+    }
+}
+
 /// Accept `plan.k` workers and speak the bootstrap to each by hand:
-/// `Hello → Welcome → CacheAdvert`, then — once every mesh port is in —
+/// `Hello → Welcome → Ready`, then — once every mesh port is in —
 /// a `Setup` with the worker's partition and the peer table, built from
 /// each connection's address and advertised port and passed through
 /// `edit_peers(id, table)` on its way to worker `id`.
@@ -239,54 +290,15 @@ fn hand_bootstrap(
     let mut peers = Vec::new();
     for id in 0..k {
         let (mut stream, _) = listener.accept().unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(120)))
-            .unwrap();
-        let hello = decode_worker_msg(&read_crc_frame(&mut stream).unwrap(), u32::MAX).unwrap();
-        assert_eq!(
-            hello,
-            WorkerMsg::Hello {
-                magic: WIRE_MAGIC,
-                version: PROTOCOL_VERSION
-            }
-        );
-        let welcome = MasterMsg::Welcome {
-            node_id: id as u32,
-            k: k as u32,
-            epoch: 7,
-            trace: false,
-        };
-        write_crc_frame(&mut stream, &encode_master_msg(&welcome)).unwrap();
-        let advert = decode_worker_msg(&read_crc_frame(&mut stream).unwrap(), u32::MAX).unwrap();
-        let WorkerMsg::CacheAdvert { mesh_port, .. } = advert else {
-            panic!("expected CacheAdvert, got {advert:?}");
-        };
+        let mesh_port = hand_handshake(&mut stream, id as u32, k as u32);
         let ip = stream.peer_addr().unwrap().ip();
         peers.push((id as u32, SocketAddr::new(ip, mesh_port)));
         streams.push(stream);
     }
     for (id, stream) in streams.iter_mut().enumerate() {
-        let payload = SetupPayload {
-            n_terms: g.dict.len() as u32,
-            materialization: resolve_materialization(cfg.materialization, k),
-            schema: plan.schema.clone(),
-            base: plan.bases[id].clone(),
-            all_rules: plan.all_rules.clone(),
-            my_rules: plan.rules_per_worker[id].clone(),
-            routing: WireRouting::from(&plan.routing[id]),
-        };
-        let blob = encode_setup_payload(&payload);
         let mut table = peers.clone();
         edit_peers(id, &mut table);
-        let setup = Setup {
-            input_digest: plan.input_digest,
-            config_digest: [0; 16],
-            payload_digest: digest128(&blob),
-            round_timeout_ms: 120_000,
-            faults: Vec::new(),
-            peers: table,
-            payload: Some(blob),
-        };
+        let setup = setup_for(g, cfg, plan, id, table);
         write_crc_frame(
             stream,
             &encode_master_msg(&MasterMsg::Setup(Box::new(setup))),
@@ -676,50 +688,109 @@ fn torn_handshake_frame_is_rejected() {
     );
 }
 
-/// End-to-end partition caching: the first run over a KB ships every
-/// worker its full `SetupPayload` (all misses); a second run against the
-/// same cache directory ships digests only (all hits), spending less
-/// than 1% of the cold run's setup bytes — and both closures equal the
-/// serial oracle exactly. (A digest-only `Setup` still carries the
-/// per-run header — digests, faults, the mesh peer table — so the KB
-/// must be big enough for that header to be under 1%: mini(40).)
+/// Partitioning is deterministic: two plans of the same KB under the
+/// same config ship every worker byte-identical `Setup` frames, for every
+/// strategy name at k ∈ {2, 4}.
 #[test]
-fn second_run_ships_digest_only_setups() {
-    let g0 = generate_lubm(&LubmConfig::mini(40));
-    let (want_fp, want_len) = serial_closure(g0.clone());
-    let cache_dir = std::env::temp_dir().join(format!(
-        "owlpar-cluster-test-cache-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    let worker_opts = WorkerOptions {
-        cache_dir: Some(cache_dir.clone()),
+fn two_plans_of_one_kb_ship_byte_identical_setups() {
+    let g0 = generate_lubm(&LubmConfig::mini(2));
+    for name in ["graph", "hash", "domain", "rule", "auto"] {
+        for k in [2, 4] {
+            let cfg = forward_cfg(k, PartitioningStrategy::from_name(name).unwrap());
+            let peers: Vec<(u32, SocketAddr)> = (0..k as u32)
+                .map(|id| (id, SocketAddr::from(([127, 0, 0, 1], 7000 + id as u16))))
+                .collect();
+            let [first, second] = [0, 1].map(|_| {
+                let mut g = g0.clone();
+                let plan =
+                    prepare_run(&mut g, &cfg).unwrap_or_else(|e| panic!("{name} k={k}: {e}"));
+                (0..k)
+                    .map(|id| {
+                        let setup = setup_for(&g, &cfg, &plan, id, peers.clone());
+                        encode_master_msg(&MasterMsg::Setup(Box::new(setup)))
+                    })
+                    .collect::<Vec<_>>()
+            });
+            for (id, (a, b)) in first.iter().zip(&second).enumerate() {
+                assert!(
+                    a == b,
+                    "{name} k={k}: worker {id}'s Setup differs between two plans"
+                );
+            }
+        }
+    }
+}
+
+/// A `Setup` damaged in flight is refused by the frame's CRC alone, and
+/// one cut short by the end of the stream: either way the worker returns
+/// a typed frame error within its connect timeout and never dials the
+/// mesh peer the table names.
+#[test]
+fn damaged_setup_is_refused_before_the_worker_dials_a_peer() {
+    let g0 = generate_lubm(&LubmConfig::mini(1));
+    let cfg = forward_cfg(2, PartitioningStrategy::data_graph());
+    let mut g = g0.clone();
+    let plan = prepare_run(&mut g, &cfg).expect("plan");
+    let patience = Duration::from_secs(5);
+    let opts = WorkerOptions {
+        connect_timeout: patience,
         ..WorkerOptions::default()
     };
-    let k = 2;
-    let cfg = forward_cfg(k, PartitioningStrategy::data_graph());
-
-    let (cold, g_cold, _) =
-        run_cluster_opts(&g0, &cfg, &MasterOptions::default(), &worker_opts);
-    let cold = cold.expect("cold run").wire.expect("wire stats");
-    assert_eq!(cold.cache_misses, k as u64, "first run misses everywhere");
-    assert_eq!(cold.cache_hits, 0);
-    assert_eq!((g_cold.term_fingerprint(), g_cold.len()), (want_fp, want_len));
-
-    let (warm, g_warm, _) =
-        run_cluster_opts(&g0, &cfg, &MasterOptions::default(), &worker_opts);
-    let warm = warm.expect("warm run").wire.expect("wire stats");
-    assert_eq!(warm.cache_hits, k as u64, "second run hits everywhere");
-    assert_eq!(warm.cache_misses, 0);
-    assert_eq!((g_warm.term_fingerprint(), g_warm.len()), (want_fp, want_len));
-    assert!(
-        warm.setup.bytes * 100 < cold.setup.bytes,
-        "digest-only setups ({} B) must be <1% of full setups ({} B)",
-        warm.setup.bytes,
-        cold.setup.bytes
-    );
-    assert!(warm.setup.triples == 0, "no partition triples re-shipped");
-    let _ = std::fs::remove_dir_all(&cache_dir);
+    for cut_short in [false, true] {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Worker 0's mesh listener: worker 1 would dial it to join.
+        let peer0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let worker = thread::spawn({
+            let opts = opts.clone();
+            move || {
+                let t0 = Instant::now();
+                (run_cluster_worker(addr, &opts), t0.elapsed())
+            }
+        });
+        let (mut stream, _) = listener.accept().unwrap();
+        let mesh_port = hand_handshake(&mut stream, 1, 2);
+        let ip = stream.peer_addr().unwrap().ip();
+        let peers = vec![
+            (0, peer0.local_addr().unwrap()),
+            (1, SocketAddr::new(ip, mesh_port)),
+        ];
+        let setup = setup_for(&g, &cfg, &plan, 1, peers);
+        let block = encode_triple_block(&setup.base);
+        let body = encode_master_msg(&MasterMsg::Setup(Box::new(setup)));
+        let mut frame = Vec::new();
+        write_crc_frame(&mut frame, &body).unwrap();
+        // 8 header bytes, then the body; aim at the middle of the base
+        // partition's triple block.
+        let at = 8
+            + body
+                .windows(block.len())
+                .position(|w| w == block)
+                .expect("the base block is in the Setup body")
+            + block.len() / 2;
+        if cut_short {
+            frame.truncate(at);
+        } else {
+            frame[at] ^= 0x10;
+        }
+        stream.write_all(&frame).unwrap();
+        if cut_short {
+            stream.shutdown(Shutdown::Write).unwrap();
+        }
+        let (result, took) = worker.join().unwrap();
+        let err = result.expect_err("a damaged Setup was accepted");
+        match (&err, cut_short) {
+            (NetError::Frame(FrameError::Checksum { .. }), false) => {}
+            (NetError::Frame(FrameError::Io(e)), true) if e.kind() == ErrorKind::UnexpectedEof => {}
+            _ => panic!("cut_short={cut_short}: expected a typed frame error, got {err}"),
+        }
+        assert!(took < patience, "gave up after {took:?}");
+        peer0.set_nonblocking(true).unwrap();
+        assert!(
+            matches!(peer0.accept(), Err(e) if e.kind() == ErrorKind::WouldBlock),
+            "cut_short={cut_short}: the worker dialed a mesh peer"
+        );
+    }
 }
 
 /// With the chunk cap lowered to a test-size 16 triples, `Final` stores
@@ -795,7 +866,7 @@ fn worker_surfaces_reject_as_typed_handshake_error_and_goes_quiet() {
             ),
         });
         write_crc_frame(&mut stream, &reject).unwrap();
-        // no CacheAdvert, no second Hello: the worker hung up
+        // no Ready, no second Hello: the worker hung up
         read_crc_frame(&mut stream).is_err()
     });
     let err = run_cluster_worker(addr, &WorkerOptions::default()).unwrap_err();
@@ -814,13 +885,14 @@ fn worker_surfaces_reject_as_typed_handshake_error_and_goes_quiet() {
 
 /// Version skew, old-worker direction: a peer that opens with an older
 /// `Hello` (same frozen byte layout; v1, v3 — the last version whose
-/// `Final` meant "my whole store" — and v4, the last that sent its
-/// triples through the master) gets a typed `Reject` naming both
+/// `Final` meant "my whole store" — v4, the last that sent its triples
+/// through the master, and v5, the last that advertised a partition
+/// cache) gets a typed `Reject` naming both
 /// versions and then nothing: no `Welcome`, no `Setup`, just the end of
 /// the stream. The master's graph is left untouched.
 #[test]
 fn stale_hello_gets_typed_reject_then_silence_and_graph_is_unchanged() {
-    for stale in [1, 3, 4] {
+    for stale in [1, 3, 4, 5] {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let g0 = generate_lubm(&LubmConfig::mini(1));
@@ -884,4 +956,38 @@ fn failed_bootstrap_leaves_graph_unchanged() {
     assert!(result.is_err());
     assert_eq!(g.len(), g0.len());
     assert_eq!(g.term_fingerprint(), g0.term_fingerprint());
+}
+
+/// `owlpar-cluster` refuses a flag its usage line does not name — a
+/// misspelling, or the retired `--cache-dir` — and a flag missing its
+/// value, with exit 1 and an error naming the flag, before it reads a
+/// file or dials anyone.
+#[test]
+fn cli_refuses_unknown_and_valueless_flags() {
+    for (args, why) in [
+        (
+            &["master", "kb.nt", "--k", "2", "--stratgy", "rule"][..],
+            "unknown flag --stratgy",
+        ),
+        (&["master", "kb.nt", "--k"][..], "--k needs a value"),
+        (
+            &[
+                "worker",
+                "127.0.0.1:1",
+                "--connect-timeout",
+                "1",
+                "--cache-dir",
+                "d",
+            ][..],
+            "unknown flag --cache-dir",
+        ),
+    ] {
+        let run = std::process::Command::new(env!("CARGO_BIN_EXE_owlpar-cluster"))
+            .args(args)
+            .output()
+            .expect("owlpar-cluster runs");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(why), "{args:?}: {stderr}");
+    }
 }

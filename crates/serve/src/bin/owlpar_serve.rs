@@ -24,10 +24,14 @@
 //! checkpoint / WAL-fsync span — and writes a Chrome-trace JSON on
 //! clean shutdown (live phase totals are scrapeable from STATS anytime).
 //!
+//! Any flag the usage line does not name, or a flag missing its value,
+//! is a usage error.
+//!
 //! Exit codes mirror `owlpar`: 0 success, 1 usage/IO/remote error, 3 the
 //! initial parallel materialization failed *or* the data directory is
 //! unrecoverable.
 
+use owlpar_core::cli::{flag_value, positionals};
 use owlpar_core::{run_parallel, CrashPlan, ParallelConfig, PartitioningStrategy};
 use owlpar_datalog::MaterializationStrategy;
 use owlpar_horst::HorstReasoner;
@@ -102,12 +106,6 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
     }
 }
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn load_kb(path: &str) -> Result<Graph, CliError> {
     if path.ends_with(".owlpar") {
         let mut f =
@@ -136,7 +134,19 @@ fn durability_config(args: &[String], dir: PathBuf) -> Result<DurabilityConfig, 
 }
 
 fn run_server(args: &[String]) -> Result<(), CliError> {
-    let [input, ..] = args else {
+    let valued = [
+        "--addr",
+        "--k",
+        "--threads",
+        "--strategy",
+        "--data-dir",
+        "--checkpoint-bytes",
+        "--read-timeout-ms",
+        "--max-pending",
+        "--crash-at",
+        "--trace-out",
+    ];
+    let [input, ..] = positionals(args, &valued, &[])?[..] else {
         return Err("run needs <kb.nt|kb.owlpar>".into());
     };
     // Install the ambient recorder before anything records: the initial
@@ -248,11 +258,11 @@ fn run_server(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn connect(args: &[String], what: &str) -> Result<(Client, Vec<String>), CliError> {
-    let [addr, rest @ ..] = args else {
+fn connect<'a>(args: &'a [String], what: &str) -> Result<(Client, Vec<&'a str>), CliError> {
+    let [addr, ref rest @ ..] = positionals(args, &[], &[])?[..] else {
         return Err(format!("{what} needs <addr>").into());
     };
-    Ok((Client::connect(addr.as_str())?, rest.to_vec()))
+    Ok((Client::connect(addr)?, rest.to_vec()))
 }
 
 fn query(args: &[String]) -> Result<(), CliError> {
@@ -274,7 +284,7 @@ fn insert(args: &[String]) -> Result<(), CliError> {
     let [source, ..] = &rest[..] else {
         return Err("insert needs <addr> <batch.nt|->".into());
     };
-    let nt = if source == "-" {
+    let nt = if *source == "-" {
         let mut buf = String::new();
         std::io::stdin()
             .read_to_string(&mut buf)

@@ -15,10 +15,14 @@
 //! owlpar trace summary <trace.json>
 //! ```
 //!
+//! Any flag the usage line does not name, or a flag missing its value,
+//! is a usage error.
+//!
 //! Exit codes: 0 success, 1 usage/IO error, 3 the parallel run itself
 //! failed (a `RunError` — lost workers without recovery, bad config) or
 //! the linted rule-base has deny-level findings.
 
+use owlpar::core::cli::{flag_value, positionals};
 use owlpar::core::{
     analyze_rules_only, analyze_strategy, auto_candidates, FaultPlan, PlanningBase, RunError,
 };
@@ -97,12 +101,6 @@ fn main() -> ExitCode {
     }
 }
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn load_graph(path: &str) -> Result<Graph, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let mut g = Graph::new();
@@ -134,7 +132,8 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
 }
 
 fn materialize(args: &[String]) -> Result<(), CliError> {
-    let [input, output, ..] = args else {
+    let valued = ["--k", "--strategy", "--fault-plan", "--trace-out"];
+    let [input, output, ..] = positionals(args, &valued, &[])?[..] else {
         return Err("materialize needs <in.nt> <out.nt>".into());
     };
     let k: usize = flag_value(args, "--k")
@@ -207,6 +206,7 @@ fn materialize(args: &[String]) -> Result<(), CliError> {
 /// from an ontology (`--compiled [<in.nt>]`; no path lints the bundled
 /// demo ontology exercising every rule template). Deny findings exit 3.
 fn lint_cmd(args: &[String]) -> Result<(), CliError> {
+    let positionals = positionals(args, &["--context"], &["--json", "--compiled"])?;
     let json = args.iter().any(|a| a == "--json");
     let context = match flag_value(args, "--context").as_deref() {
         None | Some("data") => PartitionContext::DataPartitioned,
@@ -214,24 +214,6 @@ fn lint_cmd(args: &[String]) -> Result<(), CliError> {
         Some("replicated") => PartitionContext::Replicated,
         Some(other) => return Err(CliError::Usage(format!("unknown context '{other}'"))),
     };
-    // Positional arguments: everything that is neither a flag nor the
-    // value of --context.
-    let mut positionals: Vec<&String> = Vec::new();
-    let mut skip_next = false;
-    for a in args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a == "--context" {
-            skip_next = true;
-            continue;
-        }
-        if a.starts_with("--") {
-            continue;
-        }
-        positionals.push(a);
-    }
     let report = if args.iter().any(|a| a == "--compiled") {
         let mut g = match positionals.first() {
             Some(path) => load_graph(path)?,
@@ -278,6 +260,7 @@ fn lint_cmd(args: &[String]) -> Result<(), CliError> {
 /// when no deny-free plan exists: the same non-overridable gate
 /// `materialize --strategy auto` applies before spawning workers.
 fn plan_cmd(args: &[String]) -> Result<(), CliError> {
+    let positionals = positionals(args, &["--strategy", "--k"], &["--json"])?;
     let json = args.iter().any(|a| a == "--json");
     let k: usize = flag_value(args, "--k")
         .map_or(Ok(4), |v| v.parse().map_err(|_| "--k".to_string()))?;
@@ -290,24 +273,6 @@ fn plan_cmd(args: &[String]) -> Result<(), CliError> {
         PartitioningStrategy::Auto => auto_candidates(k),
         one => vec![one],
     };
-    // Positional arguments: everything that is neither a flag nor the
-    // value of a flag that takes one.
-    let mut positionals: Vec<&String> = Vec::new();
-    let mut skip_next = false;
-    for a in args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a == "--strategy" || a == "--k" {
-            skip_next = true;
-            continue;
-        }
-        if a.starts_with("--") {
-            continue;
-        }
-        positionals.push(a);
-    }
     let Some(path) = positionals.first() else {
         return Err("plan needs <kb.nt|rules-file>".into());
     };
@@ -412,7 +377,7 @@ fn demo_ontology() -> Graph {
 }
 
 fn query(args: &[String]) -> Result<(), String> {
-    let [input, sparql, ..] = args else {
+    let [input, sparql, ..] = positionals(args, &[], &[])?[..] else {
         return Err("query needs <kb.nt> '<SPARQL>'".into());
     };
     let mut g = load_graph(input)?;
@@ -427,7 +392,7 @@ fn query(args: &[String]) -> Result<(), String> {
 }
 
 fn partition_info(args: &[String]) -> Result<(), String> {
-    let [input, ..] = args else {
+    let [input, ..] = positionals(args, &["--k"], &[])?[..] else {
         return Err("partition needs <in.nt>".into());
     };
     let k: usize = flag_value(args, "--k").map_or(Ok(4), |v| v.parse().map_err(|_| "--k"))?;
@@ -459,7 +424,7 @@ fn partition_info(args: &[String]) -> Result<(), String> {
 }
 
 fn snapshot_cmd(args: &[String]) -> Result<(), String> {
-    let [input, output, ..] = args else {
+    let [input, output, ..] = positionals(args, &[], &[])?[..] else {
         return Err("snapshot needs <in.nt> <out.owlpar>".into());
     };
     let g = load_graph(input)?;
@@ -470,7 +435,7 @@ fn snapshot_cmd(args: &[String]) -> Result<(), String> {
 }
 
 fn restore(args: &[String]) -> Result<(), String> {
-    let [input, output, ..] = args else {
+    let [input, output, ..] = positionals(args, &[], &[])?[..] else {
         return Err("restore needs <in.owlpar> <out.nt>".into());
     };
     let mut f = std::fs::File::open(input).map_err(|e| e.to_string())?;
@@ -481,13 +446,13 @@ fn restore(args: &[String]) -> Result<(), String> {
 }
 
 fn gen(args: &[String]) -> Result<(), String> {
-    let [which, output, ..] = args else {
+    let [which, output, ..] = positionals(args, &["--universities", "--scale"], &[])?[..] else {
         return Err("gen needs <lubm|uobm|mdc> <out.nt>".into());
     };
     let universities: usize =
         flag_value(args, "--universities").map_or(Ok(2), |v| v.parse().map_err(|_| "--universities"))?;
     let scale: f64 = flag_value(args, "--scale").map_or(Ok(0.1), |v| v.parse().map_err(|_| "--scale"))?;
-    let g = match which.as_str() {
+    let g = match which {
         "lubm" => generate_lubm(&LubmConfig {
             universities,
             scale,
@@ -516,9 +481,10 @@ fn gen(args: &[String]) -> Result<(), String> {
 /// critical-path share, exchange bytes per round, and — when the file
 /// embeds the analyzer's `"plan"` predictions — measured vs predicted.
 fn trace_cmd(args: &[String]) -> Result<(), String> {
-    match args.first().map(String::as_str) {
+    let positionals = positionals(args, &[], &[])?;
+    match positionals.first().copied() {
         Some("summary") => {
-            let Some(path) = args.get(1) else {
+            let Some(path) = positionals.get(1) else {
                 return Err("trace summary needs <trace.json>".into());
             };
             let text =

@@ -221,7 +221,10 @@ fn size_statistics_stay_defined_over_the_full_local_store() {
     // rounds went from (244, 52) to one hop: each triple is written once,
     // sender to receiver, instead of into and out of the master, and the
     // per-worker `Deliver` frames became 13-byte end-of-round markers.
-    assert_eq!((wire.setup.bytes, wire.setup.triples), (6481, 303));
+    // Setup then shrank by 53 B per worker (6481 → 6375): the three
+    // 16-byte digests and the payload's presence byte and length prefix
+    // went with the partition cache.
+    assert_eq!((wire.setup.bytes, wire.setup.triples), (6375, 303));
     assert_eq!((wire.rounds.bytes, wire.rounds.triples), (158, 26));
 
     // Hash ownership over MDC's transitive chains: four rounds, k = 4.

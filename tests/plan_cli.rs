@@ -251,3 +251,29 @@ fn partition_hash_row_is_the_partition_a_hash_run_builds() {
     assert_eq!(ir, format!("{:.3}", q.ir_excess()), "{row}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A flag `owlpar materialize`'s usage line does not name, or one
+/// missing its value, is refused with exit 1 and an error naming the
+/// flag — not dropped while the run goes ahead with defaults.
+#[test]
+fn unknown_and_valueless_flags_are_refused() {
+    let (dir, kb) = lubm_kb("flags", "1");
+    let out = dir.join("out.nt");
+    for (extra, why) in [
+        (
+            &["--k", "2", "--stratgy", "rule"][..],
+            "unknown flag --stratgy",
+        ),
+        (&["--k"][..], "--k needs a value"),
+    ] {
+        let run = owlpar_bin()
+            .args(["materialize", kb.to_str().unwrap(), out.to_str().unwrap()])
+            .args(extra)
+            .output()
+            .expect("owlpar runs");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{extra:?}: {stderr}");
+        assert!(stderr.contains(why), "{extra:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
