@@ -33,6 +33,7 @@ use crate::config::{FaultRecovery, ParallelConfig, PartitioningStrategy, UnsafeR
 use crate::error::{RunError, WorkerError};
 use crate::stats::{PhaseBreakdown, WorkerStats};
 use crate::worker::{run_rounds, BarrierVote, Routing, RunFlags, WorkerCtx};
+use owlpar_datalog::analysis::JoinMask;
 use owlpar_datalog::{MaterializationStrategy, Reasoner, Rule};
 use owlpar_horst::HorstReasoner;
 use owlpar_lint::{lint_rules, LintOptions, PartitionContext};
@@ -287,7 +288,7 @@ pub fn prepare_run(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunPlan, R
     }
 
     let context = crate::plan::context_of(&strategy)?;
-    let lint = lint_rules(&all_rules, &LintOptions::for_context(context));
+    let lint = lint_rules(&all_rules, &crate::plan::lint_options(context, rdf_type));
     if lint.has_deny() {
         match cfg.unsafe_rules {
             UnsafeRulePolicy::Refuse => return Err(RunError::Lint { report: lint }),
@@ -386,14 +387,24 @@ pub(crate) fn build_partitions(
 ) -> Result<PartitionParts, RunError> {
     match strategy {
         PartitioningStrategy::Data(policy) => {
-            let dp =
-                partition_data_ordered(instance_triples, cut_order, dict, rdf_type, k, policy);
+            let mask = JoinMask::of(all_rules);
+            let dp = partition_data_ordered(
+                instance_triples,
+                cut_order,
+                dict,
+                rdf_type,
+                k,
+                policy,
+                &mask,
+            );
             let q = quality(&dp.parts, rdf_type);
             let owner = Arc::new(dp.owner);
+            let mask = Arc::new(mask);
             Ok(PartitionParts {
                 routing: (0..k)
                     .map(|_| Routing::Data {
                         owner: Arc::clone(&owner),
+                        mask: Arc::clone(&mask),
                     })
                     .collect(),
                 bases: dp.parts,
@@ -915,6 +926,70 @@ mod tests {
             .any(|d| d.code == owlpar_lint::LintCode::NonSingleJoin));
         // Refused before any worker spawned: the graph is untouched.
         assert_eq!(g.len(), before, "no partial closure on refusal");
+    }
+
+    /// LUBM plus `(?x rdf:type ?c) (?y rdf:type ?c) -> (?x sameClassAs ?y)`:
+    /// single-join, but on a class, which no partition owns — the two
+    /// type triples of a match sit with the owners of `?x` and `?y`.
+    fn graph_with_class_join_rule() -> (Graph, owlpar_datalog::Rule) {
+        use owlpar_datalog::ast::build::{atom, c, v};
+        let mut g = generate_lubm(&LubmConfig::mini(2));
+        let ty = g.intern(Term::iri(RDF_TYPE));
+        let same = g.intern(Term::iri("http://x/sameClassAs"));
+        let rule = owlpar_datalog::Rule::new(
+            "same_class",
+            atom(v(0), c(same), v(1)),
+            vec![atom(v(0), c(ty), v(2)), atom(v(1), c(ty), v(2))],
+        )
+        .expect("well-formed");
+        (g, rule)
+    }
+
+    #[test]
+    fn lint_gate_refuses_a_join_on_a_class_under_data_partitioning() {
+        let (g0, rule) = graph_with_class_join_rule();
+        for k in [2, 4] {
+            let mut g = g0.clone();
+            let cfg = ParallelConfig {
+                k,
+                strategy: PartitioningStrategy::data_graph(),
+                ..ParallelConfig::default()
+            }
+            .forward()
+            .with_extra_rules(vec![rule.clone()]);
+            let err = run_parallel(&mut g, &cfg).unwrap_err();
+            let RunError::Lint { report } = err else {
+                panic!("expected Lint error, got {err}");
+            };
+            assert_eq!(report.unsafe_rule_names(), vec!["same_class".to_string()]);
+            assert!(report
+                .deny_findings()
+                .all(|d| d.code == owlpar_lint::LintCode::UnownedJoin));
+            assert_eq!(g.len(), g0.len(), "no partial closure on refusal");
+        }
+    }
+
+    #[test]
+    fn class_join_falls_back_to_rule_partitioning_and_matches_serial() {
+        let (g0, rule) = graph_with_class_join_rule();
+        let (want_fp, want_len) = serial_closure_with_extra(&g0, &rule);
+        for k in [2, 4] {
+            let mut g = g0.clone();
+            let cfg = ParallelConfig {
+                k,
+                strategy: PartitioningStrategy::data_graph(),
+                ..ParallelConfig::default()
+            }
+            .forward()
+            .with_extra_rules(vec![rule.clone()])
+            .with_unsafe_rules(UnsafeRulePolicy::ReplicateData);
+            run_parallel(&mut g, &cfg).expect("fallback run succeeds");
+            assert_eq!(
+                (g.len(), g.term_fingerprint()),
+                (want_len, want_fp),
+                "k={k}"
+            );
+        }
     }
 
     #[test]

@@ -18,11 +18,12 @@
 //!   `rdf:type`-headed rules — every one of them would be charged the
 //!   entire type census — while the min-body-atom bound tracks which
 //!   rules can actually fire;
-//! * **cross fraction** — for data strategies the probability a derived
-//!   triple's endpoint lives remote is taken from the partitioning's
-//!   measured input-replication excess ([`PartitionQuality::ir_excess`]):
-//!   the ownership graph replicates exactly the boundary nodes, which
-//!   are exactly the nodes whose triples cross partitions.
+//! * **crossing** — data routing sends a derived triple to the owners of
+//!   its join positions, so the analyzer prices exactly those (it
+//!   compiles the same [`JoinMask`](owlpar_datalog::analysis::JoinMask)
+//!   the runtime routes by). Whether such an owner is remote is read
+//!   off the partition itself: per predicate, the share of its base
+//!   triples whose subject and object have different owners.
 
 use crate::config::PartitioningStrategy;
 use crate::error::RunError;
@@ -34,31 +35,14 @@ use owlpar_datalog::Rule;
 use owlpar_lint::{
     analyze_plan, LintOptions, PartitionContext, PlanInputs, PlanReport, RouteModel, WireCostModel,
 };
-use owlpar_partition::metrics::PartitionQuality;
 use owlpar_partition::multilevel::PartitionOptions;
 use owlpar_partition::partition_rules;
 use owlpar_rdf::fx::FxHashMap;
 use owlpar_rdf::{Dictionary, Graph, NodeId, Triple};
 
-/// Floor for the data-routing cross fraction: even a perfect min-cut
-/// partitioning ships *some* derivations (the estimate must never claim
-/// a free lunch).
-const MIN_CROSS_FRACTION: f64 = 0.02;
-
-/// Cross fraction assumed when no partitioning quality is at hand
-/// (structure-only analysis).
+/// Crossing share assumed when no partition is at hand (structure-only
+/// analysis).
 const DEFAULT_CROSS_FRACTION: f64 = 0.1;
-
-/// Derivation–ownership correlation discount on the data-routing
-/// boundary fraction: a worker derives a triple because the producing
-/// body atoms matched *locally* — the derived triple usually shares its
-/// subject with a locally-owned body triple — so its endpoints are
-/// owned locally far more often than the raw node-replication excess
-/// ([`PartitionQuality::ir_excess`]) suggests. Charging endpoints
-/// independently at `ir_excess` overshoots measured data-strategy round
-/// traffic 3–5× on the bench KB; 0.25 keeps both k ∈ {2, 4} inside the
-/// 2× band (see `owlpar-net`'s plan-tolerance test).
-const DATA_LOCALITY_DISCOUNT: f64 = 0.25;
 
 /// Duplicate-suppression discount on every exchange estimate
 /// ([`PlanInputs::exchange_discount`]): production estimates count raw
@@ -97,17 +81,32 @@ impl PlanningBase {
         rdf_type: Option<NodeId>,
     ) -> Self {
         // One pass over the base builds every histogram the atom
-        // matcher needs: by predicate, by (predicate, object), by
-        // (subject, predicate).
+        // matcher needs: by predicate, and by the (predicate, object) and
+        // (subject, predicate) pairs some body atom names.
         let mut hist: FxHashMap<NodeId, usize> = FxHashMap::default();
         let mut hist_po: FxHashMap<(NodeId, NodeId), usize> = FxHashMap::default();
         let mut hist_sp: FxHashMap<(NodeId, NodeId), usize> = FxHashMap::default();
+        for a in all_rules.iter().flat_map(|r| &r.body) {
+            match (a.s, a.p, a.o) {
+                (_, TermPat::Const(p), TermPat::Const(o)) => {
+                    hist_po.insert((p, o), 0);
+                }
+                (TermPat::Const(s), TermPat::Const(p), TermPat::Var(_)) => {
+                    hist_sp.insert((s, p), 0);
+                }
+                _ => {}
+            }
+        }
         let mut total = 0usize;
         for t in schema.iter().chain(instance.iter()) {
             total += 1;
             *hist.entry(t.p).or_insert(0) += 1;
-            *hist_po.entry((t.p, t.o)).or_insert(0) += 1;
-            *hist_sp.entry((t.s, t.p)).or_insert(0) += 1;
+            if let Some(c) = hist_po.get_mut(&(t.p, t.o)) {
+                *c += 1;
+            }
+            if let Some(c) = hist_sp.get_mut(&(t.s, t.p)) {
+                *c += 1;
+            }
         }
         let match_count = |a: &Atom| -> usize {
             match (a.s, a.p, a.o) {
@@ -172,6 +171,23 @@ impl PlanningBase {
         }
     }
 
+    /// The planning base of the KB and rule-base `plan` was prepared
+    /// from, read off the plan instead of compiling the ontology again:
+    /// its rule-base, its schema run and the union of its bases (every
+    /// instance triple is in at least one).
+    pub fn of_plan(plan: &RunPlan, rdf_type: Option<NodeId>) -> Self {
+        let instance = match plan.strategy {
+            PartitioningStrategy::Data(_) => owlpar_rdf::merge_runs(&plan.bases),
+            _ => plan.bases.first().cloned().unwrap_or_default(),
+        };
+        PlanningBase::new(
+            plan.all_rules.clone(),
+            plan.schema.clone(),
+            instance,
+            rdf_type,
+        )
+    }
+
     /// Compile `graph`'s ontology (interning its last constants — same
     /// caveat as [`crate::prepare_run`]) and build the planning base for
     /// the effective rule-base.
@@ -204,6 +220,15 @@ pub fn auto_candidates(_k: usize) -> Vec<PartitioningStrategy> {
     ]
 }
 
+/// The lint options a rule-base is checked with before it is
+/// distributed under `context`, over a KB whose `rdf:type` is `rdf_type`.
+pub(crate) fn lint_options(context: PartitionContext, rdf_type: Option<NodeId>) -> LintOptions {
+    LintOptions {
+        rdf_type,
+        ..LintOptions::for_context(context)
+    }
+}
+
 /// Deployment context a strategy lints under.
 pub(crate) fn context_of(strategy: &PartitioningStrategy) -> Result<PartitionContext, RunError> {
     match strategy {
@@ -215,14 +240,36 @@ pub(crate) fn context_of(strategy: &PartitioningStrategy) -> Result<PartitionCon
     }
 }
 
-/// Boundary fraction for the data strategy: locality-discounted —
-/// the deriving worker owns the body triples, so it usually owns the
-/// derived endpoints too.
-fn data_cross_fraction(quality: Option<&PartitionQuality>) -> f64 {
-    quality
-        .map(|q| q.ir_excess() * DATA_LOCALITY_DISCOUNT)
-        .unwrap_or(DEFAULT_CROSS_FRACTION)
-        .clamp(MIN_CROSS_FRACTION, 1.0)
+/// How a data partition splits each predicate's triples: per predicate,
+/// the share of its instance triples (between two distinct owned
+/// resources) whose subject and object have different owners, and that
+/// share over all of them.
+fn crossing(
+    instance: &[Triple],
+    owner: &FxHashMap<NodeId, u32>,
+    rdf_type: Option<NodeId>,
+) -> (FxHashMap<NodeId, f64>, f64) {
+    let mut counts: FxHashMap<NodeId, (u64, u64)> = FxHashMap::default();
+    for t in instance {
+        if Some(t.p) == rdf_type || t.s == t.o {
+            continue;
+        }
+        let (Some(a), Some(b)) = (owner.get(&t.s), owner.get(&t.o)) else {
+            continue;
+        };
+        let c = counts.entry(t.p).or_default();
+        c.0 += u64::from(a != b);
+        c.1 += 1;
+    }
+    let (crossed, all) = counts
+        .values()
+        .fold((0, 0), |(x, n), &(c, m)| (x + c, n + m));
+    let share = |c: u64, n: u64| if n == 0 { 0.0 } else { c as f64 / n as f64 };
+    let by_predicate = counts
+        .into_iter()
+        .map(|(p, (c, n))| (p, share(c, n)))
+        .collect();
+    (by_predicate, share(crossed, all))
 }
 
 /// `Setup` frame size estimate for one worker, mirroring the
@@ -257,7 +304,7 @@ pub fn analyze_strategy(
     strategy: &PartitioningStrategy,
 ) -> Result<PlanReport, RunError> {
     let context = context_of(strategy)?;
-    let mut opts = LintOptions::for_context(context);
+    let mut opts = lint_options(context, base.rdf_type);
     opts.predicate_counts = Some(base.hist.clone());
     let label = strategy.label().to_string();
 
@@ -271,7 +318,10 @@ pub fn analyze_strategy(
             schema_triples: base.schema.len(),
             base_sizes: Vec::new(),
             total_base: base.instance.len(),
-            route: RouteModel::Data { cross_fraction: 0.0 },
+            route: RouteModel::Data {
+                crossing: FxHashMap::default(),
+                cross_fraction: 0.0,
+            },
             productions: Some(base.productions.clone()),
             exchange_discount: 1.0,
             setup_bytes: None,
@@ -280,6 +330,9 @@ pub fn analyze_strategy(
         return Ok(analyze_plan(&base.all_rules, &opts, &inputs));
     }
 
+    // Weigh the rule-dependency edges exactly when the runtime does.
+    let weights =
+        matches!(strategy, PartitioningStrategy::Rule { weighted: true }).then_some(&base.hist);
     let parts = build_partitions(
         strategy,
         k,
@@ -288,7 +341,7 @@ pub fn analyze_strategy(
         &base.instance,
         dict,
         base.rdf_type,
-        Some(&base.hist),
+        weights,
     )?;
     Ok(score_partition(
         base,
@@ -297,7 +350,6 @@ pub fn analyze_strategy(
         &parts.bases,
         &parts.rules_per_worker,
         &parts.routing,
-        parts.quality.as_ref(),
     ))
 }
 
@@ -307,7 +359,7 @@ pub fn analyze_strategy(
 /// be the planning base of the KB and rule-base `plan` was prepared
 /// from.
 pub fn analyze_run_plan(base: &PlanningBase, plan: &RunPlan) -> Result<PlanReport, RunError> {
-    let mut opts = LintOptions::for_context(context_of(&plan.strategy)?);
+    let mut opts = lint_options(context_of(&plan.strategy)?, base.rdf_type);
     opts.predicate_counts = Some(base.hist.clone());
     let label = plan.strategy.label().to_string();
     Ok(score_partition(
@@ -317,7 +369,6 @@ pub fn analyze_run_plan(base: &PlanningBase, plan: &RunPlan) -> Result<PlanRepor
         &plan.bases,
         &plan.rules_per_worker,
         &plan.routing,
-        plan.quality.as_ref(),
     ))
 }
 
@@ -331,26 +382,27 @@ fn score_partition(
     bases: &[Vec<Triple>],
     rules_per_worker: &[Vec<Rule>],
     routing: &[Routing],
-    quality: Option<&PartitionQuality>,
 ) -> PlanReport {
     let k = bases.len();
     let cost = WireCostModel::default();
     let route = match routing.first() {
-        // A single worker owns everything: no exchange, whatever the
-        // partition quality claims.
-        Some(Routing::Data { .. }) | None => RouteModel::Data {
-            cross_fraction: if k == 1 {
-                0.0
-            } else {
-                data_cross_fraction(quality)
-            },
+        Some(Routing::Data { owner, .. }) => {
+            let (crossing, cross_fraction) = crossing(&base.instance, owner, base.rdf_type);
+            RouteModel::Data {
+                crossing,
+                cross_fraction,
+            }
+        }
+        None => RouteModel::Data {
+            crossing: FxHashMap::default(),
+            cross_fraction: 0.0,
         },
         Some(Routing::Rule { partitions, .. }) => RouteModel::Rule {
             assignment: partitions.assignment.clone(),
         },
     };
     let routing_entries = match routing.first() {
-        Some(Routing::Data { owner }) => owner.len(),
+        Some(Routing::Data { owner, .. }) => owner.len(),
         Some(Routing::Rule { partitions, .. }) => partitions.assignment.len(),
         None => 0,
     } as u64;
@@ -399,6 +451,7 @@ pub fn analyze_rules_only(
     let opts = LintOptions::for_context(context);
     let route = match strategy {
         PartitioningStrategy::Data(_) => RouteModel::Data {
+            crossing: FxHashMap::default(),
             cross_fraction: DEFAULT_CROSS_FRACTION,
         },
         PartitioningStrategy::Rule { .. } => {
@@ -562,6 +615,12 @@ mod tests {
             assert_eq!(own.max_load_share, fresh.max_load_share, "{}", own.strategy);
             assert_eq!(own.rounds.expected, fresh.rounds.expected, "{}", own.strategy);
             assert_eq!(own.total_cost, fresh.total_cost, "{}", own.strategy);
+            // ... and the plan alone, without compiling the ontology a
+            // second time, is the same planning base
+            let rdf_type = base.rdf_type;
+            let from_plan =
+                analyze_run_plan(&PlanningBase::of_plan(&plan, rdf_type), &plan).expect("scorable");
+            assert_eq!(from_plan, own, "{}", own.strategy);
         }
     }
 

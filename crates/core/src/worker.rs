@@ -48,8 +48,10 @@ use crate::cputime::CpuTimer;
 use crate::error::{CommError, WorkerError};
 use crate::state::WorkerState;
 use crate::stats::WorkerStats;
+use owlpar_datalog::analysis::JoinMask;
 use owlpar_datalog::{Reasoner, Rule};
 use owlpar_obs::{Metric, Phase, Track, NO_ROUND};
+use owlpar_partition::data::Destinations;
 use owlpar_partition::RulePartitions;
 use owlpar_rdf::fx::FxHashMap;
 use owlpar_rdf::{NodeId, Triple};
@@ -59,12 +61,15 @@ use std::time::Duration;
 
 /// How a worker decides where a freshly derived triple must travel.
 pub enum Routing {
-    /// Data partitioning: a derived triple belongs on the owner of its
-    /// subject and the owner of its object (the partition table of
-    /// Algorithm 1).
+    /// Data partitioning: a derived triple travels to the owners of its
+    /// join positions (the partition table of Algorithm 1 read through
+    /// the rule-base's [`JoinMask`]); one with no join position stays
+    /// where it was derived until the final merge.
     Data {
         /// The partition table.
         owner: Arc<FxHashMap<NodeId, u32>>,
+        /// The join positions of the effective rule-base.
+        mask: Arc<JoinMask>,
     },
     /// Rule partitioning: a derived triple travels to every partition
     /// holding a rule whose body might consume it.
@@ -83,19 +88,9 @@ impl Routing {
     pub fn destinations(&self, t: &Triple, me: u32, out: &mut Vec<u32>) {
         out.clear();
         match self {
-            Routing::Data { owner } => {
-                let a = owner.get(&t.s).copied();
-                let b = owner.get(&t.o).copied();
-                if let Some(x) = a {
-                    if x != me {
-                        out.push(x);
-                    }
-                }
-                if let Some(y) = b {
-                    if y != me && a != Some(y) {
-                        out.push(y);
-                    }
-                }
+            Routing::Data { owner, mask } => {
+                let to = Destinations::joining(mask, t, |n| owner.get(&n).copied());
+                out.extend(to.iter().filter(|&d| d != me));
             }
             Routing::Rule {
                 partitions,
@@ -388,14 +383,16 @@ mod tests {
         Triple::new(NodeId(s), NodeId(p), NodeId(o))
     }
 
+    fn data_routing(owners: &[(u32, u32)], mask: JoinMask) -> Routing {
+        Routing::Data {
+            owner: Arc::new(owners.iter().map(|&(n, w)| (NodeId(n), w)).collect()),
+            mask: Arc::new(mask),
+        }
+    }
+
     #[test]
     fn data_routing_dedupes_same_owner() {
-        let mut owner = FxHashMap::default();
-        owner.insert(NodeId(1), 2u32);
-        owner.insert(NodeId(2), 2u32);
-        let r = Routing::Data {
-            owner: Arc::new(owner),
-        };
+        let r = data_routing(&[(1, 2), (2, 2)], JoinMask::all());
         let mut out = Vec::new();
         r.destinations(&t(1, 9, 2), 0, &mut out);
         assert_eq!(out, vec![2]);
@@ -403,12 +400,7 @@ mod tests {
 
     #[test]
     fn data_routing_skips_self() {
-        let mut owner = FxHashMap::default();
-        owner.insert(NodeId(1), 0u32);
-        owner.insert(NodeId(2), 1u32);
-        let r = Routing::Data {
-            owner: Arc::new(owner),
-        };
+        let r = data_routing(&[(1, 0), (2, 1)], JoinMask::all());
         let mut out = Vec::new();
         r.destinations(&t(1, 9, 2), 0, &mut out);
         assert_eq!(out, vec![1]);
@@ -418,15 +410,31 @@ mod tests {
 
     #[test]
     fn data_routing_ignores_unowned_endpoints() {
-        let mut owner = FxHashMap::default();
-        owner.insert(NodeId(1), 1u32);
-        let r = Routing::Data {
-            owner: Arc::new(owner),
-        };
+        let r = data_routing(&[(1, 1)], JoinMask::all());
         let mut out = Vec::new();
         // object 999 (a class) has no owner
         r.destinations(&t(1, 9, 999), 0, &mut out);
         assert_eq!(out, vec![1]);
+    }
+
+    #[test]
+    fn data_routing_sends_a_triple_no_rule_joins_nowhere() {
+        // predicate 9 is transitive, predicate 8 joined nowhere
+        let trans = Rule::new(
+            "trans",
+            atom(v(0), c(NodeId(9)), v(2)),
+            vec![
+                atom(v(0), c(NodeId(9)), v(1)),
+                atom(v(1), c(NodeId(9)), v(2)),
+            ],
+        )
+        .unwrap();
+        let r = data_routing(&[(1, 1), (2, 2)], JoinMask::of(&[trans]));
+        let mut out = vec![7];
+        r.destinations(&t(1, 8, 2), 0, &mut out);
+        assert!(out.is_empty(), "{out:?}");
+        r.destinations(&t(1, 9, 2), 0, &mut out);
+        assert_eq!(out, vec![1, 2]);
     }
 
     #[test]

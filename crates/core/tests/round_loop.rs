@@ -9,6 +9,7 @@
 use owlpar_core::comm::WorkerComm;
 use owlpar_core::worker::{collect_round, run_rounds, RoundVote, Routing, WorkerCtx};
 use owlpar_core::{CommError, SkippedMessage, Transport, WorkerError};
+use owlpar_datalog::analysis::JoinMask;
 use owlpar_datalog::ast::build::*;
 use owlpar_datalog::{Reasoner, Rule};
 use owlpar_obs::{Metric, Phase, Track};
@@ -137,10 +138,11 @@ fn chain_ctx() -> WorkerCtx {
         k: 3,
         schema: Arc::new(vec![t(P, 9, P)]),
         base: vec![t(0, P, 1), t(1, P, 2)],
-        reasoner: Reasoner::forward(vec![trans]),
         routing: Routing::Data {
             owner: Arc::new(owner),
+            mask: Arc::new(JoinMask::of(std::slice::from_ref(&trans))),
         },
+        reasoner: Reasoner::forward(vec![trans]),
     }
 }
 

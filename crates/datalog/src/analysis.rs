@@ -13,8 +13,12 @@
 //!    (a triple produced by `r1` can trigger `r2`). Optionally weighted by
 //!    an estimate of how many triples `r1` will produce, taken from the
 //!    dataset's predicate histogram.
+//!
+//! A third is the routing question data partitioning asks of every
+//! triple — *where must it be?* — answered once for the whole rule-base:
+//! [`JoinMask`], the positions each predicate's triples are joined on.
 
-use crate::ast::{Rule, TermPat};
+use crate::ast::{Atom, Rule, TermPat};
 use owlpar_rdf::fx::FxHashMap;
 use owlpar_rdf::NodeId;
 
@@ -65,6 +69,155 @@ pub fn is_single_join(rule: &Rule) -> bool {
         classify(rule),
         JoinClass::EmptyBody | JoinClass::SingleAtom | JoinClass::SingleJoin { .. }
     )
+}
+
+/// Which endpoint positions of a triple some rule joins on: a set over
+/// {subject, object}. The predicate position is never an endpoint — see
+/// [`JoinMask::unowned_joins`] for a join that lands there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct JoinPositions(u8);
+
+impl JoinPositions {
+    /// No position joins.
+    pub const NONE: JoinPositions = JoinPositions(0);
+    /// The subject joins.
+    pub const SUBJECT: JoinPositions = JoinPositions(1);
+    /// The object joins.
+    pub const OBJECT: JoinPositions = JoinPositions(2);
+    /// Both endpoints join.
+    pub const BOTH: JoinPositions = JoinPositions(3);
+
+    /// Does the subject join?
+    pub fn subject(self) -> bool {
+        self.0 & 1 != 0
+    }
+
+    /// Does the object join?
+    pub fn object(self) -> bool {
+        self.0 & 2 != 0
+    }
+
+    /// Is any position joined?
+    pub fn any(self) -> bool {
+        self.0 != 0
+    }
+
+    /// Both sets together.
+    pub fn union(self, other: JoinPositions) -> JoinPositions {
+        JoinPositions(self.0 | other.0)
+    }
+}
+
+/// The rule-base compiled into its join positions, per predicate: the
+/// positions of a triple that some body of two or more atoms binds to a
+/// variable another atom of the same body also uses. A triple must reach
+/// the owner of a value at a join position for every join it can take
+/// part in to be evaluable there; at any other position the value never
+/// meets a second triple, so where the triple sits does not matter.
+///
+/// A body atom with a variable predicate could match any triple, so its
+/// join positions are marked for every predicate.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct JoinMask {
+    by_predicate: FxHashMap<NodeId, JoinPositions>,
+    every: JoinPositions,
+}
+
+impl JoinMask {
+    /// Compile `rules` into their join positions.
+    pub fn of(rules: &[Rule]) -> JoinMask {
+        let mut mask = JoinMask::default();
+        for rule in rules.iter().filter(|r| r.body.len() >= 2) {
+            for (i, atom) in rule.body.iter().enumerate() {
+                let shared = |tp: TermPat| {
+                    tp.as_var()
+                        .is_some_and(|v| used_elsewhere(&rule.body, i, v))
+                };
+                let mut here = JoinPositions::NONE;
+                if shared(atom.s) {
+                    here = here.union(JoinPositions::SUBJECT);
+                }
+                if shared(atom.o) {
+                    here = here.union(JoinPositions::OBJECT);
+                }
+                match atom.p {
+                    TermPat::Const(p) => {
+                        let slot = mask.by_predicate.entry(p).or_default();
+                        *slot = slot.union(here);
+                    }
+                    TermPat::Var(_) => mask.every = mask.every.union(here),
+                }
+            }
+        }
+        mask
+    }
+
+    /// Every endpoint of every predicate joins: the paper's Algorithm 1,
+    /// which replicates a triple on the owners of both endpoints whatever
+    /// the rule-base.
+    pub fn all() -> JoinMask {
+        JoinMask {
+            by_predicate: FxHashMap::default(),
+            every: JoinPositions::BOTH,
+        }
+    }
+
+    /// The join positions of a triple with predicate `p`.
+    pub fn positions(&self, p: NodeId) -> JoinPositions {
+        self.by_predicate
+            .get(&p)
+            .copied()
+            .unwrap_or_default()
+            .union(self.every)
+    }
+
+    /// The join positions of whatever triple an atom's predicate pattern
+    /// can produce: a variable predicate may be any predicate.
+    pub fn positions_of(&self, p: TermPat) -> JoinPositions {
+        match p {
+            TermPat::Const(p) => self.positions(p),
+            TermPat::Var(_) => self
+                .by_predicate
+                .values()
+                .fold(self.every, |acc, &m| acc.union(m)),
+        }
+    }
+
+    /// Joins this mask cannot route: `(rule index, variable)` for every
+    /// join variable of a two-or-more-atom body that some atom holds at a
+    /// position no resource owner stands behind — the predicate position,
+    /// or the object of an atom whose predicate is the constant
+    /// `rdf_type` (a class, which data partitioning never owns). Both
+    /// triples of such a join are placed and routed without regard to
+    /// that value, so nothing brings them together.
+    pub fn unowned_joins(rules: &[Rule], rdf_type: Option<NodeId>) -> Vec<(usize, u16)> {
+        let mut out = Vec::new();
+        for (r, rule) in rules.iter().enumerate() {
+            if rule.body.len() < 2 {
+                continue;
+            }
+            let mut vars: Vec<u16> = Vec::new();
+            for (i, atom) in rule.body.iter().enumerate() {
+                let is_type = matches!((atom.p, rdf_type), (TermPat::Const(p), Some(t)) if p == t);
+                let unowned = [Some(atom.p), is_type.then_some(atom.o)];
+                for v in unowned.into_iter().flatten().filter_map(|tp| tp.as_var()) {
+                    if used_elsewhere(&rule.body, i, v) && !vars.contains(&v) {
+                        vars.push(v);
+                    }
+                }
+            }
+            vars.sort_unstable();
+            out.extend(vars.into_iter().map(|v| (r, v)));
+        }
+        out
+    }
+}
+
+/// Does a body atom other than `body[i]` use variable `v`?
+fn used_elsewhere(body: &[Atom], i: usize, v: u16) -> bool {
+    body.iter()
+        .enumerate()
+        .any(|(j, other)| j != i && other.variables().contains(&v))
 }
 
 /// A rule-dependency graph: adjacency `edges[i]` lists `(j, weight)` for
@@ -283,6 +436,106 @@ mod tests {
         .unwrap();
         assert_eq!(classify(&r), JoinClass::MultiJoin);
         assert!(!is_single_join(&r));
+    }
+
+    #[test]
+    fn join_mask_marks_only_positions_a_body_joins_on() {
+        // trans(P) joins P's object to P's subject; promote(P, Q) joins
+        // nothing, so Q (only ever a head and a single-atom body) and R
+        // (never mentioned) join nowhere.
+        let mask = JoinMask::of(&[trans(P), promote(P, Q)]);
+        assert_eq!(mask.positions(nid(P)), JoinPositions::BOTH);
+        assert_eq!(mask.positions(nid(Q)), JoinPositions::NONE);
+        assert_eq!(mask.positions(nid(R)), JoinPositions::NONE);
+        assert_eq!(mask.positions_of(v(0)), JoinPositions::BOTH);
+        // a subject-only join: (?x P ?y) (?x Q ?z) -> (?y R ?z)
+        let fun = Rule::new(
+            "fun",
+            atom(v(1), c(nid(R)), v(2)),
+            vec![atom(v(0), c(nid(P)), v(1)), atom(v(0), c(nid(Q)), v(2))],
+        )
+        .unwrap();
+        let mask = JoinMask::of(&[fun]);
+        assert_eq!(mask.positions(nid(P)), JoinPositions::SUBJECT);
+        assert_eq!(mask.positions(nid(Q)), JoinPositions::SUBJECT);
+        assert!(!mask.positions(nid(R)).any());
+    }
+
+    #[test]
+    fn join_mask_variable_predicate_body_marks_every_predicate() {
+        // (?x sameAs ?y) (?x ?p ?z) -> (?y ?p ?z): the second atom joins
+        // its subject, whatever its predicate is.
+        const SAME: u32 = 9;
+        let subst = Rule::new(
+            "same_subject",
+            atom(v(1), v(2), v(3)),
+            vec![atom(v(0), c(nid(SAME)), v(1)), atom(v(0), v(2), v(3))],
+        )
+        .unwrap();
+        let mask = JoinMask::of(&[subst, promote(P, Q)]);
+        for p in [P, Q, R, 1234] {
+            assert!(mask.positions(nid(p)).subject(), "predicate {p}");
+        }
+        assert!(!mask.positions(nid(R)).object());
+        assert_eq!(mask.positions(nid(SAME)), JoinPositions::SUBJECT);
+    }
+
+    #[test]
+    fn join_mask_variable_at_both_ends_of_one_atom_marks_both() {
+        // (?x P ?x) (?x Q ?y) -> (?x R ?y)
+        let r = Rule::new(
+            "loop",
+            atom(v(0), c(nid(R)), v(1)),
+            vec![atom(v(0), c(nid(P)), v(0)), atom(v(0), c(nid(Q)), v(1))],
+        )
+        .unwrap();
+        let mask = JoinMask::of(&[r]);
+        assert_eq!(mask.positions(nid(P)), JoinPositions::BOTH);
+        assert_eq!(mask.positions(nid(Q)), JoinPositions::SUBJECT);
+    }
+
+    #[test]
+    fn join_mask_all_marks_everything() {
+        let mask = JoinMask::all();
+        assert_eq!(mask.positions(nid(P)), JoinPositions::BOTH);
+        assert_eq!(mask.positions_of(c(nid(R))), JoinPositions::BOTH);
+        assert_eq!(JoinMask::of(&[]).positions(nid(P)), JoinPositions::NONE);
+    }
+
+    #[test]
+    fn unowned_joins_are_class_objects_and_predicates() {
+        const TYPE: u32 = 7;
+        // (?x type ?c) (?y type ?c) -> (?x P ?y): joins on the class
+        let same_class = Rule::new(
+            "same_class",
+            atom(v(0), c(nid(P)), v(1)),
+            vec![
+                atom(v(0), c(nid(TYPE)), v(2)),
+                atom(v(1), c(nid(TYPE)), v(2)),
+            ],
+        )
+        .unwrap();
+        // (?p Q ?q) (?x ?p ?y) -> (?x ?q ?y): joins on a predicate
+        let promote_all = Rule::new(
+            "promote_all",
+            atom(v(2), v(1), v(3)),
+            vec![atom(v(0), c(nid(Q)), v(1)), atom(v(2), v(0), v(3))],
+        )
+        .unwrap();
+        // (?x type ?c) (?x P ?y): joins on the subject only — owned
+        let typed = Rule::new(
+            "typed",
+            atom(v(2), c(nid(R)), v(1)),
+            vec![atom(v(0), c(nid(TYPE)), v(1)), atom(v(0), c(nid(P)), v(2))],
+        )
+        .unwrap();
+        let rules = [same_class, trans(P), promote_all, typed];
+        assert_eq!(
+            JoinMask::unowned_joins(&rules, Some(nid(TYPE))),
+            vec![(0, 2), (2, 0)]
+        );
+        // without knowing rdf:type only the predicate join is visible
+        assert_eq!(JoinMask::unowned_joins(&rules, None), vec![(2, 0)]);
     }
 
     #[test]

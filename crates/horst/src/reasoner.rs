@@ -10,7 +10,8 @@ use crate::tbox::{TBox, TripleKind};
 use owlpar_datalog::{MaterializationStrategy, Reasoner, Rule};
 use owlpar_lint::{lint_rules, LintOptions, LintReport, PartitionContext};
 use owlpar_rdf::fx::FxHashSet;
-use owlpar_rdf::{Graph, NodeId, Triple, TripleStore};
+use owlpar_rdf::vocab::RDF_TYPE;
+use owlpar_rdf::{Graph, NodeId, Term, Triple, TripleStore};
 
 /// What [`HorstReasoner::materialize_delta`] did with an insert batch.
 ///
@@ -73,6 +74,7 @@ impl HorstReasoner {
         let mut lint_opts = LintOptions::for_context(PartitionContext::DataPartitioned);
         lint_opts.predicate_counts = Some(hist);
         lint_opts.base_predicates = Some(base);
+        lint_opts.rdf_type = graph.dict.id(&Term::iri(RDF_TYPE));
         let lint = lint_rules(&rules, &lint_opts);
         HorstReasoner {
             tbox,

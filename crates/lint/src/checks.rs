@@ -3,7 +3,7 @@
 use crate::{
     Diagnostic, JoinViolation, LintCode, LintOptions, LintReport, RuleSummary, Severity,
 };
-use owlpar_datalog::analysis::{classify, sccs, weighted_dependency_graph, JoinClass};
+use owlpar_datalog::analysis::{classify, sccs, weighted_dependency_graph, JoinClass, JoinMask};
 use owlpar_datalog::ast::{Atom, TermPat};
 use owlpar_datalog::Rule;
 use owlpar_rdf::fx::FxHashMap;
@@ -244,6 +244,29 @@ pub(crate) fn run(rules: &[Rule], opts: &LintOptions) -> LintReport {
             witness,
             weight,
             scc: comp[i],
+        });
+    }
+
+    // --- single-join rules joining where no owner stands ---
+    for (i, var) in JoinMask::unowned_joins(rules, opts.rdf_type) {
+        let rule = &rules[i];
+        if !matches!(classify(rule), JoinClass::SingleJoin { .. }) {
+            continue; // OWL001 already refuses a wider body
+        }
+        let label = var_label(opts, i, var);
+        diags.push(Diagnostic {
+            code: LintCode::UnownedJoin,
+            severity: LintCode::UnownedJoin.default_severity(opts.context),
+            rule: Some(rule.name.clone()),
+            rule_index: Some(i),
+            message: format!(
+                "join variable {label} sits at a predicate or rdf:type-class position, which \
+                 no partition owns: the two body triples are placed and routed without regard \
+                 to it, so a data-partitioned run can silently miss derivations"
+            ),
+            violation: None,
+            witness: Some(label),
+            suppressed: false,
         });
     }
 

@@ -27,6 +27,7 @@
 //! | OWL008 | subsumed rule                              | warn |
 //! | OWL009 | mutually recursive rule group (SCC ≥ 2)    | allow (informational) |
 //! | OWL010 | bad suppression (unknown code, or deny-level target) | warn |
+//! | OWL018 | single-join rule joining on a position no owner stands behind (a predicate, an `rdf:type` class) | deny under data partitioning, warn otherwise |
 //!
 //! The **plan-analysis pass** ([`analyze_plan`]) extends the battery
 //! with pre-run cost/skew prediction over a concrete partition plan
@@ -170,10 +171,15 @@ pub enum LintCode {
     /// underestimating the straggler, so the plan's speedup projection
     /// is optimistic.
     SkewExceedsPredicted,
+    /// OWL018 — a single-join rule whose join variable sits at a
+    /// position data partitioning never owns: a predicate, or the class
+    /// of an `rdf:type` atom. Its two body triples are placed and routed
+    /// without regard to that value, so they need not meet.
+    UnownedJoin,
 }
 
 /// All codes, in `OWLxxx` order (used by renderers and `from_id`).
-pub const ALL_CODES: [LintCode; 17] = [
+pub const ALL_CODES: [LintCode; 18] = [
     LintCode::NonSingleJoin,
     LintCode::CrossProduct,
     LintCode::DeadRule,
@@ -191,6 +197,7 @@ pub const ALL_CODES: [LintCode; 17] = [
     LintCode::IdleWorkers,
     LintCode::RecursiveExchange,
     LintCode::SkewExceedsPredicted,
+    LintCode::UnownedJoin,
 ];
 
 impl LintCode {
@@ -214,6 +221,7 @@ impl LintCode {
             LintCode::IdleWorkers => "OWL015",
             LintCode::RecursiveExchange => "OWL016",
             LintCode::SkewExceedsPredicted => "OWL017",
+            LintCode::UnownedJoin => "OWL018",
         }
     }
 
@@ -237,6 +245,7 @@ impl LintCode {
             LintCode::IdleWorkers => "idle workers in the plan",
             LintCode::RecursiveExchange => "recursive cross-partition exchange",
             LintCode::SkewExceedsPredicted => "measured round skew exceeds predicted",
+            LintCode::UnownedJoin => "join on a position no owner stands behind",
         }
     }
 
@@ -248,10 +257,14 @@ impl LintCode {
     /// Default severity of this code under a deployment context.
     pub fn default_severity(self, context: PartitionContext) -> Severity {
         match self {
-            LintCode::NonSingleJoin | LintCode::CrossProduct => match context {
-                PartitionContext::DataPartitioned => Severity::Deny,
-                PartitionContext::RulePartitioned | PartitionContext::Replicated => Severity::Warn,
-            },
+            LintCode::NonSingleJoin | LintCode::CrossProduct | LintCode::UnownedJoin => {
+                match context {
+                    PartitionContext::DataPartitioned => Severity::Deny,
+                    PartitionContext::RulePartitioned | PartitionContext::Replicated => {
+                        Severity::Warn
+                    }
+                }
+            }
             LintCode::NotRangeRestricted | LintCode::EmptyBody | LintCode::BrokenVariables => {
                 Severity::Deny
             }
@@ -360,6 +373,10 @@ pub struct LintOptions {
     pub known_exceptions: Vec<String>,
     /// Dataset predicate histogram for production-estimate weights.
     pub predicate_counts: Option<FxHashMap<NodeId, usize>>,
+    /// The KB's id for `rdf:type`, whose objects (classes) data
+    /// partitioning never owns. Enables OWL018's class-object half;
+    /// `None` checks only predicate-position joins.
+    pub rdf_type: Option<NodeId>,
     /// Predicates present in the base (asserted) data. Enables the
     /// dead-rule check; `None` disables it (a rule file alone cannot
     /// know what data it will meet).
@@ -434,8 +451,10 @@ impl LintReport {
         self.diagnostics
             .iter()
             .filter(|d| {
-                matches!(d.code, LintCode::NonSingleJoin | LintCode::CrossProduct)
-                    && d.severity == Severity::Deny
+                matches!(
+                    d.code,
+                    LintCode::NonSingleJoin | LintCode::CrossProduct | LintCode::UnownedJoin
+                ) && d.severity == Severity::Deny
             })
             .filter_map(|d| d.rule.clone())
             .collect()

@@ -21,11 +21,16 @@
 //!   the smallest body-atom match count against the actual base), else
 //!   the dataset count of the head predicate (the same weight rule
 //!   partitioning uses), else 1;
-//! * *data routing* ships a derived triple to the owners of its subject
-//!   and object when remote: expected remote destinations =
-//!   `instance endpoints × cross_fraction`, where `cross_fraction` is
-//!   the caller's boundary estimate (ownership replication excess for
-//!   graph partitions, `(k−1)/k` for hash ownership);
+//! * *data routing* ships a derived triple to the owners of its join
+//!   positions (the rule-base's [`JoinMask`], the same function the
+//!   runtime routes by) when remote. A head endpoint counts when the
+//!   mask marks it for the head's predicate and it is not the value the
+//!   rule fires at (the join variable; a single atom's placement
+//!   endpoint): it is then remote with the probability that the body
+//!   atom linking it to that value crosses partitions — the measured
+//!   share of that predicate's base triples whose endpoints have
+//!   different owners, or the caller's overall share where none was
+//!   measured;
 //! * *rule routing* is exact statically: a triple produced by rule `r`
 //!   ships to every partition holding a consumer of `r`'s head (from
 //!   the weighted dependency graph), excluding `r`'s own;
@@ -37,11 +42,12 @@
 use crate::{
     checks, Diagnostic, LintCode, LintOptions, LintReport, PartitionContext, Severity,
 };
-use owlpar_datalog::analysis::{sccs, weighted_dependency_graph};
+use owlpar_datalog::analysis::{classify, sccs, weighted_dependency_graph, JoinClass, JoinMask};
 use owlpar_datalog::ast::TermPat;
 use owlpar_datalog::Rule;
 use owlpar_obs::json::{obj, Value};
 use owlpar_rdf::fx::FxHashMap;
+use owlpar_rdf::NodeId;
 use std::fmt::Write as _;
 
 /// Byte-cost constants mirroring the cluster wire format; the default is
@@ -72,11 +78,13 @@ impl Default for WireCostModel {
 /// analyzable shadow of `owlpar_core`'s `Routing`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RouteModel {
-    /// Data partitioning: a derived triple ships to the remote owners
-    /// of its instance endpoints. `cross_fraction` estimates the
-    /// probability one endpoint's owner is remote.
+    /// Data partitioning: a derived triple ships to the remote owners of
+    /// its join positions ([`JoinMask::of`] the analyzed rules).
     Data {
-        /// Boundary estimate in `[0, 1]`.
+        /// Per predicate, the share in `[0, 1]` of its base triples
+        /// whose subject and object have different owners.
+        crossing: FxHashMap<NodeId, f64>,
+        /// The same share for a predicate `crossing` does not list.
         cross_fraction: f64,
     },
     /// Rule partitioning: a triple produced by rule `r` ships to every
@@ -388,15 +396,55 @@ pub fn render_comparison(reports: &[PlanReport], chosen: Option<usize>) -> Strin
     out
 }
 
-/// How many of a head atom's endpoints (subject/object) are instance
-/// positions a data router would look up: variables bind instance
-/// resources; constants are schema/class nodes outside the ownership
-/// table.
-fn instance_endpoints(rule: &Rule) -> usize {
-    [rule.head.s, rule.head.o]
-        .iter()
-        .filter(|t| matches!(t, TermPat::Var(_)))
-        .count()
+/// The variables whose value's owner a rule fires at: the join
+/// variables of a two-atom body; for one atom, the variable at the only
+/// endpoint its triples are placed by (the subject when none joins);
+/// none when a single atom's triples sit at both owners.
+fn anchors(rule: &Rule, mask: &JoinMask) -> Vec<u16> {
+    match (classify(rule), rule.body.as_slice()) {
+        (JoinClass::SingleJoin { join_vars }, _) => join_vars,
+        (JoinClass::SingleAtom, [atom]) => {
+            let at = mask.positions_of(atom.p);
+            match (at.subject(), at.object()) {
+                (true, true) => Vec::new(),
+                (false, true) => atom.o.as_var().into_iter().collect(),
+                _ => atom.s.as_var().into_iter().collect(),
+            }
+        }
+        _ => Vec::new(),
+    }
+}
+
+/// Expected remote owners of one triple `rule` derives under data
+/// routing: each head endpoint the mask marks for the head's predicate,
+/// holding a variable the rule does not fire at, is remote with the
+/// crossing share of the body atom that links it to where the rule
+/// fires. Constant endpoints are schema or class nodes outside the
+/// ownership table.
+fn data_remote_dests(
+    rule: &Rule,
+    mask: &JoinMask,
+    crossing: &FxHashMap<NodeId, f64>,
+    cross_fraction: f64,
+) -> f64 {
+    let at = mask.positions_of(rule.head.p);
+    let anchors = anchors(rule, mask);
+    let mut remote = 0.0;
+    for (marked, term) in [(at.subject(), rule.head.s), (at.object(), rule.head.o)] {
+        let Some(v) = term.as_var().filter(|v| marked && !anchors.contains(v)) else {
+            continue;
+        };
+        let link = rule.body.iter().find(|a| {
+            let vars = a.variables();
+            vars.contains(&v) && (anchors.is_empty() || anchors.iter().any(|x| vars.contains(x)))
+        });
+        remote += match link.map(|a| a.p) {
+            Some(TermPat::Const(p)) => crossing.get(&p).copied().unwrap_or(cross_fraction),
+            _ => cross_fraction,
+        }
+        .clamp(0.0, 1.0);
+    }
+    remote
 }
 
 /// Run the plan-analysis pass. Lints the rule-base under
@@ -480,6 +528,7 @@ pub fn analyze_plan(rules: &[Rule], opts: &LintOptions, inputs: &PlanInputs) -> 
     }
 
     let k = inputs.k.max(1);
+    let mask = JoinMask::of(rules);
     let total_weight: f64 = weights.iter().map(|&w| w as f64).sum();
     let base_known = inputs.base_sizes.len() == k;
     let total_shipped_base: usize = inputs.base_sizes.iter().sum();
@@ -525,9 +574,10 @@ pub fn analyze_plan(rules: &[Rule], opts: &LintOptions, inputs: &PlanInputs) -> 
     for (r, rule) in rules.iter().enumerate() {
         let w = weights[r] as f64;
         let remote = match &inputs.route {
-            RouteModel::Data { cross_fraction } => {
-                instance_endpoints(rule) as f64 * cross_fraction.clamp(0.0, 1.0)
-            }
+            RouteModel::Data {
+                crossing,
+                cross_fraction,
+            } => data_remote_dests(rule, &mask, crossing, *cross_fraction),
             RouteModel::Rule { assignment } => {
                 let me = assignment.get(r).copied().unwrap_or(0);
                 let mut parts: Vec<u32> = dep.edges[r]
@@ -816,6 +866,14 @@ mod tests {
         ]
     }
 
+    /// Data routing with one crossing share for every predicate.
+    fn data(cross_fraction: f64) -> RouteModel {
+        RouteModel::Data {
+            crossing: FxHashMap::default(),
+            cross_fraction,
+        }
+    }
+
     fn inputs(strategy: &str, k: usize, route: RouteModel) -> PlanInputs {
         PlanInputs {
             strategy: strategy.to_string(),
@@ -833,7 +891,7 @@ mod tests {
 
     #[test]
     fn new_codes_roundtrip_ids() {
-        assert_eq!(ALL_CODES.len(), 17);
+        assert_eq!(ALL_CODES.len(), 18);
         for code in ALL_CODES {
             assert_eq!(LintCode::from_id(code.id()), Some(code));
         }
@@ -846,6 +904,7 @@ mod tests {
             LintCode::from_id("OWL017"),
             Some(LintCode::SkewExceedsPredicted)
         );
+        assert_eq!(LintCode::from_id("OWL018"), Some(LintCode::UnownedJoin));
     }
 
     #[test]
@@ -868,18 +927,63 @@ mod tests {
 
     #[test]
     fn balanced_data_plan_is_clean() {
-        let rules = chain_rules();
+        // p(x,y) → q(x,y), then q joined with itself into r: q's object
+        // is a join position pq's firing does not own
+        let rules = vec![
+            rule("pq", atom(v(0), c(11), v(1)), vec![atom(v(0), c(10), v(1))]),
+            rule(
+                "qq",
+                atom(v(0), c(12), v(2)),
+                vec![atom(v(0), c(11), v(1)), atom(v(1), c(11), v(2))],
+            ),
+        ];
         let opts = LintOptions::for_context(PartitionContext::DataPartitioned);
-        let report = analyze_plan(
-            &rules,
-            &opts,
-            &inputs("data", 2, RouteModel::Data { cross_fraction: 0.1 }),
-        );
+        let report = analyze_plan(&rules, &opts, &inputs("data", 2, data(0.1)));
         assert!(report.feasible);
         assert!(!report.has_deny(), "{:?}", report.diagnostics);
         assert!((report.max_load_share - 0.5).abs() < 1e-9);
         // Acyclic 2-level chain, some exchange: statically bounded.
         assert_eq!(report.rounds.bounded, Some(3));
+    }
+
+    #[test]
+    fn data_exchange_counts_only_join_positions_the_rule_does_not_fire_at() {
+        // trans joins 10 at both ends; sym10 feeds it; promote feeds 12,
+        // which no body joins
+        let rules = vec![
+            rule(
+                "trans",
+                atom(v(0), c(10), v(2)),
+                vec![atom(v(0), c(10), v(1)), atom(v(1), c(10), v(2))],
+            ),
+            rule(
+                "sym",
+                atom(v(1), c(10), v(0)),
+                vec![atom(v(0), c(10), v(1))],
+            ),
+            rule(
+                "promote",
+                atom(v(0), c(12), v(1)),
+                vec![atom(v(0), c(10), v(1))],
+            ),
+        ];
+        let opts = LintOptions::for_context(PartitionContext::DataPartitioned);
+        let route = |cross_10: f64| RouteModel::Data {
+            crossing: [(NodeId(10), cross_10)].into_iter().collect(),
+            cross_fraction: 0.5,
+        };
+        let report = analyze_plan(&rules, &opts, &inputs("data", 2, route(0.25)));
+        let dests: Vec<f64> = report.rules.iter().map(|r| r.remote_dests).collect();
+        // trans: both head ends, neither the join variable; sym: its
+        // body sits at both owners, so both head ends may be remote;
+        // promote: 12 joins nowhere
+        assert_eq!(dests, [0.5, 0.5, 0.0]);
+        // a partition that cuts no 10-triple exchanges nothing: one
+        // round of end-of-round markers
+        let report = analyze_plan(&rules, &opts, &inputs("data", 2, route(0.0)));
+        assert_eq!(report.exchange_triples, 0.0);
+        assert_eq!(report.rounds.expected, 1);
+        assert_eq!(report.round_bytes, 2.0 * 13.0);
     }
 
     #[test]
@@ -970,11 +1074,7 @@ mod tests {
             vec![atom(v(0), c(10), v(1)), atom(v(1), c(10), v(2))],
         )];
         let opts = LintOptions::for_context(PartitionContext::DataPartitioned);
-        let report = analyze_plan(
-            &rules,
-            &opts,
-            &inputs("data", 2, RouteModel::Data { cross_fraction: 0.2 }),
-        );
+        let report = analyze_plan(&rules, &opts, &inputs("data", 2, data(0.2)));
         assert!(report.rounds.bounded.is_none());
         assert!(report
             .diagnostics
@@ -996,11 +1096,7 @@ mod tests {
             ],
         )];
         let opts = LintOptions::for_context(PartitionContext::DataPartitioned);
-        let report = analyze_plan(
-            &rules,
-            &opts,
-            &inputs("data", 2, RouteModel::Data { cross_fraction: 0.1 }),
-        );
+        let report = analyze_plan(&rules, &opts, &inputs("data", 2, data(0.1)));
         assert!(!report.feasible);
         assert!(report.has_deny());
         assert!(report.total_cost.is_infinite());
@@ -1014,11 +1110,7 @@ mod tests {
     fn comparison_table_marks_the_chosen_row() {
         let rules = chain_rules();
         let opts = LintOptions::for_context(PartitionContext::DataPartitioned);
-        let a = analyze_plan(
-            &rules,
-            &opts,
-            &inputs("data", 2, RouteModel::Data { cross_fraction: 0.1 }),
-        );
+        let a = analyze_plan(&rules, &opts, &inputs("data", 2, data(0.1)));
         let opts_r = LintOptions::for_context(PartitionContext::RulePartitioned);
         let b = analyze_plan(
             &rules,

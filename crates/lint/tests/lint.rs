@@ -310,3 +310,44 @@ fn human_rendering_names_rule_and_code() {
     assert!(text.contains("[multi]"), "{text}");
     assert!(text.contains("verdict: DENY"), "{text}");
 }
+
+#[test]
+fn join_on_a_class_or_predicate_is_denied_under_data_partitioning_only() {
+    const TYPE: &str = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>";
+    let text = format!(
+        "[same_class: (?x {TYPE} ?c) (?y {TYPE} ?c) -> (?x {P} ?y)]\n\
+         [promote_all: (?p {Q} ?q) (?x ?p ?y) -> (?x ?q ?y)]\n\
+         [typed: (?x {TYPE} ?c) (?x {P} ?y) -> (?y {R} ?c)]"
+    );
+    let mut dict = Dictionary::new();
+    let parsed = parse_rules_annotated(&text, &mut dict).unwrap();
+    let rdf_type = dict.id(&owlpar_rdf::Term::iri(
+        "http://www.w3.org/1999/02/22-rdf-syntax-ns#type",
+    ));
+    assert!(rdf_type.is_some());
+    let opts = |context| LintOptions {
+        rdf_type,
+        ..LintOptions::for_context(context)
+    };
+    let report = lint_parsed(&parsed, opts(PartitionContext::DataPartitioned));
+    let owl018: Vec<(&str, &str)> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.code == LintCode::UnownedJoin)
+        .map(|d| (d.rule.as_deref().unwrap(), d.witness.as_deref().unwrap()))
+        .collect();
+    assert_eq!(owl018, [("same_class", "?c"), ("promote_all", "?p")]);
+    assert_eq!(report.unsafe_rule_names(), ["same_class", "promote_all"]);
+    assert_eq!(LintCode::UnownedJoin.id(), "OWL018");
+    // rule partitioning ships every worker the whole base: a warning
+    let report = lint_parsed(&parsed, opts(PartitionContext::RulePartitioned));
+    assert!(!report.has_deny(), "{report}");
+    assert_eq!(
+        report
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == LintCode::UnownedJoin && d.severity == Severity::Warn)
+            .count(),
+        2
+    );
+}

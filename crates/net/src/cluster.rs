@@ -49,12 +49,14 @@ use owlpar_core::{
     prepare_run, read_crc_frame, write_crc_frame, Backoff, CommError, FaultKind,
     ParallelConfig, RunReport, WorkerError,
 };
+use owlpar_datalog::analysis::JoinMask;
 use owlpar_datalog::{Reasoner, Rule};
 use owlpar_obs::json::obj;
 use owlpar_obs::{wire as obs_wire, Metric, Phase, Recorder, Track, NO_ROUND};
 use owlpar_partition::RulePartitions;
 use owlpar_rdf::fx::FxHashMap;
-use owlpar_rdf::{Graph, Triple};
+use owlpar_rdf::vocab::RDF_TYPE;
+use owlpar_rdf::{Graph, Term, Triple};
 use std::io::ErrorKind;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -547,11 +549,13 @@ pub fn run_cluster_master(
     // tracing (via the Welcome flag) and gives the master its own
     // "master" lane. Predicted-vs-measured needs the analyzer's report —
     // Auto runs already carry one; otherwise a traced run has the
-    // analyzer score the partition `plan` already holds.
+    // analyzer score the partition `plan` already holds, from the
+    // rule-base and runs `prepare_run` already compiled.
     let trace = opts.trace.clone().filter(Recorder::is_enabled);
     let analysis = match (&trace, &plan.analysis) {
         (Some(_), None) => {
-            let base = owlpar_core::PlanningBase::compile(graph, &cfg.extra_rules);
+            let rdf_type = graph.dict.id(&Term::iri(RDF_TYPE));
+            let base = owlpar_core::PlanningBase::of_plan(&plan, rdf_type);
             owlpar_core::analyze_run_plan(&base, &plan).ok()
         }
         _ => plan.analysis.clone(),
@@ -803,8 +807,11 @@ fn rebuild_routing(w: WireRouting, k: u32, all_rules: &Arc<Vec<Rule>>) -> Result
                 }
                 map.insert(node, worker);
             }
+            // The mask is not shipped: it is a function of the rule-base,
+            // which is.
             Ok(Routing::Data {
                 owner: Arc::new(map),
+                mask: Arc::new(JoinMask::of(all_rules)),
             })
         }
         WireRouting::Rule { k: parts, assignment } => {

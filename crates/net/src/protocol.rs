@@ -213,7 +213,7 @@ pub enum WireRouting {
 impl From<&Routing> for WireRouting {
     fn from(r: &Routing) -> Self {
         match r {
-            Routing::Data { owner } => WireRouting::Data {
+            Routing::Data { owner, .. } => WireRouting::Data {
                 owner: owner.iter().map(|(&n, &w)| (n, w)).collect(),
             },
             Routing::Rule { partitions, .. } => WireRouting::Rule {

@@ -12,7 +12,9 @@ use owlpar_core::{
     CommMode, FaultKind, FaultPlan, FrameError, ParallelConfig, PartitioningStrategy, RunPlan,
     RunReport,
 };
-use owlpar_datagen::{generate_lubm, generate_mdc, LubmConfig, MdcConfig};
+use owlpar_datagen::{
+    generate_lubm, generate_mdc, generate_uobm, LubmConfig, MdcConfig, UobmConfig,
+};
 use owlpar_datalog::backward::TableScope;
 use owlpar_datalog::MaterializationStrategy;
 use owlpar_net::protocol::{
@@ -799,12 +801,15 @@ fn damaged_setup_is_refused_before_the_worker_dials_a_peer() {
 /// closure is byte-identical to serial.
 #[test]
 fn chunked_streaming_at_tiny_cap_preserves_closure() {
-    // LUBM mini(6), not mini(2): mini(2)'s round batches hold at most 13
-    // triples, so a 16-triple cap would have no round frame to split.
-    let g0 = generate_lubm(&LubmConfig::mini(6));
+    // UOBM under hash ownership, not LUBM: rounds carry only triples a
+    // rule joins, LUBM joins only `subOrganizationOf` and its cut keeps
+    // each organisation tree on one worker, so a LUBM round has no
+    // triple frame to split. UOBM's transitive and symmetric links cross
+    // hash owners every round; mini(6) makes batches of more than 16.
+    let g0 = generate_uobm(&UobmConfig::mini(6));
     let (want_fp, want_len) = serial_closure(g0.clone());
     let k = 2;
-    let cfg = forward_cfg(k, PartitioningStrategy::data_graph());
+    let cfg = forward_cfg(k, PartitioningStrategy::data_hash());
     let master_opts = MasterOptions::default();
     let worker_opts = WorkerOptions {
         chunk_triples: 16,

@@ -14,11 +14,19 @@
 //! an ownership boundary is **replicated** on both owners ("a triple from
 //! the dataset can be present in at most two processors"), which is what
 //! guarantees every single-join rule can fire locally.
+//!
+//! That guarantee needs only the positions some rule joins on. Under a
+//! [`JoinMask`] step 3 places a triple on the owners of its *join*
+//! positions, and a triple with none once, on the owner of its subject;
+//! the runtime routes derived triples by the same answer
+//! ([`Destinations::joining`]). [`partition_data`] is the paper's step 3
+//! as written: every position joins ([`JoinMask::all`]).
 
 use crate::domain::{authority_key, domain_owners};
 use crate::hash::hash_owner;
 use crate::multilevel::{partition_kway, PartitionOptions};
 use crate::rdfgraph::ownership_graph_and_table;
+use owlpar_datalog::analysis::JoinMask;
 use owlpar_rdf::fx::FxHashMap;
 use owlpar_rdf::{Dictionary, NodeId, Triple};
 use std::time::{Duration, Instant};
@@ -47,6 +55,8 @@ pub struct DataPartitions {
     pub owner: FxHashMap<NodeId, u32>,
     /// Instance triples per partition (with boundary replication).
     pub parts: Vec<Vec<Triple>>,
+    /// The join positions the parts were placed by.
+    pub mask: JoinMask,
     /// Wall-clock time of the partitioning itself (Table I column).
     pub partition_time: Duration,
     /// Edge-cut of the ownership graph (graph policy only).
@@ -59,11 +69,10 @@ impl DataPartitions {
         self.owner.get(&node).copied()
     }
 
-    /// The (one or two) partitions a triple belongs on: owner of the
-    /// subject plus owner of the object when those differ. Non-ownable
-    /// endpoints (class objects) impose no constraint.
+    /// The (one or two) partitions a triple was placed on: the owners of
+    /// its join positions ([`Destinations::placing`]).
     pub fn destinations(&self, t: &Triple) -> Destinations {
-        Destinations::of(self.owner_of(t.s), self.owner_of(t.o))
+        Destinations::placing(&self.mask, t, |n| self.owner_of(n))
     }
 }
 
@@ -90,6 +99,40 @@ impl Destinations {
         }
     }
 
+    /// The owners a triple must reach so that every join it can take
+    /// part in is evaluable there: the owner of each of its join
+    /// positions under `mask`. Non-ownable values (class objects) impose
+    /// no constraint, and a triple with no join position needs to be
+    /// nowhere in particular — [`Destinations::None`]. This is the one
+    /// answer to *where must this triple be?*: Algorithm 1 places base
+    /// triples by it, the runtime routes derived triples by it, and the
+    /// plan analyzer prices exchange by the mask it reads.
+    pub fn joining(
+        mask: &JoinMask,
+        t: &Triple,
+        owner: impl Fn(NodeId) -> Option<u32>,
+    ) -> Destinations {
+        let at = mask.positions(t.p);
+        Destinations::of(
+            at.subject().then(|| owner(t.s)).flatten(),
+            at.object().then(|| owner(t.o)).flatten(),
+        )
+    }
+
+    /// Where Algorithm 1 stores a base triple: [`Destinations::joining`],
+    /// or — when that is nowhere — once, on the owner of its subject (of
+    /// its object when the subject has none).
+    pub fn placing(
+        mask: &JoinMask,
+        t: &Triple,
+        owner: impl Fn(NodeId) -> Option<u32>,
+    ) -> Destinations {
+        match Destinations::joining(mask, t, &owner) {
+            Destinations::None => Destinations::of(owner(t.s).or_else(|| owner(t.o)), None),
+            d => d,
+        }
+    }
+
     /// Iterate the destinations.
     pub fn iter(&self) -> impl Iterator<Item = u32> {
         let (a, b) = match *self {
@@ -101,7 +144,8 @@ impl Destinations {
     }
 }
 
-/// Run Algorithm 1 over `instance` triples.
+/// Run Algorithm 1 over `instance` triples as the paper states it: every
+/// triple on the owners of both its endpoints, whatever the rule-base.
 ///
 /// `rdf_type` (when known) keeps class objects out of the ownership graph;
 /// `dict` is needed by the domain policy to read IRIs.
@@ -112,16 +156,25 @@ pub fn partition_data(
     k: usize,
     policy: &OwnershipPolicy,
 ) -> DataPartitions {
-    partition_data_ordered(instance, instance, dict, rdf_type, k, policy)
+    partition_data_ordered(
+        instance,
+        instance,
+        dict,
+        rdf_type,
+        k,
+        policy,
+        &JoinMask::all(),
+    )
 }
 
-/// [`partition_data`] with the two roles of the input order separated:
-/// ownership (step 2) is decided from `instance` as given — vertex
-/// numbering follows first appearance, so that order fixes every
-/// assignment — while the parts (step 3) are cut by walking `cut_order`,
-/// the same triples in whatever order the caller wants each part born
-/// in. The distributed masters pass the SPO-sorted KB there, so every
-/// partition is a sorted run from the start.
+/// [`partition_data`] for the rule-base compiled into `mask`, with the
+/// two roles of the input order separated: ownership (step 2) is decided
+/// from `instance` as given — vertex numbering follows first appearance,
+/// so that order fixes every assignment — while the parts (step 3) are
+/// cut by walking `cut_order`, the same triples in whatever order the
+/// caller wants each part born in. The distributed masters pass the
+/// SPO-sorted KB there, so every partition is a sorted run from the
+/// start.
 pub fn partition_data_ordered(
     instance: &[Triple],
     cut_order: &[Triple],
@@ -129,11 +182,12 @@ pub fn partition_data_ordered(
     rdf_type: Option<NodeId>,
     k: usize,
     policy: &OwnershipPolicy,
+    mask: &JoinMask,
 ) -> DataPartitions {
     assert!(k >= 1);
     debug_assert_eq!(instance.len(), cut_order.len());
     let start = Instant::now();
-    let (og, node_to_vertex) = ownership_graph_and_table(instance, rdf_type);
+    let (og, node_to_vertex) = ownership_graph_and_table(instance, rdf_type, mask);
 
     let (owners_by_vertex, edge_cut): (Vec<u32>, Option<u64>) = match policy {
         OwnershipPolicy::Graph(opts) => {
@@ -168,7 +222,7 @@ pub fn partition_data_ordered(
     };
     let mut parts: Vec<Vec<Triple>> = vec![Vec::new(); k];
     for t in cut_order {
-        for d in Destinations::of(lookup(t.s), lookup(t.o)).iter() {
+        for d in Destinations::placing(mask, t, lookup).iter() {
             parts[d as usize].push(*t);
         }
     }
@@ -176,6 +230,7 @@ pub fn partition_data_ordered(
         k,
         owner,
         parts,
+        mask: mask.clone(),
         partition_time: start.elapsed(),
         edge_cut,
     }
@@ -323,6 +378,70 @@ mod tests {
         let dp = partition_data(&triples, &d, None, 2, &graph_policy());
         // can't assert much portably, but it must be populated
         assert!(dp.partition_time <= Duration::from_secs(10));
+    }
+
+    #[test]
+    fn masked_placement_replicates_only_joined_triples() {
+        use owlpar_datalog::ast::build::{atom, c, v};
+        use owlpar_datalog::Rule;
+        const Q: u32 = 1002;
+        // P is transitive; Q is joined nowhere
+        let trans = Rule::new(
+            "trans",
+            atom(v(0), c(NodeId(P)), v(2)),
+            vec![
+                atom(v(0), c(NodeId(P)), v(1)),
+                atom(v(1), c(NodeId(P)), v(2)),
+            ],
+        )
+        .unwrap();
+        let mask = JoinMask::of(&[trans]);
+        let mut triples = clustered();
+        triples.push(t(3, Q, 13));
+        let d = Dictionary::new();
+        let dp = partition_data_ordered(
+            &triples,
+            &triples,
+            &d,
+            None,
+            2,
+            &OwnershipPolicy::Hash { seed: 3 },
+            &mask,
+        );
+        for tr in &triples {
+            let copies = dp.parts.iter().filter(|p| p.contains(tr)).count();
+            let owners = [dp.owner_of(tr.s).unwrap(), dp.owner_of(tr.o).unwrap()];
+            if tr.p == NodeId(Q) {
+                assert_eq!(copies, 1, "{tr} joins nowhere");
+                assert!(
+                    dp.parts[owners[0] as usize].contains(tr),
+                    "{tr} at owner(s)"
+                );
+            } else {
+                for o in owners {
+                    assert!(dp.parts[o as usize].contains(tr), "{tr} missing from {o}");
+                }
+            }
+            assert_eq!(dp.destinations(tr).iter().count(), copies);
+        }
+    }
+
+    #[test]
+    fn joining_sends_a_triple_joined_nowhere_nowhere() {
+        let owner = |n: NodeId| Some(n.0 % 2);
+        let none = JoinMask::default();
+        assert_eq!(
+            Destinations::joining(&none, &t(1, P, 2), owner),
+            Destinations::None
+        );
+        assert_eq!(
+            Destinations::placing(&none, &t(1, P, 2), owner),
+            Destinations::One(1)
+        );
+        assert_eq!(
+            Destinations::joining(&JoinMask::all(), &t(1, P, 2), owner),
+            Destinations::Two(1, 0)
+        );
     }
 
     #[test]

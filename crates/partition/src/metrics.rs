@@ -10,9 +10,7 @@
 //! * **partition time** — carried on
 //!   [`crate::data::DataPartitions::partition_time`].
 
-use owlpar_rdf::fx::FxHashSet;
 use owlpar_rdf::{NodeId, Triple};
-use rayon::prelude::*;
 
 /// Quality of a data partitioning, before any reasoning runs.
 #[derive(Debug, Clone)]
@@ -52,31 +50,38 @@ pub fn stddev(xs: &[usize]) -> f64 {
     var.sqrt()
 }
 
-/// Distinct resource nodes in a triple list. `rdf_type` objects are not
-/// counted as nodes, mirroring the ownership-graph construction.
-fn distinct_nodes(triples: &[Triple], rdf_type: Option<NodeId>) -> FxHashSet<NodeId> {
-    let mut set = FxHashSet::default();
-    for t in triples {
-        set.insert(t.s);
-        if Some(t.p) != rdf_type {
-            set.insert(t.o);
+/// Compute [`PartitionQuality`] for a set of partitions. A node is a
+/// subject, or an object other than an `rdf_type` object, mirroring the
+/// ownership-graph construction. Dictionary ids are dense, so distinct
+/// nodes are counted with one table indexed by [`NodeId`] holding the
+/// last partition that counted each node.
+pub fn quality(parts: &[Vec<Triple>], rdf_type: Option<NodeId>) -> PartitionQuality {
+    let nodes = parts
+        .iter()
+        .flatten()
+        .map(|t| t.s.index().max(t.o.index()) + 1)
+        .max()
+        .unwrap_or(0);
+    const UNSEEN: u32 = u32::MAX;
+    let mut last_part = vec![UNSEEN; nodes];
+    let mut total_nodes = 0usize;
+    let mut node_counts = vec![0usize; parts.len()];
+    for (i, part) in parts.iter().enumerate() {
+        let mut count = |n: NodeId| {
+            let slot = &mut last_part[n.index()];
+            if *slot != i as u32 {
+                total_nodes += usize::from(*slot == UNSEEN);
+                *slot = i as u32;
+                node_counts[i] += 1;
+            }
+        };
+        for t in part {
+            count(t.s);
+            if Some(t.p) != rdf_type {
+                count(t.o);
+            }
         }
     }
-    set
-}
-
-/// Compute [`PartitionQuality`] for a set of partitions.
-pub fn quality(parts: &[Vec<Triple>], rdf_type: Option<NodeId>) -> PartitionQuality {
-    let node_sets: Vec<FxHashSet<NodeId>> = parts
-        .par_iter()
-        .map(|p| distinct_nodes(p, rdf_type))
-        .collect();
-    let node_counts: Vec<usize> = node_sets.iter().map(FxHashSet::len).collect();
-    let mut union: FxHashSet<NodeId> = FxHashSet::default();
-    for s in &node_sets {
-        union.extend(s.iter().copied());
-    }
-    let total_nodes = union.len();
     let ir = if total_nodes == 0 {
         1.0
     } else {
@@ -157,6 +162,46 @@ mod tests {
         assert!((or_excess(&[50, 60], 100) - 0.1).abs() < 1e-12);
         assert_eq!(output_replication(&[], 0), 1.0);
         assert_eq!(or_excess(&[5], 5), 0.0);
+    }
+
+    proptest::proptest! {
+        /// The dense-table count is the hash-set count it replaced, bit
+        /// for bit in `bal` and `IR`.
+        #[test]
+        fn quality_equals_the_hash_set_count(
+            parts in proptest::collection::vec(
+                proptest::collection::vec((0u32..40, 6u32..9, 0u32..40), 0..30),
+                1..5,
+            ),
+        ) {
+            use owlpar_rdf::fx::FxHashSet;
+            const TYPE: u32 = 7;
+            let parts: Vec<Vec<Triple>> = parts
+                .iter()
+                .map(|p| p.iter().map(|&(s, p, o)| t(s, p, o)).collect())
+                .collect();
+            let sets: Vec<FxHashSet<NodeId>> = parts
+                .iter()
+                .map(|p| {
+                    p.iter()
+                        .flat_map(|t| [Some(t.s), (t.p != NodeId(TYPE)).then_some(t.o)])
+                        .flatten()
+                        .collect()
+                })
+                .collect();
+            let counts: Vec<usize> = sets.iter().map(FxHashSet::len).collect();
+            let total = sets.iter().flatten().collect::<FxHashSet<_>>().len();
+            let q = quality(&parts, Some(NodeId(TYPE)));
+            proptest::prop_assert_eq!(&q.node_counts, &counts);
+            proptest::prop_assert_eq!(q.total_nodes, total);
+            proptest::prop_assert_eq!(q.bal.to_bits(), stddev(&counts).to_bits());
+            let ir = if total == 0 {
+                1.0
+            } else {
+                counts.iter().sum::<usize>() as f64 / total as f64
+            };
+            proptest::prop_assert_eq!(q.ir.to_bits(), ir.to_bits());
+        }
     }
 
     #[test]

@@ -169,14 +169,41 @@ impl Default for PartitionOptions {
 }
 
 /// Partition `graph` into `k` parts. Returns the part id of every vertex.
+///
+/// Only vertices with an edge go through the multilevel cut: a vertex
+/// with none costs no cut wherever it goes, so after the cut the isolated
+/// vertices are dealt, in vertex order, each to the part that weighs
+/// least so far (the lowest id on a tie). Since they fill whatever the
+/// cut leaves light, a bisection of the cut may leave each side as heavy
+/// as the parts it stands for may be in the *whole* graph,
+/// `(1 + epsilon) × total / k` apiece. The assignment stays a function
+/// of the graph and the seed, and a graph without isolated vertices is
+/// cut exactly as if this step did not exist.
 pub fn partition_kway(graph: &CsrGraph, k: usize, opts: &PartitionOptions) -> Vec<u32> {
     assert!(k >= 1, "k must be positive");
     let mut part = vec![0u32; graph.n()];
     if k == 1 || graph.n() == 0 {
         return part;
     }
-    let vertices: Vec<usize> = (0..graph.n()).collect();
-    Run::new(opts).recurse(graph, &vertices, k, 0, &mut part);
+    let linked: Vec<usize> = (0..graph.n()).filter(|&v| graph.degree(v) > 0).collect();
+    let mut run = Run::new(opts);
+    if linked.len() == graph.n() {
+        run.recurse(graph, &linked, k, 0, &mut part);
+        return part;
+    }
+    if !linked.is_empty() {
+        run.part_cap = Some((1.0 + opts.epsilon) * graph.total_vwgt() as f64 / k as f64);
+        run.recurse(graph, &linked, k, 0, &mut part);
+    }
+    let mut weights = vec![0u64; k];
+    for &v in &linked {
+        weights[part[v] as usize] += graph.vwgt[v];
+    }
+    for v in (0..graph.n()).filter(|&v| graph.degree(v) == 0) {
+        let lightest = (0..k).min_by_key(|&p| (weights[p], p)).unwrap_or(0);
+        part[v] = lightest as u32;
+        weights[lightest] += graph.vwgt[v];
+    }
     part
 }
 
@@ -204,6 +231,9 @@ struct Run<'a> {
     rng: StdRng,
     /// [`contract`]'s table.
     marker: Vec<usize>,
+    /// The most a final part may weigh when the graph cut is only part
+    /// of the graph (see [`partition_kway`]); `None` when it is all of it.
+    part_cap: Option<f64>,
 }
 
 impl<'a> Run<'a> {
@@ -212,6 +242,7 @@ impl<'a> Run<'a> {
             opts,
             rng: StdRng::seed_from_u64(opts.seed),
             marker: Vec::new(),
+            part_cap: None,
         }
     }
 
@@ -234,13 +265,21 @@ impl<'a> Run<'a> {
         let k_left = k / 2 + k % 2; // ceil
         let k_right = k / 2;
         let ratio = k_left as f64 / k as f64;
+        // each side may weigh what its parts may: (1 + eps) × its share
+        let epsilon = match self.part_cap {
+            Some(cap) => {
+                let weight: u64 = vertices.iter().map(|&v| graph.vwgt[v]).sum();
+                (cap * k as f64 / weight.max(1) as f64 - 1.0).max(self.opts.epsilon)
+            }
+            None => self.opts.epsilon,
+        };
 
         // At the root `vertices` is `0..n`: the induced subgraph would be
         // the graph itself, rebuilt edge by edge.
         let side = if vertices.len() == graph.n() {
-            self.bisect(graph, ratio)
+            self.bisect(graph, ratio, epsilon)
         } else {
-            self.bisect(&induce(graph, vertices), ratio)
+            self.bisect(&induce(graph, vertices), ratio, epsilon)
         };
 
         let mut left: Vec<usize> = Vec::new();
@@ -257,16 +296,21 @@ impl<'a> Run<'a> {
     }
 
     /// Multilevel bisection of `graph`: coarsen, bisect, project + refine.
-    /// Returns 0/1 per vertex; side 0 targets `ratio` of the total weight.
-    fn bisect(&mut self, graph: &CsrGraph, ratio: f64) -> Vec<u32> {
+    /// Returns 0/1 per vertex; side 0 targets `ratio` of the total weight,
+    /// each side within `1 + epsilon` of its target.
+    fn bisect(&mut self, graph: &CsrGraph, ratio: f64, epsilon: f64) -> Vec<u32> {
         let levels = self.coarsen(graph);
         let coarsest = levels.last().map_or(graph, |l| &l.graph);
-        let mut side = best_direct_bisect(coarsest, ratio, self.opts, &mut self.rng);
+        let opts = PartitionOptions {
+            epsilon,
+            ..*self.opts
+        };
+        let mut side = best_direct_bisect(coarsest, ratio, &opts, &mut self.rng);
         for (i, level) in levels.iter().enumerate().rev() {
             let finer = if i == 0 { graph } else { &levels[i - 1].graph };
             side = level.map.iter().map(|&c| side[c as usize]).collect();
-            if self.opts.refine {
-                fm_refine(finer, &mut side, ratio, self.opts.epsilon);
+            if opts.refine {
+                fm_refine(finer, &mut side, ratio, epsilon);
             }
         }
         side
@@ -529,6 +573,7 @@ fn greedy_grow_bisect(graph: &CsrGraph, ratio: f64, rng: &mut StdRng) -> Vec<u32
     }
     let mut grown: u64 = 0;
     let mut in_region = vec![false; n];
+    let mut outside = RankSet::full(n);
     // (gain, vertex); lazy heap, stale entries skipped
     let mut frontier: BinaryHeap<(i64, usize)> = BinaryHeap::new();
     // edge weight into the region minus edge weight out of it
@@ -541,15 +586,17 @@ fn greedy_grow_bisect(graph: &CsrGraph, ratio: f64, rng: &mut StdRng) -> Vec<u32
             Some((g, v)) if !in_region[v] && g == gain[v] => v,
             Some(_) => continue,
             None => {
-                // reseed in an untouched component
-                let candidates: Vec<usize> = (0..n).filter(|&v| !in_region[v]).collect();
-                if candidates.is_empty() {
+                // reseed in an untouched component: the r-th vertex
+                // outside the region, in vertex order
+                let left = outside.len();
+                if left == 0 {
                     break;
                 }
-                candidates[rng.gen_range(0..candidates.len())]
+                outside.nth(rng.gen_range(0..left))
             }
         };
         in_region[v] = true;
+        outside.remove(v);
         side[v] = 0;
         grown += graph.vwgt[v];
         for (u, w) in graph.neighbors(v) {
@@ -561,6 +608,63 @@ fn greedy_grow_bisect(graph: &CsrGraph, ratio: f64, rng: &mut StdRng) -> Vec<u32
         }
     }
     side
+}
+
+/// A subset of `0..n` that finds its r-th smallest member in O(log n): a
+/// Fenwick tree over membership. Greedy growing reseeds once per
+/// component it exhausts, and a graph coarsening stalls on — many small
+/// components — would otherwise pay a scan of every vertex per reseed.
+struct RankSet {
+    /// `tree[i]` counts the members in `(i - lowbit(i), i]`, 1-based.
+    tree: Vec<u32>,
+    len: usize,
+}
+
+impl RankSet {
+    /// Every vertex of `0..n`.
+    fn full(n: usize) -> Self {
+        let mut tree = vec![0u32; n + 1];
+        for i in 1..=n {
+            tree[i] += 1;
+            let parent = i + (i & i.wrapping_neg());
+            if parent <= n {
+                tree[parent] += tree[i];
+            }
+        }
+        RankSet { tree, len: n }
+    }
+
+    /// Number of members.
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Drop member `v`, which must be one.
+    fn remove(&mut self, v: usize) {
+        self.len -= 1;
+        let mut i = v + 1;
+        while i < self.tree.len() {
+            self.tree[i] -= 1;
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// The member of rank `r` (0-based) in ascending order; `r < len()`.
+    fn nth(&self, r: usize) -> usize {
+        let n = self.tree.len() - 1;
+        let mut pos = 0;
+        let mut left = r as u32;
+        let mut step = n.next_power_of_two();
+        while step > 0 {
+            let next = pos + step;
+            if next <= n && self.tree[next] <= left {
+                pos = next;
+                left -= self.tree[next];
+            }
+            step /= 2;
+        }
+        pos // the 1-based position pos + 1, as a 0-based vertex
+    }
 }
 
 /// Boundary FM refinement with rollback to the best observed prefix. A
@@ -1067,6 +1171,64 @@ mod tests {
         fm_refine(&g, &mut side, 0.5, 0.05);
         let expect: Vec<u32> = (0..10).map(|v| u32::from(v > 4)).collect();
         assert_eq!(side, expect);
+    }
+
+    #[test]
+    fn rank_set_picks_what_the_scan_picked() {
+        // the reseed used to collect the vertices outside the region and
+        // index that list; the rank set must give the same vertex
+        let mut rng = StdRng::seed_from_u64(21);
+        for n in [1usize, 2, 7, 64, 100] {
+            let mut set = RankSet::full(n);
+            let mut inside = vec![false; n];
+            while set.len() > 0 {
+                let scan: Vec<usize> = (0..n).filter(|&v| !inside[v]).collect();
+                assert_eq!(scan.len(), set.len());
+                for (r, &v) in scan.iter().enumerate() {
+                    assert_eq!(set.nth(r), v, "n {n} rank {r}");
+                }
+                let v = scan[rng.gen_range(0..scan.len())];
+                inside[v] = true;
+                set.remove(v);
+            }
+        }
+    }
+
+    #[test]
+    fn isolated_vertices_are_dealt_to_the_lightest_part() {
+        // a 6-ring plus vertices 6..=9 with no edge: the ring is cut as it
+        // would be alone, then 6..=9 go to the lighter part in turn
+        let edges: Vec<(usize, usize, u64)> = (0..6).map(|i| (i, (i + 1) % 6, 1)).collect();
+        let g = CsrGraph::from_edges(10, &edges);
+        let part = partition_kway(&g, 2, &opts(4));
+        let alone = partition_kway(&ring(6), 2, &opts(4));
+        assert_eq!(part[..6], alone[..]);
+        let mut w = ring(6).part_weights(&alone, 2);
+        for (v, &p) in part.iter().enumerate().skip(6) {
+            let lighter = usize::from(w[1] < w[0]);
+            assert_eq!(p as usize, lighter, "vertex {v}");
+            w[lighter] += 1;
+        }
+        assert_eq!(g.part_weights(&part, 2), [5, 5]);
+        // no edge at all: round robin
+        let lone = CsrGraph::from_edges(7, &[]);
+        assert_eq!(partition_kway(&lone, 3, &opts(1)), [0, 1, 2, 0, 1, 2, 0]);
+    }
+
+    #[test]
+    fn a_perfect_matching_of_200k_vertices_bisects_without_cut() {
+        // coarsening stalls after one level (n/2 isolated coarse
+        // vertices), so greedy growing reseeds once per pair: a scan per
+        // reseed made this quadratic
+        let n = 200_000;
+        let edges: Vec<(usize, usize, u64)> = (0..n / 2).map(|i| (2 * i, 2 * i + 1, 1)).collect();
+        let g = CsrGraph::from_edges(n, &edges);
+        let o = opts(8);
+        let part = partition_kway(&g, 2, &o);
+        assert_eq!(g.edge_cut(&part), 0);
+        let w = g.part_weights(&part, 2);
+        let bound = (n as f64 / 2.0 * (1.0 + o.epsilon)) as u64;
+        assert!(w.iter().all(|&x| x <= bound), "w={w:?}");
     }
 
     #[test]

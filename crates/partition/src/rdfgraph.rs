@@ -10,8 +10,17 @@
 //! a class position (classes are constants in the compiled rules), and
 //! making classes vertices would star-connect every instance of a class,
 //! destroying the community structure the partitioner exploits.
+//!
+//! Under a [`JoinMask`] the graph keeps only the edges a rule can join
+//! across: a triple links its subject and object only when both are join
+//! positions of its predicate. A triple joined at one end is placed with
+//! that end's owner whatever the cut, and one joined nowhere is placed
+//! once, so cutting its edge would cost nothing. Every resource stays a
+//! vertex all the same: a derived triple may later carry any value to a
+//! join position, and routing then needs that value's owner.
 
 use crate::multilevel::CsrGraph;
+use owlpar_datalog::analysis::{JoinMask, JoinPositions};
 use owlpar_rdf::{NodeId, Triple};
 
 /// The ownership graph plus its vertex → node map.
@@ -30,19 +39,22 @@ impl OwnershipGraph {
     }
 }
 
-/// Build the ownership graph over `instance` triples. `rdf_type` (when
-/// present in the dictionary) suppresses class-object vertices.
+/// Build the ownership graph over `instance` triples, every triple an
+/// edge (the paper's graph, [`JoinMask::all`]). `rdf_type` (when present
+/// in the dictionary) suppresses class-object vertices.
 pub fn build_ownership_graph(instance: &[Triple], rdf_type: Option<NodeId>) -> OwnershipGraph {
-    ownership_graph_and_table(instance, rdf_type).0
+    ownership_graph_and_table(instance, rdf_type, &JoinMask::all()).0
 }
 
-/// [`build_ownership_graph`] plus the table it numbered the vertices
-/// with: indexed by [`NodeId`], covering every subject and object of
+/// The ownership graph under `mask` (an edge only where both endpoints
+/// are join positions) plus the table it numbered the vertices with:
+/// indexed by [`NodeId`], covering every subject and object of
 /// `instance`, `u32::MAX` where the node is no vertex. Dictionary ids are
 /// dense, so this is a plain vector rather than a hash map.
 pub(crate) fn ownership_graph_and_table(
     instance: &[Triple],
     rdf_type: Option<NodeId>,
+    mask: &JoinMask,
 ) -> (OwnershipGraph, Vec<u32>) {
     let nodes = instance
         .iter()
@@ -66,7 +78,7 @@ pub(crate) fn ownership_graph_and_table(
             continue; // subject becomes a vertex; class object does not
         }
         let o = vid(t.o);
-        if s != o {
+        if s != o && mask.positions(t.p) == JoinPositions::BOTH {
             edges.push((s, o, 1));
         }
     }
@@ -80,6 +92,7 @@ pub(crate) fn ownership_graph_and_table(
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used)]
     use super::*;
 
     fn t(s: u32, p: u32, o: u32) -> Triple {
@@ -124,6 +137,42 @@ mod tests {
         let neighbors = |v| g.graph.neighbors(v).map(|(u, _)| u).collect::<Vec<_>>();
         assert_eq!(neighbors(0), [1, 2]);
         assert_eq!(neighbors(1), [0, 3]);
+    }
+
+    #[test]
+    fn masked_graph_keeps_every_vertex_but_only_joined_edges() {
+        use owlpar_datalog::ast::build::{atom, c, v};
+        use owlpar_datalog::Rule;
+        // 50 is transitive (joined at both ends); 51 is joined on its
+        // subject only; 52 is joined nowhere
+        let rules = [
+            Rule::new(
+                "trans",
+                atom(v(0), c(NodeId(50)), v(2)),
+                vec![
+                    atom(v(0), c(NodeId(50)), v(1)),
+                    atom(v(1), c(NodeId(50)), v(2)),
+                ],
+            )
+            .unwrap(),
+            Rule::new(
+                "fun",
+                atom(v(1), c(NodeId(52)), v(2)),
+                vec![
+                    atom(v(0), c(NodeId(51)), v(1)),
+                    atom(v(0), c(NodeId(51)), v(2)),
+                ],
+            )
+            .unwrap(),
+        ];
+        let triples = [t(1, 50, 2), t(2, 51, 3), t(3, 52, 4), t(4, 50, 5)];
+        let (g, table) = ownership_graph_and_table(&triples, None, &JoinMask::of(&rules));
+        assert_eq!(g.vertex_to_node, [1, 2, 3, 4, 5].map(NodeId));
+        assert_eq!(g.graph.m(), 2, "only the two transitive triples");
+        assert_eq!(g.graph.degree(2), 0, "3 is isolated");
+        assert_eq!(table[3], 2);
+        let unmasked = build_ownership_graph(&triples, None);
+        assert_eq!(unmasked.graph.m(), 4);
     }
 
     #[test]

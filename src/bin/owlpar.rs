@@ -26,6 +26,7 @@ use owlpar::core::cli::{flag_value, positionals};
 use owlpar::core::{
     analyze_rules_only, analyze_strategy, auto_candidates, FaultPlan, PlanningBase, RunError,
 };
+use owlpar::datalog::analysis::JoinMask;
 use owlpar::datalog::{parse_rules_annotated, Rule};
 use owlpar::horst::HorstReasoner;
 use owlpar::lint::{
@@ -33,6 +34,7 @@ use owlpar::lint::{
 };
 use owlpar::obs::json::{obj, Value};
 use owlpar::partition::metrics::quality;
+use owlpar::partition::partition_data_ordered;
 use owlpar::prelude::*;
 use owlpar::query::exec::render_row;
 use owlpar::rdf::snapshot;
@@ -225,7 +227,11 @@ fn lint_cmd(args: &[String]) -> Result<(), CliError> {
             // (histogram weights + dead-rule vocabulary).
             hr.lint.clone()
         } else {
-            lint_rules(hr.rules(), &LintOptions::for_context(context))
+            let opts = LintOptions {
+                rdf_type: g.dict.id(&Term::iri(RDF_TYPE)),
+                ..LintOptions::for_context(context)
+            };
+            lint_rules(hr.rules(), &opts)
         }
     } else {
         let Some(path) = positionals.first() else {
@@ -236,7 +242,11 @@ fn lint_cmd(args: &[String]) -> Result<(), CliError> {
         let mut dict = Dictionary::new();
         let parsed = parse_rules_annotated(&text, &mut dict)
             .map_err(|e| format!("parsing {path}: {e}"))?;
-        lint_parsed(&parsed, LintOptions::for_context(context))
+        let opts = LintOptions {
+            rdf_type: dict.id(&Term::iri(RDF_TYPE)),
+            ..LintOptions::for_context(context)
+        };
+        lint_parsed(&parsed, opts)
     };
     if json {
         println!("{}", report.to_json());
@@ -405,12 +415,15 @@ fn partition_info(args: &[String]) -> Result<(), String> {
         hr.instance_triples.len(),
         hr.rules().len()
     );
-    // The policies `--strategy graph|domain|hash` run, with their options.
+    // The policies `--strategy graph|domain|hash` run, with their options,
+    // placing by the join positions of the rule-base a run compiles.
+    let mask = JoinMask::of(hr.rules());
     for name in ["graph", "domain", "hash"] {
         let PartitioningStrategy::Data(policy) = PartitioningStrategy::from_name(name)? else {
             unreachable!("{name} names a data policy")
         };
-        let dp = partition_data(&hr.instance_triples, &g.dict, rdf_type, k, &policy);
+        let instance = &hr.instance_triples;
+        let dp = partition_data_ordered(instance, instance, &g.dict, rdf_type, k, &policy, &mask);
         let q = quality(&dp.parts, rdf_type);
         println!(
             "{name:>6}: bal {:>9.1}  IR {:.3}  cut {:?}  time {:.3}s",

@@ -1,15 +1,20 @@
 //! Differential testing of the three materialization engines on random
 //! single-join rule sets and random data — forward semi-naive is the
-//! oracle; both backward engines must agree with it.
+//! oracle; both backward engines must agree with it. The same rule sets
+//! also drive data-partitioned runs, whose placement and routing follow
+//! the rule-base's join positions: they must close to the serial closure.
 
 // Tests assert on infallible setup; unwrap/expect failures are test failures.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use owlpar::core::{run_parallel, ParallelConfig, PartitioningStrategy};
 use owlpar::datalog::ast::build::{atom, c, v};
+use owlpar::datalog::ast::{Atom, TermPat};
 use owlpar::datalog::backward::{BackwardEngine, TableScope};
 use owlpar::datalog::forward::forward_closure;
-use owlpar::datalog::Rule;
-use owlpar::rdf::{NodeId, Triple, TripleStore};
+use owlpar::datalog::{MaterializationStrategy, Reasoner, Rule};
+use owlpar::horst::HorstReasoner;
+use owlpar::rdf::{Graph, NodeId, Term, Triple, TripleStore};
 use proptest::prelude::*;
 
 /// A random single-join rule over a small predicate alphabet.
@@ -68,8 +73,80 @@ fn data_strategy(nodes: u32, preds: u32, len: usize) -> impl Strategy<Value = Ve
     )
 }
 
+/// `data` over `nodes` nodes as a graph of IRIs, and `rules` with their
+/// predicate constants (`500 + p`) renamed to the graph's ids.
+fn as_graph(rules: &[Rule], data: &[Triple], nodes: u32, preds: u32) -> (Graph, Vec<Rule>) {
+    let mut g = Graph::new();
+    let node: Vec<NodeId> = (0..nodes)
+        .map(|i| g.intern(Term::iri(format!("http://r/n{i}"))))
+        .collect();
+    let pred: Vec<NodeId> = (0..preds)
+        .map(|i| g.intern(Term::iri(format!("http://r/p{i}"))))
+        .collect();
+    let head_pred = g.intern(Term::iri("http://r/head"));
+    for t in data {
+        g.insert(
+            node[t.s.0 as usize],
+            pred[(t.p.0 - 500) as usize],
+            node[t.o.0 as usize],
+        );
+    }
+    g.store.compact();
+    let rename = |tp: TermPat| match tp {
+        TermPat::Const(NodeId(id)) if (500..500 + preds).contains(&id) => {
+            TermPat::Const(pred[(id - 500) as usize])
+        }
+        TermPat::Const(_) => TermPat::Const(head_pred),
+        var => var,
+    };
+    let atom = |a: &Atom| Atom::new(rename(a.s), rename(a.p), rename(a.o));
+    let rules = rules
+        .iter()
+        .map(|r| {
+            Rule::new(
+                r.name.clone(),
+                atom(&r.head),
+                r.body.iter().map(atom).collect(),
+            )
+        })
+        .collect::<Result<Vec<_>, _>>()
+        .unwrap();
+    (g, rules)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Data partitioning places and routes a triple only where the rule
+    /// set joins it; under graph and hash ownership at k ∈ {2, 4} the
+    /// partitioned closure still equals the serial one.
+    #[test]
+    fn masked_data_partitioning_equals_serial(
+        rules in prop::collection::vec(rule_strategy(3), 1..5),
+        data in data_strategy(12, 3, 30),
+    ) {
+        let (g0, rules) = as_graph(&rules, &data, 12, 3);
+        let mut serial = g0.clone();
+        let hr = HorstReasoner::from_graph(&mut serial, MaterializationStrategy::ForwardSemiNaive);
+        let all: Vec<Rule> = hr.rules().iter().chain(&rules).cloned().collect();
+        Reasoner::new(all, MaterializationStrategy::ForwardSemiNaive).materialize(&mut serial.store);
+        for strategy in [PartitioningStrategy::data_graph(), PartitioningStrategy::data_hash()] {
+            for k in [2, 4] {
+                let cfg = ParallelConfig { k, strategy: strategy.clone(), ..ParallelConfig::default() }
+                    .forward()
+                    .with_extra_rules(rules.clone());
+                let mut g = g0.clone();
+                run_parallel(&mut g, &cfg).unwrap();
+                prop_assert_eq!(
+                    g.store.iter_sorted(),
+                    serial.store.iter_sorted(),
+                    "k={} {:?}",
+                    k,
+                    strategy
+                );
+            }
+        }
+    }
 
     #[test]
     fn engines_agree_on_random_programs(

@@ -257,13 +257,19 @@ fn recovery_disabled_reports_structured_error() {
 #[test]
 fn corruption_is_skipped_and_reported() {
     with_timeout(|| {
-        let g0 = generate_lubm(&LubmConfig::mini(2));
+        // Both mangled messages must exist: round 0 has to send worker 1
+        // something from workers 0 and 2. Rounds carry only triples a
+        // rule joins, so LUBM (which joins only `subOrganizationOf`) may
+        // send worker 1 nothing; MDC's transitive chains under hash
+        // ownership send it triples from both in round 0.
+        let g0 = generate_mdc(&MdcConfig::mini());
         for format in [WireFormat::NTriples, WireFormat::Binary] {
             let plan = FaultPlan::new()
                 .with(0, 0, FaultKind::Corrupt { to: 1 })
                 .with(0, 2, FaultKind::Truncate { to: 1 });
             let cfg = ParallelConfig {
                 comm: CommMode::SharedFile { dir: None, format },
+                strategy: PartitioningStrategy::data_hash(),
                 ..base_cfg(3)
             }
             .with_faults(plan);

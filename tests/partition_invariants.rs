@@ -5,11 +5,32 @@
 // Tests assert on infallible setup; unwrap/expect failures are test failures.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use owlpar::datagen::UobmConfig;
+use owlpar::datagen::{generate_lubm, generate_mdc, generate_uobm, LubmConfig, MdcConfig};
+use owlpar::datalog::analysis::{JoinMask, JoinPositions};
+use owlpar::datalog::ast::build::{atom, c, v};
+use owlpar::datalog::Rule;
+use owlpar::lint::LintCode;
 use owlpar::partition::data::Destinations;
 use owlpar::partition::multilevel::PartitionOptions;
+use owlpar::partition::partition_data_ordered;
 use owlpar::prelude::*;
 use owlpar::rdf::{Dictionary, NodeId};
 use proptest::prelude::*;
+
+/// Two-atom rules over predicates `1000 + p`: transitive (joins object
+/// to subject) or functional (joins subject to subject).
+fn join_rule_strategy(preds: u32) -> impl Strategy<Value = Rule> {
+    (0..preds, 0..preds, any::<bool>()).prop_map(|(p, q, transitive)| {
+        let (p, q) = (c(NodeId(1000 + p)), c(NodeId(1000 + q)));
+        let body = if transitive {
+            vec![atom(v(0), p, v(1)), atom(v(1), q, v(2))]
+        } else {
+            vec![atom(v(0), p, v(1)), atom(v(0), q, v(2))]
+        };
+        Rule::new("join", atom(v(1), c(NodeId(999)), v(2)), body).unwrap()
+    })
+}
 
 fn triples_strategy(
     max_node: u32,
@@ -125,6 +146,90 @@ proptest! {
                 "owned {owned:?} vs target {target}"
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The masked placement keeps the single-join guarantee: for any two
+    /// triples some rule's body joins, some partition holds both — while
+    /// a triple joined nowhere is stored exactly once.
+    #[test]
+    fn masked_placement_colocates_every_join(
+        triples in triples_strategy(40, 4, 80),
+        rules in prop::collection::vec(join_rule_strategy(4), 1..4),
+        k in 2usize..5,
+    ) {
+        let dict = Dictionary::new();
+        let mask = JoinMask::of(&rules);
+        for (name, policy) in policies() {
+            let dp = partition_data_ordered(&triples, &triples, &dict, None, k, &policy, &mask);
+            for a in &triples {
+                let copies = dp.parts.iter().filter(|p| p.contains(a)).count();
+                if !mask.positions(a.p).any() {
+                    prop_assert_eq!(copies, 1, "{}: {} joins nowhere", name, a);
+                }
+                for b in &triples {
+                    let joins = rules.iter().any(|r| {
+                        r.body[0]
+                            .match_triple(a, &r.empty_bindings())
+                            .and_then(|bound| r.body[1].match_triple(b, &bound))
+                            .is_some()
+                    });
+                    if joins {
+                        let colocated =
+                            dp.parts.iter().any(|p| p.contains(a) && p.contains(b));
+                        prop_assert!(colocated, "{}: joinable {} / {} never co-located", name, a, b);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// LUBM's compiled OWL-Horst rule-base joins on one predicate, at both
+/// ends: `subOrganizationOf`, the one transitive property. Every other
+/// instance triple is joined nowhere.
+#[test]
+fn lubm_rule_base_joins_only_sub_organization_of() {
+    let mut g = generate_lubm(&LubmConfig::mini(2));
+    let hr = HorstReasoner::from_graph(&mut g, MaterializationStrategy::ForwardSemiNaive);
+    let mask = JoinMask::of(hr.rules());
+    let mut joined: Vec<(String, JoinPositions)> = hr
+        .instance_triples
+        .iter()
+        .map(|t| t.p)
+        .chain(hr.schema_triples.iter().map(|t| t.p))
+        .filter(|&p| mask.positions(p).any())
+        .map(|p| (g.dict.term(p).unwrap().to_string(), mask.positions(p)))
+        .collect();
+    joined.sort_by(|a, b| a.0.cmp(&b.0));
+    joined.dedup();
+    assert_eq!(joined.len(), 1, "{joined:?}");
+    assert!(joined[0].0.ends_with("subOrganizationOf>"), "{joined:?}");
+    assert_eq!(joined[0].1, JoinPositions::BOTH);
+}
+
+/// The compiled rule-bases of the three generators join only at owned
+/// positions: the class-object refusal raises nothing on them.
+#[test]
+fn generated_rule_bases_join_only_at_owned_positions() {
+    for mut g in [
+        generate_lubm(&LubmConfig::mini(2)),
+        generate_uobm(&UobmConfig::mini(2)),
+        generate_mdc(&MdcConfig::mini()),
+    ] {
+        let hr = HorstReasoner::from_graph(&mut g, MaterializationStrategy::ForwardSemiNaive);
+        assert!(
+            !hr.lint
+                .diagnostics
+                .iter()
+                .any(|d| d.code == LintCode::UnownedJoin),
+            "{}",
+            hr.lint
+        );
+        assert!(!hr.lint.has_deny(), "{}", hr.lint);
     }
 }
 
