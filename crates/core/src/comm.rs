@@ -6,7 +6,7 @@
 //! in Fig. 2, predicting that an in-memory transport (MPI) would shrink
 //! it. We implement both ends of that comparison:
 //!
-//! * [`CommMode::Channel`] — crossbeam channels, the "MPI-like" zero-copy
+//! * [`CommMode::Channel`] — in-memory channels, the "MPI-like" zero-copy
 //!   transport;
 //! * [`CommMode::SharedFile`] — actual files in a shared directory, one
 //!   per (round, sender, receiver): one CRC frame
@@ -42,12 +42,12 @@ use crate::backoff::Backoff;
 use crate::error::{CommError, SkippedMessage};
 use crate::fault::{FaultPlan, FaultState};
 use crate::frame::{read_crc_frame, write_crc_frame};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use owlpar_rdf::{
     decode_triple_block, encode_triple_block, parse_ntriples, Dictionary, Graph, Triple,
 };
 use std::io::ErrorKind;
 use std::path::PathBuf;
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -260,7 +260,7 @@ pub fn build_fabric_with_faults(
             let mut senders: Vec<Sender<Vec<Triple>>> = Vec::with_capacity(k);
             let mut receivers: Vec<Receiver<Vec<Triple>>> = Vec::with_capacity(k);
             for _ in 0..k {
-                let (s, r) = unbounded();
+                let (s, r) = mpsc::channel();
                 senders.push(s);
                 receivers.push(r);
             }

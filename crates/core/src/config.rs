@@ -84,21 +84,6 @@ impl PartitioningStrategy {
     }
 }
 
-/// What the master does when the pre-spawn lint gate finds a rule that is
-/// not safe under the configured partitioning (a deny finding).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum UnsafeRulePolicy {
-    /// Refuse the run with [`RunError::Lint`](crate::error::RunError::Lint)
-    /// before any worker spawns.
-    #[default]
-    Refuse,
-    /// Fall back to full data replication (rule partitioning): every
-    /// worker holds the complete data, so any join shape is evaluable.
-    /// Structural denials (broken rules) still refuse — replication cannot
-    /// fix a rule that is wrong everywhere.
-    ReplicateData,
-}
-
 /// What the master does when a worker is lost mid-run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FaultRecovery {
@@ -136,8 +121,6 @@ pub struct ParallelConfig {
     /// how a rule-base that is *not* provably partition-safe reaches the
     /// master, since the compiler only emits single-join rules.
     pub extra_rules: Vec<Rule>,
-    /// Reaction to a deny-level lint finding at startup.
-    pub unsafe_rules: UnsafeRulePolicy,
 }
 
 impl Default for ParallelConfig {
@@ -151,7 +134,6 @@ impl Default for ParallelConfig {
             round_timeout: Duration::from_secs(30),
             recovery: FaultRecovery::default(),
             extra_rules: Vec::new(),
-            unsafe_rules: UnsafeRulePolicy::default(),
         }
     }
 }
@@ -203,12 +185,6 @@ impl ParallelConfig {
     /// rules (they must be interned against the run's dictionary).
     pub fn with_extra_rules(mut self, rules: Vec<Rule>) -> Self {
         self.extra_rules = rules;
-        self
-    }
-
-    /// Convenience: set the reaction to a deny-level lint finding.
-    pub fn with_unsafe_rules(mut self, policy: UnsafeRulePolicy) -> Self {
-        self.unsafe_rules = policy;
         self
     }
 }

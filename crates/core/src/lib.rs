@@ -16,7 +16,7 @@
 //! partition with a private [`WorkerState`] (its triples held as sorted
 //! runs: one store, a frozen base plus a small overlay); *all*
 //! inter-partition traffic flows through an explicit [`comm`] backend —
-//! crossbeam channels, or real files in a shared directory serialized as
+//! in-memory channels, or real files in a shared directory serialized as
 //! N-Triples, matching the paper's transport. The loop at each node
 //! exists once ([`worker::run_rounds`]): barrier-synchronized rounds that
 //! terminate when a round moves no triples anywhere (the paper's

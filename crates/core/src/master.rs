@@ -29,14 +29,14 @@
 
 use crate::barrier::RoundBarrier;
 use crate::comm::build_fabric_with_faults;
-use crate::config::{FaultRecovery, ParallelConfig, PartitioningStrategy, UnsafeRulePolicy};
+use crate::config::{FaultRecovery, ParallelConfig, PartitioningStrategy};
 use crate::error::{RunError, WorkerError};
 use crate::stats::{PhaseBreakdown, WorkerStats};
 use crate::worker::{run_rounds, BarrierVote, Routing, RunFlags, WorkerCtx};
-use owlpar_datalog::analysis::JoinMask;
+use owlpar_datalog::analysis::{ConsumerIndex, JoinMask};
 use owlpar_datalog::{MaterializationStrategy, Reasoner, Rule};
 use owlpar_horst::HorstReasoner;
-use owlpar_lint::{lint_rules, LintOptions, PartitionContext};
+use owlpar_lint::lint_rules;
 use owlpar_obs as obs;
 use owlpar_partition::metrics::{or_excess, quality, PartitionQuality};
 use owlpar_partition::multilevel::PartitionOptions;
@@ -172,15 +172,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Everything Algorithm 3's master computes *before* any worker exists:
 /// the compiled + linted effective rule-base, the partition plan, the
-/// per-worker routing tables, and the partition-quality metrics. Shared
+/// run's routing table, and the partition-quality metrics. Shared
 /// between [`run_parallel`] (which spawns threads on it) and the
 /// `owlpar-net` cluster master (which ships it to worker processes over
 /// TCP) so both runtimes distribute byte-identical work.
 pub struct RunPlan {
     /// Number of partitions.
     pub k: usize,
-    /// Effective strategy — differs from `cfg.strategy` only when the
-    /// lint gate's replication fallback downgraded a data strategy.
+    /// Effective strategy — differs from `cfg.strategy` only under
+    /// [`PartitioningStrategy::Auto`], which it resolves.
     pub strategy: PartitioningStrategy,
     /// The effective rule-base (compiled ontology rules + extras).
     pub all_rules: Vec<Rule>,
@@ -190,8 +190,8 @@ pub struct RunPlan {
     pub bases: Vec<Vec<Triple>>,
     /// Per-worker rule subsets.
     pub rules_per_worker: Vec<Vec<Rule>>,
-    /// Per-worker routing tables.
-    pub routing: Vec<Routing>,
+    /// The run's routing table, shared by every worker.
+    pub routing: Arc<Routing>,
     /// Pre-run partition quality (data strategies only).
     pub quality: Option<PartitionQuality>,
     /// Ownership-graph edge-cut, when the policy computes one.
@@ -290,22 +290,7 @@ pub fn prepare_run(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunPlan, R
     let context = crate::plan::context_of(&strategy)?;
     let lint = lint_rules(&all_rules, &crate::plan::lint_options(context, rdf_type));
     if lint.has_deny() {
-        match cfg.unsafe_rules {
-            UnsafeRulePolicy::Refuse => return Err(RunError::Lint { report: lint }),
-            UnsafeRulePolicy::ReplicateData => {
-                // Replication makes every join shape evaluable; verify the
-                // deny findings actually clear under it (structural
-                // problems — broken rules — don't, and still refuse).
-                let fallback = lint_rules(
-                    &all_rules,
-                    &LintOptions::for_context(PartitionContext::RulePartitioned),
-                );
-                if fallback.has_deny() {
-                    return Err(RunError::Lint { report: fallback });
-                }
-                strategy = PartitioningStrategy::Rule { weighted: false };
-            }
-        }
+        return Err(RunError::Lint { report: lint });
     }
 
     // Partition.
@@ -358,8 +343,8 @@ pub(crate) struct PartitionParts {
     pub bases: Vec<Vec<Triple>>,
     /// Per-worker rule subsets.
     pub rules_per_worker: Vec<Vec<Rule>>,
-    /// Per-worker routing tables.
-    pub routing: Vec<Routing>,
+    /// The run's routing table, shared by every worker.
+    pub routing: Arc<Routing>,
     /// Pre-run partition quality (data strategies only).
     pub quality: Option<PartitionQuality>,
     /// Ownership-graph edge-cut, when the policy computes one.
@@ -398,15 +383,11 @@ pub(crate) fn build_partitions(
                 &mask,
             );
             let q = quality(&dp.parts, rdf_type);
-            let owner = Arc::new(dp.owner);
-            let mask = Arc::new(mask);
             Ok(PartitionParts {
-                routing: (0..k)
-                    .map(|_| Routing::Data {
-                        owner: Arc::clone(&owner),
-                        mask: Arc::clone(&mask),
-                    })
-                    .collect(),
+                routing: Arc::new(Routing::Data {
+                    owner: dp.owner,
+                    mask,
+                }),
                 bases: dp.parts,
                 rules_per_worker: (0..k).map(|_| all_rules.to_vec()).collect(),
                 quality: Some(q),
@@ -415,8 +396,6 @@ pub(crate) fn build_partitions(
         }
         PartitioningStrategy::Rule { .. } => {
             let rp = partition_rules(all_rules, k, predicate_counts, &PartitionOptions::default());
-            let shared_rules = Arc::new(all_rules.to_vec());
-            let rp = Arc::new(rp);
             Ok(PartitionParts {
                 bases: (0..k).map(|_| cut_order.to_vec()).collect(),
                 rules_per_worker: (0..k)
@@ -424,12 +403,9 @@ pub(crate) fn build_partitions(
                         rp.parts[p].iter().map(|&i| all_rules[i].clone()).collect()
                     })
                     .collect(),
-                routing: (0..k)
-                    .map(|_| Routing::Rule {
-                        partitions: Arc::clone(&rp),
-                        all_rules: Arc::clone(&shared_rules),
-                    })
-                    .collect(),
+                routing: Arc::new(Routing::Rule {
+                    consumers: ConsumerIndex::of(all_rules, &rp.assignment, k),
+                }),
                 quality: None,
                 edge_cut: Some(rp.edge_cut),
             })
@@ -466,26 +442,25 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
     let parts = std::mem::take(&mut plan.bases)
         .into_iter()
         .zip(std::mem::take(&mut plan.rules_per_worker))
-        .zip(std::mem::take(&mut plan.routing))
         .zip(fabric);
     let mut results: Vec<Result<(Vec<Triple>, WorkerStats), WorkerError>> =
         Vec::with_capacity(cfg.k);
-    let scope_ok = crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(cfg.k);
         // every zipped list has exactly k elements by construction
-        for (id, (((base, rules), routing), comm)) in parts.enumerate() {
+        for (id, ((base, rules), comm)) in parts.enumerate() {
             let ctx = WorkerCtx {
                 id,
                 k: cfg.k,
                 schema: Arc::clone(&schema),
                 base,
                 reasoner: Reasoner::new(rules, materialization),
-                routing,
+                routing: Arc::clone(&plan.routing),
             };
             let barrier = Arc::clone(&barrier);
             let total_sent = Arc::clone(&total_sent);
             let flags = Arc::clone(&flags);
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let progress = Arc::new(AtomicUsize::new(0));
                 let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                     // Ambient tracing lane for this worker (one branch
@@ -536,17 +511,7 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
                 })
             }));
         }
-    })
-    .is_ok();
-    if !scope_ok {
-        return Err(RunError::Workers {
-            errors: vec![WorkerError::Panicked {
-                worker: 0,
-                round: 0,
-                message: "worker scope tore down abnormally".to_string(),
-            }],
-        });
-    }
+    });
     let host_parallel_time = t_par.elapsed();
 
     let mut outcomes = Vec::with_capacity(cfg.k);
@@ -973,16 +938,20 @@ mod tests {
     fn class_join_falls_back_to_rule_partitioning_and_matches_serial() {
         let (g0, rule) = graph_with_class_join_rule();
         let (want_fp, want_len) = serial_closure_with_extra(&g0, &rule);
-        for k in [2, 4] {
+        for k in [2, 3, 4] {
             let mut g = g0.clone();
             let cfg = ParallelConfig {
                 k,
-                strategy: PartitioningStrategy::data_graph(),
+                strategy: PartitioningStrategy::Auto,
                 ..ParallelConfig::default()
             }
             .forward()
-            .with_extra_rules(vec![rule.clone()])
-            .with_unsafe_rules(UnsafeRulePolicy::ReplicateData);
+            .with_extra_rules(vec![rule.clone()]);
+            let plan = prepare_run(&mut g.clone(), &cfg).expect("auto plan prepares");
+            assert!(
+                matches!(plan.strategy, PartitioningStrategy::Rule { .. }),
+                "k={k}: auto must pick rule partitioning"
+            );
             run_parallel(&mut g, &cfg).expect("fallback run succeeds");
             assert_eq!(
                 (g.len(), g.term_fingerprint()),
@@ -999,12 +968,11 @@ mod tests {
         let mut g = g0.clone();
         let cfg = ParallelConfig {
             k: 3,
-            strategy: PartitioningStrategy::data_graph(),
+            strategy: PartitioningStrategy::Auto,
             ..ParallelConfig::default()
         }
         .forward()
-        .with_extra_rules(vec![rule])
-        .with_unsafe_rules(UnsafeRulePolicy::ReplicateData);
+        .with_extra_rules(vec![rule]);
         let report = run_parallel(&mut g, &cfg).expect("fallback run succeeds");
         assert_eq!(report.k, 3);
         assert_eq!(g.len(), want_len);
@@ -1041,17 +1009,30 @@ mod tests {
             body: vec![atom(v(0), c(p), v(0))],
             var_count: 2,
         };
-        let cfg = ParallelConfig::default()
-            .forward()
-            .with_extra_rules(vec![broken])
-            .with_unsafe_rules(UnsafeRulePolicy::ReplicateData);
+        let cfg = ParallelConfig {
+            strategy: PartitioningStrategy::Auto,
+            ..ParallelConfig::default()
+        }
+        .forward()
+        .with_extra_rules(vec![broken]);
+        let before = g.len();
         let err = run_parallel(&mut g, &cfg).unwrap_err();
-        let RunError::Lint { report } = err else {
-            panic!("expected Lint error, got {err}");
+        let RunError::Plan {
+            candidates,
+            deny,
+            detail,
+        } = err
+        else {
+            panic!("expected Plan error, got {err}");
         };
-        assert!(report
-            .deny_findings()
-            .any(|d| d.code == owlpar_lint::LintCode::NotRangeRestricted));
+        assert_eq!(candidates, vec!["data".to_string(), "rule".to_string()]);
+        assert!(deny >= 2, "{detail}");
+        // OWL004 (not range-restricted) refuses both candidates.
+        let owl004 = owlpar_lint::LintCode::NotRangeRestricted.id();
+        for part in detail.split(" | ") {
+            assert!(part.contains(owl004), "{part}");
+        }
+        assert_eq!(g.len(), before, "no partial closure on refusal");
     }
 
     #[test]

@@ -372,40 +372,34 @@ pub fn analyze_run_plan(base: &PlanningBase, plan: &RunPlan) -> Result<PlanRepor
     ))
 }
 
-/// Shadow one concrete partition — one base, rule subset and routing
-/// table per worker — into [`PlanInputs`] and run the OWL011–OWL016 pass
-/// over it.
+/// Shadow one concrete partition — a base and a rule subset per worker,
+/// and the run's routing table — into [`PlanInputs`] and run the
+/// OWL011–OWL016 pass over it.
 fn score_partition(
     base: &PlanningBase,
     label: String,
     opts: &LintOptions,
     bases: &[Vec<Triple>],
     rules_per_worker: &[Vec<Rule>],
-    routing: &[Routing],
+    routing: &Routing,
 ) -> PlanReport {
     let k = bases.len();
     let cost = WireCostModel::default();
-    let route = match routing.first() {
-        Some(Routing::Data { owner, .. }) => {
+    let (route, routing_entries) = match routing {
+        Routing::Data { owner, .. } => {
             let (crossing, cross_fraction) = crossing(&base.instance, owner, base.rdf_type);
-            RouteModel::Data {
+            let route = RouteModel::Data {
                 crossing,
                 cross_fraction,
-            }
+            };
+            (route, owner.len() as u64)
         }
-        None => RouteModel::Data {
-            crossing: FxHashMap::default(),
-            cross_fraction: 0.0,
-        },
-        Some(Routing::Rule { partitions, .. }) => RouteModel::Rule {
-            assignment: partitions.assignment.clone(),
-        },
+        Routing::Rule { consumers } => {
+            let assignment = consumers.assignment().to_vec();
+            let entries = assignment.len() as u64;
+            (RouteModel::Rule { assignment }, entries)
+        }
     };
-    let routing_entries = match routing.first() {
-        Some(Routing::Data { owner, .. }) => owner.len(),
-        Some(Routing::Rule { partitions, .. }) => partitions.assignment.len(),
-        None => 0,
-    } as u64;
 
     // Price the setup phase with the real triple-block encoding.
     let schema_block = encode_triple_block(&base.schema).len() as u64;

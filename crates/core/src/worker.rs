@@ -48,18 +48,19 @@ use crate::cputime::CpuTimer;
 use crate::error::{CommError, WorkerError};
 use crate::state::WorkerState;
 use crate::stats::WorkerStats;
-use owlpar_datalog::analysis::JoinMask;
-use owlpar_datalog::{Reasoner, Rule};
+use owlpar_datalog::analysis::{ConsumerIndex, JoinMask};
+use owlpar_datalog::{Atom, Reasoner};
 use owlpar_obs::{Metric, Phase, Track, NO_ROUND};
 use owlpar_partition::data::Destinations;
-use owlpar_partition::RulePartitions;
 use owlpar_rdf::fx::FxHashMap;
 use owlpar_rdf::{NodeId, Triple};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How a worker decides where a freshly derived triple must travel.
+/// How a worker decides where a freshly derived triple must travel: one
+/// table per run, shared by every worker (and priced by the plan
+/// analyzer, `crate::plan`).
 pub enum Routing {
     /// Data partitioning: a derived triple travels to the owners of its
     /// join positions (the partition table of Algorithm 1 read through
@@ -67,17 +68,16 @@ pub enum Routing {
     /// where it was derived until the final merge.
     Data {
         /// The partition table.
-        owner: Arc<FxHashMap<NodeId, u32>>,
+        owner: FxHashMap<NodeId, u32>,
         /// The join positions of the effective rule-base.
-        mask: Arc<JoinMask>,
+        mask: JoinMask,
     },
     /// Rule partitioning: a derived triple travels to every partition
     /// holding a rule whose body might consume it.
     Rule {
-        /// The rule-base split of Algorithm 2.
-        partitions: Arc<RulePartitions>,
-        /// The complete rule-base (for body matching).
-        all_rules: Arc<Vec<Rule>>,
+        /// The rule-base split of Algorithm 2, indexed by what its bodies
+        /// can match.
+        consumers: ConsumerIndex,
     },
 }
 
@@ -86,17 +86,15 @@ impl Routing {
     /// worker loops — the `owlpar-net` cluster runtime — route exactly
     /// like the in-process loop).
     pub fn destinations(&self, t: &Triple, me: u32, out: &mut Vec<u32>) {
-        out.clear();
         match self {
             Routing::Data { owner, mask } => {
+                out.clear();
                 let to = Destinations::joining(mask, t, |n| owner.get(&n).copied());
                 out.extend(to.iter().filter(|&d| d != me));
             }
-            Routing::Rule {
-                partitions,
-                all_rules,
-            } => {
-                out.extend(partitions.consumers(all_rules, t, me));
+            Routing::Rule { consumers } => {
+                consumers.consumers(&Atom::ground(t), out);
+                out.retain(|&d| d != me);
             }
         }
     }
@@ -142,8 +140,8 @@ pub struct WorkerCtx {
     /// The wrapped serial reasoner (complete rule-base for data
     /// partitioning; this partition's subset for rule partitioning).
     pub reasoner: Reasoner,
-    /// Triple routing policy.
-    pub routing: Routing,
+    /// The run's triple routing, shared by every worker.
+    pub routing: Arc<Routing>,
 }
 
 /// Run the worker to quiescence, exchanging over `comm` and closing each
@@ -378,6 +376,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
     use owlpar_datalog::ast::build::*;
+    use owlpar_datalog::Rule;
 
     fn t(s: u32, p: u32, o: u32) -> Triple {
         Triple::new(NodeId(s), NodeId(p), NodeId(o))
@@ -385,8 +384,8 @@ mod tests {
 
     fn data_routing(owners: &[(u32, u32)], mask: JoinMask) -> Routing {
         Routing::Data {
-            owner: Arc::new(owners.iter().map(|&(n, w)| (NodeId(n), w)).collect()),
-            mask: Arc::new(mask),
+            owner: owners.iter().map(|&(n, w)| (NodeId(n), w)).collect(),
+            mask,
         }
     }
 
@@ -456,16 +455,17 @@ mod tests {
         ];
         let parts =
             owlpar_partition::partition_rules(&rules, 2, None, &PartitionOptions::default());
-        let all = Arc::new(rules);
         let routing = Routing::Rule {
-            partitions: Arc::new(parts.clone()),
-            all_rules: Arc::clone(&all),
+            consumers: ConsumerIndex::of(&rules, &parts.assignment, parts.k),
         };
         let mut out = Vec::new();
         // a predicate-20 triple interests the partition holding rule q2r
         let q_home = parts.assignment[1];
         routing.destinations(&t(5, 20, 6), 1 - q_home, &mut out);
         assert_eq!(out, vec![q_home]);
+        // ... and nobody else once it is already there
+        routing.destinations(&t(5, 20, 6), q_home, &mut out);
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]

@@ -138,10 +138,10 @@ fn chain_ctx() -> WorkerCtx {
         k: 3,
         schema: Arc::new(vec![t(P, 9, P)]),
         base: vec![t(0, P, 1), t(1, P, 2)],
-        routing: Routing::Data {
-            owner: Arc::new(owner),
-            mask: Arc::new(JoinMask::of(std::slice::from_ref(&trans))),
-        },
+        routing: Arc::new(Routing::Data {
+            owner,
+            mask: JoinMask::of(std::slice::from_ref(&trans)),
+        }),
         reasoner: Reasoner::forward(vec![trans]),
     }
 }

@@ -14,9 +14,11 @@
 //!    an estimate of how many triples `r1` will produce, taken from the
 //!    dataset's predicate histogram.
 //!
-//! A third is the routing question data partitioning asks of every
-//! triple — *where must it be?* — answered once for the whole rule-base:
-//! [`JoinMask`], the positions each predicate's triples are joined on.
+//! The routing question each partitioning asks of every triple — *where
+//! must it be?* — is answered once for the whole rule-base: for data
+//! partitioning by [`JoinMask`], the positions each predicate's triples
+//! are joined on; for rule partitioning by [`ConsumerIndex`], the
+//! partitions whose rule bodies can match it.
 
 use crate::ast::{Atom, Rule, TermPat};
 use owlpar_rdf::fx::FxHashMap;
@@ -210,6 +212,114 @@ impl JoinMask {
             out.extend(vars.into_iter().map(|v| (r, v)));
         }
         out
+    }
+}
+
+/// The body atoms of a partitioned rule-base, indexed by what they can
+/// match: the answer to rule partitioning's routing question, "which
+/// partitions hold a rule this can trigger?" (Algorithm 3 matches a new
+/// triple "with all the rules of other partitions"), compiled once.
+///
+/// [`ConsumerIndex::consumers`] names every partition holding a body
+/// atom that [`Atom::may_unify`]s with the atom asked. Asked with a
+/// derived triple as a ground atom ([`Atom::ground`]), that is the
+/// paper's per-triple test; asked with a rule's head, it is the
+/// partitions of the rule's dependency-graph successors.
+///
+/// Body atoms are bucketed by constant predicate and object, so an
+/// `rdf:type` triple meets only the atoms of its own class and the
+/// class-generic ones; atoms with a variable predicate are kept aside
+/// and tested one by one, as [`JoinMask`] keeps them in `every`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ConsumerIndex {
+    k: usize,
+    assignment: Vec<u32>,
+    /// The constant-predicate body atoms, per `(predicate, object)`.
+    by_predicate: FxHashMap<(NodeId, Option<NodeId>), Bucket>,
+    /// The variable-predicate body atoms, with their partition.
+    any_predicate: Vec<(Atom, u32)>,
+}
+
+/// `(subject, partition)` of the body atoms in one bucket of a
+/// [`ConsumerIndex`]; `None` stands for a variable, as in its keys.
+type Bucket = Vec<(Option<NodeId>, u32)>;
+
+impl ConsumerIndex {
+    /// Index the body atoms of `rules` under `assignment` (partition id
+    /// per rule index) for `k` partitions.
+    pub fn of(rules: &[Rule], assignment: &[u32], k: usize) -> ConsumerIndex {
+        let mut index = ConsumerIndex {
+            k,
+            assignment: assignment.to_vec(),
+            ..ConsumerIndex::default()
+        };
+        for (rule, &part) in rules.iter().zip(assignment) {
+            for atom in &rule.body {
+                match atom.p {
+                    TermPat::Const(p) => index
+                        .by_predicate
+                        .entry((p, atom.o.as_const()))
+                        .or_default()
+                        .push((atom.s.as_const(), part)),
+                    TermPat::Var(_) => index.any_predicate.push((*atom, part)),
+                }
+            }
+        }
+        for bucket in index.by_predicate.values_mut() {
+            bucket.sort_unstable();
+            bucket.dedup();
+        }
+        index
+    }
+
+    /// Number of partitions.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Partition id per rule index.
+    pub fn assignment(&self) -> &[u32] {
+        &self.assignment
+    }
+
+    /// Every partition holding a body atom that may unify with `atom`,
+    /// ascending and without repeats, into `out` (cleared first).
+    pub fn consumers(&self, atom: &Atom, out: &mut Vec<u32>) {
+        out.clear();
+        let mut take = |bucket: &Bucket| {
+            let fitting = bucket.iter().filter(|&&(s, _)| fits(atom.s, s));
+            out.extend(fitting.map(|&(_, part)| part));
+        };
+        match (atom.p, atom.o) {
+            // A constant object meets two buckets: its own and the open one.
+            (TermPat::Const(p), TermPat::Const(o)) => {
+                for key in [(p, None), (p, Some(o))] {
+                    if let Some(bucket) = self.by_predicate.get(&key) {
+                        take(bucket);
+                    }
+                }
+            }
+            _ => {
+                for (&(p, o), bucket) in &self.by_predicate {
+                    if fits(atom.p, Some(p)) && fits(atom.o, o) {
+                        take(bucket);
+                    }
+                }
+            }
+        }
+        let open = self.any_predicate.iter().filter(|(a, _)| a.may_unify(atom));
+        out.extend(open.map(|&(_, part)| part));
+        out.sort_unstable();
+        out.dedup();
+    }
+}
+
+/// Can pattern `tp` stand where a body atom holds `held` (`None`: a
+/// variable)? Only two different constants cannot.
+fn fits(tp: TermPat, held: Option<NodeId>) -> bool {
+    match (tp, held) {
+        (TermPat::Const(a), Some(b)) => a == b,
+        _ => true,
     }
 }
 
@@ -584,6 +694,7 @@ mod tests {
     mod random_rules {
         use super::*;
         use crate::ast::Atom;
+        use owlpar_rdf::Triple;
         use proptest::prelude::*;
 
         fn term_strategy() -> impl Strategy<Value = TermPat> {
@@ -636,6 +747,73 @@ mod tests {
                         );
                     }
                     _ => prop_assert_eq!(class, JoinClass::MultiJoin),
+                }
+            }
+        }
+
+        /// The `rdf:type` of the consumer-index cases: besides the generic
+        /// atoms over predicate 5, rules hold its class atoms (10–12).
+        const TYPE: u32 = 5;
+
+        fn body_atom_strategy() -> impl Strategy<Value = Atom> {
+            let class_atom = (term_strategy(), 10u32..13).prop_map(|(s, o)| {
+                Atom::new(s, TermPat::Const(NodeId(TYPE)), TermPat::Const(NodeId(o)))
+            });
+            prop_oneof![atom_strategy(), class_atom]
+        }
+
+        /// The per-triple scan the index replaces: every partition with a
+        /// rule whose body has an atom whose constants agree with `t`
+        /// position by position.
+        fn scan(rules: &[Rule], assignment: &[u32], k: u32, t: &Triple) -> Vec<u32> {
+            let could_match = |atom: &Atom| {
+                atom.positions()
+                    .into_iter()
+                    .zip(t.as_array())
+                    .all(|(pat, val)| pat.as_const().is_none_or(|c| c == val))
+            };
+            let holds = |p: u32, r: &Rule, a: u32| a == p && r.body.iter().any(could_match);
+            (0..k)
+                .filter(|&p| rules.iter().zip(assignment).any(|(r, &a)| holds(p, r, a)))
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn consumer_index_is_the_body_scan_and_the_dependency_graph(
+                rules in prop::collection::vec(
+                    (body_atom_strategy(), prop::collection::vec(body_atom_strategy(), 1..4)),
+                    0..8,
+                ),
+                raw in prop::collection::vec(0u32..1000, 8..9),
+                k in 1u32..6,
+                triples in prop::collection::vec((1u32..13, 1u32..7, 1u32..13), 32..33),
+            ) {
+                let rules: Vec<Rule> = rules
+                    .into_iter()
+                    .map(|(head, body)| Rule { name: "rand".into(), head, body, var_count: 4 })
+                    .collect();
+                let assignment: Vec<u32> =
+                    raw.iter().take(rules.len()).map(|&a| a % k).collect();
+                let index = ConsumerIndex::of(&rules, &assignment, k as usize);
+                prop_assert_eq!(index.k(), k as usize);
+                prop_assert_eq!(index.assignment(), &assignment[..]);
+                let mut got = Vec::new();
+                for (s, p, o) in triples {
+                    let t = Triple::new(NodeId(s), NodeId(p), NodeId(o));
+                    index.consumers(&Atom::ground(&t), &mut got);
+                    prop_assert_eq!(&got, &scan(&rules, &assignment, k, &t));
+                }
+                let dep = dependency_graph(&rules);
+                for (i, rule) in rules.iter().enumerate() {
+                    let mut want: Vec<u32> =
+                        dep.edges[i].iter().map(|&(j, _)| assignment[j]).collect();
+                    want.sort_unstable();
+                    want.dedup();
+                    index.consumers(&rule.head, &mut got);
+                    prop_assert_eq!(&got, &want);
                 }
             }
         }

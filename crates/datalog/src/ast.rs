@@ -180,17 +180,13 @@ impl Atom {
         ))
     }
 
-    /// Can this atom possibly match triple `t` ignoring variable
-    /// consistency (i.e. constants agree positionally)? Used by the rule
-    /// partitioner's triple-routing test.
-    pub fn could_match(&self, t: &Triple) -> bool {
-        self.positions()
-            .into_iter()
-            .zip(t.as_array())
-            .all(|(pat, val)| match pat {
-                TermPat::Const(c) => c == val,
-                TermPat::Var(_) => true,
-            })
+    /// The ground atom of triple `t`: a constant at every position.
+    pub fn ground(t: &Triple) -> Self {
+        Atom::new(
+            TermPat::Const(t.s),
+            TermPat::Const(t.p),
+            TermPat::Const(t.o),
+        )
     }
 
     /// Do two atoms potentially unify (var matches anything, constants must
@@ -402,14 +398,6 @@ mod tests {
         assert_eq!(p.s, Some(nid(3)));
         assert_eq!(p.p, Some(nid(5)));
         assert_eq!(p.o, None);
-    }
-
-    #[test]
-    fn could_match_ignores_var_consistency() {
-        let a = atom(v(0), c(nid(5)), v(0));
-        // var consistency (s == o) is NOT checked by could_match
-        assert!(a.could_match(&Triple::new(nid(1), nid(5), nid(2))));
-        assert!(!a.could_match(&Triple::new(nid(1), nid(6), nid(2))));
     }
 
     #[test]

@@ -32,8 +32,10 @@
 //!   different owners, or the caller's overall share where none was
 //!   measured;
 //! * *rule routing* is exact statically: a triple produced by rule `r`
-//!   ships to every partition holding a consumer of `r`'s head (from
-//!   the weighted dependency graph), excluding `r`'s own;
+//!   ships to every partition holding a consumer of `r`'s head,
+//!   excluding `r`'s own — the partitions the rule-base's
+//!   [`ConsumerIndex`] (the same index the runtime routes by) names for
+//!   `r`'s head;
 //! * workers exchange peer to peer over one TCP mesh, so round bytes
 //!   charge each exchanged triple **once** (one hop), plus the
 //!   end-of-round marker every worker sends every peer: `k·(k−1)`
@@ -42,7 +44,9 @@
 use crate::{
     checks, Diagnostic, LintCode, LintOptions, LintReport, PartitionContext, Severity,
 };
-use owlpar_datalog::analysis::{classify, sccs, weighted_dependency_graph, JoinClass, JoinMask};
+use owlpar_datalog::analysis::{
+    classify, sccs, weighted_dependency_graph, ConsumerIndex, JoinClass, JoinMask,
+};
 use owlpar_datalog::ast::TermPat;
 use owlpar_datalog::Rule;
 use owlpar_obs::json::{obj, Value};
@@ -88,7 +92,8 @@ pub enum RouteModel {
         cross_fraction: f64,
     },
     /// Rule partitioning: a triple produced by rule `r` ships to every
-    /// partition holding a consumer of `r`'s head.
+    /// partition holding a consumer of `r`'s head ([`ConsumerIndex::of`]
+    /// the analyzed rules under this assignment).
     Rule {
         /// Partition id per rule index.
         assignment: Vec<u32>,
@@ -470,7 +475,7 @@ pub fn analyze_plan(rules: &[Rule], opts: &LintOptions, inputs: &PlanInputs) -> 
             .collect(),
     };
 
-    // Dependency structure: consumers, SCCs, condensation depth.
+    // Dependency structure: SCCs, condensation depth.
     let dep = weighted_dependency_graph(rules, hist, 1);
     let comp = sccs(&dep);
     let ncomp = comp.iter().copied().max().map_or(0, |m| m + 1);
@@ -569,6 +574,13 @@ pub fn analyze_plan(rules: &[Rule], opts: &LintOptions, inputs: &PlanInputs) -> 
     };
 
     // --- per-rule cross-partition traffic ---------------------------
+    // Rule routing is priced by the index the runtime routes by: a rule's
+    // head, asked as a pattern, names the partitions of its consumers.
+    let consumers = match &inputs.route {
+        RouteModel::Rule { assignment } => ConsumerIndex::of(rules, assignment, k),
+        RouteModel::Data { .. } => ConsumerIndex::default(),
+    };
+    let mut parts = Vec::new();
     let mut rule_traffic = Vec::with_capacity(rules.len());
     let mut total_exchange = 0.0f64;
     for (r, rule) in rules.iter().enumerate() {
@@ -580,14 +592,8 @@ pub fn analyze_plan(rules: &[Rule], opts: &LintOptions, inputs: &PlanInputs) -> 
             } => data_remote_dests(rule, &mask, crossing, *cross_fraction),
             RouteModel::Rule { assignment } => {
                 let me = assignment.get(r).copied().unwrap_or(0);
-                let mut parts: Vec<u32> = dep.edges[r]
-                    .iter()
-                    .filter_map(|&(j, _)| assignment.get(j).copied())
-                    .filter(|&p| p != me)
-                    .collect();
-                parts.sort_unstable();
-                parts.dedup();
-                parts.len() as f64
+                consumers.consumers(&rule.head, &mut parts);
+                parts.iter().filter(|&&p| p != me).count() as f64
             }
         };
         let exchange = w * remote * inputs.exchange_discount.clamp(f64::EPSILON, 1.0);

@@ -49,11 +49,10 @@ use owlpar_core::{
     prepare_run, read_crc_frame, write_crc_frame, Backoff, CommError, FaultKind,
     ParallelConfig, RunReport, WorkerError,
 };
-use owlpar_datalog::analysis::JoinMask;
+use owlpar_datalog::analysis::{ConsumerIndex, JoinMask};
 use owlpar_datalog::{Reasoner, Rule};
 use owlpar_obs::json::obj;
 use owlpar_obs::{wire as obs_wire, Metric, Phase, Recorder, Track, NO_ROUND};
-use owlpar_partition::RulePartitions;
 use owlpar_rdf::fx::FxHashMap;
 use owlpar_rdf::vocab::RDF_TYPE;
 use owlpar_rdf::{Graph, Term, Triple};
@@ -582,6 +581,7 @@ pub fn run_cluster_master(
         peers.push((id as u32, mesh));
     }
     let mut bases = std::mem::take(&mut plan.bases);
+    let routing = WireRouting::from(&*plan.routing);
     for (id, stream) in streams.iter_mut().enumerate() {
         let setup = Setup {
             round_timeout_ms: cfg.round_timeout.as_millis() as u64,
@@ -593,7 +593,7 @@ pub fn run_cluster_master(
             base: std::mem::take(&mut bases[id]),
             all_rules: plan.all_rules.clone(),
             my_rules: plan.rules_per_worker[id].clone(),
-            routing: WireRouting::from(&plan.routing[id]),
+            routing: routing.clone(),
         };
         let triples = setup.schema.len() + setup.base.len();
         let body = encode_master_msg(&MasterMsg::Setup(Box::new(setup)));
@@ -784,18 +784,9 @@ pub fn run_cluster_master(
 // worker
 // ---------------------------------------------------------------------
 
-/// Rule indices per partition, recovered from the shipped assignment.
-fn parts_from_assignment(k: usize, assignment: &[u32]) -> Vec<Vec<usize>> {
-    let mut parts = vec![Vec::new(); k];
-    for (i, &p) in assignment.iter().enumerate() {
-        parts[p as usize].push(i);
-    }
-    parts
-}
-
 /// Rebuild the in-process routing table from its wire image, validating
 /// every destination it could ever produce against the cluster size.
-fn rebuild_routing(w: WireRouting, k: u32, all_rules: &Arc<Vec<Rule>>) -> Result<Routing, NetError> {
+fn rebuild_routing(w: WireRouting, k: u32, all_rules: &[Rule]) -> Result<Routing, NetError> {
     match w {
         WireRouting::Data { owner } => {
             let mut map = FxHashMap::default();
@@ -810,8 +801,8 @@ fn rebuild_routing(w: WireRouting, k: u32, all_rules: &Arc<Vec<Rule>>) -> Result
             // The mask is not shipped: it is a function of the rule-base,
             // which is.
             Ok(Routing::Data {
-                owner: Arc::new(map),
-                mask: Arc::new(JoinMask::of(all_rules)),
+                owner: map,
+                mask: JoinMask::of(all_rules),
             })
         }
         WireRouting::Rule { k: parts, assignment } => {
@@ -827,16 +818,10 @@ fn rebuild_routing(w: WireRouting, k: u32, all_rules: &Arc<Vec<Rule>>) -> Result
                     all_rules.len()
                 )));
             }
-            let rebuilt = RulePartitions {
-                k: parts as usize,
-                parts: parts_from_assignment(parts as usize, &assignment),
-                assignment,
-                edge_cut: 0,
-                partition_time: Duration::ZERO,
-            };
+            // The index is not shipped either: it is a function of the
+            // rule-base and the assignment.
             Ok(Routing::Rule {
-                partitions: Arc::new(rebuilt),
-                all_rules: Arc::clone(all_rules),
+                consumers: ConsumerIndex::of(all_rules, &assignment, k as usize),
             })
         }
     }
@@ -1043,11 +1028,10 @@ pub fn run_cluster_worker(
     drop(mesh_listener);
 
     // --- rounds: the one loop, peer to peer, voted at the master --------
-    let all_rules = Arc::new(setup.all_rules);
     let ctx = WorkerCtx {
         id: me,
         k: k as usize,
-        routing: rebuild_routing(setup.routing, k, &all_rules)?,
+        routing: Arc::new(rebuild_routing(setup.routing, k, &setup.all_rules)?),
         reasoner: Reasoner::new(setup.my_rules, setup.materialization),
         schema: Arc::new(setup.schema),
         base: setup.base,

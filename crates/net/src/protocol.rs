@@ -216,9 +216,9 @@ impl From<&Routing> for WireRouting {
             Routing::Data { owner, .. } => WireRouting::Data {
                 owner: owner.iter().map(|(&n, &w)| (n, w)).collect(),
             },
-            Routing::Rule { partitions, .. } => WireRouting::Rule {
-                k: partitions.k as u32,
-                assignment: partitions.assignment.clone(),
+            Routing::Rule { consumers } => WireRouting::Rule {
+                k: consumers.k() as u32,
+                assignment: consumers.assignment().to_vec(),
             },
         }
     }

@@ -244,7 +244,7 @@ fn setup_for(
         base: plan.bases[id].clone(),
         all_rules: plan.all_rules.clone(),
         my_rules: plan.rules_per_worker[id].clone(),
-        routing: WireRouting::from(&plan.routing[id]),
+        routing: WireRouting::from(&*plan.routing),
     }
 }
 
@@ -994,5 +994,49 @@ fn cli_refuses_unknown_and_valueless_flags() {
         let stderr = String::from_utf8_lossy(&run.stderr);
         assert_eq!(run.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(stderr.contains(why), "{args:?}: {stderr}");
+    }
+}
+
+/// The `--wire-stats` documents of rule-partitioned cluster runs on
+/// UOBM `mini(2)`, recorded from the per-body-scan routing that
+/// `ConsumerIndex` replaced. At k = 2 Algorithm 2's cut separates no
+/// producer from a consumer, so only the k = 4 run moves round triples.
+const PINNED_RULE_WIRE: [(usize, &str); 2] = [
+    (
+        2,
+        r#"{"control_bytes":178,"final_bytes":805,"final_frames":2,"final_triples":171,"per_round":[{"bytes":26,"round":0,"triples":0}],"rounds_bytes":26,"rounds_frames":2,"rounds_triples":0,"setup_bytes":7398,"setup_frames":2,"setup_triples":578,"total_bytes":8407}"#,
+    ),
+    (
+        4,
+        r#"{"control_bytes":496,"final_bytes":1303,"final_frames":4,"final_triples":197,"per_round":[{"bytes":194,"round":0,"triples":8},{"bytes":156,"round":1,"triples":0}],"rounds_bytes":350,"rounds_frames":25,"rounds_triples":8,"setup_bytes":14886,"setup_frames":4,"setup_triples":1156,"total_bytes":17035}"#,
+    ),
+];
+
+/// A rule-partitioned cluster run routes each derived triple to the
+/// partitions whose rule bodies can match it. Routing the same triples
+/// to the same partitions moves the same bytes: the wire ledger is
+/// pinned byte for byte, and the k = 4 run must move round triples for
+/// the pin to say anything about routing.
+#[test]
+fn rule_partitioned_wire_stats_are_pinned() {
+    let g0 = generate_uobm(&UobmConfig::mini(2));
+    let (want_fp, want_len) = serial_closure(g0.clone());
+    for (k, want) in PINNED_RULE_WIRE {
+        let cfg = forward_cfg(k, PartitioningStrategy::rule());
+        let (report, g, workers) = run_cluster(&g0, &cfg);
+        let wire = report.expect("rule run").wire.expect("wire stats");
+        for w in workers {
+            w.expect("worker");
+        }
+        assert_eq!(
+            (g.term_fingerprint(), g.len()),
+            (want_fp, want_len),
+            "k={k}"
+        );
+        assert!(
+            k < 4 || wire.rounds.triples > 0,
+            "k={k}: rounds moved no triple"
+        );
+        assert_eq!(wire.to_json().to_string(), want, "k={k}");
     }
 }

@@ -16,13 +16,15 @@
 //!
 //! At run time (Algorithm 3, rule-partitioning flavor) every newly derived
 //! triple is matched against the body atoms of the *other* partitions'
-//! rules to decide where to send it — [`RulePartitions::consumers`].
+//! rules to decide where to send it. That match is compiled once from
+//! the assignment made here, as `owlpar_datalog::analysis::ConsumerIndex`,
+//! which the runtime routes by and the plan analyzer prices with.
 
 use crate::multilevel::{partition_kway, CsrGraph, PartitionOptions};
 use owlpar_datalog::analysis::weighted_dependency_graph;
 use owlpar_datalog::Rule;
 use owlpar_rdf::fx::FxHashMap;
-use owlpar_rdf::{NodeId, Triple};
+use owlpar_rdf::NodeId;
 use std::time::{Duration, Instant};
 
 /// Result of Algorithm 2.
@@ -44,21 +46,6 @@ impl RulePartitions {
     /// Materialize partition `p`'s rule subset.
     pub fn rules_for<'r>(&self, rules: &'r [Rule], p: usize) -> Vec<&'r Rule> {
         self.parts[p].iter().map(|&i| &rules[i]).collect()
-    }
-
-    /// Which partitions (other than `from`) have a rule whose body might
-    /// consume `t`? This is the paper's triple-routing test: "we match the
-    /// newly generated [tuple] with all the rules of other partitions to
-    /// determine if it can trigger any of them."
-    pub fn consumers(&self, rules: &[Rule], t: &Triple, from: u32) -> Vec<u32> {
-        (0..self.k as u32)
-            .filter(|&p| {
-                p != from
-                    && self.parts[p as usize]
-                        .iter()
-                        .any(|&ri| rules[ri].body.iter().any(|atom| atom.could_match(t)))
-            })
-            .collect()
     }
 }
 
@@ -182,27 +169,6 @@ mod tests {
             seen += rp.rules_for(&rules, p).len();
         }
         assert_eq!(seen, rules.len());
-    }
-
-    #[test]
-    fn consumers_route_by_body_match() {
-        let rules = two_families();
-        let rp = partition_rules(&rules, 2, None, &PartitionOptions::default());
-        // a predicate-2 triple is consumed by rule "bc" (body pred 2)
-        let t2 = Triple::new(nid(100), nid(2), nid(101));
-        let home = rp.assignment[1]; // partition holding "bc"
-        let other = 1 - home;
-        assert_eq!(rp.consumers(&rules, &t2, other), vec![home]);
-        // ... and by nobody else once we're already on `home`
-        assert!(rp.consumers(&rules, &t2, home).is_empty());
-    }
-
-    #[test]
-    fn consumers_exclude_origin() {
-        let rules = vec![trans("t", 5)];
-        let rp = partition_rules(&rules, 1, None, &PartitionOptions::default());
-        let t5 = Triple::new(nid(1), nid(5), nid(2));
-        assert!(rp.consumers(&rules, &t5, 0).is_empty());
     }
 
     #[test]

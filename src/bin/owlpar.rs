@@ -272,11 +272,7 @@ fn lint_cmd(args: &[String]) -> Result<(), CliError> {
 fn plan_cmd(args: &[String]) -> Result<(), CliError> {
     let positionals = positionals(args, &["--strategy", "--k"], &["--json"])?;
     let json = args.iter().any(|a| a == "--json");
-    let k: usize = flag_value(args, "--k")
-        .map_or(Ok(4), |v| v.parse().map_err(|_| "--k".to_string()))?;
-    if k == 0 {
-        return Err("--k must be >= 1".into());
-    }
+    let k = partition_count(args)?;
     let candidates = match PartitioningStrategy::from_name(
         flag_value(args, "--strategy").as_deref().unwrap_or("auto"),
     )? {
@@ -401,11 +397,19 @@ fn query(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `--k` of `plan` and `partition`: a partition count, 4 by default.
+fn partition_count(args: &[String]) -> Result<usize, String> {
+    match flag_value(args, "--k").map_or(Ok(4), |v| v.parse().map_err(|_| "--k".to_string()))? {
+        0 => Err("--k must be >= 1".into()),
+        k => Ok(k),
+    }
+}
+
 fn partition_info(args: &[String]) -> Result<(), String> {
     let [input, ..] = positionals(args, &["--k"], &[])?[..] else {
         return Err("partition needs <in.nt>".into());
     };
-    let k: usize = flag_value(args, "--k").map_or(Ok(4), |v| v.parse().map_err(|_| "--k"))?;
+    let k = partition_count(args)?;
     let mut g = load_graph(input)?;
     let hr = HorstReasoner::from_graph(&mut g, MaterializationStrategy::ForwardSemiNaive);
     let rdf_type = g.dict.id(&Term::iri(RDF_TYPE));

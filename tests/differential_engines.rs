@@ -2,7 +2,9 @@
 //! single-join rule sets and random data — forward semi-naive is the
 //! oracle; both backward engines must agree with it. The same rule sets
 //! also drive data-partitioned runs, whose placement and routing follow
-//! the rule-base's join positions: they must close to the serial closure.
+//! the rule-base's join positions, and rule-partitioned runs, which route
+//! by the partitions whose bodies can match a triple: both must close to
+//! the serial closure.
 
 // Tests assert on infallible setup; unwrap/expect failures are test failures.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -114,6 +116,34 @@ fn as_graph(rules: &[Rule], data: &[Triple], nodes: u32, preds: u32) -> (Graph, 
     (g, rules)
 }
 
+/// The serial closure of `g0` under its compiled rules plus `rules`.
+fn serial_closure(g0: &Graph, rules: &[Rule]) -> Vec<Triple> {
+    let mut serial = g0.clone();
+    let hr = HorstReasoner::from_graph(&mut serial, MaterializationStrategy::ForwardSemiNaive);
+    let all: Vec<Rule> = hr.rules().iter().chain(rules).cloned().collect();
+    Reasoner::new(all, MaterializationStrategy::ForwardSemiNaive).materialize(&mut serial.store);
+    serial.store.iter_sorted()
+}
+
+/// The closure of `g0` plus `rules` as a `k`-worker `strategy` run.
+fn parallel_closure(
+    g0: &Graph,
+    rules: &[Rule],
+    strategy: &PartitioningStrategy,
+    k: usize,
+) -> Vec<Triple> {
+    let cfg = ParallelConfig {
+        k,
+        strategy: strategy.clone(),
+        ..ParallelConfig::default()
+    }
+    .forward()
+    .with_extra_rules(rules.to_vec());
+    let mut g = g0.clone();
+    run_parallel(&mut g, &cfg).unwrap();
+    g.store.iter_sorted()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -126,20 +156,37 @@ proptest! {
         data in data_strategy(12, 3, 30),
     ) {
         let (g0, rules) = as_graph(&rules, &data, 12, 3);
-        let mut serial = g0.clone();
-        let hr = HorstReasoner::from_graph(&mut serial, MaterializationStrategy::ForwardSemiNaive);
-        let all: Vec<Rule> = hr.rules().iter().chain(&rules).cloned().collect();
-        Reasoner::new(all, MaterializationStrategy::ForwardSemiNaive).materialize(&mut serial.store);
+        let serial = serial_closure(&g0, &rules);
         for strategy in [PartitioningStrategy::data_graph(), PartitioningStrategy::data_hash()] {
             for k in [2, 4] {
-                let cfg = ParallelConfig { k, strategy: strategy.clone(), ..ParallelConfig::default() }
-                    .forward()
-                    .with_extra_rules(rules.clone());
-                let mut g = g0.clone();
-                run_parallel(&mut g, &cfg).unwrap();
                 prop_assert_eq!(
-                    g.store.iter_sorted(),
-                    serial.store.iter_sorted(),
+                    parallel_closure(&g0, &rules, &strategy, k),
+                    serial,
+                    "k={} {:?}",
+                    k,
+                    strategy
+                );
+            }
+        }
+    }
+
+    /// Rule partitioning routes a derived triple to every partition
+    /// whose rule bodies can match it (the consumer index); weighted and
+    /// unweighted, at k ∈ {2, 4}, the partitioned closure equals the
+    /// serial one.
+    #[test]
+    fn rule_partitioning_equals_serial(
+        rules in prop::collection::vec(rule_strategy(3), 1..5),
+        data in data_strategy(12, 3, 30),
+    ) {
+        let (g0, rules) = as_graph(&rules, &data, 12, 3);
+        let serial = serial_closure(&g0, &rules);
+        for weighted in [false, true] {
+            let strategy = PartitioningStrategy::Rule { weighted };
+            for k in [2, 4] {
+                prop_assert_eq!(
+                    parallel_closure(&g0, &rules, &strategy, k),
+                    serial,
                     "k={} {:?}",
                     k,
                     strategy

@@ -252,6 +252,24 @@ fn partition_hash_row_is_the_partition_a_hash_run_builds() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--k 0` is a usage error for `partition` as for `plan`: exit 1 naming
+/// the flag, not a panic inside the partitioner.
+#[test]
+fn partition_and_plan_refuse_zero_partitions_as_a_usage_error() {
+    let (dir, kb) = lubm_kb("k-zero", "1");
+    for cmd in ["partition", "plan"] {
+        let out = owlpar_bin()
+            .args([cmd, kb.to_str().unwrap(), "--k", "0"])
+            .output()
+            .expect("owlpar runs");
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--k must be >= 1"), "{cmd}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{cmd}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A flag `owlpar materialize`'s usage line does not name, or one
 /// missing its value, is refused with exit 1 and an error naming the
 /// flag — not dropped while the run goes ahead with defaults.
