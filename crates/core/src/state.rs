@@ -78,8 +78,8 @@ impl WorkerState {
     pub fn close(&mut self) -> Vec<Triple> {
         let derived = match self.budget {
             Some(threads) => {
-                // The store gives its base up for the closure, so each
-                // round's merge can free the base it replaces.
+                // The store gives its base up for the closure, so the
+                // closure's one merge can free the base it replaces.
                 let base = Arc::clone(std::mem::take(&mut self.store).base());
                 let (closed, derived) = closure_within(base, &self.reasoner.rules, threads);
                 self.store.adopt(closed);

@@ -47,7 +47,7 @@ pub fn naive_closure(store: &mut TripleStore, rules: &[Rule]) -> usize {
     loop {
         let mut new: Vec<Triple> = Vec::new();
         for rule in rules {
-            apply_rule_delta(store, store, rule, &mut |t| new.push(t));
+            apply_rule_delta(store, store, rule, rule.body.len(), &mut |t| new.push(t));
         }
         let mut added = 0;
         for t in new {
@@ -68,7 +68,8 @@ fn run_rounds(store: &mut TripleStore, rules: &[Rule], seed: Vec<Triple>) -> Vec
     while !delta_store.is_empty() {
         let mut candidates: Vec<Triple> = Vec::new();
         for rule in rules {
-            apply_rule_delta(store, &delta_store, rule, &mut |t| candidates.push(t));
+            let pivots = rule.body.len();
+            apply_rule_delta(store, &delta_store, rule, pivots, &mut |t| candidates.push(t));
         }
         // On transitive-heavy workloads most candidates are duplicates;
         // deduping here saves a 4-index hash probe per duplicate.
@@ -91,6 +92,12 @@ fn run_rounds(store: &mut TripleStore, rules: &[Rule], seed: Vec<Triple>) -> Vec
 /// instantiations are handed to `emit` (duplicates possible; the caller
 /// dedupes).
 ///
+/// Each of the first `pivots` body atoms takes its turn as the atom
+/// matched inside `delta`: all of them (`rule.body.len()`) in semi-naive
+/// evaluation. A `delta` that is the whole of `store` needs only the
+/// first: every instantiation has all its body atoms there, so `1` finds
+/// each once, where every atom as pivot would find it once per atom.
+///
 /// Generic over the store representation so the same join runs against a
 /// two-layer [`TripleStore`] or a frozen base (the parallel engine shares
 /// it across threads), and over the sink so that engine can drop a
@@ -99,6 +106,7 @@ pub(crate) fn apply_rule_delta<S, D>(
     store: &S,
     delta: &D,
     rule: &Rule,
+    pivots: usize,
     emit: &mut impl FnMut(Triple),
 ) where
     S: TripleSource + ?Sized,
@@ -106,7 +114,7 @@ pub(crate) fn apply_rule_delta<S, D>(
 {
     let mut bindings = rule.empty_bindings();
     let mut remaining: Vec<usize> = Vec::with_capacity(rule.body.len());
-    for pivot in 0..rule.body.len() {
+    for pivot in 0..pivots.min(rule.body.len()) {
         let atom = &rule.body[pivot];
         let pat = atom.to_pattern(&bindings);
         // `join_remaining` restores `remaining` to the same set on return,

@@ -8,7 +8,7 @@
 //! split.
 
 use owlpar_rdf::fx::{FxHashMap, FxHashSet};
-use owlpar_rdf::{vocab, Graph, NodeId, Triple};
+use owlpar_rdf::{vocab, Graph, NodeId, Triple, TriplePattern};
 
 /// Whether a triple belongs to the ontology (schema) or the data (instance).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,106 +132,110 @@ impl TBox {
         let fun_c = id_of(vocab::OWL_FUNCTIONAL);
         let ifun_c = id_of(vocab::OWL_INVERSE_FUNCTIONAL);
 
-        let mut sub_class_edges: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut sub_prop_edges: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut tbox = TBox {
+        // Each schema predicate's rows off the POS index, in the SPO order
+        // a scan of the whole store would meet them.
+        let rows = |p: Option<NodeId>, o: Option<NodeId>| {
+            let mut rows: Vec<(NodeId, NodeId)> = Vec::new();
+            if let Some(p) = p {
+                graph
+                    .store
+                    .for_each_match(TriplePattern::new(None, Some(p), o), |t| {
+                        rows.push((t.s, t.o));
+                    });
+            }
+            rows.sort_unstable();
+            rows
+        };
+        let rdf_type = v.rdf_type;
+        let members = |class: Option<NodeId>| -> Vec<NodeId> {
+            // no class, no rows: not every `rdf:type` row
+            let p = class.and(rdf_type);
+            rows(p, class).into_iter().map(|(s, _)| s).collect()
+        };
+        let both_ways = |p| rows(p, None).into_iter().flat_map(|(a, b)| [(a, b), (b, a)]);
+        let sub_class_edges: Vec<(NodeId, NodeId)> =
+            rows(sub_class, None).into_iter().chain(both_ways(eq_class)).collect();
+        let sub_prop_edges: Vec<(NodeId, NodeId)> =
+            rows(sub_prop, None).into_iter().chain(both_ways(eq_prop)).collect();
+        let tbox = TBox {
+            domain: rows(domain_p, None),
+            range: rows(range_p, None),
+            inverse_of: rows(inverse_p, None),
+            transitive: members(trans_c),
+            symmetric: members(sym_c),
+            functional: members(fun_c),
+            inverse_functional: members(ifun_c),
             vocab: v,
             ..TBox::default()
         };
         // Restrictions are assembled from their three constituent triples.
-        let mut restr_on_prop: FxHashMap<NodeId, NodeId> = FxHashMap::default();
-        let mut restr_some: FxHashMap<NodeId, NodeId> = FxHashMap::default();
-        let mut restr_value: FxHashMap<NodeId, NodeId> = FxHashMap::default();
+        let restrictions = [on_prop, some_values, has_value]
+            .map(|p| rows(p, None).into_iter().collect::<FxHashMap<_, _>>());
+        tbox.finish(&sub_class_edges, &sub_prop_edges, restrictions)
+    }
 
-        for t in graph.store.iter() {
-            let p = Some(t.p);
-            if p == sub_class {
-                sub_class_edges.push((t.s, t.o));
-            } else if p == eq_class {
-                sub_class_edges.push((t.s, t.o));
-                sub_class_edges.push((t.o, t.s));
-            } else if p == sub_prop {
-                sub_prop_edges.push((t.s, t.o));
-            } else if p == eq_prop {
-                sub_prop_edges.push((t.s, t.o));
-                sub_prop_edges.push((t.o, t.s));
-            } else if p == domain_p {
-                tbox.domain.push((t.s, t.o));
-            } else if p == range_p {
-                tbox.range.push((t.s, t.o));
-            } else if p == inverse_p {
-                tbox.inverse_of.push((t.s, t.o));
-            } else if p == on_prop {
-                restr_on_prop.insert(t.s, t.o);
-            } else if p == some_values {
-                restr_some.insert(t.s, t.o);
-            } else if p == has_value {
-                restr_value.insert(t.s, t.o);
-            } else if Some(t.p) == tbox.vocab.rdf_type {
-                if Some(t.o) == trans_c {
-                    tbox.transitive.push(t.s);
-                } else if Some(t.o) == sym_c {
-                    tbox.symmetric.push(t.s);
-                } else if Some(t.o) == fun_c {
-                    tbox.functional.push(t.s);
-                } else if Some(t.o) == ifun_c {
-                    tbox.inverse_functional.push(t.s);
-                }
-            }
-        }
-
+    /// Close the class and property hierarchies over their edges, assemble
+    /// the restrictions from their `onProperty`, `someValuesFrom` and
+    /// `hasValue` maps (restriction → object), and collect the classes and
+    /// properties every part mentions.
+    fn finish(
+        mut self,
+        sub_class_edges: &[(NodeId, NodeId)],
+        sub_prop_edges: &[(NodeId, NodeId)],
+        [restr_on_prop, restr_some, restr_value]: [FxHashMap<NodeId, NodeId>; 3],
+    ) -> TBox {
         for (r, prop) in &restr_on_prop {
             if let Some(&filler) = restr_some.get(r) {
-                tbox.some_values_from.push((*r, *prop, filler));
+                self.some_values_from.push((*r, *prop, filler));
             }
             if let Some(&value) = restr_value.get(r) {
-                tbox.has_value.push((*r, *prop, value));
+                self.has_value.push((*r, *prop, value));
             }
         }
-        tbox.some_values_from.sort_unstable();
-        tbox.has_value.sort_unstable();
+        self.some_values_from.sort_unstable();
+        self.has_value.sort_unstable();
 
-        tbox.sub_class_of = transitive_closure(&sub_class_edges);
-        tbox.sub_property_of = transitive_closure(&sub_prop_edges);
+        self.sub_class_of = transitive_closure(sub_class_edges);
+        self.sub_property_of = transitive_closure(sub_prop_edges);
 
-        for &(a, b) in &tbox.sub_class_of {
-            tbox.classes.insert(a);
-            tbox.classes.insert(b);
+        for &(a, b) in &self.sub_class_of {
+            self.classes.insert(a);
+            self.classes.insert(b);
         }
-        for &(_, c) in tbox.domain.iter().chain(&tbox.range) {
-            tbox.classes.insert(c);
+        for &(_, c) in self.domain.iter().chain(&self.range) {
+            self.classes.insert(c);
         }
-        for &(r, _, f) in &tbox.some_values_from {
-            tbox.classes.insert(r);
-            tbox.classes.insert(f);
+        for &(r, _, f) in &self.some_values_from {
+            self.classes.insert(r);
+            self.classes.insert(f);
         }
-        for &(r, _, _) in &tbox.has_value {
-            tbox.classes.insert(r);
+        for &(r, _, _) in &self.has_value {
+            self.classes.insert(r);
         }
-        for &(a, b) in &tbox.sub_property_of {
-            tbox.properties.insert(a);
-            tbox.properties.insert(b);
+        for &(a, b) in &self.sub_property_of {
+            self.properties.insert(a);
+            self.properties.insert(b);
         }
-        for &(p, _) in tbox.domain.iter().chain(&tbox.range) {
-            tbox.properties.insert(p);
+        for &(p, _) in self.domain.iter().chain(&self.range) {
+            self.properties.insert(p);
         }
-        for &p in tbox
+        for &p in self
             .transitive
             .iter()
-            .chain(&tbox.symmetric)
-            .chain(&tbox.functional)
-            .chain(&tbox.inverse_functional)
+            .chain(&self.symmetric)
+            .chain(&self.functional)
+            .chain(&self.inverse_functional)
         {
-            tbox.properties.insert(p);
+            self.properties.insert(p);
         }
-        for &(a, b) in &tbox.inverse_of {
-            tbox.properties.insert(a);
-            tbox.properties.insert(b);
+        for &(a, b) in &self.inverse_of {
+            self.properties.insert(a);
+            self.properties.insert(b);
         }
-        for &(_, p, _) in tbox.some_values_from.iter().chain(&tbox.has_value) {
-            tbox.properties.insert(p);
+        for &(_, p, _) in self.some_values_from.iter().chain(&self.has_value) {
+            self.properties.insert(p);
         }
-        tbox
+        self
     }
 
     /// Classify one triple. A triple is **schema** when its predicate is a
@@ -312,8 +316,10 @@ fn transitive_closure(edges: &[(NodeId, NodeId)]) -> Vec<(NodeId, NodeId)> {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
+    use crate::compile::{compile_ontology, CompileOptions};
     use owlpar_rdf::vocab::*;
     use owlpar_rdf::Term;
+    use proptest::prelude::*;
 
     fn uc(n: &str) -> String {
         format!("http://ex.org/ont#{n}")
@@ -483,5 +489,128 @@ mod tests {
         assert!(tb.sub_class_of.contains(&(c, a)));
         assert!(!tb.sub_class_of.contains(&(a, a)));
         assert_eq!(tb.sub_class_of.len(), 6);
+    }
+
+    /// The reference for reading the schema rows: every triple of the
+    /// store scanned once, in store order, each pushed where its
+    /// predicate says.
+    fn extract_by_scan(graph: &Graph) -> TBox {
+        let id_of = |iri: &str| graph.dict.id(&Term::iri(iri));
+        let mut tbox = TBox {
+            vocab: VocabIds::collect(graph),
+            ..TBox::default()
+        };
+        let (mut sub_class_edges, mut sub_prop_edges) = (Vec::new(), Vec::new());
+        let mut restrictions: [FxHashMap<NodeId, NodeId>; 3] = Default::default();
+        for t in graph.store.iter() {
+            let p = Some(t.p);
+            if p == id_of(RDFS_SUBCLASSOF) {
+                sub_class_edges.push((t.s, t.o));
+            } else if p == id_of(OWL_EQUIVALENT_CLASS) {
+                sub_class_edges.extend([(t.s, t.o), (t.o, t.s)]);
+            } else if p == id_of(RDFS_SUBPROPERTYOF) {
+                sub_prop_edges.push((t.s, t.o));
+            } else if p == id_of(OWL_EQUIVALENT_PROPERTY) {
+                sub_prop_edges.extend([(t.s, t.o), (t.o, t.s)]);
+            } else if p == id_of(RDFS_DOMAIN) {
+                tbox.domain.push((t.s, t.o));
+            } else if p == id_of(RDFS_RANGE) {
+                tbox.range.push((t.s, t.o));
+            } else if p == id_of(OWL_INVERSE_OF) {
+                tbox.inverse_of.push((t.s, t.o));
+            } else if p == id_of(OWL_ON_PROPERTY) {
+                restrictions[0].insert(t.s, t.o);
+            } else if p == id_of(OWL_SOME_VALUES_FROM) {
+                restrictions[1].insert(t.s, t.o);
+            } else if p == id_of(OWL_HAS_VALUE) {
+                restrictions[2].insert(t.s, t.o);
+            } else if p == tbox.vocab.rdf_type {
+                let o = Some(t.o);
+                if o == id_of(OWL_TRANSITIVE) {
+                    tbox.transitive.push(t.s);
+                } else if o == id_of(OWL_SYMMETRIC) {
+                    tbox.symmetric.push(t.s);
+                } else if o == id_of(OWL_FUNCTIONAL) {
+                    tbox.functional.push(t.s);
+                } else if o == id_of(OWL_INVERSE_FUNCTIONAL) {
+                    tbox.inverse_functional.push(t.s);
+                }
+            }
+        }
+        tbox.finish(&sub_class_edges, &sub_prop_edges, restrictions)
+    }
+
+    /// A graph of schema and instance triples over four names of each
+    /// kind; `(kind, a, b)` picks one triple, and the order of `rows`
+    /// decides which names get the lower ids.
+    fn schema_graph(rows: &[(u8, u8, u8)]) -> Graph {
+        const TYPES: [&str; 5] = [
+            OWL_TRANSITIVE,
+            OWL_SYMMETRIC,
+            OWL_FUNCTIONAL,
+            OWL_INVERSE_FUNCTIONAL,
+            OWL_OBJECT_PROPERTY,
+        ];
+        let name = |kind: &str, i: u8| uc(&format!("{kind}{}", i % 4));
+        let mut g = Graph::new();
+        for &(kind, a, b) in rows {
+            let (s, p, o) = match kind {
+                0 => (name("C", a), RDFS_SUBCLASSOF.into(), name("C", b)),
+                1 => (name("C", a), OWL_EQUIVALENT_CLASS.into(), name("C", b)),
+                2 => (name("P", a), RDFS_SUBPROPERTYOF.into(), name("P", b)),
+                3 => (name("P", a), OWL_EQUIVALENT_PROPERTY.into(), name("P", b)),
+                4 => (name("P", a), RDFS_DOMAIN.into(), name("C", b)),
+                5 => (name("P", a), RDFS_RANGE.into(), name("C", b)),
+                6 => (name("P", a), OWL_INVERSE_OF.into(), name("P", b)),
+                7 => (name("P", a), RDF_TYPE.into(), TYPES[b as usize % 5].into()),
+                8 => (name("R", a), OWL_ON_PROPERTY.into(), name("P", b)),
+                9 => (name("R", a), OWL_SOME_VALUES_FROM.into(), name("C", b)),
+                10 => (name("R", a), OWL_HAS_VALUE.into(), name("I", b)),
+                11 => (name("I", a), RDF_TYPE.into(), name("C", b)),
+                _ => (name("I", a), name("P", b), name("I", a / 4)),
+            };
+            g.insert_iris(s, p, o);
+        }
+        g
+    }
+
+    fn assert_same_tbox(got: &TBox, want: &TBox) {
+        assert_eq!(got.sub_class_of, want.sub_class_of);
+        assert_eq!(got.sub_property_of, want.sub_property_of);
+        assert_eq!(got.domain, want.domain);
+        assert_eq!(got.range, want.range);
+        assert_eq!(got.transitive, want.transitive);
+        assert_eq!(got.symmetric, want.symmetric);
+        assert_eq!(got.functional, want.functional);
+        assert_eq!(got.inverse_functional, want.inverse_functional);
+        assert_eq!(got.inverse_of, want.inverse_of);
+        assert_eq!(got.has_value, want.has_value);
+        assert_eq!(got.some_values_from, want.some_values_from);
+        assert_eq!(got.classes, want.classes);
+        assert_eq!(got.properties, want.properties);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Reading the schema predicates' rows finds the TBox a scan of
+        /// the whole compacted store finds, in the same order, so the
+        /// compiled rules come out in the same order too; and it finds
+        /// the same TBox before the store is compacted.
+        #[test]
+        fn schema_rows_read_the_tbox_the_whole_scan_reads(
+            rows in prop::collection::vec((0u8..13, 0u8..8, 0u8..8), 0..40),
+        ) {
+            let mut g = schema_graph(&rows);
+            let loose = g.clone();
+            g.store.compact();
+            let (got, want) = (TBox::extract(&g), extract_by_scan(&g));
+            assert_same_tbox(&got, &want);
+            assert_same_tbox(&TBox::extract(&loose), &got);
+            let compile = |tbox: &TBox| {
+                compile_ontology(tbox, &mut g.dict.clone(), CompileOptions::default())
+            };
+            prop_assert_eq!(compile(&got), compile(&want));
+        }
     }
 }

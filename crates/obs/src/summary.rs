@@ -184,15 +184,20 @@ pub fn summarize(doc: &Value) -> Result<TraceStats, String> {
             }
         }
     }
-    let laggard: BTreeMap<u32, Lane> = round_lanes
-        .iter()
-        .filter_map(|(&r, lanes)| {
-            lanes
-                .iter()
-                .max_by_key(|(_, &d)| d)
-                .map(|(&lane, _)| (r, lane))
-        })
-        .collect();
+    let laggard = slowest(&round_lanes);
+
+    // Shard lanes — an in-node closure's — join and dedup inside their
+    // coordinator's round span without a round span of their own: each
+    // round is charged its slowest shard's joins and dedups.
+    let mut shard_work: BTreeMap<u32, BTreeMap<Lane, u64>> = BTreeMap::new();
+    for &(lane, phase, round, _, dur) in &spans {
+        if let (Some(r), Phase::Join | Phase::Dedup) = (round, phase) {
+            if round_lanes.get(&r).is_some_and(|lanes| !lanes.contains_key(&lane)) {
+                *shard_work.entry(r).or_default().entry(lane).or_default() += dur;
+            }
+        }
+    }
+    let slowest_shard = slowest(&shard_work);
 
     let mut phase_slots: BTreeMap<Phase, PhaseStat> = BTreeMap::new();
     for &(lane, phase, round, _, dur) in &spans {
@@ -205,10 +210,14 @@ pub fn summarize(doc: &Value) -> Result<TraceStats, String> {
         slot.count += 1;
         slot.total_us = slot.total_us.saturating_add(dur);
         // On the critical path: a non-round-phase span, or a span run by
-        // the round's slowest worker.
+        // the round's slowest worker or its slowest shard.
         let on_crit = match round {
             None => phase != Phase::Round,
-            Some(r) => laggard.get(&r) == Some(&lane),
+            Some(r) => {
+                laggard.get(&r) == Some(&lane)
+                    || (slowest_shard.get(&r) == Some(&lane)
+                        && matches!(phase, Phase::Join | Phase::Dedup))
+            }
         };
         if on_crit && phase != Phase::Round {
             slot.crit_us = slot.crit_us.saturating_add(dur);
@@ -263,6 +272,19 @@ pub fn summarize(doc: &Value) -> Result<TraceStats, String> {
         plan,
         events: n_events,
     })
+}
+
+/// Per round, the lane with the most time.
+fn slowest(per_round: &BTreeMap<u32, BTreeMap<Lane, u64>>) -> BTreeMap<u32, Lane> {
+    per_round
+        .iter()
+        .filter_map(|(&r, lanes)| {
+            lanes
+                .iter()
+                .max_by_key(|(_, &d)| d)
+                .map(|(&lane, _)| (r, lane))
+        })
+        .collect()
 }
 
 fn ms(us: u64) -> f64 {
@@ -403,7 +425,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
     use crate::chrome::to_chrome_json;
-    use crate::{Metric, Phase, Recorder, NO_ROUND};
+    use crate::{Metric, Phase, Recorder, Track, NO_ROUND};
 
     fn two_worker_book() -> crate::TraceBook {
         let rec = Recorder::enabled();
@@ -480,6 +502,43 @@ mod tests {
             .unwrap();
         assert_eq!(partition.total_us, 101);
         assert_eq!(stats.rounds[0].max_us, 100);
+    }
+
+    /// An in-node closure: the closure lane's round spans enclose its
+    /// shards' joins and dedups, which have no round span of their own.
+    /// Each round costs its slowest shard's work plus the coordinator's.
+    #[test]
+    fn a_closure_charges_each_round_its_slowest_shard() {
+        let rec = Recorder::enabled();
+        let mut closure = rec.track("closure");
+        let mut shards = [rec.track("shard 0"), rec.track("shard 1")];
+        for (round, start) in [(0u32, 0u64), (1, 1000)] {
+            closure.span_at(Phase::Round, round, start, 1000);
+            // shard 0 is slower in round 0, shard 1 in round 1
+            let (a, b) = if round == 0 { (600, 300) } else { (200, 500) };
+            for (shard, join) in shards.iter_mut().zip([a, b]) {
+                shard.span_at(Phase::Join, round, start, join);
+                shard.span_at(Phase::Dedup, round, start + join, 100);
+            }
+            closure.span_at(Phase::Dedup, round, start + 700, 50);
+            closure.span_at(Phase::Freeze, round, start + 750, 250);
+        }
+        // a join tagged with a round that no lane spans is no shard's
+        shards[0].span_at(Phase::Join, 7, 2000, 900);
+        closure.flush();
+        shards.iter_mut().for_each(Track::flush);
+        let json = to_chrome_json(&rec.drain());
+        let stats = summarize(&parse(&json).unwrap()).unwrap();
+        let crit = |phase| {
+            stats.phases.iter().find(|p| p.phase == phase).unwrap().crit_us
+        };
+        assert_eq!(crit(Phase::Join), 600 + 500);
+        assert_eq!(crit(Phase::Dedup), 100 + 100 + 50 + 50);
+        assert_eq!(crit(Phase::Freeze), 250 + 250);
+        assert_eq!(stats.workers, vec!["closure"]);
+        let table = render(&stats);
+        let join_row = table.lines().find(|l| l.starts_with("join")).unwrap();
+        assert!(!join_row.ends_with(" 0.0%"), "{table}");
     }
 
     #[test]

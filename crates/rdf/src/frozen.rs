@@ -139,17 +139,6 @@ impl SortedIndex {
     fn contains(&self, key: [NodeId; 3]) -> bool {
         !self.exact(key).is_empty()
     }
-
-    /// `self` ∪ `other`: one linear merge of the two row runs.
-    fn merge(&self, other: &SortedIndex) -> SortedIndex {
-        if self.rows.is_empty() {
-            other.clone()
-        } else if other.rows.is_empty() {
-            self.clone()
-        } else {
-            SortedIndex::from_sorted(merge_sorted(&self.rows, &other.rows))
-        }
-    }
 }
 
 /// Which column family a block of rows came from, i.e. how a row's key
@@ -248,19 +237,25 @@ pub fn is_sorted_run(run: &[Triple]) -> bool {
 /// a triple several of them derived is dropped here by one comparison
 /// instead of being hashed once per copy.
 pub fn merge_runs<R: AsRef<[Triple]>>(runs: &[R]) -> Vec<Triple> {
+    merge_sorted_runs(runs)
+}
+
+/// [`merge_runs`] for rows of any one order.
+fn merge_sorted_runs<T: Ord + Copy, R: AsRef<[T]>>(runs: &[R]) -> Vec<T> {
+    let ascending = |run: &R| run.as_ref().windows(2).all(|w| w[0] < w[1]);
     match runs {
         [] => Vec::new(),
         [run] => {
-            debug_assert!(is_sorted_run(run.as_ref()));
+            debug_assert!(ascending(run));
             run.as_ref().to_vec()
         }
         [a, b] => {
-            debug_assert!(is_sorted_run(a.as_ref()) && is_sorted_run(b.as_ref()));
+            debug_assert!(ascending(a) && ascending(b));
             merge_sorted(a.as_ref(), b.as_ref())
         }
         _ => {
             let (left, right) = runs.split_at(runs.len() / 2);
-            merge_sorted(&merge_runs(left), &merge_runs(right))
+            merge_sorted(&merge_sorted_runs(left), &merge_sorted_runs(right))
         }
     }
 }
@@ -407,12 +402,33 @@ impl FrozenStore {
     /// is sorted. Uses at most `threads` threads, the caller's included
     /// (`0`: whatever the machine has).
     pub fn merge_frozen(&self, other: &FrozenStore, threads: usize) -> FrozenStore {
+        self.merge_all(&[other], threads)
+    }
+
+    /// `self` ∪ every store of `others` as one new frozen store, on at
+    /// most `threads` threads like [`merge_frozen`](FrozenStore::merge_frozen).
+    /// Per family, `others` are merged with each other first and the
+    /// result with `self` in one linear pass, so a large `self` beside
+    /// small `others` has its rows copied once, whatever their number.
+    pub fn merge_all(&self, others: &[&FrozenStore], threads: usize) -> FrozenStore {
+        let family = |pick: fn(&FrozenStore) -> &SortedIndex| {
+            let own = &pick(self).rows;
+            let rows = match others {
+                [other] => merge_sorted(own, &pick(other).rows),
+                _ => {
+                    let rest: Vec<&[[NodeId; 3]]> =
+                        others.iter().map(|o| pick(o).rows.as_slice()).collect();
+                    merge_sorted(own, &merge_sorted_runs(&rest))
+                }
+            };
+            SortedIndex::from_sorted(rows)
+        };
         Self::build_families(
             threads,
-            self.len() + other.len(),
-            || self.spo.merge(&other.spo),
-            || self.pos.merge(&other.pos),
-            || self.osp.merge(&other.osp),
+            self.len() + others.iter().map(|o| o.len()).sum::<usize>(),
+            || family(|s| &s.spo),
+            || family(|s| &s.pos),
+            || family(|s| &s.osp),
         )
     }
 
@@ -746,6 +762,26 @@ mod tests {
         assert_eq!(want, all);
         for threads in [1, 2, 3] {
             assert_eq!(base.merge_triples_within(&delta, threads).iter_sorted(), want);
+        }
+    }
+
+    #[test]
+    fn merge_all_is_the_frozen_union() {
+        let all = big_run();
+        let slices: Vec<FrozenStore> = (0..4u32)
+            .map(|k| FrozenStore::from_triples(all.iter().copied().filter(|t| t.s.0 % 4 == k)))
+            .collect();
+        let [base, rest @ ..] = slices.as_slice() else { unreachable!() };
+        for n in 0..=rest.len() {
+            let others: Vec<&FrozenStore> = rest[..n].iter().collect();
+            let mut want: Vec<Triple> = base.iter().chain(others.iter().flat_map(|o| o.iter())).collect();
+            want.sort_unstable();
+            for threads in [1, 3] {
+                let merged = base.merge_all(&others, threads);
+                assert_eq!(merged.iter_sorted(), want, "{n} others, threads={threads}");
+                assert_matches_scan(&merged, &want, pat(None, Some(1003), None));
+                assert_matches_scan(&merged, &want, pat(None, None, Some(7)));
+            }
         }
     }
 

@@ -4,7 +4,8 @@
 //! also drive data-partitioned runs, whose placement and routing follow
 //! the rule-base's join positions, and rule-partitioned runs, which route
 //! by the partitions whose bodies can match a triple: both must close to
-//! the serial closure.
+//! the serial closure. And they drive every entry point of the in-node
+//! parallel closure, beside chains long enough for many rounds.
 
 // Tests assert on infallible setup; unwrap/expect failures are test failures.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -14,9 +15,12 @@ use owlpar::datalog::ast::build::{atom, c, v};
 use owlpar::datalog::ast::{Atom, TermPat};
 use owlpar::datalog::backward::{BackwardEngine, TableScope};
 use owlpar::datalog::forward::forward_closure;
-use owlpar::datalog::{MaterializationStrategy, Reasoner, Rule};
+use owlpar::datalog::{
+    closure_delta_within, closure_within, parallel_closure as closure_on_threads,
+    MaterializationStrategy, Reasoner, Rule,
+};
 use owlpar::horst::HorstReasoner;
-use owlpar::rdf::{Graph, NodeId, Term, Triple, TripleStore};
+use owlpar::rdf::{FrozenStore, Graph, NodeId, Term, Triple, TripleStore};
 use proptest::prelude::*;
 
 /// A random single-join rule over a small predicate alphabet.
@@ -233,5 +237,68 @@ proptest! {
         let fresh: Vec<Triple> = delta.iter().copied().filter(|t| inc.insert(*t)).collect();
         eng.materialize_delta(&mut inc, &fresh);
         prop_assert_eq!(scratch.iter_sorted(), inc.iter_sorted());
+    }
+}
+
+/// `p3(x,y) p3(y,z) -> p3(x,z)`: the chains' predicate, which no rule of
+/// `rule_strategy(3)` reads, so the chains close on their own.
+fn chain_rule() -> Rule {
+    Rule::new(
+        "trans3",
+        atom(v(0), c(NodeId(503)), v(2)),
+        vec![
+            atom(v(0), c(NodeId(503)), v(1)),
+            atom(v(1), c(NodeId(503)), v(2)),
+        ],
+    )
+    .unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The frozen round loop keeps each round's new triples as a layer of
+    /// what the joins read and merges the layers into each other, the
+    /// base only once. Transitive chains of 44–69 links take 7–8 rounds
+    /// that grow and then taper, so the layers merge; random single- and
+    /// two-atom rules fire over random data in the same rounds. At 1, 2
+    /// and 4 threads every entry point closes to the serial fixpoint.
+    #[test]
+    fn layered_rounds_equal_serial(
+        rules in prop::collection::vec(rule_strategy(3), 1..5),
+        data in data_strategy(12, 3, 30),
+        chains in prop::collection::vec(44u32..70, 6..9),
+    ) {
+        let mut rules = rules;
+        rules.push(chain_rule());
+        let mut facts = data;
+        for (chain, &len) in chains.iter().enumerate() {
+            let first = 1000 * (chain as u32 + 1);
+            facts.extend((first..first + len).map(|i| {
+                Triple::new(NodeId(i), NodeId(503), NodeId(i + 1))
+            }));
+        }
+        let mut serial: TripleStore = facts.iter().copied().collect();
+        forward_closure(&mut serial, &rules);
+        let serial = serial.iter_sorted();
+        let base = FrozenStore::from_triples(facts.iter().copied());
+        prop_assert!(base.len() >= 256, "past the serial fallback");
+        let derived_len = serial.len() - base.len();
+        for threads in [1, 2, 4] {
+            let mut store: TripleStore = facts.iter().copied().collect();
+            store.compact();
+            let derived = closure_on_threads(&mut store, &rules, threads);
+            prop_assert_eq!(store.iter_sorted(), serial.clone(), "parallel_closure {}", threads);
+            prop_assert_eq!(derived, derived_len);
+
+            let (closed, derived) = closure_within(base.clone(), &rules, threads);
+            prop_assert_eq!(closed.iter_sorted(), serial.clone(), "closure_within {}", threads);
+            prop_assert_eq!(derived.len(), derived_len);
+
+            let seed = base.iter_sorted();
+            let (closed, derived) = closure_delta_within(base.clone(), &rules, seed, threads);
+            prop_assert_eq!(closed.iter_sorted(), serial.clone(), "closure_delta_within {}", threads);
+            prop_assert_eq!(derived.len(), derived_len);
+        }
     }
 }

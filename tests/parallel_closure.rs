@@ -501,9 +501,10 @@ fn budgeted_entry_points_match_serial_on_the_seam_mix() {
 #[test]
 fn a_fixpoint_that_tapers_off_ends_on_the_small_tail() {
     // Long `partOf` chains under transitivity: path lengths double each
-    // round, so the last rounds add a handful of triples each and fall
-    // under the small-delta floor, where the serial overlay engine takes
-    // over. The result must not show the hand-over.
+    // round, so the last rounds add a handful of triples each — rounds
+    // that cost only their own small layers, which merge into the bigger
+    // ones before the base is merged once. The result must not show the
+    // layering.
     let rules = lubm_style_rules();
     for (seed, chains) in [(140u64, 3u64), (141, 5), (142, 9)] {
         let mut facts = Vec::new();
@@ -517,7 +518,7 @@ fn a_fixpoint_that_tapers_off_ends_on_the_small_tail() {
                 ));
             }
         }
-        // ballast, so the floor is well above the last rounds' deltas
+        // ballast, so the base dwarfs the last rounds' deltas
         for i in 0..600 {
             facts.push(t(1000 + i % 90, HEAD_OF, 2000 + i));
         }

@@ -8,7 +8,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use owlpar::datalog::parallel_closure;
-use owlpar::obs::{self, Event, Phase, Recorder, NO_ROUND};
+use owlpar::obs::{self, Event, Metric, Phase, Recorder, NO_ROUND};
 use owlpar::prelude::*;
 use std::process::Command;
 use std::time::Instant;
@@ -25,6 +25,7 @@ fn recorded_phases_cover_a_parallel_closure() {
     assert!(graph.len() >= 100_000, "KB has {} triples", graph.len());
     let hr = HorstReasoner::from_graph(&mut graph, MaterializationStrategy::ForwardSemiNaive);
 
+    let base_len = graph.len() as u64;
     let rec = Recorder::enabled();
     obs::install_global(rec.clone());
     let t0 = Instant::now();
@@ -85,6 +86,31 @@ fn recorded_phases_cover_a_parallel_closure() {
             assert!(n <= 1, "last round froze {n} times");
         }
     }
+    // The base is merged once: exactly one freeze counts a merge of at
+    // least the whole base. The per-round counters add up to the closure.
+    let counted = |want: Metric| -> Vec<(Phase, u64)> {
+        book.events
+            .iter()
+            .filter_map(|e| match *e {
+                Event::Count {
+                    phase,
+                    metric,
+                    value,
+                    ..
+                } if metric == want => Some((phase, value)),
+                _ => None,
+            })
+            .collect()
+    };
+    let merges = counted(Metric::Triples);
+    let base_merges = merges
+        .iter()
+        .filter(|&&(phase, rows)| phase == Phase::Freeze && rows >= base_len)
+        .count();
+    assert_eq!(base_merges, 1, "{merges:?}");
+    let derived_counted: u64 = counted(Metric::Derived).iter().map(|&(_, n)| n).sum();
+    assert_eq!(derived_counted, derived as u64);
+
     // two shards joined and filtered in round 0, beside the coordinator's merge
     assert_eq!(spans_of(Phase::Join).iter().filter(|&&r| r == 0).count(), 2);
     assert_eq!(
