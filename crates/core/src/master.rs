@@ -1003,12 +1003,12 @@ mod tests {
         let mut g = generate_lubm(&LubmConfig::mini(1));
         let p = g.intern(Term::iri("http://x/p"));
         // Head variable ?1 never bound in the body: not range-restricted.
-        let broken = owlpar_datalog::Rule {
-            name: "broken".to_string(),
-            head: atom(v(0), c(p), v(1)),
-            body: vec![atom(v(0), c(p), v(0))],
-            var_count: 2,
-        };
+        let broken = owlpar_datalog::Rule::unchecked(
+            "broken",
+            atom(v(0), c(p), v(1)),
+            vec![atom(v(0), c(p), v(0))],
+            2,
+        );
         let cfg = ParallelConfig {
             strategy: PartitioningStrategy::Auto,
             ..ParallelConfig::default()

@@ -719,7 +719,7 @@ mod tests {
             ) {
                 // Hand-built on purpose: random rules need not be dense
                 // or range-restricted, and classify must not care.
-                let r = Rule { name: "rand".to_string(), head, body, var_count: 4 };
+                let r = Rule::unchecked("rand", head, body, 4);
                 let class = classify(&r);
                 prop_assert_eq!(
                     is_single_join(&r),
@@ -793,7 +793,7 @@ mod tests {
             ) {
                 let rules: Vec<Rule> = rules
                     .into_iter()
-                    .map(|(head, body)| Rule { name: "rand".into(), head, body, var_count: 4 })
+                    .map(|(head, body)| Rule::unchecked("rand", head, body, 4))
                     .collect();
                 let assignment: Vec<u32> =
                     raw.iter().take(rules.len()).map(|&a| a % k).collect();
@@ -831,13 +831,8 @@ mod tests {
 
     #[test]
     fn classify_empty_body() {
-        // Rule::new rejects empty bodies, but the fields are public.
-        let r = Rule {
-            name: "fact".to_string(),
-            head: atom(c(nid(P)), c(nid(Q)), c(nid(R))),
-            body: vec![],
-            var_count: 0,
-        };
+        // Rule::new rejects empty bodies, but Rule::unchecked does not.
+        let r = Rule::unchecked("fact", atom(c(nid(P)), c(nid(Q)), c(nid(R))), vec![], 0);
         assert_eq!(classify(&r), JoinClass::EmptyBody);
         assert!(is_single_join(&r), "an empty body joins nothing");
     }
@@ -847,12 +842,12 @@ mod tests {
         // A head variable with no body occurrence (not range-restricted;
         // again only constructible by hand). Classification looks at the
         // body alone, so this is still a single atom.
-        let r = Rule {
-            name: "unrestricted".to_string(),
-            head: atom(v(0), c(nid(P)), v(1)),
-            body: vec![atom(v(0), c(nid(P)), v(0))],
-            var_count: 2,
-        };
+        let r = Rule::unchecked(
+            "unrestricted",
+            atom(v(0), c(nid(P)), v(1)),
+            vec![atom(v(0), c(nid(P)), v(0))],
+            2,
+        );
         assert_eq!(classify(&r), JoinClass::SingleAtom);
         assert!(is_single_join(&r));
     }

@@ -1,9 +1,13 @@
 //! Rule abstract syntax: term patterns, atoms and rules.
 //!
 //! Rules are normalized so that their variables are numbered densely from
-//! zero; a rule's `var_count` then sizes the binding frame used during
-//! evaluation (a plain `Vec<Option<NodeId>>`, no hashing on the hot path).
+//! zero; a rule's `var_count` then sizes the binding frame the query
+//! engine, the backward engines and the naive oracle join with (a plain
+//! `Vec<Option<NodeId>>`, no hashing on the hot path). Forward evaluation
+//! does not join atom by atom: every rule carries its join plans,
+//! compiled once at construction (the crate's `plan` module).
 
+use crate::plan::JoinPlans;
 use owlpar_rdf::{NodeId, Triple, TriplePattern};
 
 /// A position in an atom: either a variable (dense index within the rule)
@@ -203,6 +207,10 @@ impl Atom {
 }
 
 /// A datalog rule: one head atom, conjunctive body.
+///
+/// The fields are public to read. A rule is evaluated by the join plans
+/// its constructor compiled from `head` and `body`, so changing either
+/// means building a new rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rule {
     /// Rule label for diagnostics and reporting.
@@ -213,6 +221,8 @@ pub struct Rule {
     pub body: Vec<Atom>,
     /// Number of distinct variables (they are densely numbered `0..var_count`).
     pub var_count: u16,
+    /// One join plan per body atom as pivot.
+    plans: JoinPlans,
 }
 
 impl Rule {
@@ -251,12 +261,27 @@ impl Rule {
                 ));
             }
         }
-        Ok(Rule {
-            name,
+        Ok(Rule::unchecked(name, head, body, var_count))
+    }
+
+    /// A rule as given, without [`Rule::new`]'s checks: how the lints
+    /// that catch an empty body, sparse variables or an unrestricted head
+    /// are exercised. It evaluates like any rule; a head variable its
+    /// body does not bind makes it never fire.
+    pub fn unchecked(name: impl Into<String>, head: Atom, body: Vec<Atom>, var_count: u16) -> Self {
+        let plans = JoinPlans::compile(&head, &body);
+        Rule {
+            name: name.into(),
             head,
             body,
             var_count,
-        })
+            plans,
+        }
+    }
+
+    /// The join plans compiled at construction.
+    pub(crate) fn plans(&self) -> &JoinPlans {
+        &self.plans
     }
 
     /// A fresh all-unbound binding frame for this rule.

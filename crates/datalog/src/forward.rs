@@ -2,9 +2,12 @@
 //!
 //! [`forward_closure`] runs **semi-naive** evaluation: after the first
 //! round, a rule only fires if at least one body atom matches a triple
-//! derived in the previous round (the *delta*). [`naive_closure`] re-derives
-//! everything every round and exists purely as the baseline semi-naive
-//! evaluation is checked against.
+//! derived in the previous round (the *delta*). Every engine path — these
+//! rounds, an INSERT's delta closure and the parallel frozen rounds —
+//! evaluates a rule by its compiled join plans ([`apply_rule_delta`]).
+//! [`naive_closure`] re-derives everything every round with a join of
+//! its own, and exists purely as the oracle the plans are checked
+//! against.
 //!
 //! The delta-aware entry point [`forward_closure_delta`] is what the
 //! parallel reasoner's rounds use: a worker whose store is already closed
@@ -15,7 +18,8 @@
 //! large the base is.
 
 use crate::ast::{Bindings, Rule};
-use owlpar_rdf::{Triple, TripleSource, TripleStore};
+use crate::plan::Step;
+use owlpar_rdf::{NodeId, Triple, TripleSource, TripleStore};
 
 /// Compute the closure of `store` under `rules`. Returns the number of
 /// derived (new) triples. Semi-naive: cost proportional to work actually
@@ -40,14 +44,21 @@ pub fn forward_closure_delta(
 }
 
 /// Naive evaluation: every round applies every rule to the whole store.
-/// Kept as an ablation baseline; produces the same closure as
-/// [`forward_closure`].
+/// Produces the same closure as [`forward_closure`], but shares none of
+/// its join: no plan, no exact-match reliance — a binding frame of
+/// options, the next atom chosen per match, every position of every
+/// match unified. That independence is what makes it the oracle the
+/// compiled plans are tested against; no engine path calls it.
 pub fn naive_closure(store: &mut TripleStore, rules: &[Rule]) -> usize {
     let mut derived_total = 0;
     loop {
         let mut new: Vec<Triple> = Vec::new();
         for rule in rules {
-            apply_rule_delta(store, store, rule, rule.body.len(), &mut |t| new.push(t));
+            let mut bindings = rule.empty_bindings();
+            let mut remaining: Vec<usize> = (0..rule.body.len()).collect();
+            join_remaining(&*store, rule, &mut remaining, &mut bindings, &mut |t| {
+                new.push(t)
+            });
         }
         let mut added = 0;
         for t in new {
@@ -92,11 +103,16 @@ fn run_rounds(store: &mut TripleStore, rules: &[Rule], seed: Vec<Triple>) -> Vec
 /// instantiations are handed to `emit` (duplicates possible; the caller
 /// dedupes).
 ///
-/// Each of the first `pivots` body atoms takes its turn as the atom
-/// matched inside `delta`: all of them (`rule.body.len()`) in semi-naive
-/// evaluation. A `delta` that is the whole of `store` needs only the
-/// first: every instantiation has all its body atoms there, so `1` finds
-/// each once, where every atom as pivot would find it once per atom.
+/// Runs the first `pivots` of the rule's compiled join plans, plan `i`
+/// matching body atom `i` inside `delta`: all of them
+/// (`rule.body.len()`) in semi-naive evaluation. A `delta` that is the
+/// whole of `store` needs only the first: every instantiation has all
+/// its body atoms there, so `1` finds each once, where every atom as
+/// pivot would find it once per atom. One dense frame of node ids serves
+/// the whole call; a match writes only the variables its atom binds and
+/// checks only a variable repeated inside that atom — the positions its
+/// lookup fixed are exact ([`TripleSource`]). A one-atom rule skips the
+/// frame: it is its pivot's block of rows projected into its head.
 ///
 /// Generic over the store representation so the same join runs against a
 /// two-layer [`TripleStore`] or a frozen base (the parallel engine shares
@@ -112,28 +128,48 @@ pub(crate) fn apply_rule_delta<S, D>(
     S: TripleSource + ?Sized,
     D: TripleSource + ?Sized,
 {
-    let mut bindings = rule.empty_bindings();
-    let mut remaining: Vec<usize> = Vec::with_capacity(rule.body.len());
-    for pivot in 0..pivots.min(rule.body.len()) {
-        let atom = &rule.body[pivot];
-        let pat = atom.to_pattern(&bindings);
-        // `join_remaining` restores `remaining` to the same set on return,
-        // so one buffer serves every match of this pivot. Likewise every
-        // match undoes its bindings, so `bindings` is all-unbound between
-        // pivots and no per-match frame is ever allocated.
-        remaining.clear();
-        remaining.extend((0..rule.body.len()).filter(|&i| i != pivot));
-        delta.for_each_match(pat, |t| {
-            if let Some(undo) = atom.match_triple_in_place(&t, &mut bindings) {
-                join_remaining(store, rule, &mut remaining, &mut bindings, emit);
-                undo.undo(&mut bindings);
-            }
-        });
+    let plans = rule.plans();
+    let mut frame = plans.frame();
+    for plan in plans.pivots().iter().take(pivots) {
+        let Some((pivot, rest)) = plan.split_first() else {
+            continue;
+        };
+        let pat = pivot.pattern(&frame);
+        match plans.row_head() {
+            Some(head) => delta.for_each_match(pat, |t| {
+                if pivot.repeats(&t) {
+                    emit(head.project(&t));
+                }
+            }),
+            None => delta.for_each_match(pat, |t| {
+                if pivot.bind(&t, &mut frame) {
+                    join_plan(store, rest, &mut frame, &mut |frame| emit(plans.head(frame)));
+                }
+            }),
+        }
     }
 }
 
-/// Recursively join the remaining body atoms against `store`, most-bound
-/// atom first (greedy index selection), emitting head instantiations.
+/// Match `steps` in order against `store`, each under the frame the
+/// earlier ones filled, and call `done` with every complete frame.
+fn join_plan<S>(store: &S, steps: &[Step], frame: &mut [NodeId], done: &mut impl FnMut(&[NodeId]))
+where
+    S: TripleSource + ?Sized,
+{
+    let Some((step, rest)) = steps.split_first() else {
+        done(frame);
+        return;
+    };
+    store.for_each_match(step.pattern(frame), |t| {
+        if step.bind(&t, frame) {
+            join_plan(store, rest, frame, done);
+        }
+    });
+}
+
+/// The oracle's join: recursively join the remaining body atoms against
+/// `store`, most-bound atom first (greedy index selection), emitting
+/// head instantiations.
 ///
 /// Backtracking is push/pop on the shared `remaining` buffer and
 /// bind/undo on the shared `bindings` frame: the chosen atom is

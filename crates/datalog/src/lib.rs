@@ -42,6 +42,7 @@ pub mod engine;
 pub mod forward;
 pub mod parallel;
 pub mod parser;
+mod plan;
 
 pub use ast::{Atom, Rule, TermPat};
 pub use engine::{MaterializationStrategy, Reasoner};

@@ -7,13 +7,15 @@
 //! a [`FrozenStore`], or the base itself in round 0 of a whole-store
 //! closure — and every shard reads its share of each pivot's match range
 //! out of it ([`FrozenStore::for_each_match_part`]); nothing is indexed
-//! per shard. Each shard joins against the closure's immutable view into
-//! a thread-local, sorted, novelty-filtered run, and the coordinating
-//! thread merges the runs into the next delta. The fixpoint is identical
-//! to the serial engine's — only derivation order differs — because
-//! semi-naive evaluation is confluent: any instantiation with at least
-//! one body atom in the delta is found from that atom as pivot by exactly
-//! one shard, and the remaining atoms are joined against the whole view.
+//! per shard. Each shard runs the rules' compiled join plans — the same
+//! evaluator as the serial engine's — against the closure's immutable
+//! view into a thread-local, sorted, novelty-filtered run, and the
+//! coordinating thread merges the runs into the next delta. The fixpoint
+//! is identical to the serial engine's — only derivation order differs —
+//! because semi-naive evaluation is confluent: any instantiation with at
+//! least one body atom in the delta is found from that atom as pivot by
+//! exactly one shard, and the remaining atoms are joined against the
+//! whole view.
 //! In round 0 of a whole-store closure every atom is in the delta, so
 //! each rule pivots on its first atom only.
 //!
@@ -29,7 +31,9 @@
 //! subject bitmap for that head ([`SeenHeads`]): only the first emission
 //! of a subject reaches the candidate run, whichever shard or round makes
 //! it. Every other head shape takes the general path — sort, dedup,
-//! filter against the view.
+//! filter against the view. The filter is no probe per candidate: the
+//! sorted run is walked once beside each store's SPO rows, galloping
+//! over the rows between candidates ([`FrozenStore::retain_absent`]).
 //!
 //! **The base is merged once.** The view is the base, fixed for the whole
 //! closure, plus every round's delta index kept as a layer (`Layered`),
@@ -304,6 +308,18 @@ impl Layered {
     fn stores(&self) -> impl Iterator<Item = &FrozenStore> {
         std::iter::once(self.base.as_ref()).chain(self.layers.iter().map(Arc::as_ref))
     }
+
+    /// Drop from `run`, an SPO-sorted, duplicate-free run, every triple
+    /// the view holds: one merge walk of the run per store
+    /// ([`FrozenStore::retain_absent`]).
+    fn retain_new(&self, run: &mut Vec<Triple>) {
+        for store in self.stores() {
+            if run.is_empty() {
+                return;
+            }
+            store.retain_absent(run);
+        }
+    }
 }
 
 impl TripleSource for Layered {
@@ -453,10 +469,11 @@ impl TripleSource for IndexPart<'_> {
 /// number of candidates the joins produced.
 ///
 /// Each shard sorts, dedupes and novelty-filters its own candidates
-/// before handing them to the coordinator, so the per-candidate
-/// `contains` probes run in parallel and walk the view coherently
-/// (ascending probes). The coordinator only resolves cross-shard
-/// duplicates, by merging the shards' runs.
+/// before handing them to the coordinator, so the filter runs in
+/// parallel and is one merge walk of the sorted run beside each store of
+/// the view ([`Layered::retain_new`]), not a probe per candidate. The
+/// coordinator only resolves cross-shard duplicates, by merging the
+/// shards' runs.
 #[allow(clippy::too_many_arguments)]
 fn round_candidates(
     view: &Layered,
@@ -494,7 +511,7 @@ fn round_candidates(
         let dedup = lane.begin(Phase::Dedup, round_no);
         out.sort_unstable();
         out.dedup();
-        out.retain(|t| !view.contains(t));
+        view.retain_new(&mut out);
         lane.end(dedup);
         (out, candidates)
     };
@@ -870,6 +887,14 @@ mod tests {
                 assert_eq!(got, want, "{pat:?}");
             }
         }
+        let mut fresh: Vec<Triple> = (0..3000u32).map(|i| t(i % 60, P + i % 5, (i * 7) % 101)).collect();
+        fresh.sort_unstable();
+        fresh.dedup();
+        let mut want = fresh.clone();
+        want.retain(|t| !view.contains(t));
+        assert!(!want.is_empty() && want.len() < fresh.len(), "some known, some new");
+        view.retain_new(&mut fresh);
+        assert_eq!(fresh, want, "the merge walk keeps what the probes keep");
         assert_eq!(view.close(2).iter_sorted(), union.iter_sorted());
     }
 

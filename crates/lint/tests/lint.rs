@@ -102,24 +102,19 @@ fn cross_product_denied_with_typed_explanation() {
 #[test]
 fn structural_lints_catch_hand_built_rules() {
     // The parser can't produce these; hand-built rules can.
-    let empty = Rule {
-        name: "fact".into(),
-        head: atom(c(NodeId(1)), c(NodeId(2)), c(NodeId(3))),
-        body: vec![],
-        var_count: 0,
-    };
-    let sparse = Rule {
-        name: "sparse".into(),
-        head: atom(v(0), c(NodeId(2)), v(5)),
-        body: vec![atom(v(0), c(NodeId(2)), v(5))],
-        var_count: 2,
-    };
-    let unrestricted = Rule {
-        name: "unrestricted".into(),
-        head: atom(v(0), c(NodeId(2)), v(1)),
-        body: vec![atom(v(0), c(NodeId(2)), v(0))],
-        var_count: 2,
-    };
+    let empty = Rule::unchecked("fact", atom(c(NodeId(1)), c(NodeId(2)), c(NodeId(3))), vec![], 0);
+    let sparse = Rule::unchecked(
+        "sparse",
+        atom(v(0), c(NodeId(2)), v(5)),
+        vec![atom(v(0), c(NodeId(2)), v(5))],
+        2,
+    );
+    let unrestricted = Rule::unchecked(
+        "unrestricted",
+        atom(v(0), c(NodeId(2)), v(1)),
+        vec![atom(v(0), c(NodeId(2)), v(0))],
+        2,
+    );
     let report = lint_rules(&[empty, sparse, unrestricted], &LintOptions::default());
     let codes: Vec<LintCode> = report.deny_findings().map(|d| d.code).collect();
     assert!(codes.contains(&LintCode::EmptyBody));

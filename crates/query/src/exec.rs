@@ -1,6 +1,8 @@
 //! BGP execution: index-driven nested-loop joins with greedy
-//! most-bound-first ordering (the same join discipline the datalog
-//! engine uses, so query performance matches closure performance).
+//! most-bound-first ordering, the next pattern chosen per binding under
+//! a frame of optional values. The datalog engine orders its joins by
+//! the same rule but once, when a rule is built (its compiled join
+//! plans); a query is joined once, so it plans as it goes.
 
 use crate::ast::{Query, QueryForm};
 use owlpar_datalog::ast::Bindings;

@@ -41,8 +41,14 @@ use std::sync::Arc;
 /// Read access to an indexed set of triples: the interface the datalog
 /// joins and the query engine actually need. Implemented by the two-layer
 /// [`TripleStore`] and the immutable [`FrozenStore`].
+///
+/// Matches are exact: `for_each_match` reports every held triple that
+/// agrees with each position `pat` fixes, and only those, each once. The
+/// datalog join plans rely on it — they never re-check a position their
+/// lookup fixed — so an implementation must not over-approximate.
 pub trait TripleSource {
-    /// Invoke `f` for every triple matching `pat`.
+    /// Invoke `f` for every triple matching `pat`, exactly (see the
+    /// trait).
     fn for_each_match(&self, pat: TriplePattern, f: impl FnMut(Triple));
 
     /// Membership test.
@@ -504,6 +510,22 @@ impl FrozenStore {
         self.spo.contains(spo_key(t))
     }
 
+    /// Drop from `run`, an SPO-sorted, duplicate-free run, every triple
+    /// this store holds: one walk of the run beside the SPO rows,
+    /// galloping over the rows between one candidate and the next. Keeps
+    /// what `run.retain(|t| !self.contains(t))` keeps, without a binary
+    /// search per candidate.
+    pub fn retain_absent(&self, run: &mut Vec<Triple>) {
+        debug_assert!(is_sorted_run(run));
+        let rows = &self.spo.rows;
+        let mut at = 0;
+        run.retain(|t| {
+            let key = spo_key(t);
+            at += prefix_below(&rows[at..], &key);
+            rows.get(at) != Some(&key)
+        });
+    }
+
     /// Iterate all triples in SPO order.
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
         self.spo.rows.iter().map(|r| Triple::new(r[0], r[1], r[2]))
@@ -799,6 +821,51 @@ mod tests {
         assert!(is_sorted_run(&merged));
         assert!(merge_runs::<Vec<Triple>>(&[]).is_empty());
         assert_eq!(merge_runs(&[&a]), a);
+    }
+
+    /// The merge walk keeps what a `contains` probe per candidate keeps.
+    fn assert_walk_is_the_probe(store: &FrozenStore, run: &[Triple]) {
+        let mut run: Vec<Triple> = run.to_vec();
+        run.sort_unstable();
+        run.dedup();
+        let mut want = run.clone();
+        want.retain(|t| !store.contains(t));
+        store.retain_absent(&mut run);
+        assert_eq!(run, want);
+    }
+
+    #[test]
+    fn retain_absent_is_the_probe_filter_at_the_edges() {
+        let store: FrozenStore = (10..20u32).map(|i| t(i, 1, i)).collect();
+        let below: Vec<Triple> = (0..5u32).map(|i| t(i, 1, i)).collect();
+        let above: Vec<Triple> = (30..40u32).map(|i| t(i, 1, i)).collect();
+        let interleaved: Vec<Triple> = (0..40u32).map(|i| t(i / 2 + 5, 1, i / 2 + 5 + i % 2)).collect();
+        for run in [&[][..], &below, &above, &interleaved, &store.iter_sorted()] {
+            assert_walk_is_the_probe(&store, run);
+            assert_walk_is_the_probe(&FrozenStore::new(), run);
+        }
+        let mut all = store.iter_sorted();
+        store.retain_absent(&mut all);
+        assert!(all.is_empty(), "a run the store holds entirely goes");
+    }
+
+    mod walk {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn retain_absent_is_the_probe_filter(
+                held in prop::collection::vec((0u32..12, 0u32..3, 0u32..12), 0..120),
+                run in prop::collection::vec((0u32..14, 0u32..4, 0u32..14), 0..120),
+            ) {
+                let store: FrozenStore = held.iter().map(|&(s, p, o)| t(s, p, o)).collect();
+                let run: Vec<Triple> = run.iter().map(|&(s, p, o)| t(s, p, o)).collect();
+                assert_walk_is_the_probe(&store, &run);
+            }
+        }
     }
 
     #[test]
