@@ -4,13 +4,13 @@
 //! partition in one [`WorkerState`], whatever carries its messages. The
 //! state is one [`TripleStore`]. The schema and partition runs a worker
 //! is shipped are already SPO-sorted, so they become the SPO family of
-//! the store's frozen base as they are; round 0 closes that base with the
-//! frozen-store delta closure and adopts the result; each later round's
-//! deliveries and their consequences go into the store's hash overlay,
-//! which the store folds into the base by linear merge once it has
-//! outgrown it ([`TripleStore::compact_if_outgrown`] — the serving
-//! layer's policy, because it is the same store). No per-triple hash
-//! index is ever built over the partition.
+//! the store's frozen base as they are (only POS is sorted); round 0
+//! closes that base with the frozen-store delta closure and adopts the
+//! result; each later round's deliveries and their consequences go into
+//! the store's hash overlay, which it folds into the base by linear
+//! merge once outgrown ([`TripleStore::compact_if_outgrown`] — the
+//! serving layer's policy, because it is the same store). No per-triple
+//! hash index is ever built over the partition.
 //!
 //! What a worker hands back is **only what it was not shipped**: the
 //! master still holds every schema and base triple, so

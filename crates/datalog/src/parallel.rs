@@ -20,9 +20,9 @@
 //! each rule pivots on its first atom only.
 //!
 //! **Who sorts what.** A new triple is sorted into each column family
-//! once: SPO by the shard that derived it (the candidate sort), POS and
-//! OSP when the round's new run becomes the delta index. That index is
-//! both the next round's pivot and a layer of the view.
+//! once: SPO by the shard that derived it (the candidate sort), POS when
+//! the round's new run becomes the delta index. That index is both the
+//! next round's pivot and a layer of the view.
 //!
 //! **Duplicates are dropped where they are born.** Nearly every candidate
 //! of an OWL-Horst closure is a class membership `(?x rdf:type C)` with
@@ -220,7 +220,6 @@ fn frozen_rounds(
         .collect();
     let freeze_threads = freeze_budget.unwrap_or(0);
     let seen = SeenHeads::new(&base, rules);
-    let mut all_derived: Vec<Triple> = Vec::new();
     let mut round_no: u32 = 0;
     // The delta of the coming round; `None` is the base itself, round 0
     // of a whole-store closure.
@@ -248,7 +247,7 @@ fn frozen_rounds(
         drop(pivot);
         if new.is_empty() {
             let closed = if view.layers.is_empty() {
-                view.base
+                (view.base, Vec::new())
             } else {
                 let freeze = track.begin(Phase::Freeze, round_no);
                 let rows = view.len() as u64;
@@ -258,9 +257,8 @@ fn frozen_rounds(
                 closed
             };
             track.end(round_span);
-            return (closed, all_derived);
+            return closed;
         }
-        all_derived.extend_from_slice(&new);
         let freeze = track.begin(Phase::Freeze, round_no);
         let index = Arc::new(FrozenStore::from_sorted_run(&new, freeze_threads));
         view.push(Arc::clone(&index), freeze_threads);
@@ -299,10 +297,13 @@ impl Layered {
         }
     }
 
-    /// The union as one frozen store: one k-way merge.
-    fn close(self, threads: usize) -> Arc<FrozenStore> {
+    /// The union as one frozen store, by one k-way merge, and the layers'
+    /// own triples — everything the rounds derived — read out after it.
+    fn close(self, threads: usize) -> (Arc<FrozenStore>, Vec<Triple>) {
         let layers: Vec<&FrozenStore> = self.layers.iter().map(Arc::as_ref).collect();
-        Arc::new(self.base.merge_all(&layers, threads))
+        let closed = Arc::new(self.base.merge_all(&layers, threads));
+        let derived = layers.iter().flat_map(|layer| layer.iter()).collect();
+        (closed, derived)
     }
 
     fn stores(&self) -> impl Iterator<Item = &FrozenStore> {
@@ -378,8 +379,8 @@ impl SeenHeads {
         // constant.
         let max_id = base.max_id().into_iter().chain(constants).max();
         let words = max_id.map_or(0, |id| id.0 as usize / 64 + 1);
-        // Three families of three 4-byte ids per triple.
-        let base_bytes = base.len() * 36;
+        // Two families of three 4-byte ids per triple.
+        let base_bytes = base.len() * 24;
         let max_heads = base_bytes.checked_div(words * 8).unwrap_or(0);
         let mut heads: Vec<(NodeId, NodeId)> = Vec::new();
         let mut slots: FxHashMap<(NodeId, NodeId), usize> = FxHashMap::default();
@@ -777,7 +778,18 @@ mod tests {
             TriplePattern::new(None, Some(NodeId(P)), Some(NodeId(2))),
             // a single match: shorter than any shard count above one
             TriplePattern::new(Some(NodeId(3)), Some(NodeId(P)), Some(NodeId(3))),
+            // object-first with an open predicate: rows of the subject's
+            // SPO row, and the object's block under every predicate
+            TriplePattern::new(Some(NodeId(3)), None, Some(NodeId(3))),
+            TriplePattern::new(None, None, Some(NodeId(2))),
         ];
+        let under = |pat: TriplePattern| {
+            let preds: std::collections::BTreeSet<NodeId> =
+                index.matches(pat).iter().map(|t| t.p).collect();
+            preds.len()
+        };
+        assert_eq!(under(pats[5]), 2, "(s, ?, o) spans two predicates");
+        assert_eq!(under(pats[6]), 3, "(?, ?, o) spans all three");
         for parts in [1, 2, 3, 8] {
             for pat in pats {
                 let mut got = Vec::new();
@@ -895,7 +907,62 @@ mod tests {
         assert!(!want.is_empty() && want.len() < fresh.len(), "some known, some new");
         view.retain_new(&mut fresh);
         assert_eq!(fresh, want, "the merge walk keeps what the probes keep");
-        assert_eq!(view.close(2).iter_sorted(), union.iter_sorted());
+        let (closed, derived) = view.close(2);
+        assert_eq!(closed.iter_sorted(), union.iter_sorted());
+        assert_eq!(derived.len(), pushed, "the layers' triples, each once");
+    }
+
+    mod layered {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeSet;
+
+        fn triples(max: usize) -> impl Strategy<Value = Vec<Triple>> {
+            prop::collection::vec((0u32..10, 0u32..3, 0u32..10), 0..max)
+                .prop_map(|v| v.into_iter().map(|(s, p, o)| t(s, P + p, o)).collect())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// A random base and random layers, each layer keeping only
+            /// what the view did not hold yet, as a round does: every
+            /// pattern shape, `contains` and `len` read the union.
+            #[test]
+            fn the_layered_view_is_the_union_of_its_stores(
+                base in triples(60),
+                layers in prop::collection::vec(triples(30), 0..6),
+                absent in triples(4),
+            ) {
+                let mut model: BTreeSet<Triple> = base.iter().copied().collect();
+                let mut view = Layered {
+                    base: Arc::new(FrozenStore::from_triples(base)),
+                    layers: Vec::new(),
+                };
+                for layer in layers {
+                    let fresh: Vec<Triple> = layer.into_iter().filter(|&t| model.insert(t)).collect();
+                    view.push(Arc::new(FrozenStore::from_triples(fresh)), 2);
+                }
+                prop_assert_eq!(view.len(), model.len());
+                for probe in model.iter().chain(&absent) {
+                    prop_assert_eq!(view.contains(probe), model.contains(probe), "{:?}", probe);
+                    for mask in 0..8u8 {
+                        let pat = TriplePattern::new(
+                            (mask & 4 != 0).then_some(probe.s),
+                            (mask & 2 != 0).then_some(probe.p),
+                            (mask & 1 != 0).then_some(probe.o),
+                        );
+                        // not deduplicated: a triple two stores report would show
+                        let mut got = view.matches(pat);
+                        got.sort_unstable();
+                        let want: Vec<Triple> = model.iter().copied().filter(|t| pat.matches(t)).collect();
+                        prop_assert_eq!(got, want, "{:?}", pat);
+                    }
+                }
+                let want: Vec<Triple> = model.into_iter().collect();
+                prop_assert_eq!(view.close(2).0.iter_sorted(), want);
+            }
+        }
     }
 
     #[test]

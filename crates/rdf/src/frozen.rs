@@ -6,12 +6,12 @@
 //! pointer-chasing on every probe. [`FrozenStore`] is the read path's
 //! answer, and the layer a [`TripleStore`](crate::TripleStore) keeps its
 //! bulk in: the triples
-//! laid out **three times as sorted flat columns** (SPO, POS, OSP order)
-//! with CSR-style offset indexes over the leading component. Every one of
-//! the eight [`TriplePattern`] shapes resolves to a contiguous slice scan
-//! (plus at most one in-row binary search), the whole structure is
-//! immutable and `Sync`, and concurrent `for_each_match` from any number
-//! of threads is wait-free.
+//! laid out **twice as sorted flat columns** (SPO and POS order) with
+//! CSR-style offset indexes over the leading component. A
+//! [`TriplePattern`]'s matches are one contiguous slice scan, or, with the
+//! object bound and the predicate open, one per predicate; the whole
+//! structure is immutable and `Sync`, and concurrent `for_each_match`
+//! from any number of threads is wait-free.
 //!
 //! Mutation is layered on top, LSM-style, instead of in place, and the
 //! layering has one home: a [`TripleStore`](crate::TripleStore) is an
@@ -19,8 +19,8 @@
 //! — what a closure round joins against, what a worker absorbs deliveries
 //! into and what the serving layer publishes as a snapshot (a clone
 //! copies the overlay and shares the base). Compaction
-//! ([`FrozenStore::merge`] and friends) folds a delta into the base by a
-//! linear merge of already-sorted runs, not a rebuild.
+//! ([`FrozenStore::merge_triples`] and friends) folds a delta into the
+//! base by a linear merge of already-sorted runs, not a rebuild.
 //!
 //! The [`TripleSource`] trait abstracts over both (frozen and two-layer),
 //! so the datalog joins and the query engine run unchanged against
@@ -126,10 +126,12 @@ impl SortedIndex {
 
     /// The sub-block of `row(k0)` whose second component equals `k1`.
     fn row2(&self, k0: NodeId, k1: NodeId) -> &[[NodeId; 3]] {
-        let row = self.row(k0);
-        let a = row.partition_point(|r| r[1] < k1);
-        let b = row.partition_point(|r| r[1] <= k1);
-        &row[a..b]
+        second_eq(self.row(k0), k1)
+    }
+
+    /// The row block of every leading key, in key order.
+    fn blocks(&self) -> impl Iterator<Item = &[[NodeId; 3]]> {
+        self.offs.windows(2).map(|w| &self.rows[w[0] as usize..w[1] as usize])
     }
 
     /// The zero- or one-row block holding exactly `key`.
@@ -147,13 +149,20 @@ impl SortedIndex {
     }
 }
 
+/// The sub-block of `row`, rows of one leading key, whose second
+/// component equals `k1`.
+fn second_eq(row: &[[NodeId; 3]], k1: NodeId) -> &[[NodeId; 3]] {
+    let a = row.partition_point(|r| r[1] < k1);
+    let b = row.partition_point(|r| r[1] <= k1);
+    &row[a..b]
+}
+
 /// Which column family a block of rows came from, i.e. how a row's key
 /// tuple maps back to `(s, p, o)`.
 #[derive(Clone, Copy)]
 enum Family {
     Spo,
     Pos,
-    Osp,
 }
 
 /// Call `f` on every row of `rows`, un-permuted. The family is matched
@@ -162,17 +171,15 @@ fn emit_rows(family: Family, rows: &[[NodeId; 3]], mut f: impl FnMut(Triple)) {
     match family {
         Family::Spo => rows.iter().for_each(|r| f(Triple::new(r[0], r[1], r[2]))),
         Family::Pos => rows.iter().for_each(|r| f(Triple::new(r[2], r[0], r[1]))),
-        Family::Osp => rows.iter().for_each(|r| f(Triple::new(r[1], r[2], r[0]))),
     }
 }
 
 /// An immutable triple store: sorted flat columns + CSR offset indexes in
-/// SPO, POS and OSP order. `Send + Sync`; see the module docs.
+/// SPO and POS order. `Send + Sync`; see the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct FrozenStore {
     spo: SortedIndex,
     pos: SortedIndex,
-    osp: SortedIndex,
 }
 
 fn spo_key(t: &Triple) -> [NodeId; 3] {
@@ -181,10 +188,6 @@ fn spo_key(t: &Triple) -> [NodeId; 3] {
 
 fn pos_key(t: &Triple) -> [NodeId; 3] {
     [t.p, t.o, t.s]
-}
-
-fn osp_key(t: &Triple) -> [NodeId; 3] {
-    [t.o, t.s, t.p]
 }
 
 /// Length of the prefix of sorted `run` that is `< bound`, found by
@@ -203,7 +206,7 @@ fn prefix_below<T: Ord>(run: &[T], bound: &T) -> usize {
 
 /// Merge two sorted, duplicate-free runs into one. Rows move in blocks:
 /// a round's delta lands in a few places of a family (the class rows of
-/// POS and OSP), and everything between them is one copy.
+/// POS), and everything between them is one copy.
 fn merge_sorted<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
@@ -280,15 +283,15 @@ impl FrozenStore {
         Arc::unwrap_or_clone(store.frozen())
     }
 
-    /// `self` ∪ an overlay given as its three nested hash indexes
-    /// (`(spo, pos, osp)`, `triples` entries each, sharing no triple with
+    /// `self` ∪ an overlay given as its two nested hash indexes
+    /// (`(spo, pos)`, `triples` entries each, sharing no triple with
     /// `self`) — the compaction step of [`TripleStore`]. Each family of
     /// the overlay is emitted key-run by key-run, so only the (much
     /// smaller) key sets and the per-run posting lists get sorted, never
     /// the full triple set; the result is merged with `self`'s family in
     /// one linear pass. At most `threads` threads, the caller's included
     /// (`0`: whatever the machine has).
-    pub(crate) fn fold_nested(&self, nested: [&Nested; 3], triples: usize, threads: usize) -> Self {
+    pub(crate) fn fold_nested(&self, nested: [&Nested; 2], triples: usize, threads: usize) -> Self {
         let build = |nested: &Nested, family: &SortedIndex| {
             let mut k0s: Vec<NodeId> = nested.keys().copied().collect();
             k0s.sort_unstable();
@@ -313,13 +316,12 @@ impl FrozenStore {
             }
             SortedIndex::from_sorted(rows)
         };
-        let [spo_n, pos_n, osp_n] = nested;
+        let [spo_n, pos_n] = nested;
         Self::build_families(
             threads,
             self.len() + triples,
             || build(spo_n, &self.spo),
             || build(pos_n, &self.pos),
-            || build(osp_n, &self.osp),
         )
     }
 
@@ -332,19 +334,13 @@ impl FrozenStore {
             rows.dedup();
             SortedIndex::from_sorted(rows)
         };
-        Self::build_families(
-            0,
-            triples.len(),
-            || build(spo_key),
-            || build(pos_key),
-            || build(osp_key),
-        )
+        Self::build_families(0, triples.len(), || build(spo_key), || build(pos_key))
     }
 
     /// Freeze a run that is already SPO-sorted and duplicate-free (a
     /// decoded triple block, a partition cut from a sorted KB): the run
-    /// *is* the SPO family, and POS and OSP are sorted on their leading
-    /// components only. Uses at most `threads` threads, the caller's
+    /// *is* the SPO family, and POS is sorted on its leading components
+    /// only. Uses at most `threads` threads, the caller's
     /// included — `1` builds everything on the calling thread, `0` takes
     /// whatever the machine has. A run that turns out not to be strictly
     /// ascending is sorted and deduplicated like
@@ -354,8 +350,7 @@ impl FrozenStore {
         // `finish` puts the rows of an ascending run in order by sorting
         // on the family's leading components alone, stably: the run is
         // (s, p, o)-ordered, so its POS rows `[p, o, s]` already ascend
-        // in `s` within one `(p, o)` and its OSP rows `[o, s, p]` in
-        // `(s, p)` within one `o`. Shorter comparisons, over input that
+        // in `s` within one `(p, o)`. Shorter comparisons, over input that
         // is long ascending stretches — a third of a full sort's time on
         // a closure round's delta.
         let build = |key: fn(&Triple) -> [NodeId; 3], finish: fn(&mut Vec<[NodeId; 3]>)| {
@@ -373,21 +368,14 @@ impl FrozenStore {
             run.len(),
             || build(spo_key, |_| ()),
             || build(pos_key, |rows| rows.sort_by_key(|r| (r[0], r[1]))),
-            || build(osp_key, |rows| rows.sort_by_key(|r| r[0])),
         )
     }
 
-    /// Compaction: fold `delta` into a new frozen store. Each column
-    /// family is a linear merge of two sorted runs — O(n + |delta| log
-    /// |delta|), not a full rebuild's O(n log n).
-    pub fn merge(&self, delta: &TripleStore) -> FrozenStore {
-        let triples: Vec<Triple> = delta.iter().collect();
-        self.merge_triples(&triples)
-    }
-
-    /// [`FrozenStore::merge`] for a plain batch of triples (any order,
-    /// duplicates tolerated; an SPO-sorted, duplicate-free run saves a
-    /// sort).
+    /// Compaction: fold a batch of triples (any order, duplicates
+    /// tolerated; an SPO-sorted, duplicate-free run saves a sort) into a
+    /// new frozen store. Each column family is a linear merge of two
+    /// sorted runs — O(n + |delta| log |delta|), not a full rebuild's
+    /// O(n log n).
     pub fn merge_triples(&self, delta: &[Triple]) -> FrozenStore {
         self.merge_triples_within(delta, 0)
     }
@@ -404,7 +392,7 @@ impl FrozenStore {
     }
 
     /// `self` ∪ `other` as a new frozen store: both sides are already
-    /// sorted three ways, so each family is one linear merge and nothing
+    /// sorted both ways, so each family is one linear merge and nothing
     /// is sorted. Uses at most `threads` threads, the caller's included
     /// (`0`: whatever the machine has).
     pub fn merge_frozen(&self, other: &FrozenStore, threads: usize) -> FrozenStore {
@@ -429,27 +417,17 @@ impl FrozenStore {
             };
             SortedIndex::from_sorted(rows)
         };
-        Self::build_families(
-            threads,
-            self.len() + others.iter().map(|o| o.len()).sum::<usize>(),
-            || family(|s| &s.spo),
-            || family(|s| &s.pos),
-            || family(|s| &s.osp),
-        )
+        let rows = self.len() + others.iter().map(|o| o.len()).sum::<usize>();
+        Self::build_families(threads, rows, || family(|s| &s.spo), || family(|s| &s.pos))
     }
 
-    /// The thread count of callers that state no budget: all three
-    /// families at once wherever there is a second core.
+    /// The thread count of callers that state no budget: both families at
+    /// once wherever there is a second core.
     fn unbudgeted() -> usize {
-        let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        if cores >= 2 {
-            3
-        } else {
-            1
-        }
+        std::thread::available_parallelism().map_or(1, |cores| usize::from(cores).min(2))
     }
 
-    /// Build the three column families on at most `threads` threads (the
+    /// Build the two column families on at most `threads` threads (the
     /// calling one included; `0` is [`unbudgeted`](Self::unbudgeted))
     /// when the row count makes the sorts/merges worth a spawn. The
     /// families are independent, so this is the freeze path's free
@@ -461,7 +439,6 @@ impl FrozenStore {
         rows: usize,
         spo: impl FnOnce() -> SortedIndex + Send,
         pos: impl FnOnce() -> SortedIndex + Send,
-        osp: impl FnOnce() -> SortedIndex + Send,
     ) -> FrozenStore {
         /// Below this size, spawn overhead beats the sort work saved.
         const PARALLEL_BUILD_FLOOR: usize = 1 << 14;
@@ -474,22 +451,14 @@ impl FrozenStore {
             return FrozenStore {
                 spo: spo(),
                 pos: pos(),
-                osp: osp(),
             };
         }
         std::thread::scope(|scope| {
             let pos = scope.spawn(pos);
-            // SPO is the cheap family (a presorted run or one merge), so
-            // with a single helper the caller takes OSP as well.
-            let (spo, osp) = if threads == 2 {
-                (spo(), Ok(osp()))
-            } else {
-                let osp = scope.spawn(osp);
-                (spo(), osp.join())
-            };
-            match (pos.join(), osp) {
-                (Ok(pos), Ok(osp)) => FrozenStore { spo, pos, osp },
-                (Err(payload), _) | (_, Err(payload)) => std::panic::resume_unwind(payload),
+            let spo = spo();
+            match pos.join() {
+                Ok(pos) => FrozenStore { spo, pos },
+                Err(payload) => std::panic::resume_unwind(payload),
             }
         })
     }
@@ -560,70 +529,91 @@ impl FrozenStore {
         &self.pos.keys
     }
 
-    /// Distinct objects, ascending.
-    pub(crate) fn objects(&self) -> &[NodeId] {
-        &self.osp.keys
+    /// The object column of the POS rows, a repeat of the row before
+    /// skipped: every object, once per predicate it occurs under.
+    pub(crate) fn object_column(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.pos.rows.chunk_by(|a, b| a[1] == b[1]).map(|run| run[0][1])
     }
 
     /// `(predicate, triple count)` for every predicate, read off the POS
     /// offsets.
     pub(crate) fn predicate_counts(&self) -> impl Iterator<Item = (NodeId, usize)> + '_ {
-        let widths = self.pos.offs.windows(2).map(|w| (w[1] - w[0]) as usize);
-        self.pos.keys.iter().copied().zip(widths)
+        self.pos.keys.iter().copied().zip(self.pos.blocks().map(<[_]>::len))
     }
 
-    /// The rows matching `pat`: for every pattern shape one contiguous
-    /// block of one family (found with at most one in-row binary search).
-    fn match_rows(&self, pat: TriplePattern) -> (Family, &[[NodeId; 3]]) {
+    /// Call `f` on every block of rows matching `pat`, in order, with the
+    /// family it came from: one block found with at most one in-row
+    /// binary search, except for the object-first shapes with an open
+    /// predicate, which have no family of their own — `(s, ?, o)` is each
+    /// row of SPO `row(s)` whose object is `o`, and `(?, ?, o)` is POS
+    /// `row2(p, o)` for every predicate `p`.
+    fn for_each_block(&self, pat: TriplePattern, mut f: impl FnMut(Family, &[[NodeId; 3]])) {
         match (pat.s, pat.p, pat.o) {
-            (Some(s), Some(p), Some(o)) => (Family::Spo, self.spo.exact([s, p, o])),
-            (Some(s), Some(p), None) => (Family::Spo, self.spo.row2(s, p)),
-            (Some(s), None, None) => (Family::Spo, self.spo.row(s)),
-            (None, Some(p), Some(o)) => (Family::Pos, self.pos.row2(p, o)),
-            (None, Some(p), None) => (Family::Pos, self.pos.row(p)),
-            (Some(s), None, Some(o)) => (Family::Osp, self.osp.row2(o, s)),
-            (None, None, Some(o)) => (Family::Osp, self.osp.row(o)),
-            (None, None, None) => (Family::Spo, &self.spo.rows),
+            (Some(s), Some(p), Some(o)) => f(Family::Spo, self.spo.exact([s, p, o])),
+            (Some(s), Some(p), None) => f(Family::Spo, self.spo.row2(s, p)),
+            (Some(s), None, None) => f(Family::Spo, self.spo.row(s)),
+            (None, Some(p), Some(o)) => f(Family::Pos, self.pos.row2(p, o)),
+            (None, Some(p), None) => f(Family::Pos, self.pos.row(p)),
+            (Some(s), None, Some(o)) => {
+                let rows = self.spo.row(s).iter().filter(|r| r[2] == o);
+                rows.for_each(|r| f(Family::Spo, std::slice::from_ref(r)));
+            }
+            (None, None, Some(o)) => {
+                self.pos.blocks().for_each(|rows| f(Family::Pos, second_eq(rows, o)));
+            }
+            (None, None, None) => f(Family::Spo, &self.spo.rows),
         }
     }
 
-    /// Invoke `f` for every triple matching `pat`. Every pattern shape is
-    /// a contiguous slice scan; no locks, no hashing.
-    pub fn for_each_match(&self, pat: TriplePattern, f: impl FnMut(Triple)) {
-        let (family, rows) = self.match_rows(pat);
-        emit_rows(family, rows, f);
+    /// Invoke `f` for every triple matching `pat`: a slice scan per
+    /// block of matching rows; no locks, no hashing.
+    pub fn for_each_match(&self, pat: TriplePattern, mut f: impl FnMut(Triple)) {
+        self.for_each_block(pat, |family, rows| emit_rows(family, rows, &mut f));
     }
 
     /// [`for_each_match`](FrozenStore::for_each_match) over share `part`
-    /// of `parts` of `pat`'s matches: the block of matching rows is cut
-    /// into `parts` near-equal consecutive pieces, so over `part` in
-    /// `0..parts` every match is reported exactly once. This is how the
-    /// shards of a closure round divide one shared delta index between
-    /// them, whatever pattern a rule pivots on. `part` must be below
-    /// `parts`.
+    /// of `parts` of `pat`'s matches: the matching rows, taken block
+    /// after block, are cut into `parts` near-equal consecutive pieces, so
+    /// over `part` in `0..parts` every match is reported exactly once.
+    /// This is how the shards of a closure round divide one shared delta
+    /// index between them, whatever pattern a rule pivots on. `part` must
+    /// be below `parts`.
     pub fn for_each_match_part(
         &self,
         pat: TriplePattern,
         part: usize,
         parts: usize,
-        f: impl FnMut(Triple),
+        mut f: impl FnMut(Triple),
     ) {
         debug_assert!(part < parts);
-        let (family, rows) = self.match_rows(pat);
-        let cut = |i: usize| rows.len() * i / parts;
-        emit_rows(family, &rows[cut(part)..cut(part + 1)], f);
+        let total = self.count_matches(pat);
+        let (lo, hi) = (total * part / parts, total * (part + 1) / parts);
+        // `at`: how many matching rows the blocks before this one hold
+        let mut at = 0;
+        self.for_each_block(pat, |family, rows| {
+            let end = at + rows.len();
+            let (a, b) = (lo.clamp(at, end), hi.clamp(at, end));
+            emit_rows(family, &rows[a - at..b - at], &mut f);
+            at = end;
+        });
     }
 
-    /// Number of matches — pure index arithmetic, no iteration.
+    /// Number of matches: index arithmetic per block, no triple built.
     pub fn count_matches(&self, pat: TriplePattern) -> usize {
-        self.match_rows(pat).1.len()
+        let mut n = 0;
+        self.for_each_block(pat, |_, rows| n += rows.len());
+        n
     }
 
     /// The largest id in any position of any triple, `None` when empty.
+    /// A predicate's POS rows are sorted by `(o, s)`, so its last row
+    /// holds its largest object.
     pub fn max_id(&self) -> Option<NodeId> {
-        [&self.spo, &self.pos, &self.osp]
+        let objects = self.pos.blocks().filter_map(|rows| rows.last()).map(|r| r[1]);
+        [&self.spo, &self.pos]
             .into_iter()
             .filter_map(|family| family.keys.last().copied())
+            .chain(objects)
             .max()
     }
 }
@@ -711,9 +701,8 @@ mod tests {
     #[test]
     fn merge_equals_rebuild() {
         let base: FrozenStore = sample().into_iter().collect();
-        let delta: TripleStore =
-            [t(9, 9, 9), t(0, 1, 2), t(5, 5, 5)].into_iter().collect();
-        let merged = base.merge(&delta);
+        let delta = [t(9, 9, 9), t(0, 1, 2), t(5, 5, 5)];
+        let merged = base.merge_triples(&delta);
         let mut expect: Vec<Triple> = sample();
         expect.extend([t(9, 9, 9), t(5, 5, 5)]);
         expect.sort_unstable();
@@ -724,8 +713,8 @@ mod tests {
         assert_matches_scan(&merged, &expect, pat(None, None, None));
     }
 
-    /// A run big enough to cross the parallel-build floor, so budgets 2
-    /// and 3 really take their helper threads.
+    /// A run big enough to cross the parallel-build floor, so budgets
+    /// from 2 up really take their helper thread.
     fn big_run() -> Vec<Triple> {
         let mut v: Vec<Triple> = (0..40_000u32)
             .map(|i| t(i % 997, 1000 + i % 13, (i * 7919) % 4001))
@@ -875,7 +864,7 @@ mod tests {
         assert_eq!(fs.count_matches(TriplePattern::any()), 0);
         assert!(fs.matches(pat(Some(1), None, None)).is_empty());
         assert!(!fs.contains(&t(1, 2, 3)));
-        let merged = fs.merge(&[t(1, 2, 3)].into_iter().collect());
+        let merged = fs.merge_triples(&[t(1, 2, 3)]);
         assert_eq!(merged.len(), 1);
     }
 

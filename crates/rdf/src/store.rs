@@ -3,9 +3,9 @@
 //! The store has two layers behind one set of methods:
 //!
 //! * the **base** — an [`Arc<FrozenStore>`]: the bulk of the triples as
-//!   SPO/POS/OSP sorted runs, immutable and shared by reference count
+//!   SPO/POS sorted runs, immutable and shared by reference count
 //!   (cloning a store, freezing it, or publishing it copies a pointer);
-//! * the **overlay** — three nested-map indexes (SPO, POS, OSP) plus a
+//! * the **overlay** — two nested-map indexes (SPO, POS) plus a
 //!   membership set, holding only what was inserted since the last
 //!   compaction.
 //!
@@ -79,7 +79,6 @@ pub struct TripleStore {
     all: FxHashSet<Triple>,
     spo: Nested, // s -> p -> [o]
     pos: Nested, // p -> o -> [s]
-    osp: Nested, // o -> s -> [p]
 }
 
 impl TripleStore {
@@ -105,7 +104,6 @@ impl TripleStore {
         }
         self.spo.entry(t.s).or_default().entry(t.p).or_default().push(t.o);
         self.pos.entry(t.p).or_default().entry(t.o).or_default().push(t.s);
-        self.osp.entry(t.o).or_default().entry(t.s).or_default().push(t.p);
         true
     }
 
@@ -161,11 +159,7 @@ impl TripleStore {
         if self.all.is_empty() {
             Arc::clone(&self.base)
         } else {
-            Arc::new(self.base.fold_nested(
-                [&self.spo, &self.pos, &self.osp],
-                self.all.len(),
-                threads,
-            ))
+            Arc::new(self.base.fold_nested([&self.spo, &self.pos], self.all.len(), threads))
         }
     }
 
@@ -240,7 +234,6 @@ impl TripleStore {
         self.all = FxHashSet::default();
         self.spo = Nested::default();
         self.pos = Nested::default();
-        self.osp = Nested::default();
     }
 
     /// Invoke `f` for every triple matching `pat`, using the cheapest
@@ -266,9 +259,12 @@ impl TripleStore {
                 }
             }
             (Some(s), None, Some(o)) => {
-                if let Some(ps) = self.osp.get(&o).and_then(|m| m.get(&s)) {
-                    for &p in ps {
-                        f(Triple::new(s, p, o));
+                if let Some(pm) = self.spo.get(&s) {
+                    for &p in pm.keys() {
+                        let t = Triple::new(s, p, o);
+                        if self.all.contains(&t) {
+                            f(t);
+                        }
                     }
                 }
             }
@@ -298,11 +294,9 @@ impl TripleStore {
                 }
             }
             (None, None, Some(o)) => {
-                if let Some(sm) = self.osp.get(&o) {
-                    for (&s, ps) in sm {
-                        for &p in ps {
-                            f(Triple::new(s, p, o));
-                        }
+                for (&p, om) in &self.pos {
+                    for &s in om.get(&o).into_iter().flatten() {
+                        f(Triple::new(s, p, o));
                     }
                 }
             }
@@ -321,10 +315,9 @@ impl TripleStore {
         out
     }
 
-    /// Number of matches without materializing them. Patterns with at
-    /// least one bound position are answered from index arithmetic on
-    /// the base plus posting-list lengths in the overlay — no iteration,
-    /// no callback; the layers are disjoint, so the sum is exact.
+    /// Number of matches without materializing them: index arithmetic on
+    /// the base plus posting-list lengths in the overlay, no triple
+    /// built; the layers are disjoint, so the sum is exact.
     pub fn count_matches(&self, pat: TriplePattern) -> usize {
         fn row_len(nested: &Nested, k0: NodeId) -> usize {
             nested
@@ -343,10 +336,12 @@ impl TripleStore {
             }
             (Some(s), Some(p), None) => list_len(&self.spo, s, p),
             (None, Some(p), Some(o)) => list_len(&self.pos, p, o),
-            (Some(s), None, Some(o)) => list_len(&self.osp, o, s),
+            (Some(s), None, Some(o)) => self.spo.get(&s).map_or(0, |pm| {
+                pm.keys().filter(|&&p| self.all.contains(&Triple::new(s, p, o))).count()
+            }),
             (Some(s), None, None) => row_len(&self.spo, s),
             (None, Some(p), None) => row_len(&self.pos, p),
-            (None, None, Some(o)) => row_len(&self.osp, o),
+            (None, None, Some(o)) => self.pos.values().map(|om| om.get(&o).map_or(0, Vec::len)).sum(),
             (None, None, None) => self.all.len(),
         };
         self.base.count_matches(pat) + recent
@@ -360,11 +355,11 @@ impl TripleStore {
             .base
             .subjects()
             .iter()
-            .chain(self.base.objects())
             .copied()
+            .chain(self.base.object_column())
             .collect();
         set.extend(self.spo.keys());
-        set.extend(self.osp.keys());
+        set.extend(self.pos.values().flat_map(|om| om.keys()));
         set
     }
 

@@ -393,7 +393,8 @@ proptest! {
     /// constants anywhere, including constant heads, over random data:
     /// the semi-naive, parallel and frozen closures, and the serial and
     /// frozen delta closures after a random insert, all equal the naive
-    /// closure.
+    /// closure. Three fixed rules ride along: a repeated variable, and a
+    /// join step of each object-first shape with an open predicate.
     #[test]
     fn compiled_plans_equal_the_naive_join(
         raw_rules in prop::collection::vec(
@@ -410,6 +411,12 @@ proptest! {
             .collect();
         // (?x p0 ?x) -> (?x p1 ?x): a repeated variable in every case.
         rules.push(planned_rule("refl".into(), &[(0, 2, 0)], (0, 3, 0)));
+        // (?x p0 ?y), (?y ?q ?x) -> (?x ?q ?y): from the first atom, the
+        // second step looks up (s, ?, o).
+        rules.push(planned_rule("back".into(), &[(0, 2, 1), (1, 0, 0)], (0, 0, 1)));
+        // (?x p0 ?y), (?z ?q ?y) -> (?z p1 ?x): from the first atom, the
+        // second step looks up (?, ?, o).
+        rules.push(planned_rule("into".into(), &[(0, 2, 1), (2, 0, 1)], (2, 3, 0)));
         let facts = planned_facts(&data);
         let want = naive(&facts, &rules);
 
