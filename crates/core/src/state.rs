@@ -78,10 +78,11 @@ impl WorkerState {
     pub fn close(&mut self) -> Vec<Triple> {
         let derived = match self.budget {
             Some(threads) => {
-                // The store gives its base up for the closure, so the
-                // closure's one merge can free the base it replaces.
+                // The store gives its base up to the closure, which holds
+                // it until its one merge has built both new families: the
+                // old base and the closed one are both live at the merge.
                 let base = Arc::clone(std::mem::take(&mut self.store).base());
-                let (closed, derived) = closure_within(base, &self.reasoner.rules, threads);
+                let (closed, derived) = closure_within(base, self.reasoner.program(), threads);
                 self.store.adopt(closed);
                 derived
             }
@@ -103,7 +104,7 @@ impl WorkerState {
         received.retain(|t| !self.store.contains(t));
         let fresh = received;
         self.gained.extend_from_slice(&fresh);
-        let rules = &self.reasoner.rules;
+        let program = self.reasoner.program();
         let derived = match self.budget {
             Some(threads) if threads > 1 && fresh.len() >= MIN_PARALLEL_DELTA => {
                 // Big enough to shard: fold it (and the overlay) in and
@@ -112,13 +113,13 @@ impl WorkerState {
                 run.extend_from_slice(&fresh);
                 let grown = self.store.base().merge_triples_within(&run, threads);
                 self.store = TripleStore::new();
-                let (closed, derived) = closure_delta_within(grown, rules, fresh, threads);
+                let (closed, derived) = closure_delta_within(grown, program, fresh, threads);
                 self.store.adopt(closed);
                 derived
             }
             Some(threads) => {
                 self.store.extend(fresh.iter().copied());
-                let derived = forward_closure_delta(&mut self.store, rules, fresh);
+                let derived = forward_closure_delta(&mut self.store, program, fresh);
                 self.store.compact_if_outgrown(threads);
                 derived
             }

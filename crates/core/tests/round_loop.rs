@@ -216,7 +216,7 @@ fn run_rounds_over_a_scripted_transport_and_vote_is_the_serial_delta_closure() {
     let mut oracle: owlpar_rdf::TripleStore = schema.iter().chain(&base).copied().collect();
     let shipped = oracle.clone();
     oracle.extend([t(2, P, 3), t(3, P, 4)]);
-    owlpar_datalog::forward::forward_closure(&mut oracle, &chain_ctx().reasoner.rules);
+    owlpar_datalog::forward::forward_closure(&mut oracle, chain_ctx().reasoner.program());
     let want: Vec<Triple> = oracle
         .iter_sorted()
         .into_iter()

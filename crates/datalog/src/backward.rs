@@ -380,6 +380,7 @@ mod tests {
     use super::*;
     use crate::ast::build::*;
     use crate::forward::forward_closure;
+    use crate::program::Program;
 
     const P: u32 = 100;
     const Q: u32 = 101;
@@ -415,7 +416,7 @@ mod tests {
 
     fn assert_same_closure(base: &[Triple], rules: &[Rule], scope: TableScope) {
         let mut fwd: TripleStore = base.iter().copied().collect();
-        forward_closure(&mut fwd, rules);
+        forward_closure(&mut fwd, &Program::compile(rules));
 
         let mut bwd: TripleStore = base.iter().copied().collect();
         let mut eng = BackwardEngine::new(rules, scope);
@@ -546,7 +547,7 @@ mod tests {
         for base in cases {
             let rules = [trans_rule(P), subclass_rule()];
             let mut fwd: TripleStore = base.iter().copied().collect();
-            forward_closure(&mut fwd, &rules);
+            forward_closure(&mut fwd, &Program::compile(&rules));
             let mut jena: TripleStore = base.iter().copied().collect();
             let mut eng = BackwardEngine::new(&rules, TableScope::PerQuery);
             eng.materialize_jena(&mut jena);

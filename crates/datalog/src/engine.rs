@@ -9,6 +9,7 @@ use crate::ast::Rule;
 use crate::backward::{BackwardEngine, TableScope};
 use crate::forward::{forward_closure, forward_closure_delta};
 use crate::parallel::{parallel_closure, parallel_closure_delta};
+use crate::program::Program;
 use owlpar_rdf::{Triple, TripleStore};
 
 /// How a [`Reasoner`] computes the closure.
@@ -36,11 +37,12 @@ pub enum MaterializationStrategy {
     BackwardJena(TableScope),
 }
 
-/// A rule set bound to a materialization strategy.
+/// A rule set bound to a materialization strategy, and the evaluation
+/// program the forward engines run, compiled from it once, here.
 #[derive(Debug, Clone)]
 pub struct Reasoner {
-    /// The compiled rule-base.
-    pub rules: Vec<Rule>,
+    rules: Vec<Rule>,
+    program: Program,
     /// Closure strategy.
     pub strategy: MaterializationStrategy,
 }
@@ -48,7 +50,22 @@ pub struct Reasoner {
 impl Reasoner {
     /// Create a reasoner with the given strategy.
     pub fn new(rules: Vec<Rule>, strategy: MaterializationStrategy) -> Self {
-        Reasoner { rules, strategy }
+        let program = Program::compile(&rules);
+        Reasoner {
+            rules,
+            program,
+            strategy,
+        }
+    }
+
+    /// The rule-base, as given.
+    pub fn rules(&self) -> &[Rule] {
+        &self.rules
+    }
+
+    /// The rule-base compiled for the forward engines.
+    pub fn program(&self) -> &Program {
+        &self.program
     }
 
     /// Forward semi-naive reasoner.
@@ -67,9 +84,9 @@ impl Reasoner {
     /// Compute the closure of `store` in place; returns #derived triples.
     pub fn materialize(&self, store: &mut TripleStore) -> usize {
         match self.strategy {
-            MaterializationStrategy::ForwardSemiNaive => forward_closure(store, &self.rules),
+            MaterializationStrategy::ForwardSemiNaive => forward_closure(store, &self.program),
             MaterializationStrategy::ForwardParallel { threads } => {
-                parallel_closure(store, &self.rules, threads)
+                parallel_closure(store, &self.program, threads)
             }
             MaterializationStrategy::BackwardPerResource(scope) => {
                 BackwardEngine::new(&self.rules, scope).materialize(store)
@@ -92,10 +109,10 @@ impl Reasoner {
     pub fn materialize_delta(&self, store: &mut TripleStore, delta: Vec<Triple>) -> Vec<Triple> {
         let scope = match self.strategy {
             MaterializationStrategy::ForwardSemiNaive => {
-                return forward_closure_delta(store, &self.rules, delta);
+                return forward_closure_delta(store, &self.program, delta);
             }
             MaterializationStrategy::ForwardParallel { threads } => {
-                return parallel_closure_delta(store, &self.rules, delta, threads);
+                return parallel_closure_delta(store, &self.program, delta, threads);
             }
             MaterializationStrategy::BackwardPerResource(scope)
             | MaterializationStrategy::BackwardJena(scope) => scope,

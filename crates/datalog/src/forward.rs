@@ -1,13 +1,17 @@
 //! Bottom-up (forward-chaining) evaluation.
 //!
-//! [`forward_closure`] runs **semi-naive** evaluation: after the first
-//! round, a rule only fires if at least one body atom matches a triple
-//! derived in the previous round (the *delta*). Every engine path — these
-//! rounds, an INSERT's delta closure and the parallel frozen rounds —
-//! evaluates a rule by its compiled join plans ([`apply_rule_delta`]).
-//! [`naive_closure`] re-derives everything every round with a join of
-//! its own, and exists purely as the oracle the plans are checked
-//! against.
+//! [`forward_closure`] runs **semi-naive** evaluation of a compiled
+//! [`Program`]: round 0 pivots every rule on the seed, and a later round
+//! pivots only the multi-atom rules on the triples the round before
+//! derived (the *delta*). The one-atom rules, closed under composition,
+//! are applied to every product as it is emitted, and each transitive
+//! rule is evaluated by an operator that closes its property in the
+//! round that meets the edges (see [`program`](crate::program)). Every
+//! engine path — these rounds, an INSERT's delta closure and the parallel
+//! frozen rounds — runs the same program, a rule by its compiled join
+//! plans ([`apply_rule_delta`]). [`naive_closure`] re-derives everything
+//! every round from the uncomposed rules with a join of its own, and
+//! exists purely as the oracle the program is checked against.
 //!
 //! The delta-aware entry point [`forward_closure_delta`] is what the
 //! parallel reasoner's rounds use: a worker whose store is already closed
@@ -19,28 +23,29 @@
 
 use crate::ast::{Bindings, Rule};
 use crate::plan::Step;
+use crate::program::{Program, Round};
 use owlpar_rdf::{NodeId, Triple, TripleSource, TripleStore};
 
-/// Compute the closure of `store` under `rules`. Returns the number of
+/// Compute the closure of `store` under `program`. Returns the number of
 /// derived (new) triples. Semi-naive: cost proportional to work actually
 /// producing new facts.
-pub fn forward_closure(store: &mut TripleStore, rules: &[Rule]) -> usize {
+pub fn forward_closure(store: &mut TripleStore, program: &Program) -> usize {
     let seed: Vec<Triple> = store.iter().collect();
-    run_rounds(store, rules, seed).len()
+    run_rounds(store, program, seed, true).len()
 }
 
-/// `store` is assumed closed under `rules` except that the triples in
+/// `store` is assumed closed under `program` except that the triples in
 /// `delta` were just inserted. Derives all consequences, inserts them, and
 /// returns them (cascades included).
 ///
 /// Precondition: every triple of `delta` is already present in `store`.
 pub fn forward_closure_delta(
     store: &mut TripleStore,
-    rules: &[Rule],
+    program: &Program,
     delta: Vec<Triple>,
 ) -> Vec<Triple> {
     debug_assert!(delta.iter().all(|t| store.contains(t)));
-    run_rounds(store, rules, delta)
+    run_rounds(store, program, delta, false)
 }
 
 /// Naive evaluation: every round applies every rule to the whole store.
@@ -73,17 +78,27 @@ pub fn naive_closure(store: &mut TripleStore, rules: &[Rule]) -> usize {
     }
 }
 
-fn run_rounds(store: &mut TripleStore, rules: &[Rule], seed: Vec<Triple>) -> Vec<Triple> {
+/// The rounds from `seed`; `whole` when the seed is all of `store`.
+fn run_rounds(
+    store: &mut TripleStore,
+    program: &Program,
+    seed: Vec<Triple>,
+    whole: bool,
+) -> Vec<Triple> {
     let mut all_derived: Vec<Triple> = Vec::new();
     let mut delta_store: TripleStore = seed.into_iter().collect();
+    // What each operator emitted the round before.
+    let mut closed: Vec<Vec<Triple>> = vec![Vec::new(); program.operators()];
+    let mut round = Round::Seed { whole };
     while !delta_store.is_empty() {
         let mut candidates: Vec<Triple> = Vec::new();
-        for rule in rules {
-            let pivots = rule.body.len();
-            apply_rule_delta(store, &delta_store, rule, pivots, &mut |t| candidates.push(t));
+        program.pivot(&*store, &delta_store, round, &mut candidates);
+        for (op, prev) in closed.iter_mut().enumerate() {
+            *prev =
+                program.close_transitive(op, &*store, &delta_store, round, prev, &mut candidates);
         }
-        // On transitive-heavy workloads most candidates are duplicates;
-        // deduping here saves a 4-index hash probe per duplicate.
+        // Most candidates of a multi-atom rule are duplicates; deduping
+        // here saves a 4-index hash probe per duplicate.
         candidates.sort_unstable();
         candidates.dedup();
         let mut next_delta = TripleStore::new();
@@ -94,6 +109,7 @@ fn run_rounds(store: &mut TripleStore, rules: &[Rule], seed: Vec<Triple>) -> Vec
             }
         }
         delta_store = next_delta;
+        round = Round::Delta;
     }
     all_derived
 }
@@ -256,7 +272,7 @@ mod tests {
     fn transitive_chain_closure() {
         // 0 -P-> 1 -P-> 2 -P-> 3  yields 3 derived triples
         let mut s: TripleStore = [t(0, P, 1), t(1, P, 2), t(2, P, 3)].into_iter().collect();
-        let n = forward_closure(&mut s, &[trans_rule(P)]);
+        let n = forward_closure(&mut s, &Program::compile(&[trans_rule(P)]));
         assert_eq!(n, 3);
         assert!(s.contains(&t(0, P, 2)));
         assert!(s.contains(&t(0, P, 3)));
@@ -270,18 +286,18 @@ mod tests {
         let rules = [trans_rule(P), subclass_rule()];
         let mut closed: TripleStore = (0..30).map(|i| t(i, P, i + 1)).collect();
         closed.insert(t(3, TYPE, STUDENT));
-        forward_closure(&mut closed, &rules);
+        forward_closure(&mut closed, &Program::compile(&rules));
 
         let fresh = vec![t(31, P, 32), t(40, P, 0), t(9, TYPE, STUDENT)];
         let mut want = closed.clone();
         want.extend(fresh.iter().copied());
-        let mut want_derived = forward_closure_delta(&mut want, &rules, fresh.clone());
+        let mut want_derived = forward_closure_delta(&mut want, &Program::compile(&rules), fresh.clone());
 
         let mut layered = closed.clone();
         layered.compact();
         let base = std::sync::Arc::clone(layered.base());
         layered.extend(fresh.iter().copied());
-        let mut derived = forward_closure_delta(&mut layered, &rules, fresh);
+        let mut derived = forward_closure_delta(&mut layered, &Program::compile(&rules), fresh);
         want_derived.sort_unstable();
         derived.sort_unstable();
         assert_eq!(derived, want_derived);
@@ -300,7 +316,7 @@ mod tests {
     #[test]
     fn transitive_cycle_terminates() {
         let mut s: TripleStore = [t(0, P, 1), t(1, P, 2), t(2, P, 0)].into_iter().collect();
-        forward_closure(&mut s, &[trans_rule(P)]);
+        forward_closure(&mut s, &Program::compile(&[trans_rule(P)]));
         // complete digraph on {0,1,2} including self loops
         assert_eq!(s.len(), 9);
     }
@@ -308,7 +324,7 @@ mod tests {
     #[test]
     fn single_atom_rule_fires() {
         let mut s: TripleStore = [t(7, TYPE, STUDENT)].into_iter().collect();
-        let n = forward_closure(&mut s, &[subclass_rule()]);
+        let n = forward_closure(&mut s, &Program::compile(&[subclass_rule()]));
         assert_eq!(n, 1);
         assert!(s.contains(&t(7, TYPE, PERSON)));
     }
@@ -323,7 +339,7 @@ mod tests {
         )
         .unwrap();
         let mut s: TripleStore = [t(0, Q, 1), t(1, P, 2)].into_iter().collect();
-        let n = forward_closure(&mut s, &[promote, trans_rule(P)]);
+        let n = forward_closure(&mut s, &Program::compile(&[promote, trans_rule(P)]));
         // derive p(0,1), then p(0,2)
         assert_eq!(n, 2);
         assert!(s.contains(&t(0, P, 2)));
@@ -333,9 +349,9 @@ mod tests {
     fn closure_is_idempotent() {
         let mut s: TripleStore = [t(0, P, 1), t(1, P, 2)].into_iter().collect();
         let rules = [trans_rule(P)];
-        let first = forward_closure(&mut s, &rules);
+        let first = forward_closure(&mut s, &Program::compile(&rules));
         assert_eq!(first, 1);
-        let second = forward_closure(&mut s, &rules);
+        let second = forward_closure(&mut s, &Program::compile(&rules));
         assert_eq!(second, 0);
     }
 
@@ -345,7 +361,7 @@ mod tests {
         let rules = [trans_rule(P), subclass_rule()];
 
         let mut a: TripleStore = base.into_iter().collect();
-        forward_closure(&mut a, &rules);
+        forward_closure(&mut a, &Program::compile(&rules));
         let mut b: TripleStore = base.into_iter().collect();
         naive_closure(&mut b, &rules);
 
@@ -356,13 +372,13 @@ mod tests {
     fn delta_closure_propagates_cascades() {
         let rules = [trans_rule(P)];
         let mut s: TripleStore = [t(0, P, 1), t(1, P, 2)].into_iter().collect();
-        forward_closure(&mut s, &rules);
+        forward_closure(&mut s, &Program::compile(&rules));
         assert_eq!(s.len(), 3);
 
         // Now a foreign triple arrives linking 2 -> 3.
         let new = t(2, P, 3);
         s.insert(new);
-        let derived = forward_closure_delta(&mut s, &rules, vec![new]);
+        let derived = forward_closure_delta(&mut s, &Program::compile(&rules), vec![new]);
         let mut derived_sorted = derived.clone();
         derived_sorted.sort_unstable();
         assert_eq!(derived_sorted, vec![t(0, P, 3), t(1, P, 3)]);
@@ -373,9 +389,9 @@ mod tests {
     fn delta_closure_noop_for_known_consequences() {
         let rules = [trans_rule(P)];
         let mut s: TripleStore = [t(0, P, 1), t(1, P, 2)].into_iter().collect();
-        forward_closure(&mut s, &rules);
+        forward_closure(&mut s, &Program::compile(&rules));
         // Re-adding an existing triple as delta derives nothing new.
-        let derived = forward_closure_delta(&mut s, &rules, vec![t(0, P, 1)]);
+        let derived = forward_closure_delta(&mut s, &Program::compile(&rules), vec![t(0, P, 1)]);
         assert!(derived.is_empty());
     }
 
@@ -393,7 +409,7 @@ mod tests {
         )
         .unwrap();
         let mut s: TripleStore = [t(0, P, 1), t(1, Q, 2), t(2, P, 3)].into_iter().collect();
-        let n = forward_closure(&mut s, &[r]);
+        let n = forward_closure(&mut s, &Program::compile(&[r]));
         assert_eq!(n, 1);
         assert!(s.contains(&t(0, Q, 3)));
     }
@@ -408,7 +424,7 @@ mod tests {
         )
         .unwrap();
         let mut s: TripleStore = [t(1, P, 1), t(2, P, 3)].into_iter().collect();
-        let n = forward_closure(&mut s, &[r]);
+        let n = forward_closure(&mut s, &Program::compile(&[r]));
         assert_eq!(n, 1);
         assert!(s.contains(&t(1, TYPE, STUDENT)));
         assert!(!s.contains(&t(2, TYPE, STUDENT)));
@@ -426,7 +442,7 @@ mod tests {
         )
         .unwrap();
         let mut s: TripleStore = [t(0, P, 1), t(5, Q, 6)].into_iter().collect();
-        let n = forward_closure(&mut s, &[r]);
+        let n = forward_closure(&mut s, &Program::compile(&[r]));
         assert_eq!(n, 2);
         assert!(s.contains(&t(1, P, 0)));
         assert!(s.contains(&t(6, Q, 5)));
@@ -435,13 +451,13 @@ mod tests {
     #[test]
     fn empty_store_closure_is_empty() {
         let mut s = TripleStore::new();
-        assert_eq!(forward_closure(&mut s, &[trans_rule(P)]), 0);
+        assert_eq!(forward_closure(&mut s, &Program::compile(&[trans_rule(P)])), 0);
     }
 
     #[test]
     fn no_rules_closure_is_identity() {
         let mut s: TripleStore = [t(0, P, 1)].into_iter().collect();
-        assert_eq!(forward_closure(&mut s, &[]), 0);
+        assert_eq!(forward_closure(&mut s, &Program::compile(&[])), 0);
         assert_eq!(s.len(), 1);
     }
 }

@@ -9,7 +9,9 @@
 //! * a Jena-style textual rule [`parser`];
 //! * a **semi-naive forward-chaining** evaluator ([`forward`]) — the
 //!   efficient "bottom-up datalog evaluation" the paper mentions as an
-//!   alternative strategy, and our ground-truth closure;
+//!   alternative strategy — that runs a rule set compiled into a
+//!   [`program::Program`]: the one-atom rules closed under composition,
+//!   the multi-atom rules, and an operator per transitive rule;
 //! * a **tabled SLD backward-chaining** evaluator ([`backward`]) that
 //!   emulates Jena's LP engine materializing the KB by issuing
 //!   one query per resource; its per-resource cost profile is what gives
@@ -20,7 +22,7 @@
 //!
 //! ```
 //! use owlpar_rdf::Graph;
-//! use owlpar_datalog::{parser::parse_rules, forward::forward_closure};
+//! use owlpar_datalog::{parser::parse_rules, forward::forward_closure, Program};
 //!
 //! let mut g = Graph::new();
 //! g.insert_iris("http://x/a", "http://x/knows", "http://x/b");
@@ -29,7 +31,7 @@
 //!     "[trans: (?a <http://x/knows> ?b) (?b <http://x/knows> ?c) -> (?a <http://x/knows> ?c)]",
 //!     &mut g.dict,
 //! ).unwrap();
-//! let derived = forward_closure(&mut g.store, &rules);
+//! let derived = forward_closure(&mut g.store, &Program::compile(&rules));
 //! assert_eq!(derived, 1); // a knows c
 //! ```
 
@@ -43,6 +45,7 @@ pub mod forward;
 pub mod parallel;
 pub mod parser;
 mod plan;
+pub mod program;
 
 pub use ast::{Atom, Rule, TermPat};
 pub use engine::{MaterializationStrategy, Reasoner};
@@ -50,3 +53,4 @@ pub use parallel::{
     closure_delta_within, closure_within, parallel_closure, parallel_closure_delta,
 };
 pub use parser::{parse_rules, parse_rules_annotated, ParsedRule};
+pub use program::Program;

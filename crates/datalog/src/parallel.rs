@@ -7,7 +7,7 @@
 //! a [`FrozenStore`], or the base itself in round 0 of a whole-store
 //! closure — and every shard reads its share of each pivot's match range
 //! out of it ([`FrozenStore::for_each_match_part`]); nothing is indexed
-//! per shard. Each shard runs the rules' compiled join plans — the same
+//! per shard. Each shard runs the compiled [`Program`] — the same
 //! evaluator as the serial engine's — against the closure's immutable
 //! view into a thread-local, sorted, novelty-filtered run, and the
 //! coordinating thread merges the runs into the next delta. The fixpoint
@@ -16,8 +16,17 @@
 //! least one body atom in the delta is found from that atom as pivot by
 //! exactly one shard, and the remaining atoms are joined against the
 //! whole view.
-//! In round 0 of a whole-store closure every atom is in the delta, so
-//! each rule pivots on its first atom only.
+//!
+//! **Round 0 pivots everything, later rounds only what can find
+//! something new.** Round 0 pivots every rule of the program on the
+//! seed; in a whole-store closure every atom is in that delta, so each
+//! rule pivots on its first atom only. A later round pivots only the
+//! multi-atom rules: the one-atom rules, closed under composition, were
+//! applied to every product as it was emitted, so the view is closed
+//! under them after each round. Each transitive rule is an operator that
+//! one shard runs over the whole delta (operator `i` on shard `i mod
+//! shards`), emitting exactly what closes its property
+//! ([`program`](crate::program)).
 //!
 //! **Who sorts what.** A new triple is sorted into each column family
 //! once: SPO by the shard that derived it (the candidate sort), POS when
@@ -54,7 +63,8 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 use crate::ast::{Rule, TermPat};
-use crate::forward::{apply_rule_delta, forward_closure_delta};
+use crate::forward::forward_closure_delta;
+use crate::program::{Program, Round, Sink};
 use owlpar_obs::{global as obs_global, Metric, Phase, Recorder, Track, NO_ROUND};
 use owlpar_rdf::fx::FxHashMap;
 use owlpar_rdf::{
@@ -77,36 +87,35 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Compute the closure of `store` under `rules` using up to `threads`
+/// Compute the closure of `store` under `program` using up to `threads`
 /// worker threads (0 = auto). Returns the number of derived triples.
 ///
 /// Produces exactly the same fixpoint as
 /// [`forward_closure`](crate::forward::forward_closure).
-pub fn parallel_closure(store: &mut TripleStore, rules: &[Rule], threads: usize) -> usize {
+pub fn parallel_closure(store: &mut TripleStore, program: &Program, threads: usize) -> usize {
     if store.len() < MIN_PARALLEL_DELTA {
-        let seed: Vec<Triple> = store.iter().collect();
-        return forward_closure_delta(store, rules, seed).len();
+        return crate::forward::forward_closure(store, program);
     }
     compacted_base(store);
-    close_base(store, rules, None, threads).len()
+    close_base(store, program, None, threads).len()
 }
 
-/// `store` is closed under `rules` except that the triples in `delta`
+/// `store` is closed under `program` except that the triples in `delta`
 /// were just inserted. Derives all consequences with up to `threads`
 /// worker threads (0 = auto), adds them, and returns them (cascades
 /// included). Same contract as
 /// [`forward_closure_delta`](crate::forward::forward_closure_delta).
 pub fn parallel_closure_delta(
     store: &mut TripleStore,
-    rules: &[Rule],
+    program: &Program,
     delta: Vec<Triple>,
     threads: usize,
 ) -> Vec<Triple> {
     if delta.len() < MIN_PARALLEL_DELTA {
-        return forward_closure_delta(store, rules, delta);
+        return forward_closure_delta(store, program, delta);
     }
     compacted_base(store);
-    close_base(store, rules, Some(delta), threads)
+    close_base(store, program, Some(delta), threads)
 }
 
 /// Fold `store`'s overlay into its base, if it has one, under a
@@ -125,12 +134,12 @@ fn compacted_base(store: &mut TripleStore) {
 /// the derivations.
 fn close_base(
     store: &mut TripleStore,
-    rules: &[Rule],
+    program: &Program,
     seed: Option<Vec<Triple>>,
     threads: usize,
 ) -> Vec<Triple> {
     let threads = resolve_threads(threads).max(1);
-    let (closed, derived) = frozen_rounds(Arc::clone(store.base()), rules, seed, threads, None);
+    let (closed, derived) = frozen_rounds(Arc::clone(store.base()), program, seed, threads, None);
     store.adopt(closed);
     derived
 }
@@ -150,12 +159,12 @@ fn close_base(
 /// [`closure_delta_within`].
 pub fn closure_delta_over(
     base: impl Into<Arc<FrozenStore>>,
-    rules: &[Rule],
+    program: &Program,
     seed: Vec<Triple>,
     threads: usize,
 ) -> (Arc<FrozenStore>, Vec<Triple>) {
     let threads = resolve_threads(threads).max(1);
-    frozen_rounds(base.into(), rules, Some(seed), threads, None)
+    frozen_rounds(base.into(), program, Some(seed), threads, None)
 }
 
 /// [`closure_delta_over`] for a caller that owns only `threads` cores —
@@ -166,12 +175,12 @@ pub fn closure_delta_over(
 /// saves its index a sort.
 pub fn closure_delta_within(
     base: impl Into<Arc<FrozenStore>>,
-    rules: &[Rule],
+    program: &Program,
     seed: Vec<Triple>,
     threads: usize,
 ) -> (Arc<FrozenStore>, Vec<Triple>) {
     let threads = threads.max(1);
-    frozen_rounds(base.into(), rules, Some(seed), threads, Some(threads))
+    frozen_rounds(base.into(), program, Some(seed), threads, Some(threads))
 }
 
 /// The closure of all of `base` on at most `threads` threads, the
@@ -180,11 +189,11 @@ pub fn closure_delta_within(
 /// indexed.
 pub fn closure_within(
     base: impl Into<Arc<FrozenStore>>,
-    rules: &[Rule],
+    program: &Program,
     threads: usize,
 ) -> (Arc<FrozenStore>, Vec<Triple>) {
     let threads = threads.max(1);
-    frozen_rounds(base.into(), rules, None, threads, Some(threads))
+    frozen_rounds(base.into(), program, None, threads, Some(threads))
 }
 
 /// The round loop behind every entry point. `seed` is the first delta —
@@ -201,7 +210,7 @@ pub fn closure_within(
 /// the rows it merged.
 fn frozen_rounds(
     base: Arc<FrozenStore>,
-    rules: &[Rule],
+    program: &Program,
     seed: Option<Vec<Triple>>,
     threads: usize,
     freeze_budget: Option<usize>,
@@ -219,7 +228,9 @@ fn frozen_rounds(
         .map(|i| rec.track(&format!("shard {i}")))
         .collect();
     let freeze_threads = freeze_budget.unwrap_or(0);
-    let seen = SeenHeads::new(&base, rules);
+    let seen = SeenHeads::new(&base, program.rules());
+    // What each operator emitted the round before.
+    let mut closed: Vec<Vec<Triple>> = vec![Vec::new(); program.operators()];
     let mut round_no: u32 = 0;
     // The delta of the coming round; `None` is the base itself, round 0
     // of a whole-store closure.
@@ -231,10 +242,19 @@ fn frozen_rounds(
     };
     loop {
         let round_span = track.begin(Phase::Round, round_no);
+        let round = if round_no == 0 {
+            Round::Seed {
+                whole: pivot.is_none(),
+            }
+        } else {
+            Round::Delta
+        };
         let (new, candidates) = round_candidates(
             &view,
             pivot.as_deref(),
-            rules,
+            program,
+            round,
+            &mut closed,
             &seen,
             threads,
             &shard_tracks,
@@ -463,11 +483,34 @@ impl TripleSource for IndexPart<'_> {
     }
 }
 
-/// One round: every shard pivots on its share of `pivot` (the round's
-/// delta; `None` is the whole base, each rule pivoting on its first atom
-/// only), joins against `view` on its own thread, and the sorted,
-/// deduplicated triples that are *not yet* in `view` come back, with the
-/// number of candidates the joins produced.
+/// A shard's candidate run: a product with a constant head `(?x p o)`
+/// goes in only if [`SeenHeads`] reports its subject first.
+struct Candidates<'a> {
+    seen: &'a SeenHeads,
+    view: &'a Layered,
+    out: Vec<Triple>,
+}
+
+impl Sink for Candidates<'_> {
+    #[inline]
+    fn offer(&mut self, rule: Option<usize>, t: Triple) -> bool {
+        if let Some(slot) = rule.and_then(|i| self.seen.slot_of_rule[i]) {
+            if !self.seen.first(slot, t.s, self.view) {
+                return false;
+            }
+        }
+        self.out.push(t);
+        true
+    }
+}
+
+/// One round: every shard pivots `round`'s rules on its share of `pivot`
+/// (the round's delta; `None` is the whole base), runs its share of the
+/// operators on all of it, joins against `view` on its own thread, and
+/// the sorted, deduplicated triples that are *not yet* in `view` come
+/// back, with the number of candidates the joins produced. `closed`
+/// holds what each operator emitted the round before, and is replaced by
+/// what it emits in this one.
 ///
 /// Each shard sorts, dedupes and novelty-filters its own candidates
 /// before handing them to the coordinator, so the filter runs in
@@ -479,7 +522,9 @@ impl TripleSource for IndexPart<'_> {
 fn round_candidates(
     view: &Layered,
     pivot: Option<&FrozenStore>,
-    rules: &[Rule],
+    program: &Program,
+    round: Round,
+    closed: &mut Vec<Vec<Triple>>,
     seen: &SeenHeads,
     threads: usize,
     shard_tracks: &[Track],
@@ -488,37 +533,42 @@ fn round_candidates(
 ) -> (Vec<Triple>, usize) {
     let index = pivot.unwrap_or(&view.base);
     let shards = threads.min(index.len().div_ceil(MIN_PARALLEL_DELTA / 4)).max(1);
+    let prev = std::mem::take(closed);
     let join_shard = |part: usize, mut lane: Track| {
         let join = lane.begin(Phase::Join, round_no);
-        let part = IndexPart {
+        let share = IndexPart {
             index,
             part,
             parts: shards,
         };
-        let mut out = Vec::new();
-        for (rule, slot) in rules.iter().zip(&seen.slot_of_rule) {
-            let pivots = if pivot.is_some() { rule.body.len() } else { 1 };
-            match *slot {
-                Some(slot) => apply_rule_delta(view, &part, rule, pivots, &mut |t: Triple| {
-                    if seen.first(slot, t.s, view) {
-                        out.push(t);
-                    }
-                }),
-                None => apply_rule_delta(view, &part, rule, pivots, &mut |t| out.push(t)),
-            }
-        }
+        let mut sink = Candidates {
+            seen,
+            view,
+            out: Vec::new(),
+        };
+        program.pivot(view, &share, round, &mut sink);
+        let ops: Vec<(usize, Vec<Triple>)> = (part..prev.len())
+            .step_by(shards)
+            .map(|op| (op, program.close_transitive(op, view, index, round, &prev[op], &mut sink)))
+            .collect();
         lane.end(join);
+        let mut out = sink.out;
         let candidates = out.len();
         let dedup = lane.begin(Phase::Dedup, round_no);
         out.sort_unstable();
         out.dedup();
         view.retain_new(&mut out);
         lane.end(dedup);
-        (out, candidates)
+        (out, candidates, ops)
     };
 
+    closed.resize(prev.len(), Vec::new());
     if shards <= 1 {
-        return join_shard(0, track.fork());
+        let (out, candidates, ops) = join_shard(0, track.fork());
+        for (op, emitted) in ops {
+            closed[op] = emitted;
+        }
+        return (out, candidates);
     }
     let mut locals: Vec<Vec<Triple>> = Vec::with_capacity(shards);
     let mut candidates = 0;
@@ -532,9 +582,12 @@ fn round_candidates(
             .collect();
         for handle in handles {
             match handle.join() {
-                Ok((out, n)) => {
+                Ok((out, n, ops)) => {
                     locals.push(out);
                     candidates += n;
+                    for (op, emitted) in ops {
+                        closed[op] = emitted;
+                    }
                 }
                 // A panicking shard (rule bug, OOM abort path) must not
                 // silently drop derivations: re-raise on the coordinator
@@ -581,10 +634,10 @@ mod tests {
     fn matches_serial_on_transitive_chain() {
         for threads in [1, 2, 4, 8] {
             let mut serial: TripleStore = chain(60).into_iter().collect();
-            forward_closure(&mut serial, &[trans_rule(P)]);
+            forward_closure(&mut serial, &Program::compile(&[trans_rule(P)]));
 
             let mut par: TripleStore = chain(60).into_iter().collect();
-            let n = parallel_closure(&mut par, &[trans_rule(P)], threads);
+            let n = parallel_closure(&mut par, &Program::compile(&[trans_rule(P)]), threads);
             assert_eq!(par.iter_sorted(), serial.iter_sorted(), "threads={threads}");
             assert_eq!(n, 60 * 61 / 2 - 60, "threads={threads}");
         }
@@ -595,7 +648,7 @@ mod tests {
         let rules = [trans_rule(P)];
         // close a chain, then extend it with a batch of fresh links
         let mut serial: TripleStore = chain(40).into_iter().collect();
-        forward_closure(&mut serial, &rules);
+        forward_closure(&mut serial, &Program::compile(&rules));
         let mut par = serial.clone();
 
         let fresh: Vec<Triple> = (41..80).map(|i| t(i, P, i + 1)).collect();
@@ -603,8 +656,8 @@ mod tests {
             serial.insert(f);
             par.insert(f);
         }
-        let mut a = forward_closure_delta(&mut serial, &rules, fresh.clone());
-        let mut b = parallel_closure_delta(&mut par, &rules, fresh, 4);
+        let mut a = forward_closure_delta(&mut serial, &Program::compile(&rules), fresh.clone());
+        let mut b = parallel_closure_delta(&mut par, &Program::compile(&rules), fresh, 4);
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
@@ -615,7 +668,7 @@ mod tests {
     fn small_deltas_fall_back_to_serial_and_agree() {
         let rules = [trans_rule(P)];
         let mut s: TripleStore = [t(0, P, 1), t(1, P, 2)].into_iter().collect();
-        let n = parallel_closure(&mut s, &rules, 8);
+        let n = parallel_closure(&mut s, &Program::compile(&rules), 8);
         assert_eq!(n, 1);
         assert!(s.contains(&t(0, P, 2)));
     }
@@ -633,10 +686,10 @@ mod tests {
         let facts: Vec<Triple> = (0..400).map(|i| t(i % 37, Q, (i * 7) % 37)).collect();
 
         let mut serial: TripleStore = facts.iter().copied().collect();
-        forward_closure(&mut serial, &rules);
+        forward_closure(&mut serial, &Program::compile(&rules));
         for threads in [2, 8] {
             let mut par: TripleStore = facts.iter().copied().collect();
-            parallel_closure(&mut par, &rules, threads);
+            parallel_closure(&mut par, &Program::compile(&rules), threads);
             assert_eq!(par.iter_sorted(), serial.iter_sorted(), "threads={threads}");
         }
     }
@@ -646,10 +699,10 @@ mod tests {
         let rules = [trans_rule(P)];
         let facts = chain(150);
         let mut serial: TripleStore = facts.iter().copied().collect();
-        forward_closure(&mut serial, &rules);
+        forward_closure(&mut serial, &Program::compile(&rules));
 
         let base = FrozenStore::from_triples(facts.iter().copied());
-        let (closed, derived) = closure_delta_over(base, &rules, facts.clone(), 4);
+        let (closed, derived) = closure_delta_over(base, &Program::compile(&rules), facts.clone(), 4);
         let expected = 150 * 151 / 2 - 150;
         assert_eq!(derived.len(), expected);
         assert_eq!(closed.iter_sorted(), serial.iter_sorted());
@@ -666,18 +719,18 @@ mod tests {
         let rules = [promote, trans_rule(P)];
         let facts: Vec<Triple> = (0..600).map(|i| t(i % 41, Q, (i * 7) % 41)).collect();
         let mut serial: TripleStore = facts.iter().copied().collect();
-        forward_closure(&mut serial, &rules);
+        forward_closure(&mut serial, &Program::compile(&rules));
 
         for threads in [1, 2, 3] {
             // whole-base seed: round 0 joins the base against itself
             let base = FrozenStore::from_triples(facts.iter().copied());
             let seed = base.iter_sorted();
             let n_base = base.len();
-            let (closed, derived) = closure_delta_within(base.clone(), &rules, seed, threads);
+            let (closed, derived) = closure_delta_within(base.clone(), &Program::compile(&rules), seed, threads);
             assert_eq!(closed.iter_sorted(), serial.iter_sorted(), "threads={threads}");
             assert_eq!(derived.len(), serial.len() - n_base);
             // the same closure without a seed: round 0 pivots on the base
-            let (whole, mut whole_derived) = closure_within(base, &rules, threads);
+            let (whole, mut whole_derived) = closure_within(base, &Program::compile(&rules), threads);
             let mut derived = derived;
             derived.sort_unstable();
             whole_derived.sort_unstable();
@@ -688,11 +741,11 @@ mod tests {
             let extra: Vec<Triple> = (0..300).map(|i| t(100 + i, Q, i % 41)).collect();
             let mut want = serial.clone();
             let fresh: Vec<Triple> = extra.iter().copied().filter(|&t| want.insert(t)).collect();
-            let mut want_derived = crate::forward::forward_closure_delta(&mut want, &rules, fresh);
+            let mut want_derived = crate::forward::forward_closure_delta(&mut want, &Program::compile(&rules), fresh);
             let grown = closed.merge_triples_within(&extra, threads);
             let mut seed = extra.clone();
             seed.sort_unstable();
-            let (closed2, mut derived2) = closure_delta_within(grown, &rules, seed, threads);
+            let (closed2, mut derived2) = closure_delta_within(grown, &Program::compile(&rules), seed, threads);
             want_derived.sort_unstable();
             derived2.sort_unstable();
             assert_eq!(derived2, want_derived, "threads={threads}");
@@ -762,8 +815,8 @@ mod tests {
         assert!(seen.bits.is_empty());
 
         let mut serial: TripleStore = facts.iter().copied().collect();
-        forward_closure(&mut serial, &rules);
-        let (closed, _) = closure_delta_over(base, &rules, facts, 2);
+        forward_closure(&mut serial, &Program::compile(&rules));
+        let (closed, _) = closure_delta_over(base, &Program::compile(&rules), facts, 2);
         assert_eq!(closed.iter_sorted(), serial.iter_sorted());
     }
 
@@ -831,19 +884,19 @@ mod tests {
     fn a_small_seed_finishes_on_the_overlay_and_folds_once() {
         let rules = [trans_rule(P)];
         let mut serial: TripleStore = chain(300).into_iter().collect();
-        forward_closure(&mut serial, &rules);
+        forward_closure(&mut serial, &Program::compile(&rules));
         let base = FrozenStore::from_store(&serial);
         // three fresh links into a 45 k-triple base: each round costs its
         // own few hundred triples, and the base is merged once, at the end
         let fresh = vec![t(300, P, 301), t(301, P, 302), t(400, P, 0)];
         let mut want = serial.clone();
         want.extend(fresh.iter().copied());
-        let mut want_derived = forward_closure_delta(&mut want, &rules, fresh.clone());
+        let mut want_derived = forward_closure_delta(&mut want, &Program::compile(&rules), fresh.clone());
         let grown = base.merge_triples(&fresh);
         assert!(fresh.len() * 64 < grown.len());
         for threads in [1, 2, 4] {
             let (closed, mut derived) =
-                closure_delta_over(grown.clone(), &rules, fresh.clone(), threads);
+                closure_delta_over(grown.clone(), &Program::compile(&rules), fresh.clone(), threads);
             want_derived.sort_unstable();
             derived.sort_unstable();
             assert_eq!(derived, want_derived, "threads={threads}");

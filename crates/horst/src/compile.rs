@@ -264,6 +264,7 @@ pub fn verify_single_join(rules: &[Rule]) -> Vec<String> {
 mod tests {
     use super::*;
     use owlpar_datalog::forward::forward_closure;
+    use owlpar_datalog::Program;
     use owlpar_rdf::vocab::*;
     use owlpar_rdf::{Graph, Triple, TriplePattern};
 
@@ -316,7 +317,7 @@ mod tests {
     #[test]
     fn closure_derives_expected_facts() {
         let (mut g, rules) = build();
-        forward_closure(&mut g.store, &rules);
+        forward_closure(&mut g.store, &Program::compile(&rules));
 
         // subclass chain: alice is Student and Person
         assert!(has(&g, &ud("alice"), RDF_TYPE, &uc("Student")));
@@ -374,7 +375,7 @@ mod tests {
             ..CompileOptions::default()
         };
         let rules = compile_ontology(&tbox, &mut g.dict, opts);
-        forward_closure(&mut g.store, &rules);
+        forward_closure(&mut g.store, &Program::compile(&rules));
         // a sameAs b (functional on shared object i), so b likes pizza
         assert!(has(&g, &ud("b"), &uc("likes"), &ud("pizza")));
     }
@@ -389,7 +390,7 @@ mod tests {
         g.insert_iris(ud("d2"), RDF_TYPE, uc("CsDept"));
         let tbox = TBox::extract(&g);
         let rules = compile_ontology(&tbox, &mut g.dict, CompileOptions::default());
-        forward_closure(&mut g.store, &rules);
+        forward_closure(&mut g.store, &Program::compile(&rules));
         assert!(has(&g, &ud("d1"), RDF_TYPE, &uc("CsDept")));
         assert!(has(&g, &ud("d2"), &uc("fieldIs"), &uc("CS")));
     }
@@ -404,7 +405,7 @@ mod tests {
         g.insert_iris(ud("dave"), RDF_TYPE, uc("Student"));
         let tbox = TBox::extract(&g);
         let rules = compile_ontology(&tbox, &mut g.dict, CompileOptions::default());
-        forward_closure(&mut g.store, &rules);
+        forward_closure(&mut g.store, &Program::compile(&rules));
         assert!(has(&g, &ud("carol"), RDF_TYPE, &uc("Advisor")));
     }
 
@@ -422,7 +423,7 @@ mod tests {
         let (mut g, rules) = build();
         let tbox = TBox::extract(&g);
         let before: Vec<Triple> = g.store.iter().collect();
-        forward_closure(&mut g.store, &rules);
+        forward_closure(&mut g.store, &Program::compile(&rules));
         let new: Vec<Triple> = g
             .store
             .matches(TriplePattern::any())

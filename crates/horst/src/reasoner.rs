@@ -87,7 +87,7 @@ impl HorstReasoner {
 
     /// The compiled rule-base.
     pub fn rules(&self) -> &[Rule] {
-        &self.reasoner.rules
+        self.reasoner.rules()
     }
 
     /// Materialize `graph` in place; returns the number of derived triples.

@@ -80,6 +80,7 @@ mod tests {
     use crate::tbox::{TBox, TripleKind};
     use owlpar_datalog::analysis::{classify, JoinClass};
     use owlpar_datalog::forward::forward_closure;
+    use owlpar_datalog::Program;
     use owlpar_rdf::vocab::*;
     use owlpar_rdf::{Graph, Triple};
 
@@ -151,12 +152,12 @@ mod tests {
         // Oracle: generic rules over schema + instance.
         let mut oracle = g0.clone();
         let generic = pd_star_rules(&mut oracle.dict);
-        forward_closure(&mut oracle.store, &generic);
+        forward_closure(&mut oracle.store, &Program::compile(&generic));
 
         // System under test: compiled rules over the same graph.
         let mut sut = g0.clone();
         let compiled = compile_ontology(&tbox, &mut sut.dict, CompileOptions::default());
-        forward_closure(&mut sut.store, &compiled);
+        forward_closure(&mut sut.store, &Program::compile(&compiled));
 
         // Compare the *instance-level* closures as term sets (dictionaries
         // may have diverged, so compare decoded terms via fingerprint of
@@ -187,7 +188,7 @@ mod tests {
     fn generic_rules_derive_schema_closure_too() {
         let mut g = workload();
         let rules = pd_star_rules(&mut g.dict);
-        forward_closure(&mut g.store, &rules);
+        forward_closure(&mut g.store, &Program::compile(&rules));
         // rdfs11 derived GradStudent subClassOf Person at the schema level
         assert!(g.contains_terms(
             &owlpar_rdf::Term::iri(uc("GradStudent")),

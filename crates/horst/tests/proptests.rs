@@ -5,6 +5,7 @@
 //! compiler.
 
 use owlpar_datalog::forward::forward_closure;
+use owlpar_datalog::Program;
 use owlpar_horst::rules::pd_star_rules;
 use owlpar_horst::{compile_ontology, CompileOptions, TBox};
 use owlpar_rdf::vocab::*;
@@ -116,7 +117,7 @@ fn instance_closure(mut g: Graph, compiled: bool, tbox: &TBox) -> Vec<TermTriple
     } else {
         pd_star_rules(&mut g.dict)
     };
-    forward_closure(&mut g.store, &rules);
+    forward_closure(&mut g.store, &Program::compile(&rules));
     let mut out: Vec<TermTriple> = g
         .store
         .iter()
@@ -142,7 +143,7 @@ proptest! {
         let mut schema_closed = g.clone();
         {
             let generic = pd_star_rules(&mut schema_closed.dict);
-            forward_closure(&mut schema_closed.store, &generic);
+            forward_closure(&mut schema_closed.store, &Program::compile(&generic));
         }
         let tbox = TBox::extract(&schema_closed);
 

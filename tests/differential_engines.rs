@@ -18,6 +18,7 @@ use owlpar::datalog::ast::build::{atom, c, v};
 use owlpar::datalog::ast::{Atom, TermPat};
 use owlpar::datalog::backward::{BackwardEngine, TableScope};
 use owlpar::datalog::forward::{forward_closure, forward_closure_delta, naive_closure};
+use owlpar::datalog::Program;
 use owlpar::datalog::{
     closure_delta_within, closure_within, parallel_closure as closure_on_threads,
     MaterializationStrategy, Reasoner, Rule,
@@ -208,7 +209,7 @@ proptest! {
         data in data_strategy(12, 3, 30),
     ) {
         let mut fwd: TripleStore = data.iter().copied().collect();
-        forward_closure(&mut fwd, &rules);
+        forward_closure(&mut fwd, &Program::compile(&rules));
 
         let mut bwd: TripleStore = data.iter().copied().collect();
         BackwardEngine::new(&rules, TableScope::PerQuery).materialize(&mut bwd);
@@ -232,7 +233,7 @@ proptest! {
         delta in data_strategy(10, 3, 8),
     ) {
         let mut scratch: TripleStore = base.iter().chain(delta.iter()).copied().collect();
-        forward_closure(&mut scratch, &rules);
+        forward_closure(&mut scratch, &Program::compile(&rules));
 
         let mut inc: TripleStore = base.iter().copied().collect();
         let mut eng = BackwardEngine::new(&rules, TableScope::PerQuery);
@@ -282,7 +283,7 @@ proptest! {
             }));
         }
         let mut serial: TripleStore = facts.iter().copied().collect();
-        forward_closure(&mut serial, &rules);
+        forward_closure(&mut serial, &Program::compile(&rules));
         let serial = serial.iter_sorted();
         let base = FrozenStore::from_triples(facts.iter().copied());
         prop_assert!(base.len() >= 256, "past the serial fallback");
@@ -290,16 +291,16 @@ proptest! {
         for threads in [1, 2, 4] {
             let mut store: TripleStore = facts.iter().copied().collect();
             store.compact();
-            let derived = closure_on_threads(&mut store, &rules, threads);
+            let derived = closure_on_threads(&mut store, &Program::compile(&rules), threads);
             prop_assert_eq!(store.iter_sorted(), serial.clone(), "parallel_closure {}", threads);
             prop_assert_eq!(derived, derived_len);
 
-            let (closed, derived) = closure_within(base.clone(), &rules, threads);
+            let (closed, derived) = closure_within(base.clone(), &Program::compile(&rules), threads);
             prop_assert_eq!(closed.iter_sorted(), serial.clone(), "closure_within {}", threads);
             prop_assert_eq!(derived.len(), derived_len);
 
             let seed = base.iter_sorted();
-            let (closed, derived) = closure_delta_within(base.clone(), &rules, seed, threads);
+            let (closed, derived) = closure_delta_within(base.clone(), &Program::compile(&rules), seed, threads);
             prop_assert_eq!(closed.iter_sorted(), serial.clone(), "closure_delta_within {}", threads);
             prop_assert_eq!(derived.len(), derived_len);
         }
@@ -421,15 +422,15 @@ proptest! {
         let want = naive(&facts, &rules);
 
         let mut serial: TripleStore = facts.iter().copied().collect();
-        forward_closure(&mut serial, &rules);
+        forward_closure(&mut serial, &Program::compile(&rules));
         prop_assert_eq!(serial.iter_sorted(), want.clone(), "forward_closure");
         let base = FrozenStore::from_triples(facts.iter().copied());
         for threads in [1, 2, 4] {
             let mut store: TripleStore = facts.iter().copied().collect();
             store.compact();
-            closure_on_threads(&mut store, &rules, threads);
+            closure_on_threads(&mut store, &Program::compile(&rules), threads);
             prop_assert_eq!(store.iter_sorted(), want.clone(), "parallel_closure {}", threads);
-            let (closed, _) = closure_within(base.clone(), &rules, threads);
+            let (closed, _) = closure_within(base.clone(), &Program::compile(&rules), threads);
             prop_assert_eq!(closed.iter_sorted(), want.clone(), "closure_within {}", threads);
         }
 
@@ -440,11 +441,123 @@ proptest! {
         let grown: Vec<Triple> = facts.iter().chain(&extra).copied().collect();
         let want = naive(&grown, &rules);
         let closed = serial.clone();
-        forward_closure_delta(&mut serial, &rules, extra.clone());
+        forward_closure_delta(&mut serial, &Program::compile(&rules), extra.clone());
         prop_assert_eq!(serial.iter_sorted(), want.clone(), "forward_closure_delta");
         let mut seed = extra;
         seed.sort_unstable();
-        let (closed, _) = closure_delta_within(FrozenStore::from_store(&closed), &rules, seed, 2);
+        let (closed, _) = closure_delta_within(FrozenStore::from_store(&closed), &Program::compile(&rules), seed, 2);
         prop_assert_eq!(closed.iter_sorted(), want, "closure_delta_within");
+    }
+}
+
+/// `p`, the transitive property of [`program_rules`].
+const P: u32 = 500;
+
+/// `(?x a ?y) -> (?x b ?y)`, or `-> (?y b ?x)` when `swap`: a
+/// sub-property or an inverse link, by predicate offset from `p`.
+fn link(a: u32, b: u32, swap: bool) -> Rule {
+    let head = if swap {
+        atom(v(1), c(NodeId(P + b)), v(0))
+    } else {
+        atom(v(0), c(NodeId(P + b)), v(1))
+    };
+    Rule::new(format!("link{a}_{b}"), head, vec![atom(v(0), c(NodeId(P + a)), v(1))]).unwrap()
+}
+
+/// `p` transitive, and symmetric when `symmetric`; `p1 ⊑ p` and `p2`
+/// the inverse of `p`, so other rules derive `p` edges; a chain of
+/// one-atom links from `p3` through random predicates, each kept or
+/// swapped, which may revisit a predicate and so close a cycle; and
+/// random one-atom rules with variable predicates, repeated variables
+/// and constants.
+fn program_rules(symmetric: bool, chain: &[(u32, bool)], raw: &[(RawAtom, RawAtom)]) -> Vec<Rule> {
+    let mut rules = vec![
+        Rule::new(
+            "trans",
+            atom(v(0), c(NodeId(P)), v(2)),
+            vec![atom(v(0), c(NodeId(P)), v(1)), atom(v(1), c(NodeId(P)), v(2))],
+        )
+        .unwrap(),
+        link(1, 0, false),
+        link(2, 0, true),
+    ];
+    if symmetric {
+        rules.push(link(0, 0, true));
+    }
+    let mut from = 3;
+    for &(to, swap) in chain {
+        rules.push(link(from, to, swap));
+        from = to;
+    }
+    rules.extend(
+        raw.iter()
+            .enumerate()
+            .map(|(i, &(body, head))| planned_rule(format!("one{i}"), &[body], head)),
+    );
+    rules
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The program the forward engines run — the one-atom rules closed
+    /// under composition and applied as products are emitted, and the
+    /// transitive rule closed by an operator — equals the naive closure
+    /// of the rules as given. The graphs have cycles and self-loops, `p`
+    /// chains of up to 13 links that a join closes over several rounds,
+    /// and `p` edges that the sub-property and the inverse derive, the
+    /// same round or later. Every engine path at 1, 2 and 4 threads, then
+    /// the serial and frozen delta closures after a random insert.
+    #[test]
+    fn the_program_equals_the_naive_closure(
+        symmetric in any::<bool>(),
+        chain in prop::collection::vec((0u32..6, any::<bool>()), 2..9),
+        raw in prop::collection::vec((raw_atom(), raw_atom()), 0..4),
+        data in prop::collection::vec((0u32..20, 0u32..6, 0u32..20), 260..340),
+        runs in prop::collection::vec((0u32..3, 2u32..14), 1..4),
+        extra in prop::collection::vec((0u32..24, 0u32..6, 0u32..24), 1..12),
+    ) {
+        let rules = program_rules(symmetric, &chain, &raw);
+        let program = Program::compile(&rules);
+        let mut facts: Vec<Triple> = data
+            .iter()
+            .map(|&(s, p, o)| Triple::new(NodeId(s), NodeId(P + p), NodeId(o)))
+            .collect();
+        for (run, &(pred, len)) in runs.iter().enumerate() {
+            let first = 100 * (run as u32 + 1);
+            facts.extend((first..first + len).map(|i| Triple::new(NodeId(i), NodeId(P + pred), NodeId(i + 1))));
+        }
+        let want = naive(&facts, &rules);
+
+        let mut serial: TripleStore = facts.iter().copied().collect();
+        forward_closure(&mut serial, &program);
+        prop_assert_eq!(serial.iter_sorted(), want.clone(), "forward_closure");
+        let base = FrozenStore::from_triples(facts.iter().copied());
+        prop_assert!(base.len() >= 256, "past the serial fallback");
+        for threads in [1, 2, 4] {
+            let mut store: TripleStore = facts.iter().copied().collect();
+            store.compact();
+            closure_on_threads(&mut store, &program, threads);
+            prop_assert_eq!(store.iter_sorted(), want.clone(), "parallel_closure {}", threads);
+            let (closed, _) = closure_within(base.clone(), &program, threads);
+            prop_assert_eq!(closed.iter_sorted(), want.clone(), "closure_within {}", threads);
+        }
+
+        let extra: Vec<Triple> = extra
+            .iter()
+            .map(|&(s, p, o)| Triple::new(NodeId(s), NodeId(P + p), NodeId(o)))
+            .filter(|t| serial.insert(*t))
+            .collect();
+        let grown: Vec<Triple> = facts.iter().chain(&extra).copied().collect();
+        let want = naive(&grown, &rules);
+        let closed = serial.clone();
+        forward_closure_delta(&mut serial, &program, extra.clone());
+        prop_assert_eq!(serial.iter_sorted(), want.clone(), "forward_closure_delta");
+        let mut seed = extra;
+        seed.sort_unstable();
+        for threads in [1, 2] {
+            let (grown, _) = closure_delta_within(FrozenStore::from_store(&closed), &program, seed.clone(), threads);
+            prop_assert_eq!(grown.iter_sorted(), want.clone(), "closure_delta_within {}", threads);
+        }
     }
 }

@@ -11,6 +11,7 @@
 
 use owlpar::datalog::ast::build::{atom, c, v};
 use owlpar::datalog::forward::{forward_closure, forward_closure_delta};
+use owlpar::datalog::Program;
 use owlpar::datalog::{
     closure_delta_within, closure_within, parallel_closure, parallel_closure_delta, Rule,
 };
@@ -180,12 +181,12 @@ fn check_seed(seed: u64, rules: &[Rule], facts: Vec<Triple>) {
 
 fn check_seed_on(seed: u64, rules: &[Rule], facts: Vec<Triple>, thread_counts: &[usize]) {
     let mut serial: TripleStore = facts.iter().copied().collect();
-    let n_serial = forward_closure(&mut serial, rules);
+    let n_serial = forward_closure(&mut serial, &Program::compile(rules));
     let oracle = serial.iter_sorted();
 
     for &threads in thread_counts {
         for (layout, mut par) in layouts(&facts) {
-            let n_par = parallel_closure(&mut par, rules, threads);
+            let n_par = parallel_closure(&mut par, &Program::compile(rules), threads);
             assert_eq!(
                 par.iter_sorted(),
                 oracle,
@@ -224,7 +225,7 @@ fn delta_path_agrees_with_serial_delta_across_seeds() {
         let rules = lubm_style_rules();
         let facts = lubm_style_facts(&mut rng);
         let mut serial: TripleStore = facts.iter().copied().collect();
-        forward_closure(&mut serial, &rules);
+        forward_closure(&mut serial, &Program::compile(&rules));
         let closed = serial.iter_sorted();
 
         // a batch of fresh facts against the closed store
@@ -235,7 +236,7 @@ fn delta_path_agrees_with_serial_delta_across_seeds() {
                 fresh_s.push(f);
             }
         }
-        let mut a = forward_closure_delta(&mut serial, &rules, fresh_s.clone());
+        let mut a = forward_closure_delta(&mut serial, &Program::compile(&rules), fresh_s.clone());
         a.sort_unstable();
         a.dedup();
 
@@ -247,7 +248,7 @@ fn delta_path_agrees_with_serial_delta_across_seeds() {
                 }
             }
             assert_eq!(fresh_s, fresh_p, "seed {seed} {layout}");
-            let mut b = parallel_closure_delta(&mut par, &rules, fresh_p, 4);
+            let mut b = parallel_closure_delta(&mut par, &Program::compile(&rules), fresh_p, 4);
             b.sort_unstable();
             b.dedup();
             assert_eq!(a, b, "seed {seed} {layout}: delta consequences diverged");
@@ -273,7 +274,7 @@ fn small_stores_take_the_serial_fallback_from_every_layout() {
         check_seed(seed, &rules, facts.clone());
 
         let mut serial: TripleStore = facts.iter().copied().collect();
-        forward_closure(&mut serial, &rules);
+        forward_closure(&mut serial, &Program::compile(&rules));
         let closed = serial.iter_sorted();
         let batch = [
             t(1000, PART_OF, 1001),
@@ -285,11 +286,12 @@ fn small_stores_take_the_serial_fallback_from_every_layout() {
             .copied()
             .filter(|&f| serial.insert(f))
             .collect();
-        let mut want = forward_closure_delta(&mut serial, &rules, fresh.clone());
+        let mut want = forward_closure_delta(&mut serial, &Program::compile(&rules), fresh.clone());
         want.sort_unstable();
         for (layout, mut par) in layouts(&closed) {
             par.extend(fresh.iter().copied());
-            let mut got = parallel_closure_delta(&mut par, &rules, fresh.clone(), 4);
+            let mut got =
+                parallel_closure_delta(&mut par, &Program::compile(&rules), fresh.clone(), 4);
             got.sort_unstable();
             assert_eq!(got, want, "seed {seed} {layout}");
             assert_eq!(
@@ -415,7 +417,7 @@ fn a_delta_over_a_closed_base_derives_each_consequence_once() {
         let mut rng = Rng::new(seed);
         let facts = seam_facts(&mut rng, 900);
         let mut serial: TripleStore = facts.iter().copied().collect();
-        forward_closure(&mut serial, &rules);
+        forward_closure(&mut serial, &Program::compile(&rules));
         let closed = serial.iter_sorted();
 
         let batch = seam_facts(&mut rng, 600);
@@ -428,13 +430,18 @@ fn a_delta_over_a_closed_base_derives_each_consequence_once() {
             fresh.len() >= 256,
             "seed {seed}: batch takes the parallel path"
         );
-        let mut want = forward_closure_delta(&mut serial, &rules, fresh.clone());
+        let mut want = forward_closure_delta(&mut serial, &Program::compile(&rules), fresh.clone());
         want.sort_unstable();
 
         for threads in SEAM_THREADS {
             for (layout, mut par) in layouts(&closed) {
                 par.extend(fresh.iter().copied());
-                let mut got = parallel_closure_delta(&mut par, &rules, fresh.clone(), threads);
+                let mut got = parallel_closure_delta(
+                    &mut par,
+                    &Program::compile(&rules),
+                    fresh.clone(),
+                    threads,
+                );
                 got.sort_unstable();
                 assert_eq!(got, want, "seed {seed} threads {threads} {layout}");
                 assert_eq!(
@@ -455,13 +462,13 @@ fn budgeted_entry_points_match_serial_on_the_seam_mix() {
         let facts = seam_facts(&mut rng, 900);
         let mut serial: TripleStore = facts.iter().copied().collect();
         let base_len = serial.len();
-        forward_closure(&mut serial, &rules);
+        forward_closure(&mut serial, &Program::compile(&rules));
         // one batch for the frozen rounds, one under the small-delta floor
         let batches = [seam_facts(&mut rng, 500), seam_facts(&mut rng, 6)];
 
         for budget in 1..=3 {
             let base = FrozenStore::from_triples(facts.iter().copied());
-            let (mut closed, derived) = closure_within(base, &rules, budget);
+            let (mut closed, derived) = closure_within(base, &Program::compile(&rules), budget);
             assert_eq!(
                 closed.iter_sorted(),
                 serial.iter_sorted(),
@@ -480,10 +487,12 @@ fn budgeted_entry_points_match_serial_on_the_seam_mix() {
                     .copied()
                     .filter(|&f| oracle.insert(f))
                     .collect();
-                let mut want = forward_closure_delta(&mut oracle, &rules, fresh.clone());
+                let mut want =
+                    forward_closure_delta(&mut oracle, &Program::compile(&rules), fresh.clone());
                 fresh.sort_unstable();
                 let grown = closed.merge_triples_within(&fresh, budget);
-                let (next, mut got) = closure_delta_within(grown, &rules, fresh, budget);
+                let (next, mut got) =
+                    closure_delta_within(grown, &Program::compile(&rules), fresh, budget);
                 want.sort_unstable();
                 got.sort_unstable();
                 assert_eq!(got, want, "seed {seed} budget {budget}");
@@ -535,12 +544,12 @@ fn one_thread_is_one_shard_of_the_same_loop() {
     let mut facts = seam_facts(&mut rng, 1500);
     facts.extend((0..4500).map(|i| t(20_000 + i, P, 30_000 + i % 700)));
     let mut serial: TripleStore = facts.iter().copied().collect();
-    let n_serial = forward_closure(&mut serial, &rules);
+    let n_serial = forward_closure(&mut serial, &Program::compile(&rules));
 
     let mut par: TripleStore = facts.iter().copied().collect();
     par.compact();
     assert!(par.len() >= 5000);
-    let n_par = parallel_closure(&mut par, &rules, 1);
+    let n_par = parallel_closure(&mut par, &Program::compile(&rules), 1);
     assert_eq!(n_par, n_serial);
     assert_eq!(par.overlay().count(), 0, "the closed store is all base");
     assert_eq!(par.iter_sorted(), serial.iter_sorted());

@@ -29,7 +29,7 @@ fn recorded_phases_cover_a_parallel_closure() {
     let rec = Recorder::enabled();
     obs::install_global(rec.clone());
     let t0 = Instant::now();
-    let derived = parallel_closure(&mut graph.store, hr.rules(), 2);
+    let derived = parallel_closure(&mut graph.store, hr.reasoner.program(), 2);
     let wall_us = t0.elapsed().as_micros() as u64;
     obs::install_global(Recorder::disabled());
     assert!(derived > 0);
